@@ -291,8 +291,7 @@ def _cmd_eval(args, started: float) -> int:
 
     curves = training.predict_curves(result, cohort, split.test, config)
     ids = [cohort.samples[i].sample_id for i in split.test]
-    formats.write_curves_csv(os.path.join(args.out, "curves.csv"),
-                             dict(zip(ids, curves)))
+    formats.write_curves_csv(os.path.join(args.out, "curves.csv"), ids, curves)
     print(training.report_table({"eval": report}))
     _write_manifest(args.out, "eval", started,
                     config=report.to_dict()["config"],
@@ -347,36 +346,17 @@ def _cmd_blend(args, started: float) -> int:
 
     from . import blending, formats
     from .cohort import _parse_outcomes
-    from .heads import SurvivalCurve
 
-    raw = formats.read_curves_csv(args.curves)
-    if not raw:
-        raise UsageError(f"{args.curves}: no curves")
-    hidden = {sid: SurvivalCurve(times, values) for sid, (times, values) in raw.items()}
-    times = next(iter(hidden.values())).times
-    for sid, curve in hidden.items():
-        if curve.times.shape != times.shape or not np.array_equal(curve.times, times):
-            raise UsageError(f"curve {sid!r} uses a different time grid")
-
+    ids, hidden = formats.read_curves_csv(args.curves)
     _, rows = formats.read_csv_table(args.percents)
     percents: dict[str, float | None] = {}
     for row in rows:
         text = row["percent"].strip()
         percents[row["id"]] = float(text) if text else None
-    missing_pct = [sid for sid in hidden if sid not in percents]
+    missing_pct = [sid for sid in ids if sid not in percents]
     if missing_pct:
         raise UsageError(f"no percent rows for ids {missing_pct[:5]}")
-
-    ids = list(hidden)
-    present = [blending.verbalized_curve(percents[sid], times)
-               for sid in ids if percents[sid] is not None]
-    mean = blending.mean_curve(present) if present else None
-    blend_in = []
-    for sid in ids:
-        pct = percents[sid]
-        verb = blending.verbalized_curve(pct, times) if pct is not None else None
-        blend_curve, _ = blending.handle_missing(hidden[sid], verb, mean)
-        blend_in.append(blend_curve)
+    blend_in, _, n_present = blending.blend_inputs(hidden, [percents[sid] for sid in ids])
 
     val_ctd = None
     if args.lam is not None:
@@ -390,18 +370,16 @@ def _cmd_blend(args, started: float) -> int:
             raise UsageError(f"no outcome rows for ids {missing_out[:5]}")
         t = np.array([outcome_map[sid].time for sid in ids])
         e = np.array([outcome_map[sid].event for sid in ids])
-        lam, val_ctd = blending.select_lambda([hidden[sid] for sid in ids],
-                                              blend_in, t, e)
+        lam, val_ctd = blending.select_lambda(hidden, blend_in, t, e)
 
-    combined = {sid: blending.combine(hidden[sid], bc, lam)
-                for sid, bc in zip(ids, blend_in)}
+    combined = blending.combine(hidden, blend_in, lam)
     os.makedirs(args.out, exist_ok=True)
-    formats.write_curves_csv(os.path.join(args.out, "combined.csv"), combined)
+    formats.write_curves_csv(os.path.join(args.out, "combined.csv"), ids, combined)
     _write_json(os.path.join(args.out, "blend.json"),
                 {"lambda": lam, "selection_c_td": val_ctd,
-                 "n_curves": len(ids), "n_verbalized": len(present)})
+                 "n_curves": len(ids), "n_verbalized": n_present})
     print(f"lambda {lam:g}, blended {len(ids)} curves "
-          f"({len(present)} with verbalized input)")
+          f"({n_present} with verbalized input)")
     inputs = {"curves": args.curves, "percents": args.percents}
     if args.outcomes:
         inputs["outcomes"] = args.outcomes

@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+
+from .heads import CurveSet
 
 HIDDEN_MAGIC = b"SVHS"
 POOLED_MAGIC = b"SVPV"
@@ -177,26 +180,35 @@ def write_csv_table(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_curves_csv(path, curves: dict) -> None:
-    """Export survival curves in long format: id, t, S."""
-    rows = []
-    for sample_id, curve in curves.items():
-        for t, s in zip(curve.times, curve.values):
-            rows.append([sample_id, format_float(t), format_float(s)])
-    write_csv_table(path, ["id", "t", "S"], rows)
+def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
+    """Export survival curves in long format: id, t, S (one row per grid point)."""
+    if len(ids) != len(curves):
+        raise ValueError("one id per curve required")
+    t_text = [format_float(t) for t in curves.times]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "t", "S"])
+        for sample_id, row in zip(ids, curves.values):
+            writer.writerows(zip(repeat(sample_id), t_text, map(repr, row.tolist())))
 
 
-def read_curves_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def read_curves_csv(path) -> tuple[list[str], CurveSet]:
+    """Read curves written by `write_curves_csv`; every id must use one grid."""
     header, rows = read_csv_table(path)
     if header[:3] != ["id", "t", "S"]:
         raise ValueError(f"{path}: expected header id,t,S")
     grouped: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
         grouped.setdefault(row["id"], []).append((float(row["t"]), float(row["S"])))
-    return {
-        sample_id: (np.array([p[0] for p in points]), np.array([p[1] for p in points]))
-        for sample_id, points in grouped.items()
-    }
+    if not grouped:
+        raise ValueError(f"{path}: no curves")
+    ids = list(grouped)
+    points = [np.array(grouped[sid]).reshape(-1, 2) for sid in ids]
+    times = points[0][:, 0]
+    for sid, p in zip(ids, points):
+        if not np.array_equal(p[:, 0], times):
+            raise ValueError(f"{path}: curve {sid!r} uses a different time grid")
+    return ids, CurveSet(times=times, values=np.stack([p[:, 1] for p in points]))
 
 
 def read_jsonl(path) -> list[dict]:

@@ -55,6 +55,40 @@ class DiscreteTargets:
     a: np.ndarray
 
 
+def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """Validate (N, T) step-curve values on a shared grid; return them cleaned.
+
+    Sub-tolerance numerical bumps are flattened so the invariants hold
+    exactly: values are clipped to [0, 1], and rows that still rise somewhere
+    are replaced by their running minimum (a monotone row is its own). Clean
+    float64 input comes back as the same array, without a copy.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.size:
+        raise ValueError("times must be 1-D with one value column per time")
+    if times.size == 0 or times[0] != 0.0 or np.any(values[:, 0] != 1.0):
+        raise ValueError("curve must start at (0, 1)")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("curve times must be strictly increasing")
+    if values.size == 0:
+        return times, values
+    rising = np.diff(values, axis=1) > 0.0
+    if rising.any() and np.any(np.diff(values, axis=1) > 1e-12):
+        raise ValueError("survival values must be non-increasing")
+    low, high = values.min(), values.max()
+    if not (low >= -1e-12 and high <= 1.0 + 1e-12):  # NaN fails too
+        raise ValueError("survival values must lie in [0, 1]")
+    if low < 0.0 or high > 1.0:
+        values = np.clip(values, 0.0, 1.0)
+        rising = np.diff(values, axis=1) > 0.0
+    rows = np.flatnonzero(rising.any(axis=1))
+    if rows.size:
+        values = values.copy()  # never write into the caller's array
+        values[rows] = np.minimum.accumulate(values[rows], axis=1)
+    return times, values
+
+
 @dataclass
 class SurvivalCurve:
     """Right-continuous step function with S(0) = 1, non-increasing, in [0, 1]."""
@@ -63,21 +97,11 @@ class SurvivalCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if times.shape != values.shape or times.ndim != 1:
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1 or np.ndim(self.times) != 1 or values.size != np.size(self.times):
             raise ValueError("times and values must be 1-D and the same length")
-        if times[0] != 0.0 or values[0] != 1.0:
-            raise ValueError("curve must start at (0, 1)")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("curve times must be strictly increasing")
-        if np.any(np.diff(values) > 1e-12):
-            raise ValueError("survival values must be non-increasing")
-        if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-            raise ValueError("survival values must lie in [0, 1]")
-        self.times = times
-        # flatten sub-tolerance numerical bumps so the invariant holds exactly
-        self.values = np.minimum.accumulate(np.clip(values, 0.0, 1.0))
+        self.times, checked = _checked_curves(self.times, values[None, :])
+        self.values = checked[0]
 
     def at(self, t) -> np.ndarray:
         """Evaluate at time(s) t: value held from the preceding step."""
@@ -86,6 +110,58 @@ class SurvivalCurve:
             raise ValueError("curves are defined for t >= 0")
         idx = np.searchsorted(self.times, t, side="right") - 1
         return self.values[idx]
+
+
+@dataclass
+class CurveSet:
+    """N step curves on one shared grid: `times` (T,), `values` (N, T).
+
+    Every row satisfies the `SurvivalCurve` invariants, checked once for the
+    whole matrix. Row i is S_i; column k holds every S_i(times[k]).
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.times, self.values = _checked_curves(self.times, self.values)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i: int) -> SurvivalCurve:
+        return SurvivalCurve(times=self.times, values=self.values[i])
+
+    def cells(self, t) -> np.ndarray:
+        """Grid column holding each time's value: the last times[k] <= t."""
+        t = np.asarray(t, dtype=np.float64)
+        if np.any(t < 0):
+            raise ValueError("curves are defined for t >= 0")
+        return np.searchsorted(self.times, t, side="right") - 1
+
+    def at(self, t) -> np.ndarray:
+        """Every curve at time(s) t: shape (N,) + shape(t)."""
+        return self.values[:, self.cells(t)]
+
+    def restrict(self, t) -> "CurveSet":
+        """The same curves on only the grid points that hold times t (and 0).
+
+        Exact at every time in t: each keeps the grid point it had.
+        """
+        cols = np.union1d([0], self.cells(t))
+        return CurveSet(times=self.times[cols], values=self.values[:, cols])
+
+    @classmethod
+    def from_curves(cls, curves) -> "CurveSet":
+        """Stack curves onto the union of their grids (exact for step functions)."""
+        curves = list(curves)
+        if not curves:
+            raise ValueError("no curves")
+        times = curves[0].times
+        if all(np.array_equal(c.times, times) for c in curves):
+            return cls(times=times, values=np.stack([c.values for c in curves]))
+        times = np.unique(np.concatenate([c.times for c in curves]))
+        return cls(times=times, values=np.stack([c.at(times) for c in curves]))
 
 
 def build_discrete_targets(times, events, grid: TimeGrid) -> DiscreteTargets:
@@ -132,15 +208,17 @@ def discrete_loss_grad(logits: np.ndarray, targets: DiscreteTargets) -> tuple[fl
     return loss, grad
 
 
-def discrete_curve(logits: np.ndarray, grid: TimeGrid) -> SurvivalCurve:
-    """Survival step curve from per-bin hazard logits: S(t_b) = prod_{k<=b}(1 - h_k)."""
+def discrete_curve(logits: np.ndarray, grid: TimeGrid) -> CurveSet:
+    """Survival step curves from per-bin hazard logits (N, B): S(t_b) = prod_{k<=b}(1 - h_k)."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (grid.n_bins,):
-        raise ValueError(f"expected {grid.n_bins} logits, got shape {logits.shape}")
+    if logits.ndim != 2 or logits.shape[1] != grid.n_bins:
+        raise ValueError(f"expected (N, {grid.n_bins}) logits, got shape {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
-    surv = np.cumprod(1.0 - sigmoid(logits))
-    return SurvivalCurve(times=grid.edges, values=np.concatenate([[1.0], surv]))
+    values = np.empty((logits.shape[0], grid.n_bins + 1))
+    values[:, 0] = 1.0
+    np.cumprod(1.0 - sigmoid(logits), axis=1, out=values[:, 1:])
+    return CurveSet(times=grid.edges, values=values)
 
 
 def _event_time_groups(times: np.ndarray, events: np.ndarray,
@@ -242,14 +320,19 @@ def breslow_baseline(scores, times, events) -> BreslowBaseline:
     return BreslowBaseline(event_times=event_times, increments=increments)
 
 
-def cox_curve(score: float, baseline: BreslowBaseline) -> SurvivalCurve:
-    """Per-subject curve S(t) = exp(-H0(t) * exp(g)) on the baseline's event times."""
+def cox_curve(scores, baseline: BreslowBaseline) -> CurveSet:
+    """Curves S_i(t) = exp(-H0(t) * exp(g_i)) on the baseline's event times."""
     if baseline.event_times.size == 0:
         raise ValueError("empty baseline")
-    cum = np.cumsum(baseline.increments)
-    values = np.exp(-cum * np.exp(float(score)))
     times = baseline.event_times
     if times[0] == 0.0:
         raise ValueError("baseline event times must be positive")
-    return SurvivalCurve(times=np.concatenate([[0.0], times]),
-                         values=np.concatenate([[1.0], values]))
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError(f"expected one score per subject, got shape {scores.shape}")
+    cum = np.cumsum(baseline.increments)
+    values = np.empty((scores.size, times.size + 1))
+    values[:, 0] = 1.0
+    np.multiply(-cum, np.exp(scores)[:, None], out=values[:, 1:])
+    np.exp(values[:, 1:], out=values[:, 1:])
+    return CurveSet(times=np.concatenate([[0.0], times]), values=values)

@@ -9,13 +9,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import formats
-from .blending import (DEFAULT_LAMBDA_GRID, combine, handle_missing, mean_curve,
-                       select_lambda, verbalized_curve)
+from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import (TeacherRecord, calibration_mask, finalize_records,
                       weighted_text_loss)
-from .heads import (TimeGrid, breslow_baseline, build_discrete_targets, cox_curve,
-                    cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
+from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
+                    cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
                     discrete_loss_grad)
 from .metrics import c_td, ibs
 from .model import (SurvivalModel, gate_values, init_model, model_backward,
@@ -433,31 +432,42 @@ class RunReport:
         }
 
 
-def _hidden_curves(result: TrainResult, data: dict) -> list:
+def _hidden_curves(result: TrainResult, data: dict) -> CurveSet:
     fwd = model_forward(result.model, data, rng=None)
     if result.model.head_type == "discrete":
-        return [discrete_curve(fwd.out[i], result.grid) for i in range(fwd.out.shape[0])]
-    return [cox_curve(float(fwd.out[i]), result.baseline)
-            for i in range(fwd.out.shape[0])]
+        return discrete_curve(fwd.out, result.grid)
+    return cox_curve(fwd.out, result.baseline)
 
 
 def predict_curves(result: TrainResult, cohort: Cohort, indices,
-                   config: RunConfig) -> list:
+                   config: RunConfig) -> CurveSet:
     """Survival curves for the given samples under the trained model."""
     data = _split_data(cohort, indices, config, result.grid)
     return _hidden_curves(result, data)
 
 
 def _verbalized_inputs(cohort: Cohort, indices):
-    """Per-sample rounded percents (None when no probability was extractable)."""
+    """Per-sample rounded percents (None when no probability was extractable).
+
+    Raises when a record has extractions but no percent yet: finalize_teacher
+    has not run, and reading it as "missing" would hide every estimate.
+    """
     percents = []
     for i in np.asarray(indices, dtype=np.int64):
         rec = cohort.samples[i].teacher
-        if rec is None or not rec.any_extracted() or rec.percent is None:
+        if rec is None or not rec.any_extracted():
             percents.append(None)
+        elif rec.percent is None:
+            raise ValueError(f"teacher records not finalized (sample "
+                             f"{rec.sample_id!r}); call finalize_teacher first")
         else:
             percents.append(rec.percent)
     return percents
+
+
+def _channel(curves: CurveSet, times, events) -> ChannelMetrics:
+    return ChannelMetrics(c_td=c_td(curves, times, events),
+                          ibs=ibs(curves, times, events).value)
 
 
 def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
@@ -465,64 +475,34 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     """Test-set metrics for the hidden, verbalized, and combined channels."""
     val_data = _split_data(cohort, split.val, config, result.grid)
     test_data = _split_data(cohort, split.test, config, result.grid)
-    val_curves = _hidden_curves(result, val_data)
-    test_curves = _hidden_curves(result, test_data)
-    curve_times = val_curves[0].times
-
-    channels: dict[str, ChannelMetrics] = {}
     t_test, e_test = test_data["times"], test_data["events"]
-    channels["hidden"] = ChannelMetrics(
-        c_td=c_td(test_curves, t_test, e_test),
-        ibs=ibs(test_curves, t_test, e_test).value)
+    test_curves = _hidden_curves(result, test_data)
+    channels = {"hidden": _channel(test_curves, t_test, e_test)}
 
-    has_teacher = any(s.teacher is not None for s in cohort.samples)
     selected = val_score = None
-    gates = gate_values(result.model)
-    if not has_teacher:
-        return RunReport(config=config, channels=channels, selected_lambda=None,
-                         lambda_val_ctd=None, gates=gates,
-                         train_trace=result.train_trace, val_trace=result.val_trace,
-                         best_epoch=result.best_epoch,
-                         skipped_batches=result.skipped_batches,
-                         masked_samples=result.masked_samples)
-
-    def curves_for(percents, hidden):
-        present = [verbalized_curve(p, curve_times) for p in percents if p is not None]
-        mean = mean_curve(present) if present else None
-        blend_in, verb_in = [], []
-        for p, h in zip(percents, hidden):
-            v = verbalized_curve(p, curve_times) if p is not None else None
-            b, ve = handle_missing(h, v, mean)
-            blend_in.append(b)
-            verb_in.append(ve)
-        return blend_in, verb_in, len(present)
-
-    val_pct = _verbalized_inputs(cohort, split.val)
-    test_pct = _verbalized_inputs(cohort, split.test)
-    val_blend, _, _ = curves_for(val_pct, val_curves)
-    test_blend, test_verb, n_present = curves_for(test_pct, test_curves)
-
-    selected, val_score = select_lambda(val_curves, val_blend, val_data["times"],
-                                        val_data["events"], grid=config.lambda_grid)
-
-    if n_present == 0:
-        channels["verbalized"] = ChannelMetrics(
-            c_td=None, ibs=None, note="no extractable teacher probabilities")
-        channels["combined"] = ChannelMetrics(
-            c_td=channels["hidden"].c_td, ibs=channels["hidden"].ibs,
-            note="combined equals hidden (all verbalized missing)")
-    else:
-        verb_list = list(test_verb)
-        channels["verbalized"] = ChannelMetrics(
-            c_td=c_td(verb_list, t_test, e_test),
-            ibs=ibs(verb_list, t_test, e_test).value)
-        combined = [combine(h, v, selected) for h, v in zip(test_curves, test_blend)]
-        channels["combined"] = ChannelMetrics(
-            c_td=c_td(combined, t_test, e_test),
-            ibs=ibs(combined, t_test, e_test).value)
+    if any(s.teacher is not None for s in cohort.samples):
+        val_curves = _hidden_curves(result, val_data)
+        val_blend, _, _ = blend_inputs(val_curves,
+                                       _verbalized_inputs(cohort, split.val))
+        selected, val_score = select_lambda(val_curves, val_blend, val_data["times"],
+                                            val_data["events"], grid=config.lambda_grid)
+        del val_curves, val_blend
+        test_blend, test_verb, n_present = blend_inputs(
+            test_curves, _verbalized_inputs(cohort, split.test))
+        if n_present == 0:
+            channels["verbalized"] = ChannelMetrics(
+                c_td=None, ibs=None, note="no extractable teacher probabilities")
+            channels["combined"] = ChannelMetrics(
+                c_td=channels["hidden"].c_td, ibs=channels["hidden"].ibs,
+                note="combined equals hidden (all verbalized missing)")
+        else:
+            channels["verbalized"] = _channel(test_verb, t_test, e_test)
+            del test_verb
+            channels["combined"] = _channel(combine(test_curves, test_blend, selected),
+                                            t_test, e_test)
 
     return RunReport(config=config, channels=channels, selected_lambda=selected,
-                     lambda_val_ctd=val_score, gates=gates,
+                     lambda_val_ctd=val_score, gates=gate_values(result.model),
                      train_trace=result.train_trace, val_trace=result.val_trace,
                      best_epoch=result.best_epoch,
                      skipped_batches=result.skipped_batches,
@@ -538,10 +518,8 @@ def finalize_teacher(cohort: Cohort, split: CohortSplit) -> None:
     finalize_records(records, train_ids=train_ids)
 
 
-def run_experiment(config: RunConfig, cohort: Cohort, split: CohortSplit,
-                   text_adapter=None) -> RunReport:
-    """Pretrain (optional), train, and evaluate one configuration."""
-    finalize_teacher(cohort, split)
+def _pretrain_train_evaluate(config: RunConfig, cohort: Cohort, split: CohortSplit,
+                             text_adapter=None) -> RunReport:
     warm = None
     if config.pretrain and config.fusion == "late" and len(config.modalities) > 1:
         warm = pretrain_heads(config, cohort, split)
@@ -550,15 +528,31 @@ def run_experiment(config: RunConfig, cohort: Cohort, split: CohortSplit,
     return evaluate(result, cohort, split, config)
 
 
+def run_experiment(config: RunConfig, cohort: Cohort, split: CohortSplit,
+                   text_adapter=None) -> RunReport:
+    """Finalize the teacher records, pretrain (optional), train, and evaluate
+    one configuration."""
+    finalize_teacher(cohort, split)
+    return _pretrain_train_evaluate(config, cohort, split, text_adapter)
+
+
 def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
                          cohort: Cohort, split: CohortSplit,
                          text_adapter=None) -> dict[str, RunReport | str]:
-    """Run each configuration on the shared split; failures are isolated."""
+    """Run each configuration on the shared split; failures are isolated.
+
+    The teacher records are finalized once: the result depends only on their
+    probabilities and the training ids, which every configuration shares.
+    """
+    try:
+        finalize_teacher(cohort, split)
+    except Exception as exc:  # noqa: BLE001 - reported per run, as below
+        return {name: f"failed: {type(exc).__name__}: {exc}" for name, _ in named_configs}
     reports: dict[str, RunReport | str] = {}
     for name, config in named_configs:
         try:
-            reports[name] = run_experiment(config, cohort, split,
-                                           text_adapter=text_adapter)
+            reports[name] = _pretrain_train_evaluate(config, cohort, split,
+                                                     text_adapter=text_adapter)
         except Exception as exc:  # noqa: BLE001 - suite must continue
             reports[name] = f"failed: {type(exc).__name__}: {exc}"
     return reports

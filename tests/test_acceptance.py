@@ -13,7 +13,7 @@ import pytest
 
 from survfuse import synth, training
 from survfuse.autoencoder import init_autoencoder, reconstruction_loss_grad
-from survfuse.blending import mean_curve, handle_missing, verbalized_curve
+from survfuse.blending import blend_inputs
 from survfuse.cohort import load_cohort, split_cohort
 from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
@@ -340,13 +340,8 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
     # combined validation concordance can never fall below either channel
     val_data = training._split_data(cohort, split.val, late_cfg, result.grid)
     hidden_val = training.predict_curves(result, cohort, split.val, late_cfg)
-    curve_times = hidden_val[0].times
     val_pct = training._verbalized_inputs(cohort, split.val)
-    present = [verbalized_curve(p, curve_times) for p in val_pct if p is not None]
-    mean = mean_curve(present)
-    blend_val = [handle_missing(h, verbalized_curve(p, curve_times)
-                                if p is not None else None, mean)[0]
-                 for p, h in zip(val_pct, hidden_val)]
+    blend_val, _, _ = blend_inputs(hidden_val, val_pct)
     t_val, e_val = val_data["times"], val_data["events"]
     hidden_val_ctd = c_td(hidden_val, t_val, e_val)
     verb_val_ctd = c_td(blend_val, t_val, e_val)

@@ -2,19 +2,21 @@
 handling, and grid selection of the blend weight."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from survfuse.blending import (
     DEFAULT_LAMBDA_GRID,
+    blend_inputs,
     combine,
-    handle_missing,
     mean_curve,
     select_lambda,
     verbalized_curve,
+    verbalized_curves,
 )
-from survfuse.heads import SurvivalCurve
+from survfuse.heads import CurveSet, SurvivalCurve
 from survfuse.metrics import c_td
 
 GRID = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])
@@ -25,6 +27,11 @@ def random_curve(rng, times=GRID):
     drops = rng.uniform(0.0, 0.3, size=times.size - 1)
     values = np.concatenate([[1.0], np.maximum(1.0 - np.cumsum(drops), 0.0)])
     return SurvivalCurve(times=times.copy(), values=values)
+
+
+def one(curve):
+    """A single curve as a one-row set."""
+    return CurveSet.from_curves([curve])
 
 
 # ------------------------------------------------------------ S^v construction
@@ -66,9 +73,9 @@ def test_combine_formula():
         hidden = random_curve(rng)
         verb = random_curve(rng)
         for lam in (0.15, 0.5, 0.85):
-            out = combine(hidden, verb, lam)
+            out = combine(one(hidden), one(verb), lam)
             expect = (1.0 - lam) * hidden.values + lam * verb.values
-            assert np.array_equal(out.values, expect)
+            assert np.array_equal(out[0].values, expect)
             assert np.array_equal(out.times, GRID)
 
 
@@ -76,8 +83,8 @@ def test_combine_endpoints_exact():
     rng = np.random.default_rng(32)
     hidden = random_curve(rng)
     verb = random_curve(rng)
-    assert np.array_equal(combine(hidden, verb, 0.0).values, hidden.values)
-    assert np.array_equal(combine(hidden, verb, 1.0).values, verb.values)
+    assert np.array_equal(combine(one(hidden), one(verb), 0.0)[0].values, hidden.values)
+    assert np.array_equal(combine(one(hidden), one(verb), 1.0)[0].values, verb.values)
 
 
 def test_combine_validation():
@@ -85,40 +92,65 @@ def test_combine_validation():
     hidden = random_curve(rng)
     verb = random_curve(rng)
     with pytest.raises(ValueError):
-        combine(hidden, verb, -0.01)
+        combine(one(hidden), one(verb), -0.01)
     with pytest.raises(ValueError):
-        combine(hidden, verb, 1.01)
+        combine(one(hidden), one(verb), 1.01)
     other = random_curve(rng, times=np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        combine(hidden, other, 0.5)
+        combine(one(hidden), one(other), 0.5)
+    # one verbalized curve per hidden curve
+    with pytest.raises(ValueError):
+        combine(one(hidden), CurveSet.from_curves([verb, verb]), 0.5)
 
 
 def test_mean_curve():
     rng = np.random.default_rng(34)
     curves = [random_curve(rng) for _ in range(5)]
-    out = mean_curve(curves)
+    out = mean_curve(CurveSet.from_curves(curves))
     expect = np.mean([c.values for c in curves], axis=0)
-    assert np.allclose(out.values, expect, rtol=0, atol=1e-15)
+    assert len(out) == 1
+    assert np.allclose(out[0].values, expect, rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        mean_curve([])
-    with pytest.raises(ValueError):
-        mean_curve([curves[0], random_curve(rng, times=np.array([0.0, 2.0]))])
+        mean_curve(CurveSet(times=GRID, values=np.empty((0, GRID.size))))
 
 
-def test_handle_missing():
+def test_blend_inputs_resolves_missing():
     rng = np.random.default_rng(35)
-    hidden = random_curve(rng)
-    verb = random_curve(rng)
-    cohort = random_curve(rng)
+    hidden = CurveSet.from_curves([random_curve(rng) for _ in range(4)])
+    percents = [70, None, 40, None]
+    blend_in, verb_eval, n_present = blend_inputs(hidden, percents)
+    assert n_present == 2
+    v70, v40 = verbalized_curve(70, GRID), verbalized_curve(40, GRID)
+    mean = np.mean([v70.values, v40.values], axis=0)
     # present: the verbalized curve serves both paths
-    blend_in, verb_eval = handle_missing(hidden, verb, cohort)
-    assert blend_in is verb and verb_eval is verb
+    for i, verb in ((0, v70), (2, v40)):
+        assert np.array_equal(blend_in[i].values, verb.values)
+        assert np.array_equal(verb_eval[i].values, verb.values)
     # absent: blend against the hidden curve itself, evaluate the cohort mean
-    blend_in, verb_eval = handle_missing(hidden, None, cohort)
-    assert blend_in is hidden and verb_eval is cohort
+    for i in (1, 3):
+        assert np.array_equal(blend_in[i].values, hidden[i].values)
+        assert np.array_equal(verb_eval[i].values, mean)
+    # every percent present: one set serves both paths
+    blend_in, verb_eval, n_present = blend_inputs(hidden, [10, 20, 30, 40])
+    assert blend_in is verb_eval and n_present == 4
     # absent with no extractable probability anywhere
-    blend_in, verb_eval = handle_missing(hidden, None, None)
-    assert blend_in is hidden and verb_eval is None
+    blend_in, verb_eval, n_present = blend_inputs(hidden, [None] * 4)
+    assert blend_in is hidden and verb_eval is None and n_present == 0
+    with pytest.raises(ValueError):
+        blend_inputs(hidden, [10, 20])
+
+
+def test_verbalized_curves_warn_once_per_call():
+    with pytest.warns(UserWarning, match="for 3 of 5 percents") as record:
+        curves = verbalized_curves([0, 50, 0, 0, 100], GRID)
+    assert len(record) == 1
+    assert np.array_equal(curves[0].values, curves[2].values)
+    assert abs(float(curves[0].at(3.0)) - 0.005) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verbalized_curves([10, 90], GRID)
+    with pytest.raises(ValueError):
+        verbalized_curves([50, 100.5], GRID)
 
 
 # ------------------------------------------------------------- grid selection
@@ -126,7 +158,8 @@ def test_handle_missing():
 def brute_force_lambda(hidden, verbalized, times, events, grid):
     best_lam, best_score = None, -np.inf
     for lam in sorted(grid):
-        combined = [combine(h, v, lam) for h, v in zip(hidden, verbalized)]
+        combined = [SurvivalCurve(h.times, (1.0 - lam) * h.values + lam * v.values)
+                    for h, v in zip(hidden, verbalized)]
         score = c_td(combined, times, events)
         if score > best_score:
             best_lam, best_score = lam, score
@@ -147,7 +180,8 @@ def test_select_lambda_prefers_the_informative_source():
     risks = np.array([1.0, 0.8, 0.6, 0.4, 0.2])
     verbalized = risk_ordered_curves(risks)
     hidden = risk_ordered_curves(risks[::-1])
-    lam, score = select_lambda(hidden, verbalized, times, events)
+    lam, score = select_lambda(CurveSet.from_curves(hidden),
+                               CurveSet.from_curves(verbalized), times, events)
     assert score == 1.0
     # perfect concordance arrives somewhere past the midpoint, and ties
     # resolve to the smallest lambda achieving it
@@ -156,7 +190,8 @@ def test_select_lambda_prefers_the_informative_source():
                                     DEFAULT_LAMBDA_GRID)
     assert lam == ref_lam
     # with the sources swapped the hidden curves already score 1 at lambda 0
-    lam, score = select_lambda(verbalized, hidden, times, events)
+    lam, score = select_lambda(CurveSet.from_curves(verbalized),
+                               CurveSet.from_curves(hidden), times, events)
     assert lam == 0.0
     assert score == 1.0
 
@@ -167,7 +202,8 @@ def test_select_lambda_ties_take_smallest():
     times = rng.uniform(0.5, 5.5, size=6)
     events = np.ones(6, dtype=bool)
     # identical sources: every lambda scores the same
-    lam, score = select_lambda(curves, curves, times, events)
+    curve_set = CurveSet.from_curves(curves)
+    lam, score = select_lambda(curve_set, curve_set, times, events)
     assert lam == 0.0
     assert score == c_td(curves, times, events)
 
@@ -182,7 +218,8 @@ def test_select_lambda_matches_brute_force():
         events = rng.random(n) < 0.7
         if not events.any():
             events[0] = True
-        lam, score = select_lambda(hidden, verbalized, times, events)
+        lam, score = select_lambda(CurveSet.from_curves(hidden),
+                                   CurveSet.from_curves(verbalized), times, events)
         ref_lam, ref_score = brute_force_lambda(hidden, verbalized, times,
                                                 events, DEFAULT_LAMBDA_GRID)
         assert lam == ref_lam
@@ -196,16 +233,18 @@ def test_select_lambda_custom_grid_and_validation():
     times = np.array([1.0, 2.0, 3.0, 4.0])
     events = np.ones(4, dtype=bool)
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    lam, score = select_lambda(hidden, verbalized, times, events, grid=grid)
+    hidden_set = CurveSet.from_curves(hidden)
+    verbalized_set = CurveSet.from_curves(verbalized)
+    lam, score = select_lambda(hidden_set, verbalized_set, times, events, grid=grid)
     assert lam in grid
     ref = brute_force_lambda(hidden, verbalized, times, events, grid)
     assert (lam, score) == ref
     with pytest.raises(ValueError):
-        select_lambda(hidden, verbalized, times, events, grid=())
+        select_lambda(hidden_set, verbalized_set, times, events, grid=())
     with pytest.raises(ValueError):
-        select_lambda(hidden, verbalized, times, events, grid=(-0.1, 0.5))
+        select_lambda(hidden_set, verbalized_set, times, events, grid=(-0.1, 0.5))
     with pytest.raises(ValueError):
-        select_lambda(hidden, verbalized, times, events, grid=(0.5, 1.2))
+        select_lambda(hidden_set, verbalized_set, times, events, grid=(0.5, 1.2))
 
 
 def test_default_grid_shape():
@@ -213,3 +252,12 @@ def test_default_grid_shape():
     assert DEFAULT_LAMBDA_GRID[-1] == 1.0
     assert len(DEFAULT_LAMBDA_GRID) == 21
     assert all(DEFAULT_LAMBDA_GRID[k] == k / 20 for k in range(21))
+
+
+def test_select_lambda_rejects_different_grids():
+    rng = np.random.default_rng(39)
+    hidden = CurveSet.from_curves([random_curve(rng) for _ in range(3)])
+    other = CurveSet.from_curves([random_curve(rng, times=np.array([0.0, 1.0, 2.0]))
+                                  for _ in range(3)])
+    with pytest.raises(ValueError, match="share evaluation times"):
+        select_lambda(hidden, other, np.array([1.5, 2.5, 3.5]), np.ones(3, dtype=bool))

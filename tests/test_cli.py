@@ -170,11 +170,11 @@ def test_eval_matches_train_report(pipeline, tmp_path):
     train_report = read_json(os.path.join(pipeline["run"], "report.json"))
     eval_report = read_json(os.path.join(out, "report.json"))
     assert eval_report["channels"] == train_report["channels"]
-    curves = formats.read_curves_csv(os.path.join(out, "curves.csv"))
+    _, curves = formats.read_curves_csv(os.path.join(out, "curves.csv"))
     assert len(curves) == 19
-    for times, values in curves.values():
-        assert times[0] == 0.0 and values[0] == 1.0
-        assert np.all(np.diff(values) <= 0.0)
+    for curve in curves:
+        assert curve.times[0] == 0.0 and curve.values[0] == 1.0
+        assert np.all(np.diff(curve.values) <= 0.0)
 
 
 def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
@@ -207,7 +207,7 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
     blend = read_json(os.path.join(blended, "blend.json"))
     assert blend["lambda"] in [k / 20 for k in range(21)]
     assert blend["n_curves"] == 19
-    combined = formats.read_curves_csv(os.path.join(blended, "combined.csv"))
+    _, combined = formats.read_curves_csv(os.path.join(blended, "combined.csv"))
     assert len(combined) == 19
 
 
@@ -224,10 +224,10 @@ def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     assert main(["blend", "--curves", os.path.join(ev, "curves.csv"),
                  "--percents", os.path.join(targets, "percents.csv"),
                  "--lam", "0.0", "--out", blended]) == 0
-    hidden = formats.read_curves_csv(os.path.join(ev, "curves.csv"))
-    combined = formats.read_curves_csv(os.path.join(blended, "combined.csv"))
-    for sid, (times, values) in hidden.items():
-        assert np.array_equal(combined[sid][1], values)
+    hidden_ids, hidden = formats.read_curves_csv(os.path.join(ev, "curves.csv"))
+    combined_ids, combined = formats.read_curves_csv(os.path.join(blended, "combined.csv"))
+    assert combined_ids == hidden_ids
+    assert np.array_equal(combined.values, hidden.values)
 
 
 def test_blend_needs_lambda_or_outcomes(pipeline, tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from survfuse import formats
-from survfuse.heads import SurvivalCurve
+from survfuse.heads import CurveSet, SurvivalCurve
 
 
 def test_hidden_states_round_trip(tmp_path):
@@ -93,18 +93,28 @@ def test_csv_table_rejects_duplicate_columns(tmp_path):
 
 def test_curves_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=6))])
     curves = {}
     for i in range(4):
-        times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=6))])
         values = np.concatenate([[1.0], np.sort(rng.uniform(size=6))[::-1]])
         curves[f"s{i}"] = SurvivalCurve(times=times, values=values)
     path = tmp_path / "c.csv"
-    formats.write_curves_csv(path, curves)
-    back = formats.read_curves_csv(path)
-    assert set(back) == set(curves)
-    for sid, (times, values) in back.items():
-        assert np.array_equal(times, curves[sid].times)
-        assert np.array_equal(values, curves[sid].values)
+    formats.write_curves_csv(path, list(curves), CurveSet.from_curves(curves.values()))
+    ids, back = formats.read_curves_csv(path)
+    assert ids == list(curves)
+    for sid, curve in zip(ids, back):
+        assert np.array_equal(curve.times, curves[sid].times)
+        assert np.array_equal(curve.values, curves[sid].values)
+
+
+def test_curves_csv_requires_one_grid(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\nb,0.0,1.0\nb,2.0,0.5\n")
+    with pytest.raises(ValueError, match="different time grid"):
+        formats.read_curves_csv(path)
+    path.write_text("id,t,S\n")
+    with pytest.raises(ValueError, match="no curves"):
+        formats.read_curves_csv(path)
 
 
 def test_jsonl_round_trip(tmp_path):

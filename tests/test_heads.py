@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from survfuse.heads import (BreslowBaseline, SurvivalCurve, TimeGrid,
+from survfuse.heads import (BreslowBaseline, CurveSet, SurvivalCurve, TimeGrid,
                             breslow_baseline, build_discrete_targets, cox_curve,
                             cox_loss, cox_loss_grad, discrete_curve,
                             discrete_loss, discrete_loss_grad)
@@ -266,7 +266,7 @@ def test_discrete_curve_is_cumulative_product():
     rng = np.random.default_rng(8)
     grid = TimeGrid.equal_width(4, 4.0)
     logits = rng.normal(size=4)
-    curve = discrete_curve(logits, grid)
+    curve = discrete_curve(logits[None, :], grid)[0]
     h = sigmoid(logits)
     expected = [1.0]
     for k in range(4):
@@ -279,7 +279,7 @@ def test_discrete_curve_is_cumulative_product():
 def test_cox_curve_uses_baseline_and_score():
     base = BreslowBaseline(event_times=np.array([1.0, 2.0]),
                            increments=np.array([0.1, 0.4]))
-    curve = cox_curve(0.5, base)
+    curve = cox_curve(np.array([0.5]), base)[0]
     assert curve.values[0] == 1.0
     expected_at_2 = math.exp(-(0.1 + 0.4) * math.exp(0.5))
     assert abs(curve.at(2.0) - expected_at_2) < 1e-15
@@ -327,3 +327,83 @@ def test_curve_validation():
                           values=np.array([1.0, 0.5, 0.5 + 1e-15]))
     assert np.all(np.diff(curve.values) <= 0)
     assert curve.values[2] == 0.5
+
+
+def test_curve_set_checks_whole_matrix():
+    times = np.array([0.0, 1.0, 2.0])
+    values = np.array([[1.0, 0.6, 0.2], [1.0, 1.0, 0.5]])
+    curves = CurveSet(times=times, values=values)
+    assert len(curves) == 2
+    assert curves.values is values  # clean float64 input is not copied
+    assert np.array_equal(curves.cells([0.0, 0.5, 1.0, 9.0]), [0, 0, 1, 2])
+    assert np.array_equal(curves.at([0.5, 2.0]), [[1.0, 0.2], [1.0, 0.5]])
+    assert isinstance(curves[1], SurvivalCurve)
+    assert np.array_equal(curves[1].values, values[1])
+    with pytest.raises(ValueError):
+        curves.at(-0.1)
+    for bad_times, bad_values in (
+            (times, values[0]),                                   # not a matrix
+            (times[:2], values),                                  # column count
+            (times, np.array([[1.0, 0.6, 0.2], [0.9, 0.5, 0.1]])),  # S(0) != 1
+            (np.array([0.0, 1.0, 1.0]), values),                  # repeated time
+            (times, np.array([[1.0, 0.6, 0.2], [1.0, 0.5, 0.7]])),  # rises
+            (times, np.array([[1.0, 0.6, 0.2], [1.0, 0.5, -0.1]])),  # below 0
+            (times, np.array([[1.0, 0.6, np.nan], [1.0, 0.5, 0.1]]))):  # NaN
+        with pytest.raises(ValueError):
+            CurveSet(times=bad_times, values=bad_values)
+    empty = CurveSet(times=times, values=np.empty((0, 3)))
+    assert len(empty) == 0
+
+
+def test_curve_set_flattens_only_bumped_rows():
+    times = np.array([0.0, 1.0, 2.0])
+    values = np.array([[1.0, 0.5, 0.5 + 1e-15], [1.0, 0.4, 0.3]])
+    curves = CurveSet(times=times, values=values)
+    assert curves.values is not values and values[0, 2] == 0.5 + 1e-15
+    assert np.array_equal(curves.values, [[1.0, 0.5, 0.5], [1.0, 0.4, 0.3]])
+
+
+def test_curve_set_from_curves_uses_union_grid():
+    a = SurvivalCurve(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
+    b = SurvivalCurve(times=np.array([0.0, 2.0]), values=np.array([1.0, 0.25]))
+    curves = CurveSet.from_curves([a, b])
+    assert np.array_equal(curves.times, [0.0, 1.0, 2.0])
+    assert np.array_equal(curves.values, [[1.0, 0.5, 0.5], [1.0, 1.0, 0.25]])
+    same = CurveSet.from_curves([a, a])
+    assert np.array_equal(same.times, a.times)
+    with pytest.raises(ValueError):
+        CurveSet.from_curves([])
+
+
+def test_set_builders_match_row_formulas():
+    rng = np.random.default_rng(10)
+    grid = TimeGrid.equal_width(5, 5.0)
+    logits = rng.normal(size=(7, 5))
+    curves = discrete_curve(logits, grid)
+    assert curves.values.shape == (7, 6)
+    for i in range(7):
+        row = np.concatenate([[1.0], np.cumprod(1.0 - sigmoid(logits[i]))])
+        assert np.array_equal(curves.values[i], row)
+    with pytest.raises(ValueError):
+        discrete_curve(logits[0], grid)
+    base = BreslowBaseline(event_times=np.array([1.0, 2.0, 4.0]),
+                           increments=np.array([0.1, 0.4, 0.2]))
+    scores = rng.normal(size=6)
+    curves = cox_curve(scores, base)
+    assert np.array_equal(curves.times, [0.0, 1.0, 2.0, 4.0])
+    for i, g in enumerate(scores):
+        row = np.exp(-np.cumsum(base.increments) * np.exp(float(g)))
+        assert np.array_equal(curves.values[i, 1:], row)
+    with pytest.raises(ValueError):
+        cox_curve(0.5, base)
+
+
+def test_curve_set_restrict_is_exact_at_its_times():
+    rng = np.random.default_rng(11)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=30))])
+    values = np.hstack([np.ones((5, 1)), np.sort(rng.uniform(size=(5, 30)), axis=1)[:, ::-1]])
+    curves = CurveSet(times=times, values=values)
+    probe = np.concatenate([rng.uniform(0.0, 6.0, size=8), times[[3, 7]]])
+    sub = curves.restrict(probe)
+    assert sub.times[0] == 0.0 and sub.times.size <= probe.size + 1
+    assert np.array_equal(sub.at(probe), curves.at(probe))

@@ -392,3 +392,65 @@ def test_suite_isolates_failures_and_renders_table():
     lines = table.splitlines()
     # aligned columns: every row is as wide as its content
     assert len(lines) >= 4
+
+
+@pytest.mark.filterwarnings("ignore:survival value", "ignore:verbalized probability")
+def test_evaluate_before_finalize_teacher_raises(tmp_path):
+    from survfuse import synth
+    from survfuse.cohort import load_cohort
+    from survfuse.pooling import attention_pool
+
+    files = synth.generate(synth.GeneratorSpec(n=300, seed=3), str(tmp_path)).files
+    cohort = load_cohort(files["outcomes"], covariates_path=files["covariates"],
+                         ge_path=files["ge"], hidden_states_path=files["hidden"],
+                         teacher_path=files["teacher"])
+    for sample in cohort.samples:
+        sample.text_pooled = attention_pool(sample.text_hidden)
+    split = split_cohort(len(cohort), seed=0)
+    config = tiny_config(epochs=1)
+    result = train(config, cohort, split)
+    # every response parsed, but no record has its percent yet
+    assert all(s.teacher.any_extracted() and s.teacher.percent is None
+               for s in cohort.samples)
+    with pytest.raises(ValueError, match="teacher records not finalized"):
+        evaluate(result, cohort, split, config)
+    finalize_teacher(cohort, split)
+    report = evaluate(result, cohort, split, config)
+    assert report.channels["verbalized"].c_td is not None
+
+
+def test_suite_finalizes_teacher_once(monkeypatch):
+    import survfuse.training as training_module
+
+    calls = []
+    original = training_module.finalize_records
+
+    def counting(records, train_ids=None):
+        calls.append(len(records))
+        return original(records, train_ids=train_ids)
+
+    monkeypatch.setattr(training_module, "finalize_records", counting)
+    cohort = toy_cohort(40)
+    split = split_cohort(40, seed=2)
+    configs = [("a", tiny_config(epochs=1)), ("b", tiny_config(epochs=1, seed=8))]
+    reports = run_experiment_suite(configs, cohort, split)
+    assert calls == [40]
+    assert all(not isinstance(rep, str) for rep in reports.values())
+    # a standalone run still finalizes, and reports what the suite reported
+    assert run_experiment(configs[0][1], cohort, split).to_dict() == reports["a"].to_dict()
+    assert calls == [40, 40]
+
+
+def test_suite_reports_finalize_failure_per_run(monkeypatch):
+    import survfuse.training as training_module
+
+    def broken(records, train_ids=None):
+        raise ValueError("no horizon means")
+
+    monkeypatch.setattr(training_module, "finalize_records", broken)
+    cohort = toy_cohort(20)
+    split = split_cohort(20, seed=2)
+    reports = run_experiment_suite([("a", tiny_config(epochs=1)),
+                                    ("b", tiny_config(epochs=1))], cohort, split)
+    assert reports == {"a": "failed: ValueError: no horizon means",
+                       "b": "failed: ValueError: no horizon means"}
