@@ -145,6 +145,62 @@ def horizon_means(prob_rows: list[dict[float, float | None]]) -> dict[float, flo
     return means
 
 
+def _prob_matrix(prob_rows: list[dict[float, float | None]]) -> np.ndarray:
+    """(N, len(HORIZONS)) extracted probabilities, NaN where one is missing."""
+    return np.array([[math.nan if row.get(h) is None else row[h] for h in HORIZONS]
+                     for row in prob_rows], dtype=np.float64).reshape(-1, len(HORIZONS))
+
+
+def _exponential_rates(s: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-wise `fit_parametric(..., "exponential")` over each row's non-NaN points.
+
+    rho = sum t * (-ln S) / sum t^2. In a row holding a survival value of 0,
+    values below S_FLOOR are raised to it, as in the one-fit form. Returns the
+    rates and the number of zeros clamped.
+    """
+    present = ~np.isnan(s)
+    zeros = s == 0.0
+    s = np.where(zeros.any(axis=1, keepdims=True), np.maximum(s, S_FLOOR), s)
+    t = np.asarray(HORIZONS)
+    rates = np.empty(s.shape[0])
+    patterns, which = np.unique(present, axis=0, return_inverse=True)
+    which = which.ravel()
+    for k, cols in enumerate(patterns):
+        rows = which == k
+        tk = t[cols]
+        y = np.ascontiguousarray(-np.log(s[np.ix_(rows, cols)]))
+        # a stacked (1, m) @ (m, 1) product takes one BLAS dot per row, the
+        # same sum as `t @ y` in fit_parametric (a matrix-vector product rounds
+        # differently, and a rate at a rounding tie would change the percent)
+        rates[rows] = np.matmul(tk[None, None, :], y[:, :, None])[:, 0, 0] / (tk @ tk)
+    return rates, int(zeros.sum())
+
+
+def _complete_matrix(probs: np.ndarray, means: dict[float, float]) -> tuple[np.ndarray, int]:
+    """Row-wise `complete_horizons` on an (N, 3) matrix with NaN for missing.
+
+    Returns the completed matrix and the number of zeros clamped by the refits.
+    """
+    present = ~np.isnan(probs)
+    if np.any(probs[present] < 0.0) or np.any(probs[present] > 1.0):
+        raise ValueError("survival values must lie in [0, 1]")
+    out = probs.copy()
+    refit = present.any(axis=1) & ~present.all(axis=1)
+    rates, clamped = _exponential_rates(probs[refit])
+    out[refit] = np.where(present[refit], probs[refit],
+                          np.exp(-rates[:, None] * np.asarray(HORIZONS)))
+    empty = ~present.any(axis=1)
+    if empty.any():
+        out[empty] = [means[h] for h in HORIZONS]
+    return np.minimum.accumulate(np.clip(out, 0.0, 1.0), axis=1), clamped
+
+
+def _warn_clamped(count: int) -> None:
+    if count:
+        warnings.warn(f"survival value 0 clamped for log transform: {count} value(s) "
+                      f"set to {S_FLOOR}", stacklevel=3)
+
+
 def complete_horizons(probs: dict[float, float | None],
                       means: dict[float, float]) -> tuple[float, float, float]:
     """Fill missing horizon probabilities.
@@ -154,15 +210,9 @@ def complete_horizons(probs: dict[float, float | None],
     the per-horizon training means. Result clipped to [0, 1] and made
     non-increasing in t.
     """
-    present = [(h, probs[h]) for h in HORIZONS if probs.get(h) is not None]
-    if present:
-        fit = fit_parametric(present, "exponential")
-        out = [probs[h] if probs.get(h) is not None else float(fit_survival_at(fit, h))
-               for h in HORIZONS]
-    else:
-        out = [means[h] for h in HORIZONS]
-    clipped = np.clip(np.array(out, dtype=np.float64), 0.0, 1.0)
-    return tuple(np.minimum.accumulate(clipped).tolist())
+    completed, clamped = _complete_matrix(_prob_matrix([probs]), means)
+    _warn_clamped(clamped)
+    return tuple(completed[0].tolist())
 
 
 def round_to_nearest_five(x: float) -> int:
@@ -287,8 +337,12 @@ def finalize_records(records: list[TeacherRecord],
                      train_ids: set[str] | None = None) -> None:
     """Complete horizons, refit, and round each record's 3-year percent.
 
-    Horizon means for the all-missing fallback come from the training split
-    when `train_ids` is given, else from every record with an extraction.
+    All records go through one (N, 3) horizon matrix: only rows with a
+    missing horizon get the exponential completion fit, every row gets the
+    second fit, and one warning states how many survival values of 0 both
+    fits clamped. Horizon means for the all-missing fallback come from the
+    training split when `train_ids` is given, else from every record with an
+    extraction.
     """
     # the means are only defined (and only needed) when some record has no
     # extraction at all; a fully extracting file must not require coverage
@@ -299,11 +353,14 @@ def finalize_records(records: list[TeacherRecord],
         if not pool:
             pool = [r.probs for r in records if r.any_extracted()]
         means = horizon_means(pool)
-    for rec in records:
-        rec.completed = complete_horizons(rec.probs, means)
-        fit = fit_parametric(list(zip(HORIZONS, rec.completed)), "exponential")
-        rec.rate = fit.rate
-        rec.percent = three_year_percent(fit)
+    completed, clamped = _complete_matrix(_prob_matrix([r.probs for r in records]), means)
+    rates, refit_clamped = _exponential_rates(completed)
+    _warn_clamped(clamped + refit_clamped)
+    at_three = (np.exp(-rates * 3.0) * 100.0).tolist()
+    for rec, row, rate, pct in zip(records, completed.tolist(), rates.tolist(), at_three):
+        rec.completed = tuple(row)
+        rec.rate = rate
+        rec.percent = round_to_nearest_five(pct)
 
 
 def target_rows(records: list[TeacherRecord], outcomes: dict[str, tuple[float, bool]],

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -180,16 +180,28 @@ def write_csv_table(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _csv_cell(value) -> str:
+    """One cell of a multi-cell row, quoted exactly as `csv.writer` quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
-    """Export survival curves in long format: id, t, S (one row per grid point)."""
+    """Export survival curves in long format: id, t, S (one row per grid point).
+
+    Each curve's rows are joined into one string; the bytes are those
+    `csv.writer` writes row by row.
+    """
     if len(ids) != len(curves):
         raise ValueError("one id per curve required")
-    t_text = [format_float(t) for t in curves.times]
+    tails = [f",{format_float(t)}," for t in curves.times]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "t", "S"])
+        csv.writer(fh).writerow(["id", "t", "S"])
         for sample_id, row in zip(ids, curves.values):
-            writer.writerows(zip(repeat(sample_id), t_text, map(repr, row.tolist())))
+            cell = _csv_cell(sample_id)
+            fh.write("".join([f"{cell}{tail}{s}\r\n"
+                              for tail, s in zip(tails, map(repr, row.tolist()))]))
 
 
 def read_curves_csv(path) -> tuple[list[str], CurveSet]:

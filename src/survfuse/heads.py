@@ -221,36 +221,39 @@ def discrete_curve(logits: np.ndarray, grid: TimeGrid) -> CurveSet:
     return CurveSet(times=grid.edges, values=values)
 
 
+def _event_counts(times: np.ndarray, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct event times ascending, with the number of events d_k at each."""
+    event_times, d = np.unique(times[events], return_counts=True)
+    return event_times, d.astype(np.float64)
+
+
 def _event_time_groups(times: np.ndarray, events: np.ndarray,
                        scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct event times with event counts and log risk-set sums.
 
     Returns (event_times ascending, d_k, log sum_{t_j >= tau_k} exp(g_j)),
-    computed with a running log-sum-exp over times sorted descending.
+    computed with a running log-sum-exp over times sorted descending. The
+    order splits into segments wherever the running score maximum rises;
+    inside a segment the shift is fixed, so its running sum is one cumsum
+    seeded with the previous segment's sum rescaled to the new maximum. That
+    is the same sequence of float operations as the one-sample-at-a-time
+    recurrence, so the sums are bit-identical to it. Scores rising strictly
+    along the order give one segment per sample, the recurrence's own cost.
     """
     order = np.argsort(-times, kind="stable")
     t_sorted = times[order]
     g_sorted = scores[order]
-    # running logsumexp of scores over the risk set {j: t_j >= tau}
-    running = np.empty_like(g_sorted)
-    acc_max = -np.inf
-    acc_sum = 0.0
-    for k in range(g_sorted.size):
-        g = g_sorted[k]
-        if g > acc_max:
-            acc_sum = acc_sum * np.exp(acc_max - g) if np.isfinite(acc_max) else 0.0
-            acc_max = g
-        acc_sum += np.exp(g - acc_max)
-        running[k] = acc_max + np.log(acc_sum)
-    event_times = np.unique(times[events])
-    d = np.zeros(event_times.size)
-    log_risk = np.zeros(event_times.size)
-    for i, tau in enumerate(event_times):
-        d[i] = np.count_nonzero((times == tau) & events)
-        # last position in the descending order whose time is still >= tau
-        k = np.searchsorted(-t_sorted, -tau, side="right") - 1
-        log_risk[i] = running[k]
-    return event_times, d, log_risk
+    shift = np.maximum.accumulate(g_sorted)
+    sums = np.exp(g_sorted - shift)
+    bounds = np.concatenate([np.flatnonzero(g_sorted[1:] > shift[:-1]) + 1, [g_sorted.size]])
+    np.cumsum(sums[:bounds[0]], out=sums[:bounds[0]])
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        sums[start] += sums[start - 1] * np.exp(shift[start - 1] - shift[start])
+        np.cumsum(sums[start:stop], out=sums[start:stop])
+    event_times, d = _event_counts(times, events)
+    # last position in the descending order whose time is still >= tau
+    k = np.searchsorted(-t_sorted, -event_times, side="right") - 1
+    return event_times, d, shift[k] + np.log(sums[k])
 
 
 def cox_loss(scores, times, events) -> float:
@@ -312,8 +315,7 @@ def breslow_baseline(scores, times, events) -> BreslowBaseline:
     order = np.argsort(-times, kind="stable")
     t_desc = times[order]
     risk_cum = np.cumsum(np.exp(scores[order] - m))
-    event_times = np.unique(times[events])
-    d = np.array([np.count_nonzero((times == tau) & events) for tau in event_times])
+    event_times, d = _event_counts(times, events)
     # last descending position whose time is still >= tau
     k = np.searchsorted(-t_desc, -event_times, side="right") - 1
     increments = d * np.exp(-m) / risk_cum[k]

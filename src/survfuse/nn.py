@@ -8,7 +8,7 @@ pass is a pure function of (params, input, masks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -144,12 +144,49 @@ def mlp_backward(mlp: Mlp, cache: MlpCache,
     return MlpGrads(grad_w, grad_b), grad_in
 
 
+@dataclass(frozen=True)
+class ParamLayout:
+    """Where each named tensor lives in one flat float64 vector."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: np.ndarray  # (len(names) + 1,) start of each tensor, then the total size
+
+    @classmethod
+    def of(cls, params: Mapping[str, np.ndarray]) -> "ParamLayout":
+        return cls(names=tuple(params),
+                   shapes=tuple(np.shape(arr) for arr in params.values()),
+                   offsets=np.cumsum([0] + [np.size(arr) for arr in params.values()]))
+
+    @property
+    def size(self) -> int:
+        return int(self.offsets[-1])
+
+    def gather(self, tensors: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The named tensors, raveled in layout order, as one new vector."""
+        if not self.names:
+            return np.zeros(0)
+        return np.concatenate([np.ravel(tensors[name]) for name in self.names])
+
+    def locate(self, i: int) -> tuple[str, int]:
+        """The name of the tensor holding flat element `i`, and `i`'s offset inside it."""
+        k = int(np.searchsorted(self.offsets, i, side="right")) - 1
+        return self.names[k], int(i - self.offsets[k])
+
+    def scatter(self, flat: np.ndarray, tensors: Mapping[str, np.ndarray]) -> None:
+        """Copy the flat vector back into the named tensors, in place."""
+        for name, shape, start, stop in zip(self.names, self.shapes, self.offsets[:-1],
+                                            self.offsets[1:]):
+            np.copyto(tensors[name], flat[start:stop].reshape(shape))
+
+
 @dataclass
 class AdamWState:
-    """Per-tensor first/second moments plus shared step counter and hyperparameters."""
+    """Flat first/second moments over a fixed tensor layout, plus step and hyperparameters."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    layout: ParamLayout
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -159,11 +196,9 @@ class AdamWState:
 
 def init_adamw(params: Mapping[str, np.ndarray], weight_decay: float = 0.01,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamWState:
-    state = AdamWState(beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
-    for name, arr in params.items():
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
+    layout = ParamLayout.of(params)
+    return AdamWState(layout=layout, m=np.zeros(layout.size), v=np.zeros(layout.size),
+                      beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
@@ -171,25 +206,32 @@ def adamw_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
     """One decoupled-weight-decay update, in place.
 
     `lr` is a float or a function mapping parameter name to its group's rate.
+    Parameters and gradients are gathered into the state's flat layout, updated
+    as one vector (each element by the same expressions as a per-tensor
+    update), and written back.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    layout = state.layout
+    g = layout.gather(grads)
+    if not np.all(np.isfinite(g)):
+        name, _ = layout.locate(np.flatnonzero(~np.isfinite(g))[0])
+        raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    if callable(lr):
+        rate = np.repeat([float(lr(name)) for name in layout.names], np.diff(layout.offsets))
+    else:
+        rate = lr
     state.step += 1
     t = state.step
     bias1 = 1.0 - state.beta1 ** t
     bias2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        rate = lr(name) if callable(lr) else lr
-        g = grads[name]
-        p *= 1.0 - rate * state.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    p = layout.gather(params)
+    m, v = state.m, state.v
+    p *= 1.0 - rate * state.weight_decay
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    p -= rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    layout.scatter(p, params)
 
 
 def finite_difference_check(loss_fn: Callable[[dict[str, np.ndarray]], tuple[float, Mapping[str, np.ndarray]]],
@@ -202,17 +244,11 @@ def finite_difference_check(loss_fn: Callable[[dict[str, np.ndarray]], tuple[flo
     """
     rng = rng or np.random.default_rng(0)
     _, grads = loss_fn(params)
-    names = sorted(params)
-    sizes = np.array([params[n].size for n in names])
-    total = int(sizes.sum())
+    layout = ParamLayout.of({name: params[name] for name in sorted(params)})
     worst = 0.0
-    for flat_idx in rng.choice(total, size=min(probes, total), replace=False):
-        cursor = int(flat_idx)
-        for name, size in zip(names, sizes):
-            if cursor < size:
-                break
-            cursor -= size
-        idx = np.unravel_index(cursor, params[name].shape)
+    for flat_idx in rng.choice(layout.size, size=min(probes, layout.size), replace=False):
+        name, offset = layout.locate(flat_idx)
+        idx = np.unravel_index(offset, params[name].shape)
         original = params[name][idx]
         params[name][idx] = original + h
         up, _ = loss_fn(params)

@@ -320,7 +320,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
 
     n_train = split.train.size
     best_val = math.inf
-    best_snapshot = {k: v.copy() for k, v in params.items()}
+    best_snapshot = opt.layout.gather(params)
     best_epoch = 0
     since_improve = 0
     skipped = 0
@@ -346,7 +346,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
         val_trace.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = {k: v.copy() for k, v in params.items()}
+            best_snapshot = opt.layout.gather(params)
             best_epoch = epoch
             since_improve = 0
         else:
@@ -354,8 +354,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
         if since_improve >= patience:
             break
 
-    for name, value in best_snapshot.items():
-        np.copyto(params[name], value)
+    opt.layout.scatter(best_snapshot, params)
 
     baseline = None
     if config.head == "coxph":

@@ -515,6 +515,39 @@ def test_finalize_records_train_pool():
     assert by_id["none"].completed == expect
 
 
+def test_finalize_records_warns_once_with_clamp_count():
+    rows = [teacher_row("clean", y1="90%", y3="80%", y5="70%"),
+            # all present: the final fit clamps the one zero
+            teacher_row("full", y1="90%", y3="50%", y5="0%"),
+            # the completion fit clamps the zero; its curve then reaches 0 at
+            # 3 and 5 years, so the final fit clamps two more
+            teacher_row("partial", y3="0%")]
+    records = parse_teacher_file(rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        finalize_records(records)
+    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    assert len(messages) == 1
+    assert messages[0].startswith("survival value 0 clamped")
+    assert ": 4 value(s)" in messages[0]
+    assert records[2].completed[1:] == (0.0, 0.0)
+    # a file without zeros finalizes silently
+    records = parse_teacher_file(rows[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finalize_records(records)
+
+
+def test_finalize_records_keeps_the_rounding_tie():
+    # 50% at one year only: the completed curve halves per year, so the final
+    # rate is ln 2 up to rounding and the 3-year value sits on the 12.5 tie
+    records = parse_teacher_file([teacher_row("tie", y1="50%")])
+    finalize_records(records)
+    fit = fit_parametric(list(zip(HORIZONS, records[0].completed)), "exponential")
+    assert records[0].rate == fit.rate
+    assert records[0].percent == three_year_percent(fit)
+
+
 def test_target_rows_respects_correction_flag():
     rows = [teacher_row("lo", y3="30%"), teacher_row("hi", y3="70%")]
     records = parse_teacher_file(rows)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -105,6 +106,28 @@ def test_curves_csv_round_trip(tmp_path):
     for sid, curve in zip(ids, back):
         assert np.array_equal(curve.times, curves[sid].times)
         assert np.array_equal(curve.values, curves[sid].values)
+
+
+def test_curves_csv_bytes_match_csv_writer(tmp_path):
+    # ids that csv.writer must quote: a comma, a quote, newlines, an empty id
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf", "", " padded ", "ünï"]
+    rng = np.random.default_rng(5)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=9))])
+    values = np.hstack([np.ones((len(ids), 1)),
+                        np.sort(rng.uniform(size=(len(ids), 9)), axis=1)[:, ::-1]])
+    curves = CurveSet(times=times, values=values)
+    path = tmp_path / "c.csv"
+    formats.write_curves_csv(path, ids, curves)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "t", "S"])
+        for sid, row in zip(ids, values):
+            writer.writerows([sid, repr(float(t)), repr(float(s))] for t, s in zip(times, row))
+    assert path.read_bytes() == expected.read_bytes()
+    back_ids, back = formats.read_curves_csv(path)
+    assert back_ids == ids
+    assert np.array_equal(back.values, values)
 
 
 def test_curves_csv_requires_one_grid(tmp_path):

@@ -222,3 +222,15 @@ def test_adamw_rejects_non_finite_gradients():
     state = init_adamw(p)
     with pytest.raises(FloatingPointError):
         adamw_step(p, {"w": np.array([np.nan])}, state, lr=0.1)
+
+
+def test_adamw_error_names_first_non_finite_tensor():
+    p = {"a": np.zeros(2), "b": np.zeros((2, 2)), "c": np.zeros(3)}
+    g = {"a": np.ones(2), "b": np.array([[1.0, 1.0], [np.inf, 1.0]]),
+         "c": np.array([np.nan, 1.0, 1.0])}
+    state = init_adamw(p)
+    with pytest.raises(FloatingPointError, match=r"parameter 'b'"):
+        adamw_step(p, g, state, lr=0.1)
+    # nothing moved, and the failed step does not count
+    assert state.step == 0
+    assert all(not arr.any() for arr in p.values())

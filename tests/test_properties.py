@@ -1,16 +1,22 @@
-"""Property-based tests for curve sets: blocked concordance against the
-exhaustive pairwise oracle, union-grid conversion, and the invariants of
-blended and averaged sets."""
+"""Property-based tests for curve sets (blocked concordance against the
+exhaustive pairwise oracle, union-grid conversion, the invariants of blended
+and averaged sets) and for the whole-array training and teacher code against
+the per-element forms it replaced (Cox risk sets, Breslow increments, flat
+AdamW, batch teacher finalisation)."""
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survfuse.blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve
-from survfuse.heads import CurveSet, SurvivalCurve
+from survfuse.distill import (HORIZONS, TeacherRecord, finalize_records, fit_parametric,
+                              fit_survival_at, horizon_means, three_year_percent)
+from survfuse.heads import CurveSet, SurvivalCurve, _event_time_groups, breslow_baseline
 from survfuse.metrics import CTD_BLOCK, IBS_BLOCK, c_td, censoring_km, ibs
+from survfuse.nn import adamw_step, init_adamw
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -166,3 +172,158 @@ def test_clean_up_matches_full_running_minimum(n, n_times, seed):
     cleaned = CurveSet(times=times, values=values).values
     assert np.array_equal(values, before)  # the caller's array is untouched
     assert np.array_equal(cleaned, np.minimum.accumulate(np.clip(before, 0.0, 1.0), axis=1))
+
+
+# ------------------------------------------- training step and teacher finalisation
+
+
+def sequential_event_time_groups(times, events, scores):
+    """The one-sample-at-a-time running log-sum-exp, kept as the oracle."""
+    order = np.argsort(-times, kind="stable")
+    t_sorted = times[order]
+    g_sorted = scores[order]
+    # running logsumexp of scores over the risk set {j: t_j >= tau}
+    running = np.empty_like(g_sorted)
+    acc_max = -np.inf
+    acc_sum = 0.0
+    for k in range(g_sorted.size):
+        g = g_sorted[k]
+        if g > acc_max:
+            acc_sum = acc_sum * np.exp(acc_max - g) if np.isfinite(acc_max) else 0.0
+            acc_max = g
+        acc_sum += np.exp(g - acc_max)
+        running[k] = acc_max + np.log(acc_sum)
+    event_times = np.unique(times[events])
+    d = np.zeros(event_times.size)
+    log_risk = np.zeros(event_times.size)
+    for i, tau in enumerate(event_times):
+        d[i] = np.count_nonzero((times == tau) & events)
+        # last position in the descending order whose time is still >= tau
+        k = np.searchsorted(-t_sorted, -tau, side="right") - 1
+        log_risk[i] = running[k]
+    return event_times, d, log_risk
+
+
+def cox_sample(rng, n, tied, shape):
+    """Outcomes with at least one event and scores of the given shape."""
+    times = (rng.integers(1, 6, size=n).astype(np.float64) if tied
+             else rng.exponential(size=n))
+    events = rng.random(n) < 0.6
+    events[rng.integers(n)] = True
+    scores = rng.normal(scale=rng.choice([0.01, 1.0, 20.0]), size=n)
+    if shape == "rising":
+        # strictly rising along the descending-time order: one segment per sample
+        times = np.sort(rng.exponential(size=n))[::-1].copy()
+        scores = np.cumsum(rng.uniform(0.1, 2.0, size=n))
+    elif shape == "constant":
+        scores = np.full(n, scores[0])
+    return times, events, scores
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), tied=st.booleans(),
+       shape=st.sampled_from(["random", "rising", "constant"]), seed=SEEDS)
+def test_risk_set_sums_equal_sequential_loop(n, tied, shape, seed):
+    times, events, scores = cox_sample(np.random.default_rng(seed), n, tied, shape)
+    expected = sequential_event_time_groups(times, events, scores)
+    for got, want in zip(_event_time_groups(times, events, scores), expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), tied=st.booleans(),
+       shape=st.sampled_from(["random", "rising", "constant"]), seed=SEEDS)
+def test_breslow_increments_equal_count_nonzero_reference(n, tied, shape, seed):
+    times, events, scores = cox_sample(np.random.default_rng(seed), n, tied, shape)
+    m = scores.max()
+    order = np.argsort(-times, kind="stable")
+    risk_cum = np.cumsum(np.exp(scores[order] - m))
+    event_times = np.unique(times[events])
+    d = np.array([np.count_nonzero((times == tau) & events) for tau in event_times])
+    k = np.searchsorted(-times[order], -event_times, side="right") - 1
+    baseline = breslow_baseline(scores, times, events)
+    assert np.array_equal(baseline.event_times, event_times)
+    assert np.array_equal(baseline.increments, d * np.exp(-m) / risk_cum[k])
+
+
+def per_tensor_adamw(params, grads, m, v, step, lr, weight_decay,
+                     beta1=0.9, beta2=0.999, eps=1e-8):
+    """One AdamW step tensor by tensor, as the update was first written."""
+    bias1 = 1.0 - beta1 ** step
+    bias2 = 1.0 - beta2 ** step
+    for name, p in params.items():
+        rate = lr(name)
+        g = grads[name]
+        p *= 1.0 - rate * weight_decay
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        p -= rate * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.sampled_from([(), (1,), (3,), (0, 2), (2, 3), (4, 1)]),
+                       min_size=1, max_size=6),
+       steps=st.integers(1, 6), weight_decay=st.sampled_from([0.0, 0.01, 0.3]), seed=SEEDS)
+def test_flat_adamw_equals_per_tensor_reference(shapes, steps, weight_decay, seed):
+    rng = np.random.default_rng(seed)
+    params = {f"t{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    rates = {name: float(rng.choice([0.0, 1e-3, 0.05])) for name in params}
+    ref = {name: arr.copy() for name, arr in params.items()}
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    state = init_adamw(params, weight_decay=weight_decay)
+    for step in range(1, steps + 1):
+        grads = {name: rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=arr.shape)
+                 for name, arr in params.items()}
+        adamw_step(params, grads, state, rates.__getitem__)
+        per_tensor_adamw(ref, grads, m, v, step, rates.__getitem__, weight_decay)
+        for name in params:
+            assert np.array_equal(params[name], ref[name])
+    assert state.step == steps
+
+
+def per_record_finalize(probs, means):
+    """One record's completion, refit and percent through the one-fit functions."""
+    present = [(h, probs[h]) for h in HORIZONS if probs[h] is not None]
+    if present:
+        fit = fit_parametric(present, "exponential")
+        out = [probs[h] if probs[h] is not None else float(fit_survival_at(fit, h))
+               for h in HORIZONS]
+    else:
+        out = [means[h] for h in HORIZONS]
+    completed = np.minimum.accumulate(np.clip(np.array(out), 0.0, 1.0))
+    fit = fit_parametric(list(zip(HORIZONS, completed)), "exponential")
+    return completed, fit.rate, three_year_percent(fit)
+
+
+PROBS = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 0.5, 1e-7]),
+                  st.integers(0, 100).map(lambda p: p / 100.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(PROBS, PROBS, PROBS), min_size=1, max_size=40))
+def test_batch_finalisation_equals_per_record_path(rows):
+    records = [TeacherRecord(sample_id=str(i), responses={}, explanation="",
+                             probs=dict(zip(HORIZONS, row))) for i, row in enumerate(rows)]
+    pool = [r.probs for r in records if r.any_extracted()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        if len(pool) < len(records):
+            try:
+                means = horizon_means(pool)
+            except ValueError:  # some horizon has no extraction anywhere
+                with pytest.raises(ValueError):
+                    finalize_records(records)
+                return
+        else:
+            means = {}
+        finalize_records(records)
+        for rec in records:
+            completed, rate, percent = per_record_finalize(rec.probs, means)
+            assert rec.percent == percent
+            assert np.all(np.abs(np.array(rec.completed) - completed)
+                          <= 4 * np.spacing(np.abs(completed)))
+            assert abs(rec.rate - rate) <= 4 * np.spacing(abs(rate))
