@@ -74,5 +74,5 @@ def reconstruction_loss_grad(
     loss = float((resid ** 2).sum() / (n * d))
     grad_recon = 2.0 * resid / (n * d)
     dec_grads, grad_z = mlp_backward(ae.decoder, dec_cache, grad_recon)
-    enc_grads, _ = mlp_backward(ae.encoder, enc_cache, grad_z)
+    enc_grads, _ = mlp_backward(ae.encoder, enc_cache, grad_z, input_grad=False)
     return loss, enc_grads, dec_grads

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
+import operator
 import struct
 from pathlib import Path
 
@@ -115,7 +118,11 @@ def read_pooled(path) -> dict[str, np.ndarray]:
 
 
 def write_checkpoint(path, params: dict[str, np.ndarray], manifest: dict) -> None:
-    """Write named float64 tensors with a JSON manifest (shapes, seed, step, config)."""
+    """Write named float64 tensors with a JSON manifest (shapes, seed, step, config).
+
+    The tensors follow the manifest as one little-endian float64 block, each
+    raveled in C order, in the order of `params`.
+    """
     tensors = [{"name": name, "shape": list(arr.shape)} for name, arr in params.items()]
     header = dict(manifest)
     header["tensors"] = tensors
@@ -125,11 +132,12 @@ def write_checkpoint(path, params: dict[str, np.ndarray], manifest: dict) -> Non
         _write_u32(fh, FORMAT_VERSION)
         _write_u32(fh, len(blob))
         fh.write(blob)
-        for arr in params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                          for arr in params.values()))
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Tensors (views of one new float64 vector) and the manifest of a checkpoint."""
     with open(path, "rb") as fh:
         got = fh.read(4)
         if got != CHECKPOINT_MAGIC:
@@ -138,13 +146,20 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         manifest = json.loads(_read_exact(fh, _read_u32(fh)).decode("utf-8"))
-        params: dict[str, np.ndarray] = {}
-        for spec in manifest["tensors"]:
-            shape = tuple(spec["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * n)
-            params[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return params, manifest
+        specs = manifest["tensors"]
+        names = [spec["name"] for spec in specs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"{path}: duplicate tensor names")
+        if any(not isinstance(d, int) or d < 0 for spec in specs for d in spec["shape"]):
+            raise ValueError(f"{path}: tensor shapes must be non-negative integers")
+        shapes = [tuple(spec["shape"]) for spec in specs]
+        offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        raw = _read_exact(fh, 8 * offsets[-1])
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the tensor data")
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return {name: flat[start:stop].reshape(shape)
+            for name, shape, start, stop in zip(names, shapes, offsets, offsets[1:])}, manifest
 
 
 def format_float(x: float) -> str:
@@ -205,22 +220,48 @@ def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
 
 
 def read_curves_csv(path) -> tuple[list[str], CurveSet]:
-    """Read curves written by `write_curves_csv`; every id must use one grid."""
-    header, rows = read_csv_table(path)
-    if header[:3] != ["id", "t", "S"]:
-        raise ValueError(f"{path}: expected header id,t,S")
-    grouped: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        grouped.setdefault(row["id"], []).append((float(row["t"]), float(row["S"])))
-    if not grouped:
+    """Read curves written by `write_curves_csv`; every id must use one grid.
+
+    One `csv.reader` pass: the first id's rows fix the grid, each id's values
+    become one float64 row, and the rows are stacked once at the end. An id
+    whose rows are not all consecutive, an id with fewer or more rows than
+    the grid, or an id on a different grid is an error.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if header[:3] != ["id", "t", "S"]:
+            raise ValueError(f"{path}: expected header id,t,S")
+        width = len(header)
+        ids: list[str] = []
+        rows: list[np.ndarray] = []
+        grid = grid_cells = None
+        get_t, get_s = operator.itemgetter(1), operator.itemgetter(2)
+        # filter(None, ...) skips blank lines, as read_csv_table does
+        for sample_id, group in itertools.groupby(filter(None, reader),
+                                                  key=operator.itemgetter(0)):
+            group = list(group)
+            if set(map(len, group)) != {width}:
+                raise ValueError(f"{path}: curve {sample_id!r}: expected {width} cells per row")
+            cells = list(map(get_t, group))
+            if grid is None:
+                grid_cells = cells
+                grid = np.array(list(map(float, cells)))
+            elif len(cells) != grid.size:
+                raise ValueError(f"{path}: curve {sample_id!r} has {len(cells)} points, "
+                                 f"the first curve has {grid.size} (truncated?)")
+            elif cells != grid_cells and not np.array_equal(list(map(float, cells)), grid):
+                raise ValueError(f"{path}: curve {sample_id!r} uses a different time grid")
+            rows.append(np.array(list(map(float, map(get_s, group)))))
+            ids.append(sample_id)
+    if not ids:
         raise ValueError(f"{path}: no curves")
-    ids = list(grouped)
-    points = [np.array(grouped[sid]).reshape(-1, 2) for sid in ids]
-    times = points[0][:, 0]
-    for sid, p in zip(ids, points):
-        if not np.array_equal(p[:, 0], times):
-            raise ValueError(f"{path}: curve {sid!r} uses a different time grid")
-    return ids, CurveSet(times=times, values=np.stack([p[:, 1] for p in points]))
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{path}: the rows of a curve are not consecutive "
+                         f"(an id appears again after another id)")
+    return ids, CurveSet(times=grid, values=np.stack(rows))
 
 
 def read_jsonl(path) -> list[dict]:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .nn import sigmoid
 
+# The one order of the modalities: model heads, early-fusion columns, gates.
 MODALITY_ORDER = ("text", "cov", "ge")
 
 

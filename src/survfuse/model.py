@@ -1,5 +1,9 @@
 """Model assembly: modality heads, optional autoencoder, and fusion gates
-wired into one parameter dictionary with a shared forward/backward pass."""
+wired into one parameter dictionary with a shared forward/backward pass.
+
+Every trainable tensor of a model is a view into one flat float64 vector,
+`SurvivalModel.flat`, laid out in `model_params` order by
+`SurvivalModel.layout`; an optimizer updates that vector in place."""
 
 from __future__ import annotations
 
@@ -8,13 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import Autoencoder, init_autoencoder
-from .fusion import (FusionGates, ModalityOutputs, early_fuse, init_fusion_gates,
-                     late_fuse, late_fuse_backward)
-from .nn import (Mlp, MlpCache, draw_dropout_masks, init_mlp, mlp_backward,
-                 mlp_forward, sigmoid)
+from .fusion import (MODALITY_ORDER, FusionGates, ModalityOutputs, early_fuse,
+                     init_fusion_gates, late_fuse, late_fuse_backward)
+from .nn import (FlatViews, Mlp, MlpCache, MlpGrads, ParamLayout, draw_dropout_masks,
+                 init_mlp, mlp_backward, mlp_forward, sigmoid)
 
 DEFAULT_HEAD_LAYERS = [100, 100, 100]
-MODALITY_ORDER = ("text", "cov", "ge")
 
 
 @dataclass
@@ -26,6 +29,21 @@ class SurvivalModel:
     heads: dict[str, Mlp]
     ae: Autoencoder | None = None
     gates: FusionGates | None = None
+    layout: ParamLayout = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Copy the components' tensors into one vector and rebind them as views of it.
+        params = model_params(self)
+        self.layout = ParamLayout.of(params)
+        self.flat = self.layout.gather(params)
+        views = self.layout.views(self.flat)
+        for prefix, mlp in _named_mlps(self):
+            mlp.weights[:] = [views[f"{prefix}.w{i}"] for i in range(len(mlp.weights))]
+            mlp.biases[:] = [views[f"{prefix}.b{i}"] for i in range(len(mlp.biases))]
+        if self.gates is not None:
+            self.gates.inner_logit = views["gates.inner"]
+            self.gates.outer_logit = views["gates.outer"]
 
     def out_dim(self) -> int:
         return self.n_bins if self.head_type == "discrete" else 1
@@ -103,20 +121,21 @@ def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
                          n_bins=n_bins, heads=heads, ae=ae, gates=gates)
 
 
+def _named_mlps(model: SurvivalModel):
+    """(parameter-name prefix, Mlp) for every network, in model_params order."""
+    yield from model.heads.items()
+    if model.ae is not None:
+        yield "enc", model.ae.encoder
+        yield "dec", model.ae.decoder
+
+
 def model_params(model: SurvivalModel) -> dict[str, np.ndarray]:
     """Flat name -> array views over every trainable tensor (shared, not copied)."""
     params: dict[str, np.ndarray] = {}
-
-    def add_mlp(prefix: str, mlp: Mlp):
+    for prefix, mlp in _named_mlps(model):
         for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
             params[f"{prefix}.w{i}"] = w
             params[f"{prefix}.b{i}"] = b
-
-    for name, mlp in model.heads.items():
-        add_mlp(name, mlp)
-    if model.ae is not None:
-        add_mlp("enc", model.ae.encoder)
-        add_mlp("dec", model.ae.decoder)
     if model.gates is not None:
         params["gates.inner"] = model.gates.inner_logit
         params["gates.outer"] = model.gates.outer_logit
@@ -181,62 +200,56 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
 
 
 def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray,
-                   grad_recon: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Gradients for every parameter in model_params order.
+                   grad_recon: np.ndarray | None = None) -> FlatViews:
+    """Gradients for every parameter, as views of one new vector in `model.layout`.
 
     `grad_out` is dL/d(out); `grad_recon` is dL/d(recon) for the autoencoder
-    term (None when the run has no reconstruction loss). The encoder receives
-    the sum of the head-path and decoder-path gradients.
+    term (None when the run has no reconstruction loss, and the decoder's
+    gradients are zero). The encoder receives the sum of the head-path and
+    decoder-path gradients. Each call returns a new vector (`.flat`).
     """
-    grads: dict[str, np.ndarray] = {}
+    grads = model.layout.views(np.empty(model.layout.size))
 
-    def store_mlp(prefix: str, mlp_grads):
-        for i, (gw, gb) in enumerate(zip(mlp_grads.weights, mlp_grads.biases)):
-            grads[f"{prefix}.w{i}"] = gw
-            grads[f"{prefix}.b{i}"] = gb
+    def backward(prefix: str, mlp: Mlp, cache: MlpCache, g: np.ndarray,
+                 input_grad: bool) -> np.ndarray | None:
+        n = len(mlp.weights)
+        out = MlpGrads([grads[f"{prefix}.w{i}"] for i in range(n)],
+                       [grads[f"{prefix}.b{i}"] for i in range(n)])
+        return mlp_backward(mlp, cache, g, out=out, input_grad=input_grad)[1]
 
     grad_z_ge = None
     if model.fusion == "late" and len(model.modalities) > 1:
         fusion_grads = late_fuse_backward(grad_out, fwd.modality_outputs, model.gates)
-        grads["gates.inner"] = fusion_grads.inner_logit
-        grads["gates.outer"] = fusion_grads.outer_logit
+        np.copyto(grads["gates.inner"], fusion_grads.inner_logit)
+        np.copyto(grads["gates.outer"], fusion_grads.outer_logit)
         for m in model.modalities:
             name = f"head_{m}"
             g = getattr(fusion_grads.outputs, m)
             if model.head_type == "coxph":
                 g = g[:, None]
-            mlp_grads, grad_in = mlp_backward(model.heads[name],
-                                              fwd.head_caches[name], g)
-            store_mlp(name, mlp_grads)
+            grad_in = backward(name, model.heads[name], fwd.head_caches[name], g,
+                               input_grad=(m == "ge"))
             if m == "ge":
                 grad_z_ge = grad_in
     else:
         g = grad_out[:, None] if model.head_type == "coxph" else grad_out
-        mlp_grads, grad_in = mlp_backward(model.heads["head"],
-                                          fwd.head_caches["head"], g)
-        store_mlp("head", mlp_grads)
+        grad_in = backward("head", model.heads["head"], fwd.head_caches["head"], g,
+                           input_grad="ge" in model.modalities)
         if "ge" in model.modalities:
             # ge occupies the trailing latent_dim columns of the early-fused input
             grad_z_ge = grad_in[:, -model.ae.latent_dim:]
 
     if model.ae is not None:
         if grad_recon is not None:
-            dec_grads, grad_z_from_dec = mlp_backward(model.ae.decoder,
-                                                      fwd.dec_cache, grad_recon)
+            grad_z_from_dec = backward("dec", model.ae.decoder, fwd.dec_cache, grad_recon,
+                                       input_grad=True)
             grad_z = grad_z_from_dec if grad_z_ge is None else grad_z_from_dec + grad_z_ge
         else:
-            dec_grads = None
+            for i in range(len(model.ae.decoder.weights)):
+                grads[f"dec.w{i}"].fill(0.0)
+                grads[f"dec.b{i}"].fill(0.0)
             grad_z = grad_z_ge
-        if dec_grads is None:
-            dec_grads_w = [np.zeros_like(w) for w in model.ae.decoder.weights]
-            dec_grads_b = [np.zeros_like(b) for b in model.ae.decoder.biases]
-            for i, (gw, gb) in enumerate(zip(dec_grads_w, dec_grads_b)):
-                grads[f"dec.w{i}"] = gw
-                grads[f"dec.b{i}"] = gb
-        else:
-            store_mlp("dec", dec_grads)
-        enc_grads, _ = mlp_backward(model.ae.encoder, fwd.enc_cache, grad_z)
-        store_mlp("enc", enc_grads)
+        backward("enc", model.ae.encoder, fwd.enc_cache, grad_z, input_grad=False)
     return grads
 
 

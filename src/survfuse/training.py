@@ -13,6 +13,7 @@ from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import (TeacherRecord, calibration_mask, finalize_records,
                       weighted_text_loss)
+from .fusion import MODALITY_ORDER
 from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
                     cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
                     discrete_loss_grad)
@@ -20,8 +21,6 @@ from .metrics import c_td, ibs
 from .model import (SurvivalModel, gate_values, init_model, model_backward,
                     model_forward, model_params)
 from .nn import adamw_step, init_adamw
-
-MODALITIES = ("text", "cov", "ge")
 
 
 @dataclass
@@ -61,8 +60,8 @@ class RunConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.fusion not in ("early", "late", "none"):
             raise ValueError(f"unknown fusion {self.fusion!r}")
-        mods = tuple(m for m in MODALITIES if m in self.modalities)
-        if not mods or set(self.modalities) - set(MODALITIES):
+        mods = tuple(m for m in MODALITY_ORDER if m in self.modalities)
+        if not mods or set(self.modalities) - set(MODALITY_ORDER):
             raise ValueError(f"bad modalities {self.modalities}")
         self.modalities = mods
         if self.fusion == "none" and len(mods) > 1:
@@ -314,13 +313,12 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
             included.append(text_flags.get(sid, True))
         return TextBatch(losses=losses, included=included) if losses else None
 
-    params = model_params(model)
-    opt = init_adamw(params, weight_decay=config.weight_decay)
-    lr = _learning_rate(config)
+    opt = init_adamw(model_params(model), _learning_rate(config),
+                     weight_decay=config.weight_decay)
 
     n_train = split.train.size
     best_val = math.inf
-    best_snapshot = opt.layout.gather(params)
+    best_snapshot = model.flat.copy()
     best_epoch = 0
     since_improve = 0
     skipped = 0
@@ -338,7 +336,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
                 continue
             loss, _, grads = total_loss(model, batch, config, rng=rngs["dropout"],
                                         text_batch=text_batch_for(idx))
-            adamw_step(params, grads, opt, lr)
+            adamw_step(model.flat, grads.flat, opt)
             epoch_losses.append(loss)
         train_trace.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
 
@@ -346,7 +344,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
         val_trace.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = opt.layout.gather(params)
+            best_snapshot = model.flat.copy()
             best_epoch = epoch
             since_improve = 0
         else:
@@ -354,7 +352,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
         if since_improve >= patience:
             break
 
-    opt.layout.scatter(best_snapshot, params)
+    np.copyto(model.flat, best_snapshot)
 
     baseline = None
     if config.head == "coxph":
@@ -593,7 +591,10 @@ def load_checkpoint(path: str) -> tuple[TrainResult, RunConfig]:
     if set(params) != set(tensors):
         raise ValueError("checkpoint parameters do not match the configured model")
     for name, value in tensors.items():
-        np.copyto(params[name], value.reshape(params[name].shape))
+        if value.shape != params[name].shape:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {value.shape}, "
+                             f"the configured model expects {params[name].shape}")
+        np.copyto(params[name], value)
 
     grid = TimeGrid(np.array(manifest["grid_edges"])) if manifest["grid_edges"] else None
     baseline = None

@@ -62,6 +62,32 @@ def test_checkpoint_round_trip(tmp_path):
     assert mf["note"] == "x"
 
 
+def test_checkpoint_bytes_are_the_tensors_in_order(tmp_path):
+    rng = np.random.default_rng(3)
+    params = {"b": rng.normal(size=(2, 3)), "a": rng.normal(size=4), "g": np.array(0.5)}
+    path = tmp_path / "c.svck"
+    formats.write_checkpoint(path, params, {"k": 1})
+    raw = path.read_bytes()
+    tail = b"".join(arr.astype("<f8").tobytes() for arr in params.values())
+    assert raw.endswith(tail)
+    blob = json.dumps({"k": 1, "tensors": [{"name": n, "shape": list(a.shape)}
+                                           for n, a in params.items()]}, sort_keys=True)
+    assert len(raw) == 12 + len(blob.encode()) + len(tail)
+
+
+def test_checkpoint_rejects_trailing_and_missing_bytes(tmp_path):
+    params = {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)}
+    path = tmp_path / "c.svck"
+    formats.write_checkpoint(path, params, {})
+    good = path.read_bytes()
+    path.write_bytes(good + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        formats.read_checkpoint(path)
+    path.write_bytes(good[:-1])
+    with pytest.raises(ValueError, match="truncated"):
+        formats.read_checkpoint(path)
+
+
 def test_format_float_round_trips_exactly():
     rng = np.random.default_rng(3)
     values = list(rng.normal(scale=1e6, size=100)) + [0.0, 1.0, -1.0, 1e-308,
@@ -138,6 +164,42 @@ def test_curves_csv_requires_one_grid(tmp_path):
     path.write_text("id,t,S\n")
     with pytest.raises(ValueError, match="no curves"):
         formats.read_curves_csv(path)
+
+
+def test_curves_csv_rejects_truncated_and_split_curves(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\nb,0.0,1.0\n")
+    with pytest.raises(ValueError, match="'b' has 1 points.*truncated"):
+        formats.read_curves_csv(path)
+    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\nb,0.0,1.0\nb,1.0,0.4\n"
+                    "a,0.0,1.0\na,1.0,0.5\n")
+    with pytest.raises(ValueError, match="not consecutive"):
+        formats.read_curves_csv(path)
+    path.write_text("id,t,S\na,0.0,1.0\na,1.0\n")
+    with pytest.raises(ValueError, match="expected 3 cells"):
+        formats.read_curves_csv(path)
+
+
+def test_curves_csv_compares_grids_by_value_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\n\nb,0,1.0\nb,1.00,0.25")
+    ids, back = formats.read_curves_csv(path)
+    assert ids == ["a", "b"]
+    assert np.array_equal(back.times, [0.0, 1.0])
+    assert np.array_equal(back.values, [[1.0, 0.5], [1.0, 0.25]])
+    path.write_bytes(b"id,t,S\ra,0.0,1.0\ra,1.0,0.5\rb,0.0,1.0\rb,1.0,0.25\r")
+    ids, back = formats.read_curves_csv(path)
+    assert ids == ["a", "b"]
+    assert np.array_equal(back.values, [[1.0, 0.5], [1.0, 0.25]])
+
+
+def test_curves_csv_reads_mixed_line_endings(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"id,t,S\na,0,1\ra,1,.5\nb,0,1\rb,1,.4\n")
+    ids, back = formats.read_curves_csv(path)
+    assert ids == ["a", "b"]
+    assert np.array_equal(back.times, [0.0, 1.0])
+    assert np.array_equal(back.values, [[1.0, 0.5], [1.0, 0.4]])
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -177,12 +177,19 @@ def test_backward_input_gradient():
             assert abs(numeric - grad_in[i, j]) < 1e-5
 
 
+def adamw_on_mappings(p, g, state):
+    """One step on name -> array mappings, gathered and scattered through the layout."""
+    flat = state.layout.gather(p)
+    adamw_step(flat, state.layout.gather(g), state)
+    state.layout.scatter(flat, p)
+
+
 def test_adamw_decoupled_decay_single_step():
     # one hand-computed step: decay shrinks the weight before the moment update
     p = {"w": np.array([2.0])}
     g = {"w": np.array([0.5])}
-    state = init_adamw(p, weight_decay=0.1)
-    adamw_step(p, g, state, lr=0.01)
+    state = init_adamw(p, lr=0.01, weight_decay=0.1)
+    adamw_on_mappings(p, g, state)
     decayed = 2.0 * (1.0 - 0.01 * 0.1)
     m_hat = (0.1 * 0.5) / (1.0 - 0.9)
     v_hat = (0.001 * 0.25) / (1.0 - 0.999)
@@ -196,10 +203,10 @@ def test_adamw_zero_decay_matches_adam_reference():
     ref = p["w"].copy()
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
-    state = init_adamw(p, weight_decay=0.0)
+    state = init_adamw(p, lr=0.05, weight_decay=0.0)
     for t in range(1, 6):
         g = rng.normal(size=(3, 2))
-        adamw_step(p, {"w": g}, state, lr=0.05)
+        adamw_on_mappings(p, {"w": g}, state)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         m_hat = m / (1 - 0.9 ** t)
@@ -211,26 +218,26 @@ def test_adamw_zero_decay_matches_adam_reference():
 def test_adamw_per_parameter_learning_rates():
     p = {"a": np.array([1.0]), "b": np.array([1.0])}
     g = {"a": np.array([1.0]), "b": np.array([1.0])}
-    state = init_adamw(p, weight_decay=0.0)
-    adamw_step(p, g, state, lr=lambda name: 0.1 if name == "a" else 0.0)
+    state = init_adamw(p, lr=lambda name: 0.1 if name == "a" else 0.0, weight_decay=0.0)
+    adamw_on_mappings(p, g, state)
     assert p["a"][0] < 1.0
     assert p["b"][0] == 1.0
 
 
 def test_adamw_rejects_non_finite_gradients():
     p = {"w": np.array([1.0])}
-    state = init_adamw(p)
+    state = init_adamw(p, lr=0.1)
     with pytest.raises(FloatingPointError):
-        adamw_step(p, {"w": np.array([np.nan])}, state, lr=0.1)
+        adamw_on_mappings(p, {"w": np.array([np.nan])}, state)
 
 
 def test_adamw_error_names_first_non_finite_tensor():
     p = {"a": np.zeros(2), "b": np.zeros((2, 2)), "c": np.zeros(3)}
     g = {"a": np.ones(2), "b": np.array([[1.0, 1.0], [np.inf, 1.0]]),
          "c": np.array([np.nan, 1.0, 1.0])}
-    state = init_adamw(p)
+    state = init_adamw(p, lr=0.1)
     with pytest.raises(FloatingPointError, match=r"parameter 'b'"):
-        adamw_step(p, g, state, lr=0.1)
+        adamw_on_mappings(p, g, state)
     # nothing moved, and the failed step does not count
     assert state.step == 0
     assert all(not arr.any() for arr in p.values())

@@ -2,7 +2,8 @@
 exhaustive pairwise oracle, union-grid conversion, the invariants of blended
 and averaged sets) and for the whole-array training and teacher code against
 the per-element forms it replaced (Cox risk sets, Breslow increments, flat
-AdamW, batch teacher finalisation)."""
+AdamW, the flat-vector training step, sigmoid, one-draw dropout masks,
+batch teacher finalisation)."""
 
 import warnings
 
@@ -14,9 +15,15 @@ from hypothesis import strategies as st
 from survfuse.blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve
 from survfuse.distill import (HORIZONS, TeacherRecord, finalize_records, fit_parametric,
                               fit_survival_at, horizon_means, three_year_percent)
-from survfuse.heads import CurveSet, SurvivalCurve, _event_time_groups, breslow_baseline
+from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
+from survfuse.heads import (CurveSet, SurvivalCurve, TimeGrid, _event_time_groups,
+                            breslow_baseline, build_discrete_targets, cox_loss_grad,
+                            discrete_loss_grad)
 from survfuse.metrics import CTD_BLOCK, IBS_BLOCK, c_td, censoring_km, ibs
-from survfuse.nn import adamw_step, init_adamw
+from survfuse.model import init_model, model_params
+from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
+                         sigmoid)
+from survfuse.training import RunConfig, _learning_rate, total_loss
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -274,15 +281,224 @@ def test_flat_adamw_equals_per_tensor_reference(shapes, steps, weight_decay, see
     ref = {name: arr.copy() for name, arr in params.items()}
     m = {name: np.zeros_like(arr) for name, arr in params.items()}
     v = {name: np.zeros_like(arr) for name, arr in params.items()}
-    state = init_adamw(params, weight_decay=weight_decay)
+    state = init_adamw(params, rates.__getitem__, weight_decay=weight_decay)
     for step in range(1, steps + 1):
         grads = {name: rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=arr.shape)
                  for name, arr in params.items()}
-        adamw_step(params, grads, state, rates.__getitem__)
+        flat = state.layout.gather(params)
+        adamw_step(flat, state.layout.gather(grads), state)
+        state.layout.scatter(flat, params)
         per_tensor_adamw(ref, grads, m, v, step, rates.__getitem__, weight_decay)
         for name in params:
             assert np.array_equal(params[name], ref[name])
     assert state.step == steps
+
+
+# ------------------------------------------------ the flat-vector training step
+# The reference below is the per-tensor step as first written: one mask draw
+# per layer, out-of-place forward and backward expressions (every input
+# gradient computed), the model-level wiring, and per-tensor AdamW.
+
+def reference_masks(mlp, n_rows, rng):
+    if rng is None or mlp.dropout == 0.0 or len(mlp.weights) == 1:
+        return None
+    keep = 1.0 - mlp.dropout
+    return [(rng.random((n_rows, w.shape[1])) < keep).astype(np.float64)
+            for w in mlp.weights[:-1]]
+
+
+def reference_forward(mlp, x, masks):
+    keep = 1.0 - mlp.dropout
+    inputs, preacts = [], []
+    h = x
+    for i in range(len(mlp.weights)):
+        inputs.append(h)
+        z = h @ mlp.weights[i] + mlp.biases[i]
+        preacts.append(z)
+        if i < len(mlp.weights) - 1:
+            h = np.maximum(z, 0.0)
+            if masks is not None:
+                h = h * masks[i] / keep
+        else:
+            h = z
+    return h, (inputs, preacts, masks)
+
+
+def reference_backward(mlp, cache, g, prefix, grads):
+    inputs, preacts, masks = cache
+    keep = 1.0 - mlp.dropout
+    n_layers = len(mlp.weights)
+    for i in range(n_layers - 1, -1, -1):
+        if i < n_layers - 1:
+            if masks is not None:
+                g = g * masks[i] / keep
+            g = g * (preacts[i] > 0.0)
+        grads[f"{prefix}.w{i}"] = inputs[i].T @ g
+        grads[f"{prefix}.b{i}"] = g.sum(axis=0)
+        g = g @ mlp.weights[i].T
+    return g
+
+
+def reference_step_grads(parts, batch, alpha, rng):
+    """Per-tensor gradients of the joint objective; `parts` holds plain Mlps."""
+    head_type, late, modalities = parts["head_type"], parts["late"], parts["modalities"]
+    heads, enc, dec, gates = parts["heads"], parts["enc"], parts["dec"], parts["gates"]
+    n = batch[modalities[0]].shape[0]
+    z_ge = None
+    if enc is not None:
+        z_ge, enc_cache = reference_forward(enc, batch["ge"], reference_masks(enc, n, rng))
+        recon, dec_cache = reference_forward(dec, z_ge, reference_masks(dec, n, rng))
+    inputs = {m: z_ge if m == "ge" else batch[m] for m in modalities}
+    caches, outs = {}, {}
+    if late:
+        for m in modalities:
+            mlp = heads[f"head_{m}"]
+            out_m, caches[m] = reference_forward(mlp, inputs[m], reference_masks(mlp, n, rng))
+            outs[m] = out_m if head_type == "discrete" else out_m[:, 0]
+        out = late_fuse(ModalityOutputs(**outs), gates)
+    else:
+        x = early_fuse(z_text=inputs.get("text"), x_cov=inputs.get("cov"),
+                       z_ge=inputs.get("ge"))
+        out, cache = reference_forward(heads["head"], x, reference_masks(heads["head"], n, rng))
+        if head_type == "coxph":
+            out = out[:, 0]
+    if head_type == "discrete":
+        _, grad_out = discrete_loss_grad(out, batch["targets"])
+    else:
+        _, grad_out = cox_loss_grad(out, batch["times"], batch["events"])
+
+    grads = {}
+    grad_z_ge = None
+    if late:
+        fusion_grads = late_fuse_backward(grad_out, ModalityOutputs(**outs), gates)
+        grads["gates.inner"] = fusion_grads.inner_logit
+        grads["gates.outer"] = fusion_grads.outer_logit
+        for m in modalities:
+            g = getattr(fusion_grads.outputs, m)
+            g = g[:, None] if head_type == "coxph" else g
+            grad_in = reference_backward(heads[f"head_{m}"], caches[m], g, f"head_{m}", grads)
+            if m == "ge":
+                grad_z_ge = grad_in
+    else:
+        g = grad_out[:, None] if head_type == "coxph" else grad_out
+        grad_in = reference_backward(heads["head"], cache, g, "head", grads)
+        if "ge" in modalities:
+            grad_z_ge = grad_in[:, -enc.out_dim:]
+    if enc is not None:
+        x = batch["ge"]
+        grad_recon = alpha * 2.0 * (recon - x) / (x.shape[0] * x.shape[1])
+        grad_z = reference_backward(dec, dec_cache, grad_recon, "dec", grads) + grad_z_ge
+        reference_backward(enc, enc_cache, grad_z, "enc", grads)
+    return grads
+
+
+FUSIONS = [("late", ("text", "cov", "ge")), ("late", ("text", "ge")), ("late", ("text", "cov")),
+           ("early", ("text", "cov", "ge")), ("early", ("cov", "ge")),
+           ("none", ("text",)), ("none", ("cov",)), ("none", ("ge",))]
+STEP_DIMS = {"text": 5, "cov": 3, "ge": 7}
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_type=st.sampled_from(["discrete", "coxph"]), fusion=st.sampled_from(FUSIONS),
+       dropout=st.sampled_from([0.0, 0.3]), ae_dropout=st.sampled_from([0.0, 0.2]),
+       n=st.integers(2, 12), steps=st.integers(1, 4), seed=SEEDS)
+def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropout, ae_dropout,
+                                                        n, steps, seed):
+    fusion, modalities = fusion
+    config = RunConfig(head=head_type, fusion=fusion, modalities=modalities, n_bins=4,
+                       dropout=dropout, ae_dropout=ae_dropout, lr_head=0.05, lr_gates=0.2,
+                       lr_ae=0.01, weight_decay=0.1)
+    rng = np.random.default_rng(seed)
+    model = init_model(head_type, fusion, modalities, STEP_DIMS, rng, n_bins=4,
+                       head_layers=[6, 5], dropout=dropout, ae_hidden=[4], latent_dim=3,
+                       ae_dropout=ae_dropout)
+    for arr in model_params(model).values():
+        arr += rng.normal(scale=0.3, size=arr.shape)  # gates and biases off zero
+    ref = {name: arr.copy() for name, arr in model_params(model).items()}
+
+    def plain_mlp(prefix, mlp):
+        return Mlp([ref[f"{prefix}.w{i}"] for i in range(len(mlp.weights))],
+                   [ref[f"{prefix}.b{i}"] for i in range(len(mlp.biases))], mlp.dropout)
+
+    parts = {"head_type": head_type, "late": model.gates is not None,
+             "modalities": model.modalities,
+             "heads": {name: plain_mlp(name, mlp) for name, mlp in model.heads.items()},
+             "enc": plain_mlp("enc", model.ae.encoder) if model.ae else None,
+             "dec": plain_mlp("dec", model.ae.decoder) if model.ae else None,
+             "gates": (type(model.gates)(ref["gates.inner"], ref["gates.outer"])
+                       if model.gates is not None else None)}
+    times = rng.uniform(0.1, 4.0, size=n)
+    events = rng.random(n) < 0.6
+    events[0] = True
+    batch = {m: rng.normal(size=(n, STEP_DIMS[m])) for m in modalities}
+    batch.update(times=times, events=events,
+                 targets=build_discrete_targets(times, events, TimeGrid.equal_width(4, 5.0)))
+
+    lr = _learning_rate(config)
+    opt = init_adamw(model_params(model), lr, weight_decay=config.weight_decay)
+    m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    rng_flat, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for step in range(1, steps + 1):
+        _, _, grads = total_loss(model, batch, config, rng=rng_flat)
+        want = reference_step_grads(parts, batch, config.alpha, rng_ref)
+        assert set(grads) == set(want)
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
+        adamw_step(model.flat, grads.flat, opt)
+        per_tensor_adamw(ref, want, m, v, step, lr, config.weight_decay)
+        params = model_params(model)
+        for name in ref:
+            assert np.array_equal(params[name], ref[name]), name
+    assert rng_flat.bit_generator.state == rng_ref.bit_generator.state
+
+
+def masked_sigmoid(x):
+    """sigmoid as first written: each sign's branch evaluated on its own elements."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                                  2.2250738585072014e-308, -1e-310, 709.8, -745.2, 1e308,
+                                  -1e308, 36.7, -36.7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                       | SPECIAL_FLOATS, max_size=40))
+def test_sigmoid_equals_masked_form_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    args = [x, x.reshape(-1, 1)] + [np.array(value) for value in values[:1]]  # and 0-d
+    for arg in args:
+        got, want = sigmoid(arg), masked_sigmoid(arg)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rows=st.integers(0, 12), hidden=st.lists(st.integers(1, 9), max_size=4),
+       dropout=st.sampled_from([0.0, 0.1, 0.5, 0.9]), seed=SEEDS)
+def test_one_draw_masks_equal_per_layer_draws(n_rows, hidden, dropout, seed):
+    mlp = init_mlp(3, hidden, 2, np.random.default_rng(0), dropout=dropout)
+    one, per_layer = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_dropout_masks(mlp, n_rows, one)
+    want = reference_masks(mlp, n_rows, per_layer)
+    if want is None:
+        assert got is None
+    else:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+    assert one.bit_generator.state == per_layer.bit_generator.state
 
 
 def per_record_finalize(probs, means):

@@ -10,7 +10,7 @@ from survfuse.cohort import Cohort, Outcome, Sample, split_cohort
 from survfuse.distill import TeacherRecord
 from survfuse.formats import read_checkpoint, write_checkpoint
 from survfuse.heads import TimeGrid, discrete_loss
-from survfuse.model import model_forward, model_params
+from survfuse.model import init_model, model_forward, model_params
 from survfuse.training import (
     RunConfig,
     TextBatch,
@@ -368,6 +368,72 @@ def test_checkpoint_rejects_mismatched_tensors(tmp_path):
     write_checkpoint(clipped, tensors, manifest)
     with pytest.raises(ValueError, match="do not match"):
         load_checkpoint(clipped)
+
+
+def test_load_checkpoint_rejects_a_reshaped_tensor(tmp_path):
+    cohort = toy_cohort(30, teacher=False)
+    split = split_cohort(30, seed=2)
+    config = tiny_config(epochs=1)
+    result = train(config, cohort, split)
+    path = str(tmp_path / "full.svck")
+    save_checkpoint(path, result, config)
+    tensors, manifest = read_checkpoint(path)
+    w = tensors["head_text.w0"]  # (6, 8): same size, transposed shape
+    tensors["head_text.w0"] = w.reshape(w.shape[::-1])
+    reshaped = str(tmp_path / "reshaped.svck")
+    write_checkpoint(reshaped, tensors, manifest)
+    with pytest.raises(ValueError, match=r"'head_text.w0' has shape \(8, 6\)"):
+        load_checkpoint(reshaped)
+
+
+# ------------------------------------------------------- flat parameter vector
+
+def assert_params_view_flat(model):
+    """Every model_params tensor is the view of `model.flat` its layout names."""
+    params = model_params(model)
+    layout = model.layout
+    assert tuple(params) == layout.names
+    assert model.flat.size == layout.size and model.flat.flags.owndata
+    for (name, arr), shape, start in zip(params.items(), layout.shapes, layout.offsets):
+        assert arr.shape == shape, name
+        assert arr.base is model.flat, name
+        assert arr.ctypes.data == model.flat.ctypes.data + 8 * int(start), name
+    # a write to the vector reaches the tensors the forward pass reads
+    model.flat[:] = np.arange(model.flat.size)
+    assert np.array_equal(layout.gather(model_params(model)), np.arange(model.flat.size))
+
+
+@pytest.mark.parametrize("head,fusion,modalities", [
+    ("discrete", "late", ("text", "cov", "ge")),
+    ("coxph", "late", ("text", "cov", "ge")),
+    ("discrete", "early", ("text", "cov", "ge")),
+    ("coxph", "none", ("cov",)),
+])
+def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modalities):
+    model = init_model(head, fusion, modalities, DIMS, np.random.default_rng(0), n_bins=5,
+                       head_layers=[7, 6], ae_hidden=[8, 5], latent_dim=3)
+    clone = model.copy()
+    assert np.array_equal(clone.flat, model.flat)
+    assert not np.shares_memory(clone.flat, model.flat)
+    before = clone.flat.copy()
+    assert_params_view_flat(model)  # overwrites model.flat
+    assert np.array_equal(clone.flat, before)
+    assert_params_view_flat(clone)
+
+
+def test_checkpoint_and_pretraining_keep_params_as_views_of_one_vector(tmp_path):
+    cohort = toy_cohort(40)
+    split = split_cohort(40, seed=2)
+    config = tiny_config(head="coxph", pretrain=True, pretrain_batch_size=16,
+                         pretrain_epochs=2, pretrain_patience=2)
+    warm = pretrain_heads(config, cohort, split)
+    result = train(config, cohort, split, warm_start=warm)
+    path = str(tmp_path / "cox.svck")
+    save_checkpoint(path, result, config)
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.model.flat, result.model.flat)
+    assert_params_view_flat(loaded.model)
+    assert_params_view_flat(result.model)
 
 
 # ------------------------------------------------------------------ suites
