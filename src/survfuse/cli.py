@@ -230,11 +230,7 @@ def _cmd_train(args, started: float) -> int:
     config = training.load_run_config(args.config)
     cohort, split = _load_bundle_with_split(args.bundle)
     training.finalize_teacher(cohort, split)
-    warm = None
-    if config.pretrain and config.fusion == "late" and len(config.modalities) > 1:
-        warm = training.pretrain_heads(config, cohort, split)
-    result = training.train(config, cohort, split, warm_start=warm)
-    report = training.evaluate(result, cohort, split, config)
+    result, report = training.train_and_evaluate(config, cohort, split)
 
     os.makedirs(args.out, exist_ok=True)
     training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"),

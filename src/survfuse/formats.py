@@ -9,6 +9,7 @@ import json
 import math
 import operator
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -302,3 +303,36 @@ def parse_kv_file(path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
+
+
+def dataclass_from_kv(cls, kv: dict[str, str]):
+    """An instance of dataclass `cls` from a flat key=value mapping.
+
+    Keys are the field names. Each value is parsed by its field's annotation:
+    `str` is stripped, `bool` is true/false, `tuple[X, ...]` is split on
+    commas into X values, and `int` and `float` (also `float | None`) parse
+    as such.
+    """
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, raw in kv.items():
+        if key not in cls.__dataclass_fields__:
+            raise ValueError(f"unknown config key {key!r}")
+        kwargs[key] = _parse_field(key, hints[key], raw)
+    return cls(**kwargs)
+
+
+def _parse_field(key: str, anno, raw: str):
+    if typing.get_origin(anno) is tuple:
+        item = typing.get_args(anno)[0]
+        return tuple(_parse_field(key, item, part)
+                     for part in raw.split(",") if part.strip())
+    # `X | None` parses as X
+    anno = next((a for a in typing.get_args(anno) if a is not type(None)), anno)
+    if anno is bool:
+        if raw.strip().lower() not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false, got {raw!r}")
+        return raw.strip().lower() == "true"
+    if anno is str:
+        return raw.strip()
+    return anno(raw)

@@ -52,18 +52,7 @@ class GeneratorSpec:
 
 def spec_from_kv(kv: dict[str, str]) -> GeneratorSpec:
     """GeneratorSpec from a flat key=value mapping (keys are field names)."""
-    kwargs = {}
-    fields = GeneratorSpec.__dataclass_fields__
-    for key, raw in kv.items():
-        if key not in fields:
-            raise ValueError(f"unknown generator key {key!r}")
-        if key == "event_family":
-            kwargs[key] = raw.strip()
-        elif "int" in fields[key].type:
-            kwargs[key] = int(raw)
-        else:
-            kwargs[key] = float(raw)
-    return GeneratorSpec(**kwargs)
+    return formats.dataclass_from_kv(GeneratorSpec, kv)
 
 
 @dataclass

@@ -11,8 +11,7 @@ import numpy as np
 from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
-from .distill import (TeacherRecord, calibration_mask, finalize_records,
-                      weighted_text_loss)
+from .distill import calibration_mask, finalize_records
 from .fusion import MODALITY_ORDER
 from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
                     cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
@@ -31,7 +30,6 @@ class RunConfig:
     pretrain: bool = False
     calibration_correction: bool = False
     alpha: float | None = None   # default depends on head
-    beta: float | None = None
     n_bins: int = 30
     grid: str = "equal"          # 'equal' | 'quantile'
     horizon: float = 5.0
@@ -52,8 +50,6 @@ class RunConfig:
     ae_hidden: tuple[int, ...] = (64, 32)
     latent_dim: int = 16
     ae_dropout: float = 0.0
-    text_loss_w: float = 2.0
-    text_loss_w_num: float = 5.0
 
     def __post_init__(self):
         if self.head not in ("discrete", "coxph"):
@@ -68,48 +64,37 @@ class RunConfig:
             raise ValueError("fusion 'none' requires a single modality")
         if self.alpha is None:
             self.alpha = 1e-8 if self.head == "coxph" else 1e-9
-        if self.beta is None:
-            self.beta = 5.0 if self.head == "coxph" else 1.0
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        if self.alpha < 0:
+            raise ValueError("alpha must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.patience > self.epochs:
             raise ValueError("patience cannot exceed epochs")
 
 
-_LIST_FIELDS = {"modalities": str, "lambda_grid": float,
-                "head_layers": int, "ae_hidden": int}
-_BOOL_FIELDS = {"pretrain", "calibration_correction"}
-
-
 def config_from_kv(kv: dict[str, str]) -> RunConfig:
     """RunConfig from a flat key=value mapping (keys exactly the field names)."""
-    kwargs = {}
-    valid = set(RunConfig.__dataclass_fields__)
-    for key, raw in kv.items():
-        if key not in valid:
-            raise ValueError(f"unknown config key {key!r}")
-        if key in _LIST_FIELDS:
-            cast = _LIST_FIELDS[key]
-            kwargs[key] = tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
-        elif key in _BOOL_FIELDS:
-            if raw.strip().lower() not in ("true", "false"):
-                raise ValueError(f"{key} must be true or false, got {raw!r}")
-            kwargs[key] = raw.strip().lower() == "true"
-        else:
-            anno = RunConfig.__dataclass_fields__[key].type
-            if key in ("head", "fusion", "grid"):
-                kwargs[key] = raw.strip()
-            elif "int" in anno:
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = float(raw)
-    return RunConfig(**kwargs)
+    return formats.dataclass_from_kv(RunConfig, kv)
 
 
 def load_run_config(path: str) -> RunConfig:
     return config_from_kv(formats.parse_kv_file(path))
+
+
+def _config_dict(config: RunConfig) -> dict:
+    """The config as JSON-ready values: tuples become lists."""
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in config.__dict__.items()}
+
+
+def _config_from_dict(raw: dict) -> RunConfig:
+    """Inverse of `_config_dict`; keys this RunConfig lacks are an error."""
+    stale = sorted(set(raw) - set(RunConfig.__dataclass_fields__))
+    if stale:
+        raise ValueError(f"checkpoint config has keys this version does not know: "
+                         f"{stale}; retrain the model")
+    return RunConfig(**{k: (tuple(v) if isinstance(v, list) else v)
+                        for k, v in raw.items()})
 
 
 def named_rngs(seed: int, names: tuple[str, ...]) -> dict[str, np.random.Generator]:
@@ -125,30 +110,12 @@ def build_time_grid(config: RunConfig, train_times) -> TimeGrid:
     return TimeGrid.equal_width(config.n_bins, config.horizon)
 
 
-@dataclass
-class TextBatch:
-    """Per-sample text-loss ingredients supplied by an adapter (may be empty)."""
-
-    losses: list[float]          # weighted per-sample text losses
-    included: list[bool]         # calibration-correction flags
-
-
-def _batch_text_loss(text_batch: TextBatch | None) -> float:
-    """Mean weighted text loss over calibration-included samples, 0 if none."""
-    if text_batch is None:
-        return 0.0
-    vals = [loss for loss, ok in zip(text_batch.losses, text_batch.included) if ok]
-    return float(np.mean(vals)) if vals else 0.0
-
-
 def total_loss(model: SurvivalModel, batch: dict, config: RunConfig,
-               rng: np.random.Generator | None = None,
-               text_batch: TextBatch | None = None):
-    """Joint objective L_surv + alpha * L_AE + beta * L_text with gradients.
+               rng: np.random.Generator | None = None):
+    """Joint objective L_surv + alpha * L_AE with gradients.
 
     `batch` holds the modality matrices plus 'times'/'events' (coxph) or
-    'targets' (discrete). The text term carries no gradient: the token NLLs
-    come from a frozen external model.
+    'targets' (discrete).
     """
     fwd = model_forward(model, batch, rng=rng)
     if model.head_type == "discrete":
@@ -165,13 +132,11 @@ def total_loss(model: SurvivalModel, batch: dict, config: RunConfig,
         l_ae = float((resid ** 2).sum() / (n * d))
         grad_recon = config.alpha * 2.0 * resid / (n * d)
 
-    l_text = _batch_text_loss(text_batch)
-    loss = l_surv + config.alpha * l_ae + config.beta * l_text
+    loss = l_surv + config.alpha * l_ae
     if not math.isfinite(loss):
-        raise FloatingPointError(
-            f"non-finite loss: surv={l_surv} ae={l_ae} text={l_text}")
+        raise FloatingPointError(f"non-finite loss: surv={l_surv} ae={l_ae}")
     grads = model_backward(model, fwd, grad_out, grad_recon=grad_recon)
-    parts = {"surv": l_surv, "ae": l_ae, "text": l_text}
+    parts = {"surv": l_surv, "ae": l_ae}
     return loss, parts, grads
 
 
@@ -196,7 +161,6 @@ class TrainResult:
     skipped_batches: int
     masked_samples: int
     dims: dict[str, int] = field(default_factory=dict)
-    text_included: dict[str, bool] = field(default_factory=dict)
 
 
 def _gather_batch(data: dict, idx: np.ndarray, head: str) -> dict:
@@ -240,32 +204,32 @@ def _inject(dst: SurvivalModel, src_params: dict[str, np.ndarray]) -> None:
         np.copyto(dst_params[name], value)
 
 
-def _text_flags(cohort: Cohort, config: RunConfig,
-                records: list[TeacherRecord]) -> tuple[dict[str, bool], int]:
-    """Per-sample text-loss inclusion under the calibration-correction flag."""
-    outcome = {s.sample_id: (s.outcome.time, s.outcome.event) for s in cohort.samples}
-    flags: dict[str, bool] = {}
-    masked = 0
-    for rec in records:
-        ok = True
-        if config.calibration_correction and rec.percent is not None:
-            t, e = outcome[rec.sample_id]
-            ok = calibration_mask(rec.percent, t, e)
-        flags[rec.sample_id] = ok
-        if not ok:
-            masked += 1
-    return flags, masked
+def _masked_count(cohort: Cohort, config: RunConfig) -> int:
+    """Teacher estimates the calibration mask rejects (0 without correction)."""
+    if not config.calibration_correction:
+        return 0
+    return sum(1 for s in cohort.samples
+               if s.teacher is not None and s.teacher.percent is not None
+               and not calibration_mask(s.teacher.percent, s.outcome.time,
+                                        s.outcome.event))
+
+
+def _build_model(config: RunConfig, dims: dict[str, int],
+                 rng: np.random.Generator) -> SurvivalModel:
+    return init_model(config.head, config.fusion, config.modalities, dims, rng,
+                      n_bins=config.n_bins, head_layers=list(config.head_layers),
+                      dropout=config.dropout, ae_hidden=list(config.ae_hidden),
+                      latent_dim=config.latent_dim, ae_dropout=config.ae_dropout)
 
 
 def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
-          text_adapter=None, warm_start: dict[str, np.ndarray] | None = None,
+          warm_start: dict[str, np.ndarray] | None = None,
           batch_size: int | None = None, epochs: int | None = None,
           patience: int | None = None) -> TrainResult:
     """Mini-batch AdamW on the joint objective with early stopping.
 
     Monitors validation survival loss; restores the best checkpoint; for the
-    CoxPH head, fits the Breslow baseline on train+val afterwards. A text
-    adapter maps sample id -> (token_nlls, vprob_mask, num_mask) or None.
+    CoxPH head, fits the Breslow baseline on train+val afterwards.
     """
     batch_size = batch_size or config.batch_size
     epochs = config.epochs if epochs is None else epochs
@@ -282,36 +246,12 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
     for m in config.modalities:
         dims[m] = probe[m].shape[1]
 
-    model = init_model(config.head, config.fusion, config.modalities, dims,
-                       rngs["init"], n_bins=config.n_bins,
-                       head_layers=list(config.head_layers), dropout=config.dropout,
-                       ae_hidden=list(config.ae_hidden), latent_dim=config.latent_dim,
-                       ae_dropout=config.ae_dropout)
+    model = _build_model(config, dims, rngs["init"])
     if warm_start:
         _inject(model, warm_start)
 
     train_data = _split_data(cohort, split.train, config, grid)
     val_data = _split_data(cohort, split.val, config, grid)
-
-    records = [s.teacher for s in cohort.samples if s.teacher is not None]
-    text_flags, masked = _text_flags(cohort, config, records)
-    train_ids = [cohort.samples[i].sample_id for i in split.train]
-
-    def text_batch_for(idx: np.ndarray) -> TextBatch | None:
-        if text_adapter is None or config.beta == 0.0:
-            return None
-        losses, included = [], []
-        for i in idx:
-            sid = train_ids[i]
-            payload = text_adapter(sid)
-            if payload is None:
-                continue
-            nlls, vmask, nmask = payload
-            losses.append(weighted_text_loss(nlls, vmask, nmask,
-                                             w=config.text_loss_w,
-                                             w_num=config.text_loss_w_num))
-            included.append(text_flags.get(sid, True))
-        return TextBatch(losses=losses, included=included) if losses else None
 
     opt = init_adamw(model_params(model), _learning_rate(config),
                      weight_decay=config.weight_decay)
@@ -334,8 +274,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
             if config.head == "coxph" and not batch["events"].any():
                 skipped += 1
                 continue
-            loss, _, grads = total_loss(model, batch, config, rng=rngs["dropout"],
-                                        text_batch=text_batch_for(idx))
+            loss, _, grads = total_loss(model, batch, config, rng=rngs["dropout"])
             adamw_step(model.flat, grads.flat, opt)
             epoch_losses.append(loss)
         train_trace.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
@@ -364,7 +303,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
     return TrainResult(model=model, grid=grid, baseline=baseline,
                        train_trace=train_trace, val_trace=val_trace,
                        best_epoch=best_epoch, skipped_batches=skipped,
-                       masked_samples=masked, dims=dims, text_included=text_flags)
+                       masked_samples=_masked_count(cohort, config), dims=dims)
 
 
 def pretrain_heads(config: RunConfig, cohort: Cohort,
@@ -412,10 +351,8 @@ class RunReport:
     masked_samples: int
 
     def to_dict(self) -> dict:
-        cfg = {k: (list(v) if isinstance(v, tuple) else v)
-               for k, v in self.config.__dict__.items()}
         return {
-            "config": cfg,
+            "config": _config_dict(self.config),
             "channels": {name: {"c_td": m.c_td, "ibs": m.ibs, "note": m.note}
                          for name, m in self.channels.items()},
             "selected_lambda": self.selected_lambda,
@@ -515,27 +452,25 @@ def finalize_teacher(cohort: Cohort, split: CohortSplit) -> None:
     finalize_records(records, train_ids=train_ids)
 
 
-def _pretrain_train_evaluate(config: RunConfig, cohort: Cohort, split: CohortSplit,
-                             text_adapter=None) -> RunReport:
+def train_and_evaluate(config: RunConfig, cohort: Cohort,
+                       split: CohortSplit) -> tuple[TrainResult, RunReport]:
+    """Pretrain (late fusion of several modalities, if asked), train, and
+    evaluate one configuration on a cohort whose teacher is finalized."""
     warm = None
     if config.pretrain and config.fusion == "late" and len(config.modalities) > 1:
         warm = pretrain_heads(config, cohort, split)
-    result = train(config, cohort, split, text_adapter=text_adapter,
-                   warm_start=warm)
-    return evaluate(result, cohort, split, config)
+    result = train(config, cohort, split, warm_start=warm)
+    return result, evaluate(result, cohort, split, config)
 
 
-def run_experiment(config: RunConfig, cohort: Cohort, split: CohortSplit,
-                   text_adapter=None) -> RunReport:
-    """Finalize the teacher records, pretrain (optional), train, and evaluate
-    one configuration."""
+def run_experiment(config: RunConfig, cohort: Cohort, split: CohortSplit) -> RunReport:
+    """Finalize the teacher records, then `train_and_evaluate` one configuration."""
     finalize_teacher(cohort, split)
-    return _pretrain_train_evaluate(config, cohort, split, text_adapter)
+    return train_and_evaluate(config, cohort, split)[1]
 
 
 def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
-                         cohort: Cohort, split: CohortSplit,
-                         text_adapter=None) -> dict[str, RunReport | str]:
+                         cohort: Cohort, split: CohortSplit) -> dict[str, RunReport | str]:
     """Run each configuration on the shared split; failures are isolated.
 
     The teacher records are finalized once: the result depends only on their
@@ -548,8 +483,7 @@ def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
     reports: dict[str, RunReport | str] = {}
     for name, config in named_configs:
         try:
-            reports[name] = _pretrain_train_evaluate(config, cohort, split,
-                                                     text_adapter=text_adapter)
+            reports[name] = train_and_evaluate(config, cohort, split)[1]
         except Exception as exc:  # noqa: BLE001 - suite must continue
             reports[name] = f"failed: {type(exc).__name__}: {exc}"
     return reports
@@ -558,8 +492,7 @@ def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
 def save_checkpoint(path: str, result: TrainResult, config: RunConfig) -> None:
     """Persist trained parameters plus everything needed to rebuild the model."""
     manifest = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in config.__dict__.items()},
+        "config": _config_dict(config),
         "dims": result.dims,
         "grid_edges": result.grid.edges.tolist() if result.grid else None,
         "baseline": {
@@ -576,17 +509,8 @@ def load_checkpoint(path: str) -> tuple[TrainResult, RunConfig]:
     from .heads import BreslowBaseline
 
     tensors, manifest = formats.read_checkpoint(path)
-    cfg_raw = dict(manifest["config"])
-    for key in ("modalities", "lambda_grid", "head_layers", "ae_hidden"):
-        if key in cfg_raw and isinstance(cfg_raw[key], list):
-            cfg_raw[key] = tuple(cfg_raw[key])
-    config = RunConfig(**cfg_raw)
-
-    model = init_model(config.head, config.fusion, config.modalities,
-                       manifest["dims"], np.random.default_rng(0),
-                       n_bins=config.n_bins, head_layers=list(config.head_layers),
-                       dropout=config.dropout, ae_hidden=list(config.ae_hidden),
-                       latent_dim=config.latent_dim, ae_dropout=config.ae_dropout)
+    config = _config_from_dict(manifest["config"])
+    model = _build_model(config, manifest["dims"], np.random.default_rng(0))
     params = model_params(model)
     if set(params) != set(tensors):
         raise ValueError("checkpoint parameters do not match the configured model")

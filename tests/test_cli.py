@@ -90,10 +90,15 @@ def test_missing_file_is_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_input_is_validation_error(tmp_path):
+def test_malformed_input_is_validation_error(tmp_path, capsys):
     bad = write(tmp_path / "bad.svhs", "this is not a hidden-state file")
     assert main(["pool", "--hidden", bad,
                  "--out", str(tmp_path / "p.svpv")]) == 1
+    # a removed config key is rejected, not ignored
+    stale = write(tmp_path / "stale.cfg", TRAIN_CFG + "text_loss_w=2.0\n")
+    assert main(["train", "--config", stale, "--bundle", str(tmp_path / "b"),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert "unknown config key 'text_loss_w'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ outputs
@@ -175,6 +180,18 @@ def test_eval_matches_train_report(pipeline, tmp_path):
     for curve in curves:
         assert curve.times[0] == 0.0 and curve.values[0] == 1.0
         assert np.all(np.diff(curve.values) <= 0.0)
+
+
+def test_eval_rejects_a_checkpoint_with_stale_config_keys(pipeline, tmp_path, capsys):
+    tensors, manifest = formats.read_checkpoint(
+        os.path.join(pipeline["run"], "checkpoint.svck"))
+    manifest["config"].update(beta=1.0, text_loss_w=2.0, text_loss_w_num=5.0)
+    stale = str(tmp_path / "stale.svck")
+    formats.write_checkpoint(stale, tensors, manifest)
+    assert main(["eval", "--checkpoint", stale, "--bundle", pipeline["bundle"],
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert "['beta', 'text_loss_w', 'text_loss_w_num']" in err and "retrain" in err
 
 
 def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):

@@ -230,3 +230,29 @@ def test_kv_file_rejects_duplicates_and_bad_lines(tmp_path):
     path.write_text("just words\n")
     with pytest.raises(ValueError, match="key = value"):
         formats.parse_kv_file(path)
+
+
+def test_dataclass_from_kv_parses_by_annotation():
+    from dataclasses import dataclass
+
+    @dataclass
+    class Settings:
+        name: str = ""
+        flag: bool = False
+        count: int = 0
+        rate: float | None = None
+        sizes: tuple[int, ...] = ()
+        tags: tuple[str, ...] = ()
+
+    got = formats.dataclass_from_kv(Settings, {
+        "name": " disc ", "flag": "True", "count": " 3", "rate": "0.25",
+        "sizes": "4, 2,", "tags": " a ,b"})
+    assert got == Settings(name="disc", flag=True, count=3, rate=0.25,
+                           sizes=(4, 2), tags=("a", "b"))
+    assert type(got.count) is int and type(got.rate) is float
+    with pytest.raises(ValueError, match="unknown config key 'size'"):
+        formats.dataclass_from_kv(Settings, {"size": "1"})
+    with pytest.raises(ValueError, match="flag must be true or false"):
+        formats.dataclass_from_kv(Settings, {"flag": "1"})
+    with pytest.raises(ValueError):
+        formats.dataclass_from_kv(Settings, {"count": "2.5"})

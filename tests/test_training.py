@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from survfuse.cohort import Cohort, Outcome, Sample, split_cohort
-from survfuse.distill import TeacherRecord
+from survfuse.distill import TeacherRecord, calibration_mask
 from survfuse.formats import read_checkpoint, write_checkpoint
 from survfuse.heads import TimeGrid, discrete_loss
 from survfuse.model import init_model, model_forward, model_params
 from survfuse.training import (
     RunConfig,
-    TextBatch,
     _split_data,
     _val_surv_loss,
     build_time_grid,
@@ -31,6 +30,7 @@ from survfuse.training import (
     save_checkpoint,
     total_loss,
     train,
+    train_and_evaluate,
 )
 
 DIMS = {"text": 6, "cov": 4, "ge": 10}
@@ -98,12 +98,9 @@ def test_config_from_kv_types():
 
 
 def test_config_defaults_depend_on_head():
-    disc = RunConfig(head="discrete")
-    assert (disc.alpha, disc.beta) == (1e-9, 1.0)
-    cox = RunConfig(head="coxph")
-    assert (cox.alpha, cox.beta) == (1e-8, 5.0)
-    explicit = RunConfig(head="coxph", alpha=0.5, beta=0.0)
-    assert (explicit.alpha, explicit.beta) == (0.5, 0.0)
+    assert RunConfig(head="discrete").alpha == 1e-9
+    assert RunConfig(head="coxph").alpha == 1e-8
+    assert RunConfig(head="coxph", alpha=0.5).alpha == 0.5
 
 
 def test_config_validation():
@@ -125,6 +122,9 @@ def test_config_validation():
         config_from_kv({"heads": "discrete"})
     with pytest.raises(ValueError):
         config_from_kv({"pretrain": "yes"})
+    # the removed text-loss keys fail loudly instead of doing nothing
+    with pytest.raises(ValueError, match="unknown config key 'beta'"):
+        config_from_kv({"beta": "1"})
 
 
 def test_load_run_config(tmp_path):
@@ -160,7 +160,7 @@ def test_build_time_grid():
 def test_total_loss_composition():
     cohort = toy_cohort(20, teacher=False)
     split = split_cohort(20, seed=1)
-    config = tiny_config(alpha=0.01, beta=2.0, dropout=0.0)
+    config = tiny_config(alpha=0.01, dropout=0.0)
     grid = build_time_grid(config, np.array([1.0]))
     data = _split_data(cohort, split.train, config, grid)
 
@@ -169,22 +169,16 @@ def test_total_loss_composition():
     model = init_model(config.head, config.fusion, config.modalities, DIMS, rng,
                        n_bins=config.n_bins, head_layers=[8], dropout=0.0,
                        ae_hidden=[6], latent_dim=3)
-    text = TextBatch(losses=[2.0, 4.0, 6.0], included=[True, False, True])
-    loss, parts, grads = total_loss(model, data, config, text_batch=text)
+    loss, parts, grads = total_loss(model, data, config)
     fwd = model_forward(model, data)
     l_surv = discrete_loss(fwd.out, data["targets"])
     resid = fwd.recon - data["ge"]
     l_ae = float((resid ** 2).sum() / resid.size)
+    assert parts.keys() == {"surv", "ae"}
     assert parts["surv"] == l_surv
     assert parts["ae"] == pytest.approx(l_ae, rel=1e-15)
-    # text term averages the calibration-included samples only
-    assert parts["text"] == 4.0
-    assert loss == pytest.approx(l_surv + 0.01 * l_ae + 2.0 * 4.0, rel=1e-15)
+    assert loss == pytest.approx(l_surv + 0.01 * l_ae, rel=1e-15)
     assert set(grads) == set(model_params(model))
-    # excluded-all and absent text batches contribute nothing
-    empty = TextBatch(losses=[2.0], included=[False])
-    assert total_loss(model, data, config, text_batch=empty)[1]["text"] == 0.0
-    assert total_loss(model, data, config)[1]["text"] == 0.0
 
 
 def test_total_loss_rejects_non_finite():
@@ -245,24 +239,6 @@ def test_train_coxph_skips_event_free_batches_and_fits_baseline():
     assert set(result.baseline.event_times.tolist()) == fit_times
 
 
-def test_text_loss_shifts_trace_but_not_parameters():
-    cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
-    config = tiny_config(beta=1.0)
-    rng = np.random.default_rng(8)
-    payloads = {f"s{i}": (rng.uniform(0.5, 2.0, size=5),
-                          np.array([0, 1, 1, 1, 0], dtype=bool),
-                          np.array([0, 0, 1, 0, 0], dtype=bool))
-                for i in range(40)}
-    with_text = train(config, cohort, split, text_adapter=payloads.get)
-    without = train(config, cohort, split, text_adapter=None)
-    # the text term is a constant offset: no gradient flows through it
-    pa, pb = model_params(with_text.model), model_params(without.model)
-    assert all(np.array_equal(pa[k], pb[k]) for k in pa)
-    assert with_text.val_trace == without.val_trace
-    assert all(a > b for a, b in zip(with_text.train_trace, without.train_trace))
-
-
 def test_calibration_masking_counts():
     cohort = toy_cohort(40, contradict=True)
     split = split_cohort(40, seed=2)
@@ -273,6 +249,10 @@ def test_calibration_masking_counts():
     assert unmasked == 0
     assert masked > 0
     assert masked <= 40
+    # exactly the teacher estimates the mask rejects
+    assert masked == sum(not calibration_mask(s.teacher.percent, s.outcome.time,
+                                              s.outcome.event)
+                         for s in cohort.samples)
 
 
 def test_pretrain_heads_provides_warm_start():
@@ -334,6 +314,33 @@ def test_run_experiment_deterministic_report():
     rep_a = run_experiment(config, cohort, split)
     rep_b = run_experiment(config, cohort, split)
     assert rep_a.to_dict() == rep_b.to_dict()
+    # the one path run_experiment takes also hands back the trained model
+    result, rep_c = train_and_evaluate(config, cohort, split)
+    assert rep_c.to_dict() == rep_a.to_dict()
+    assert evaluate(result, cohort, split, config).to_dict() == rep_a.to_dict()
+
+
+def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypatch):
+    import survfuse.training as training_module
+
+    calls = []
+    original = training_module.pretrain_heads
+
+    def counting(config, cohort, split):
+        calls.append((config.fusion, config.modalities))
+        return original(config, cohort, split)
+
+    monkeypatch.setattr(training_module, "pretrain_heads", counting)
+    cohort = toy_cohort(30)
+    split = split_cohort(30, seed=2)
+    finalize_teacher(cohort, split)
+    short = dict(epochs=1, pretrain_epochs=1, pretrain_patience=1)
+    for config in (tiny_config(**short),
+                   tiny_config(pretrain=True, fusion="early", **short),
+                   tiny_config(pretrain=True, modalities=("ge",), **short),
+                   tiny_config(pretrain=True, modalities=("text", "cov"), **short)):
+        train_and_evaluate(config, cohort, split)
+    assert calls == [("late", ("text", "cov"))]
 
 
 # ------------------------------------------------------------- checkpoints
@@ -384,6 +391,23 @@ def test_load_checkpoint_rejects_a_reshaped_tensor(tmp_path):
     write_checkpoint(reshaped, tensors, manifest)
     with pytest.raises(ValueError, match=r"'head_text.w0' has shape \(8, 6\)"):
         load_checkpoint(reshaped)
+
+
+def test_load_checkpoint_rejects_config_keys_it_does_not_know(tmp_path):
+    cohort = toy_cohort(30, teacher=False)
+    split = split_cohort(30, seed=2)
+    config = tiny_config(epochs=1)
+    result = train(config, cohort, split)
+    path = str(tmp_path / "full.svck")
+    save_checkpoint(path, result, config)
+    tensors, manifest = read_checkpoint(path)
+    # a checkpoint written while the text-loss keys still existed
+    manifest["config"].update(beta=1.0, text_loss_w=2.0)
+    stale = str(tmp_path / "stale.svck")
+    write_checkpoint(stale, tensors, manifest)
+    with pytest.raises(ValueError,
+                       match=r"\['beta', 'text_loss_w'\]; retrain"):
+        load_checkpoint(stale)
 
 
 # ------------------------------------------------------- flat parameter vector
