@@ -70,20 +70,21 @@ def mean_curve(curves: CurveSet) -> CurveSet:
 def blend_inputs(hidden: CurveSet, percents) -> tuple[CurveSet, CurveSet | None, int]:
     """Verbalized curves for the blend and for verbalized-only evaluation.
 
-    `percents` holds one rounded percent per hidden curve, None where the
-    teacher gave nothing extractable. Returns (curves to blend with, curves
-    to evaluate, number of percents present). An absent curve blends against
-    the hidden curve itself, so its blend is a no-op, and is evaluated as the
-    mean of the present verbalized curves; the evaluation set is None when
-    no percent is present.
+    `percents` holds one rounded percent per hidden curve, None or NaN where
+    the teacher gave nothing extractable. Returns (curves to blend with,
+    curves to evaluate, number of percents present). An absent curve blends
+    against the hidden curve itself, so its blend is a no-op, and is
+    evaluated as the mean of the present verbalized curves; the evaluation
+    set is None when no percent is present.
     """
-    if len(percents) != len(hidden):
+    percents = np.asarray(percents, dtype=np.float64).reshape(-1)  # None -> NaN
+    if percents.size != len(hidden):
         raise ValueError("one percent (or None) per hidden curve required")
-    present = np.array([p is not None for p in percents], dtype=bool)
+    present = ~np.isnan(percents)
     n_present = int(present.sum())
     if n_present == 0:
         return hidden, None, 0
-    verbalized = verbalized_curves([p for p in percents if p is not None], hidden.times)
+    verbalized = verbalized_curves(percents[present], hidden.times)
     if n_present == len(hidden):
         return verbalized, verbalized, n_present
     mean = mean_curve(verbalized).values

@@ -147,57 +147,41 @@ def _cmd_simulate(args, started: float) -> int:
 
 def _cmd_ingest(args, started: float) -> int:
     from . import cohort as co
-    from . import pooling
-    from .formats import parse_kv_file
+    from .formats import dataclass_from_kv, parse_kv_file
 
     kv = parse_kv_file(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
-    known = {"outcomes", "covariates", "ge", "hidden", "pooled", "teacher",
-             "schema", "horizon", "allow_other", "split_seed", "ratios"}
-    unknown = set(kv) - known
+    unknown = set(kv) - set(co.IngestConfig.__dataclass_fields__)
     if unknown:
         raise UsageError(f"unknown ingest keys: {sorted(unknown)}")
-    if "outcomes" not in kv:
+    cfg = dataclass_from_kv(co.IngestConfig, kv)
+    if cfg.outcomes is None:
         raise UsageError("ingest config needs an 'outcomes' path")
+    paths = {key: _resolve(base, getattr(cfg, key)) for key in co.IngestConfig.INPUTS
+             if getattr(cfg, key) is not None}
 
-    def path_key(key: str) -> str | None:
-        return _resolve(base, kv[key]) if key in kv else None
-
-    horizon_raw = kv.get("horizon", str(co.HORIZON_YEARS)).strip()
-    horizon = None if horizon_raw.lower() == "none" else float(horizon_raw)
     cohort = co.load_cohort(
-        outcomes_path=path_key("outcomes"),
-        covariates_path=path_key("covariates"),
-        ge_path=path_key("ge"),
-        hidden_states_path=path_key("hidden"),
-        pooled_path=path_key("pooled"),
-        teacher_path=path_key("teacher"),
-        schema=kv.get("schema", "numeric"),
-        horizon_years=horizon,
-        allow_other_family=kv.get("allow_other", "true").strip().lower()
-        in ("true", "1", "yes"),
+        outcomes_path=paths["outcomes"],
+        covariates_path=paths.get("covariates"),
+        ge_path=paths.get("ge"),
+        hidden_states_path=paths.get("hidden"),
+        pooled_path=paths.get("pooled"),
+        teacher_path=paths.get("teacher"),
+        schema=cfg.schema,
+        horizon_years=cfg.horizon,
+        allow_other_family=cfg.allow_other,
     )
-    seed = int(kv.get("split_seed", "0"))
-    ratios = tuple(float(v) for v in kv.get("ratios", "0.70,0.10,0.20").split(","))
-    split = co.split_cohort(len(cohort), ratios=ratios, seed=seed)
-    if kv.get("schema") == "clinical":
+    split = co.split_cohort(len(cohort), ratios=cfg.ratios, seed=cfg.split_seed)
+    if cfg.schema == "clinical":
         co.preprocess_covariates(cohort, split.train)
-
-    pooled_count = 0
-    for sample in cohort.samples:
-        if sample.text_hidden is not None and sample.text_pooled is None:
-            sample.text_pooled = pooling.attention_pool(sample.text_hidden)
-            pooled_count += 1
+    pooled_count = co.pool_text(cohort)
 
     co.save_bundle(cohort, args.out, split=split)
     print(f"bundle: {len(cohort)} samples "
           f"(train {len(split.train)}, val {len(split.val)}, "
           f"test {len(split.test)}), pooled {pooled_count}")
-    inputs = {key: path_key(key) for key in
-              ("outcomes", "covariates", "ge", "hidden", "pooled", "teacher")
-              if key in kv}
     _write_manifest(args.out, "ingest", started, config=dict(kv),
-                    seeds={"split": seed}, inputs=inputs)
+                    seeds={"split": cfg.split_seed}, inputs=paths)
     return 0
 
 
@@ -229,8 +213,8 @@ def _cmd_train(args, started: float) -> int:
 
     config = training.load_run_config(args.config)
     cohort, split = _load_bundle_with_split(args.bundle)
-    training.finalize_teacher(cohort, split)
-    result, report = training.train_and_evaluate(config, cohort, split)
+    percents = training.finalize_teacher(cohort)
+    result, report = training.train_and_evaluate(config, cohort, split, percents)
 
     os.makedirs(args.out, exist_ok=True)
     training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"),
@@ -279,14 +263,14 @@ def _cmd_eval(args, started: float) -> int:
 
     result, config = training.load_checkpoint(args.checkpoint)
     cohort, split = _load_bundle_with_split(args.bundle)
-    training.finalize_teacher(cohort, split)
-    report = training.evaluate(result, cohort, split, config)
+    report = training.evaluate(result, cohort, split, config,
+                               training.finalize_teacher(cohort))
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
 
     curves = training.predict_curves(result, cohort, split.test, config)
-    ids = [cohort.samples[i].sample_id for i in split.test]
+    ids = [cohort.ids[i] for i in split.test]
     formats.write_curves_csv(os.path.join(args.out, "curves.csv"), ids, curves)
     print(training.report_table({"eval": report}))
     _write_manifest(args.out, "eval", started,

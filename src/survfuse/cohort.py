@@ -1,16 +1,23 @@
-"""Cohort loading, validation, covariate preprocessing, and splitting."""
+"""Cohort loading, validation, covariate preprocessing, splitting, and bundles.
+
+A `Cohort` is columnar: one row per sample in every array. Raw inputs that
+only ingest needs (ragged token states, clinical text fields) ride along on
+the cohort `load_cohort` builds and are never written to a bundle.
+"""
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import formats
-from .distill import TeacherRecord, parse_teacher_file
+from .distill import HORIZONS, parse_teacher_file, prob_matrix
+from .fusion import MODALITY_ORDER
+from .pooling import attention_pool
 
 HORIZON_YEARS = 5.0
 
@@ -50,15 +57,16 @@ class Outcome:
 
 
 @dataclass
-class Sample:
-    sample_id: str
-    outcome: Outcome
-    cov: np.ndarray | None = None
-    ge: np.ndarray | None = None
-    text_hidden: np.ndarray | None = None
-    text_pooled: np.ndarray | None = None
-    teacher: TeacherRecord | None = None
-    raw_cov: dict[str, str] | None = None
+class Modality:
+    """One modality over the cohort: an (N, d) float64 matrix (NaN rows where
+    absent) and the (N,) mask of samples that carry it."""
+
+    values: np.ndarray
+    present: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, width: int) -> "Modality":
+        return cls(values=np.full((n, width), np.nan), present=np.zeros(n, dtype=bool))
 
 
 @dataclass
@@ -74,17 +82,64 @@ class CohortSplit:
 
 @dataclass
 class Cohort:
-    samples: list[Sample]
+    """Samples as columns: ids, outcomes, a `Modality` per available input,
+    and the teacher's extracted (N, 3) horizon probabilities (NaN where
+    missing; None without a teacher file).
+
+    `token_states` and `clinical` hold ingest-only raw inputs, one entry per
+    sample (None where absent); `pool_text` and `preprocess_covariates`
+    turn them into the text and cov modalities.
+    """
+
+    ids: list[str]
+    times: np.ndarray
+    events: np.ndarray
+    modalities: dict[str, Modality] = field(default_factory=dict)
+    teacher_probs: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+    token_states: list[np.ndarray | None] | None = None
+    clinical: list[dict[str, str] | None] | None = None
+
+    def __post_init__(self):
+        n = len(self.ids)
+        self.times = np.asarray(self.times, dtype=np.float64)
+        self.events = np.asarray(self.events, dtype=bool)
+        if self.times.shape != (n,) or self.events.shape != (n,):
+            raise ValueError(f"times and events must have shape ({n},)")
+        for name, mod in self.modalities.items():
+            if name not in MODALITY_ORDER:
+                raise ValueError(f"unknown modality {name!r}")
+            if mod.values.ndim != 2 or mod.values.shape[0] != n or mod.present.shape != (n,):
+                raise ValueError(f"{name} matrix and mask must have {n} rows")
+        if self.teacher_probs is not None and self.teacher_probs.shape != (n, len(HORIZONS)):
+            raise ValueError(f"teacher probabilities must have shape ({n}, {len(HORIZONS)})")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def ids(self) -> list[str]:
-        return [s.sample_id for s in self.samples]
 
-    def index_of(self) -> dict[str, int]:
-        return {s.sample_id: i for i, s in enumerate(self.samples)}
+@dataclass
+class IngestConfig:
+    """The keys of an ingest config file, parsed by `formats.dataclass_from_kv`.
+
+    The input paths are relative to the config file; `horizon=none` disables
+    administrative censoring.
+    """
+
+    INPUTS: ClassVar[tuple[str, ...]] = ("outcomes", "covariates", "ge", "hidden",
+                                         "pooled", "teacher")
+
+    outcomes: str | None = None
+    covariates: str | None = None
+    ge: str | None = None
+    hidden: str | None = None
+    pooled: str | None = None
+    teacher: str | None = None
+    schema: str = "numeric"
+    horizon: float | None = HORIZON_YEARS
+    allow_other: bool = True
+    split_seed: int = 0
+    ratios: tuple[float, ...] = (0.70, 0.10, 0.20)
 
 
 def administrative_censor(outcome: Outcome, horizon_years: float = HORIZON_YEARS) -> Outcome:
@@ -180,6 +235,18 @@ def _stage_code(label: str) -> float:
     return _STAGE_CODES[norm]
 
 
+def _modality(table: dict[str, np.ndarray], ids: list[str]) -> Modality | None:
+    """The rows of an id -> vector table in cohort order (None for an empty table)."""
+    if not table:
+        return None
+    mod = Modality.empty(len(ids), next(iter(table.values())).size)
+    rows = [i for i, sid in enumerate(ids) if sid in table]
+    if rows:
+        mod.values[rows] = np.stack([table[ids[i]] for i in rows])
+        mod.present[rows] = True
+    return mod
+
+
 def load_cohort(outcomes_path: str,
                 covariates_path: str | None = None,
                 ge_path: str | None = None,
@@ -189,11 +256,12 @@ def load_cohort(outcomes_path: str,
                 schema: str = "numeric",
                 horizon_years: float | None = HORIZON_YEARS,
                 allow_other_family: bool = True) -> Cohort:
-    """Assemble one Sample per outcome row, attaching whatever modalities exist.
+    """Assemble one row per outcome, attaching whatever modalities exist.
 
     schema 'numeric' reads covariates as ready numeric vectors; 'clinical'
     keeps raw text fields for preprocess_covariates (which needs the training
-    split). Administrative censoring at `horizon_years` unless None.
+    split). Token states stay ragged on the cohort until `pool_text`.
+    Administrative censoring at `horizon_years` unless None.
     """
     if schema not in ("numeric", "clinical"):
         raise ValueError(f"unknown schema {schema!r}")
@@ -210,10 +278,8 @@ def load_cohort(outcomes_path: str,
     ge = _parse_numeric_table(ge_path, missing_to_zero=True) if ge_path else {}
     hidden = formats.read_hidden_states(hidden_states_path) if hidden_states_path else {}
     pooled = formats.read_pooled(pooled_path) if pooled_path else {}
-    teacher: dict[str, TeacherRecord] = {}
-    if teacher_path is not None:
-        for rec in parse_teacher_file(formats.read_jsonl(teacher_path)):
-            teacher[rec.sample_id] = rec
+    records = ({rec.sample_id: rec for rec in parse_teacher_file(formats.read_jsonl(teacher_path))}
+               if teacher_path is not None else {})
 
     for name, table in (("covariates", cov_numeric), ("gene expression", ge),
                         ("hidden states", hidden), ("pooled vectors", pooled)):
@@ -221,27 +287,50 @@ def load_cohort(outcomes_path: str,
         if len(widths) > 1:
             raise ValueError(f"inconsistent {name} dimensions: {sorted(widths)}")
 
-    samples = []
-    for sid, outcome in outcomes.items():
-        if sid in excluded:
-            continue
-        if horizon_years is not None:
-            outcome = administrative_censor(outcome, horizon_years)
-        samples.append(Sample(
-            sample_id=sid,
-            outcome=outcome,
-            cov=cov_numeric.get(sid),
-            ge=ge.get(sid),
-            text_hidden=hidden.get(sid),
-            text_pooled=pooled.get(sid),
-            teacher=teacher.get(sid),
-            raw_cov=cov_raw.get(sid),
-        ))
-    meta = {"schema": schema, "n_samples": len(samples),
+    kept = [(sid, outcome) for sid, outcome in outcomes.items() if sid not in excluded]
+    if horizon_years is not None:
+        kept = [(sid, administrative_censor(outcome, horizon_years)) for sid, outcome in kept]
+    ids = [sid for sid, _ in kept]
+    modalities = {name: mod for name, mod in (("text", _modality(pooled, ids)),
+                                              ("cov", _modality(cov_numeric, ids)),
+                                              ("ge", _modality(ge, ids)))
+                  if mod is not None}
+    teacher_probs = None
+    matched = [i for i, sid in enumerate(ids) if sid in records]
+    if matched:
+        teacher_probs = np.full((len(ids), len(HORIZONS)), np.nan)
+        teacher_probs[matched] = prob_matrix([records[ids[i]].probs for i in matched])
+    meta = {"schema": schema, "n_samples": len(ids),
             "excluded_missing_critical": len(excluded),
             "horizon_years": horizon_years,
             "allow_other_family": allow_other_family}
-    return Cohort(samples=samples, metadata=meta)
+    return Cohort(ids=ids,
+                  times=np.array([outcome.time for _, outcome in kept]),
+                  events=np.array([outcome.event for _, outcome in kept], dtype=bool),
+                  modalities=modalities, teacher_probs=teacher_probs, metadata=meta,
+                  token_states=[hidden.get(sid) for sid in ids] if hidden else None,
+                  clinical=[cov_raw.get(sid) for sid in ids] if cov_raw else None)
+
+
+def pool_text(cohort: Cohort) -> int:
+    """Attention-pool the token states of every sample that has no text
+    vector yet into the text modality; returns how many were pooled."""
+    if cohort.token_states is None:
+        return 0
+    text = cohort.modalities.get("text")
+    rows = [i for i, states in enumerate(cohort.token_states)
+            if states is not None and (text is None or not text.present[i])]
+    if not rows:
+        return 0
+    pooled = np.stack([attention_pool(cohort.token_states[i]) for i in rows])
+    if text is None:
+        text = cohort.modalities["text"] = Modality.empty(len(cohort), pooled.shape[1])
+    elif text.values.shape[1] != pooled.shape[1]:
+        raise ValueError(f"pooled token states have {pooled.shape[1]} dimensions, "
+                         f"the pooled vectors {text.values.shape[1]}")
+    text.values[rows] = pooled
+    text.present[rows] = True
+    return len(rows)
 
 
 def preprocess_covariates(cohort: Cohort, train_indices) -> dict:
@@ -254,8 +343,8 @@ def preprocess_covariates(cohort: Cohort, train_indices) -> dict:
     smallest label. Returns the metadata describing the encoding.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
-    train_rows = [cohort.samples[i].raw_cov for i in train_indices
-                  if cohort.samples[i].raw_cov is not None]
+    clinical = cohort.clinical or [None] * len(cohort)
+    train_rows = [clinical[i] for i in train_indices if clinical[i] is not None]
     if not train_rows:
         raise ValueError("no raw clinical rows in the training split")
 
@@ -281,19 +370,21 @@ def preprocess_covariates(cohort: Cohort, train_indices) -> dict:
         return (x - lo) / (hi - lo)
 
     allow_other = bool(cohort.metadata.get("allow_other_family", True))
-    for sample in cohort.samples:
-        raw = sample.raw_cov
+    cov = Modality.empty(len(cohort), 4 + len(CANCER_FAMILIES))
+    for i, raw in enumerate(clinical):
         if raw is None:
             continue
         fam = cancer_family(raw["cancer_type"], allow_other=allow_other)
         onehot = [1.0 if fam == f else 0.0 for f in CANCER_FAMILIES]
-        sample.cov = np.array([
+        cov.values[i] = [
             scale(float(raw["age"]), stats["age_min"], stats["age_max"]),
             1.0 if raw["sex"] == sex_ref else 0.0,
             1.0 if raw["race"] == race_ref else 0.0,
             scale(_stage_code(raw["stage"]), stats["stage_min"], stats["stage_max"]),
             *onehot,
-        ])
+        ]
+        cov.present[i] = True
+    cohort.modalities["cov"] = cov
     layout = ["age", "sex", "race", "stage"] + [f"family_{f}" for f in CANCER_FAMILIES]
     meta = {"cov_layout": layout, **stats}
     cohort.metadata.update(meta)
@@ -320,112 +411,115 @@ def split_cohort(n_or_cohort, ratios=(0.70, 0.10, 0.20), seed: int = 0) -> Cohor
 
 def outcome_arrays(cohort: Cohort, indices) -> tuple[np.ndarray, np.ndarray]:
     indices = np.asarray(indices, dtype=np.int64)
-    times = np.array([cohort.samples[i].outcome.time for i in indices])
-    events = np.array([cohort.samples[i].outcome.event for i in indices], dtype=bool)
-    return times, events
+    return cohort.times[indices], cohort.events[indices]
 
 
 def modality_matrix(cohort: Cohort, indices, modality: str) -> np.ndarray:
-    """Stack one modality over samples; every selected sample must carry it."""
+    """One modality's rows for `indices`; every selected sample must carry it."""
     indices = np.asarray(indices, dtype=np.int64)
-    rows = []
-    for i in indices:
-        value = getattr(cohort.samples[i], modality)
-        if value is None:
-            raise ValueError(f"sample {cohort.samples[i].sample_id!r} lacks {modality}")
-        rows.append(value)
-    return np.stack(rows)
+    mod = cohort.modalities.get(modality)
+    missing = indices if mod is None else indices[~mod.present[indices]]
+    if mod is None or missing.size:
+        who = f"sample {cohort.ids[missing[0]]!r}" if missing.size else "the cohort"
+        raise ValueError(f"{who} lacks {modality}")
+    return mod.values[indices]
 
 
-BUNDLE_VERSION = 1
+# Bundle version 2: one .npy file per array and a meta.json written last.
+BUNDLE_VERSION = 2
+# On-disk dtype of each modality matrix. Text is stored in 32 bits, as the
+# pooled-vector files it comes from are, and widened to float64 on load.
+_MODALITY_DTYPES = {"text": "<f4", "cov": "<f8", "ge": "<f8"}
+_META = "meta.json"
 
 
 def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) -> None:
-    """Serialize a cohort to a directory; numeric fields round-trip bit-exactly."""
+    """Write a cohort as a version-2 bundle; float64 arrays round-trip bit-exactly.
+
+    Every file is written to a temporary name and renamed into place, and
+    meta.json goes last (an old one is removed first), so an interrupted
+    write leaves a bundle that loads as incomplete. Token states and raw
+    clinical fields are not stored.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    ids = cohort.ids()
+    meta_path = os.path.join(out_dir, _META)
+    if os.path.exists(meta_path):
+        os.remove(meta_path)
+    arrays = {"times": np.asarray(cohort.times, dtype="<f8"), "events": cohort.events}
+    for name in MODALITY_ORDER:
+        mod = cohort.modalities.get(name)
+        if mod is not None:
+            arrays[name] = np.asarray(mod.values, dtype=_MODALITY_DTYPES[name])
+            arrays[f"{name}_present"] = mod.present
+    if cohort.teacher_probs is not None:
+        arrays["teacher_probs"] = np.asarray(cohort.teacher_probs, dtype="<f8")
+    for name, arr in arrays.items():
+        formats.write_npy(os.path.join(out_dir, f"{name}.npy"), arr)
 
-    header = ["id", "time_years", "event"]
-    rows = [[s.sample_id, formats.format_float(s.outcome.time),
-             "1" if s.outcome.event else "0"] for s in cohort.samples]
-    formats.write_csv_table(os.path.join(out_dir, "outcomes.csv"), header, rows)
-
-    def write_matrix(name: str, attr: str, prefix: str):
-        present = [s for s in cohort.samples if getattr(s, attr) is not None]
-        if not present:
-            return None
-        width = present[0].__getattribute__(attr).size
-        header = ["id"] + [f"{prefix}{j + 1}" for j in range(width)]
-        rows = [[s.sample_id] + [formats.format_float(v)
-                                 for v in getattr(s, attr)] for s in present]
-        formats.write_csv_table(os.path.join(out_dir, name), header, rows)
-        return name
-
-    cov_file = write_matrix("covariates.csv", "cov", "c")
-    ge_file = write_matrix("ge.csv", "ge", "g")
-
-    hidden = {s.sample_id: s.text_hidden for s in cohort.samples
-              if s.text_hidden is not None}
-    if hidden:
-        formats.write_hidden_states(os.path.join(out_dir, "hidden.svhs"), hidden)
-    pooled = {s.sample_id: s.text_pooled for s in cohort.samples
-              if s.text_pooled is not None}
-    if pooled:
-        formats.write_pooled(os.path.join(out_dir, "pooled.svpv"), pooled)
-
-    teacher_rows = [{"id": s.sample_id, "responses": s.teacher.responses,
-                     "explanation": s.teacher.explanation}
-                    for s in cohort.samples if s.teacher is not None]
-    if teacher_rows:
-        formats.write_jsonl(os.path.join(out_dir, "teacher.jsonl"), teacher_rows)
-
+    ids = list(cohort.ids)
     meta = {
         "bundle_version": BUNDLE_VERSION,
         "ids": ids,
         "metadata": cohort.metadata,
-        "files": {"covariates": cov_file, "ge": ge_file,
-                  "hidden": "hidden.svhs" if hidden else None,
-                  "pooled": "pooled.svpv" if pooled else None,
-                  "teacher": "teacher.jsonl" if teacher_rows else None},
+        "arrays": list(arrays),
         "split": {k: [ids[i] for i in v] for k, v in split.as_dict().items()}
                  if split is not None else None,
     }
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
+    with formats.atomic_open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1)
 
 
+def _expected_arrays(n: int, names: list[str]) -> dict[str, tuple[str, tuple]]:
+    """Array name -> (dtype, shape with None for any width) for a bundle of n rows."""
+    expected = {"times": ("<f8", (n,)), "events": ("|b1", (n,))}
+    for name in MODALITY_ORDER:
+        if name in names or f"{name}_present" in names:
+            expected[name] = (_MODALITY_DTYPES[name], (n, None))
+            expected[f"{name}_present"] = ("|b1", (n,))
+    if "teacher_probs" in names:
+        expected["teacher_probs"] = ("<f8", (n, len(HORIZONS)))
+    return expected
+
+
 def load_bundle(bundle_dir: str) -> tuple[Cohort, CohortSplit | None]:
-    with open(os.path.join(bundle_dir, "meta.json"), encoding="utf-8") as fh:
+    """Read a version-2 bundle; every array is checked against `meta.json`."""
+    if not os.path.isdir(bundle_dir):
+        raise ValueError(f"{bundle_dir}: no bundle directory")
+    meta_path = os.path.join(bundle_dir, _META)
+    if not os.path.exists(meta_path):
+        raise ValueError(f"{bundle_dir}: bundle is incomplete (no {_META}); "
+                         f"re-run `survfuse ingest`")
+    with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta.get("bundle_version") != BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {meta.get('bundle_version')}")
-    files = meta["files"]
-
-    def path_of(key: str) -> str | None:
-        return os.path.join(bundle_dir, files[key]) if files.get(key) else None
-
-    cohort = load_cohort(
-        outcomes_path=os.path.join(bundle_dir, "outcomes.csv"),
-        covariates_path=path_of("covariates"),
-        ge_path=path_of("ge"),
-        hidden_states_path=path_of("hidden"),
-        pooled_path=path_of("pooled"),
-        teacher_path=path_of("teacher"),
-        schema="numeric",
-        horizon_years=None,  # bundle outcomes are already censored
-    )
-    stored_ids = meta["ids"]
-    if cohort.ids() != stored_ids:
-        order = cohort.index_of()
-        missing = [sid for sid in stored_ids if sid not in order]
-        if missing:
-            raise ValueError(f"bundle ids missing from outcomes: {missing[:5]}")
-        cohort.samples = [cohort.samples[order[sid]] for sid in stored_ids]
-    cohort.metadata = meta["metadata"]
+    version = meta.get("bundle_version")
+    if version != BUNDLE_VERSION:
+        raise ValueError(f"{bundle_dir}: unsupported bundle version {version} (this "
+                         f"survfuse reads version {BUNDLE_VERSION}); re-ingest the raw "
+                         f"files with `survfuse ingest`")
+    ids = meta["ids"]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{meta_path}: duplicate sample ids")
+    names = meta.get("arrays")
+    if not isinstance(names, list):
+        raise ValueError(f"{meta_path}: no list of arrays")
+    expected = _expected_arrays(len(ids), names)
+    if sorted(names) != sorted(expected):
+        raise ValueError(f"{meta_path}: arrays {sorted(names)}, expected {sorted(expected)}")
+    arrays = {name: formats.read_npy(os.path.join(bundle_dir, f"{name}.npy"), dtype, shape)
+              for name, (dtype, shape) in expected.items()}
+    modalities = {name: Modality(values=np.asarray(arrays[name], dtype=np.float64),
+                                 present=arrays[f"{name}_present"])
+                  for name in MODALITY_ORDER if name in arrays}
+    cohort = Cohort(ids=ids, times=arrays["times"], events=arrays["events"],
+                    modalities=modalities, teacher_probs=arrays.get("teacher_probs"),
+                    metadata=meta["metadata"])
 
     split = None
     if meta.get("split") is not None:
-        index = cohort.index_of()
+        index = {sid: i for i, sid in enumerate(ids)}
+        unknown = [sid for part in meta["split"].values() for sid in part if sid not in index]
+        if unknown:
+            raise ValueError(f"{meta_path}: split names unknown ids {unknown[:5]}")
         split = CohortSplit(**{k: np.array([index[sid] for sid in v], dtype=np.int64)
                                for k, v in meta["split"].items()})
     return cohort, split

@@ -136,16 +136,21 @@ def fit_survival_at(fit: ParametricFit, t) -> np.ndarray:
 
 def horizon_means(prob_rows: list[dict[float, float | None]]) -> dict[float, float]:
     """Per-horizon means of the extracted probabilities (training split)."""
+    return _column_means(prob_matrix(prob_rows))
+
+
+def _column_means(probs: np.ndarray) -> dict[float, float]:
+    """Per-horizon means of an (N, 3) matrix's non-NaN values, summed in row order."""
     means: dict[float, float] = {}
-    for h in HORIZONS:
-        vals = [row[h] for row in prob_rows if row.get(h) is not None]
-        if not vals:
+    for h, column in zip(HORIZONS, probs.T):
+        vals = column[~np.isnan(column)]
+        if not vals.size:
             raise ValueError(f"no extracted probability at horizon {h} anywhere in the split")
         means[h] = float(np.mean(vals))
     return means
 
 
-def _prob_matrix(prob_rows: list[dict[float, float | None]]) -> np.ndarray:
+def prob_matrix(prob_rows: list[dict[float, float | None]]) -> np.ndarray:
     """(N, len(HORIZONS)) extracted probabilities, NaN where one is missing."""
     return np.array([[math.nan if row.get(h) is None else row[h] for h in HORIZONS]
                      for row in prob_rows], dtype=np.float64).reshape(-1, len(HORIZONS))
@@ -195,10 +200,10 @@ def _complete_matrix(probs: np.ndarray, means: dict[float, float]) -> tuple[np.n
     return np.minimum.accumulate(np.clip(out, 0.0, 1.0), axis=1), clamped
 
 
-def _warn_clamped(count: int) -> None:
+def _warn_clamped(count: int, stacklevel: int = 3) -> None:
     if count:
         warnings.warn(f"survival value 0 clamped for log transform: {count} value(s) "
-                      f"set to {S_FLOOR}", stacklevel=3)
+                      f"set to {S_FLOOR}", stacklevel=stacklevel)
 
 
 def complete_horizons(probs: dict[float, float | None],
@@ -210,7 +215,7 @@ def complete_horizons(probs: dict[float, float | None],
     the per-horizon training means. Result clipped to [0, 1] and made
     non-increasing in t.
     """
-    completed, clamped = _complete_matrix(_prob_matrix([probs]), means)
+    completed, clamped = _complete_matrix(prob_matrix([probs]), means)
     _warn_clamped(clamped)
     return tuple(completed[0].tolist())
 
@@ -298,21 +303,23 @@ def weighted_text_loss_grad(token_nlls, vprob_mask, num_mask,
     return float(grad @ nll), grad
 
 
-def calibration_mask(percent: float, time: float, event: bool,
-                     horizon: float = 3.0, threshold: float = 50.0) -> bool:
+def calibration_mask(percent, time, event, horizon: float = 3.0,
+                     threshold: float = 50.0):
     """Whether a sample's text loss stays in the objective.
 
     Excluded when the verbalized probability contradicts a known outcome:
     event before the horizon with percent above threshold, or known
     alive/at-risk at the horizon with percent below it. Censoring before the
     horizon is unknowable, so those samples stay in. Exactly-threshold
-    percents always stay in.
+    percents always stay in. Works element-wise on arrays; scalars give a
+    bool.
     """
-    if event and time < horizon and percent > threshold:
-        return False
-    if time >= horizon and percent < threshold:
-        return False
-    return True
+    percent, time = np.asarray(percent), np.asarray(time)
+    event = np.asarray(event, dtype=bool)
+    contradicted = ((event & (time < horizon) & (percent > threshold))
+                    | ((time >= horizon) & (percent < threshold)))
+    keep = ~contradicted
+    return bool(keep) if keep.ndim == 0 else keep
 
 
 def parse_teacher_file(rows: list[dict]) -> list[TeacherRecord]:
@@ -333,34 +340,45 @@ def parse_teacher_file(rows: list[dict]) -> list[TeacherRecord]:
     return records
 
 
+def finalize_probs(probs: np.ndarray,
+                   train: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Complete, refit and round an (N, 3) horizon matrix (NaN where missing).
+
+    Only rows with a missing horizon get the exponential completion fit,
+    every row gets the second fit, and one warning states how many survival
+    values of 0 both fits clamped. A row with no extraction is completed
+    with per-horizon means, taken over the extracting rows that the boolean
+    mask `train` selects (all of them when it is None or selects none).
+    Returns the completed matrix, the rates and the rounded 3-year percents.
+    """
+    # the means are only defined (and only needed) when some row has no
+    # extraction at all; a fully extracting matrix must not require coverage
+    means: dict[float, float] = {}
+    extracted = ~np.isnan(probs).all(axis=1)
+    if not extracted.all():
+        pool = extracted if train is None else extracted & train
+        means = _column_means(probs[pool if pool.any() else extracted])
+    completed, clamped = _complete_matrix(probs, means)
+    rates, refit_clamped = _exponential_rates(completed)
+    _warn_clamped(clamped + refit_clamped, stacklevel=4)  # the caller's caller
+    percents = [round_to_nearest_five(p) for p in (np.exp(-rates * 3.0) * 100.0).tolist()]
+    return completed, rates, percents
+
+
 def finalize_records(records: list[TeacherRecord],
                      train_ids: set[str] | None = None) -> None:
-    """Complete horizons, refit, and round each record's 3-year percent.
+    """`finalize_probs` over the records' horizon matrix, stored on each record.
 
-    All records go through one (N, 3) horizon matrix: only rows with a
-    missing horizon get the exponential completion fit, every row gets the
-    second fit, and one warning states how many survival values of 0 both
-    fits clamped. Horizon means for the all-missing fallback come from the
-    training split when `train_ids` is given, else from every record with an
-    extraction.
+    Horizon means come from the training split when `train_ids` is given,
+    else from every record with an extraction.
     """
-    # the means are only defined (and only needed) when some record has no
-    # extraction at all; a fully extracting file must not require coverage
-    means: dict[float, float] = {}
-    if any(not r.any_extracted() for r in records):
-        pool = [r.probs for r in records
-                if (train_ids is None or r.sample_id in train_ids) and r.any_extracted()]
-        if not pool:
-            pool = [r.probs for r in records if r.any_extracted()]
-        means = horizon_means(pool)
-    completed, clamped = _complete_matrix(_prob_matrix([r.probs for r in records]), means)
-    rates, refit_clamped = _exponential_rates(completed)
-    _warn_clamped(clamped + refit_clamped)
-    at_three = (np.exp(-rates * 3.0) * 100.0).tolist()
-    for rec, row, rate, pct in zip(records, completed.tolist(), rates.tolist(), at_three):
+    train = (None if train_ids is None else
+             np.array([r.sample_id in train_ids for r in records], dtype=bool))
+    completed, rates, percents = finalize_probs(prob_matrix([r.probs for r in records]), train)
+    for rec, row, rate, pct in zip(records, completed.tolist(), rates.tolist(), percents):
         rec.completed = tuple(row)
         rec.rate = rate
-        rec.percent = round_to_nearest_five(pct)
+        rec.percent = pct
 
 
 def target_rows(records: list[TeacherRecord], outcomes: dict[str, tuple[float, bool]],

@@ -1,13 +1,16 @@
-"""On-disk formats: hidden-state and pooled-vector binaries, checkpoints, CSV/JSONL."""
+"""On-disk formats: hidden-state and pooled-vector binaries, checkpoints,
+checked .npy arrays with atomic writes, CSV/JSONL."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
 import operator
+import os
 import struct
 import typing
 from pathlib import Path
@@ -38,6 +41,11 @@ def _read_exact(fh, n: int) -> bytes:
     if len(raw) != n:
         raise ValueError(f"truncated file: expected {n} bytes, got {len(raw)}")
     return raw
+
+
+def _check_end(fh, path) -> None:
+    if fh.read(1):
+        raise ValueError(f"{path}: trailing bytes after the data")
 
 
 def _check_header(fh, magic: bytes, path) -> int:
@@ -84,6 +92,7 @@ def read_hidden_states(path) -> dict[str, np.ndarray]:
             if sample_id in out:
                 raise ValueError(f"{path}: duplicate id {sample_id!r}")
             out[sample_id] = mat.astype(np.float64)
+        _check_end(fh, path)
     return out
 
 
@@ -115,6 +124,7 @@ def read_pooled(path) -> dict[str, np.ndarray]:
             if sample_id in out:
                 raise ValueError(f"{path}: duplicate id {sample_id!r}")
             out[sample_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        _check_end(fh, path)
     return out
 
 
@@ -156,11 +166,71 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         shapes = [tuple(spec["shape"]) for spec in specs]
         offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
         raw = _read_exact(fh, 8 * offsets[-1])
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the tensor data")
+        _check_end(fh, path)
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return {name: flat[start:stop].reshape(shape)
             for name, shape, start, stop in zip(names, shapes, offsets, offsets[1:])}, manifest
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside `path`; on a clean exit, rename it onto `path`.
+
+    Readers see the old file or the complete new one, never a partial write
+    (the rename is atomic; the data is not fsynced, so this guards against
+    interrupted processes, not power loss). On an error the temporary file
+    is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_npy(path, arr: np.ndarray) -> None:
+    """Write one array as a .npy file (no pickles), atomically."""
+    with atomic_open(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(arr), allow_pickle=False)
+
+
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def read_npy(path, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
+    """Read a .npy file written by `write_npy`, checked against what the caller expects.
+
+    `shape` gives the expected length of each axis, None for any length. A
+    wrong dtype, number of axes or length, a truncated file and trailing
+    bytes are ValueErrors naming the file.
+    """
+    dtype = np.dtype(dtype)
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f"unsupported .npy version {version}")
+            got_shape, fortran, got_dtype = _NPY_HEADER_READERS[version](fh)
+        except (ValueError, SyntaxError) as exc:
+            raise ValueError(f"{path}: not a readable .npy file ({exc})") from None
+        if got_dtype != dtype:
+            raise ValueError(f"{path}: dtype {got_dtype.str}, expected {dtype.str}")
+        if len(got_shape) != len(shape) or any(want is not None and got != want
+                                               for got, want in zip(got_shape, shape)):
+            want = tuple("any" if w is None else w for w in shape)
+            raise ValueError(f"{path}: shape {got_shape}, expected {want}")
+        arr = np.empty(math.prod(got_shape), dtype=dtype)
+        got = fh.readinto(arr.view(np.uint8))
+        if got != arr.nbytes:
+            raise ValueError(f"{path}: truncated file: expected {arr.nbytes} data bytes, "
+                             f"got {got}")
+        _check_end(fh, path)
+    return arr.reshape(got_shape, order="F" if fortran else "C")
 
 
 def format_float(x: float) -> str:
@@ -310,8 +380,8 @@ def dataclass_from_kv(cls, kv: dict[str, str]):
 
     Keys are the field names. Each value is parsed by its field's annotation:
     `str` is stripped, `bool` is true/false, `tuple[X, ...]` is split on
-    commas into X values, and `int` and `float` (also `float | None`) parse
-    as such.
+    commas into X values, and `int` and `float` parse as such. A field
+    annotated `X | None` takes `none` (any case) for None, else parses as X.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {}
@@ -327,8 +397,12 @@ def _parse_field(key: str, anno, raw: str):
         item = typing.get_args(anno)[0]
         return tuple(_parse_field(key, item, part)
                      for part in raw.split(",") if part.strip())
-    # `X | None` parses as X
-    anno = next((a for a in typing.get_args(anno) if a is not type(None)), anno)
+    # `X | None` parses as X, except for the word none
+    args = typing.get_args(anno)
+    if type(None) in args:
+        if raw.strip().lower() == "none":
+            return None
+        anno = next(a for a in args if a is not type(None))
     if anno is bool:
         if raw.strip().lower() not in ("true", "false"):
             raise ValueError(f"{key} must be true or false, got {raw!r}")

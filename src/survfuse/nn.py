@@ -12,7 +12,7 @@ out by a `ParamLayout`; gradients are written into a second such vector, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -177,6 +177,13 @@ class ParamLayout:
     names: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
     offsets: np.ndarray  # (len(names) + 1,) start of each tensor, then the total size
+    # (name, start, stop, shape) with Python ints, built once for `views`
+    spans: tuple[tuple[str, int, int, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bounds = self.offsets.tolist()
+        object.__setattr__(self, "spans", tuple(zip(self.names, bounds, bounds[1:], self.shapes)))
 
     @classmethod
     def of(cls, params: Mapping[str, np.ndarray]) -> "ParamLayout":
@@ -196,10 +203,8 @@ class ParamLayout:
 
     def views(self, flat: np.ndarray) -> "FlatViews":
         """Name -> view of `flat`, shaped as the layout says."""
-        return FlatViews(flat, {
-            name: flat[start:stop].reshape(shape)
-            for name, shape, start, stop in zip(self.names, self.shapes,
-                                                self.offsets[:-1], self.offsets[1:])})
+        return FlatViews(flat, {name: flat[start:stop].reshape(shape)
+                                for name, start, stop, shape in self.spans})
 
     def locate(self, i: int) -> tuple[str, int]:
         """The name of the tensor holding flat element `i`, and `i`'s offset inside it."""

@@ -11,7 +11,7 @@ import numpy as np
 from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
-from .distill import calibration_mask, finalize_records
+from .distill import calibration_mask, finalize_probs
 from .fusion import MODALITY_ORDER
 from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
                     cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
@@ -159,7 +159,6 @@ class TrainResult:
     val_trace: list[float]
     best_epoch: int
     skipped_batches: int
-    masked_samples: int
     dims: dict[str, int] = field(default_factory=dict)
 
 
@@ -178,8 +177,7 @@ def _split_data(cohort: Cohort, indices, config: RunConfig,
                 grid: TimeGrid | None) -> dict:
     data: dict = {"modalities": config.modalities}
     for m in config.modalities:
-        attr = "text_pooled" if m == "text" else m
-        data[m] = modality_matrix(cohort, indices, attr)
+        data[m] = modality_matrix(cohort, indices, m)
     times, events = outcome_arrays(cohort, indices)
     data["times"] = times
     data["events"] = events
@@ -204,14 +202,13 @@ def _inject(dst: SurvivalModel, src_params: dict[str, np.ndarray]) -> None:
         np.copyto(dst_params[name], value)
 
 
-def _masked_count(cohort: Cohort, config: RunConfig) -> int:
+def _masked_count(cohort: Cohort, percents: np.ndarray | None, config: RunConfig) -> int:
     """Teacher estimates the calibration mask rejects (0 without correction)."""
-    if not config.calibration_correction:
+    if not config.calibration_correction or percents is None:
         return 0
-    return sum(1 for s in cohort.samples
-               if s.teacher is not None and s.teacher.percent is not None
-               and not calibration_mask(s.teacher.percent, s.outcome.time,
-                                        s.outcome.event))
+    have = ~np.isnan(percents)
+    keep = calibration_mask(percents[have], cohort.times[have], cohort.events[have])
+    return int(keep.size - np.count_nonzero(keep))
 
 
 def _build_model(config: RunConfig, dims: dict[str, int],
@@ -241,17 +238,13 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
         train_times, _ = outcome_arrays(cohort, split.train)
         grid = build_time_grid(config, train_times)
 
-    dims = {}
-    probe = _split_data(cohort, split.train[:1], config, grid)
-    for m in config.modalities:
-        dims[m] = probe[m].shape[1]
+    train_data = _split_data(cohort, split.train, config, grid)
+    val_data = _split_data(cohort, split.val, config, grid)
+    dims = {m: train_data[m].shape[1] for m in config.modalities}
 
     model = _build_model(config, dims, rngs["init"])
     if warm_start:
         _inject(model, warm_start)
-
-    train_data = _split_data(cohort, split.train, config, grid)
-    val_data = _split_data(cohort, split.val, config, grid)
 
     opt = init_adamw(model_params(model), _learning_rate(config),
                      weight_decay=config.weight_decay)
@@ -302,8 +295,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
 
     return TrainResult(model=model, grid=grid, baseline=baseline,
                        train_trace=train_trace, val_trace=val_trace,
-                       best_epoch=best_epoch, skipped_batches=skipped,
-                       masked_samples=_masked_count(cohort, config), dims=dims)
+                       best_epoch=best_epoch, skipped_batches=skipped, dims=dims)
 
 
 def pretrain_heads(config: RunConfig, cohort: Cohort,
@@ -380,33 +372,21 @@ def predict_curves(result: TrainResult, cohort: Cohort, indices,
     return _hidden_curves(result, data)
 
 
-def _verbalized_inputs(cohort: Cohort, indices):
-    """Per-sample rounded percents (None when no probability was extractable).
-
-    Raises when a record has extractions but no percent yet: finalize_teacher
-    has not run, and reading it as "missing" would hide every estimate.
-    """
-    percents = []
-    for i in np.asarray(indices, dtype=np.int64):
-        rec = cohort.samples[i].teacher
-        if rec is None or not rec.any_extracted():
-            percents.append(None)
-        elif rec.percent is None:
-            raise ValueError(f"teacher records not finalized (sample "
-                             f"{rec.sample_id!r}); call finalize_teacher first")
-        else:
-            percents.append(rec.percent)
-    return percents
-
-
 def _channel(curves: CurveSet, times, events) -> ChannelMetrics:
     return ChannelMetrics(c_td=c_td(curves, times, events),
                           ibs=ibs(curves, times, events).value)
 
 
 def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
-             config: RunConfig) -> RunReport:
-    """Test-set metrics for the hidden, verbalized, and combined channels."""
+             config: RunConfig, percents: np.ndarray | None = None) -> RunReport:
+    """Test-set metrics for the hidden, verbalized, and combined channels.
+
+    `percents` are the teacher's rounded percents from `finalize_teacher`;
+    a cohort with a teacher needs them.
+    """
+    if cohort.teacher_probs is not None and percents is None:
+        raise ValueError("teacher records not finalized: pass the percents "
+                         "finalize_teacher returns")
     val_data = _split_data(cohort, split.val, config, result.grid)
     test_data = _split_data(cohort, split.test, config, result.grid)
     t_test, e_test = test_data["times"], test_data["events"]
@@ -414,15 +394,13 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     channels = {"hidden": _channel(test_curves, t_test, e_test)}
 
     selected = val_score = None
-    if any(s.teacher is not None for s in cohort.samples):
+    if cohort.teacher_probs is not None:
         val_curves = _hidden_curves(result, val_data)
-        val_blend, _, _ = blend_inputs(val_curves,
-                                       _verbalized_inputs(cohort, split.val))
+        val_blend, _, _ = blend_inputs(val_curves, percents[split.val])
         selected, val_score = select_lambda(val_curves, val_blend, val_data["times"],
                                             val_data["events"], grid=config.lambda_grid)
         del val_curves, val_blend
-        test_blend, test_verb, n_present = blend_inputs(
-            test_curves, _verbalized_inputs(cohort, split.test))
+        test_blend, test_verb, n_present = blend_inputs(test_curves, percents[split.test])
         if n_present == 0:
             channels["verbalized"] = ChannelMetrics(
                 c_td=None, ibs=None, note="no extractable teacher probabilities")
@@ -440,50 +418,57 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
                      train_trace=result.train_trace, val_trace=result.val_trace,
                      best_epoch=result.best_epoch,
                      skipped_batches=result.skipped_batches,
-                     masked_samples=result.masked_samples)
+                     masked_samples=_masked_count(cohort, percents, config))
 
 
-def finalize_teacher(cohort: Cohort, split: CohortSplit) -> None:
-    """Fit and round every teacher record's 3-year percent, means from train."""
-    records = [s.teacher for s in cohort.samples if s.teacher is not None]
-    if not records:
-        return
-    train_ids = {cohort.samples[i].sample_id for i in split.train}
-    finalize_records(records, train_ids=train_ids)
+def finalize_teacher(cohort: Cohort) -> np.ndarray | None:
+    """The teacher's rounded 3-year percent per sample (None without a teacher).
+
+    A percent exists where the teacher's responses gave at least one
+    probability, NaN elsewhere. It depends only on that sample's own
+    probabilities (horizon means fill only rows with none), so no split is
+    needed and the cohort is left unchanged.
+    """
+    if cohort.teacher_probs is None:
+        return None
+    probs = cohort.teacher_probs
+    extracted = ~np.isnan(probs).all(axis=1)
+    percents = np.full(len(cohort), np.nan)
+    percents[extracted] = finalize_probs(probs[extracted])[2]
+    return percents
 
 
-def train_and_evaluate(config: RunConfig, cohort: Cohort,
-                       split: CohortSplit) -> tuple[TrainResult, RunReport]:
+def train_and_evaluate(config: RunConfig, cohort: Cohort, split: CohortSplit,
+                       percents: np.ndarray | None = None) -> tuple[TrainResult, RunReport]:
     """Pretrain (late fusion of several modalities, if asked), train, and
-    evaluate one configuration on a cohort whose teacher is finalized."""
+    evaluate one configuration; `percents` as for `evaluate`."""
     warm = None
     if config.pretrain and config.fusion == "late" and len(config.modalities) > 1:
         warm = pretrain_heads(config, cohort, split)
     result = train(config, cohort, split, warm_start=warm)
-    return result, evaluate(result, cohort, split, config)
+    return result, evaluate(result, cohort, split, config, percents)
 
 
 def run_experiment(config: RunConfig, cohort: Cohort, split: CohortSplit) -> RunReport:
-    """Finalize the teacher records, then `train_and_evaluate` one configuration."""
-    finalize_teacher(cohort, split)
-    return train_and_evaluate(config, cohort, split)[1]
+    """Finalize the teacher, then `train_and_evaluate` one configuration."""
+    return train_and_evaluate(config, cohort, split, finalize_teacher(cohort))[1]
 
 
 def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
                          cohort: Cohort, split: CohortSplit) -> dict[str, RunReport | str]:
     """Run each configuration on the shared split; failures are isolated.
 
-    The teacher records are finalized once: the result depends only on their
-    probabilities and the training ids, which every configuration shares.
+    The teacher is finalized once: its percents depend only on the cohort,
+    which every configuration shares and none changes.
     """
     try:
-        finalize_teacher(cohort, split)
+        percents = finalize_teacher(cohort)
     except Exception as exc:  # noqa: BLE001 - reported per run, as below
         return {name: f"failed: {type(exc).__name__}: {exc}" for name, _ in named_configs}
     reports: dict[str, RunReport | str] = {}
     for name, config in named_configs:
         try:
-            reports[name] = train_and_evaluate(config, cohort, split)[1]
+            reports[name] = train_and_evaluate(config, cohort, split, percents)[1]
         except Exception as exc:  # noqa: BLE001 - suite must continue
             reports[name] = f"failed: {type(exc).__name__}: {exc}"
     return reports
@@ -529,7 +514,7 @@ def load_checkpoint(path: str) -> tuple[TrainResult, RunConfig]:
     result = TrainResult(model=model, grid=grid, baseline=baseline,
                          train_trace=[], val_trace=[],
                          best_epoch=manifest.get("best_epoch", 0),
-                         skipped_batches=0, masked_samples=0,
+                         skipped_batches=0,
                          dims=dict(manifest["dims"]))
     return result, config
 

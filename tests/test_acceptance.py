@@ -14,7 +14,7 @@ import pytest
 from survfuse import synth, training
 from survfuse.autoencoder import init_autoencoder, reconstruction_loss_grad
 from survfuse.blending import blend_inputs
-from survfuse.cohort import load_cohort, split_cohort
+from survfuse.cohort import load_cohort, pool_text, split_cohort
 from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
                               weighted_text_loss_grad)
@@ -25,7 +25,6 @@ from survfuse.heads import (SurvivalCurve, TimeGrid, breslow_baseline,
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import finite_difference_check, mlp_forward
-from survfuse.pooling import attention_pool
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:survival value", "ignore:verbalized probability")
@@ -304,10 +303,8 @@ def synth_cohort(out_dir, calibration_shift=0.0):
                          ge_path=result.files["ge"],
                          hidden_states_path=result.files["hidden"],
                          teacher_path=result.files["teacher"])
-    for sample in cohort.samples:
-        sample.text_pooled = attention_pool(sample.text_hidden)
+    pool_text(cohort)
     split = split_cohort(len(cohort), seed=0)
-    training.finalize_teacher(cohort, split)
     return cohort, split
 
 
@@ -331,7 +328,8 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
 
     late_cfg = run_config(fusion="late", modalities=("text", "cov", "ge"))
     result = training.train(late_cfg, cohort, split)
-    late = training.evaluate(result, cohort, split, late_cfg)
+    percents = training.finalize_teacher(cohort)
+    late = training.evaluate(result, cohort, split, late_cfg, percents)
 
     # (a) fusing the modalities beats every single-modality model clearly
     assert late.channels["hidden"].c_td >= max(unimodal.values()) + 0.03
@@ -340,7 +338,7 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
     # combined validation concordance can never fall below either channel
     val_data = training._split_data(cohort, split.val, late_cfg, result.grid)
     hidden_val = training.predict_curves(result, cohort, split.val, late_cfg)
-    val_pct = training._verbalized_inputs(cohort, split.val)
+    val_pct = percents[split.val]
     blend_val, _, _ = blend_inputs(hidden_val, val_pct)
     t_val, e_val = val_data["times"], val_data["events"]
     hidden_val_ctd = c_td(hidden_val, t_val, e_val)
@@ -376,8 +374,7 @@ def test_criterion_7_training_is_deterministic(tmp_path):
                          ge_path=result.files["ge"],
                          hidden_states_path=result.files["hidden"],
                          teacher_path=result.files["teacher"])
-    for sample in cohort.samples:
-        sample.text_pooled = attention_pool(sample.text_hidden)
+    pool_text(cohort)
     split = split_cohort(len(cohort), seed=0)
     config = run_config(fusion="late", modalities=("text", "cov", "ge"),
                         epochs=8, patience=4)

@@ -313,3 +313,39 @@ def test_bundle_without_split_is_rejected(pipeline, tmp_path, capsys):
     assert main(["train", "--config", pipeline["train_cfg"],
                  "--bundle", bare, "--out", str(tmp_path / "r")]) == 1
     assert "no split" in capsys.readouterr().err
+
+
+def test_train_on_a_version_1_bundle_asks_for_reingest(pipeline, tmp_path, capsys):
+    old = tmp_path / "old"
+    old.mkdir()
+    write(old / "outcomes.csv", "id,time_years,event\na,1.0,1\n")
+    write(old / "meta.json", json.dumps({"bundle_version": 1, "ids": ["a"], "metadata": {},
+                                         "files": {}, "split": None}))
+    assert main(["train", "--config", pipeline["train_cfg"], "--bundle", str(old),
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "bundle version 1" in err and "re-ingest" in err
+
+
+def test_ingest_parses_keys_by_field_type(tmp_path, capsys):
+    write(tmp_path / "o.csv", "id,time_years,event\na,7.5,1\nb,1.0,1\nc,2.0,0\nd,3.0,1\n")
+    # a misspelt boolean is an error, not the strict family policy
+    cfg = write(tmp_path / "typo.cfg", "outcomes=o.csv\nallow_other=ture\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b0")]) == 1
+    assert "allow_other must be true or false" in capsys.readouterr().err
+    cfg = write(tmp_path / "seed.cfg", "outcomes=o.csv\nsplit_seed=1.5\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b1")]) == 1
+
+    from survfuse.cohort import load_bundle
+
+    # horizon=none keeps follow-up past the administrative horizon
+    cfg = write(tmp_path / "none.cfg", "outcomes=o.csv\nhorizon=none\nratios=0.5,0.25,0.25\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b2")]) == 0
+    cohort, split = load_bundle(str(tmp_path / "b2"))
+    assert cohort.times[0] == 7.5 and cohort.events[0]
+    assert cohort.metadata["horizon_years"] is None
+    assert (split.train.size, split.val.size, split.test.size) == (2, 1, 1)
+    cfg = write(tmp_path / "default.cfg", "outcomes=o.csv\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b3")]) == 0
+    cohort, _ = load_bundle(str(tmp_path / "b3"))
+    assert cohort.times[0] == 5.0 and not cohort.events[0]

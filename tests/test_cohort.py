@@ -10,6 +10,7 @@ import pytest
 from survfuse import formats
 from survfuse.cohort import (
     CANCER_FAMILIES,
+    Modality,
     Outcome,
     administrative_censor,
     cancer_family,
@@ -17,10 +18,12 @@ from survfuse.cohort import (
     load_cohort,
     modality_matrix,
     outcome_arrays,
+    pool_text,
     preprocess_covariates,
     save_bundle,
     split_cohort,
 )
+from survfuse.pooling import attention_pool
 
 
 def write_text(path, text):
@@ -76,17 +79,17 @@ def test_split_validation():
 def test_load_cohort_reads_outcomes_in_file_order(tmp_path):
     path = write_outcomes(tmp_path / "o.csv", [("b", 2.5, 1), ("a", 1.0, 0)])
     cohort = load_cohort(path)
-    assert cohort.ids() == ["b", "a"]
-    assert cohort.samples[0].outcome.time == 2.5
-    assert cohort.samples[0].outcome.event is True
-    assert cohort.samples[1].outcome.event is False
+    assert cohort.ids == ["b", "a"]
+    assert cohort.times[0] == 2.5
+    assert cohort.events[0] == True  # noqa: E712 - a numpy bool
+    assert cohort.events[1] == False  # noqa: E712
 
 
 def test_administrative_censoring(tmp_path):
     path = write_outcomes(tmp_path / "o.csv",
                           [("late", 7.2, 1), ("edge", 5.0, 1), ("early", 2.0, 0)])
     cohort = load_cohort(path)
-    by_id = {s.sample_id: s.outcome for s in cohort.samples}
+    by_id = {sid: Outcome(t, e) for sid, t, e in zip(cohort.ids, cohort.times, cohort.events)}
     # past the horizon: censored at the horizon
     assert by_id["late"].time == 5.0 and by_id["late"].event is False
     # exactly at the horizon: untouched
@@ -94,9 +97,9 @@ def test_administrative_censoring(tmp_path):
     assert by_id["early"].time == 2.0
     # custom and disabled horizons
     cohort = load_cohort(path, horizon_years=3.0)
-    assert {s.outcome.time for s in cohort.samples} == {3.0, 2.0}
+    assert set(cohort.times.tolist()) == {3.0, 2.0}
     cohort = load_cohort(path, horizon_years=None)
-    assert {s.outcome.time for s in cohort.samples} == {7.2, 5.0, 2.0}
+    assert set(cohort.times.tolist()) == {7.2, 5.0, 2.0}
     out = administrative_censor(Outcome(time=9.0, event=True), 5.0)
     assert (out.time, out.event) == (5.0, False)
 
@@ -122,9 +125,9 @@ def test_numeric_covariates_and_ge_imputation(tmp_path):
     # an empty gene-expression cell is imputed to zero
     ge = write_text(tmp_path / "ge.csv", "id,g1,g2,g3\na,1.0,,3.0\nb,4.0,5.0,6.0\n")
     cohort = load_cohort(out, covariates_path=cov, ge_path=ge)
-    assert np.array_equal(cohort.samples[0].cov, [0.5, 1.5])
-    assert np.array_equal(cohort.samples[0].ge, [1.0, 0.0, 3.0])
-    assert np.array_equal(cohort.samples[1].ge, [4.0, 5.0, 6.0])
+    assert np.array_equal(modality_matrix(cohort, [0], "cov")[0], [0.5, 1.5])
+    assert np.array_equal(modality_matrix(cohort, [0], "ge")[0], [1.0, 0.0, 3.0])
+    assert np.array_equal(modality_matrix(cohort, [1], "ge")[0], [4.0, 5.0, 6.0])
     # covariates do not get the imputation: empty cell is an error
     bad = write_text(tmp_path / "bad.csv", "id,c1,c2\na,0.5,\nb,1.0,2.0\n")
     with pytest.raises(ValueError, match="empty cell"):
@@ -132,7 +135,7 @@ def test_numeric_covariates_and_ge_imputation(tmp_path):
     # a modality file may cover a subset; uncovered samples carry None
     part = write_text(tmp_path / "part.csv", "id,c1\na,0.5\n")
     cohort = load_cohort(out, covariates_path=part)
-    assert cohort.samples[1].cov is None
+    assert not cohort.modalities["cov"].present[1]
 
 
 def test_modality_matrix_and_outcome_arrays(tmp_path):
@@ -144,7 +147,7 @@ def test_modality_matrix_and_outcome_arrays(tmp_path):
     times, events = outcome_arrays(cohort, [1, 0])
     assert np.array_equal(times, [2.0, 1.0])
     assert np.array_equal(events, [False, True])
-    cohort.samples[0].cov = None
+    cohort.modalities["cov"].present[0] = False
     with pytest.raises(ValueError, match="lacks"):
         modality_matrix(cohort, [0, 1], "cov")
 
@@ -173,7 +176,7 @@ def test_clinical_preprocessing_layout_and_scaling(tmp_path):
     meta = preprocess_covariates(cohort, train_indices=[0, 1, 2])
     assert meta["cov_layout"] == (["age", "sex", "race", "stage"]
                                   + [f"family_{f}" for f in CANCER_FAMILIES])
-    by_id = {s.sample_id: s.cov for s in cohort.samples}
+    by_id = dict(zip(cohort.ids, cohort.modalities["cov"].values))
     # train extrema: ages 40..80, stages 1..4
     assert by_id["a"][0] == 0.0 and by_id["c"][0] == 1.0
     assert by_id["b"][0] == pytest.approx(0.5)
@@ -200,7 +203,7 @@ def test_clinical_majority_tie_breaks_lexicographic(tmp_path):
     assert meta["sex_majority"] == "F"
     assert meta["race_majority"] == "Black"
     # equal train extrema: scaled coordinate collapses to 0
-    assert all(s.cov[0] == 0.0 and s.cov[3] == 0.0 for s in cohort.samples)
+    assert all(cov[0] == 0.0 and cov[3] == 0.0 for cov in cohort.modalities["cov"].values)
 
 
 def test_clinical_stage_spellings(tmp_path):
@@ -210,7 +213,7 @@ def test_clinical_stage_spellings(tmp_path):
         "c,60,F,White,2,skin",
     ])
     preprocess_covariates(cohort, train_indices=[0, 1, 2])
-    by_id = {s.sample_id: s.cov[3] for s in cohort.samples}
+    by_id = dict(zip(cohort.ids, cohort.modalities["cov"].values[:, 3]))
     # codes 1, 4, 2 scaled by extrema (1, 4)
     assert by_id["a"] == 0.0
     assert by_id["b"] == 1.0
@@ -227,7 +230,7 @@ def test_clinical_missing_critical_field_excludes_sample(tmp_path):
         "b,,F,White,II,skin",
         "c,60,M,White,III,skin",
     ], outcome_rows=[("a", 1.0, 1), ("b", 2.0, 1), ("c", 3.0, 0)])
-    assert cohort.ids() == ["a", "c"]
+    assert cohort.ids == ["a", "c"]
     assert cohort.metadata["excluded_missing_critical"] == 1
 
 
@@ -295,16 +298,15 @@ def test_bundle_round_trip_bit_exact(tmp_path):
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir), split=split)
     loaded, loaded_split = load_bundle(str(out_dir))
-    assert loaded.ids() == cohort.ids()
-    for orig, got in zip(cohort.samples, loaded.samples):
-        assert got.outcome.time == orig.outcome.time
-        assert got.outcome.event == orig.outcome.event
-        assert np.array_equal(got.cov, orig.cov)
-        assert np.array_equal(got.ge, orig.ge)
-        assert np.array_equal(got.text_hidden, orig.text_hidden)
-        assert np.array_equal(got.text_pooled, orig.text_pooled)
-        assert got.teacher.responses == orig.teacher.responses
-        assert got.teacher.explanation == orig.teacher.explanation
+    assert loaded.ids == cohort.ids
+    assert np.array_equal(loaded.times, cohort.times)
+    assert np.array_equal(loaded.events, cohort.events)
+    for name in ("cov", "ge", "text"):
+        assert np.array_equal(loaded.modalities[name].values, cohort.modalities[name].values)
+        assert np.array_equal(loaded.modalities[name].present, cohort.modalities[name].present)
+    # the bundle keeps the extracted probabilities, not the responses or token states
+    assert np.array_equal(loaded.teacher_probs, cohort.teacher_probs, equal_nan=True)
+    assert loaded.token_states is None
     for name in ("train", "val", "test"):
         assert np.array_equal(getattr(loaded_split, name), getattr(split, name))
     assert loaded.metadata == cohort.metadata
@@ -319,8 +321,8 @@ def test_bundle_outcomes_not_recensored(tmp_path):
     save_bundle(cohort, str(out_dir))
     loaded, split = load_bundle(str(out_dir))
     assert split is None
-    assert loaded.samples[0].outcome.time == 7.5
-    assert loaded.samples[0].outcome.event is True
+    assert loaded.times[0] == 7.5
+    assert loaded.events[0] == True  # noqa: E712 - a numpy bool
 
 
 def test_bundle_minimal_and_version_check(tmp_path):
@@ -329,8 +331,8 @@ def test_bundle_minimal_and_version_check(tmp_path):
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir))
     loaded, _ = load_bundle(str(out_dir))
-    assert loaded.samples[0].cov is None
-    assert loaded.samples[0].text_hidden is None
+    assert "cov" not in loaded.modalities
+    assert loaded.token_states is None
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -338,4 +340,98 @@ def test_bundle_minimal_and_version_check(tmp_path):
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh)
     with pytest.raises(ValueError, match="bundle version"):
+        load_bundle(str(out_dir))
+
+
+def test_pool_text_fills_only_samples_without_a_text_vector(tmp_path):
+    cohort = build_full_cohort(tmp_path)
+    # every sample has a pooled vector: nothing to pool
+    assert pool_text(cohort) == 0
+    cohort.modalities["text"].present[[1, 4]] = False
+    assert pool_text(cohort) == 2
+    text = cohort.modalities["text"]
+    assert text.present.all()
+    for i in (1, 4):
+        assert np.array_equal(text.values[i], attention_pool(cohort.token_states[i]))
+    # without a pooled file the text modality comes from the token states alone
+    cohort.modalities.pop("text")
+    assert pool_text(cohort) == len(cohort)
+    assert cohort.modalities["text"].values.shape == (len(cohort), 8)
+
+
+def test_bundle_stores_text_in_32_bits(tmp_path):
+    path = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
+    cohort = load_cohort(path)
+    values = np.array([[0.1, 1 / 3], [2.0, -0.7], [np.nan, np.nan]])
+    cohort.modalities["text"] = Modality(values=values, present=np.array([True, True, False]))
+    save_bundle(cohort, str(tmp_path / "bundle"))
+    stored = np.load(tmp_path / "bundle" / "text.npy")
+    assert stored.dtype == np.dtype("<f4")
+    loaded, _ = load_bundle(str(tmp_path / "bundle"))
+    text = loaded.modalities["text"]
+    assert text.values.dtype == np.float64
+    assert np.array_equal(text.values[:2], values[:2].astype(np.float32).astype(np.float64))
+    assert np.array_equal(text.present, [True, True, False])
+
+
+def test_bundle_without_meta_is_incomplete(tmp_path):
+    cohort = build_full_cohort(tmp_path)
+    out_dir = tmp_path / "bundle"
+    save_bundle(cohort, str(out_dir), split=split_cohort(len(cohort), seed=5))
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        ["meta.json", "times.npy", "events.npy", "teacher_probs.npy"]
+        + [f"{m}{suffix}.npy" for m in ("text", "cov", "ge") for suffix in ("", "_present")])
+    os.remove(out_dir / "meta.json")
+    with pytest.raises(ValueError, match="bundle is incomplete"):
+        load_bundle(str(out_dir))
+    # rewriting a bundle removes its old meta.json before any array changes
+    save_bundle(cohort, str(out_dir))
+    loaded, split = load_bundle(str(out_dir))
+    assert split is None and loaded.ids == cohort.ids
+
+
+def test_bundle_rejects_arrays_of_the_wrong_kind(tmp_path):
+    cohort = build_full_cohort(tmp_path)
+    out_dir = tmp_path / "bundle"
+    save_bundle(cohort, str(out_dir))
+    n = len(cohort)
+    bad = {
+        "times.npy": (np.zeros(n, dtype=np.float32), "times.npy: dtype <f4"),
+        "events.npy": (np.zeros((n, 1), dtype=bool), "events.npy: shape"),
+        "ge.npy": (np.zeros((n + 1, 4)), "ge.npy: shape"),
+        "cov_present.npy": (np.ones(n - 1, dtype=bool), "cov_present.npy: shape"),
+        "teacher_probs.npy": (np.zeros((n, 2)), "teacher_probs.npy: shape"),
+        "text.npy": (np.zeros((n, 8)), "text.npy: dtype <f8, expected <f4"),
+    }
+    for name, (arr, message) in bad.items():
+        good = (out_dir / name).read_bytes()
+        formats.write_npy(out_dir / name, arr)
+        with pytest.raises(ValueError, match=message):
+            load_bundle(str(out_dir))
+        (out_dir / name).write_bytes(good)
+    load_bundle(str(out_dir))
+
+
+def test_bundle_truncated_arrays_raise_value_error(tmp_path):
+    cohort = build_full_cohort(tmp_path)
+    out_dir = tmp_path / "bundle"
+    save_bundle(cohort, str(out_dir))
+    for path in sorted(out_dir.glob("*.npy")):
+        good = path.read_bytes()
+        for cut in sorted({0, 3, 8, 10, 64, len(good) // 2, len(good) - 1}):
+            path.write_bytes(good[:cut])
+            with pytest.raises(ValueError, match=path.name):
+                load_bundle(str(out_dir))
+        path.write_bytes(good)
+    load_bundle(str(out_dir))
+
+
+def test_version_1_bundle_asks_for_reingest(tmp_path):
+    out_dir = tmp_path / "old"
+    out_dir.mkdir()
+    write_outcomes(out_dir / "outcomes.csv", [("a", 1.0, 1)])
+    with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
+        json.dump({"bundle_version": 1, "ids": ["a"], "metadata": {},
+                   "files": {}, "split": None}, fh)
+    with pytest.raises(ValueError, match="bundle version 1.*re-ingest"):
         load_bundle(str(out_dir))

@@ -25,6 +25,10 @@ def test_hidden_states_round_trip(tmp_path):
     again = formats.read_hidden_states(path)
     for sid in data:
         assert np.array_equal(again[sid], back[sid])
+    # one byte past the last matrix is an error, as in checkpoints
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        formats.read_hidden_states(path)
 
 
 def test_pooled_round_trip(tmp_path):
@@ -37,6 +41,9 @@ def test_pooled_round_trip(tmp_path):
     for sid in data:
         assert np.array_equal(back[sid],
                               data[sid].astype(np.float32).astype(np.float64))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        formats.read_pooled(path)
 
 
 def test_hidden_states_rejects_wrong_magic(tmp_path):
@@ -86,6 +93,42 @@ def test_checkpoint_rejects_trailing_and_missing_bytes(tmp_path):
     path.write_bytes(good[:-1])
     with pytest.raises(ValueError, match="truncated"):
         formats.read_checkpoint(path)
+
+
+def test_npy_round_trip_and_checks(tmp_path):
+    path = tmp_path / "a.npy"
+    values = np.arange(12.0).reshape(4, 3)
+    formats.write_npy(path, values)
+    back = formats.read_npy(path, "<f8", (4, None))
+    assert np.array_equal(back, values) and back.flags.writeable
+    assert not list(tmp_path.glob("*.tmp"))
+    with pytest.raises(ValueError, match="a.npy: dtype <f8, expected <f4"):
+        formats.read_npy(path, "<f4", (4, None))
+    with pytest.raises(ValueError, match="a.npy: shape"):
+        formats.read_npy(path, "<f8", (5, None))
+    with pytest.raises(ValueError, match="a.npy: shape"):
+        formats.read_npy(path, "<f8", (4,))
+    good = path.read_bytes()
+    path.write_bytes(good + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        formats.read_npy(path, "<f8", (4, 3))
+    # a Fortran-ordered array reads back in its own order
+    np.save(path, np.asfortranarray(values), allow_pickle=False)
+    assert np.array_equal(formats.read_npy(path, "<f8", (4, 3)), values)
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with formats.atomic_open(path, "w") as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+    with formats.atomic_open(path, "w") as fh:
+        fh.write("new")
+    assert path.read_text() == "new"
 
 
 def test_format_float_round_trips_exactly():
@@ -250,6 +293,8 @@ def test_dataclass_from_kv_parses_by_annotation():
     assert got == Settings(name="disc", flag=True, count=3, rate=0.25,
                            sizes=(4, 2), tags=("a", "b"))
     assert type(got.count) is int and type(got.rate) is float
+    # an optional field takes the word none
+    assert formats.dataclass_from_kv(Settings, {"rate": " None"}).rate is None
     with pytest.raises(ValueError, match="unknown config key 'size'"):
         formats.dataclass_from_kv(Settings, {"size": "1"})
     with pytest.raises(ValueError, match="flag must be true or false"):

@@ -3,8 +3,10 @@ exhaustive pairwise oracle, union-grid conversion, the invariants of blended
 and averaged sets) and for the whole-array training and teacher code against
 the per-element forms it replaced (Cox risk sets, Breslow increments, flat
 AdamW, the flat-vector training step, sigmoid, one-draw dropout masks,
-batch teacher finalisation)."""
+batch and columnar teacher finalisation), and the bit-exact bundle round
+trip."""
 
+import tempfile
 import warnings
 
 import numpy as np
@@ -13,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survfuse.blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve
+from survfuse.cohort import Cohort, Modality, load_bundle, save_bundle, split_cohort
 from survfuse.distill import (HORIZONS, TeacherRecord, finalize_records, fit_parametric,
-                              fit_survival_at, horizon_means, three_year_percent)
+                              fit_survival_at, horizon_means, prob_matrix,
+                              three_year_percent)
 from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
 from survfuse.heads import (CurveSet, SurvivalCurve, TimeGrid, _event_time_groups,
                             breslow_baseline, build_discrete_targets, cox_loss_grad,
@@ -23,7 +27,7 @@ from survfuse.metrics import CTD_BLOCK, IBS_BLOCK, c_td, censoring_km, ibs
 from survfuse.model import init_model, model_params
 from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          sigmoid)
-from survfuse.training import RunConfig, _learning_rate, total_loss
+from survfuse.training import RunConfig, _learning_rate, finalize_teacher, total_loss
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -520,26 +524,106 @@ PROBS = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 0.5, 1e-7]),
 
 
 @settings(max_examples=80, deadline=None)
-@given(rows=st.lists(st.tuples(PROBS, PROBS, PROBS), min_size=1, max_size=40))
-def test_batch_finalisation_equals_per_record_path(rows):
+@given(rows=st.lists(st.tuples(PROBS, PROBS, PROBS), min_size=1, max_size=40),
+       train_flags=st.lists(st.booleans(), max_size=40))
+def test_batch_finalisation_equals_per_record_path(rows, train_flags):
     records = [TeacherRecord(sample_id=str(i), responses={}, explanation="",
                              probs=dict(zip(HORIZONS, row))) for i, row in enumerate(rows)]
+    # no flags: means over every record; else over the flagged training ids
+    train_ids = {str(i) for i, flag in enumerate(train_flags) if flag} if train_flags else None
     pool = [r.probs for r in records if r.any_extracted()]
+    train_pool = [r.probs for r in records if r.any_extracted()
+                  and (train_ids is None or r.sample_id in train_ids)]
+    # the columnar path: one percent per row with an extraction, NaN elsewhere
+    cohort = Cohort(ids=[r.sample_id for r in records], times=np.ones(len(rows)),
+                    events=np.zeros(len(rows), dtype=bool),
+                    teacher_probs=prob_matrix([r.probs for r in records]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
+        columnar = finalize_teacher(cohort)
+        for rec, pct in zip(records, columnar):
+            if rec.any_extracted():
+                assert pct == per_record_finalize(rec.probs, {})[2]
+            else:
+                assert np.isnan(pct)
         if len(pool) < len(records):
             try:
-                means = horizon_means(pool)
+                means = horizon_means(train_pool or pool)
             except ValueError:  # some horizon has no extraction anywhere
                 with pytest.raises(ValueError):
-                    finalize_records(records)
+                    finalize_records(records, train_ids=train_ids)
                 return
         else:
             means = {}
-        finalize_records(records)
-        for rec in records:
+        finalize_records(records, train_ids=train_ids)
+        for rec, pct in zip(records, columnar):
             completed, rate, percent = per_record_finalize(rec.probs, means)
             assert rec.percent == percent
             assert np.all(np.abs(np.array(rec.completed) - completed)
                           <= 4 * np.spacing(np.abs(completed)))
             assert abs(rec.rate - rate) <= 4 * np.spacing(abs(rate))
+            assert np.isnan(pct) or pct == rec.percent
+
+
+# ids a CSV or JSON writer would have to quote or escape
+AWKWARD_IDS = st.sampled_from(["a,b", 'say "hi"', "naïve", "日本", "tab\there", " "])
+IDS = AWKWARD_IDS | st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bundle_round_trip_is_bit_exact(data):
+    ids = data.draw(st.lists(IDS, min_size=3, max_size=10, unique=True))
+    n = len(ids)
+
+    def column(elements, size):
+        return data.draw(st.lists(elements, min_size=size, max_size=size))
+
+    modalities = {}
+    for name in ("text", "cov", "ge"):
+        if not data.draw(st.booleans()):
+            continue
+        width = data.draw(st.integers(1, 4))
+        # text is stored in 32 bits, so it round-trips exactly when it fits in them
+        elements = (st.floats(width=32, allow_nan=False) if name == "text"
+                    else st.floats() | SPECIAL_FLOATS)
+        present = np.array(column(st.booleans(), n), dtype=bool)
+        values = np.array(column(elements, n * width), dtype=np.float64).reshape(n, width)
+        values[~present] = np.nan
+        modalities[name] = Modality(values=values, present=present)
+    teacher = None
+    if data.draw(st.booleans()):
+        teacher = np.array(column(st.none() | st.floats(0.0, 1.0), 3 * n),
+                           dtype=np.float64).reshape(n, 3)
+    metadata = {"schema": "clinical", "n_samples": n, "horizon_years": None,
+                "allow_other_family": data.draw(st.booleans()),
+                "cov_layout": ["age", "sex", "race", "stage"],
+                "age_min": data.draw(st.floats(allow_nan=False, allow_infinity=False)),
+                "sex_majority": data.draw(IDS)}
+    cohort = Cohort(ids=ids, times=column(st.floats(1e-6, 50.0), n),
+                    events=column(st.booleans(), n), modalities=modalities,
+                    teacher_probs=teacher, metadata=metadata)
+    split = None
+    if data.draw(st.booleans()):
+        split = split_cohort(n, seed=data.draw(st.integers(0, 9)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save_bundle(cohort, tmp, split=split)
+        loaded, loaded_split = load_bundle(tmp)
+    assert loaded.ids == ids and loaded.metadata == metadata
+    assert same_bits(loaded.times, cohort.times) and same_bits(loaded.events, cohort.events)
+    assert sorted(loaded.modalities) == sorted(modalities)
+    for name, mod in modalities.items():
+        assert same_bits(loaded.modalities[name].values, mod.values)
+        assert same_bits(loaded.modalities[name].present, mod.present)
+    assert (loaded.teacher_probs is None) == (teacher is None)
+    assert teacher is None or same_bits(loaded.teacher_probs, teacher)
+    assert (loaded_split is None) == (split is None)
+    if split is not None:
+        for part in ("train", "val", "test"):
+            assert same_bits(getattr(loaded_split, part), getattr(split, part))

@@ -9,7 +9,7 @@ import pytest
 
 from survfuse import formats
 from survfuse.cohort import load_cohort
-from survfuse.distill import extract_probability
+from survfuse.distill import extract_probability, parse_teacher_file
 from survfuse.synth import (
     ExponentialCurve,
     GeneratorSpec,
@@ -121,10 +121,13 @@ def test_generated_cohort_loads(tmp_path):
                          ge_path=result.files["ge"],
                          hidden_states_path=result.files["hidden"],
                          teacher_path=result.files["teacher"])
-    assert cohort.ids() == result.ids
-    assert all(s.cov is not None and s.ge is not None for s in cohort.samples)
-    assert all(s.text_hidden is not None for s in cohort.samples)
-    assert all(s.teacher is not None for s in cohort.samples)
+    assert cohort.ids == result.ids
+    assert cohort.modalities["cov"].present.all() and cohort.modalities["ge"].present.all()
+    assert all(states is not None for states in cohort.token_states)
+    # the cohort keeps only the extracted probabilities; every sample has a record
+    assert cohort.teacher_probs is not None
+    records = parse_teacher_file(formats.read_jsonl(result.files["teacher"]))
+    assert set(result.ids) <= {rec.sample_id for rec in records}
 
 
 # ------------------------------------------------------------ oracle curves

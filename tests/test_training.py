@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from survfuse.cohort import Cohort, Outcome, Sample, split_cohort
-from survfuse.distill import TeacherRecord, calibration_mask
+from survfuse.cohort import Cohort, Modality, pool_text, split_cohort
+from survfuse.distill import calibration_mask
 from survfuse.formats import read_checkpoint, write_checkpoint
 from survfuse.heads import TimeGrid, discrete_loss
 from survfuse.model import init_model, model_forward, model_params
@@ -39,33 +39,28 @@ DIMS = {"text": 6, "cov": 4, "ge": 10}
 def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, contradict=False):
     """Small synthetic cohort with a shared risk signal in every modality."""
     rng = np.random.default_rng(seed)
-    samples = []
+    times, events, probs = [], [], []
+    rows = {m: [] for m in ("cov", "ge", "text")}
     for i in range(n):
         risk = float(rng.normal())
         rate = 0.35 * math.exp(0.6 * risk)
-        t = float(min(max(rng.exponential(1.0 / rate), 0.05), 4.95))
-        e = bool(rng.random() < event_p)
-        rec = None
+        times.append(float(min(max(rng.exponential(1.0 / rate), 0.05), 4.95)))
+        events.append(bool(rng.random() < event_p))
         if teacher:
             s3 = math.exp(-rate * 3.0)
             pct = 5 * int(round(s3 * 100.0 / 5.0))
             pct = min(max(pct, 5), 95)
             if contradict:
                 pct = 100 - pct
-            rec = TeacherRecord(sample_id=f"s{i}",
-                                responses={"y3": f"{pct}%"},
-                                explanation=f"case {i}",
-                                probs={1.0: None, 3.0: pct / 100.0, 5.0: None},
-                                percent=pct)
-        samples.append(Sample(
-            sample_id=f"s{i}",
-            outcome=Outcome(time=t, event=e),
-            cov=rng.normal(size=DIMS["cov"]) + 0.5 * risk,
-            ge=rng.normal(size=DIMS["ge"]) + 0.3 * risk,
-            text_pooled=rng.normal(size=DIMS["text"]) + 0.8 * risk,
-            teacher=rec,
-        ))
-    return Cohort(samples=samples, metadata={"n_samples": n})
+            probs.append([math.nan, pct / 100.0, math.nan])
+        rows["cov"].append(rng.normal(size=DIMS["cov"]) + 0.5 * risk)
+        rows["ge"].append(rng.normal(size=DIMS["ge"]) + 0.3 * risk)
+        rows["text"].append(rng.normal(size=DIMS["text"]) + 0.8 * risk)
+    return Cohort(ids=[f"s{i}" for i in range(n)], times=times, events=events,
+                  modalities={m: Modality(np.stack(r), np.ones(n, dtype=bool))
+                              for m, r in rows.items()},
+                  teacher_probs=np.array(probs) if teacher else None,
+                  metadata={"n_samples": n})
 
 
 def tiny_config(**overrides):
@@ -234,25 +229,24 @@ def test_train_coxph_skips_event_free_batches_and_fits_baseline():
     assert result.baseline is not None
     # baseline jump times come from observed train+val events
     fit_idx = np.concatenate([split.train, split.val])
-    fit_times = {cohort.samples[i].outcome.time for i in fit_idx
-                 if cohort.samples[i].outcome.event}
+    fit_times = {cohort.times[i] for i in fit_idx if cohort.events[i]}
     assert set(result.baseline.event_times.tolist()) == fit_times
 
 
 def test_calibration_masking_counts():
     cohort = toy_cohort(40, contradict=True)
     split = split_cohort(40, seed=2)
-    masked = train(tiny_config(calibration_correction=True, epochs=1),
-                   cohort, split).masked_samples
-    unmasked = train(tiny_config(calibration_correction=False, epochs=1),
-                     cohort, split).masked_samples
+    percents = finalize_teacher(cohort)
+    masked = train_and_evaluate(tiny_config(calibration_correction=True, epochs=1),
+                                cohort, split, percents)[1].masked_samples
+    unmasked = train_and_evaluate(tiny_config(calibration_correction=False, epochs=1),
+                                  cohort, split, percents)[1].masked_samples
     assert unmasked == 0
     assert masked > 0
     assert masked <= 40
     # exactly the teacher estimates the mask rejects
-    assert masked == sum(not calibration_mask(s.teacher.percent, s.outcome.time,
-                                              s.outcome.event)
-                         for s in cohort.samples)
+    assert masked == sum(not calibration_mask(pct, t, e)
+                         for pct, t, e in zip(percents, cohort.times, cohort.events))
 
 
 def test_pretrain_heads_provides_warm_start():
@@ -278,9 +272,9 @@ def test_evaluate_reports_all_channels():
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     config = tiny_config()
-    finalize_teacher(cohort, split)
+    percents = finalize_teacher(cohort)
     result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config)
+    report = evaluate(result, cohort, split, config, percents)
     assert set(report.channels) == {"hidden", "verbalized", "combined"}
     for metrics in report.channels.values():
         assert 0.0 <= metrics.c_td <= 1.0
@@ -315,9 +309,10 @@ def test_run_experiment_deterministic_report():
     rep_b = run_experiment(config, cohort, split)
     assert rep_a.to_dict() == rep_b.to_dict()
     # the one path run_experiment takes also hands back the trained model
-    result, rep_c = train_and_evaluate(config, cohort, split)
+    percents = finalize_teacher(cohort)
+    result, rep_c = train_and_evaluate(config, cohort, split, percents)
     assert rep_c.to_dict() == rep_a.to_dict()
-    assert evaluate(result, cohort, split, config).to_dict() == rep_a.to_dict()
+    assert evaluate(result, cohort, split, config, percents).to_dict() == rep_a.to_dict()
 
 
 def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypatch):
@@ -333,13 +328,13 @@ def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypa
     monkeypatch.setattr(training_module, "pretrain_heads", counting)
     cohort = toy_cohort(30)
     split = split_cohort(30, seed=2)
-    finalize_teacher(cohort, split)
+    percents = finalize_teacher(cohort)
     short = dict(epochs=1, pretrain_epochs=1, pretrain_patience=1)
     for config in (tiny_config(**short),
                    tiny_config(pretrain=True, fusion="early", **short),
                    tiny_config(pretrain=True, modalities=("ge",), **short),
                    tiny_config(pretrain=True, modalities=("text", "cov"), **short)):
-        train_and_evaluate(config, cohort, split)
+        train_and_evaluate(config, cohort, split, percents)
     assert calls == [("late", ("text", "cov"))]
 
 
@@ -468,8 +463,7 @@ def test_suite_isolates_failures_and_renders_table():
     good = tiny_config(epochs=1)
     # cov-only config fails: the toy samples lack a 'cov' file? they have cov;
     # force failure through a modality the cohort cannot supply
-    for s in cohort.samples:
-        s.ge = None
+    cohort.modalities["ge"].present[:] = False
     bad = tiny_config(fusion="none", modalities=("ge",), epochs=1)
     good = tiny_config(modalities=("text", "cov"), epochs=1)
     reports = run_experiment_suite([("good", good), ("bad", bad)], cohort, split)
@@ -488,24 +482,20 @@ def test_suite_isolates_failures_and_renders_table():
 def test_evaluate_before_finalize_teacher_raises(tmp_path):
     from survfuse import synth
     from survfuse.cohort import load_cohort
-    from survfuse.pooling import attention_pool
 
     files = synth.generate(synth.GeneratorSpec(n=300, seed=3), str(tmp_path)).files
     cohort = load_cohort(files["outcomes"], covariates_path=files["covariates"],
                          ge_path=files["ge"], hidden_states_path=files["hidden"],
                          teacher_path=files["teacher"])
-    for sample in cohort.samples:
-        sample.text_pooled = attention_pool(sample.text_hidden)
+    pool_text(cohort)
     split = split_cohort(len(cohort), seed=0)
     config = tiny_config(epochs=1)
     result = train(config, cohort, split)
-    # every response parsed, but no record has its percent yet
-    assert all(s.teacher.any_extracted() and s.teacher.percent is None
-               for s in cohort.samples)
+    # every response parsed, but no percent computed yet
+    assert not np.isnan(cohort.teacher_probs).all(axis=1).any()
     with pytest.raises(ValueError, match="teacher records not finalized"):
         evaluate(result, cohort, split, config)
-    finalize_teacher(cohort, split)
-    report = evaluate(result, cohort, split, config)
+    report = evaluate(result, cohort, split, config, finalize_teacher(cohort))
     assert report.channels["verbalized"].c_td is not None
 
 
@@ -513,13 +503,13 @@ def test_suite_finalizes_teacher_once(monkeypatch):
     import survfuse.training as training_module
 
     calls = []
-    original = training_module.finalize_records
+    original = training_module.finalize_probs
 
-    def counting(records, train_ids=None):
-        calls.append(len(records))
-        return original(records, train_ids=train_ids)
+    def counting(probs, train=None):
+        calls.append(len(probs))
+        return original(probs, train=train)
 
-    monkeypatch.setattr(training_module, "finalize_records", counting)
+    monkeypatch.setattr(training_module, "finalize_probs", counting)
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     configs = [("a", tiny_config(epochs=1)), ("b", tiny_config(epochs=1, seed=8))]
@@ -534,10 +524,10 @@ def test_suite_finalizes_teacher_once(monkeypatch):
 def test_suite_reports_finalize_failure_per_run(monkeypatch):
     import survfuse.training as training_module
 
-    def broken(records, train_ids=None):
+    def broken(probs, train=None):
         raise ValueError("no horizon means")
 
-    monkeypatch.setattr(training_module, "finalize_records", broken)
+    monkeypatch.setattr(training_module, "finalize_probs", broken)
     cohort = toy_cohort(20)
     split = split_cohort(20, seed=2)
     reports = run_experiment_suite([("a", tiny_config(epochs=1)),
