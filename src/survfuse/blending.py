@@ -108,8 +108,9 @@ def select_lambda(hidden: CurveSet, verbalized: CurveSet, times, events,
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise ValueError("lambda grid must lie in [0, 1]")
     _check_same_grid(hidden, verbalized)
-    # c_td reads every curve only at event times, so blend just those columns:
-    # a blend of valid curves needs no clean-up, so the scores are unchanged
+    # c_td reads every curve only at event times, so blend just those columns
+    # (curves already on only those are used as they are): a blend of valid
+    # curves needs no clean-up, so the scores are unchanged
     event_times = np.asarray(times, dtype=np.float64)[np.asarray(events, dtype=bool)]
     hidden, verbalized = hidden.restrict(event_times), verbalized.restrict(event_times)
     best_lam = None

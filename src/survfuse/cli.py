@@ -110,13 +110,14 @@ def _write_manifest(out_dir: str, command: str, started: float,
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Indented, key-sorted JSON plus a newline, written atomically."""
+    from .formats import atomic_open
+
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -176,12 +177,12 @@ def _cmd_ingest(args, started: float) -> int:
         co.preprocess_covariates(cohort, split.train)
     pooled_count = co.pool_text(cohort)
 
-    co.save_bundle(cohort, args.out, split=split)
+    written = co.save_bundle(cohort, args.out, split=split)
     print(f"bundle: {len(cohort)} samples "
           f"(train {len(split.train)}, val {len(split.val)}, "
           f"test {len(split.test)}), pooled {pooled_count}")
     _write_manifest(args.out, "ingest", started, config=dict(kv),
-                    seeds={"split": cfg.split_seed}, inputs=paths)
+                    seeds={"split": cfg.split_seed}, inputs=paths, output_files=written)
     return 0
 
 
@@ -231,7 +232,7 @@ def _cmd_train(args, started: float) -> int:
 def _cmd_suite(args, started: float) -> int:
     import glob as globlib
 
-    from . import training
+    from . import formats, training
 
     paths = sorted(globlib.glob(os.path.join(args.configs, "*.cfg")))
     if not paths:
@@ -246,7 +247,7 @@ def _cmd_suite(args, started: float) -> int:
                for name, rep in reports.items()}
     _write_json(os.path.join(args.out, "reports.json"), payload)
     table = training.report_table(reports)
-    with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as fh:
+    with formats.atomic_open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
     seeds = {name: cfg.seed for name, cfg in named}

@@ -7,6 +7,7 @@ the cohort `load_cohort` builds and are never written to a bundle.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -433,18 +434,43 @@ _MODALITY_DTYPES = {"text": "<f4", "cov": "<f8", "ge": "<f8"}
 _META = "meta.json"
 
 
-def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) -> None:
+def _old_bundle_files(meta_path: str, keep: set[str]) -> list[str]:
+    """Files the bundle described by an old meta.json holds beyond `keep`.
+
+    Version 1 claims its "files" entries and outcomes.csv, version 2 its
+    "arrays" entries as .npy files. Only plain file names are returned, so a
+    meta.json cannot point outside its directory; an unreadable one claims
+    nothing.
+    """
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    if not isinstance(meta, dict):
+        return []
+    names: list = []
+    if meta.get("bundle_version") == 1 and isinstance(meta.get("files"), dict):
+        names = ["outcomes.csv", *meta["files"].values()]
+    elif meta.get("bundle_version") == BUNDLE_VERSION and isinstance(meta.get("arrays"), list):
+        names = [f"{name}.npy" for name in meta["arrays"] if isinstance(name, str)]
+    return [name for name in names
+            if isinstance(name, str) and name not in keep and name not in ("", ".", "..")
+            and os.path.basename(name) == name]
+
+
+def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) -> list[str]:
     """Write a cohort as a version-2 bundle; float64 arrays round-trip bit-exactly.
 
     Every file is written to a temporary name and renamed into place, and
     meta.json goes last (an old one is removed first), so an interrupted
-    write leaves a bundle that loads as incomplete. Token states and raw
-    clinical fields are not stored.
+    write leaves a bundle that loads as incomplete. The files an old bundle
+    in `out_dir` claims in its meta.json and this one does not write are
+    deleted; no other file is. Token states and raw clinical fields are not
+    stored. Returns the paths written, meta.json last.
     """
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, _META)
-    if os.path.exists(meta_path):
-        os.remove(meta_path)
     arrays = {"times": np.asarray(cohort.times, dtype="<f8"), "events": cohort.events}
     for name in MODALITY_ORDER:
         mod = cohort.modalities.get(name)
@@ -453,8 +479,15 @@ def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) 
             arrays[f"{name}_present"] = mod.present
     if cohort.teacher_probs is not None:
         arrays["teacher_probs"] = np.asarray(cohort.teacher_probs, dtype="<f8")
-    for name, arr in arrays.items():
-        formats.write_npy(os.path.join(out_dir, f"{name}.npy"), arr)
+    written = [os.path.join(out_dir, f"{name}.npy") for name in arrays]
+    if os.path.exists(meta_path):
+        stale = _old_bundle_files(meta_path, {os.path.basename(p) for p in written})
+        os.remove(meta_path)
+        for name in stale:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
+    for path, arr in zip(written, arrays.values()):
+        formats.write_npy(path, arr)
 
     ids = list(cohort.ids)
     meta = {
@@ -467,6 +500,7 @@ def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) 
     }
     with formats.atomic_open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1)
+    return written + [meta_path]
 
 
 def _expected_arrays(n: int, names: list[str]) -> dict[str, tuple[str, tuple]]:

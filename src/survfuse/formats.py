@@ -138,7 +138,7 @@ def write_checkpoint(path, params: dict[str, np.ndarray], manifest: dict) -> Non
     header = dict(manifest)
     header["tensors"] = tensors
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         _write_u32(fh, FORMAT_VERSION)
         _write_u32(fh, len(blob))
@@ -282,7 +282,7 @@ def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
     if len(ids) != len(curves):
         raise ValueError("one id per curve required")
     tails = [f",{format_float(t)}," for t in curves.times]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id", "t", "S"])
         for sample_id, row in zip(ids, curves.values):
             cell = _csv_cell(sample_id)

@@ -55,6 +55,23 @@ class DiscreteTargets:
     a: np.ndarray
 
 
+def _grid_cells(grid_times, t) -> np.ndarray:
+    """Column of a step-curve grid holding each time's value: the last grid_times[k] <= t."""
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0):
+        raise ValueError("curves are defined for t >= 0")
+    return np.searchsorted(grid_times, t, side="right") - 1
+
+
+def _grid_columns(grid_times, t) -> np.ndarray:
+    """The grid columns that hold times t, and column 0, ascending.
+
+    Step curves kept on only these columns are exact at every time in t:
+    each keeps the grid point it had.
+    """
+    return np.union1d([0], _grid_cells(grid_times, t))
+
+
 def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
     """Validate (N, T) step-curve values on a shared grid; return them cleaned.
 
@@ -134,10 +151,7 @@ class CurveSet:
 
     def cells(self, t) -> np.ndarray:
         """Grid column holding each time's value: the last times[k] <= t."""
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0):
-            raise ValueError("curves are defined for t >= 0")
-        return np.searchsorted(self.times, t, side="right") - 1
+        return _grid_cells(self.times, t)
 
     def at(self, t) -> np.ndarray:
         """Every curve at time(s) t: shape (N,) + shape(t)."""
@@ -146,9 +160,12 @@ class CurveSet:
     def restrict(self, t) -> "CurveSet":
         """The same curves on only the grid points that hold times t (and 0).
 
-        Exact at every time in t: each keeps the grid point it had.
+        Exact at every time in t: each keeps the grid point it had. A set
+        that already has no other grid points is returned as it is.
         """
-        cols = np.union1d([0], self.cells(t))
+        cols = _grid_columns(self.times, t)
+        if cols.size == self.times.size:
+            return self
         return CurveSet(times=self.times[cols], values=self.values[:, cols])
 
     @classmethod
@@ -208,8 +225,12 @@ def discrete_loss_grad(logits: np.ndarray, targets: DiscreteTargets) -> tuple[fl
     return loss, grad
 
 
-def discrete_curve(logits: np.ndarray, grid: TimeGrid) -> CurveSet:
-    """Survival step curves from per-bin hazard logits (N, B): S(t_b) = prod_{k<=b}(1 - h_k)."""
+def discrete_curve(logits: np.ndarray, grid: TimeGrid, at=None) -> CurveSet:
+    """Survival step curves from per-bin hazard logits (N, B): S(t_b) = prod_{k<=b}(1 - h_k).
+
+    With `at`, only the grid columns that hold those times (and 0) are kept,
+    bit for bit `discrete_curve(logits, grid).restrict(at)`.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] != grid.n_bins:
         raise ValueError(f"expected (N, {grid.n_bins}) logits, got shape {logits.shape}")
@@ -218,7 +239,12 @@ def discrete_curve(logits: np.ndarray, grid: TimeGrid) -> CurveSet:
     values = np.empty((logits.shape[0], grid.n_bins + 1))
     values[:, 0] = 1.0
     np.cumprod(1.0 - sigmoid(logits), axis=1, out=values[:, 1:])
-    return CurveSet(times=grid.edges, values=values)
+    times = grid.edges
+    if at is not None:
+        cols = _grid_columns(times, at)
+        if cols.size < times.size:
+            times, values = times[cols], values[:, cols]
+    return CurveSet(times=times, values=values)
 
 
 def _event_counts(times: np.ndarray, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,19 +348,27 @@ def breslow_baseline(scores, times, events) -> BreslowBaseline:
     return BreslowBaseline(event_times=event_times, increments=increments)
 
 
-def cox_curve(scores, baseline: BreslowBaseline) -> CurveSet:
-    """Curves S_i(t) = exp(-H0(t) * exp(g_i)) on the baseline's event times."""
+def cox_curve(scores, baseline: BreslowBaseline, at=None) -> CurveSet:
+    """Curves S_i(t) = exp(-H0(t) * exp(g_i)) on 0 and the baseline's event times.
+
+    With `at`, the curves are computed on only the grid columns that hold
+    those times (and 0), bit for bit `cox_curve(scores, baseline).restrict(at)`,
+    and the full (N, T) matrix is never made.
+    """
     if baseline.event_times.size == 0:
         raise ValueError("empty baseline")
-    times = baseline.event_times
-    if times[0] == 0.0:
+    if baseline.event_times[0] == 0.0:
         raise ValueError("baseline event times must be positive")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError(f"expected one score per subject, got shape {scores.shape}")
-    cum = np.cumsum(baseline.increments)
-    values = np.empty((scores.size, times.size + 1))
+    times = np.concatenate([[0.0], baseline.event_times])
+    cum = np.cumsum(baseline.increments)  # H0 at times[1:]
+    if at is not None:
+        cols = _grid_columns(times, at)
+        times, cum = times[cols], cum[cols[1:] - 1]
+    values = np.empty((scores.size, times.size))
     values[:, 0] = 1.0
     np.multiply(-cum, np.exp(scores)[:, None], out=values[:, 1:])
     np.exp(values[:, 1:], out=values[:, 1:])
-    return CurveSet(times=np.concatenate([[0.0], times]), values=values)
+    return CurveSet(times=times, values=values)

@@ -15,6 +15,8 @@ CTD_BLOCK = 256
 # Time points that ibs scores together (IBS_BLOCK to 2 * IBS_BLOCK - 1). Its
 # working set is a few (subjects x block) arrays.
 IBS_BLOCK = 64
+# Time points of the ibs integration grid (composite midpoint rule).
+IBS_GRID_POINTS = 512
 
 
 def _curve_set(curves) -> CurveSet:
@@ -72,6 +74,24 @@ def censoring_km(times, events) -> CensoringKM:
                        values=np.array(values, dtype=np.float64))
 
 
+def _ibs_midpoints(t_max: float, grid_points: int) -> np.ndarray:
+    """Midpoints of `grid_points` equal steps over [0, t_max]."""
+    return (np.arange(grid_points) + 0.5) * (t_max / grid_points)
+
+
+def scored_times(times, events, grid_points: int = IBS_GRID_POINTS) -> np.ndarray:
+    """Every time at which `c_td` and `ibs` read curves for these outcomes.
+
+    That is the event times (c_td reads S_j(t_i) at each event time t_i) and
+    the ibs midpoints. Curves kept on only the grid points that hold these
+    times (`CurveSet.restrict`, or `at=` of `cox_curve` and `discrete_curve`)
+    score exactly as the full curves do.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    return np.concatenate([times[events], _ibs_midpoints(float(times.max()), grid_points)])
+
+
 def c_td(curves, times, events) -> float:
     """Time-dependent concordance over comparable pairs.
 
@@ -126,7 +146,7 @@ class IbsResult:
         return self.value
 
 
-def ibs(curves, times, events, grid_points: int = 512) -> IbsResult:
+def ibs(curves, times, events, grid_points: int = IBS_GRID_POINTS) -> IbsResult:
     """Integrated Brier score with IPCW, composite-midpoint integration.
 
     At each t the score averages S(t|x_i)^2 / G(t_i-) over subjects with an
@@ -149,7 +169,7 @@ def ibs(curves, times, events, grid_points: int = 512) -> IbsResult:
     g_left = km.at_left(times)
 
     width = t_max / grid_points
-    mids = (np.arange(grid_points) + 0.5) * width
+    mids = _ibs_midpoints(t_max, grid_points)
     g_mid = km.at(mids)
     event_ok = g_left > 0.0
     g_event = np.where(event_ok, g_left, 1.0)[:, None]

@@ -18,6 +18,24 @@ from .nn import (FlatViews, Mlp, MlpCache, MlpGrads, ParamLayout, draw_dropout_m
                  init_mlp, mlp_backward, mlp_forward, sigmoid)
 
 DEFAULT_HEAD_LAYERS = [100, 100, 100]
+HEAD_TYPES = ("discrete", "coxph")
+FUSION_MODES = ("early", "late", "none")
+
+
+def checked_structure(head_type: str, fusion: str, modalities) -> tuple[str, ...]:
+    """Validate a head type, fusion mode and modality set (a run config and
+    a model both); return the modalities in MODALITY_ORDER."""
+    if head_type not in HEAD_TYPES:
+        raise ValueError(f"unknown head {head_type!r}")
+    if fusion not in FUSION_MODES:
+        raise ValueError(f"unknown fusion {fusion!r}")
+    ordered = tuple(m for m in MODALITY_ORDER if m in modalities)
+    if not ordered or set(modalities) - set(MODALITY_ORDER):
+        raise ValueError(f"bad modalities {tuple(modalities)}: need at least one "
+                         f"of {MODALITY_ORDER}")
+    if fusion == "none" and len(ordered) > 1:
+        raise ValueError("fusion 'none' requires a single modality")
+    return ordered
 
 
 @dataclass
@@ -79,15 +97,7 @@ def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
     heads then consume the autoencoder latent). Late fusion gets one head per
     modality plus gates; early/none get a single head.
     """
-    modalities = tuple(m for m in MODALITY_ORDER if m in modalities)
-    if not modalities:
-        raise ValueError("at least one modality required")
-    if head_type not in ("discrete", "coxph"):
-        raise ValueError(f"unknown head type {head_type!r}")
-    if fusion not in ("early", "late", "none"):
-        raise ValueError(f"unknown fusion mode {fusion!r}")
-    if fusion == "none" and len(modalities) > 1:
-        raise ValueError("fusion 'none' requires a single modality")
+    modalities = checked_structure(head_type, fusion, modalities)
     if head_type == "discrete" and (n_bins is None or n_bins < 1):
         raise ValueError("discrete head needs n_bins")
     if head_layers is None:

@@ -12,13 +12,12 @@ from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, finalize_probs
-from .fusion import MODALITY_ORDER
 from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
                     cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
                     discrete_loss_grad)
-from .metrics import c_td, ibs
-from .model import (SurvivalModel, gate_values, init_model, model_backward,
-                    model_forward, model_params)
+from .metrics import c_td, ibs, scored_times
+from .model import (SurvivalModel, checked_structure, gate_values, init_model,
+                    model_backward, model_forward, model_params)
 from .nn import adamw_step, init_adamw
 
 
@@ -52,16 +51,7 @@ class RunConfig:
     ae_dropout: float = 0.0
 
     def __post_init__(self):
-        if self.head not in ("discrete", "coxph"):
-            raise ValueError(f"unknown head {self.head!r}")
-        if self.fusion not in ("early", "late", "none"):
-            raise ValueError(f"unknown fusion {self.fusion!r}")
-        mods = tuple(m for m in MODALITY_ORDER if m in self.modalities)
-        if not mods or set(self.modalities) - set(MODALITY_ORDER):
-            raise ValueError(f"bad modalities {self.modalities}")
-        self.modalities = mods
-        if self.fusion == "none" and len(mods) > 1:
-            raise ValueError("fusion 'none' requires a single modality")
+        self.modalities = checked_structure(self.head, self.fusion, self.modalities)
         if self.alpha is None:
             self.alpha = 1e-8 if self.head == "coxph" else 1e-9
         if self.alpha < 0:
@@ -358,11 +348,13 @@ class RunReport:
         }
 
 
-def _hidden_curves(result: TrainResult, data: dict) -> CurveSet:
+def _hidden_curves(result: TrainResult, data: dict, at=None) -> CurveSet:
+    """The model's curves for `data`; with `at`, only on the grid points that
+    hold those times (see `cox_curve`)."""
     fwd = model_forward(result.model, data, rng=None)
     if result.model.head_type == "discrete":
-        return discrete_curve(fwd.out, result.grid)
-    return cox_curve(fwd.out, result.baseline)
+        return discrete_curve(fwd.out, result.grid, at=at)
+    return cox_curve(fwd.out, result.baseline, at=at)
 
 
 def predict_curves(result: TrainResult, cohort: Cohort, indices,
@@ -382,7 +374,10 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     """Test-set metrics for the hidden, verbalized, and combined channels.
 
     `percents` are the teacher's rounded percents from `finalize_teacher`;
-    a cohort with a teacher needs them.
+    a cohort with a teacher needs them. Curves are built only at the times
+    the metrics read (`metrics.scored_times` for the test split, the event
+    times for the validation split), so the scores equal those of the full
+    curves and no (N, T) matrix on the whole grid is made.
     """
     if cohort.teacher_probs is not None and percents is None:
         raise ValueError("teacher records not finalized: pass the percents "
@@ -390,15 +385,16 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     val_data = _split_data(cohort, split.val, config, result.grid)
     test_data = _split_data(cohort, split.test, config, result.grid)
     t_test, e_test = test_data["times"], test_data["events"]
-    test_curves = _hidden_curves(result, test_data)
+    test_curves = _hidden_curves(result, test_data, at=scored_times(t_test, e_test))
     channels = {"hidden": _channel(test_curves, t_test, e_test)}
 
     selected = val_score = None
     if cohort.teacher_probs is not None:
-        val_curves = _hidden_curves(result, val_data)
+        t_val, e_val = val_data["times"], val_data["events"]
+        val_curves = _hidden_curves(result, val_data, at=t_val[e_val])
         val_blend, _, _ = blend_inputs(val_curves, percents[split.val])
-        selected, val_score = select_lambda(val_curves, val_blend, val_data["times"],
-                                            val_data["events"], grid=config.lambda_grid)
+        selected, val_score = select_lambda(val_curves, val_blend, t_val, e_val,
+                                            grid=config.lambda_grid)
         del val_curves, val_blend
         test_blend, test_verb, n_present = blend_inputs(test_curves, percents[split.test])
         if n_present == 0:

@@ -4,6 +4,7 @@ Every invocation goes through main() in process so exit codes and stdout are
 observable without spawning interpreters.
 """
 
+import hashlib
 import json
 import os
 
@@ -130,6 +131,25 @@ def test_ingest_bundle_and_split(pipeline):
     assert manifest["seeds"] == {"split": 1}
     assert set(manifest["inputs"]) == {"outcomes", "covariates", "ge",
                                        "hidden", "teacher"}
+
+
+def test_ingest_manifest_lists_only_the_new_bundle(pipeline, tmp_path):
+    out = tmp_path / "bundle"
+    out.mkdir()
+    # a version-1 bundle and a stray file already in the output directory
+    for name in ("outcomes.csv", "ge.csv", "notes.txt"):
+        (out / name).write_text("old")
+    with open(out / "meta.json", "w", encoding="utf-8") as fh:
+        json.dump({"bundle_version": 1, "files": {"ge": "ge.csv"}}, fh)
+    cfg = write(tmp_path / "ingest.cfg",
+                f"outcomes={pipeline['raw']}/outcomes.csv\nge={pipeline['raw']}/ge.csv\n")
+    assert main(["ingest", "--config", cfg, "--out", str(out)]) == 0
+    outputs = read_json(out / "manifest.json")["outputs"]
+    assert sorted(outputs) == ["events.npy", "ge.npy", "ge_present.npy", "meta.json",
+                               "times.npy"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json",
+                                                            "notes.txt"])
+    assert outputs["ge.npy"] == hashlib.sha256((out / "ge.npy").read_bytes()).hexdigest()
 
 
 def test_ingest_rejects_unknown_keys(tmp_path, capsys):

@@ -390,6 +390,42 @@ def test_bundle_without_meta_is_incomplete(tmp_path):
     assert split is None and loaded.ids == cohort.ids
 
 
+def test_rewriting_a_version_1_bundle_deletes_the_files_it_claims(tmp_path):
+    out_dir = tmp_path / "bundle"
+    out_dir.mkdir()
+    claimed = {"covariates": "covariates.csv", "ge": "ge.csv", "hidden": "hidden.svhs",
+               "pooled": "pooled.svpv", "teacher": "teacher.jsonl"}
+    for name in ["outcomes.csv", *claimed.values(), "notes.txt"]:
+        (out_dir / name).write_text("old")
+    (tmp_path / "outside.csv").write_text("keep")
+    with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
+        json.dump({"bundle_version": 1, "ids": ["a"], "metadata": {}, "split": None,
+                   "files": {**claimed, "bad": "../outside.csv", "none": None}}, fh)
+    cohort = build_full_cohort(tmp_path)
+    written = save_bundle(cohort, str(out_dir))
+    assert written[-1] == str(out_dir / "meta.json")
+    # only the old bundle's own files go; unclaimed files and paths outside stay
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [os.path.basename(p) for p in written] + ["notes.txt"])
+    assert (tmp_path / "outside.csv").read_text() == "keep"
+    assert load_bundle(str(out_dir))[0].ids == cohort.ids
+
+
+def test_rewriting_a_version_2_bundle_deletes_arrays_it_no_longer_writes(tmp_path):
+    out_dir = tmp_path / "bundle"
+    save_bundle(build_full_cohort(tmp_path), str(out_dir))
+    (out_dir / "notes.npy").write_text("not an array of the bundle")
+    smaller = build_full_cohort(tmp_path, with_teacher=False)
+    del smaller.modalities["ge"]
+    written = save_bundle(smaller, str(out_dir))
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [os.path.basename(p) for p in written] + ["notes.npy"])
+    assert {"ge.npy", "ge_present.npy", "teacher_probs.npy"}.isdisjoint(
+        os.path.basename(p) for p in written)
+    loaded, _ = load_bundle(str(out_dir))
+    assert sorted(loaded.modalities) == ["cov", "text"] and loaded.teacher_probs is None
+
+
 def test_bundle_rejects_arrays_of_the_wrong_kind(tmp_path):
     cohort = build_full_cohort(tmp_path)
     out_dir = tmp_path / "bundle"

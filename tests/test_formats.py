@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from survfuse import formats
+from survfuse.cli import _write_json
 from survfuse.heads import CurveSet, SurvivalCurve
 
 
@@ -129,6 +130,28 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
     with formats.atomic_open(path, "w") as fh:
         fh.write("new")
     assert path.read_text() == "new"
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("interrupted")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: formats.write_checkpoint(
+        path, {"a": np.zeros(2), "b": np.array(["x"], dtype=object)}, {"step": 1}),
+    lambda path: formats.write_curves_csv(
+        path, ["a", _Unprintable()], CurveSet(times=[0.0, 1.0], values=[[1.0, 0.5]] * 2)),
+    lambda path: _write_json(path, {"a": 1, "b": object()}),
+], ids=["checkpoint", "curves", "json"])
+def test_writers_keep_the_old_file_when_a_write_fails(tmp_path, write):
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    # each write fails after its first bytes are out
+    with pytest.raises((ValueError, RuntimeError, TypeError)):
+        write(str(path))
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_format_float_round_trips_exactly():

@@ -1,11 +1,15 @@
 """Tests for the censoring Kaplan-Meier estimator, time-dependent
-concordance, and the IPCW integrated Brier score."""
+concordance, the IPCW integrated Brier score, and the memory of the
+evaluation path at large n."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from survfuse.heads import SurvivalCurve
-from survfuse.metrics import c_td, censoring_km, ibs
+from survfuse.blending import blend_inputs, combine, select_lambda
+from survfuse.heads import SurvivalCurve, breslow_baseline, cox_curve
+from survfuse.metrics import IBS_GRID_POINTS, c_td, censoring_km, ibs, scored_times
 
 
 def step_curve(times, values):
@@ -300,3 +304,45 @@ def test_ibs_float_conversion():
     result = ibs([step_curve([0.0, 1.0], [1.0, 0.0])],
                  np.array([1.0]), np.array([True]))
     assert float(result) == result.value
+
+
+def test_evaluation_memory_stays_bounded_at_large_n():
+    """The evaluation path (curves at the scored times, blending, lambda
+    selection, c_td and ibs) on 10,000 test subjects and a Cox baseline of
+    25,000 event times. A curve matrix on the whole grid would take 1.9 GB;
+    on the scored times it takes 46 MB (monthly follow-up gives at most 60
+    event-time columns, ibs adds 512), and the whole path stays within five
+    of those. n is a fifth of the 50,000 a registry would hold, to keep the
+    test within a few seconds: c_td's O(n * events) time dominates."""
+    rng = np.random.default_rng(0)
+    n_fit, n = 25_000, 10_000
+    baseline = breslow_baseline(0.5 * rng.normal(size=n_fit),
+                                rng.uniform(0.01, 5.0, size=n_fit), np.ones(n_fit, dtype=bool))
+    assert baseline.event_times.size == n_fit
+    scores = 0.5 * rng.normal(size=n)
+    raw = rng.exponential(4.0 * np.exp(-scores))
+    times = np.ceil(np.minimum(raw, 5.0) * 12.0) / 12.0
+    events = (raw < 5.0) & (rng.random(n) < 0.2)
+    # a teacher that knows the 3-year survival, for 80% of the subjects
+    percents = np.round(100.0 * np.exp(-3.0 / (4.0 * np.exp(-scores))))
+    percents[rng.random(n) >= 0.8] = np.nan
+    max_columns = 1 + 60 + IBS_GRID_POINTS
+    bound = 5 * n * max_columns * 8
+
+    tracemalloc.start()
+    try:
+        curves = cox_curve(scores, baseline, at=scored_times(times, events))
+        blend, verbalized, _ = blend_inputs(curves, percents)
+        lam, _ = select_lambda(curves, blend, times, events)
+        channels = [(c_td(s, times, events), ibs(s, times, events).value)
+                    for s in (curves, verbalized)]
+        del verbalized  # as in training.evaluate
+        combined = combine(curves, blend, lam)
+        channels.append((c_td(combined, times, events), ibs(combined, times, events).value))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curves.values.shape[1] <= max_columns
+    assert peak < bound, f"peak {peak / 2**20:.0f} MB, bound {bound / 2**20:.0f} MB"
+    for concordance, brier in channels:
+        assert 0.55 < concordance < 1.0 and 0.0 < brier < 0.25

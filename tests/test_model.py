@@ -13,6 +13,7 @@ from survfuse.model import (
     model_params,
 )
 from survfuse.nn import finite_difference_check, mlp_forward
+from survfuse.training import RunConfig
 
 DIMS = {"text": 6, "cov": 4, "ge": 10}
 
@@ -102,6 +103,20 @@ def test_init_validation():
         init_model("discrete", "late", ("text",), DIMS, rng, n_bins=None)
     with pytest.raises(ValueError):
         init_model("discrete", "late", ("text",), {"cov": 4}, rng, n_bins=5)
+
+
+@pytest.mark.parametrize("head, fusion, modalities, message", [
+    ("gamma", "late", ("text",), "unknown head 'gamma'"),
+    ("discrete", "middle", ("text",), "unknown fusion 'middle'"),
+    ("discrete", "late", (), "bad modalities"),
+    ("discrete", "late", ("text", "audio"), "bad modalities"),
+    ("coxph", "none", ("text", "cov"), "fusion 'none' requires a single modality"),
+])
+def test_run_config_and_model_reject_the_same_structures(head, fusion, modalities, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(head=head, fusion=fusion, modalities=modalities)
+    with pytest.raises(ValueError, match=message):
+        init_model(head, fusion, modalities, DIMS, np.random.default_rng(0), n_bins=5)
 
 
 def test_model_params_are_live_views():

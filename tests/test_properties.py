@@ -1,11 +1,12 @@
 """Property-based tests for curve sets (blocked concordance against the
 exhaustive pairwise oracle, union-grid conversion, the invariants of blended
-and averaged sets) and for the whole-array training and teacher code against
-the per-element forms it replaced (Cox risk sets, Breslow increments, flat
-AdamW, the flat-vector training step, sigmoid, one-draw dropout masks,
-batch and columnar teacher finalisation), and the bit-exact bundle round
-trip."""
+and averaged sets, scores and curves on only the scored times) and for the
+whole-array training and teacher code against the per-element forms it
+replaced (Cox risk sets, Breslow increments, flat AdamW, the flat-vector
+training step, sigmoid, one-draw dropout masks, batch and columnar teacher
+finalisation), and the bit-exact bundle round trip."""
 
+import functools
 import tempfile
 import warnings
 
@@ -21,9 +22,10 @@ from survfuse.distill import (HORIZONS, TeacherRecord, finalize_records, fit_par
                               three_year_percent)
 from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
 from survfuse.heads import (CurveSet, SurvivalCurve, TimeGrid, _event_time_groups,
-                            breslow_baseline, build_discrete_targets, cox_loss_grad,
-                            discrete_loss_grad)
-from survfuse.metrics import CTD_BLOCK, IBS_BLOCK, c_td, censoring_km, ibs
+                            breslow_baseline, build_discrete_targets, cox_curve,
+                            cox_loss_grad, discrete_curve, discrete_loss_grad)
+from survfuse.metrics import (CTD_BLOCK, IBS_BLOCK, IBS_GRID_POINTS, c_td, censoring_km, ibs,
+                              scored_times)
 from survfuse.model import init_model, model_params
 from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          sigmoid)
@@ -32,10 +34,13 @@ from survfuse.training import RunConfig, _learning_rate, finalize_teacher, total
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def quantized_set(rng, n, n_times, levels):
-    """Random curves on one grid with values on a 1/levels lattice (many ties)."""
-    times = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 25) / 4.0,
-                                                      size=n_times, replace=False))])
+def quantized_set(rng, n, n_times, levels, grid=None):
+    """Random curves with values on a 1/levels lattice (many ties), on `grid`
+    or on n_times of 24 quarter-years."""
+    if grid is None:
+        grid = np.sort(rng.choice(np.arange(1, 25) / 4.0, size=n_times, replace=False))
+    times = np.concatenate([[0.0], grid])
+    n_times = grid.size
     drops = rng.integers(0, 2, size=(n, n_times)) * rng.integers(1, levels + 1,
                                                                   size=(n, n_times))
     steps = np.maximum(levels - np.cumsum(drops, axis=1), 0) / levels
@@ -136,6 +141,70 @@ def test_metrics_on_union_grid_equal_curve_by_curve(n, event_p, grid_points, see
         assert c_td(curve_set, times, events) == num / pairs
     assert (ibs(curve_set, times, events, grid_points).value
             == ibs_curve_by_curve(curves, times, events, grid_points))
+
+
+def channel_scores(curves: CurveSet, times, events, grid_points):
+    """c_td (None where it raises) and the ibs result of one channel."""
+    try:
+        score = c_td(curves, times, events)
+    except ValueError:
+        score = None
+    return score, ibs(curves, times, events, grid_points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2 * CTD_BLOCK), n_times=st.integers(1, 600), levels=st.integers(1, 5),
+       event_p=st.floats(0.05, 1.0), tied_times=st.booleans(), lam=st.floats(0.0, 1.0),
+       grid_points=st.one_of(st.just(IBS_GRID_POINTS), st.integers(1, 3 * IBS_BLOCK)),
+       seed=SEEDS)
+def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, tied_times,
+                                                    lam, grid_points, seed):
+    rng = np.random.default_rng(seed)
+    # grids finer than the ibs midpoints, so each midpoint has a column of its own
+    curves = quantized_set(rng, n, n_times, levels,
+                           grid=np.unique(rng.uniform(0.01, 6.5, size=n_times)))
+    times, events = outcomes(rng, n, event_p, curves.times[1:] if tied_times else None)
+    percents = np.where(rng.random(n) < 0.7, rng.integers(0, 101, size=n), np.nan)
+    short = curves.restrict(scored_times(times, events, grid_points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        full_in, full_verb, n_present = blend_inputs(curves, percents)
+        short_in, short_verb, _ = blend_inputs(short, percents)
+    full_sets = [curves, combine(curves, full_in, lam)]
+    short_sets = [short, combine(short, short_in, lam)]
+    if n_present:
+        full_sets.append(full_verb)
+        short_sets.append(short_verb)
+    # the hidden, combined and verbalized channels score == on the scored times
+    for full, restricted in zip(full_sets, short_sets):
+        assert (channel_scores(restricted, times, events, grid_points)
+                == channel_scores(full, times, events, grid_points))
+
+
+@settings(max_examples=80, deadline=None)
+@given(head=st.sampled_from(["coxph", "discrete"]), n=st.integers(1, 30),
+       n_fit=st.integers(1, 60), n_bins=st.integers(1, 25), n_at=st.integers(0, 40),
+       seed=SEEDS)
+def test_curves_built_at_times_equal_restricted_full_curves(head, n, n_fit, n_bins, n_at,
+                                                               seed):
+    rng = np.random.default_rng(seed)
+    if head == "coxph":
+        # tied fit times give fewer baseline points than fit subjects
+        fit_times = rng.choice(rng.uniform(0.01, 5.0, size=n_fit), size=n_fit)
+        fit_events = rng.random(n_fit) < 0.6
+        fit_events[0] = True
+        baseline = breslow_baseline(rng.normal(size=n_fit), fit_times, fit_events)
+        build = functools.partial(cox_curve, rng.normal(scale=2.0, size=n), baseline)
+    else:
+        build = functools.partial(discrete_curve, rng.normal(scale=3.0, size=(n, n_bins)),
+                                  TimeGrid.equal_width(n_bins, 5.0))
+    full = build()
+    # times between, on, and past the grid points, and 0
+    at = np.concatenate([rng.uniform(0.0, 6.0, size=n_at),
+                         rng.choice(full.times, size=int(rng.integers(0, 4)))])
+    expected, got = full.restrict(at), build(at=at)
+    assert got.times.tobytes() == expected.times.tobytes()
+    assert got.values.tobytes() == expected.values.tobytes()
 
 
 def assert_valid(curves: CurveSet):
