@@ -76,7 +76,10 @@ def _write_manifest(out_dir: str, command: str, started: float,
                     config: dict | None = None, seeds: dict | None = None,
                     inputs: dict[str, str] | None = None,
                     output_files: list[str] | None = None,
-                    extra: dict | None = None) -> None:
+                    extra: dict | None = None,
+                    timings: dict[str, float] | None = None) -> None:
+    """Write manifest.json; `timings` holds the seconds of the command's
+    stages, and the manifest's `timings` adds the whole command as "total"."""
     import numpy as np
 
     from . import __version__
@@ -106,7 +109,7 @@ def _write_manifest(out_dir: str, command: str, started: float,
         },
         "inputs": {name: _hash_tree(path) for name, path in (inputs or {}).items()},
         "outputs": outputs,
-        "timing_seconds": time.perf_counter() - started,
+        "timings": {"total": time.perf_counter() - started, **(timings or {})},
     }
     if extra:
         manifest.update(extra)
@@ -137,18 +140,20 @@ def _cmd_simulate(args, started: float) -> int:
         spec = synth.spec_from_kv(parse_kv_file(args.spec))
     else:
         spec = synth.GeneratorSpec()
-    result = synth.generate(spec, args.out)
+    timings: dict[str, float] = {}
+    result = synth.generate(spec, args.out, timings=timings)
     print(f"wrote {len(result.ids)} samples to {args.out}")
     inputs = {"spec": args.spec} if args.spec else {}
     _write_manifest(args.out, "simulate", started,
                     config=spec.__dict__, seeds={"generator": spec.seed},
-                    inputs=inputs)
+                    inputs=inputs, timings=timings)
     return 0
 
 
 def _cmd_ingest(args, started: float) -> int:
     from . import cohort as co
     from .formats import dataclass_from_kv, parse_kv_file
+    from .timing import stage
 
     kv = parse_kv_file(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -161,28 +166,32 @@ def _cmd_ingest(args, started: float) -> int:
     paths = {key: _resolve(base, getattr(cfg, key)) for key in co.IngestConfig.INPUTS
              if getattr(cfg, key) is not None}
 
-    cohort = co.load_cohort(
-        outcomes_path=paths["outcomes"],
-        covariates_path=paths.get("covariates"),
-        ge_path=paths.get("ge"),
-        hidden_states_path=paths.get("hidden"),
-        pooled_path=paths.get("pooled"),
-        teacher_path=paths.get("teacher"),
-        schema=cfg.schema,
-        horizon_years=cfg.horizon,
-        allow_other_family=cfg.allow_other,
-    )
-    split = co.split_cohort(len(cohort), ratios=cfg.ratios, seed=cfg.split_seed)
-    if cfg.schema == "clinical":
-        co.preprocess_covariates(cohort, split.train)
-    pooled_count = co.pool_text(cohort)
-
-    written = co.save_bundle(cohort, args.out, split=split)
+    timings: dict[str, float] = {}
+    with stage(timings, "read"):
+        cohort = co.load_cohort(
+            outcomes_path=paths["outcomes"],
+            covariates_path=paths.get("covariates"),
+            ge_path=paths.get("ge"),
+            hidden_states_path=paths.get("hidden"),
+            pooled_path=paths.get("pooled"),
+            teacher_path=paths.get("teacher"),
+            schema=cfg.schema,
+            horizon_years=cfg.horizon,
+            allow_other_family=cfg.allow_other,
+        )
+        split = co.split_cohort(len(cohort), ratios=cfg.ratios, seed=cfg.split_seed)
+        if cfg.schema == "clinical":
+            co.preprocess_covariates(cohort, split.train)
+    with stage(timings, "pool"):
+        pooled_count = co.pool_text(cohort)
+    with stage(timings, "save"):
+        written = co.save_bundle(cohort, args.out, split=split)
     print(f"bundle: {len(cohort)} samples "
           f"(train {len(split.train)}, val {len(split.val)}, "
           f"test {len(split.test)}), pooled {pooled_count}")
     _write_manifest(args.out, "ingest", started, config=dict(kv),
-                    seeds={"split": cfg.split_seed}, inputs=paths, output_files=written)
+                    seeds={"split": cfg.split_seed}, inputs=paths, output_files=written,
+                    timings=timings)
     return 0
 
 

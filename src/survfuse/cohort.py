@@ -8,7 +8,9 @@ the cohort `load_cohort` builds and are never written to a bundle.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -18,7 +20,7 @@ import numpy as np
 from . import formats
 from .distill import HORIZONS, parse_teacher_file, prob_matrix
 from .fusion import MODALITY_ORDER
-from .pooling import attention_pool
+from .pooling import pool_many
 
 HORIZON_YEARS = 5.0
 
@@ -172,19 +174,33 @@ def _parse_outcomes(path: str) -> dict[str, Outcome]:
     return out
 
 
-def _parse_numeric_table(path: str, missing_to_zero: bool) -> dict[str, np.ndarray]:
-    header, rows = formats.read_csv_table(path)
+def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], np.ndarray]:
+    """The ids and the (N, d) float64 matrix of a CSV whose first column is id.
+
+    Every cell goes through `float()` in one pass. A table that pass rejects
+    (an empty or malformed cell, a duplicate id) is parsed again cell by cell:
+    an empty cell becomes 0 when `missing_to_zero`, and otherwise the first
+    bad row raises an error naming its id and line.
+    """
+    header, rows = formats.read_csv_rows(path)
     if not header or header[0] != "id":
         raise ValueError(f"{path}: first column must be 'id'")
-    width = len(header) - 1
-    out: dict[str, np.ndarray] = {}
-    for lineno, row in enumerate(rows, start=2):
-        sid = row["id"]
-        if sid in out:
+    ids = [row[0] for row in rows]
+    shape = (len(rows), len(header) - 1)
+    if len(set(ids)) == len(ids):
+        with contextlib.suppress(ValueError):
+            cells = itertools.chain.from_iterable([row[1:] for row in rows])
+            values = np.fromiter(map(float, cells), dtype=np.float64, count=math.prod(shape))
+            return ids, values.reshape(shape)
+    values = np.empty(shape, dtype=np.float64)
+    seen: set[str] = set()
+    for lineno, (vec, row) in enumerate(zip(values, rows), start=2):
+        sid = row[0]
+        if sid in seen:
             raise ValueError(f"duplicate id {sid!r} in {path} (line {lineno})")
-        vec = np.empty(width, dtype=np.float64)
-        for j, col in enumerate(header[1:]):
-            cell = row[col].strip()
+        seen.add(sid)
+        for j, (col, cell) in enumerate(zip(header[1:], row[1:])):
+            cell = cell.strip()
             if cell == "":
                 if missing_to_zero:
                     vec[j] = 0.0
@@ -194,8 +210,7 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> dict[str, np.ndarr
                 vec[j] = float(cell)
             except ValueError as exc:
                 raise ValueError(f"{path} id {sid!r} (line {lineno}): {exc}") from exc
-        out[sid] = vec
-    return out
+    return ids, values
 
 
 def _parse_clinical_table(path: str) -> tuple[dict[str, dict[str, str]], set[str]]:
@@ -236,14 +251,16 @@ def _stage_code(label: str) -> float:
     return _STAGE_CODES[norm]
 
 
-def _modality(table: dict[str, np.ndarray], ids: list[str]) -> Modality | None:
-    """The rows of an id -> vector table in cohort order (None for an empty table)."""
-    if not table:
+def _modality(table: tuple[list[str], np.ndarray] | None, ids: list[str]) -> Modality | None:
+    """The rows of a (keys, matrix) table in cohort order (None for no or an empty table)."""
+    if table is None or not table[0]:
         return None
-    mod = Modality.empty(len(ids), next(iter(table.values())).size)
-    rows = [i for i, sid in enumerate(ids) if sid in table]
+    keys, values = table
+    mod = Modality.empty(len(ids), values.shape[1])
+    index = {sid: k for k, sid in enumerate(keys)}
+    rows = [i for i, sid in enumerate(ids) if sid in index]
     if rows:
-        mod.values[rows] = np.stack([table[ids[i]] for i in rows])
+        mod.values[rows] = values[[index[ids[i]] for i in rows]]
         mod.present[rows] = True
     return mod
 
@@ -268,7 +285,7 @@ def load_cohort(outcomes_path: str,
         raise ValueError(f"unknown schema {schema!r}")
     outcomes = _parse_outcomes(outcomes_path)
 
-    cov_numeric: dict[str, np.ndarray] = {}
+    cov_numeric = None
     cov_raw: dict[str, dict[str, str]] = {}
     excluded: set[str] = set()
     if covariates_path is not None:
@@ -276,14 +293,13 @@ def load_cohort(outcomes_path: str,
             cov_numeric = _parse_numeric_table(covariates_path, missing_to_zero=False)
         else:
             cov_raw, excluded = _parse_clinical_table(covariates_path)
-    ge = _parse_numeric_table(ge_path, missing_to_zero=True) if ge_path else {}
+    ge = _parse_numeric_table(ge_path, missing_to_zero=True) if ge_path else None
     hidden = formats.read_hidden_states(hidden_states_path) if hidden_states_path else {}
     pooled = formats.read_pooled(pooled_path) if pooled_path else {}
     records = ({rec.sample_id: rec for rec in parse_teacher_file(formats.read_jsonl(teacher_path))}
                if teacher_path is not None else {})
 
-    for name, table in (("covariates", cov_numeric), ("gene expression", ge),
-                        ("hidden states", hidden), ("pooled vectors", pooled)):
+    for name, table in (("hidden states", hidden), ("pooled vectors", pooled)):
         widths = {v.shape[-1] for v in table.values()}
         if len(widths) > 1:
             raise ValueError(f"inconsistent {name} dimensions: {sorted(widths)}")
@@ -292,7 +308,8 @@ def load_cohort(outcomes_path: str,
     if horizon_years is not None:
         kept = [(sid, administrative_censor(outcome, horizon_years)) for sid, outcome in kept]
     ids = [sid for sid, _ in kept]
-    modalities = {name: mod for name, mod in (("text", _modality(pooled, ids)),
+    pooled_table = (list(pooled), np.stack(list(pooled.values()))) if pooled else None
+    modalities = {name: mod for name, mod in (("text", _modality(pooled_table, ids)),
                                               ("cov", _modality(cov_numeric, ids)),
                                               ("ge", _modality(ge, ids)))
                   if mod is not None}
@@ -323,7 +340,7 @@ def pool_text(cohort: Cohort) -> int:
             if states is not None and (text is None or not text.present[i])]
     if not rows:
         return 0
-    pooled = np.stack([attention_pool(cohort.token_states[i]) for i in rows])
+    pooled = np.stack(pool_many([cohort.token_states[i] for i in rows]))
     if text is None:
         text = cohort.modalities["text"] = Modality.empty(len(cohort), pooled.shape[1])
     elif text.values.shape[1] != pooled.shape[1]:

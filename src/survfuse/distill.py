@@ -323,9 +323,14 @@ def calibration_mask(percent, time, event, horizon: float = 3.0,
 
 
 def parse_teacher_file(rows: list[dict]) -> list[TeacherRecord]:
-    """Build records from teacher JSONL rows, running probability extraction."""
+    """Build records from teacher JSONL rows, running probability extraction.
+
+    Each distinct response text is extracted once per call: a teacher repeats
+    its phrasings, so most responses are copies of an earlier one.
+    """
     records = []
     seen: set[str] = set()
+    extracted: dict[str | None, float | None] = {}
     for row in rows:
         sid = row["id"]
         if sid in seen:
@@ -335,7 +340,10 @@ def parse_teacher_file(rows: list[dict]) -> list[TeacherRecord]:
         rec = TeacherRecord(sample_id=sid, responses=responses,
                             explanation=row.get("explanation", ""))
         for key, h in (("y1", 1.0), ("y3", 3.0), ("y5", 5.0)):
-            rec.probs[h] = extract_probability(responses.get(key))
+            text = responses.get(key)
+            if text not in extracted:
+                extracted[text] = extract_probability(text)
+            rec.probs[h] = extracted[text]
         records.append(rec)
     return records
 

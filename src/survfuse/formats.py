@@ -59,8 +59,9 @@ def _check_header(fh, magic: bytes, path) -> int:
 
 
 def write_hidden_states(path, matrices: dict[str, np.ndarray]) -> None:
-    """Write per-sample token hidden-state matrices (rows are tokens, float32)."""
-    with open(path, "wb") as fh:
+    """Write per-sample token hidden-state matrices (rows are tokens, float32),
+    atomically."""
+    with atomic_open(path, "wb") as fh:
         fh.write(HIDDEN_MAGIC)
         _write_u32(fh, FORMAT_VERSION)
         _write_u32(fh, len(matrices))
@@ -97,8 +98,8 @@ def read_hidden_states(path) -> dict[str, np.ndarray]:
 
 
 def write_pooled(path, vectors: dict[str, np.ndarray]) -> None:
-    """Write per-sample pooled text vectors (float32)."""
-    with open(path, "wb") as fh:
+    """Write per-sample pooled text vectors (float32), atomically."""
+    with atomic_open(path, "wb") as fh:
         fh.write(POOLED_MAGIC)
         _write_u32(fh, FORMAT_VERSION)
         _write_u32(fh, len(vectors))
@@ -238,8 +239,17 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def read_csv_table(path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a headered CSV into (header, rows as column-name dicts)."""
+def format_floats(values) -> list[str]:
+    """`format_float` of every element of a 1-D array, in one pass."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """Read a headered CSV into (header, rows as lists of cells).
+
+    Blank lines are skipped; duplicate column names and a row with the wrong
+    number of cells (named by its line) are errors.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -255,22 +265,48 @@ def read_csv_table(path) -> tuple[list[str], list[dict[str, str]]]:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
                                  f"got {len(row)}")
-            rows.append(dict(zip(header, row)))
+            rows.append(row)
     return header, rows
 
 
+def read_csv_table(path) -> tuple[list[str], list[dict[str, str]]]:
+    """Read a headered CSV into (header, rows as column-name dicts)."""
+    header, rows = read_csv_rows(path)
+    return header, [dict(zip(header, row)) for row in rows]
+
+
+def _csv_line(row) -> str:
+    """One record, byte for byte as `csv.writer` (excel dialect) writes it.
+
+    A row of strings that needs no quoting (no comma, quote, CR or LF in a
+    cell, and not one empty cell alone) is joined directly; any other row
+    goes through `csv.writer`.
+    """
+    try:
+        line = ",".join(row)
+    except TypeError:  # a cell that is not a string: csv.writer converts it
+        line = None
+    if (line is None or line.count(",") != len(row) - 1 or '"' in line
+            or "\r" in line or "\n" in line or (not line and len(row) == 1)):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        return buf.getvalue()
+    return line + "\r\n"
+
+
 def write_csv_table(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a headered CSV atomically, with the bytes of `csv.writer`.
+
+    `rows` is an iterable of sequences of cells.
+    """
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_line(header))
+        fh.writelines(map(_csv_line, rows))
 
 
 def _csv_cell(value) -> str:
     """One cell of a multi-cell row, quoted exactly as `csv.writer` quotes it."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[:-len(",\r\n")]
+    return _csv_line([value, ""])[:-len(",\r\n")]
 
 
 def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
@@ -350,7 +386,8 @@ def read_jsonl(path) -> list[dict]:
 
 
 def write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """One JSON object per line, written atomically."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 

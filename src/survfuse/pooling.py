@@ -4,26 +4,56 @@ from __future__ import annotations
 
 import numpy as np
 
+# Float64 elements per sample stack that `pool_many` hands to one
+# `attention_pool` call, counting the (L, L) scores and the (L, d) states of
+# each sample (32 MiB): memory stays bounded at any cohort size and length.
+POOL_BLOCK_ELEMENTS = 1 << 22
+
 
 def attention_pool(hidden: np.ndarray) -> np.ndarray:
-    """Pool an L x d hidden-state matrix to a length-d vector.
+    """Pool an L x d hidden-state matrix to a length-d vector, or a stack of
+    n such matrices (n, L, d) to an (n, d) matrix.
 
     A = row_softmax(H H^T), pooled rows H~ = A H, output z = column mean of H~.
     No 1/sqrt(d) scaling on the score matrix; softmax subtracts the row max.
+    Each matrix of a stack is pooled with the same operations as alone, so
+    its row equals the result of pooling it alone, bit for bit.
     """
     h = np.asarray(hidden, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
+    if h.ndim not in (2, 3) or 0 in h.shape[-2:]:
         raise ValueError(f"expected a non-empty L x d matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite hidden states")
-    scores = h @ h.T
-    scores -= scores.max(axis=1, keepdims=True)
+    scores = h @ np.swapaxes(h, -1, -2)
+    scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
-    weights /= weights.sum(axis=1, keepdims=True)
+    weights /= weights.sum(axis=-1, keepdims=True)
     pooled = weights @ h
-    return pooled.mean(axis=0)
+    return pooled.mean(axis=-2)
+
+
+def pool_many(matrices) -> list[np.ndarray]:
+    """`attention_pool` of each (L, d) matrix in a sequence, in order.
+
+    Matrices of one shape are pooled together, in stacks of at most
+    POOL_BLOCK_ELEMENTS score and state elements, so a cohort takes a
+    handful of calls, not one per sample.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, mat in enumerate(matrices):
+        if np.ndim(mat) != 2 or 0 in np.shape(mat):
+            raise ValueError(f"expected a non-empty L x d matrix, got shape {np.shape(mat)}")
+        groups.setdefault(np.shape(mat), []).append(i)
+    out: list[np.ndarray] = [None] * len(matrices)
+    for (length, width), rows in groups.items():
+        step = max(1, POOL_BLOCK_ELEMENTS // (length * (length + width)))
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            for i, vec in zip(block, attention_pool(np.stack([matrices[i] for i in block]))):
+                out[i] = vec
+    return out
 
 
 def pool_all(hidden_by_id: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Pool every sample in a hidden-state mapping, preserving order."""
-    return {sid: attention_pool(h) for sid, h in hidden_by_id.items()}
+    return dict(zip(hidden_by_id, pool_many(list(hidden_by_id.values()))))

@@ -11,6 +11,7 @@ import numpy as np
 from . import formats
 from .cohort import HORIZON_YEARS
 from .nn import sigmoid
+from .timing import stage
 
 
 @dataclass
@@ -106,74 +107,99 @@ def _event_times(spec: GeneratorSpec, rates: np.ndarray,
     return -np.log(u) / rates
 
 
+_REFUSAL = "I cannot provide an estimate."
+
+
 def _teacher_rows(spec: GeneratorSpec, ids: list[str], rates: np.ndarray,
                   rng: np.random.Generator) -> list[dict]:
+    """One simulated teacher record per sample.
+
+    The draws stay one sample at a time, because which ones happen depends on
+    earlier draws: refusal, then per horizon a missing response, then noise.
+    The arithmetic on the true survival runs once over the (n, 3) matrix.
+    """
     horizons = (1.0, 3.0, 5.0)
-    s_true = true_survival(spec, rates, np.array(horizons))
-    rows = []
-    for i, sid in enumerate(ids):
-        refused = rng.random() < spec.refusal_rate
-        responses: dict[str, str | None] = {}
-        for k, h in enumerate(horizons):
-            key = f"y{int(h)}"
-            if refused:
-                responses[key] = "I cannot provide an estimate."
-                continue
+    keys = [f"y{int(h)}" for h in horizons]
+    refused = np.zeros(spec.n, dtype=bool)
+    missing = np.zeros((spec.n, len(horizons)), dtype=bool)
+    noise = np.zeros((spec.n, len(horizons)))
+    for i in range(spec.n):
+        if rng.random() < spec.refusal_rate:
+            refused[i] = True
+            continue
+        for k in range(len(horizons)):
             if rng.random() < spec.missing_rate:
-                responses[key] = None
-                continue
-            p = float(np.clip(s_true[i, k], 1e-6, 1.0 - 1e-6))
-            logit = math.log(p / (1.0 - p)) + spec.calibration_shift
-            if spec.response_noise > 0:
-                logit += spec.response_noise * rng.standard_normal()
-            pct = 100.0 * float(sigmoid(np.array(logit)))
-            responses[key] = (f"The estimated {int(h)}-year survival "
-                              f"probability is: {pct:.1f}%.")
+                missing[i, k] = True
+            elif spec.response_noise > 0:
+                noise[i, k] = rng.standard_normal()
+
+    p = np.clip(true_survival(spec, rates, np.array(horizons)), 1e-6, 1.0 - 1e-6)
+    # math.log per element: np.log's vector loop may round differently on some
+    # CPUs, and the raw files are pinned byte for byte
+    logit = np.array(list(map(math.log, (p / (1.0 - p)).ravel().tolist())))
+    logit = logit.reshape(p.shape) + spec.calibration_shift
+    if spec.response_noise > 0:
+        logit += spec.response_noise * noise
+    percents = (100.0 * sigmoid(logit)).tolist()
+
+    rows = []
+    for sid, is_refused, gaps, pcts in zip(ids, refused.tolist(), missing.tolist(), percents):
+        if is_refused:
+            responses = dict.fromkeys(keys, _REFUSAL)
+        else:
+            responses = {key: None if gap else
+                         f"The estimated {key[1:]}-year survival probability is: {pct:.1f}%."
+                         for key, gap, pct in zip(keys, gaps, pcts)}
         rows.append({"id": sid, "responses": responses,
                      "explanation": f"Synthetic case summary for {sid}."})
     return rows
 
 
-def generate(spec: GeneratorSpec, out_dir: str) -> SynthResult:
+def generate(spec: GeneratorSpec, out_dir: str,
+             timings: dict[str, float] | None = None) -> SynthResult:
     """Write a full synthetic cohort in every on-disk interface format.
 
     Covariates are standard normal with the risk component in column 0; gene
     expression is a noisy linear map of a low-dimensional latent whose first
     coordinate carries risk; token matrices put a shared risk direction in
     every row. lambda_i = base * exp(w_text u_t + w_cov u_c + w_ge u_g).
+    The time spent drawing and writing is added to `timings` under
+    "generate" and "write".
     """
     os.makedirs(out_dir, exist_ok=True)
-    streams = np.random.SeedSequence(spec.seed).spawn(6)
-    rng_cov, rng_ge, rng_text, rng_time, rng_cens, rng_teacher = map(
-        np.random.default_rng, streams)
+    with stage(timings, "generate"):
+        streams = np.random.SeedSequence(spec.seed).spawn(6)
+        rng_cov, rng_ge, rng_text, rng_time, rng_cens, rng_teacher = map(
+            np.random.default_rng, streams)
 
-    ids = [_sample_id(i) for i in range(spec.n)]
+        ids = [_sample_id(i) for i in range(spec.n)]
 
-    x_cov = rng_cov.standard_normal((spec.n, spec.d_c))
-    u_cov = x_cov[:, 0].copy()
+        x_cov = rng_cov.standard_normal((spec.n, spec.d_c))
+        u_cov = x_cov[:, 0].copy()
 
-    latent = rng_ge.standard_normal((spec.n, spec.ge_latent))
-    mix = rng_ge.standard_normal((spec.ge_latent, spec.d_g)) / np.sqrt(spec.ge_latent)
-    x_ge = latent @ mix + spec.ge_noise * rng_ge.standard_normal((spec.n, spec.d_g))
-    u_ge = latent[:, 0].copy()
+        latent = rng_ge.standard_normal((spec.n, spec.ge_latent))
+        mix = rng_ge.standard_normal((spec.ge_latent, spec.d_g)) / np.sqrt(spec.ge_latent)
+        x_ge = latent @ mix + spec.ge_noise * rng_ge.standard_normal((spec.n, spec.d_g))
+        u_ge = latent[:, 0].copy()
 
-    u_text = rng_text.standard_normal(spec.n)
-    direction = rng_text.standard_normal(spec.d_text)
-    direction /= np.linalg.norm(direction)
-    hidden = {}
-    for i, sid in enumerate(ids):
-        noise = spec.text_noise * rng_text.standard_normal((spec.seq_len, spec.d_text))
-        hidden[sid] = u_text[i] * direction[None, :] + noise
+        u_text = rng_text.standard_normal(spec.n)
+        direction = rng_text.standard_normal(spec.d_text)
+        direction /= np.linalg.norm(direction)
+        # one draw fills the samples' (L, d) noise matrices in order, the
+        # same stream as one draw per sample
+        noise = spec.text_noise * rng_text.standard_normal((spec.n, spec.seq_len, spec.d_text))
+        hidden = u_text[:, None, None] * direction + noise
 
-    rates = spec.base_rate * np.exp(spec.w_text * u_text + spec.w_cov * u_cov
-                                    + spec.w_ge * u_ge)
-    t_event = _event_times(spec, rates, rng_time)
-    t_cens = -np.log(rng_cens.random(spec.n)) / spec.censor_rate
-    observed = np.minimum(t_event, t_cens)
-    event = t_event <= t_cens
-    over = observed > spec.horizon
-    observed[over] = spec.horizon
-    event[over] = False
+        rates = spec.base_rate * np.exp(spec.w_text * u_text + spec.w_cov * u_cov
+                                        + spec.w_ge * u_ge)
+        t_event = _event_times(spec, rates, rng_time)
+        t_cens = -np.log(rng_cens.random(spec.n)) / spec.censor_rate
+        observed = np.minimum(t_event, t_cens)
+        event = t_event <= t_cens
+        over = observed > spec.horizon
+        observed[over] = spec.horizon
+        event[over] = False
+        teacher = _teacher_rows(spec, ids, rates, rng_teacher)
 
     files = {}
 
@@ -181,26 +207,24 @@ def generate(spec: GeneratorSpec, out_dir: str) -> SynthResult:
         files[name.split(".")[0]] = os.path.join(out_dir, name)
         return files[name.split(".")[0]]
 
-    formats.write_csv_table(
-        path("outcomes.csv"), ["id", "time_years", "event"],
-        [[sid, formats.format_float(observed[i]), "1" if event[i] else "0"]
-         for i, sid in enumerate(ids)])
-    formats.write_csv_table(
-        path("covariates.csv"), ["id"] + [f"c{j + 1}" for j in range(spec.d_c)],
-        [[sid] + [formats.format_float(v) for v in x_cov[i]]
-         for i, sid in enumerate(ids)])
-    formats.write_csv_table(
-        path("ge.csv"), ["id"] + [f"g{j + 1}" for j in range(spec.d_g)],
-        [[sid] + [formats.format_float(v) for v in x_ge[i]]
-         for i, sid in enumerate(ids)])
-    formats.write_hidden_states(path("hidden.svhs"), hidden)
-    formats.write_jsonl(path("teacher.jsonl"),
-                        _teacher_rows(spec, ids, rates, rng_teacher))
-    formats.write_csv_table(
-        path("truth.csv"), ["id", "rate", "u_text", "u_cov", "u_ge"],
-        [[sid, formats.format_float(rates[i]), formats.format_float(u_text[i]),
-          formats.format_float(u_cov[i]), formats.format_float(u_ge[i])]
-         for i, sid in enumerate(ids)])
+    def columns(matrix: np.ndarray) -> list[list[str]]:
+        return [formats.format_floats(col) for col in matrix.T]
+
+    with stage(timings, "write"):
+        formats.write_csv_table(
+            path("outcomes.csv"), ["id", "time_years", "event"],
+            zip(ids, formats.format_floats(observed), np.where(event, "1", "0").tolist()))
+        formats.write_csv_table(
+            path("covariates.csv"), ["id"] + [f"c{j + 1}" for j in range(spec.d_c)],
+            zip(ids, *columns(x_cov)))
+        formats.write_csv_table(
+            path("ge.csv"), ["id"] + [f"g{j + 1}" for j in range(spec.d_g)],
+            zip(ids, *columns(x_ge)))
+        formats.write_hidden_states(path("hidden.svhs"), dict(zip(ids, hidden)))
+        formats.write_jsonl(path("teacher.jsonl"), teacher)
+        formats.write_csv_table(
+            path("truth.csv"), ["id", "rate", "u_text", "u_cov", "u_ge"],
+            zip(ids, *columns(np.column_stack([rates, u_text, u_cov, u_ge]))))
 
     return SynthResult(spec=spec, out_dir=out_dir, files=files, ids=ids,
                        rates=rates,

@@ -115,7 +115,8 @@ def test_simulate_outputs_and_manifest(pipeline):
     assert manifest["seeds"] == {"generator": 2}
     assert set(manifest["versions"]) == {"survfuse", "numpy", "python"}
     assert "outcomes.csv" in manifest["outputs"]
-    assert manifest["timing_seconds"] > 0
+    assert manifest["timings"]["total"] > 0
+    assert set(manifest["timings"]) == {"total", "generate", "write"}
     # input digests cover the generator settings file
     assert "spec" in manifest["inputs"]
 
@@ -131,6 +132,9 @@ def test_ingest_bundle_and_split(pipeline):
     assert manifest["seeds"] == {"split": 1}
     assert set(manifest["inputs"]) == {"outcomes", "covariates", "ge",
                                        "hidden", "teacher"}
+    assert set(manifest["timings"]) == {"total", "read", "pool", "save"}
+    assert manifest["timings"]["total"] >= sum(
+        manifest["timings"][name] for name in ("read", "pool", "save"))
 
 
 def test_ingest_manifest_lists_only_the_new_bundle(pipeline, tmp_path):

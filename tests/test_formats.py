@@ -143,7 +143,11 @@ class _Unprintable:
     lambda path: formats.write_curves_csv(
         path, ["a", _Unprintable()], CurveSet(times=[0.0, 1.0], values=[[1.0, 0.5]] * 2)),
     lambda path: _write_json(path, {"a": 1, "b": object()}),
-], ids=["checkpoint", "curves", "json"])
+    lambda path: formats.write_csv_table(path, ["id", "x"], [["a", "1"], ["b", _Unprintable()]]),
+    lambda path: formats.write_jsonl(path, [{"a": 1}, {"b": object()}]),
+    lambda path: formats.write_hidden_states(path, {"a": np.zeros((2, 3)), "b": np.zeros(3)}),
+    lambda path: formats.write_pooled(path, {"a": np.zeros(3), "b": np.zeros((2, 3))}),
+], ids=["checkpoint", "curves", "json", "csv", "jsonl", "hidden", "pooled"])
 def test_writers_keep_the_old_file_when_a_write_fails(tmp_path, write):
     path = tmp_path / "out"
     path.write_bytes(b"old")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from survfuse.pooling import attention_pool, pool_all
+from survfuse.pooling import attention_pool, pool_all, pool_many
 
 
 def reference_pool(hidden):
@@ -75,3 +75,24 @@ def test_pool_all_preserves_order_and_values():
     assert list(pooled) == list(hidden)
     for sid in hidden:
         assert np.array_equal(pooled[sid], attention_pool(hidden[sid]))
+
+
+def test_a_stack_pools_each_matrix():
+    rng = np.random.default_rng(3)
+    hidden = rng.normal(size=(4, 5, 3))
+    pooled = attention_pool(hidden)
+    assert pooled.shape == (4, 3)
+    for row, mat in zip(pooled, hidden):
+        assert np.array_equal(row, attention_pool(mat))
+
+
+def test_pool_many_rejects_what_attention_pool_rejects():
+    with pytest.raises(ValueError, match="L x d matrix"):
+        pool_many([np.zeros((2, 3)), np.zeros(3)])
+    with pytest.raises(ValueError, match="L x d matrix"):
+        pool_many([np.zeros((0, 3))])
+    with pytest.raises(ValueError, match="non-finite"):
+        pool_many([np.zeros((2, 3)), np.array([[1.0, np.inf, 0.0]])])
+    with pytest.raises(ValueError, match="L x d matrix"):
+        attention_pool(np.zeros((2, 2, 2, 2)))
+    assert pool_many([]) == []

@@ -4,9 +4,14 @@ and averaged sets, scores and curves on only the scored times) and for the
 whole-array training and teacher code against the per-element forms it
 replaced (Cox risk sets, Breslow increments, flat AdamW, the flat-vector
 training step, sigmoid, one-draw dropout masks, batch and columnar teacher
-finalisation), and the bit-exact bundle round trip."""
+finalisation), the bit-exact bundle round trip, and the column-wise set-up
+code against the per-element forms (batched attention pooling, the one-pass
+numeric-table parser, the joined CSV writer, cached teacher extraction)."""
 
+import csv
 import functools
+import io
+import os
 import tempfile
 import warnings
 
@@ -15,11 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survfuse import pooling
 from survfuse.blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve
-from survfuse.cohort import Cohort, Modality, load_bundle, save_bundle, split_cohort
-from survfuse.distill import (HORIZONS, TeacherRecord, finalize_records, fit_parametric,
-                              fit_survival_at, horizon_means, prob_matrix,
-                              three_year_percent)
+from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
+                             split_cohort)
+from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_records,
+                              fit_parametric, fit_survival_at, horizon_means,
+                              parse_teacher_file, prob_matrix, three_year_percent)
+from survfuse.formats import write_csv_table
 from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
 from survfuse.heads import (CurveSet, SurvivalCurve, TimeGrid, _event_time_groups,
                             breslow_baseline, build_discrete_targets, cox_curve,
@@ -29,6 +37,7 @@ from survfuse.metrics import (CTD_BLOCK, IBS_BLOCK, IBS_GRID_POINTS, c_td, censo
 from survfuse.model import init_model, model_params
 from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          sigmoid)
+from survfuse.pooling import attention_pool, pool_many
 from survfuse.training import RunConfig, _learning_rate, finalize_teacher, total_loss
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -696,3 +705,136 @@ def test_bundle_round_trip_is_bit_exact(data):
     if split is not None:
         for part in ("train", "val", "test"):
             assert same_bits(getattr(loaded_split, part), getattr(split, part))
+
+
+# ------------------------------------------------------- set-up in columns
+
+POOL_SHAPES = st.sampled_from([(1, 1), (1, 3), (2, 3), (5, 3), (12, 3), (7, 1), (3, 8), (12, 16)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes=st.lists(POOL_SHAPES, min_size=1, max_size=14), stack=st.tuples(
+           st.integers(1, 6), st.integers(1, 20), st.integers(1, 9)),
+       scale=st.sampled_from([0.1, 1.0, 8.0]), block=st.integers(1, 2000), seed=SEEDS)
+def test_batched_pooling_equals_pooling_each_matrix(shapes, stack, scale, block, seed):
+    rng = np.random.default_rng(seed)
+    hidden = rng.normal(scale=scale, size=stack)
+    for row, mat in zip(attention_pool(hidden), hidden):
+        assert same_bits(row, attention_pool(mat))
+    # samples of different lengths (and widths), grouped by shape, in blocks
+    mats = [rng.normal(scale=scale, size=shape) for shape in shapes]
+    saved, pooling.POOL_BLOCK_ELEMENTS = pooling.POOL_BLOCK_ELEMENTS, block
+    try:
+        pooled = pool_many(mats)
+    finally:
+        pooling.POOL_BLOCK_ELEMENTS = saved
+    assert len(pooled) == len(mats)
+    for vec, mat in zip(pooled, mats):
+        assert same_bits(vec, attention_pool(mat))
+
+
+def per_cell_numeric_table(path, header, rows, missing_to_zero):
+    """Each cell stripped, then float() or the empty-cell rule, row by row."""
+    values = np.empty((len(rows), len(header) - 1))
+    seen = set()
+    for lineno, (vec, row) in enumerate(zip(values, rows), start=2):
+        sid = row[0]
+        if sid in seen:
+            raise ValueError(f"duplicate id {sid!r} in {path} (line {lineno})")
+        seen.add(sid)
+        for j, (col, cell) in enumerate(zip(header[1:], row[1:])):
+            cell = cell.strip()
+            if cell == "":
+                if not missing_to_zero:
+                    raise ValueError(f"{path} id {sid!r} (line {lineno}): "
+                                     f"empty cell in {col!r}")
+                vec[j] = 0.0
+                continue
+            try:
+                vec[j] = float(cell)
+            except ValueError as exc:
+                raise ValueError(f"{path} id {sid!r} (line {lineno}): {exc}") from exc
+    return [row[0] for row in rows], values
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "+inf", "1e5", "-2.5E-3",
+                     "1e-400", "1e400", "1_000", "1_0.5e1_0", ".5", "5.", "+.5e-0",
+                     "١٢", "", "0x10", "1e", "1,5", "abc", "1__0", "_1", "1 2"]))
+PADDING = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", "\xa0", "　", "\x1c"])
+NUMBER_CELLS = st.tuples(PADDING, NUMBER_TEXT, PADDING).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(0, 4), n=st.integers(0, 8),
+       missing_to_zero=st.booleans())
+def test_numeric_table_parser_equals_per_cell_float(data, width, n, missing_to_zero):
+    header = ["id"] + [f"x{j}" for j in range(width)]
+    # ids from a small pool, so some tables repeat one
+    rows = [[f"s{data.draw(st.integers(0, n + 3))}"]
+            + data.draw(st.lists(NUMBER_CELLS, min_size=width, max_size=width))
+            for _ in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+
+        def outcome(parse):
+            try:
+                return parse()
+            except ValueError as exc:
+                return str(exc)
+        got = outcome(lambda: _parse_numeric_table(path, missing_to_zero))
+        want = outcome(lambda: per_cell_numeric_table(path, header, rows, missing_to_zero))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0] == want[0] and same_bits(got[1], want[1])
+
+
+CSV_TEXT = st.text(st.sampled_from(list('ab,"\r\n \t\xff日')), max_size=5) | st.text(
+    st.characters(exclude_categories=("Cs",)), max_size=5)
+CSV_CELLS = CSV_TEXT | st.none() | st.integers() | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(CSV_TEXT, min_size=1, max_size=4),
+       rows=st.lists(st.lists(CSV_CELLS, max_size=4) | st.tuples(CSV_TEXT), max_size=6))
+def test_csv_table_writer_writes_csv_writer_bytes(header, rows):
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_csv_table(path, header, rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.getvalue().encode("utf-8")
+
+
+NUMBERISH_TEXT = st.lists(st.sampled_from(["50", "%", " %", " ", ".", "0.7", "120", "3.", ".5",
+                                           "100", "1e5", "-", "99.9", "٣", "0", "abc"]),
+                          max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.none() | NUMBERISH_TEXT | st.text())
+def test_extract_probability_never_raises_and_stays_in_unit_interval(text):
+    p = extract_probability(text)
+    assert p is None or 0.0 <= p <= 1.0
+
+
+RESPONSES = st.none() | st.sampled_from(["The estimated survival is: 40.0%.", "0.3", "70",
+                                         "I cannot provide an estimate."]) | NUMBERISH_TEXT
+
+
+@settings(max_examples=100, deadline=None)
+@given(responses=st.lists(st.dictionaries(st.sampled_from(["y1", "y3", "y5", "note"]),
+                                          RESPONSES), max_size=12))
+def test_cached_teacher_parsing_equals_one_extraction_per_text(responses):
+    rows = [{"id": f"s{i}", "responses": r} for i, r in enumerate(responses)]
+    for rec, row in zip(parse_teacher_file(rows), rows):
+        assert rec.probs == {h: extract_probability(row["responses"].get(key))
+                             for key, h in (("y1", 1.0), ("y3", 3.0), ("y5", 5.0))}

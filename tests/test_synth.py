@@ -224,3 +224,76 @@ def test_response_noise_is_seeded_jitter(tmp_path):
     clean = generate(small_spec(), str(tmp_path / "c"))
     assert not np.array_equal(np.array(load_extracted(a), dtype=np.float64),
                               np.array(load_extracted(clean), dtype=np.float64))
+
+
+# ------------------------------------------------------------- golden bytes
+
+# Specs whose refusal, missing-response and noise draws fire (the default spec
+# that the benchmark pins draws them but never acts on them), one on the
+# Weibull family, and the SHA-256 of every raw file they produce, taken from a
+# generator that drew and formatted one sample at a time. Any change to a
+# random stream, to the arithmetic or to the formatting changes them. Like
+# benchmarks/pins.json, they assume numpy's float64 exp and log and the BLAS
+# matrix product round as they did where the digests were taken (numpy 2.4,
+# x86-64).
+GOLDEN_SPECS = {
+    "noisy": dict(n=300, d_c=4, d_g=12, ge_latent=3, seq_len=6, d_text=8,
+                  refusal_rate=0.1, missing_rate=0.2, response_noise=0.5,
+                  calibration_shift=0.4, seed=3),
+    "weibull": dict(n=200, d_c=3, d_g=8, ge_latent=2, seq_len=4, d_text=5,
+                    event_family="weibull", weibull_shape=2.0, missing_rate=0.3,
+                    response_noise=1.0, calibration_shift=-0.7, seed=5),
+    "refusing": dict(n=120, d_c=2, d_g=6, ge_latent=2, seq_len=1, d_text=3,
+                     refusal_rate=0.5, missing_rate=0.5, response_noise=2.0,
+                     horizon=3.0, seed=9),
+}
+GOLDEN_DIGESTS = {
+    "noisy": {
+        "covariates.csv":
+            "5471b80dd21c89bb097ae82f3aa78dca613b472e4b575b34a6bece623f54c2c3",
+        "ge.csv":
+            "781995b55376fdf82b97fe4eb564910e05f3059d9d558a1418d5931867e3dbad",
+        "hidden.svhs":
+            "5d359bbc967a5af55ef01eff458c0d5951f8fd322c46cb8978573dcc27803bf0",
+        "outcomes.csv":
+            "fb1a3075d40b9959c9229894ed1a29e00e60954a99be9f69631a5ea5471a5ebd",
+        "teacher.jsonl":
+            "085e423ee7aaed33d7e2c6868cb9110957e660b6e1c043db1006f3692f1bf6f6",
+        "truth.csv":
+            "a96bfb88b4a37bc72da54126564691d6be90a25724422423ccedb40410bbc398",
+    },
+    "weibull": {
+        "covariates.csv":
+            "e78dfee4f35057894faabd60f789e2326686a13af7f57f2ea88afd1a546ab6c8",
+        "ge.csv":
+            "48245f6fa73793b604aac4aed5777649ab14cf515d1b1152bbefe098d908206e",
+        "hidden.svhs":
+            "4dd604c3b54aceb02e24932ac9076ff8d68a59d48b6770af2d6fa83789975fca",
+        "outcomes.csv":
+            "5b288df058af264e5dbaa1ccd413fce79d7646d10e8e6bf21efbc1cbbdb2e932",
+        "teacher.jsonl":
+            "ad900f6a6daf67fc53bfc67358f8912c7899136aa304d70d2082787cee48257a",
+        "truth.csv":
+            "701eec6ebe1a752e6b34273cf055b407ce9d5aac8245a5dc496e33b070a47d95",
+    },
+    "refusing": {
+        "covariates.csv":
+            "d8fdb31865aabd1f320aa8c1dbdb71079a987c35d5ac1c90bf4a6a9d1d5a7a6d",
+        "ge.csv":
+            "3bd70af5d4ae3c3e7a666a8b72074047ac33eae78841403852ae2421ede92056",
+        "hidden.svhs":
+            "032347c44fd983dbc42987572f3cb1f35ca694b501c51a51600bc686108718e9",
+        "outcomes.csv":
+            "0f6cb2a9f57982cd44905191a84eed7e9bbac6991e9b287adfdf280524733cca",
+        "teacher.jsonl":
+            "985072314095648791ff38bb3ae99d0cc86d0c86658ec4142fdd60816cc3b909",
+        "truth.csv":
+            "8c1e663e52a90a3a852b558c0a4500ccfe27259e020928c34e40ae01d47b8e70",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_non_default_specs_keep_their_raw_bytes(tmp_path, name):
+    generate(GeneratorSpec(**GOLDEN_SPECS[name]), str(tmp_path))
+    assert tree_digest(tmp_path) == GOLDEN_DIGESTS[name]
