@@ -304,11 +304,6 @@ def write_csv_table(path, header: list[str], rows) -> None:
         fh.writelines(map(_csv_line, rows))
 
 
-def _csv_cell(value) -> str:
-    """One cell of a multi-cell row, quoted exactly as `csv.writer` quotes it."""
-    return _csv_line([value, ""])[:-len(",\r\n")]
-
-
 def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
     """Export survival curves in long format: id, t, S (one row per grid point).
 
@@ -321,7 +316,8 @@ def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id", "t", "S"])
         for sample_id, row in zip(ids, curves.values):
-            cell = _csv_cell(sample_id)
+            # the id cell as csv.writer quotes it in a row of several cells
+            cell = _csv_line([sample_id, ""])[:-len(",\r\n")]
             fh.write("".join([f"{cell}{tail}{s}\r\n"
                               for tail, s in zip(tails, map(repr, row.tolist()))]))
 
