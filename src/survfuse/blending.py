@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from .heads import CurveSet, SurvivalCurve
-from .metrics import c_td
+from .metrics import c_td_many
 
 PERCENT_FLOOR = 0.5
 DEFAULT_LAMBDA_GRID = tuple(k / 20.0 for k in range(21))
@@ -47,6 +47,13 @@ def _check_same_grid(a: CurveSet, b: CurveSet) -> None:
         raise ValueError("curves must share evaluation times")
 
 
+def _convex(hidden: np.ndarray, verbalized: np.ndarray, lam: float) -> np.ndarray:
+    """(1 - lam) * hidden + lam * verbalized, element by element, as a new array."""
+    values = (1.0 - lam) * hidden
+    values += lam * verbalized
+    return values
+
+
 def combine(hidden: CurveSet, verbalized: CurveSet, lam: float) -> CurveSet:
     """Row-wise convex combination (1 - lam) * S + lam * S^v on a shared grid."""
     if not (0.0 <= lam <= 1.0):
@@ -54,9 +61,7 @@ def combine(hidden: CurveSet, verbalized: CurveSet, lam: float) -> CurveSet:
     _check_same_grid(hidden, verbalized)
     if hidden.values.shape != verbalized.values.shape:
         raise ValueError("one verbalized curve per hidden curve required")
-    values = (1.0 - lam) * hidden.values
-    values += lam * verbalized.values
-    return CurveSet(times=hidden.times, values=values)
+    return CurveSet(times=hidden.times, values=_convex(hidden.values, verbalized.values, lam))
 
 
 def mean_curve(curves: CurveSet) -> CurveSet:
@@ -97,27 +102,33 @@ def blend_inputs(hidden: CurveSet, percents) -> tuple[CurveSet, CurveSet | None,
             CurveSet(times=hidden.times, values=evaluated), n_present)
 
 
-def select_lambda(hidden: CurveSet, verbalized: CurveSet, times, events,
+def select_lambda(hidden, verbalized, times, events,
                   grid=DEFAULT_LAMBDA_GRID) -> tuple[float, float]:
     """Concordance-maximizing lambda over the grid; ties go to the smallest.
 
-    Missing verbalized curves must already be resolved (blend_inputs).
-    Returns (lambda*, its validation concordance).
+    `hidden` and `verbalized` are CurveSets on one grid or CurveBlocks;
+    missing verbalized curves must already be resolved (blend_inputs).
+    Every lambda is scored in one pass: each block of event times reads the
+    hidden and verbalized values once, and each lambda's blend of them is
+    `combine`'s own arithmetic, so every score equals `c_td` of `combine`'s
+    curves (a blend of valid curves needs no clean-up, so `combine` keeps
+    exactly these values). Returns (lambda*, its validation concordance).
     """
     grid = sorted(float(g) for g in grid)
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise ValueError("lambda grid must lie in [0, 1]")
-    _check_same_grid(hidden, verbalized)
-    # c_td reads every curve only at event times, so blend just those columns
-    # (curves already on only those are used as they are): a blend of valid
-    # curves needs no clean-up, so the scores are unchanged
-    event_times = np.asarray(times, dtype=np.float64)[np.asarray(events, dtype=bool)]
-    hidden, verbalized = hidden.restrict(event_times), verbalized.restrict(event_times)
-    best_lam = None
-    best_score = -np.inf
-    for lam in grid:
-        score = c_td(combine(hidden, verbalized, lam), times, events)
-        if score > best_score:
-            best_score = score
-            best_lam = lam
-    return best_lam, float(best_score)
+    if isinstance(hidden, CurveSet) and isinstance(verbalized, CurveSet):
+        _check_same_grid(hidden, verbalized)
+    if len(hidden) != len(verbalized):
+        raise ValueError("one verbalized curve per hidden curve required")
+
+    def blends(t, rows, later):
+        h, v = hidden.at(t), verbalized.at(t)
+        own = np.arange(rows.size)
+        own_h, own_v, later_h, later_v = h[rows, own], v[rows, own], h[later], v[later]
+        del h, v
+        return ((_convex(own_h, own_v, lam), _convex(later_h, later_v, lam)) for lam in grid)
+
+    scores = c_td_many(blends, len(hidden), len(grid), times, events)
+    best = int(np.argmax(scores))  # the first maximum: the smallest lambda
+    return grid[best], float(scores[best])

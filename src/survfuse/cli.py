@@ -77,9 +77,11 @@ def _write_manifest(out_dir: str, command: str, started: float,
                     inputs: dict[str, str] | None = None,
                     output_files: list[str] | None = None,
                     extra: dict | None = None,
-                    timings: dict[str, float] | None = None) -> None:
-    """Write manifest.json; `timings` holds the seconds of the command's
-    stages, and the manifest's `timings` adds the whole command as "total"."""
+                    timings: dict[str, float] | None = None,
+                    filename: str = "manifest.json") -> None:
+    """Write the manifest `filename` into `out_dir`; `timings`
+    holds the seconds of the command's stages, and the manifest's `timings`
+    adds the whole command as "total"."""
     import numpy as np
 
     from . import __version__
@@ -113,7 +115,7 @@ def _write_manifest(out_dir: str, command: str, started: float,
     }
     if extra:
         manifest.update(extra)
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, filename), manifest)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -204,8 +206,12 @@ def _cmd_pool(args, started: float) -> int:
     os.makedirs(out_dir, exist_ok=True)
     formats.write_pooled(args.out, pooled)
     print(f"pooled {len(pooled)} sequences into {args.out}")
+    # --out names a file, so its directory may hold another command's
+    # manifest.json (pooling into simulate's raw directory): name this one
+    # after the output file instead
     _write_manifest(out_dir, "pool", started, inputs={"hidden": args.hidden},
-                    output_files=[args.out])
+                    output_files=[args.out],
+                    filename=os.path.basename(args.out) + ".manifest.json")
     return 0
 
 

@@ -7,6 +7,7 @@ and step-function survival curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -179,6 +180,32 @@ class CurveSet:
             return cls(times=times, values=np.stack([c.values for c in curves]))
         times = np.unique(np.concatenate([c.times for c in curves]))
         return cls(times=times, values=np.stack([c.at(times) for c in curves]))
+
+
+@dataclass
+class CurveBlocks:
+    """N curves built on demand, a block of times at a time.
+
+    `build(t)` returns the curves as a CurveSet on only the grid points that
+    hold times t (`at=` of `cox_curve` and `discrete_curve`, or functions of
+    such a set), and `at(t)` reads that set at t. The metrics read curves
+    only through `len` and `at`, so they score a CurveBlocks exactly as the
+    CurveSet it stands for, holding one (N, len(t)) block at a time.
+    """
+
+    n: int
+    build: Callable[[np.ndarray], CurveSet]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def at(self, t) -> np.ndarray:
+        """Every curve at times t (1-D): shape (N, len(t))."""
+        t = np.asarray(t, dtype=np.float64)
+        block = self.build(t)
+        if len(block) != self.n:
+            raise ValueError(f"built {len(block)} curves, expected {self.n}")
+        return block.at(t)
 
 
 def build_discrete_targets(times, events, grid: TimeGrid) -> DiscreteTargets:

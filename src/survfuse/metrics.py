@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import CurveSet
+from .heads import CurveBlocks, CurveSet
 
 # Event subjects that c_td scores together. Its working set is a few
 # (subjects x CTD_BLOCK) arrays, about 12 bytes per entry.
@@ -19,9 +19,10 @@ IBS_BLOCK = 64
 IBS_GRID_POINTS = 512
 
 
-def _curve_set(curves) -> CurveSet:
-    """A CurveSet as is; a sequence of SurvivalCurves on their union grid."""
-    return curves if isinstance(curves, CurveSet) else CurveSet.from_curves(curves)
+def _curve_set(curves):
+    """Curves read through `at` (a CurveSet or CurveBlocks) as they are; a
+    sequence of SurvivalCurves on their union grid."""
+    return curves if isinstance(curves, (CurveSet, CurveBlocks)) else CurveSet.from_curves(curves)
 
 
 @dataclass
@@ -79,35 +80,40 @@ def _ibs_midpoints(t_max: float, grid_points: int) -> np.ndarray:
     return (np.arange(grid_points) + 0.5) * (t_max / grid_points)
 
 
-def scored_times(times, events, grid_points: int = IBS_GRID_POINTS) -> np.ndarray:
-    """Every time at which `c_td` and `ibs` read curves for these outcomes.
-
-    That is the event times (c_td reads S_j(t_i) at each event time t_i) and
-    the ibs midpoints. Curves kept on only the grid points that hold these
-    times (`CurveSet.restrict`, or `at=` of `cox_curve` and `discrete_curve`)
-    score exactly as the full curves do.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=bool)
-    return np.concatenate([times[events], _ibs_midpoints(float(times.max()), grid_points)])
-
-
 def c_td(curves, times, events) -> float:
     """Time-dependent concordance over comparable pairs.
 
     A pair (i, j) is comparable when t_i < t_j and e_i = 1; it scores 1 when
     S_i(t_i) < S_j(t_i), 0.5 on an exact tie, 0 otherwise. `curves` is a
-    CurveSet or a sequence of SurvivalCurves (stacked on their union grid).
-    S_j(t_i) is column cell(t_i) of the value matrix, so event subjects are
-    scored in blocks of CTD_BLOCK against every later subject at once: extra
+    CurveSet, a CurveBlocks, or a sequence of SurvivalCurves (stacked on
+    their union grid); it is read only through `len` and `at`. Event subjects
+    are scored in blocks of CTD_BLOCK against every later subject at once,
+    reading every curve at the block's event times, `curves.at(times)`: extra
     memory stays O(n * CTD_BLOCK), and the counts are integers, so the result
     does not depend on the blocking.
     """
     curves = _curve_set(curves)
+
+    def read(t, rows, later):
+        values = curves.at(t)
+        return [(values[rows, np.arange(rows.size)], values[later])]
+
+    return c_td_many(read, len(curves), 1, times, events)[0]
+
+
+def c_td_many(read, n_curves: int, n_sets: int, times, events) -> list[float]:
+    """`c_td` of `n_sets` sets of curves on the same outcomes, in one pass.
+
+    For one block of event subjects, `read(t, rows, later)` returns (or
+    yields, one at a time) each set's pair (S_i(t_i) of the subjects `rows`
+    at their event times t, shape (k,); S_j(t) of the subjects `later`, shape
+    (len(later), k)), in the same order on every call. Each block's
+    comparable pairs are found once for every set.
+    """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
     n = times.size
-    if len(curves) != n:
+    if n_curves != n:
         raise ValueError("one curve per outcome required")
     if not events.any():
         raise ValueError("no comparable pairs (no events)")
@@ -116,25 +122,25 @@ def c_td(curves, times, events) -> float:
     order = np.argsort(times, kind="stable")
     t_sorted = times[order]
     event_idx = order[events[order]]
-    cells = curves.cells(times[event_idx])
-    own = curves.values[event_idx, cells]
     first_later = np.searchsorted(t_sorted, times[event_idx], side="right")
-    concordant = ties = pairs = 0
+    concordant, ties = [0] * n_sets, [0] * n_sets
+    pairs = 0
     for lo in range(0, event_idx.size, CTD_BLOCK):
         hi = min(lo + CTD_BLOCK, event_idx.size)
         start = first_later[lo]  # the block's earliest time has the most partners
         if start == n:
             break
+        rows = event_idx[lo:hi]
         later = order[start:]
-        others = curves.values[later[:, None], cells[None, lo:hi]]
-        comparable = t_sorted[start:, None] > times[event_idx[lo:hi]][None, :]
-        s_i = own[None, lo:hi]
-        concordant += np.count_nonzero((s_i < others) & comparable)
-        ties += np.count_nonzero((s_i == others) & comparable)
+        comparable = t_sorted[start:, None] > times[rows][None, :]
+        for k, (own, others) in enumerate(read(times[rows], rows, later)):
+            s_i = own[None, :]
+            concordant[k] += np.count_nonzero((s_i < others) & comparable)
+            ties[k] += np.count_nonzero((s_i == others) & comparable)
         pairs += int((n - first_later[lo:hi]).sum())
     if pairs == 0:
         raise ValueError("no comparable pairs")
-    return (concordant + 0.5 * ties) / pairs
+    return [(c + 0.5 * t) / pairs for c, t in zip(concordant, ties)]
 
 
 @dataclass

@@ -78,7 +78,7 @@ class SurvivalModel:
 class ModelForward:
     out: np.ndarray                      # (N, B) logits or (N,) scores
     modality_outputs: ModalityOutputs | None
-    head_caches: dict[str, MlpCache]
+    head_caches: dict[str, MlpCache | None]  # None without keep_cache
     z_ge: np.ndarray | None = None
     recon: np.ndarray | None = None
     enc_cache: MlpCache | None = None
@@ -161,11 +161,15 @@ def _modality_input(model: SurvivalModel, batch: dict[str, np.ndarray],
 
 
 def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
-                  rng: np.random.Generator | None = None) -> ModelForward:
+                  rng: np.random.Generator | None = None,
+                  keep_cache: bool = True) -> ModelForward:
     """Run every component; pass `rng` to draw dropout masks (training mode).
 
     `batch` maps modality names to matrices: text -> (N, d) pooled vectors,
-    cov -> (N, d_c), ge -> (N, d_g).
+    cov -> (N, d_c), ge -> (N, d_g). With `keep_cache=False` the networks
+    keep none of the activations that only `model_backward` reads (the
+    caches are None), so inference holds O(N x widest layer) at a time; the
+    outputs are the same either way.
     """
     for m in model.modalities:
         if m not in batch:
@@ -180,11 +184,13 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
     z_ge = recon = enc_cache = dec_cache = None
     if model.ae is not None:
         z_ge, enc_cache = mlp_forward(model.ae.encoder, batch["ge"],
-                                      masks=masks_for(model.ae.encoder))
+                                      masks=masks_for(model.ae.encoder),
+                                      keep_cache=keep_cache)
         recon, dec_cache = mlp_forward(model.ae.decoder, z_ge,
-                                       masks=masks_for(model.ae.decoder))
+                                       masks=masks_for(model.ae.decoder),
+                                       keep_cache=keep_cache)
 
-    head_caches: dict[str, MlpCache] = {}
+    head_caches: dict[str, MlpCache | None] = {}
     modality_outputs = None
     if model.fusion == "late" and len(model.modalities) > 1:
         outs = {}
@@ -192,7 +198,8 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
             name = f"head_{m}"
             mlp = model.heads[name]
             x = _modality_input(model, batch, z_ge, m)
-            out_m, head_caches[name] = mlp_forward(mlp, x, masks=masks_for(mlp))
+            out_m, head_caches[name] = mlp_forward(mlp, x, masks=masks_for(mlp),
+                                                   keep_cache=keep_cache)
             outs[m] = out_m if model.head_type == "discrete" else out_m[:, 0]
         modality_outputs = ModalityOutputs(**outs)
         out = late_fuse(modality_outputs, model.gates)
@@ -201,7 +208,8 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
         x = early_fuse(z_text=inputs.get("text"), x_cov=inputs.get("cov"),
                        z_ge=inputs.get("ge"))
         mlp = model.heads["head"]
-        out, head_caches["head"] = mlp_forward(mlp, x, masks=masks_for(mlp))
+        out, head_caches["head"] = mlp_forward(mlp, x, masks=masks_for(mlp),
+                                               keep_cache=keep_cache)
         if model.head_type == "coxph":
             out = out[:, 0]
     return ModelForward(out=out, modality_outputs=modality_outputs,

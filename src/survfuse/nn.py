@@ -99,9 +99,15 @@ def draw_dropout_masks(mlp: Mlp, n_rows: int, rng: np.random.Generator) -> list[
     return masks
 
 
-def mlp_forward(mlp: Mlp, x: np.ndarray,
-                masks: list[np.ndarray] | None = None) -> tuple[np.ndarray, MlpCache]:
-    """Forward pass. `x` is (n, in_dim) or (in_dim,); masks enable training dropout."""
+def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
+                keep_cache: bool = True) -> tuple[np.ndarray, MlpCache | None]:
+    """Forward pass. `x` is (n, in_dim) or (in_dim,); masks enable training dropout.
+
+    With `keep_cache=False` no layer's input or pre-activation is kept and
+    ReLU runs in place, so an inference pass holds two layers' activations
+    at a time, and None is returned in place of the cache; `out` is the same
+    either way.
+    """
     x = np.asarray(x, dtype=np.float64)
     squeezed = x.ndim == 1
     if squeezed:
@@ -115,12 +121,14 @@ def mlp_forward(mlp: Mlp, x: np.ndarray,
     inputs, preacts = [], []
     h = x
     for i in range(n_layers):
-        inputs.append(h)
         z = h @ mlp.weights[i]
         z += mlp.biases[i]
-        preacts.append(z)
+        if keep_cache:
+            inputs.append(h)
+            preacts.append(z)
         if i < n_layers - 1:
-            h = np.maximum(z, 0.0)
+            # without a cache nothing else reads z, so ReLU may overwrite it
+            h = np.maximum(z, 0.0, out=None if keep_cache else z)
             if masks is not None:
                 if masks[i].shape != h.shape:
                     raise ValueError(f"dropout mask {i} has shape {masks[i].shape}, "
@@ -130,7 +138,7 @@ def mlp_forward(mlp: Mlp, x: np.ndarray,
         else:
             h = z
     out = h[0] if squeezed else h
-    return out, MlpCache(inputs, preacts, masks, squeezed)
+    return out, MlpCache(inputs, preacts, masks, squeezed) if keep_cache else None
 
 
 def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
@@ -143,6 +151,8 @@ def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
     arrays. With `input_grad=False` the input gradient is not computed and
     None is returned in its place.
     """
+    if cache is None:
+        raise ValueError("the forward pass kept no cache (keep_cache=False)")
     g = np.asarray(grad_out, dtype=np.float64)
     if cache.squeezed:
         g = g[None, :]

@@ -3,6 +3,7 @@ stopping, per-channel evaluation, and experiment suites."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -12,10 +13,10 @@ from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, finalize_probs
-from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
+from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
                     cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
                     discrete_loss_grad)
-from .metrics import c_td, ibs, scored_times
+from .metrics import c_td, ibs
 from .model import (SurvivalModel, checked_structure, gate_values, init_model,
                     model_backward, model_forward, model_params)
 from .nn import adamw_step, init_adamw
@@ -177,7 +178,7 @@ def _split_data(cohort: Cohort, indices, config: RunConfig,
 
 
 def _val_surv_loss(model: SurvivalModel, data: dict) -> float:
-    fwd = model_forward(model, data, rng=None)
+    fwd = model_forward(model, data, rng=None, keep_cache=False)
     if model.head_type == "discrete":
         return discrete_loss(fwd.out, data["targets"])
     return cox_loss(fwd.out, data["times"], data["events"])
@@ -275,12 +276,13 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
             break
 
     np.copyto(model.flat, best_snapshot)
+    del train_data, val_data  # the Breslow fit below copies both splits again
 
     baseline = None
     if config.head == "coxph":
         fit_idx = np.concatenate([split.train, split.val])
         fit_data = _split_data(cohort, fit_idx, config, grid)
-        fwd = model_forward(model, fit_data, rng=None)
+        fwd = model_forward(model, fit_data, rng=None, keep_cache=False)
         baseline = breslow_baseline(fwd.out, fit_data["times"], fit_data["events"])
 
     return TrainResult(model=model, grid=grid, baseline=baseline,
@@ -348,25 +350,60 @@ class RunReport:
         }
 
 
-def _hidden_curves(result: TrainResult, data: dict, at=None) -> CurveSet:
-    """The model's curves for `data`; with `at`, only on the grid points that
-    hold those times (see `cox_curve`)."""
-    fwd = model_forward(result.model, data, rng=None)
+def _hidden_curves(result: TrainResult, data: dict) -> CurveBlocks:
+    """The model's curves for `data` (one inference forward), built on
+    demand: `build(at)` keeps only the grid points that hold times `at`, and
+    `build(None)` is the whole grid (see `cox_curve`)."""
+    out = model_forward(result.model, data, rng=None, keep_cache=False).out
     if result.model.head_type == "discrete":
-        return discrete_curve(fwd.out, result.grid, at=at)
-    return cox_curve(fwd.out, result.baseline, at=at)
+        build = functools.partial(discrete_curve, out, result.grid)
+    else:
+        build = functools.partial(cox_curve, out, result.baseline)
+    return CurveBlocks(out.shape[0], build)
 
 
 def predict_curves(result: TrainResult, cohort: Cohort, indices,
                    config: RunConfig) -> CurveSet:
     """Survival curves for the given samples under the trained model."""
     data = _split_data(cohort, indices, config, result.grid)
-    return _hidden_curves(result, data)
+    return _hidden_curves(result, data).build(None)
 
 
-def _channel(curves: CurveSet, times, events) -> ChannelMetrics:
+def _channel(curves, times, events) -> ChannelMetrics:
     return ChannelMetrics(c_td=c_td(curves, times, events),
                           ibs=ibs(curves, times, events).value)
+
+
+def _channels(hidden: CurveBlocks, times, events, percents=None,
+              lam: float | None = None) -> dict[str, ChannelMetrics]:
+    """Metrics of the hidden channel and, given the teacher's percents (NaN
+    where absent) and the blend weight, of the verbalized and combined ones.
+
+    Each channel's blocks are built from `hidden`'s blocks by `blend_inputs`
+    and `combine`, so they equal the matching columns of those functions on
+    the full curves, and the metrics read one block at a time.
+    """
+    channels = {"hidden": _channel(hidden, times, events)}
+    if percents is None:
+        return channels
+    if np.isnan(percents).all():
+        channels["verbalized"] = ChannelMetrics(
+            c_td=None, ibs=None, note="no extractable teacher probabilities")
+        channels["combined"] = ChannelMetrics(
+            c_td=channels["hidden"].c_td, ibs=channels["hidden"].ibs,
+            note="combined equals hidden (all verbalized missing)")
+        return channels
+
+    def verbalized(t):
+        return blend_inputs(hidden.build(t), percents)[1]
+
+    def combined(t):
+        block = hidden.build(t)
+        return combine(block, blend_inputs(block, percents)[0], lam)
+
+    for name, build in (("verbalized", verbalized), ("combined", combined)):
+        channels[name] = _channel(CurveBlocks(len(hidden), build), times, events)
+    return channels
 
 
 def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
@@ -374,41 +411,27 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     """Test-set metrics for the hidden, verbalized, and combined channels.
 
     `percents` are the teacher's rounded percents from `finalize_teacher`;
-    a cohort with a teacher needs them. Curves are built only at the times
-    the metrics read (`metrics.scored_times` for the test split, the event
-    times for the validation split), so the scores equal those of the full
-    curves and no (N, T) matrix on the whole grid is made.
+    a cohort with a teacher needs them. Every curve set here is a
+    `CurveBlocks`: the metrics read it a block of times at a time, and each
+    block is built on only the grid points that hold its times, so the
+    scores equal those of the full curves and no (N, T) matrix is made.
     """
     if cohort.teacher_probs is not None and percents is None:
         raise ValueError("teacher records not finalized: pass the percents "
                          "finalize_teacher returns")
-    val_data = _split_data(cohort, split.val, config, result.grid)
-    test_data = _split_data(cohort, split.test, config, result.grid)
-    t_test, e_test = test_data["times"], test_data["events"]
-    test_curves = _hidden_curves(result, test_data, at=scored_times(t_test, e_test))
-    channels = {"hidden": _channel(test_curves, t_test, e_test)}
-
-    selected = val_score = None
+    selected = val_score = test_percents = None
     if cohort.teacher_probs is not None:
-        t_val, e_val = val_data["times"], val_data["events"]
-        val_curves = _hidden_curves(result, val_data, at=t_val[e_val])
-        val_blend, _, _ = blend_inputs(val_curves, percents[split.val])
-        selected, val_score = select_lambda(val_curves, val_blend, t_val, e_val,
-                                            grid=config.lambda_grid)
-        del val_curves, val_blend
-        test_blend, test_verb, n_present = blend_inputs(test_curves, percents[split.test])
-        if n_present == 0:
-            channels["verbalized"] = ChannelMetrics(
-                c_td=None, ibs=None, note="no extractable teacher probabilities")
-            channels["combined"] = ChannelMetrics(
-                c_td=channels["hidden"].c_td, ibs=channels["hidden"].ibs,
-                note="combined equals hidden (all verbalized missing)")
-        else:
-            channels["verbalized"] = _channel(test_verb, t_test, e_test)
-            del test_verb
-            channels["combined"] = _channel(combine(test_curves, test_blend, selected),
-                                            t_test, e_test)
-
+        val_data = _split_data(cohort, split.val, config, result.grid)
+        val_hidden = _hidden_curves(result, val_data)
+        val_percents = percents[split.val]
+        val_blend = CurveBlocks(len(val_hidden), lambda t: blend_inputs(
+            val_hidden.build(t), val_percents)[0])
+        selected, val_score = select_lambda(val_hidden, val_blend, val_data["times"],
+                                            val_data["events"], grid=config.lambda_grid)
+        test_percents = percents[split.test]
+    test_data = _split_data(cohort, split.test, config, result.grid)
+    channels = _channels(_hidden_curves(result, test_data), test_data["times"],
+                         test_data["events"], test_percents, selected)
     return RunReport(config=config, channels=channels, selected_lambda=selected,
                      lambda_val_ctd=val_score, gates=gate_values(result.model),
                      train_trace=result.train_trace, val_trace=result.val_trace,

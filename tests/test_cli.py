@@ -328,6 +328,19 @@ def test_pool_roundtrip(pipeline, tmp_path):
     assert all(v.shape == (8,) for v in pooled.values())
 
 
+def test_pool_into_the_raw_directory_keeps_simulates_manifest(pipeline, tmp_path):
+    raw = tmp_path / "raw"
+    assert main(["simulate", "--spec", pipeline["spec"], "--out", str(raw)]) == 0
+    before = (raw / "manifest.json").read_bytes()
+    assert main(["pool", "--hidden", str(raw / "hidden.svhs"),
+                 "--out", str(raw / "pooled.svpv")]) == 0
+    assert (raw / "manifest.json").read_bytes() == before
+    manifest = read_json(raw / "pooled.svpv.manifest.json")
+    assert manifest["command"] == "pool"
+    assert set(manifest["outputs"]) == {"pooled.svpv"}
+    assert set(manifest["inputs"]) == {"hidden"}
+
+
 def test_bundle_without_split_is_rejected(pipeline, tmp_path, capsys):
     from survfuse.cohort import load_bundle, save_bundle
 

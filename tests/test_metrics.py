@@ -2,14 +2,16 @@
 concordance, the IPCW integrated Brier score, and the memory of the
 evaluation path at large n."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from survfuse.blending import blend_inputs, combine, select_lambda
-from survfuse.heads import SurvivalCurve, breslow_baseline, cox_curve
-from survfuse.metrics import IBS_GRID_POINTS, c_td, censoring_km, ibs, scored_times
+from survfuse.blending import blend_inputs, select_lambda
+from survfuse.heads import CurveBlocks, SurvivalCurve, breslow_baseline, cox_curve
+from survfuse.metrics import CTD_BLOCK, c_td, censoring_km, ibs
+from survfuse.training import _channels
 
 
 def step_curve(times, values):
@@ -307,42 +309,45 @@ def test_ibs_float_conversion():
 
 
 def test_evaluation_memory_stays_bounded_at_large_n():
-    """The evaluation path (curves at the scored times, blending, lambda
-    selection, c_td and ibs) on 10,000 test subjects and a Cox baseline of
-    25,000 event times. A curve matrix on the whole grid would take 1.9 GB;
-    on the scored times it takes 46 MB (monthly follow-up gives at most 60
-    event-time columns, ibs adds 512), and the whole path stays within five
-    of those. n is a fifth of the 50,000 a registry would hold, to keep the
-    test within a few seconds: c_td's O(n * events) time dominates."""
+    """The streamed evaluation path (lambda selection, then c_td and ibs of
+    the hidden, verbalized and combined channels, all on CurveBlocks) on
+    5,000 test subjects with continuous event times and a Cox baseline of
+    25,000 event times. Curves on the whole grid would take 1 GB, and even on
+    only the scored times (one column per distinct event time, plus the 512
+    ibs midpoints) they take at least 100 MB. The streamed path holds a few
+    (n x CTD_BLOCK) blocks at a time, so its peak has a bound that does not
+    depend on the number of scored times."""
     rng = np.random.default_rng(0)
-    n_fit, n = 25_000, 10_000
+    n_fit, n = 25_000, 5_000
     baseline = breslow_baseline(0.5 * rng.normal(size=n_fit),
                                 rng.uniform(0.01, 5.0, size=n_fit), np.ones(n_fit, dtype=bool))
     assert baseline.event_times.size == n_fit
     scores = 0.5 * rng.normal(size=n)
     raw = rng.exponential(4.0 * np.exp(-scores))
-    times = np.ceil(np.minimum(raw, 5.0) * 12.0) / 12.0
-    events = (raw < 5.0) & (rng.random(n) < 0.2)
+    times = np.minimum(raw, 5.0)
+    events = (raw < 5.0) & (rng.random(n) < 0.8)
     # a teacher that knows the 3-year survival, for 80% of the subjects
     percents = np.round(100.0 * np.exp(-3.0 / (4.0 * np.exp(-scores))))
     percents[rng.random(n) >= 0.8] = np.nan
-    max_columns = 1 + 60 + IBS_GRID_POINTS
-    bound = 5 * n * max_columns * 8
+    # curves on the scored times keep the grid columns that hold the event
+    # times and (about) the ibs midpoints
+    scored = np.concatenate([times[events], np.linspace(0.0, times.max(), 512)])
+    columns = np.unique(np.searchsorted(baseline.event_times, scored, side="right")).size
+    assert n * columns * 8 >= 100e6
+    hidden = CurveBlocks(n, functools.partial(cox_curve, scores, baseline))
+    blend = CurveBlocks(n, lambda t: blend_inputs(hidden.build(t), percents)[0])
+    # about eight (n x CTD_BLOCK) float64 arrays at once: a combined block is
+    # built from hidden, verbalized and blend blocks, and c_td adds the later
+    # subjects' values and its comparison masks
+    bound = 8 * n * CTD_BLOCK * 8
 
     tracemalloc.start()
     try:
-        curves = cox_curve(scores, baseline, at=scored_times(times, events))
-        blend, verbalized, _ = blend_inputs(curves, percents)
-        lam, _ = select_lambda(curves, blend, times, events)
-        channels = [(c_td(s, times, events), ibs(s, times, events).value)
-                    for s in (curves, verbalized)]
-        del verbalized  # as in training.evaluate
-        combined = combine(curves, blend, lam)
-        channels.append((c_td(combined, times, events), ibs(combined, times, events).value))
+        lam, _ = select_lambda(hidden, blend, times, events)
+        channels = _channels(hidden, times, events, percents, lam)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert curves.values.shape[1] <= max_columns
     assert peak < bound, f"peak {peak / 2**20:.0f} MB, bound {bound / 2**20:.0f} MB"
-    for concordance, brier in channels:
-        assert 0.55 < concordance < 1.0 and 0.0 < brier < 0.25
+    for name in ("hidden", "verbalized", "combined"):
+        assert 0.55 < channels[name].c_td < 1.0 and 0.0 < channels[name].ibs < 0.25, name

@@ -1,10 +1,13 @@
 """Property-based tests for curve sets (blocked concordance against the
 exhaustive pairwise oracle, union-grid conversion, the invariants of blended
-and averaged sets, scores and curves on only the scored times) and for the
-whole-array training and teacher code against the per-element forms it
-replaced (Cox risk sets, Breslow increments, flat AdamW, the flat-vector
-training step, sigmoid, one-draw dropout masks, batch and columnar teacher
-finalisation), the bit-exact bundle round trip, and the column-wise set-up
+and averaged sets, scores and curves on only the scored times, c_td under a
+strictly increasing map), for streamed evaluation against the materialised
+curves (one-pass lambda selection against per-lambda c_td, every channel
+built block by block, the cache-free forward) and for the whole-array
+training and teacher code against the per-element forms it replaced (Cox
+risk sets, Breslow increments, flat AdamW, the flat-vector training step,
+sigmoid, one-draw dropout masks, batch and columnar teacher finalisation),
+the bit-exact bundle round trip, and the column-wise set-up
 code against the per-element forms (batched attention pooling, the one-pass
 numeric-table parser, the joined CSV writer, cached teacher extraction)."""
 
@@ -14,14 +17,16 @@ import io
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survfuse import pooling
-from survfuse.blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve
+from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve,
+                               select_lambda)
 from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
                              split_cohort)
 from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_records,
@@ -29,16 +34,16 @@ from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, fina
                               parse_teacher_file, prob_matrix, three_year_percent)
 from survfuse.formats import write_csv_table
 from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
-from survfuse.heads import (CurveSet, SurvivalCurve, TimeGrid, _event_time_groups,
-                            breslow_baseline, build_discrete_targets, cox_curve,
-                            cox_loss_grad, discrete_curve, discrete_loss_grad)
-from survfuse.metrics import (CTD_BLOCK, IBS_BLOCK, IBS_GRID_POINTS, c_td, censoring_km, ibs,
-                              scored_times)
-from survfuse.model import init_model, model_params
+from survfuse.heads import (CurveBlocks, CurveSet, SurvivalCurve, TimeGrid, _checked_curves,
+                            _event_time_groups, breslow_baseline, build_discrete_targets,
+                            cox_curve, cox_loss_grad, discrete_curve, discrete_loss_grad)
+from survfuse.metrics import CTD_BLOCK, IBS_BLOCK, IBS_GRID_POINTS, c_td, censoring_km, ibs
+from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          sigmoid)
 from survfuse.pooling import attention_pool, pool_many
-from survfuse.training import RunConfig, _learning_rate, finalize_teacher, total_loss
+from survfuse.training import (RunConfig, _channels, _learning_rate, finalize_teacher,
+                               total_loss)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -152,6 +157,12 @@ def test_metrics_on_union_grid_equal_curve_by_curve(n, event_p, grid_points, see
             == ibs_curve_by_curve(curves, times, events, grid_points))
 
 
+def scored_times(times, events, grid_points=IBS_GRID_POINTS):
+    """Every time c_td and ibs read: the event times and the ibs midpoints."""
+    t_max = float(times.max())
+    return np.concatenate([times[events], (np.arange(grid_points) + 0.5) * (t_max / grid_points)])
+
+
 def channel_scores(curves: CurveSet, times, events, grid_points):
     """c_td (None where it raises) and the ibs result of one channel."""
     try:
@@ -261,6 +272,134 @@ def test_clean_up_matches_full_running_minimum(n, n_times, seed):
     cleaned = CurveSet(times=times, values=values).values
     assert np.array_equal(values, before)  # the caller's array is untouched
     assert np.array_equal(cleaned, np.minimum.accumulate(np.clip(before, 0.0, 1.0), axis=1))
+
+
+# ------------------------------------------------------ streamed evaluation
+
+
+def per_lambda_selection(hidden, verbalized, times, events, grid):
+    """select_lambda as first written: c_td of each lambda's combined set."""
+    best_lam, best = None, -np.inf
+    for lam in sorted(grid):
+        score = c_td(combine(hidden, verbalized, lam), times, events)
+        if score > best:
+            best_lam, best = lam, score
+    return best_lam, best
+
+
+def blocks_of(curves: CurveSet) -> CurveBlocks:
+    return CurveBlocks(len(curves), curves.restrict)
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 2 * CTD_BLOCK), n_times=st.integers(1, 8), levels=st.integers(1, 5),
+       event_p=st.floats(0.05, 1.0), tied_times=st.booleans(),
+       grid=st.one_of(st.just(DEFAULT_LAMBDA_GRID),
+                      st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.35, 1.0]),
+                               min_size=1, max_size=8)),
+       seed=SEEDS)
+def test_one_pass_lambda_scores_equal_per_lambda_c_td(n, n_times, levels, event_p, tied_times,
+                                                      grid, seed):
+    rng = np.random.default_rng(seed)
+    # coarse lattices give tied values, within and across the blends
+    hidden = quantized_set(rng, n, n_times, levels)
+    verbalized = quantized_set(rng, n, n_times, levels, grid=hidden.times[1:])
+    times, events = outcomes(rng, n, event_p, hidden.times[1:] if tied_times else None)
+    want = outcome_or_error(per_lambda_selection, hidden, verbalized, times, events, grid)
+    assert outcome_or_error(select_lambda, hidden, verbalized, times, events, grid) == want
+    assert outcome_or_error(select_lambda, blocks_of(hidden), blocks_of(verbalized), times,
+                            events, grid) == want
+
+
+def hidden_blocks(rng, head, n, n_fit, n_bins):
+    """A model's curves for n subjects, as evaluate builds them: Cox curves on a
+    Breslow baseline with tied fit times, or discrete-time curves."""
+    if head == "coxph":
+        fit_times = rng.choice(rng.uniform(0.01, 5.0, size=n_fit), size=n_fit)
+        fit_events = rng.random(n_fit) < 0.6
+        fit_events[0] = True
+        baseline = breslow_baseline(rng.normal(size=n_fit), fit_times, fit_events)
+        build = functools.partial(cox_curve, rng.normal(scale=1.5, size=n), baseline)
+    else:
+        build = functools.partial(discrete_curve, rng.normal(scale=3.0, size=(n, n_bins)),
+                                  TimeGrid.equal_width(n_bins, 5.0))
+    return CurveBlocks(n, build)
+
+
+def no_clean_up(times, values, _checked=_checked_curves):
+    """`_checked_curves`, failing when it has to clip or flatten a row."""
+    checked = _checked(times, values)
+    assert checked[1] is values, "a block needed clean-up"
+    return checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(head=st.sampled_from(["coxph", "discrete"]), n=st.integers(1, 2 * CTD_BLOCK + 10),
+       n_fit=st.integers(1, 400), n_bins=st.integers(1, 25),
+       present=st.sampled_from(["none", "some", "all"]), tied_times=st.booleans(),
+       lam=st.sampled_from(DEFAULT_LAMBDA_GRID) | st.floats(0.0, 1.0), seed=SEEDS)
+def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_bins, present,
+                                                              tied_times, lam, seed):
+    rng = np.random.default_rng(seed)
+    hidden = hidden_blocks(rng, head, n, n_fit, n_bins)
+    full = hidden.build(None)
+    # tied outcome times that also sit exactly on grid points
+    times, events = outcomes(rng, n, 0.6, full.times[1:] if tied_times else None)
+    percents = rng.integers(0, 101, size=n).astype(np.float64)  # 0 is floored
+    if present != "all":
+        percents[rng.random(n) < (1.0 if present == "none" else 0.4)] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        # as evaluate built them before: whole matrices on the scored times
+        scored = full.restrict(scored_times(times, events))
+        blend, verbalized, n_present = blend_inputs(scored, percents)
+        want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
+        if n_present:
+            want["verbalized"] = channel_scores(verbalized, times, events, IBS_GRID_POINTS)
+            want["combined"] = channel_scores(combine(scored, blend, lam), times, events,
+                                              IBS_GRID_POINTS)
+        # every block is a checked CurveSet that needs no clean-up
+        with mock.patch("survfuse.heads._checked_curves", no_clean_up):
+            got = outcome_or_error(_channels, hidden, times, events, percents, lam)
+    if want["hidden"][0] is None:
+        assert isinstance(got, str)  # c_td raised: no comparable pairs
+        return
+    assert set(got) == {"hidden", "verbalized", "combined"}
+    for name, (score, brier) in want.items():
+        assert (got[name].c_td, got[name].ibs) == (score, brier.value), name
+    if not n_present:
+        assert got["verbalized"].c_td is None
+        assert (got["combined"].c_td, got["combined"].ibs) == (got["hidden"].c_td,
+                                                              got["hidden"].ibs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3 * CTD_BLOCK), n_times=st.integers(1, 8), levels=st.integers(1, 6),
+       event_p=st.floats(0.05, 1.0), tied_times=st.booleans(),
+       transform=st.sampled_from(["power", "expm1", "sqrt", "cube"]),
+       shape=st.floats(0.1, 8.0), seed=SEEDS)
+def test_ctd_is_unchanged_by_a_strictly_increasing_map(n, n_times, levels, event_p, tied_times,
+                                                       transform, shape, seed):
+    rng = np.random.default_rng(seed)
+    curves = quantized_set(rng, n, n_times, levels)
+    times, events = outcomes(rng, n, event_p, curves.times[1:] if tied_times else None)
+    f = {"power": lambda x: x ** shape,
+         "expm1": lambda x: np.expm1(shape * x) / np.expm1(shape),
+         "sqrt": np.sqrt, "cube": lambda x: x ** 3}[transform]
+    present, where = np.unique(curves.values.ravel(), return_inverse=True)
+    mapped = f(present)
+    # in floating point the map must stay strictly increasing on the values present
+    assume(np.all(np.diff(mapped) > 0.0) and mapped[-1] == 1.0)
+    moved = CurveSet(times=curves.times, values=mapped[where].reshape(curves.values.shape))
+    assert outcome_or_error(c_td, moved, times, events) == outcome_or_error(c_td, curves,
+                                                                            times, events)
 
 
 # ------------------------------------------- training step and teacher finalisation
@@ -533,6 +672,35 @@ def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropo
         for name in ref:
             assert np.array_equal(params[name], ref[name]), name
     assert rng_flat.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_type=st.sampled_from(["discrete", "coxph"]), fusion=st.sampled_from(FUSIONS),
+       dropout=st.sampled_from([0.0, 0.3]), ae_dropout=st.sampled_from([0.0, 0.2]),
+       n=st.integers(1, 40), train_mode=st.booleans(), seed=SEEDS)
+def test_cache_free_forward_equals_caching_forward(head_type, fusion, dropout, ae_dropout, n,
+                                                   train_mode, seed):
+    fusion, modalities = fusion
+    rng = np.random.default_rng(seed)
+    model = init_model(head_type, fusion, modalities, STEP_DIMS, rng, n_bins=4,
+                       head_layers=[6, 5], dropout=dropout, ae_hidden=[4], latent_dim=3,
+                       ae_dropout=ae_dropout)
+    for arr in model_params(model).values():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    batch = {m: rng.normal(size=(n, STEP_DIMS[m])) for m in modalities}
+    rng_a, rng_b = (np.random.default_rng(seed + 1) if train_mode else None for _ in range(2))
+    cached = model_forward(model, batch, rng=rng_a)
+    free = model_forward(model, batch, rng=rng_b, keep_cache=False)
+    assert free.out.tobytes() == cached.out.tobytes()
+    for name in ("z_ge", "recon"):
+        a, b = getattr(cached, name), getattr(free, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert all(c is None for c in free.head_caches.values())
+    assert free.enc_cache is None and free.dec_cache is None
+    if train_mode:
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    with pytest.raises(ValueError, match="kept no cache"):
+        model_backward(model, free, np.ones_like(free.out))
 
 
 def masked_sigmoid(x):
