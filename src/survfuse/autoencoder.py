@@ -44,16 +44,6 @@ def init_autoencoder(input_dim: int, rng: np.random.Generator,
     return Autoencoder(encoder=encoder, decoder=decoder)
 
 
-def encode(ae: Autoencoder, x: np.ndarray) -> np.ndarray:
-    z, _ = mlp_forward(ae.encoder, x)
-    return z
-
-
-def reconstruction_loss(ae: Autoencoder, x: np.ndarray) -> float:
-    loss, _, _ = reconstruction_loss_grad(ae, x)
-    return loss
-
-
 def reconstruction_loss_grad(
     ae: Autoencoder, x: np.ndarray, rng: np.random.Generator | None = None,
 ) -> tuple[float, MlpGrads, MlpGrads]:

@@ -6,40 +6,51 @@ import warnings
 
 import numpy as np
 
-from .heads import CurveSet, SurvivalCurve
+from .heads import CurveSet
 from .metrics import c_td_many
 
 PERCENT_FLOOR = 0.5
 DEFAULT_LAMBDA_GRID = tuple(k / 20.0 for k in range(21))
 
 
+def floor_percents(percents) -> np.ndarray:
+    """The percents as a float64 vector, 0 raised to PERCENT_FLOOR.
+
+    One warning per call says how many of the present (non-NaN) percents
+    were floored. Flooring floored percents changes nothing and warns no
+    more, so a split's percents can be floored once, up front.
+    """
+    percents = np.asarray(percents, dtype=np.float64).reshape(-1)
+    zero = percents == 0
+    if zero.any():
+        warnings.warn(f"verbalized probability 0 floored to {PERCENT_FLOOR}% before "
+                      f"the log for {int(zero.sum())} of "
+                      f"{int(np.count_nonzero(~np.isnan(percents)))} percents",
+                      stacklevel=2)
+        percents = np.where(zero, PERCENT_FLOOR, percents)
+    return percents
+
+
 def verbalized_curves(percents, times) -> CurveSet:
     """Exponential curves anchored at 3-year verbalized probabilities.
 
     rho = -ln(percent/100)/3, sampled at `times` (which must start at 0).
-    A percent of 0 is floored to 0.5 before the log; one warning per call
-    says how many were.
+    Percents are floored by `floor_percents` before the log.
     """
     percents = np.asarray(percents, dtype=np.float64).reshape(-1)
     bad = percents[~((percents >= 0) & (percents <= 100))]
     if bad.size:
         raise ValueError(f"percent {bad[0]:g} outside [0, 100]")
-    zero = percents == 0
-    if zero.any():
-        warnings.warn(f"verbalized probability 0 floored to {PERCENT_FLOOR}% before "
-                      f"the log for {int(zero.sum())} of {percents.size} percents",
-                      stacklevel=2)
-        percents = np.where(zero, PERCENT_FLOOR, percents)
-    rho = -np.log(percents / 100.0) / 3.0
+    rho = -np.log(floor_percents(percents) / 100.0) / 3.0
     times = np.asarray(times, dtype=np.float64)
     values = -rho[:, None] * times[None, :]
     np.exp(values, out=values)
     return CurveSet(times=times, values=values)
 
 
-def verbalized_curve(percent: float, times) -> SurvivalCurve:
-    """The curve of `verbalized_curves` for one percent."""
-    return verbalized_curves([percent], times)[0]
+def verbalized_curve(percent: float, times) -> CurveSet:
+    """`verbalized_curves` for one percent: a one-row CurveSet."""
+    return verbalized_curves([percent], times)
 
 
 def _check_same_grid(a: CurveSet, b: CurveSet) -> None:

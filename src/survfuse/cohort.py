@@ -409,9 +409,9 @@ def preprocess_covariates(cohort: Cohort, train_indices) -> dict:
     return meta
 
 
-def split_cohort(n_or_cohort, ratios=(0.70, 0.10, 0.20), seed: int = 0) -> CohortSplit:
-    """Seeded shuffle, then floor sizes with the final split taking the remainder."""
-    n = n_or_cohort if isinstance(n_or_cohort, int) else len(n_or_cohort)
+def split_cohort(n: int, ratios=(0.70, 0.10, 0.20), seed: int = 0) -> CohortSplit:
+    """Seeded shuffle of n samples, then floor sizes with the final split
+    taking the remainder."""
     if n < 3:
         raise ValueError(f"cohort of {n} is too small to split")
     ratios = [float(r) for r in ratios]

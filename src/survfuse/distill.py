@@ -134,11 +134,6 @@ def fit_survival_at(fit: ParametricFit, t) -> np.ndarray:
     raise ValueError(f"unknown family {fit.family!r}")
 
 
-def horizon_means(prob_rows: list[dict[float, float | None]]) -> dict[float, float]:
-    """Per-horizon means of the extracted probabilities (training split)."""
-    return _column_means(prob_matrix(prob_rows))
-
-
 def _column_means(probs: np.ndarray) -> dict[float, float]:
     """Per-horizon means of an (N, 3) matrix's non-NaN values, summed in row order."""
     means: dict[float, float] = {}
@@ -182,9 +177,10 @@ def _exponential_rates(s: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _complete_matrix(probs: np.ndarray, means: dict[float, float]) -> tuple[np.ndarray, int]:
-    """Row-wise `complete_horizons` on an (N, 3) matrix with NaN for missing.
-
-    Returns the completed matrix and the number of zeros clamped by the refits.
+    """Fill the missing horizons of an (N, 3) matrix (NaN where missing): an
+    exponential refit through a row's present points, or the per-horizon
+    `means` for a row with none; rows are clipped to [0, 1] and made
+    non-increasing. Returns the matrix and the number of zeros the refits clamped.
     """
     present = ~np.isnan(probs)
     if np.any(probs[present] < 0.0) or np.any(probs[present] > 1.0):
@@ -198,26 +194,6 @@ def _complete_matrix(probs: np.ndarray, means: dict[float, float]) -> tuple[np.n
     if empty.any():
         out[empty] = [means[h] for h in HORIZONS]
     return np.minimum.accumulate(np.clip(out, 0.0, 1.0), axis=1), clamped
-
-
-def _warn_clamped(count: int, stacklevel: int = 3) -> None:
-    if count:
-        warnings.warn(f"survival value 0 clamped for log transform: {count} value(s) "
-                      f"set to {S_FLOOR}", stacklevel=stacklevel)
-
-
-def complete_horizons(probs: dict[float, float | None],
-                      means: dict[float, float]) -> tuple[float, float, float]:
-    """Fill missing horizon probabilities.
-
-    With at least one extraction, refit an exponential through the present
-    points and evaluate it at the missing horizons; with none, fall back to
-    the per-horizon training means. Result clipped to [0, 1] and made
-    non-increasing in t.
-    """
-    completed, clamped = _complete_matrix(prob_matrix([probs]), means)
-    _warn_clamped(clamped)
-    return tuple(completed[0].tolist())
 
 
 def round_to_nearest_five(x: float) -> int:
@@ -368,7 +344,10 @@ def finalize_probs(probs: np.ndarray,
         means = _column_means(probs[pool if pool.any() else extracted])
     completed, clamped = _complete_matrix(probs, means)
     rates, refit_clamped = _exponential_rates(completed)
-    _warn_clamped(clamped + refit_clamped, stacklevel=4)  # the caller's caller
+    if clamped + refit_clamped:
+        warnings.warn(f"survival value 0 clamped for log transform: "
+                      f"{clamped + refit_clamped} value(s) set to {S_FLOOR}",
+                      stacklevel=3)  # the caller's caller
     percents = [round_to_nearest_five(p) for p in (np.exp(-rates * 3.0) * 100.0).tolist()]
     return completed, rates, percents
 

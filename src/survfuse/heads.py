@@ -108,34 +108,12 @@ def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class SurvivalCurve:
-    """Right-continuous step function with S(0) = 1, non-increasing, in [0, 1]."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or np.ndim(self.times) != 1 or values.size != np.size(self.times):
-            raise ValueError("times and values must be 1-D and the same length")
-        self.times, checked = _checked_curves(self.times, values[None, :])
-        self.values = checked[0]
-
-    def at(self, t) -> np.ndarray:
-        """Evaluate at time(s) t: value held from the preceding step."""
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0):
-            raise ValueError("curves are defined for t >= 0")
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self.values[idx]
-
-
-@dataclass
 class CurveSet:
     """N step curves on one shared grid: `times` (T,), `values` (N, T).
 
-    Every row satisfies the `SurvivalCurve` invariants, checked once for the
-    whole matrix. Row i is S_i; column k holds every S_i(times[k]).
+    Row i is S_i; column k holds every S_i on [times[k], times[k+1]). The
+    times start at 0 and strictly increase; every row starts at 1, never
+    rises and lies in [0, 1], checked once for the whole matrix.
     """
 
     times: np.ndarray
@@ -147,9 +125,6 @@ class CurveSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __getitem__(self, i: int) -> SurvivalCurve:
-        return SurvivalCurve(times=self.times, values=self.values[i])
-
     def cells(self, t) -> np.ndarray:
         """Grid column holding each time's value: the last times[k] <= t."""
         return _grid_cells(self.times, t)
@@ -157,29 +132,6 @@ class CurveSet:
     def at(self, t) -> np.ndarray:
         """Every curve at time(s) t: shape (N,) + shape(t)."""
         return self.values[:, self.cells(t)]
-
-    def restrict(self, t) -> "CurveSet":
-        """The same curves on only the grid points that hold times t (and 0).
-
-        Exact at every time in t: each keeps the grid point it had. A set
-        that already has no other grid points is returned as it is.
-        """
-        cols = _grid_columns(self.times, t)
-        if cols.size == self.times.size:
-            return self
-        return CurveSet(times=self.times[cols], values=self.values[:, cols])
-
-    @classmethod
-    def from_curves(cls, curves) -> "CurveSet":
-        """Stack curves onto the union of their grids (exact for step functions)."""
-        curves = list(curves)
-        if not curves:
-            raise ValueError("no curves")
-        times = curves[0].times
-        if all(np.array_equal(c.times, times) for c in curves):
-            return cls(times=times, values=np.stack([c.values for c in curves]))
-        times = np.unique(np.concatenate([c.times for c in curves]))
-        return cls(times=times, values=np.stack([c.at(times) for c in curves]))
 
 
 @dataclass
@@ -255,8 +207,8 @@ def discrete_loss_grad(logits: np.ndarray, targets: DiscreteTargets) -> tuple[fl
 def discrete_curve(logits: np.ndarray, grid: TimeGrid, at=None) -> CurveSet:
     """Survival step curves from per-bin hazard logits (N, B): S(t_b) = prod_{k<=b}(1 - h_k).
 
-    With `at`, only the grid columns that hold those times (and 0) are kept,
-    bit for bit `discrete_curve(logits, grid).restrict(at)`.
+    With `at`, only the grid columns that hold those times, and 0, are kept,
+    so every curve keeps its value at each time in `at`, bit for bit.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] != grid.n_bins:
@@ -346,12 +298,6 @@ class BreslowBaseline:
         if np.any(self.increments < 0):
             raise ValueError("baseline hazard increments must be non-negative")
 
-    def cumulative_hazard(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.event_times, t, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.increments)])
-        return cum[idx]
-
 
 def breslow_baseline(scores, times, events) -> BreslowBaseline:
     """Baseline hazard increment d_k / sum_{t_j >= tau_k} exp(g_j) at each event time.
@@ -379,8 +325,8 @@ def cox_curve(scores, baseline: BreslowBaseline, at=None) -> CurveSet:
     """Curves S_i(t) = exp(-H0(t) * exp(g_i)) on 0 and the baseline's event times.
 
     With `at`, the curves are computed on only the grid columns that hold
-    those times (and 0), bit for bit `cox_curve(scores, baseline).restrict(at)`,
-    and the full (N, T) matrix is never made.
+    those times, and 0, so every curve keeps its value at each time in `at`,
+    bit for bit, and the full (N, T) matrix is never made.
     """
     if baseline.event_times.size == 0:
         raise ValueError("empty baseline")

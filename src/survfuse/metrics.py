@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import CurveBlocks, CurveSet
-
 # Event subjects that c_td scores together. Its working set is a few
 # (subjects x CTD_BLOCK) arrays, about 12 bytes per entry.
 CTD_BLOCK = 256
@@ -17,12 +15,6 @@ CTD_BLOCK = 256
 IBS_BLOCK = 64
 # Time points of the ibs integration grid (composite midpoint rule).
 IBS_GRID_POINTS = 512
-
-
-def _curve_set(curves):
-    """Curves read through `at` (a CurveSet or CurveBlocks) as they are; a
-    sequence of SurvivalCurves on their union grid."""
-    return curves if isinstance(curves, (CurveSet, CurveBlocks)) else CurveSet.from_curves(curves)
 
 
 @dataclass
@@ -85,14 +77,12 @@ def c_td(curves, times, events) -> float:
 
     A pair (i, j) is comparable when t_i < t_j and e_i = 1; it scores 1 when
     S_i(t_i) < S_j(t_i), 0.5 on an exact tie, 0 otherwise. `curves` is a
-    CurveSet, a CurveBlocks, or a sequence of SurvivalCurves (stacked on
-    their union grid); it is read only through `len` and `at`. Event subjects
+    CurveSet or a CurveBlocks, read only through `len` and `at`. Event subjects
     are scored in blocks of CTD_BLOCK against every later subject at once,
     reading every curve at the block's event times, `curves.at(times)`: extra
     memory stays O(n * CTD_BLOCK), and the counts are integers, so the result
     does not depend on the blocking.
     """
-    curves = _curve_set(curves)
 
     def read(t, rows, later):
         values = curves.at(t)
@@ -159,8 +149,8 @@ def ibs(curves, times, events, grid_points: int = IBS_GRID_POINTS) -> IbsResult:
     observed event by t, plus (1 - S(t|x_i))^2 / G(t) over subjects still
     under observation after t; the integral over [0, t_max] is normalized by
     t_max. Terms whose IPCW denominator is zero are dropped and counted.
+    `curves` is a CurveSet or a CurveBlocks, read only through `len` and `at`.
     """
-    curves = _curve_set(curves)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
     n = times.size

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import formats
-from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, select_lambda
+from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, floor_percents, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, finalize_probs
 from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
@@ -415,6 +415,8 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     `CurveBlocks`: the metrics read it a block of times at a time, and each
     block is built on only the grid points that hold its times, so the
     scores equal those of the full curves and no (N, T) matrix is made.
+    Each split's percents are floored once, before any block is built, so
+    a split warns once about its 0% estimates.
     """
     if cohort.teacher_probs is not None and percents is None:
         raise ValueError("teacher records not finalized: pass the percents "
@@ -423,12 +425,12 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     if cohort.teacher_probs is not None:
         val_data = _split_data(cohort, split.val, config, result.grid)
         val_hidden = _hidden_curves(result, val_data)
-        val_percents = percents[split.val]
+        val_percents = floor_percents(percents[split.val])
         val_blend = CurveBlocks(len(val_hidden), lambda t: blend_inputs(
             val_hidden.build(t), val_percents)[0])
         selected, val_score = select_lambda(val_hidden, val_blend, val_data["times"],
                                             val_data["events"], grid=config.lambda_grid)
-        test_percents = percents[split.test]
+        test_percents = floor_percents(percents[split.test])
     test_data = _split_data(cohort, split.test, config, result.grid)
     channels = _channels(_hidden_curves(result, test_data), test_data["times"],
                          test_data["events"], test_percents, selected)

@@ -19,12 +19,12 @@ from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
                               weighted_text_loss_grad)
 from survfuse.fusion import FusionGates, ModalityOutputs, late_fuse
-from survfuse.heads import (SurvivalCurve, TimeGrid, breslow_baseline,
-                            build_discrete_targets, cox_loss,
+from survfuse.heads import (TimeGrid, breslow_baseline, build_discrete_targets, cox_loss,
                             discrete_loss_grad, cox_loss_grad)
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import finite_difference_check, mlp_forward
+from stepcurves import curve, curve_at, stack
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:survival value", "ignore:verbalized probability")
@@ -45,7 +45,7 @@ def random_step_curve(rng, quantized=False):
         levels = np.sort(rng.choice(np.arange(1, 8) / 8.0, size=n_drops))[::-1]
     else:
         levels = np.sort(rng.uniform(0.05, 0.95, size=n_drops))[::-1]
-    return SurvivalCurve(times, np.concatenate([[1.0], levels]))
+    return curve(times, np.concatenate([[1.0], levels]))
 
 
 # ------------------------------------------------------------- criterion 1
@@ -183,20 +183,20 @@ def test_criterion_2_metrics_match_oracles():
         for i in range(n):
             if not events[i]:
                 continue
-            s_i = float(curves[i].at(times[i]))
+            s_i = float(curve_at(curves[i], times[i]))
             for j in range(n):
                 if times[j] > times[i]:
                     pairs += 1
-                    s_j = float(curves[j].at(times[i]))
+                    s_j = float(curve_at(curves[j], times[i]))
                     num += 1.0 if s_i < s_j else (0.5 if s_i == s_j else 0.0)
-        assert c_td(curves, times, events) == num / pairs
+        assert c_td(stack(curves), times, events) == num / pairs
 
     # quadrature converges: successive grid doublings agree to 1e-4
     n = 60
     times = rng.uniform(0.5, 6.0, size=n)
     events = rng.random(n) < 0.5
     events[0] = True
-    curves = [random_step_curve(rng) for _ in range(n)]
+    curves = stack(random_step_curve(rng) for _ in range(n))
     at_512 = ibs(curves, times, events, grid_points=512).value
     at_1024 = ibs(curves, times, events, grid_points=1024).value
     at_2048 = ibs(curves, times, events, grid_points=2048).value
@@ -204,8 +204,8 @@ def test_criterion_2_metrics_match_oracles():
     assert abs(at_2048 - at_1024) < 1e-4
 
     # closed form: S == 1/2 everywhere, one uncensored subject -> 1/4
-    half = SurvivalCurve(np.array([0.0, 1e-6]), np.array([1.0, 0.5]))
-    result = ibs([half], np.array([4.0]), np.array([True]))
+    half = curve([0.0, 1e-6], [1.0, 0.5])
+    result = ibs(half, np.array([4.0]), np.array([True]))
     assert result.value == 0.25
     assert result.dropped_terms == 0
     assert time.perf_counter() - started < 30.0

@@ -1,7 +1,6 @@
 import numpy as np
 
-from survfuse.autoencoder import (Autoencoder, encode, init_autoencoder,
-                                  reconstruction_loss, reconstruction_loss_grad)
+from survfuse.autoencoder import Autoencoder, init_autoencoder, reconstruction_loss_grad
 from survfuse.nn import finite_difference_check, mlp_forward
 
 
@@ -22,7 +21,7 @@ def test_default_preset_is_production_scale():
 def test_encode_shape():
     rng = np.random.default_rng(1)
     ae = init_autoencoder(10, rng, hidden=[6], latent_dim=4)
-    z = encode(ae, rng.normal(size=(5, 10)))
+    z, _ = mlp_forward(ae.encoder, rng.normal(size=(5, 10)))
     assert z.shape == (5, 4)
 
 
@@ -36,7 +35,7 @@ def test_loss_matches_manual_computation():
     for i in range(4):
         expected += ((recon[i] - x[i]) ** 2).sum() / 7
     expected /= 4
-    assert abs(reconstruction_loss(ae, x) - expected) < 1e-14
+    assert abs(reconstruction_loss_grad(ae, x)[0] - expected) < 1e-14
 
 
 def test_perfect_reconstruction_gives_zero_loss():
@@ -46,7 +45,7 @@ def test_perfect_reconstruction_gives_zero_loss():
     eye = Autoencoder(encoder=Mlp([np.eye(3)], [np.zeros(3)]),
                       decoder=Mlp([np.eye(3)], [np.zeros(3)]))
     x = np.random.default_rng(3).normal(size=(5, 3))
-    assert reconstruction_loss(eye, x) == 0.0
+    assert reconstruction_loss_grad(eye, x)[0] == 0.0
 
 
 def test_gradients_match_finite_differences():
@@ -82,7 +81,7 @@ def test_dropout_changes_training_loss_but_not_eval():
     rng = np.random.default_rng(5)
     ae = init_autoencoder(6, rng, hidden=[8], latent_dim=3, dropout=0.5)
     x = rng.normal(size=(3, 6))
-    eval_loss = reconstruction_loss(ae, x)
-    assert reconstruction_loss(ae, x) == eval_loss
+    eval_loss = reconstruction_loss_grad(ae, x)[0]
+    assert reconstruction_loss_grad(ae, x)[0] == eval_loss
     train_loss, _, _ = reconstruction_loss_grad(ae, x, rng=np.random.default_rng(0))
     assert train_loss != eval_loss

@@ -16,8 +16,9 @@ from survfuse.blending import (
     verbalized_curve,
     verbalized_curves,
 )
-from survfuse.heads import CurveSet, SurvivalCurve
+from survfuse.heads import CurveSet
 from survfuse.metrics import c_td
+from stepcurves import curve, curve_at, stack
 
 GRID = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])
 
@@ -26,36 +27,31 @@ def random_curve(rng, times=GRID):
     """Random valid step curve: S(0) = 1, non-increasing."""
     drops = rng.uniform(0.0, 0.3, size=times.size - 1)
     values = np.concatenate([[1.0], np.maximum(1.0 - np.cumsum(drops), 0.0)])
-    return SurvivalCurve(times=times.copy(), values=values)
-
-
-def one(curve):
-    """A single curve as a one-row set."""
-    return CurveSet.from_curves([curve])
+    return curve(times.copy(), values)
 
 
 # ------------------------------------------------------------ S^v construction
 
 def test_verbalized_curve_exponential_anchor():
-    curve = verbalized_curve(90, GRID)
+    one = verbalized_curve(90, GRID)
     rho = -math.log(0.9) / 3.0
-    assert np.allclose(curve.values, np.exp(-rho * GRID), rtol=0, atol=1e-15)
+    assert np.allclose(one.values[0], np.exp(-rho * GRID), rtol=0, atol=1e-15)
     # anchored at the 3-year point, squared by 6 years
-    assert abs(float(curve.at(3.0)) - 0.9) < 1e-12
-    assert abs(float(curve.at(6.0)) - 0.81) < 1e-12
-    assert curve.values[0] == 1.0
+    assert abs(curve_at(one, 3.0) - 0.9) < 1e-12
+    assert abs(curve_at(one, 6.0) - 0.81) < 1e-12
+    assert one.values[0, 0] == 1.0
 
 
 def test_verbalized_curve_certain_survival():
-    curve = verbalized_curve(100, GRID)
-    assert np.array_equal(curve.values, np.ones_like(GRID))
+    one = verbalized_curve(100, GRID)
+    assert np.array_equal(one.values[0], np.ones_like(GRID))
 
 
 def test_verbalized_curve_floors_zero_percent():
     with pytest.warns(UserWarning):
-        curve = verbalized_curve(0, GRID)
-    assert abs(float(curve.at(3.0)) - 0.005) < 1e-12
-    assert np.all(curve.values > 0.0)
+        one = verbalized_curve(0, GRID)
+    assert abs(curve_at(one, 3.0) - 0.005) < 1e-12
+    assert np.all(one.values > 0.0)
 
 
 def test_verbalized_curve_rejects_out_of_range():
@@ -73,9 +69,9 @@ def test_combine_formula():
         hidden = random_curve(rng)
         verb = random_curve(rng)
         for lam in (0.15, 0.5, 0.85):
-            out = combine(one(hidden), one(verb), lam)
+            out = combine(hidden, verb, lam)
             expect = (1.0 - lam) * hidden.values + lam * verb.values
-            assert np.array_equal(out[0].values, expect)
+            assert np.array_equal(out.values, expect)
             assert np.array_equal(out.times, GRID)
 
 
@@ -83,8 +79,8 @@ def test_combine_endpoints_exact():
     rng = np.random.default_rng(32)
     hidden = random_curve(rng)
     verb = random_curve(rng)
-    assert np.array_equal(combine(one(hidden), one(verb), 0.0)[0].values, hidden.values)
-    assert np.array_equal(combine(one(hidden), one(verb), 1.0)[0].values, verb.values)
+    assert np.array_equal(combine(hidden, verb, 0.0).values, hidden.values)
+    assert np.array_equal(combine(hidden, verb, 1.0).values, verb.values)
 
 
 def test_combine_validation():
@@ -92,44 +88,44 @@ def test_combine_validation():
     hidden = random_curve(rng)
     verb = random_curve(rng)
     with pytest.raises(ValueError):
-        combine(one(hidden), one(verb), -0.01)
+        combine(hidden, verb, -0.01)
     with pytest.raises(ValueError):
-        combine(one(hidden), one(verb), 1.01)
+        combine(hidden, verb, 1.01)
     other = random_curve(rng, times=np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        combine(one(hidden), one(other), 0.5)
+        combine(hidden, other, 0.5)
     # one verbalized curve per hidden curve
     with pytest.raises(ValueError):
-        combine(one(hidden), CurveSet.from_curves([verb, verb]), 0.5)
+        combine(hidden, stack([verb, verb]), 0.5)
 
 
 def test_mean_curve():
     rng = np.random.default_rng(34)
     curves = [random_curve(rng) for _ in range(5)]
-    out = mean_curve(CurveSet.from_curves(curves))
-    expect = np.mean([c.values for c in curves], axis=0)
+    out = mean_curve(stack(curves))
+    expect = np.mean([c.values[0] for c in curves], axis=0)
     assert len(out) == 1
-    assert np.allclose(out[0].values, expect, rtol=0, atol=1e-15)
+    assert np.allclose(out.values[0], expect, rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         mean_curve(CurveSet(times=GRID, values=np.empty((0, GRID.size))))
 
 
 def test_blend_inputs_resolves_missing():
     rng = np.random.default_rng(35)
-    hidden = CurveSet.from_curves([random_curve(rng) for _ in range(4)])
+    hidden = stack([random_curve(rng) for _ in range(4)])
     percents = [70, None, 40, None]
     blend_in, verb_eval, n_present = blend_inputs(hidden, percents)
     assert n_present == 2
-    v70, v40 = verbalized_curve(70, GRID), verbalized_curve(40, GRID)
-    mean = np.mean([v70.values, v40.values], axis=0)
+    (v70,), (v40,) = verbalized_curve(70, GRID).values, verbalized_curve(40, GRID).values
+    mean = np.mean([v70, v40], axis=0)
     # present: the verbalized curve serves both paths
     for i, verb in ((0, v70), (2, v40)):
-        assert np.array_equal(blend_in[i].values, verb.values)
-        assert np.array_equal(verb_eval[i].values, verb.values)
+        assert np.array_equal(blend_in.values[i], verb)
+        assert np.array_equal(verb_eval.values[i], verb)
     # absent: blend against the hidden curve itself, evaluate the cohort mean
     for i in (1, 3):
-        assert np.array_equal(blend_in[i].values, hidden[i].values)
-        assert np.array_equal(verb_eval[i].values, mean)
+        assert np.array_equal(blend_in.values[i], hidden.values[i])
+        assert np.array_equal(verb_eval.values[i], mean)
     # every percent present: one set serves both paths
     blend_in, verb_eval, n_present = blend_inputs(hidden, [10, 20, 30, 40])
     assert blend_in is verb_eval and n_present == 4
@@ -144,8 +140,8 @@ def test_verbalized_curves_warn_once_per_call():
     with pytest.warns(UserWarning, match="for 3 of 5 percents") as record:
         curves = verbalized_curves([0, 50, 0, 0, 100], GRID)
     assert len(record) == 1
-    assert np.array_equal(curves[0].values, curves[2].values)
-    assert abs(float(curves[0].at(3.0)) - 0.005) < 1e-12
+    assert np.array_equal(curves.values[0], curves.values[2])
+    assert abs(curves.at(3.0)[0] - 0.005) < 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verbalized_curves([10, 90], GRID)
@@ -158,8 +154,8 @@ def test_verbalized_curves_warn_once_per_call():
 def brute_force_lambda(hidden, verbalized, times, events, grid):
     best_lam, best_score = None, -np.inf
     for lam in sorted(grid):
-        combined = [SurvivalCurve(h.times, (1.0 - lam) * h.values + lam * v.values)
-                    for h, v in zip(hidden, verbalized)]
+        combined = stack(CurveSet(h.times, (1.0 - lam) * h.values + lam * v.values)
+                         for h, v in zip(hidden, verbalized))
         score = c_td(combined, times, events)
         if score > best_score:
             best_lam, best_score = lam, score
@@ -168,8 +164,7 @@ def brute_force_lambda(hidden, verbalized, times, events, grid):
 
 def risk_ordered_curves(scores, times=GRID):
     """Higher score = steeper exponential = lower survival everywhere."""
-    return [SurvivalCurve(times=times.copy(), values=np.exp(-s * times))
-            for s in scores]
+    return [curve(times.copy(), np.exp(-s * times)) for s in scores]
 
 
 def test_select_lambda_prefers_the_informative_source():
@@ -180,8 +175,7 @@ def test_select_lambda_prefers_the_informative_source():
     risks = np.array([1.0, 0.8, 0.6, 0.4, 0.2])
     verbalized = risk_ordered_curves(risks)
     hidden = risk_ordered_curves(risks[::-1])
-    lam, score = select_lambda(CurveSet.from_curves(hidden),
-                               CurveSet.from_curves(verbalized), times, events)
+    lam, score = select_lambda(stack(hidden), stack(verbalized), times, events)
     assert score == 1.0
     # perfect concordance arrives somewhere past the midpoint, and ties
     # resolve to the smallest lambda achieving it
@@ -190,8 +184,7 @@ def test_select_lambda_prefers_the_informative_source():
                                     DEFAULT_LAMBDA_GRID)
     assert lam == ref_lam
     # with the sources swapped the hidden curves already score 1 at lambda 0
-    lam, score = select_lambda(CurveSet.from_curves(verbalized),
-                               CurveSet.from_curves(hidden), times, events)
+    lam, score = select_lambda(stack(verbalized), stack(hidden), times, events)
     assert lam == 0.0
     assert score == 1.0
 
@@ -202,10 +195,10 @@ def test_select_lambda_ties_take_smallest():
     times = rng.uniform(0.5, 5.5, size=6)
     events = np.ones(6, dtype=bool)
     # identical sources: every lambda scores the same
-    curve_set = CurveSet.from_curves(curves)
+    curve_set = stack(curves)
     lam, score = select_lambda(curve_set, curve_set, times, events)
     assert lam == 0.0
-    assert score == c_td(curves, times, events)
+    assert score == c_td(curve_set, times, events)
 
 
 def test_select_lambda_matches_brute_force():
@@ -218,8 +211,7 @@ def test_select_lambda_matches_brute_force():
         events = rng.random(n) < 0.7
         if not events.any():
             events[0] = True
-        lam, score = select_lambda(CurveSet.from_curves(hidden),
-                                   CurveSet.from_curves(verbalized), times, events)
+        lam, score = select_lambda(stack(hidden), stack(verbalized), times, events)
         ref_lam, ref_score = brute_force_lambda(hidden, verbalized, times,
                                                 events, DEFAULT_LAMBDA_GRID)
         assert lam == ref_lam
@@ -233,8 +225,8 @@ def test_select_lambda_custom_grid_and_validation():
     times = np.array([1.0, 2.0, 3.0, 4.0])
     events = np.ones(4, dtype=bool)
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    hidden_set = CurveSet.from_curves(hidden)
-    verbalized_set = CurveSet.from_curves(verbalized)
+    hidden_set = stack(hidden)
+    verbalized_set = stack(verbalized)
     lam, score = select_lambda(hidden_set, verbalized_set, times, events, grid=grid)
     assert lam in grid
     ref = brute_force_lambda(hidden, verbalized, times, events, grid)
@@ -256,8 +248,7 @@ def test_default_grid_shape():
 
 def test_select_lambda_rejects_different_grids():
     rng = np.random.default_rng(39)
-    hidden = CurveSet.from_curves([random_curve(rng) for _ in range(3)])
-    other = CurveSet.from_curves([random_curve(rng, times=np.array([0.0, 1.0, 2.0]))
-                                  for _ in range(3)])
+    hidden = stack([random_curve(rng) for _ in range(3)])
+    other = stack([random_curve(rng, times=np.array([0.0, 1.0, 2.0])) for _ in range(3)])
     with pytest.raises(ValueError, match="share evaluation times"):
         select_lambda(hidden, other, np.array([1.5, 2.5, 3.5]), np.ones(3, dtype=bool))

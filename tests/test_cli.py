@@ -7,6 +7,7 @@ observable without spawning interpreters.
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -201,9 +202,8 @@ def test_eval_matches_train_report(pipeline, tmp_path):
     assert eval_report["channels"] == train_report["channels"]
     _, curves = formats.read_curves_csv(os.path.join(out, "curves.csv"))
     assert len(curves) == 19
-    for curve in curves:
-        assert curve.times[0] == 0.0 and curve.values[0] == 1.0
-        assert np.all(np.diff(curve.values) <= 0.0)
+    assert curves.times[0] == 0.0 and np.all(curves.values[:, 0] == 1.0)
+    assert np.all(np.diff(curves.values, axis=1) <= 0.0)
 
 
 def test_eval_rejects_a_checkpoint_with_stale_config_keys(pipeline, tmp_path, capsys):
@@ -269,6 +269,25 @@ def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     combined_ids, combined = formats.read_curves_csv(os.path.join(blended, "combined.csv"))
     assert combined_ids == hidden_ids
     assert np.array_equal(combined.values, hidden.values)
+
+
+def test_blend_warns_once_about_floored_percents(pipeline, tmp_path):
+    ev = str(tmp_path / "ev")
+    assert main(["eval", "--checkpoint",
+                 os.path.join(pipeline["run"], "checkpoint.svck"),
+                 "--bundle", pipeline["bundle"], "--out", ev]) == 0
+    ids, _ = formats.read_curves_csv(os.path.join(ev, "curves.csv"))
+    percents = write(tmp_path / "percents.csv", "id,percent\n" + "".join(
+        f"{sid},{0 if k < 3 else 50}\n" for k, sid in enumerate(ids)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["blend", "--curves", os.path.join(ev, "curves.csv"),
+                     "--percents", percents,
+                     "--outcomes", os.path.join(pipeline["raw"], "outcomes.csv"),
+                     "--out", str(tmp_path / "blend")]) == 0
+    floored = [str(w.message) for w in caught if "floored" in str(w.message)]
+    assert floored == ["verbalized probability 0 floored to 0.5% before the log "
+                       f"for 3 of {len(ids)} percents"]
 
 
 def test_blend_needs_lambda_or_outcomes(pipeline, tmp_path, capsys):

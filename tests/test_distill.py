@@ -14,13 +14,13 @@ from survfuse.distill import (
     TeacherRecord,
     build_target_sequence,
     calibration_mask,
-    complete_horizons,
     extract_probability,
+    finalize_probs,
     finalize_records,
     fit_parametric,
     fit_survival_at,
-    horizon_means,
     parse_teacher_file,
+    prob_matrix,
     round_to_nearest_five,
     target_rows,
     three_year_percent,
@@ -169,33 +169,45 @@ def test_fit_clamps_warn():
 
 # ----------------------------------------------- horizon completion and means
 
+def completed(rows, train=None):
+    """`finalize_probs`' completed rows, as tuples, for rows of horizon dicts."""
+    return [tuple(row) for row in finalize_probs(prob_matrix(rows), train)[0].tolist()]
+
+
+def mean_fill(rows):
+    """The completion of a row with no extraction: the per-horizon means of
+    `rows`' present probabilities, made non-increasing in t."""
+    return tuple(np.minimum.accumulate(np.nanmean(prob_matrix(rows), axis=0)).tolist())
+
+
 def test_horizon_means_manual():
     rows = [
         {1.0: 0.9, 3.0: 0.7, 5.0: 0.5},
         {1.0: 0.8, 3.0: None, 5.0: 0.3},
         {1.0: None, 3.0: 0.5, 5.0: None},
     ]
-    means = horizon_means(rows)
-    assert means[1.0] == pytest.approx((0.9 + 0.8) / 2, abs=1e-15)
-    assert means[3.0] == pytest.approx((0.7 + 0.5) / 2, abs=1e-15)
-    assert means[5.0] == pytest.approx((0.5 + 0.3) / 2, abs=1e-15)
+    # a row with no extraction is completed with the means
+    means = completed(rows + [{}])[3]
+    assert means[0] == pytest.approx((0.9 + 0.8) / 2, abs=1e-15)
+    assert means[1] == pytest.approx((0.7 + 0.5) / 2, abs=1e-15)
+    assert means[2] == pytest.approx((0.5 + 0.3) / 2, abs=1e-15)
 
 
 def test_horizon_means_requires_coverage():
     with pytest.raises(ValueError):
-        horizon_means([{1.0: 0.9, 3.0: None, 5.0: 0.5}])
+        completed([{1.0: 0.9, 3.0: None, 5.0: 0.5}, {}])
 
 
 def test_complete_horizons_passthrough_when_full():
     probs = {1.0: 0.9, 3.0: 0.7, 5.0: 0.5}
-    out = complete_horizons(probs, means={})
+    out = completed([probs])[0]
     assert out == (0.9, 0.7, 0.5)
 
 
 def test_complete_horizons_refits_missing():
     rho = 0.21
     probs = {1.0: math.exp(-rho), 3.0: None, 5.0: math.exp(-5 * rho)}
-    out = complete_horizons(probs, means={})
+    out = completed([probs])[0]
     assert out[0] == probs[1.0]
     assert out[2] == probs[5.0]
     assert abs(out[1] - math.exp(-3 * rho)) < 1e-9
@@ -203,19 +215,18 @@ def test_complete_horizons_refits_missing():
 
 def test_complete_horizons_means_fallback():
     means = {1.0: 0.8, 3.0: 0.6, 5.0: 0.4}
-    out = complete_horizons({1.0: None, 3.0: None, 5.0: None}, means)
+    out = completed([means, {1.0: None, 3.0: None, 5.0: None}])[1]
     assert out == (0.8, 0.6, 0.4)
 
 
 def test_complete_horizons_enforces_monotone():
     # extracted values can increase in t; the completion must not
-    out = complete_horizons({1.0: 0.5, 3.0: 0.9, 5.0: None}, means={})
+    out = completed([{1.0: 0.5, 3.0: 0.9, 5.0: None}])[0]
     assert out[0] == 0.5
     assert out[1] <= out[0]
     assert out[2] <= out[1]
     # non-monotone means fall under the same clamp
-    out = complete_horizons({1.0: None, 3.0: None, 5.0: None},
-                            {1.0: 0.4, 3.0: 0.6, 5.0: 0.5})
+    out = completed([{1.0: 0.4, 3.0: 0.6, 5.0: 0.5}, {1.0: None, 3.0: None, 5.0: None}])[1]
     assert out == (0.4, 0.4, 0.4)
 
 
@@ -489,8 +500,7 @@ def test_finalize_records_pipeline():
     assert by_id["full"].percent == 50
     assert by_id["partial"].percent == 50
     # the empty record fell back to the means of the extracting records
-    means = horizon_means([by_id["full"].probs, by_id["partial"].probs])
-    expect = complete_horizons({1.0: None, 3.0: None, 5.0: None}, means)
+    expect = mean_fill([by_id["full"].probs, by_id["partial"].probs])
     assert by_id["empty"].completed == expect
     assert all(r.percent is not None for r in records)
 
@@ -503,16 +513,12 @@ def test_finalize_records_train_pool():
     finalize_records(records, train_ids={"tr"})
     by_id = {r.sample_id: r for r in records}
     # the all-missing record sees only the training-split extraction
-    expect = complete_horizons({1.0: None, 3.0: None, 5.0: None},
-                               horizon_means([by_id["tr"].probs]))
-    assert by_id["none"].completed == expect
+    assert by_id["none"].completed == mean_fill([by_id["tr"].probs])
     # a training split with no extractions falls back to every record
     records = parse_teacher_file(rows)
     finalize_records(records, train_ids={"none"})
     by_id = {r.sample_id: r for r in records}
-    expect = complete_horizons({1.0: None, 3.0: None, 5.0: None},
-                               horizon_means([by_id["tr"].probs, by_id["te"].probs]))
-    assert by_id["none"].completed == expect
+    assert by_id["none"].completed == mean_fill([by_id["tr"].probs, by_id["te"].probs])
 
 
 def test_finalize_records_warns_once_with_clamp_count():

@@ -7,7 +7,7 @@ import pytest
 
 from survfuse import formats
 from survfuse.cli import _write_json
-from survfuse.heads import CurveSet, SurvivalCurve
+from survfuse.heads import CurveSet
 
 
 def test_hidden_states_round_trip(tmp_path):
@@ -191,17 +191,14 @@ def test_csv_table_rejects_duplicate_columns(tmp_path):
 def test_curves_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=6))])
-    curves = {}
-    for i in range(4):
-        values = np.concatenate([[1.0], np.sort(rng.uniform(size=6))[::-1]])
-        curves[f"s{i}"] = SurvivalCurve(times=times, values=values)
+    values = np.hstack([np.ones((4, 1)), np.sort(rng.uniform(size=(4, 6)), axis=1)[:, ::-1]])
+    ids = [f"s{i}" for i in range(4)]
     path = tmp_path / "c.csv"
-    formats.write_curves_csv(path, list(curves), CurveSet.from_curves(curves.values()))
-    ids, back = formats.read_curves_csv(path)
-    assert ids == list(curves)
-    for sid, curve in zip(ids, back):
-        assert np.array_equal(curve.times, curves[sid].times)
-        assert np.array_equal(curve.values, curves[sid].values)
+    formats.write_curves_csv(path, ids, CurveSet(times=times, values=values))
+    back_ids, back = formats.read_curves_csv(path)
+    assert back_ids == ids
+    assert np.array_equal(back.times, times)
+    assert np.array_equal(back.values, values)
 
 
 def test_curves_csv_bytes_match_csv_writer(tmp_path):

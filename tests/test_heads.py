@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from survfuse.heads import (BreslowBaseline, CurveSet, SurvivalCurve, TimeGrid,
-                            breslow_baseline, build_discrete_targets, cox_curve,
-                            cox_loss, cox_loss_grad, discrete_curve,
-                            discrete_loss, discrete_loss_grad)
+from survfuse.heads import (BreslowBaseline, CurveSet, TimeGrid, breslow_baseline,
+                            build_discrete_targets, cox_curve, cox_loss, cox_loss_grad,
+                            discrete_curve, discrete_loss, discrete_loss_grad)
 from survfuse.nn import sigmoid
+from stepcurves import curve, curve_at
 
 
 def random_survival_data(rng, n, tie_prob=0.3):
@@ -254,9 +254,10 @@ def test_breslow_matches_direct_risk_sums():
 def test_breslow_cumulative_hazard_steps():
     base = BreslowBaseline(event_times=np.array([1.0, 3.0]),
                            increments=np.array([0.2, 0.3]))
-    assert base.cumulative_hazard(0.5) == 0.0
-    assert base.cumulative_hazard(1.0) == 0.2
-    assert abs(base.cumulative_hazard(3.5) - 0.5) < 1e-15
+    # at score 0 the curve is exp(-H0): H0 steps at the event times
+    surv = curve_at(cox_curve(np.zeros(1), base), [0.5, 1.0, 3.5])
+    assert np.array_equal(surv[:2], np.exp([-0.0, -0.2]))
+    assert abs(surv[2] - np.exp(-0.5)) < 1e-15
 
 
 # ---------------------------------------------------------------- curves
@@ -266,35 +267,34 @@ def test_discrete_curve_is_cumulative_product():
     rng = np.random.default_rng(8)
     grid = TimeGrid.equal_width(4, 4.0)
     logits = rng.normal(size=4)
-    curve = discrete_curve(logits[None, :], grid)[0]
+    (values,) = discrete_curve(logits[None, :], grid).values
     h = sigmoid(logits)
     expected = [1.0]
     for k in range(4):
         expected.append(expected[-1] * (1.0 - h[k]))
-    assert np.allclose(curve.values, expected, rtol=1e-15)
-    assert curve.values[0] == 1.0
-    assert np.all(np.diff(curve.values) <= 0)
+    assert np.allclose(values, expected, rtol=1e-15)
+    assert values[0] == 1.0
+    assert np.all(np.diff(values) <= 0)
 
 
 def test_cox_curve_uses_baseline_and_score():
     base = BreslowBaseline(event_times=np.array([1.0, 2.0]),
                            increments=np.array([0.1, 0.4]))
-    curve = cox_curve(np.array([0.5]), base)[0]
-    assert curve.values[0] == 1.0
+    one = cox_curve(np.array([0.5]), base)
+    assert one.values[0, 0] == 1.0
     expected_at_2 = math.exp(-(0.1 + 0.4) * math.exp(0.5))
-    assert abs(curve.at(2.0) - expected_at_2) < 1e-15
+    assert abs(curve_at(one, 2.0) - expected_at_2) < 1e-15
 
 
 def test_curve_at_is_right_continuous_step():
-    curve = SurvivalCurve(times=np.array([0.0, 1.0, 2.0]),
-                          values=np.array([1.0, 0.6, 0.2]))
-    assert curve.at(0.0) == 1.0
-    assert curve.at(0.999) == 1.0
-    assert curve.at(1.0) == 0.6
-    assert curve.at(1.5) == 0.6
-    assert curve.at(2.0) == 0.2
-    assert curve.at(99.0) == 0.2
-    assert np.array_equal(curve.at([0.5, 1.0, 3.0]), [1.0, 0.6, 0.2])
+    one = curve([0.0, 1.0, 2.0], [1.0, 0.6, 0.2])
+    assert curve_at(one, 0.0) == 1.0
+    assert curve_at(one, 0.999) == 1.0
+    assert curve_at(one, 1.0) == 0.6
+    assert curve_at(one, 1.5) == 0.6
+    assert curve_at(one, 2.0) == 0.2
+    assert curve_at(one, 99.0) == 0.2
+    assert np.array_equal(curve_at(one, [0.5, 1.0, 3.0]), [1.0, 0.6, 0.2])
 
 
 def test_curve_at_matches_scan_oracle():
@@ -303,30 +303,28 @@ def test_curve_at_matches_scan_oracle():
         k = int(rng.integers(1, 8))
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=k))])
         values = np.concatenate([[1.0], np.sort(rng.uniform(size=k))[::-1]])
-        curve = SurvivalCurve(times=times, values=values)
+        one = curve(times, values)
         for t in rng.uniform(0, 6, size=20):
             expected = values[0]
             for edge, v in zip(times, values):
                 if t >= edge:
                     expected = v
-            assert curve.at(float(t)) == expected
+            assert curve_at(one, float(t)) == expected
 
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        SurvivalCurve(times=np.array([0.0, 1.0]), values=np.array([0.9, 0.5]))
+        curve([0.0, 1.0], [0.9, 0.5])
     with pytest.raises(ValueError):
-        SurvivalCurve(times=np.array([0.5, 1.0]), values=np.array([1.0, 0.5]))
+        curve([0.5, 1.0], [1.0, 0.5])
     with pytest.raises(ValueError):
-        SurvivalCurve(times=np.array([0.0, 1.0]), values=np.array([1.0, 1.2]))
+        curve([0.0, 1.0], [1.0, 1.2])
     with pytest.raises(ValueError):
-        SurvivalCurve(times=np.array([0.0, 1.0, 1.0]),
-                      values=np.array([1.0, 0.8, 0.6]))
+        curve([0.0, 1.0, 1.0], [1.0, 0.8, 0.6])
     # a tiny numerical increase is tolerated and flattened, not fatal
-    curve = SurvivalCurve(times=np.array([0.0, 1.0, 2.0]),
-                          values=np.array([1.0, 0.5, 0.5 + 1e-15]))
-    assert np.all(np.diff(curve.values) <= 0)
-    assert curve.values[2] == 0.5
+    (values,) = curve([0.0, 1.0, 2.0], [1.0, 0.5, 0.5 + 1e-15]).values
+    assert np.all(np.diff(values) <= 0)
+    assert values[2] == 0.5
 
 
 def test_curve_set_checks_whole_matrix():
@@ -337,8 +335,6 @@ def test_curve_set_checks_whole_matrix():
     assert curves.values is values  # clean float64 input is not copied
     assert np.array_equal(curves.cells([0.0, 0.5, 1.0, 9.0]), [0, 0, 1, 2])
     assert np.array_equal(curves.at([0.5, 2.0]), [[1.0, 0.2], [1.0, 0.5]])
-    assert isinstance(curves[1], SurvivalCurve)
-    assert np.array_equal(curves[1].values, values[1])
     with pytest.raises(ValueError):
         curves.at(-0.1)
     for bad_times, bad_values in (
@@ -363,18 +359,6 @@ def test_curve_set_flattens_only_bumped_rows():
     assert np.array_equal(curves.values, [[1.0, 0.5, 0.5], [1.0, 0.4, 0.3]])
 
 
-def test_curve_set_from_curves_uses_union_grid():
-    a = SurvivalCurve(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
-    b = SurvivalCurve(times=np.array([0.0, 2.0]), values=np.array([1.0, 0.25]))
-    curves = CurveSet.from_curves([a, b])
-    assert np.array_equal(curves.times, [0.0, 1.0, 2.0])
-    assert np.array_equal(curves.values, [[1.0, 0.5, 0.5], [1.0, 1.0, 0.25]])
-    same = CurveSet.from_curves([a, a])
-    assert np.array_equal(same.times, a.times)
-    with pytest.raises(ValueError):
-        CurveSet.from_curves([])
-
-
 def test_set_builders_match_row_formulas():
     rng = np.random.default_rng(10)
     grid = TimeGrid.equal_width(5, 5.0)
@@ -396,14 +380,3 @@ def test_set_builders_match_row_formulas():
         assert np.array_equal(curves.values[i, 1:], row)
     with pytest.raises(ValueError):
         cox_curve(0.5, base)
-
-
-def test_curve_set_restrict_is_exact_at_its_times():
-    rng = np.random.default_rng(11)
-    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=30))])
-    values = np.hstack([np.ones((5, 1)), np.sort(rng.uniform(size=(5, 30)), axis=1)[:, ::-1]])
-    curves = CurveSet(times=times, values=values)
-    probe = np.concatenate([rng.uniform(0.0, 6.0, size=8), times[[3, 7]]])
-    sub = curves.restrict(probe)
-    assert sub.times[0] == 0.0 and sub.times.size <= probe.size + 1
-    assert np.array_equal(sub.at(probe), curves.at(probe))

@@ -9,19 +9,16 @@ import numpy as np
 import pytest
 
 from survfuse.blending import blend_inputs, select_lambda
-from survfuse.heads import CurveBlocks, SurvivalCurve, breslow_baseline, cox_curve
+from survfuse.heads import CurveBlocks, breslow_baseline, cox_curve
 from survfuse.metrics import CTD_BLOCK, c_td, censoring_km, ibs
 from survfuse.training import _channels
-
-
-def step_curve(times, values):
-    return SurvivalCurve(times=np.asarray(times, dtype=np.float64),
-                         values=np.asarray(values, dtype=np.float64))
+from stepcurves import curve as step_curve
+from stepcurves import curve_at, stack
 
 
 def exponential_curve(rate, grid):
     grid = np.asarray(grid, dtype=np.float64)
-    return SurvivalCurve(times=grid, values=np.exp(-rate * grid))
+    return step_curve(grid, np.exp(-rate * grid))
 
 
 def random_outcomes(rng, n, event_p=0.7, tie_pool=None):
@@ -105,8 +102,8 @@ def brute_force_ctd(curves, times, events):
         for j in range(n):
             if times[i] >= times[j]:
                 continue
-            s_i = float(curves[i].at(times[i]))
-            s_j = float(curves[j].at(times[i]))
+            s_i = float(curve_at(curves[i], times[i]))
+            s_j = float(curve_at(curves[j], times[i]))
             if s_i < s_j:
                 num += 1.0
             elif s_i == s_j:
@@ -123,8 +120,8 @@ def test_ctd_perfect_orderings():
     events = np.ones(4, dtype=bool)
     rates = np.array([2.0, 1.0, 0.5, 0.25])  # earliest event = lowest survival
     curves = [exponential_curve(r, grid) for r in rates]
-    assert c_td(curves, times, events) == 1.0
-    assert c_td(curves[::-1], times, events) == 0.0
+    assert c_td(stack(curves), times, events) == 1.0
+    assert c_td(stack(curves[::-1]), times, events) == 0.0
 
 
 def test_ctd_all_ties():
@@ -132,7 +129,7 @@ def test_ctd_all_ties():
     curves = [exponential_curve(0.3, grid) for _ in range(5)]
     times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     events = np.ones(5, dtype=bool)
-    assert c_td(curves, times, events) == 0.5
+    assert c_td(stack(curves), times, events) == 0.5
 
 
 def test_ctd_matches_brute_force():
@@ -148,9 +145,9 @@ def test_ctd_matches_brute_force():
             expect = brute_force_ctd(curves, times, events)
         except ValueError:
             with pytest.raises(ValueError):
-                c_td(curves, times, events)
+                c_td(stack(curves), times, events)
             continue
-        assert c_td(curves, times, events) == expect
+        assert c_td(stack(curves), times, events) == expect
 
 
 def test_ctd_equal_times_not_comparable():
@@ -159,16 +156,16 @@ def test_ctd_equal_times_not_comparable():
     times = np.array([3.0, 3.0])
     events = np.array([True, True])
     with pytest.raises(ValueError):
-        c_td(curves, times, events)
+        c_td(stack(curves), times, events)
 
 
 def test_ctd_requires_events_and_matching_lengths():
     grid = np.linspace(0.0, 8.0, 17)
     curves = [exponential_curve(r, grid) for r in (0.2, 0.9)]
     with pytest.raises(ValueError):
-        c_td(curves, np.array([1.0, 2.0]), np.array([False, False]))
+        c_td(stack(curves), np.array([1.0, 2.0]), np.array([False, False]))
     with pytest.raises(ValueError):
-        c_td(curves, np.array([1.0, 2.0, 3.0]), np.array([True, True, True]))
+        c_td(stack(curves), np.array([1.0, 2.0, 3.0]), np.array([True, True, True]))
 
 
 def test_ctd_monotone_transform_invariance():
@@ -177,10 +174,10 @@ def test_ctd_monotone_transform_invariance():
     n = 25
     curves = [exponential_curve(rng.uniform(0.1, 1.0), grid) for _ in range(n)]
     times, events = random_outcomes(rng, n)
-    base = c_td(curves, times, events)
+    base = c_td(stack(curves), times, events)
     for transform in (np.square, np.sqrt, lambda v: v ** 3):
-        mapped = [step_curve(c.times, transform(c.values)) for c in curves]
-        assert c_td(mapped, times, events) == base
+        mapped = [step_curve(c.times, transform(c.values[0])) for c in curves]
+        assert c_td(stack(mapped), times, events) == base
 
 
 # -------------------------------------------------------- integrated Brier
@@ -195,7 +192,7 @@ def midpoint_ibs(curves, times, events, grid_points):
         mid = (k + 0.5) * width
         acc = 0.0
         for i in range(len(times)):
-            s = float(curves[i].at(mid))
+            s = float(curve_at(curves[i], mid))
             if events[i] and times[i] <= mid:
                 g = float(km.at_left(times[i]))
                 if g > 0.0:
@@ -212,7 +209,7 @@ def test_ibs_oracle_predictor_scores_zero():
     times = np.array([1.0, 2.0, 3.0, 4.0])
     events = np.ones(4, dtype=bool)
     curves = [step_curve([0.0, t], [1.0, 0.0]) for t in times]
-    result = ibs(curves, times, events)
+    result = ibs(stack(curves), times, events)
     assert result.value == 0.0
     assert result.dropped_terms == 0
 
@@ -222,7 +219,7 @@ def test_ibs_constant_half_closed_form():
     times = np.array([4.0])
     events = np.array([True])
     curves = [step_curve([0.0, 1e-9], [1.0, 0.5])]
-    result = ibs(curves, times, events)
+    result = ibs(stack(curves), times, events)
     assert result.value == 0.25
     assert result.dropped_terms == 0
 
@@ -235,7 +232,7 @@ def test_ibs_matches_midpoint_oracle():
         curves = [exponential_curve(rng.uniform(0.1, 1.2), grid) for _ in range(n)]
         times, events = random_outcomes(rng, n, event_p=0.6)
         for grid_points in (16, 64):
-            got = ibs(curves, times, events, grid_points=grid_points)
+            got = ibs(stack(curves), times, events, grid_points=grid_points)
             expect = midpoint_ibs(curves, times, events, grid_points)
             assert got.value == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
@@ -246,8 +243,8 @@ def test_ibs_grid_doubling_converges():
     n = 40
     curves = [exponential_curve(rng.uniform(0.1, 1.2), grid) for _ in range(n)]
     times, events = random_outcomes(rng, n, event_p=0.7)
-    coarse = ibs(curves, times, events, grid_points=512).value
-    fine = ibs(curves, times, events, grid_points=1024).value
+    coarse = ibs(stack(curves), times, events, grid_points=512).value
+    fine = ibs(stack(curves), times, events, grid_points=1024).value
     assert abs(coarse - fine) < 1e-4
 
 
@@ -259,7 +256,7 @@ def test_ibs_bounded_and_nothing_dropped():
         curves = [exponential_curve(rng.uniform(0.1, 1.2), grid) for _ in range(n)]
         times, events = random_outcomes(rng, n, event_p=0.5,
                                         tie_pool=np.arange(1.0, 7.0))
-        result = ibs(curves, times, events)
+        result = ibs(stack(curves), times, events)
         assert 0.0 <= result.value <= 1.0
         # the censoring KM built from the same sample never hits zero
         # strictly before t_max, so no term loses its weight
@@ -280,14 +277,14 @@ def test_ibs_no_censoring_equals_unweighted_score():
         mid = (k + 0.5) * width
         acc = 0.0
         for i in range(n):
-            s = float(curves[i].at(mid))
+            s = float(curve_at(curves[i], mid))
             if times[i] <= mid:
                 acc += s * s
             else:
                 acc += (1.0 - s) ** 2
         total += acc / n
     expect = total * width / t_max
-    got = ibs(curves, times, events, grid_points=128)
+    got = ibs(stack(curves), times, events, grid_points=128)
     assert got.value == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
@@ -295,15 +292,15 @@ def test_ibs_validation():
     grid = np.linspace(0.0, 8.0, 17)
     curves = [exponential_curve(0.3, grid)]
     with pytest.raises(ValueError):
-        ibs(curves, np.array([1.0, 2.0]), np.array([True, True]))
+        ibs(stack(curves), np.array([1.0, 2.0]), np.array([True, True]))
     with pytest.raises(ValueError):
-        ibs(curves, np.array([1.0]), np.array([True]), grid_points=0)
+        ibs(stack(curves), np.array([1.0]), np.array([True]), grid_points=0)
     with pytest.raises(ValueError):
-        ibs(curves, np.array([0.0]), np.array([True]))
+        ibs(stack(curves), np.array([0.0]), np.array([True]))
 
 
 def test_ibs_float_conversion():
-    result = ibs([step_curve([0.0, 1.0], [1.0, 0.0])],
+    result = ibs(step_curve([0.0, 1.0], [1.0, 0.0]),
                  np.array([1.0]), np.array([True]))
     assert float(result) == result.value
 

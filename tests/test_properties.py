@@ -1,15 +1,17 @@
 """Property-based tests for curve sets (blocked concordance against the
-exhaustive pairwise oracle, union-grid conversion, the invariants of blended
-and averaged sets, scores and curves on only the scored times, c_td under a
-strictly increasing map), for streamed evaluation against the materialised
-curves (one-pass lambda selection against per-lambda c_td, every channel
-built block by block, the cache-free forward) and for the whole-array
-training and teacher code against the per-element forms it replaced (Cox
-risk sets, Breslow increments, flat AdamW, the flat-vector training step,
-sigmoid, one-draw dropout masks, batch and columnar teacher finalisation),
-the bit-exact bundle round trip, and the column-wise set-up
-code against the per-element forms (batched attention pooling, the one-pass
-numeric-table parser, the joined CSV writer, cached teacher extraction)."""
+exhaustive pairwise oracle, metrics on a union grid against curve-by-curve
+oracles, the invariants of blended and averaged sets, scores and curves on
+only the scored times, c_td under a strictly increasing map), for streamed
+evaluation against the materialised curves (one-pass lambda selection
+against per-lambda c_td, every channel built block by block, the cache-free
+forward) and for the whole-array training and teacher code against the
+per-element forms it replaced (Cox risk sets, Breslow increments, flat
+AdamW, the flat-vector training step, sigmoid, one-draw dropout masks, batch
+and columnar teacher finalisation), the bit-exact bundle round trip, the
+binary formats (checkpoint, .svhs, .svpv, .npy: bit-exact round trips, and
+a ValueError at every truncation), and the column-wise set-up code against
+the per-element forms (batched attention pooling, the one-pass numeric-table
+parser, the joined CSV writer, cached teacher extraction)."""
 
 import csv
 import functools
@@ -30,11 +32,13 @@ from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_
 from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
                              split_cohort)
 from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_records,
-                              fit_parametric, fit_survival_at, horizon_means,
-                              parse_teacher_file, prob_matrix, three_year_percent)
-from survfuse.formats import write_csv_table
+                              fit_parametric, fit_survival_at, parse_teacher_file,
+                              prob_matrix, three_year_percent)
+from survfuse.formats import (read_checkpoint, read_hidden_states, read_npy, read_pooled,
+                              write_checkpoint, write_csv_table, write_hidden_states,
+                              write_npy, write_pooled)
 from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
-from survfuse.heads import (CurveBlocks, CurveSet, SurvivalCurve, TimeGrid, _checked_curves,
+from survfuse.heads import (CurveBlocks, CurveSet, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, build_discrete_targets,
                             cox_curve, cox_loss_grad, discrete_curve, discrete_loss_grad)
 from survfuse.metrics import CTD_BLOCK, IBS_BLOCK, IBS_GRID_POINTS, c_td, censoring_km, ibs
@@ -44,6 +48,7 @@ from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_m
 from survfuse.pooling import attention_pool, pool_many
 from survfuse.training import (RunConfig, _channels, _learning_rate, finalize_teacher,
                                total_loss)
+from stepcurves import curve, curve_at, stack
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -66,7 +71,7 @@ def random_curve(rng):
     k = int(rng.integers(1, 6))
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 6.0, size=k))])
     values = np.concatenate([[1.0], np.sort(rng.uniform(size=k))[::-1]])
-    return SurvivalCurve(times=times, values=values)
+    return curve(times, values)
 
 
 def outcomes(rng, n, event_p, pool=None):
@@ -90,7 +95,7 @@ def pairwise_ctd(curves: CurveSet, times, events):
 
 
 def ibs_curve_by_curve(curves, times, events, grid_points=512):
-    """The integrated Brier score evaluated one SurvivalCurve at a time."""
+    """The integrated Brier score evaluated one curve at a time."""
     n = times.size
     t_max = float(times.max())
     km = censoring_km(times, events)
@@ -98,8 +103,8 @@ def ibs_curve_by_curve(curves, times, events, grid_points=512):
     width = t_max / grid_points
     mids = (np.arange(grid_points) + 0.5) * width
     surv = np.empty((n, grid_points), dtype=np.float64)
-    for k, curve in enumerate(curves):
-        surv[k, :] = curve.at(mids)
+    for k, one in enumerate(curves):
+        surv[k, :] = curve_at(one, mids)
     g_mid = km.at(mids)
     had_event = events[:, None] & (times[:, None] <= mids[None, :])
     still_at_risk = times[:, None] > mids[None, :]
@@ -139,16 +144,16 @@ def test_metrics_on_union_grid_equal_curve_by_curve(n, event_p, grid_points, see
     rng = np.random.default_rng(seed)
     curves = [random_curve(rng) for _ in range(n)]
     times, events = outcomes(rng, n, event_p)
-    curve_set = CurveSet.from_curves(curves)
+    curve_set = stack(curves)
     # the union grid reproduces every curve at every time
     probe = rng.uniform(0.0, 7.0, size=30)
-    for i, curve in enumerate(curves):
-        assert np.array_equal(curve_set.at(probe)[i], curve.at(probe))
+    for i, one in enumerate(curves):
+        assert np.array_equal(curve_set.at(probe)[i], curve_at(one, probe))
     num, pairs = 0.0, 0
     for i in np.flatnonzero(events):
-        s_i = float(curves[i].at(times[i]))
+        s_i = float(curve_at(curves[i], times[i]))
         for j in np.flatnonzero(times > times[i]):
-            s_j = float(curves[j].at(times[i]))
+            s_j = float(curve_at(curves[j], times[i]))
             num += 1.0 if s_i < s_j else (0.5 if s_i == s_j else 0.0)
             pairs += 1
     if pairs:
@@ -161,6 +166,13 @@ def scored_times(times, events, grid_points=IBS_GRID_POINTS):
     """Every time c_td and ibs read: the event times and the ibs midpoints."""
     t_max = float(times.max())
     return np.concatenate([times[events], (np.arange(grid_points) + 0.5) * (t_max / grid_points)])
+
+
+def restricted(curves: CurveSet, t) -> CurveSet:
+    """The curves on only their grid points that hold times t, and 0: the
+    value held at each time in t is kept."""
+    cols = np.union1d([0], np.searchsorted(curves.times, t, side="right") - 1)
+    return CurveSet(times=curves.times[cols], values=curves.values[:, cols])
 
 
 def channel_scores(curves: CurveSet, times, events, grid_points):
@@ -185,7 +197,7 @@ def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, 
                            grid=np.unique(rng.uniform(0.01, 6.5, size=n_times)))
     times, events = outcomes(rng, n, event_p, curves.times[1:] if tied_times else None)
     percents = np.where(rng.random(n) < 0.7, rng.integers(0, 101, size=n), np.nan)
-    short = curves.restrict(scored_times(times, events, grid_points))
+    short = restricted(curves, scored_times(times, events, grid_points))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         full_in, full_verb, n_present = blend_inputs(curves, percents)
@@ -196,8 +208,8 @@ def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, 
         full_sets.append(full_verb)
         short_sets.append(short_verb)
     # the hidden, combined and verbalized channels score == on the scored times
-    for full, restricted in zip(full_sets, short_sets):
-        assert (channel_scores(restricted, times, events, grid_points)
+    for full, short_set in zip(full_sets, short_sets):
+        assert (channel_scores(short_set, times, events, grid_points)
                 == channel_scores(full, times, events, grid_points))
 
 
@@ -222,7 +234,7 @@ def test_curves_built_at_times_equal_restricted_full_curves(head, n, n_fit, n_bi
     # times between, on, and past the grid points, and 0
     at = np.concatenate([rng.uniform(0.0, 6.0, size=n_at),
                          rng.choice(full.times, size=int(rng.integers(0, 4)))])
-    expected, got = full.restrict(at), build(at=at)
+    expected, got = restricted(full, at), build(at=at)
     assert got.times.tobytes() == expected.times.tobytes()
     assert got.values.tobytes() == expected.values.tobytes()
 
@@ -288,7 +300,7 @@ def per_lambda_selection(hidden, verbalized, times, events, grid):
 
 
 def blocks_of(curves: CurveSet) -> CurveBlocks:
-    return CurveBlocks(len(curves), curves.restrict)
+    return CurveBlocks(len(curves), functools.partial(restricted, curves))
 
 
 def outcome_or_error(fn, *args):
@@ -358,7 +370,7 @@ def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         # as evaluate built them before: whole matrices on the scored times
-        scored = full.restrict(scored_times(times, events))
+        scored = restricted(full, scored_times(times, events))
         blend, verbalized, n_present = blend_inputs(scored, percents)
         want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
         if n_present:
@@ -765,6 +777,17 @@ def per_record_finalize(probs, means):
     return completed, fit.rate, three_year_percent(fit)
 
 
+def pool_means(rows):
+    """Per-horizon means of the rows' present probabilities, in row order."""
+    means = {}
+    for h in HORIZONS:
+        present = [row[h] for row in rows if row[h] is not None]
+        if not present:
+            raise ValueError(f"no extracted probability at horizon {h}")
+        means[h] = float(np.mean(present))
+    return means
+
+
 PROBS = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 0.5, 1e-7]),
                   st.integers(0, 100).map(lambda p: p / 100.0), st.floats(0.0, 1.0))
 
@@ -794,7 +817,7 @@ def test_batch_finalisation_equals_per_record_path(rows, train_flags):
                 assert np.isnan(pct)
         if len(pool) < len(records):
             try:
-                means = horizon_means(train_pool or pool)
+                means = pool_means(train_pool or pool)
             except ValueError:  # some horizon has no extraction anywhere
                 with pytest.raises(ValueError):
                     finalize_records(records, train_ids=train_ids)
@@ -873,6 +896,95 @@ def test_bundle_round_trip_is_bit_exact(data):
     if split is not None:
         for part in ("train", "val", "test"):
             assert same_bits(getattr(loaded_split, part), getattr(split, part))
+
+
+# ---------------------------------------------------------- binary formats
+
+
+def round_trip(write, read, value):
+    """What `read` returns for the file `write(path, value)` makes, checking
+    that writing it again makes the same bytes and that every strict prefix
+    of the file is a ValueError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        write(path, value)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for k in range(len(data)):
+            with open(path, "wb") as fh:
+                fh.write(data[:k])
+            with pytest.raises(ValueError):
+                read(path)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        back = read(path)
+        write(path, back)
+        with open(path, "rb") as fh:
+            assert fh.read() == data
+    return back
+
+
+def drawn_array(data, elements, shape, dtype):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=dtype).reshape(shape)
+
+
+FLOAT64S = st.floats() | SPECIAL_FLOATS
+FLOAT32S = st.floats(width=32, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_checkpoint_round_trips_and_rejects_every_prefix(data):
+    shapes = data.draw(st.dictionaries(IDS, st.lists(st.integers(0, 3), max_size=3),
+                                       max_size=4))
+    params = {name: drawn_array(data, FLOAT64S, shape, np.float64)
+              for name, shape in shapes.items()}
+    manifest = {"seed": data.draw(st.integers(0, 2**32)), "config": {"head": data.draw(IDS)}}
+    back, back_manifest = round_trip(lambda path, value: write_checkpoint(path, *value),
+                                     read_checkpoint, (params, manifest))
+    assert list(back) == list(params)
+    assert all(same_bits(back[name], arr) for name, arr in params.items())
+    assert back_manifest == {**manifest, "tensors": [{"name": name, "shape": shape}
+                                                     for name, shape in shapes.items()]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hidden_states_round_trip_and_reject_every_prefix(data):
+    shapes = data.draw(st.dictionaries(IDS, st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                       max_size=3))
+    matrices = {sid: drawn_array(data, FLOAT32S, shape, np.float32)
+                for sid, shape in shapes.items()}
+    back = round_trip(write_hidden_states, read_hidden_states, matrices)
+    assert list(back) == list(matrices)
+    assert all(same_bits(back[sid], mat.astype(np.float64)) for sid, mat in matrices.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pooled_vectors_round_trip_and_reject_every_prefix(data):
+    dims = data.draw(st.dictionaries(IDS, st.integers(0, 4), max_size=3))
+    vectors = {sid: drawn_array(data, FLOAT32S, (dim,), np.float32) for sid, dim in dims.items()}
+    back = round_trip(write_pooled, read_pooled, vectors)
+    assert list(back) == list(vectors)
+    assert all(same_bits(back[sid], vec.astype(np.float64)) for sid, vec in vectors.items())
+
+
+NPY_ELEMENTS = {"<f8": FLOAT64S, "<f4": FLOAT32S, "|b1": st.booleans(),
+                "<i8": st.integers(-2**63, 2**63 - 1)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(sorted(NPY_ELEMENTS)),
+       shape=st.lists(st.integers(0, 4), min_size=1, max_size=2).map(tuple))
+def test_npy_round_trips_and_rejects_every_prefix(data, dtype, shape):
+    arr = drawn_array(data, NPY_ELEMENTS[dtype], shape, dtype)
+    # None accepts any length on that axis, as the bundle reader does for widths
+    expect = tuple(None if data.draw(st.booleans()) else n for n in shape)
+    back = round_trip(write_npy, functools.partial(read_npy, dtype=dtype, shape=expect), arr)
+    assert same_bits(back, arr)
 
 
 # ------------------------------------------------------- set-up in columns

@@ -2,6 +2,7 @@
 evaluation channels, checkpoints, and experiment suites."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,28 @@ def test_evaluate_reports_all_channels():
     assert report.lambda_val_ctd >= hidden_val
 
 
+def test_evaluate_warns_once_per_split_about_floored_percents():
+    cohort = toy_cohort(40)
+    split = split_cohort(40, seed=2)
+    config = tiny_config(epochs=1)
+    percents = finalize_teacher(cohort)
+    percents[split.val[:1]] = 0.0
+    percents[split.test[:3]] = 0.0
+    result = train(config, cohort, split)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluate(result, cohort, split, config, percents)
+    floored = [str(w.message) for w in caught if "floored" in str(w.message)]
+    # every metric reads its curves in several blocks; each split warns once
+    assert floored == [
+        f"verbalized probability 0 floored to 0.5% before the log for 1 of "
+        f"{split.val.size} percents",
+        f"verbalized probability 0 floored to 0.5% before the log for 3 of "
+        f"{split.test.size} percents"]
+    floored_up_front = np.where(percents == 0.0, 0.5, percents)
+    assert evaluate(result, cohort, split, config, floored_up_front).to_dict() == report.to_dict()
+
+
 def test_evaluate_without_teacher_reports_hidden_only():
     cohort = toy_cohort(40, teacher=False)
     split = split_cohort(40, seed=2)
@@ -351,9 +374,8 @@ def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
         assert cfg == config
         orig = predict_curves(result, cohort, split.test, config)
         redo = predict_curves(loaded, cohort, split.test, cfg)
-        for a, b in zip(orig, redo):
-            assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(orig.times, redo.times)
+        assert np.array_equal(orig.values, redo.values)
         assert loaded.best_epoch == result.best_epoch
 
 
