@@ -287,7 +287,7 @@ def _cmd_eval(args, started: float) -> int:
 
     curves = training.predict_curves(result, cohort, split.test, config)
     ids = [cohort.ids[i] for i in split.test]
-    formats.write_curves_csv(os.path.join(args.out, "curves.csv"), ids, curves)
+    formats.write_curves(os.path.join(args.out, "curves"), ids, curves)
     print(training.report_table({"eval": report}))
     _write_manifest(args.out, "eval", started,
                     config=report.to_dict()["config"],
@@ -343,10 +343,14 @@ def _cmd_blend(args, started: float) -> int:
     from . import blending, formats
     from .cohort import _parse_outcomes
 
-    ids, hidden = formats.read_curves_csv(args.curves)
-    _, rows = formats.read_csv_table(args.percents)
+    ids, hidden = formats.read_curves(args.curves)
+    header, rows = formats.read_csv_table(args.percents)
+    if "id" not in header or "percent" not in header:
+        raise ValueError(f"{args.percents}: expected columns id and percent, got {header}")
     percents: dict[str, float | None] = {}
-    for row in rows:
+    for lineno, row in enumerate(rows, start=2):
+        if row["id"] in percents:
+            raise ValueError(f"{args.percents}:{lineno}: duplicate id {row['id']!r}")
         text = row["percent"].strip()
         percents[row["id"]] = float(text) if text else None
     missing_pct = [sid for sid in ids if sid not in percents]
@@ -370,7 +374,7 @@ def _cmd_blend(args, started: float) -> int:
 
     combined = blending.combine(hidden, blend_in, lam)
     os.makedirs(args.out, exist_ok=True)
-    formats.write_curves_csv(os.path.join(args.out, "combined.csv"), ids, combined)
+    formats.write_curves(os.path.join(args.out, "combined"), ids, combined)
     _write_json(os.path.join(args.out, "blend.json"),
                 {"lambda": lam, "selection_c_td": val_ctd,
                  "n_curves": len(ids), "n_verbalized": n_present})
@@ -445,7 +449,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("blend",
                        help="blend hidden curves with verbalized estimates")
-    p.add_argument("--curves", required=True, help="hidden curves CSV (id,t,S)")
+    p.add_argument("--curves", required=True, help="curve directory written by eval")
     p.add_argument("--percents", required=True, help="CSV of id,percent")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--outcomes", help="outcomes CSV for weight selection")

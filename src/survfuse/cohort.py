@@ -448,7 +448,6 @@ BUNDLE_VERSION = 2
 # On-disk dtype of each modality matrix. Text is stored in 32 bits, as the
 # pooled-vector files it comes from are, and widened to float64 on load.
 _MODALITY_DTYPES = {"text": "<f4", "cov": "<f8", "ge": "<f8"}
-_META = "meta.json"
 
 
 def _old_bundle_files(meta_path: str, keep: set[str]) -> list[str]:
@@ -487,7 +486,7 @@ def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) 
     stored. Returns the paths written, meta.json last.
     """
     os.makedirs(out_dir, exist_ok=True)
-    meta_path = os.path.join(out_dir, _META)
+    meta_path = os.path.join(out_dir, formats.META)
     arrays = {"times": np.asarray(cohort.times, dtype="<f8"), "events": cohort.events}
     for name in MODALITY_ORDER:
         mod = cohort.modalities.get(name)
@@ -534,19 +533,9 @@ def _expected_arrays(n: int, names: list[str]) -> dict[str, tuple[str, tuple]]:
 
 def load_bundle(bundle_dir: str) -> tuple[Cohort, CohortSplit | None]:
     """Read a version-2 bundle; every array is checked against `meta.json`."""
-    if not os.path.isdir(bundle_dir):
-        raise ValueError(f"{bundle_dir}: no bundle directory")
-    meta_path = os.path.join(bundle_dir, _META)
-    if not os.path.exists(meta_path):
-        raise ValueError(f"{bundle_dir}: bundle is incomplete (no {_META}); "
-                         f"re-run `survfuse ingest`")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    version = meta.get("bundle_version")
-    if version != BUNDLE_VERSION:
-        raise ValueError(f"{bundle_dir}: unsupported bundle version {version} (this "
-                         f"survfuse reads version {BUNDLE_VERSION}); re-ingest the raw "
-                         f"files with `survfuse ingest`")
+    meta = formats.read_meta(bundle_dir, "bundle_version", BUNDLE_VERSION,
+                             "re-ingest the raw files with `survfuse ingest`")
+    meta_path = os.path.join(bundle_dir, formats.META)
     ids = meta["ids"]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{meta_path}: duplicate sample ids")

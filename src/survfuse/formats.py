@@ -1,5 +1,5 @@
 """On-disk formats: hidden-state and pooled-vector binaries, checkpoints,
-checked .npy arrays with atomic writes, CSV/JSONL."""
+checked .npy arrays with atomic writes, directories of them (curves), CSV/JSONL."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import struct
 import typing
@@ -23,6 +22,8 @@ HIDDEN_MAGIC = b"SVHS"
 POOLED_MAGIC = b"SVPV"
 CHECKPOINT_MAGIC = b"SVCK"
 FORMAT_VERSION = 1
+CURVES_VERSION = 1
+META = "meta.json"
 
 
 def _write_u32(fh, value: int) -> None:
@@ -234,13 +235,78 @@ def read_npy(path, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
     return arr.reshape(got_shape, order="F" if fortran else "C")
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal that round-trips the exact float64 value."""
-    return repr(float(x))
+def read_meta(directory, key: str, version: int, remedy: str) -> dict:
+    """The meta.json of a directory of .npy arrays, whose `key` must be `version`.
+
+    A path that is not a directory, a missing meta.json (it is written last,
+    so an interrupted write has none), unreadable JSON and another version
+    are ValueErrors naming the path; all but the JSON error end in `remedy`.
+    """
+    kind = key.removesuffix("_version")
+    if not os.path.isdir(directory):
+        raise ValueError(f"{directory}: no {kind} directory; {remedy}")
+    path = os.path.join(directory, META)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{directory}: {kind} is incomplete (no {META}); {remedy}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: not readable JSON ({exc})") from None
+    got = meta.get(key) if isinstance(meta, dict) else None
+    if got != version:
+        raise ValueError(f"{directory}: unsupported {kind} version {got} (this survfuse "
+                         f"reads version {version}); {remedy}")
+    return meta
+
+
+def _distinct_strings(ids) -> bool:
+    return all(isinstance(sid, str) for sid in ids) and len(set(ids)) == len(ids)
+
+
+def write_curves(out_dir, ids: list[str], curves: CurveSet) -> None:
+    """Write curves as a directory: `times.npy` (T,), `values.npy` (N, T) and
+    a meta.json with the version and the N ids.
+
+    The old meta.json is removed first and the new one written last, so an
+    interrupted write leaves a directory that reads as incomplete, never old
+    ids over new values.
+    """
+    if len(ids) != len(curves) or not _distinct_strings(ids):
+        raise ValueError("one distinct string id per curve required")
+    os.makedirs(out_dir, exist_ok=True)
+    meta_path = os.path.join(out_dir, META)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta_path)
+    write_npy(os.path.join(out_dir, "times.npy"), np.asarray(curves.times, dtype="<f8"))
+    write_npy(os.path.join(out_dir, "values.npy"), np.asarray(curves.values, dtype="<f8"))
+    with atomic_open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump({"curves_version": CURVES_VERSION, "ids": list(ids)}, fh, indent=1)
+
+
+def read_curves(curve_dir) -> tuple[list[str], CurveSet]:
+    """The ids and curves of a directory written by `write_curves`.
+
+    meta.json must hold distinct string ids; each array is read through
+    `read_npy` with the shape they imply, then checked as a CurveSet. Any
+    failure is a ValueError naming the path.
+    """
+    meta = read_meta(curve_dir, "curves_version", CURVES_VERSION,
+                     "re-run `survfuse eval`, which writes curves as a directory")
+    ids = meta.get("ids")
+    if not isinstance(ids, list) or not _distinct_strings(ids):
+        raise ValueError(f"{curve_dir}: {META} must list distinct string ids")
+    times = read_npy(os.path.join(curve_dir, "times.npy"), "<f8", (None,))
+    values = read_npy(os.path.join(curve_dir, "values.npy"), "<f8", (len(ids), times.size))
+    try:
+        return ids, CurveSet(times=times, values=values)
+    except ValueError as exc:
+        raise ValueError(f"{curve_dir}: {exc}") from None
 
 
 def format_floats(values) -> list[str]:
-    """`format_float` of every element of a 1-D array, in one pass."""
+    """The shortest decimal that round-trips each float64 element of a 1-D
+    array exactly (its `repr`), in one pass."""
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
@@ -302,69 +368,6 @@ def write_csv_table(path, header: list[str], rows) -> None:
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(header))
         fh.writelines(map(_csv_line, rows))
-
-
-def write_curves_csv(path, ids: list[str], curves: CurveSet) -> None:
-    """Export survival curves in long format: id, t, S (one row per grid point).
-
-    Each curve's rows are joined into one string; the bytes are those
-    `csv.writer` writes row by row.
-    """
-    if len(ids) != len(curves):
-        raise ValueError("one id per curve required")
-    tails = [f",{format_float(t)}," for t in curves.times]
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["id", "t", "S"])
-        for sample_id, row in zip(ids, curves.values):
-            # the id cell as csv.writer quotes it in a row of several cells
-            cell = _csv_line([sample_id, ""])[:-len(",\r\n")]
-            fh.write("".join([f"{cell}{tail}{s}\r\n"
-                              for tail, s in zip(tails, map(repr, row.tolist()))]))
-
-
-def read_curves_csv(path) -> tuple[list[str], CurveSet]:
-    """Read curves written by `write_curves_csv`; every id must use one grid.
-
-    One `csv.reader` pass: the first id's rows fix the grid, each id's values
-    become one float64 row, and the rows are stacked once at the end. An id
-    whose rows are not all consecutive, an id with fewer or more rows than
-    the grid, or an id on a different grid is an error.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if header[:3] != ["id", "t", "S"]:
-            raise ValueError(f"{path}: expected header id,t,S")
-        width = len(header)
-        ids: list[str] = []
-        rows: list[np.ndarray] = []
-        grid = grid_cells = None
-        get_t, get_s = operator.itemgetter(1), operator.itemgetter(2)
-        # filter(None, ...) skips blank lines, as read_csv_table does
-        for sample_id, group in itertools.groupby(filter(None, reader),
-                                                  key=operator.itemgetter(0)):
-            group = list(group)
-            if set(map(len, group)) != {width}:
-                raise ValueError(f"{path}: curve {sample_id!r}: expected {width} cells per row")
-            cells = list(map(get_t, group))
-            if grid is None:
-                grid_cells = cells
-                grid = np.array(list(map(float, cells)))
-            elif len(cells) != grid.size:
-                raise ValueError(f"{path}: curve {sample_id!r} has {len(cells)} points, "
-                                 f"the first curve has {grid.size} (truncated?)")
-            elif cells != grid_cells and not np.array_equal(list(map(float, cells)), grid):
-                raise ValueError(f"{path}: curve {sample_id!r} uses a different time grid")
-            rows.append(np.array(list(map(float, map(get_s, group)))))
-            ids.append(sample_id)
-    if not ids:
-        raise ValueError(f"{path}: no curves")
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: the rows of a curve are not consecutive "
-                         f"(an id appears again after another id)")
-    return ids, CurveSet(times=grid, values=np.stack(rows))
 
 
 def read_jsonl(path) -> list[dict]:

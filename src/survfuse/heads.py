@@ -87,7 +87,7 @@ def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("times must be 1-D with one value column per time")
     if times.size == 0 or times[0] != 0.0 or np.any(values[:, 0] != 1.0):
         raise ValueError("curve must start at (0, 1)")
-    if np.any(np.diff(times) <= 0):
+    if not np.all(np.diff(times) > 0.0):  # NaN fails too
         raise ValueError("curve times must be strictly increasing")
     if values.size == 0:
         return times, values

@@ -14,6 +14,7 @@ import pytest
 
 from survfuse import formats
 from survfuse.cli import main
+from survfuse.heads import CurveSet
 
 # cohorts with extreme true survival legitimately hit the fit clamp
 pytestmark = pytest.mark.filterwarnings("ignore:survival value")
@@ -200,7 +201,7 @@ def test_eval_matches_train_report(pipeline, tmp_path):
     train_report = read_json(os.path.join(pipeline["run"], "report.json"))
     eval_report = read_json(os.path.join(out, "report.json"))
     assert eval_report["channels"] == train_report["channels"]
-    _, curves = formats.read_curves_csv(os.path.join(out, "curves.csv"))
+    _, curves = formats.read_curves(os.path.join(out, "curves"))
     assert len(curves) == 19
     assert curves.times[0] == 0.0 and np.all(curves.values[:, 0] == 1.0)
     assert np.all(np.diff(curves.values, axis=1) <= 0.0)
@@ -240,7 +241,7 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
                  os.path.join(pipeline["run"], "checkpoint.svck"),
                  "--bundle", pipeline["bundle"], "--out", ev]) == 0
     blended = str(tmp_path / "blend")
-    code = main(["blend", "--curves", os.path.join(ev, "curves.csv"),
+    code = main(["blend", "--curves", os.path.join(ev, "curves"),
                  "--percents", os.path.join(targets, "percents.csv"),
                  "--outcomes", os.path.join(pipeline["raw"], "outcomes.csv"),
                  "--out", blended])
@@ -248,7 +249,7 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
     blend = read_json(os.path.join(blended, "blend.json"))
     assert blend["lambda"] in [k / 20 for k in range(21)]
     assert blend["n_curves"] == 19
-    _, combined = formats.read_curves_csv(os.path.join(blended, "combined.csv"))
+    _, combined = formats.read_curves(os.path.join(blended, "combined"))
     assert len(combined) == 19
 
 
@@ -262,11 +263,11 @@ def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
                  os.path.join(pipeline["raw"], "teacher.jsonl"),
                  "--out", targets, "--no-correction"]) == 0
     blended = str(tmp_path / "blend0")
-    assert main(["blend", "--curves", os.path.join(ev, "curves.csv"),
+    assert main(["blend", "--curves", os.path.join(ev, "curves"),
                  "--percents", os.path.join(targets, "percents.csv"),
                  "--lam", "0.0", "--out", blended]) == 0
-    hidden_ids, hidden = formats.read_curves_csv(os.path.join(ev, "curves.csv"))
-    combined_ids, combined = formats.read_curves_csv(os.path.join(blended, "combined.csv"))
+    hidden_ids, hidden = formats.read_curves(os.path.join(ev, "curves"))
+    combined_ids, combined = formats.read_curves(os.path.join(blended, "combined"))
     assert combined_ids == hidden_ids
     assert np.array_equal(combined.values, hidden.values)
 
@@ -276,12 +277,12 @@ def test_blend_warns_once_about_floored_percents(pipeline, tmp_path):
     assert main(["eval", "--checkpoint",
                  os.path.join(pipeline["run"], "checkpoint.svck"),
                  "--bundle", pipeline["bundle"], "--out", ev]) == 0
-    ids, _ = formats.read_curves_csv(os.path.join(ev, "curves.csv"))
+    ids, _ = formats.read_curves(os.path.join(ev, "curves"))
     percents = write(tmp_path / "percents.csv", "id,percent\n" + "".join(
         f"{sid},{0 if k < 3 else 50}\n" for k, sid in enumerate(ids)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["blend", "--curves", os.path.join(ev, "curves.csv"),
+        assert main(["blend", "--curves", os.path.join(ev, "curves"),
                      "--percents", percents,
                      "--outcomes", os.path.join(pipeline["raw"], "outcomes.csv"),
                      "--out", str(tmp_path / "blend")]) == 0
@@ -299,10 +300,69 @@ def test_blend_needs_lambda_or_outcomes(pipeline, tmp_path, capsys):
     assert main(["parse-teacher", "--teacher",
                  os.path.join(pipeline["raw"], "teacher.jsonl"),
                  "--out", targets, "--no-correction"]) == 0
-    assert main(["blend", "--curves", os.path.join(ev, "curves.csv"),
+    assert main(["blend", "--curves", os.path.join(ev, "curves"),
                  "--percents", os.path.join(targets, "percents.csv"),
                  "--out", str(tmp_path / "b")]) == 1
     assert "--lam or --outcomes" in capsys.readouterr().err
+
+
+def small_blend_inputs(tmp_path):
+    curves = str(tmp_path / "curves")
+    formats.write_curves(curves, ["a", "b"], CurveSet(
+        times=[0.0, 1.0, 2.0], values=[[1.0, 0.8, 0.5], [1.0, 0.6, 0.6]]))
+    percents = write(tmp_path / "percents.csv", "id,percent\na,50\nb,\n")
+    return curves, percents
+
+
+def blend_exit_and_error(capsys, curves, percents, out):
+    code = main(["blend", "--curves", curves, "--percents", percents,
+                 "--lam", "0.5", "--out", out])
+    return code, capsys.readouterr().err
+
+
+def test_blend_rejects_broken_curve_directories(tmp_path, capsys):
+    curves, percents = small_blend_inputs(tmp_path)
+    out = str(tmp_path / "blend")
+    assert blend_exit_and_error(capsys, curves, percents, out)[0] == 0
+    assert formats.read_curves(os.path.join(out, "combined"))[0] == ["a", "b"]
+    old_csv = write(tmp_path / "curves.csv", "id,t,S\na,0.0,1.0\n")
+    code, err = blend_exit_and_error(capsys, old_csv, percents, out)
+    assert code == 1 and "curves.csv: no curves directory" in err and "survfuse eval" in err
+
+    meta, values = tmp_path / "curves" / "meta.json", tmp_path / "curves" / "values.npy"
+    good_meta, good_values = meta.read_bytes(), values.read_bytes()
+    cases = {
+        "no meta": meta.unlink,
+        "version": lambda: meta.write_text('{"curves_version": 2, "ids": ["a", "b"]}'),
+        "duplicate ids": lambda: meta.write_text('{"curves_version": 1, "ids": ["a", "a"]}'),
+        "non-string ids": lambda: meta.write_text('{"curves_version": 1, "ids": ["a", 1]}'),
+        "shape": lambda: meta.write_text('{"curves_version": 1, "ids": ["a"]}'),
+        "truncated": lambda: values.write_bytes(good_values[:-8]),
+        "trailing bytes": lambda: values.write_bytes(good_values + b"\0"),
+        "rising curve": lambda: formats.write_npy(
+            values, np.array([[1.0, 0.5, 0.8], [1.0, 0.6, 0.6]])),
+    }
+    for name, corrupt in cases.items():
+        corrupt()
+        code, err = blend_exit_and_error(capsys, curves, percents, out)
+        assert code == 1 and curves in err, name
+        meta.write_bytes(good_meta)
+        values.write_bytes(good_values)
+
+
+def test_blend_rejects_duplicate_percent_ids(tmp_path, capsys):
+    curves, _ = small_blend_inputs(tmp_path)
+    percents = write(tmp_path / "dup.csv", "id,percent\na,50\nb,40\na,10\n")
+    code, err = blend_exit_and_error(capsys, curves, percents, str(tmp_path / "blend"))
+    assert code == 1 and f"{percents}:4: duplicate id 'a'" in err
+
+
+@pytest.mark.parametrize("header", ["id,pct", "sample,percent"])
+def test_blend_rejects_percents_without_id_or_percent_column(tmp_path, capsys, header):
+    curves, _ = small_blend_inputs(tmp_path)
+    percents = write(tmp_path / "p.csv", f"{header}\na,50\nb,40\n")
+    code, err = blend_exit_and_error(capsys, curves, percents, str(tmp_path / "blend"))
+    assert code == 1 and f"{percents}: expected columns id and percent" in err
 
 
 def test_suite_runs_configs_and_reports(pipeline, tmp_path):

@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 
@@ -140,14 +139,12 @@ class _Unprintable:
 @pytest.mark.parametrize("write", [
     lambda path: formats.write_checkpoint(
         path, {"a": np.zeros(2), "b": np.array(["x"], dtype=object)}, {"step": 1}),
-    lambda path: formats.write_curves_csv(
-        path, ["a", _Unprintable()], CurveSet(times=[0.0, 1.0], values=[[1.0, 0.5]] * 2)),
     lambda path: _write_json(path, {"a": 1, "b": object()}),
     lambda path: formats.write_csv_table(path, ["id", "x"], [["a", "1"], ["b", _Unprintable()]]),
     lambda path: formats.write_jsonl(path, [{"a": 1}, {"b": object()}]),
     lambda path: formats.write_hidden_states(path, {"a": np.zeros((2, 3)), "b": np.zeros(3)}),
     lambda path: formats.write_pooled(path, {"a": np.zeros(3), "b": np.zeros((2, 3))}),
-], ids=["checkpoint", "curves", "json", "csv", "jsonl", "hidden", "pooled"])
+], ids=["checkpoint", "json", "csv", "jsonl", "hidden", "pooled"])
 def test_writers_keep_the_old_file_when_a_write_fails(tmp_path, write):
     path = tmp_path / "out"
     path.write_bytes(b"old")
@@ -163,7 +160,7 @@ def test_format_float_round_trips_exactly():
     values = list(rng.normal(scale=1e6, size=100)) + [0.0, 1.0, -1.0, 1e-308,
                                                       1e308, 1 / 3, np.pi]
     for v in values:
-        assert float(formats.format_float(float(v))) == float(v)
+        assert float(formats.format_floats([v])[0]) == float(v)
 
 
 def test_csv_table_round_trip(tmp_path):
@@ -188,85 +185,150 @@ def test_csv_table_rejects_duplicate_columns(tmp_path):
         formats.read_csv_table(path)
 
 
-def test_curves_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=6))])
-    values = np.hstack([np.ones((4, 1)), np.sort(rng.uniform(size=(4, 6)), axis=1)[:, ::-1]])
+def random_curves(seed, n, n_times):
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=n_times - 1))])
+    values = np.hstack([np.ones((n, 1)),
+                        np.sort(rng.uniform(size=(n, n_times - 1)), axis=1)[:, ::-1]])
+    return CurveSet(times=times, values=values)
+
+
+def test_curve_directory_round_trip(tmp_path):
+    curves = random_curves(4, 4, 7)
     ids = [f"s{i}" for i in range(4)]
-    path = tmp_path / "c.csv"
-    formats.write_curves_csv(path, ids, CurveSet(times=times, values=values))
-    back_ids, back = formats.read_curves_csv(path)
+    formats.write_curves(tmp_path / "c", ids, curves)
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+        "meta.json", "times.npy", "values.npy"]
+    meta = json.loads((tmp_path / "c" / "meta.json").read_text())
+    assert meta == {"curves_version": 1, "ids": ids}
+    back_ids, back = formats.read_curves(tmp_path / "c")
     assert back_ids == ids
-    assert np.array_equal(back.times, times)
-    assert np.array_equal(back.values, values)
+    assert np.array_equal(back.times, curves.times)
+    assert np.array_equal(back.values, curves.values)
+    # a second write replaces every file; no temporary file is left
+    formats.write_curves(tmp_path / "c", ids[:2], random_curves(5, 2, 3))
+    back_ids, back = formats.read_curves(tmp_path / "c")
+    assert back_ids == ids[:2] and back.values.shape == (2, 3)
+    assert not list((tmp_path / "c").glob("*.tmp"))
 
 
-def test_curves_csv_bytes_match_csv_writer(tmp_path):
-    # ids that csv.writer must quote: a comma, a quote, newlines, an empty id
+def test_curve_directory_keeps_any_string_id(tmp_path):
+    # ids a CSV must quote: a comma, a quote, newlines, an empty id
     ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf", "", " padded ", "ünï"]
-    rng = np.random.default_rng(5)
-    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=9))])
-    values = np.hstack([np.ones((len(ids), 1)),
-                        np.sort(rng.uniform(size=(len(ids), 9)), axis=1)[:, ::-1]])
-    curves = CurveSet(times=times, values=values)
-    path = tmp_path / "c.csv"
-    formats.write_curves_csv(path, ids, curves)
-    expected = tmp_path / "expected.csv"
-    with open(expected, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "t", "S"])
-        for sid, row in zip(ids, values):
-            writer.writerows([sid, repr(float(t)), repr(float(s))] for t, s in zip(times, row))
-    assert path.read_bytes() == expected.read_bytes()
-    back_ids, back = formats.read_curves_csv(path)
+    curves = random_curves(5, len(ids), 10)
+    formats.write_curves(tmp_path / "c", ids, curves)
+    back_ids, back = formats.read_curves(tmp_path / "c")
     assert back_ids == ids
-    assert np.array_equal(back.values, values)
+    assert np.array_equal(back.values, curves.values)
+    # the writer refuses what the reader would reject, and writes nothing
+    for bad in (ids[:-1], ["a"] * len(ids), [*ids[:-1], 7]):
+        with pytest.raises(ValueError, match="one distinct string id per curve"):
+            formats.write_curves(tmp_path / "d", bad, curves)
+    assert not (tmp_path / "d").exists()
 
 
-def test_curves_csv_requires_one_grid(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\nb,0.0,1.0\nb,2.0,0.5\n")
-    with pytest.raises(ValueError, match="different time grid"):
-        formats.read_curves_csv(path)
-    path.write_text("id,t,S\n")
-    with pytest.raises(ValueError, match="no curves"):
-        formats.read_curves_csv(path)
+def write_meta(path, meta):
+    (path / "meta.json").write_text(json.dumps(meta))
 
 
-def test_curves_csv_rejects_truncated_and_split_curves(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\nb,0.0,1.0\n")
-    with pytest.raises(ValueError, match="'b' has 1 points.*truncated"):
-        formats.read_curves_csv(path)
-    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\nb,0.0,1.0\nb,1.0,0.4\n"
-                    "a,0.0,1.0\na,1.0,0.5\n")
-    with pytest.raises(ValueError, match="not consecutive"):
-        formats.read_curves_csv(path)
-    path.write_text("id,t,S\na,0.0,1.0\na,1.0\n")
-    with pytest.raises(ValueError, match="expected 3 cells"):
-        formats.read_curves_csv(path)
+def test_curve_directory_rejects_a_file_and_a_bad_meta(tmp_path):
+    old = tmp_path / "curves.csv"
+    old.write_text("id,t,S\na,0.0,1.0\n")
+    with pytest.raises(ValueError, match="curves.csv: no curves directory.*survfuse eval"):
+        formats.read_curves(old)
+    path = tmp_path / "c"
+    formats.write_curves(path, ["a", "b"], random_curves(6, 2, 4))
+    (path / "meta.json").unlink()
+    with pytest.raises(ValueError, match="c: curves is incomplete.*survfuse eval"):
+        formats.read_curves(path)
+    for meta, match in [({"curves_version": 2, "ids": ["a", "b"]}, "unsupported curves version 2"),
+                        ({"ids": ["a", "b"]}, "unsupported curves version None"),
+                        (["a", "b"], "unsupported curves version None"),
+                        ({"curves_version": 1, "ids": ["a", "a"]}, "distinct string ids"),
+                        ({"curves_version": 1, "ids": ["a", 2]}, "distinct string ids"),
+                        ({"curves_version": 1, "ids": "ab"}, "distinct string ids"),
+                        ({"curves_version": 1}, "distinct string ids")]:
+        write_meta(path, meta)
+        with pytest.raises(ValueError, match=match) as info:
+            formats.read_curves(path)
+        assert str(path) in str(info.value)
+    (path / "meta.json").write_text('{"curves_version": 1, "ids": ["a", "b"]')
+    with pytest.raises(ValueError, match="meta.json: not readable JSON"):
+        formats.read_curves(path)
 
 
-def test_curves_csv_compares_grids_by_value_and_skips_blank_lines(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("id,t,S\na,0.0,1.0\na,1.0,0.5\n\nb,0,1.0\nb,1.00,0.25")
-    ids, back = formats.read_curves_csv(path)
-    assert ids == ["a", "b"]
-    assert np.array_equal(back.times, [0.0, 1.0])
-    assert np.array_equal(back.values, [[1.0, 0.5], [1.0, 0.25]])
-    path.write_bytes(b"id,t,S\ra,0.0,1.0\ra,1.0,0.5\rb,0.0,1.0\rb,1.0,0.25\r")
-    ids, back = formats.read_curves_csv(path)
-    assert ids == ["a", "b"]
-    assert np.array_equal(back.values, [[1.0, 0.5], [1.0, 0.25]])
+def test_curve_directory_rejects_values_off_the_grid(tmp_path):
+    path = tmp_path / "c"
+    curves = random_curves(7, 3, 5)
+    formats.write_curves(path, ["a", "b", "c"], curves)
+    # values not (len(ids), len(times))
+    write_meta(path, {"curves_version": 1, "ids": ["a", "b"]})
+    with pytest.raises(ValueError, match=r"values.npy: shape \(3, 5\), expected \(2, 5\)"):
+        formats.read_curves(path)
+    write_meta(path, {"curves_version": 1, "ids": ["a", "b", "c"]})
+    formats.write_npy(path / "times.npy", curves.times[:4])
+    with pytest.raises(ValueError, match=r"values.npy: shape \(3, 5\), expected \(3, 4\)"):
+        formats.read_curves(path)
+    formats.write_npy(path / "times.npy", curves.times.astype(np.float32))
+    with pytest.raises(ValueError, match="times.npy: dtype <f4, expected <f8"):
+        formats.read_curves(path)
 
 
-def test_curves_csv_reads_mixed_line_endings(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_bytes(b"id,t,S\na,0,1\ra,1,.5\nb,0,1\rb,1,.4\n")
-    ids, back = formats.read_curves_csv(path)
-    assert ids == ["a", "b"]
-    assert np.array_equal(back.times, [0.0, 1.0])
-    assert np.array_equal(back.values, [[1.0, 0.5], [1.0, 0.4]])
+def test_curve_directory_rejects_truncated_and_trailing_bytes(tmp_path):
+    path = tmp_path / "c"
+    curves = random_curves(7, 3, 5)
+    formats.write_curves(path, ["a", "b", "c"], curves)
+    good = (path / "values.npy").read_bytes()
+    (path / "values.npy").write_bytes(good[:-1])
+    with pytest.raises(ValueError, match="values.npy: truncated"):
+        formats.read_curves(path)
+    (path / "values.npy").write_bytes(good + b"\0")
+    with pytest.raises(ValueError, match="values.npy: trailing bytes"):
+        formats.read_curves(path)
+    (path / "values.npy").write_bytes(good)
+    assert np.array_equal(formats.read_curves(path)[1].values, curves.values)
+
+
+@pytest.mark.parametrize("times, values, match", [
+    ([0.0, 1.0, 1.0], [[1.0, 0.5, 0.4]], "strictly increasing"),
+    ([0.0, np.nan, 2.0], [[1.0, 0.5, 0.4]], "strictly increasing"),
+    ([0.5, 1.0, 2.0], [[1.0, 0.5, 0.4]], "start at"),
+    ([0.0, 1.0, 2.0], [[0.9, 0.5, 0.4]], "start at"),
+    ([0.0, 1.0, 2.0], [[1.0, 0.4, 0.5]], "non-increasing"),
+    ([0.0, 1.0, 2.0], [[1.0, 0.5, np.nan]], r"lie in \[0, 1\]"),
+    ([0.0, 1.0, 2.0], [[1.0, 0.5, -0.1]], r"lie in \[0, 1\]"),
+])
+def test_curve_directory_rejects_invalid_curves(tmp_path, times, values, match):
+    path = tmp_path / "c"
+    formats.write_curves(path, ["a"], random_curves(8, 1, 3))
+    formats.write_npy(path / "times.npy", np.array(times))
+    formats.write_npy(path / "values.npy", np.array(values))
+    with pytest.raises(ValueError, match=match) as info:
+        formats.read_curves(path)
+    assert str(path) in str(info.value)
+
+
+def test_a_curve_write_that_fails_partway_reads_as_incomplete(tmp_path, monkeypatch):
+    path = tmp_path / "c"
+    formats.write_curves(path, ["old0", "old1"], random_curves(9, 2, 4))
+    write_npy = formats.write_npy
+
+    def fail_on_values(target, arr):
+        if str(target).endswith("values.npy"):
+            raise OSError("disk full")
+        write_npy(target, arr)
+
+    monkeypatch.setattr(formats, "write_npy", fail_on_values)
+    with pytest.raises(OSError, match="disk full"):
+        formats.write_curves(path, ["new0", "new1", "new2"], random_curves(10, 3, 4))
+    # the new times sit beside the old values, but without meta.json
+    # neither the old ids nor any values can be read
+    assert not (path / "meta.json").exists()
+    with pytest.raises(ValueError, match="incomplete"):
+        formats.read_curves(path)
+    monkeypatch.setattr(formats, "write_npy", write_npy)
+    formats.write_curves(path, ["new0", "new1", "new2"], random_curves(10, 3, 4))
+    assert formats.read_curves(path)[0] == ["new0", "new1", "new2"]
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -321,6 +321,8 @@ def test_curve_validation():
         curve([0.0, 1.0], [1.0, 1.2])
     with pytest.raises(ValueError):
         curve([0.0, 1.0, 1.0], [1.0, 0.8, 0.6])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        curve([0.0, float("nan"), 2.0], [1.0, 0.8, 0.6])
     # a tiny numerical increase is tolerated and flattened, not fatal
     (values,) = curve([0.0, 1.0, 2.0], [1.0, 0.5, 0.5 + 1e-15]).values
     assert np.all(np.diff(values) <= 0)

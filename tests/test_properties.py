@@ -8,10 +8,11 @@ forward) and for the whole-array training and teacher code against the
 per-element forms it replaced (Cox risk sets, Breslow increments, flat
 AdamW, the flat-vector training step, sigmoid, one-draw dropout masks, batch
 and columnar teacher finalisation), the bit-exact bundle round trip, the
-binary formats (checkpoint, .svhs, .svpv, .npy: bit-exact round trips, and
-a ValueError at every truncation), and the column-wise set-up code against
-the per-element forms (batched attention pooling, the one-pass numeric-table
-parser, the joined CSV writer, cached teacher extraction)."""
+binary formats (checkpoint, .svhs, .svpv, .npy, curve directories: bit-exact
+round trips, and a ValueError at every truncation), and the column-wise
+set-up code against the per-element forms (batched attention pooling, the
+one-pass numeric-table parser, the joined CSV writer, cached teacher
+extraction)."""
 
 import csv
 import functools
@@ -34,9 +35,9 @@ from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle
 from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_records,
                               fit_parametric, fit_survival_at, parse_teacher_file,
                               prob_matrix, three_year_percent)
-from survfuse.formats import (read_checkpoint, read_hidden_states, read_npy, read_pooled,
-                              write_checkpoint, write_csv_table, write_hidden_states,
-                              write_npy, write_pooled)
+from survfuse.formats import (read_checkpoint, read_curves, read_hidden_states, read_npy,
+                              read_pooled, write_checkpoint, write_csv_table, write_curves,
+                              write_hidden_states, write_npy, write_pooled)
 from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
 from survfuse.heads import (CurveBlocks, CurveSet, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, build_discrete_targets,
@@ -901,26 +902,30 @@ def test_bundle_round_trip_is_bit_exact(data):
 # ---------------------------------------------------------- binary formats
 
 
-def round_trip(write, read, value):
+def round_trip(write, read, value, files=None):
     """What `read` returns for the file `write(path, value)` makes, checking
     that writing it again makes the same bytes and that every strict prefix
-    of the file is a ValueError."""
+    of the file is a ValueError. With `files`, `write` makes a directory, and
+    each file it names there is cut short in turn."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "file")
         write(path, value)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        for k in range(len(data)):
-            with open(path, "wb") as fh:
-                fh.write(data[:k])
-            with pytest.raises(ValueError):
-                read(path)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        written = {}
+        for file in [path] if files is None else [os.path.join(path, f) for f in files]:
+            with open(file, "rb") as fh:
+                data = written[file] = fh.read()
+            for k in range(len(data)):
+                with open(file, "wb") as fh:
+                    fh.write(data[:k])
+                with pytest.raises(ValueError):
+                    read(path)
+            with open(file, "wb") as fh:
+                fh.write(data)
         back = read(path)
         write(path, back)
-        with open(path, "rb") as fh:
-            assert fh.read() == data
+        for file, data in written.items():
+            with open(file, "rb") as fh:
+                assert fh.read() == data
     return back
 
 
@@ -985,6 +990,28 @@ def test_npy_round_trips_and_rejects_every_prefix(data, dtype, shape):
     expect = tuple(None if data.draw(st.booleans()) else n for n in shape)
     back = round_trip(write_npy, functools.partial(read_npy, dtype=dtype, shape=expect), arr)
     assert same_bits(back, arr)
+
+
+# ids a CSV would have to quote, the empty id, and any other text
+CURVE_IDS = st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "cr\rlf", "\r\n", "naïve",
+                             "日本"]) | IDS
+UNIT_VALUES = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_curve_directories_round_trip_and_reject_every_prefix(data):
+    ids = data.draw(st.lists(CURVE_IDS, max_size=4, unique=True))
+    steps = sorted(data.draw(st.lists(st.floats(1e-300, 1e300), max_size=4, unique=True)))
+    times = np.array([0.0] + steps)
+    values = np.array([[1.0] + sorted(data.draw(st.lists(UNIT_VALUES, min_size=len(steps),
+                                                         max_size=len(steps))), reverse=True)
+                       for _ in ids]).reshape(len(ids), times.size)
+    curves = CurveSet(times=times, values=values)
+    back_ids, back = round_trip(lambda path, value: write_curves(path, *value), read_curves,
+                                (ids, curves), files=["times.npy", "values.npy", "meta.json"])
+    assert back_ids == ids
+    assert same_bits(back.times, times) and same_bits(back.values, values)
 
 
 # ------------------------------------------------------- set-up in columns
