@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from .heads import CurveSet
-from .metrics import c_td_many
+from .metrics import BLOCK_ELEMENTS, c_td_many
 
 PERCENT_FLOOR = 0.5
 DEFAULT_LAMBDA_GRID = tuple(k / 20.0 for k in range(21))
@@ -59,9 +59,15 @@ def _check_same_grid(a: CurveSet, b: CurveSet) -> None:
 
 
 def _convex(hidden: np.ndarray, verbalized: np.ndarray, lam: float) -> np.ndarray:
-    """(1 - lam) * hidden + lam * verbalized, element by element, as a new array."""
+    """(1 - lam) * hidden + lam * verbalized, element by element, as a new array.
+
+    The second term is added a block of about BLOCK_ELEMENTS at a time, so
+    the result is the only array of its size that is made.
+    """
     values = (1.0 - lam) * hidden
-    values += lam * verbalized
+    step = max(1, BLOCK_ELEMENTS // max(1, values[:1].size))
+    for lo in range(0, len(values), step):
+        values[lo:lo + step] += lam * verbalized[lo:lo + step]
     return values
 
 

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -343,6 +344,13 @@ def _cmd_blend(args, started: float) -> int:
     from . import blending, formats
     from .cohort import _parse_outcomes
 
+    # the weight flags are checked before any file is read
+    if args.lam is None and args.outcomes is None:
+        raise UsageError("need --lam or --outcomes to choose the weight")
+    if args.lam is not None and args.outcomes is not None:
+        raise UsageError("--lam fixes the weight and --outcomes selects it: give one")
+    if args.lam is not None and not 0.0 <= args.lam <= 1.0:  # NaN fails too
+        raise UsageError(f"--lam {args.lam:g} outside [0, 1]")
     ids, hidden = formats.read_curves(args.curves)
     header, rows = formats.read_csv_table(args.percents)
     if "id" not in header or "percent" not in header:
@@ -352,7 +360,14 @@ def _cmd_blend(args, started: float) -> int:
         if row["id"] in percents:
             raise ValueError(f"{args.percents}:{lineno}: duplicate id {row['id']!r}")
         text = row["percent"].strip()
-        percents[row["id"]] = float(text) if text else None
+        try:
+            value = float(text) if text else None
+        except ValueError:
+            value = math.nan  # reported with the out-of-range values below
+        if value is not None and not 0.0 <= value <= 100.0:  # NaN fails too
+            raise ValueError(f"{args.percents}:{lineno}: percent {text!r} is not "
+                             f"a number in [0, 100]")
+        percents[row["id"]] = value
     missing_pct = [sid for sid in ids if sid not in percents]
     if missing_pct:
         raise UsageError(f"no percent rows for ids {missing_pct[:5]}")
@@ -360,10 +375,8 @@ def _cmd_blend(args, started: float) -> int:
 
     val_ctd = None
     if args.lam is not None:
-        lam = float(args.lam)
+        lam = args.lam
     else:
-        if args.outcomes is None:
-            raise UsageError("need --lam or --outcomes to choose the weight")
         outcome_map = _parse_outcomes(args.outcomes)
         missing_out = [sid for sid in ids if sid not in outcome_map]
         if missing_out:

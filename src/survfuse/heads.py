@@ -91,7 +91,9 @@ def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("curve times must be strictly increasing")
     if values.size == 0:
         return times, values
-    rising = np.diff(values, axis=1) > 0.0
+    # neighbour comparisons, not np.diff: the same answers (NaN compares
+    # false, inf - inf is NaN) without a float temporary the size of the curves
+    rising = values[:, 1:] > values[:, :-1]
     if rising.any() and np.any(np.diff(values, axis=1) > 1e-12):
         raise ValueError("survival values must be non-increasing")
     low, high = values.min(), values.max()
@@ -99,7 +101,7 @@ def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("survival values must lie in [0, 1]")
     if low < 0.0 or high > 1.0:
         values = np.clip(values, 0.0, 1.0)
-        rising = np.diff(values, axis=1) > 0.0
+        rising = values[:, 1:] > values[:, :-1]
     rows = np.flatnonzero(rising.any(axis=1))
     if rows.size:
         values = values.copy()  # never write into the caller's array

@@ -7,12 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Event subjects that c_td scores together. Its working set is a few
-# (subjects x CTD_BLOCK) arrays, about 12 bytes per entry.
-CTD_BLOCK = 256
-# Time points that ibs scores together (IBS_BLOCK to 2 * IBS_BLOCK - 1). Its
-# working set is a few (subjects x block) arrays.
-IBS_BLOCK = 64
+# Float64 elements of one (subjects x block) array that c_td and ibs score
+# together (256 KiB): c_td takes max(1, BLOCK_ELEMENTS // n) event subjects
+# at a time and ibs max(2, BLOCK_ELEMENTS // n) to twice as many time
+# points, so their working set, a few such arrays, does not grow with n. A
+# budget four times as large has ibs hold all 512 of its points at once for
+# a few hundred subjects; a smaller one pays each block's fixed cost
+# (building its curves) more often.
+BLOCK_ELEMENTS = 1 << 15
 # Time points of the ibs integration grid (composite midpoint rule).
 IBS_GRID_POINTS = 512
 
@@ -78,10 +80,10 @@ def c_td(curves, times, events) -> float:
     A pair (i, j) is comparable when t_i < t_j and e_i = 1; it scores 1 when
     S_i(t_i) < S_j(t_i), 0.5 on an exact tie, 0 otherwise. `curves` is a
     CurveSet or a CurveBlocks, read only through `len` and `at`. Event subjects
-    are scored in blocks of CTD_BLOCK against every later subject at once,
-    reading every curve at the block's event times, `curves.at(times)`: extra
-    memory stays O(n * CTD_BLOCK), and the counts are integers, so the result
-    does not depend on the blocking.
+    are scored in blocks of max(1, BLOCK_ELEMENTS // n) against every later
+    subject at once, reading every curve at the block's event times,
+    `curves.at(times)`: extra memory stays O(BLOCK_ELEMENTS), and the counts
+    are integers, so the result does not depend on the blocking.
     """
 
     def read(t, rows, later):
@@ -115,8 +117,9 @@ def c_td_many(read, n_curves: int, n_sets: int, times, events) -> list[float]:
     first_later = np.searchsorted(t_sorted, times[event_idx], side="right")
     concordant, ties = [0] * n_sets, [0] * n_sets
     pairs = 0
-    for lo in range(0, event_idx.size, CTD_BLOCK):
-        hi = min(lo + CTD_BLOCK, event_idx.size)
+    step = max(1, BLOCK_ELEMENTS // n)
+    for lo in range(0, event_idx.size, step):
+        hi = min(lo + step, event_idx.size)
         start = first_later[lo]  # the block's earliest time has the most partners
         if start == n:
             break
@@ -173,7 +176,8 @@ def ibs(curves, times, events, grid_points: int = IBS_GRID_POINTS) -> IbsResult:
     dropped = 0
     # A block at least two wide is averaged over subjects in the same order
     # as the whole matrix would be, so the result does not depend on blocking.
-    for cols in np.array_split(np.arange(grid_points), max(1, grid_points // IBS_BLOCK)):
+    block_cols = max(2, BLOCK_ELEMENTS // n)
+    for cols in np.array_split(np.arange(grid_points), max(1, grid_points // block_cols)):
         block = slice(cols[0], cols[-1] + 1)
         at, g = mids[block], g_mid[block]
         surv = curves.at(at)

@@ -169,7 +169,10 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
     cov -> (N, d_c), ge -> (N, d_g). With `keep_cache=False` the networks
     keep none of the activations that only `model_backward` reads (the
     caches are None), so inference holds O(N x widest layer) at a time; the
-    outputs are the same either way.
+    outputs are the same either way. An inference forward (`keep_cache=False`
+    and no `rng`) also skips the autoencoder's decoder, whose output only the
+    training loss reads, and returns `recon=None`; with an `rng` the decoder
+    runs, so the dropout masks drawn stay the same.
     """
     for m in model.modalities:
         if m not in batch:
@@ -186,9 +189,10 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
         z_ge, enc_cache = mlp_forward(model.ae.encoder, batch["ge"],
                                       masks=masks_for(model.ae.encoder),
                                       keep_cache=keep_cache)
-        recon, dec_cache = mlp_forward(model.ae.decoder, z_ge,
-                                       masks=masks_for(model.ae.decoder),
-                                       keep_cache=keep_cache)
+        if keep_cache or rng is not None:
+            recon, dec_cache = mlp_forward(model.ae.decoder, z_ge,
+                                           masks=masks_for(model.ae.decoder),
+                                           keep_cache=keep_cache)
 
     head_caches: dict[str, MlpCache | None] = {}
     modality_outputs = None

@@ -219,10 +219,22 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
     Monitors validation survival loss; restores the best checkpoint; for the
     CoxPH head, fits the Breslow baseline on train+val afterwards.
     """
-    batch_size = batch_size or config.batch_size
-    epochs = config.epochs if epochs is None else epochs
-    patience = config.patience if patience is None else patience
+    result = _train_loop(config, cohort, split, warm_start,
+                         batch_size or config.batch_size,
+                         config.epochs if epochs is None else epochs,
+                         config.patience if patience is None else patience)
+    if config.head == "coxph":
+        fit_idx = np.concatenate([split.train, split.val])
+        fit_data = _split_data(cohort, fit_idx, config, result.grid)
+        fwd = model_forward(result.model, fit_data, rng=None, keep_cache=False)
+        result.baseline = breslow_baseline(fwd.out, fit_data["times"], fit_data["events"])
+    return result
 
+
+def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
+                warm_start: dict[str, np.ndarray] | None, batch_size: int,
+                epochs: int, patience: int) -> TrainResult:
+    """`train`'s epoch loop: the model at its best validation epoch, no baseline."""
     rngs = named_rngs(config.seed, ("init", "shuffle", "dropout", "pretrain"))
     grid = None
     if config.head == "discrete":
@@ -276,16 +288,7 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
             break
 
     np.copyto(model.flat, best_snapshot)
-    del train_data, val_data  # the Breslow fit below copies both splits again
-
-    baseline = None
-    if config.head == "coxph":
-        fit_idx = np.concatenate([split.train, split.val])
-        fit_data = _split_data(cohort, fit_idx, config, grid)
-        fwd = model_forward(model, fit_data, rng=None, keep_cache=False)
-        baseline = breslow_baseline(fwd.out, fit_data["times"], fit_data["events"])
-
-    return TrainResult(model=model, grid=grid, baseline=baseline,
+    return TrainResult(model=model, grid=grid, baseline=None,
                        train_trace=train_trace, val_trace=val_trace,
                        best_epoch=best_epoch, skipped_batches=skipped, dims=dims)
 
@@ -303,10 +306,8 @@ def pretrain_heads(config: RunConfig, cohort: Cohort,
         if m not in config.modalities:
             continue
         sub = replace(config, fusion="none", modalities=(m,), pretrain=False)
-        result = train(sub, cohort, split,
-                       batch_size=config.pretrain_batch_size,
-                       epochs=config.pretrain_epochs,
-                       patience=config.pretrain_patience)
+        result = _train_loop(sub, cohort, split, None, config.pretrain_batch_size,
+                             config.pretrain_epochs, config.pretrain_patience)
         for name, value in model_params(result.model).items():
             prefix, rest = name.split(".", 1)
             joint = f"head_{m}.{rest}" if prefix == "head" else name

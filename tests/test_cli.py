@@ -365,6 +365,31 @@ def test_blend_rejects_percents_without_id_or_percent_column(tmp_path, capsys, h
     assert code == 1 and f"{percents}: expected columns id and percent" in err
 
 
+@pytest.mark.parametrize("cell", ["x", "nan", "inf", "100.5", "-1", "1,0"])
+def test_blend_rejects_a_malformed_percent_cell(tmp_path, capsys, cell):
+    curves, _ = small_blend_inputs(tmp_path)
+    percents = write(tmp_path / "p.csv", f'id,percent\na,50\nb," {cell} "\n')
+    code, err = blend_exit_and_error(capsys, curves, percents, str(tmp_path / "blend"))
+    assert code == 1 and f"{percents}:3: percent {cell!r} is not a number in [0, 100]" in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--lam", "1.5"], "--lam 1.5 outside [0, 1]"),
+    (["--lam", "-0.25"], "--lam -0.25 outside [0, 1]"),
+    (["--lam", "nan"], "--lam nan outside [0, 1]"),
+    (["--lam", "0.5", "--outcomes", "outcomes.csv"], "give one"),
+    ([], "need --lam or --outcomes"),
+])
+def test_blend_rejects_weight_flags_before_reading_files(tmp_path, capsys, flags, message):
+    # no input exists: an error about the flags shows that nothing was read
+    out = tmp_path / "blend"
+    code = main(["blend", "--curves", str(tmp_path / "curves"), "--percents",
+                 str(tmp_path / "percents.csv"), "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert code == 1 and message in err and "curves" not in err
+    assert not out.exists()
+
+
 def test_suite_runs_configs_and_reports(pipeline, tmp_path):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()

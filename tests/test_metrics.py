@@ -10,7 +10,7 @@ import pytest
 
 from survfuse.blending import blend_inputs, select_lambda
 from survfuse.heads import CurveBlocks, breslow_baseline, cox_curve
-from survfuse.metrics import CTD_BLOCK, c_td, censoring_km, ibs
+from survfuse.metrics import BLOCK_ELEMENTS, c_td, censoring_km, ibs
 from survfuse.training import _channels
 from stepcurves import curve as step_curve
 from stepcurves import curve_at, stack
@@ -308,43 +308,47 @@ def test_ibs_float_conversion():
 def test_evaluation_memory_stays_bounded_at_large_n():
     """The streamed evaluation path (lambda selection, then c_td and ibs of
     the hidden, verbalized and combined channels, all on CurveBlocks) on
-    5,000 test subjects with continuous event times and a Cox baseline of
-    25,000 event times. Curves on the whole grid would take 1 GB, and even on
-    only the scored times (one column per distinct event time, plus the 512
-    ibs midpoints) they take at least 100 MB. The streamed path holds a few
-    (n x CTD_BLOCK) blocks at a time, so its peak has a bound that does not
-    depend on the number of scored times."""
+    2,000 and 4,000 test subjects with continuous event times and a Cox
+    baseline of 25,000 event times. Curves on the whole grid would take up
+    to 1 GB, and even on only the scored times (one column per distinct
+    event time, plus the 512 ibs midpoints) they take tens of MB. The
+    streamed path holds a few blocks of about BLOCK_ELEMENTS values at a
+    time, so its peak has one bound at both sizes, whatever the number of
+    scored times."""
+    # about eight BLOCK_ELEMENTS float64 arrays at once (a combined block is
+    # built from hidden, verbalized and blend blocks, c_td adds the later
+    # subjects' values and its comparison masks, and an ibs block may be up
+    # to twice as wide), plus the baseline's arrays that each block reads
+    bound = 12 * BLOCK_ELEMENTS * 8
     rng = np.random.default_rng(0)
-    n_fit, n = 25_000, 5_000
+    n_fit = 25_000
     baseline = breslow_baseline(0.5 * rng.normal(size=n_fit),
                                 rng.uniform(0.01, 5.0, size=n_fit), np.ones(n_fit, dtype=bool))
     assert baseline.event_times.size == n_fit
-    scores = 0.5 * rng.normal(size=n)
-    raw = rng.exponential(4.0 * np.exp(-scores))
-    times = np.minimum(raw, 5.0)
-    events = (raw < 5.0) & (rng.random(n) < 0.8)
-    # a teacher that knows the 3-year survival, for 80% of the subjects
-    percents = np.round(100.0 * np.exp(-3.0 / (4.0 * np.exp(-scores))))
-    percents[rng.random(n) >= 0.8] = np.nan
-    # curves on the scored times keep the grid columns that hold the event
-    # times and (about) the ibs midpoints
-    scored = np.concatenate([times[events], np.linspace(0.0, times.max(), 512)])
-    columns = np.unique(np.searchsorted(baseline.event_times, scored, side="right")).size
-    assert n * columns * 8 >= 100e6
-    hidden = CurveBlocks(n, functools.partial(cox_curve, scores, baseline))
-    blend = CurveBlocks(n, lambda t: blend_inputs(hidden.build(t), percents)[0])
-    # about eight (n x CTD_BLOCK) float64 arrays at once: a combined block is
-    # built from hidden, verbalized and blend blocks, and c_td adds the later
-    # subjects' values and its comparison masks
-    bound = 8 * n * CTD_BLOCK * 8
+    for n in (2_000, 4_000):
+        scores = 0.5 * rng.normal(size=n)
+        raw = rng.exponential(4.0 * np.exp(-scores))
+        times = np.minimum(raw, 5.0)
+        events = (raw < 5.0) & (rng.random(n) < 0.8)
+        # a teacher that knows the 3-year survival, for 80% of the subjects
+        percents = np.round(100.0 * np.exp(-3.0 / (4.0 * np.exp(-scores))))
+        percents[rng.random(n) >= 0.8] = np.nan
+        # curves on the scored times keep the grid columns that hold the
+        # event times and (about) the ibs midpoints
+        scored = np.concatenate([times[events], np.linspace(0.0, times.max(), 512)])
+        columns = np.unique(np.searchsorted(baseline.event_times, scored, side="right")).size
+        assert n * columns * 8 >= 3 * bound
+        hidden = CurveBlocks(n, functools.partial(cox_curve, scores, baseline))
+        blend = CurveBlocks(n, lambda t, hidden=hidden, percents=percents:
+                            blend_inputs(hidden.build(t), percents)[0])
 
-    tracemalloc.start()
-    try:
-        lam, _ = select_lambda(hidden, blend, times, events)
-        channels = _channels(hidden, times, events, percents, lam)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 2**20:.0f} MB, bound {bound / 2**20:.0f} MB"
-    for name in ("hidden", "verbalized", "combined"):
-        assert 0.55 < channels[name].c_td < 1.0 and 0.0 < channels[name].ibs < 0.25, name
+        tracemalloc.start()
+        try:
+            lam, _ = select_lambda(hidden, blend, times, events)
+            channels = _channels(hidden, times, events, percents, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"n={n}: peak {peak / 2**20:.1f} MB, bound {bound / 2**20:.0f} MB"
+        for name in ("hidden", "verbalized", "combined"):
+            assert 0.55 < channels[name].c_td < 1.0 and 0.0 < channels[name].ibs < 0.25, name

@@ -361,6 +361,28 @@ def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypa
     assert calls == [("late", ("text", "cov"))]
 
 
+def test_coxph_pretraining_run_fits_one_breslow_baseline(monkeypatch):
+    """Pretraining keeps only the heads' parameters, so only the joint model
+    fits a baseline."""
+    import survfuse.training as training_module
+
+    calls = []
+    original = training_module.breslow_baseline
+
+    def counting(scores, times, events):
+        calls.append(scores.size)
+        return original(scores, times, events)
+
+    monkeypatch.setattr(training_module, "breslow_baseline", counting)
+    cohort = toy_cohort(40)
+    split = split_cohort(40, seed=2)
+    config = tiny_config(head="coxph", pretrain=True, epochs=1, pretrain_batch_size=16,
+                         pretrain_epochs=2, pretrain_patience=2)
+    result, _ = train_and_evaluate(config, cohort, split, finalize_teacher(cohort))
+    assert calls == [split.train.size + split.val.size]
+    assert result.baseline is not None
+
+
 # ------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
