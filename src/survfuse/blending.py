@@ -53,11 +53,6 @@ def verbalized_curve(percent: float, times) -> CurveSet:
     return verbalized_curves([percent], times)
 
 
-def _check_same_grid(a: CurveSet, b: CurveSet) -> None:
-    if not np.array_equal(a.times, b.times):
-        raise ValueError("curves must share evaluation times")
-
-
 def _convex(hidden: np.ndarray, verbalized: np.ndarray, lam: float) -> np.ndarray:
     """(1 - lam) * hidden + lam * verbalized, element by element, as a new array.
 
@@ -75,7 +70,8 @@ def combine(hidden: CurveSet, verbalized: CurveSet, lam: float) -> CurveSet:
     """Row-wise convex combination (1 - lam) * S + lam * S^v on a shared grid."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda {lam} outside [0, 1]")
-    _check_same_grid(hidden, verbalized)
+    if not np.array_equal(hidden.times, verbalized.times):
+        raise ValueError("curves must share evaluation times")
     if hidden.values.shape != verbalized.values.shape:
         raise ValueError("one verbalized curve per hidden curve required")
     return CurveSet(times=hidden.times, values=_convex(hidden.values, verbalized.values, lam))
@@ -119,28 +115,27 @@ def blend_inputs(hidden: CurveSet, percents) -> tuple[CurveSet, CurveSet | None,
             CurveSet(times=hidden.times, values=evaluated), n_present)
 
 
-def select_lambda(hidden, verbalized, times, events,
+def select_lambda(hidden, percents, times, events,
                   grid=DEFAULT_LAMBDA_GRID) -> tuple[float, float]:
     """Concordance-maximizing lambda over the grid; ties go to the smallest.
 
-    `hidden` and `verbalized` are CurveSets on one grid or CurveBlocks;
-    missing verbalized curves must already be resolved (blend_inputs).
-    Every lambda is scored in one pass: each block of event times reads the
-    hidden and verbalized values once, and each lambda's blend of them is
-    `combine`'s own arithmetic, so every score equals `c_td` of `combine`'s
-    curves (a blend of valid curves needs no clean-up, so `combine` keeps
-    exactly these values). Returns (lambda*, its validation concordance).
+    `hidden` is a CurveSet or a CurveBlocks and `percents` holds one percent
+    per curve, NaN where absent; they are floored once, here. Every lambda
+    is scored in one pass: each block of event times builds one block of
+    hidden curves, takes its blend partner from it (`blend_inputs`), reads
+    both once, and blends them with `combine`'s own arithmetic, so every
+    score equals `c_td` of `combine(hidden, blend_inputs(hidden,
+    percents)[0], lam)` (a blend of valid curves needs no clean-up, so
+    `combine` keeps exactly these values). Returns (lambda*, its concordance).
     """
     grid = sorted(float(g) for g in grid)
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise ValueError("lambda grid must lie in [0, 1]")
-    if isinstance(hidden, CurveSet) and isinstance(verbalized, CurveSet):
-        _check_same_grid(hidden, verbalized)
-    if len(hidden) != len(verbalized):
-        raise ValueError("one verbalized curve per hidden curve required")
+    percents = floor_percents(percents)
 
     def blends(t, rows, later):
-        h, v = hidden.at(t), verbalized.at(t)
+        block = hidden.build(t)
+        h, v = block.at(t), blend_inputs(block, percents)[0].at(t)
         own = np.arange(rows.size)
         own_h, own_v, later_h, later_v = h[rows, own], v[rows, own], h[later], v[later]
         del h, v

@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -230,8 +229,7 @@ def _cmd_train(args, started: float) -> int:
 
     config = training.load_run_config(args.config)
     cohort, split = _load_bundle_with_split(args.bundle)
-    percents = training.finalize_teacher(cohort)
-    result, report = training.train_and_evaluate(config, cohort, split, percents)
+    result, report = training.train_and_evaluate(config, cohort, split)
 
     os.makedirs(args.out, exist_ok=True)
     training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"),
@@ -280,8 +278,7 @@ def _cmd_eval(args, started: float) -> int:
 
     result, config = training.load_checkpoint(args.checkpoint)
     cohort, split = _load_bundle_with_split(args.bundle)
-    report = training.evaluate(result, cohort, split, config,
-                               training.finalize_teacher(cohort))
+    report = training.evaluate(result, cohort, split, config)
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
@@ -298,28 +295,31 @@ def _cmd_eval(args, started: float) -> int:
 
 
 def _cmd_parse_teacher(args, started: float) -> int:
+    import warnings
+
     from . import distill, formats
-    from .cohort import _parse_outcomes
+    from .cohort import read_outcomes
 
     records = distill.parse_teacher_file(formats.read_jsonl(args.teacher))
     train_ids = None
     if args.train_ids is not None:
         with open(args.train_ids, encoding="utf-8") as fh:
             train_ids = {line.strip() for line in fh if line.strip()}
-    distill.finalize_records(records, train_ids=train_ids)
+    targets = distill.finalize_records(records, train_ids=train_ids)
 
     outcomes: dict[str, tuple[float, bool]] = {}
     if args.outcomes is not None:
-        outcomes = {sid: (o.time, o.event)
-                    for sid, o in _parse_outcomes(args.outcomes).items()}
+        outcomes = {sid: (o.time, o.event) for sid, o in read_outcomes(args.outcomes).items()}
     correction = not args.no_correction and bool(outcomes)
-    rows = distill.target_rows(records, outcomes, correction=correction)
+    rows = distill.target_rows(records, targets, outcomes, correction=correction)
+    with warnings.catch_warnings():  # its clamps are among those finalize_records reported
+        warnings.simplefilter("ignore", UserWarning)
+        percents = distill.teacher_percents(distill.prob_matrix([rec.probs for rec in records]))
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_jsonl(os.path.join(args.out, "targets.jsonl"), rows)
-    formats.write_csv_table(
-        os.path.join(args.out, "percents.csv"), ["id", "percent"],
-        [[rec.sample_id, str(rec.percent)] for rec in records])
+    formats.write_percents(os.path.join(args.out, "percents.csv"),
+                           [rec.sample_id for rec in records], percents)
 
     n_extracted = sum(1 for rec in records if rec.any_extracted())
     n_masked = sum(1 for row in rows if not row["text_loss_included"])
@@ -342,7 +342,7 @@ def _cmd_blend(args, started: float) -> int:
     import numpy as np
 
     from . import blending, formats
-    from .cohort import _parse_outcomes
+    from .cohort import read_outcomes
 
     # the weight flags are checked before any file is read
     if args.lam is None and args.outcomes is None:
@@ -352,38 +352,21 @@ def _cmd_blend(args, started: float) -> int:
     if args.lam is not None and not 0.0 <= args.lam <= 1.0:  # NaN fails too
         raise UsageError(f"--lam {args.lam:g} outside [0, 1]")
     ids, hidden = formats.read_curves(args.curves)
-    header, rows = formats.read_csv_table(args.percents)
-    if "id" not in header or "percent" not in header:
-        raise ValueError(f"{args.percents}: expected columns id and percent, got {header}")
-    percents: dict[str, float | None] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if row["id"] in percents:
-            raise ValueError(f"{args.percents}:{lineno}: duplicate id {row['id']!r}")
-        text = row["percent"].strip()
-        try:
-            value = float(text) if text else None
-        except ValueError:
-            value = math.nan  # reported with the out-of-range values below
-        if value is not None and not 0.0 <= value <= 100.0:  # NaN fails too
-            raise ValueError(f"{args.percents}:{lineno}: percent {text!r} is not "
-                             f"a number in [0, 100]")
-        percents[row["id"]] = value
-    missing_pct = [sid for sid in ids if sid not in percents]
-    if missing_pct:
-        raise UsageError(f"no percent rows for ids {missing_pct[:5]}")
-    blend_in, _, n_present = blending.blend_inputs(hidden, [percents[sid] for sid in ids])
+    # floored once here, so the blend and the selection warn once between them
+    percents = blending.floor_percents(formats.read_percents(args.percents, ids))
+    blend_in, _, n_present = blending.blend_inputs(hidden, percents)
 
     val_ctd = None
     if args.lam is not None:
         lam = args.lam
     else:
-        outcome_map = _parse_outcomes(args.outcomes)
+        outcome_map = read_outcomes(args.outcomes)
         missing_out = [sid for sid in ids if sid not in outcome_map]
         if missing_out:
             raise UsageError(f"no outcome rows for ids {missing_out[:5]}")
         t = np.array([outcome_map[sid].time for sid in ids])
         e = np.array([outcome_map[sid].event for sid in ids])
-        lam, val_ctd = blending.select_lambda(hidden, blend_in, t, e)
+        lam, val_ctd = blending.select_lambda(hidden, percents, t, e)
 
     combined = blending.combine(hidden, blend_in, lam)
     os.makedirs(args.out, exist_ok=True)

@@ -151,7 +151,8 @@ def administrative_censor(outcome: Outcome, horizon_years: float = HORIZON_YEARS
     return outcome
 
 
-def _parse_outcomes(path: str) -> dict[str, Outcome]:
+def read_outcomes(path: str) -> dict[str, Outcome]:
+    """The outcomes of an `id,time_years,event` CSV by id, as given (not censored)."""
     header, rows = formats.read_csv_table(path)
     for col in ("id", "time_years", "event"):
         if col not in header:
@@ -283,7 +284,7 @@ def load_cohort(outcomes_path: str,
     """
     if schema not in ("numeric", "clinical"):
         raise ValueError(f"unknown schema {schema!r}")
-    outcomes = _parse_outcomes(outcomes_path)
+    outcomes = read_outcomes(outcomes_path)
 
     cov_numeric = None
     cov_raw: dict[str, dict[str, str]] = {}

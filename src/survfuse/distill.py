@@ -27,9 +27,6 @@ class TeacherRecord:
     responses: dict[str, str | None]
     explanation: str
     probs: dict[float, float | None] = field(default_factory=dict)
-    completed: tuple[float, float, float] | None = None
-    rate: float | None = None
-    percent: int | None = None
 
     def any_extracted(self) -> bool:
         return any(p is not None for p in self.probs.values())
@@ -352,34 +349,39 @@ def finalize_probs(probs: np.ndarray,
     return completed, rates, percents
 
 
-def finalize_records(records: list[TeacherRecord],
-                     train_ids: set[str] | None = None) -> None:
-    """`finalize_probs` over the records' horizon matrix, stored on each record.
+def teacher_percents(probs: np.ndarray) -> np.ndarray:
+    """The teacher's estimate per row of an (N, 3) horizon matrix (NaN where
+    missing): the rounded 3-year percent of the row's completed fit where
+    at least one horizon was extracted (`finalize_probs` of those rows, each
+    on its own probabilities), NaN where none was."""
+    extracted = ~np.isnan(probs).all(axis=1)
+    percents = np.full(len(probs), np.nan)
+    percents[extracted] = finalize_probs(probs[extracted])[2]
+    return percents
 
-    Horizon means come from the training split when `train_ids` is given,
-    else from every record with an extraction.
-    """
+
+def finalize_records(records: list[TeacherRecord],
+                     train_ids: set[str] | None = None) -> list[int]:
+    """The student-target percent of each record (`finalize_probs`): unlike
+    `teacher_percents`, a record with no extraction gets the percent of the
+    horizon means over the extracting records (of `train_ids`, if given)."""
     train = (None if train_ids is None else
              np.array([r.sample_id in train_ids for r in records], dtype=bool))
-    completed, rates, percents = finalize_probs(prob_matrix([r.probs for r in records]), train)
-    for rec, row, rate, pct in zip(records, completed.tolist(), rates.tolist(), percents):
-        rec.completed = tuple(row)
-        rec.rate = rate
-        rec.percent = pct
+    return finalize_probs(prob_matrix([r.probs for r in records]), train)[2]
 
 
-def target_rows(records: list[TeacherRecord], outcomes: dict[str, tuple[float, bool]],
+def target_rows(records: list[TeacherRecord], percents: list[int],
+                outcomes: dict[str, tuple[float, bool]],
                 correction: bool = True) -> list[dict]:
-    """JSONL rows for the student targets, with spans and the text-loss flag."""
+    """JSONL rows for the student targets, one per record and its percent
+    (`finalize_records`), with spans and the text-loss flag."""
     rows = []
-    for rec in records:
-        if rec.percent is None:
-            raise ValueError(f"record {rec.sample_id!r} not finalized")
-        seq = build_target_sequence(rec.explanation, rec.percent)
+    for rec, percent in zip(records, percents, strict=True):
+        seq = build_target_sequence(rec.explanation, percent)
         included = True
         if correction and rec.sample_id in outcomes:
             t, e = outcomes[rec.sample_id]
-            included = calibration_mask(rec.percent, t, e)
+            included = calibration_mask(percent, t, e)
         rows.append({
             "id": rec.sample_id,
             "target": seq.target,

@@ -1,5 +1,6 @@
 """On-disk formats: hidden-state and pooled-vector binaries, checkpoints,
-checked .npy arrays with atomic writes, directories of them (curves), CSV/JSONL."""
+checked .npy arrays with atomic writes, directories of them (curves), CSV/JSONL,
+teacher percents (`percents.csv`)."""
 
 from __future__ import annotations
 
@@ -368,6 +369,44 @@ def write_csv_table(path, header: list[str], rows) -> None:
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(header))
         fh.writelines(map(_csv_line, rows))
+
+
+def write_percents(path, ids: list[str], percents) -> None:
+    """Write `percents.csv` (`id,percent`): a whole percent without a fraction,
+    any other as its shortest exact decimal, NaN as an empty cell."""
+    cells = ["" if math.isnan(p) else str(int(p)) if p.is_integer() else repr(p)
+             for p in np.asarray(percents, dtype=np.float64).tolist()]
+    write_csv_table(path, ["id", "percent"], zip(ids, cells, strict=True))
+
+
+def read_percents(path, ids: list[str]) -> np.ndarray:
+    """The percents of a `percents.csv` in the order of `ids`, NaN for an empty cell.
+
+    A file not ending in a line break (cut short), a missing column, a
+    repeated id, a cell that is not a number in [0, 100] (`nan` included)
+    and an id with no row are ValueErrors naming the file (and line).
+    """
+    if not Path(path).read_bytes().endswith(b"\n"):  # an empty file fails here too
+        raise ValueError(f"{path}: truncated file: no line break at the end")
+    header, rows = read_csv_table(path)
+    if "id" not in header or "percent" not in header:
+        raise ValueError(f"{path}: expected columns id and percent, got {header}")
+    percents: dict[str, float] = {}
+    for lineno, row in enumerate(rows, start=2):
+        if row["id"] in percents:
+            raise ValueError(f"{path}:{lineno}: duplicate id {row['id']!r}")
+        text = row["percent"].strip()
+        try:
+            value = float(text) if text else math.nan
+        except ValueError:
+            value = math.nan  # reported with the out-of-range values below
+        if text and not 0.0 <= value <= 100.0:  # NaN fails too
+            raise ValueError(f"{path}:{lineno}: percent {text!r} is not a number in [0, 100]")
+        percents[row["id"]] = value
+    missing = [sid for sid in ids if sid not in percents]
+    if missing:
+        raise ValueError(f"{path}: no percent rows for ids {missing[:5]}")
+    return np.array([percents[sid] for sid in ids], dtype=np.float64)
 
 
 def read_jsonl(path) -> list[dict]:

@@ -135,6 +135,11 @@ class CurveSet:
         """Every curve at time(s) t: shape (N,) + shape(t)."""
         return self.values[:, self.cells(t)]
 
+    def build(self, t) -> "CurveSet":
+        """The curves on only the grid columns that hold times t, and 0 (as `CurveBlocks`)."""
+        cols = _grid_columns(self.times, t)
+        return CurveSet(times=self.times[cols], values=self.values[:, cols])
+
 
 @dataclass
 class CurveBlocks:

@@ -12,7 +12,7 @@ import numpy as np
 from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, floor_percents, select_lambda
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
-from .distill import calibration_mask, finalize_probs
+from .distill import calibration_mask, teacher_percents
 from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
                     cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
                     discrete_loss_grad)
@@ -408,29 +408,23 @@ def _channels(hidden: CurveBlocks, times, events, percents=None,
 
 
 def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
-             config: RunConfig, percents: np.ndarray | None = None) -> RunReport:
+             config: RunConfig) -> RunReport:
     """Test-set metrics for the hidden, verbalized, and combined channels.
 
-    `percents` are the teacher's rounded percents from `finalize_teacher`;
-    a cohort with a teacher needs them. Every curve set here is a
-    `CurveBlocks`: the metrics read it a block of times at a time, and each
-    block is built on only the grid points that hold its times, so the
+    The teacher's percents are `finalize_teacher`'s. Every curve set here is
+    a `CurveBlocks`: the metrics read it a block of times at a time, and
+    each block is built on only the grid points that hold its times, so the
     scores equal those of the full curves and no (N, T) matrix is made.
     Each split's percents are floored once, before any block is built, so
     a split warns once about its 0% estimates.
     """
-    if cohort.teacher_probs is not None and percents is None:
-        raise ValueError("teacher records not finalized: pass the percents "
-                         "finalize_teacher returns")
+    percents = finalize_teacher(cohort)
     selected = val_score = test_percents = None
-    if cohort.teacher_probs is not None:
+    if percents is not None:
         val_data = _split_data(cohort, split.val, config, result.grid)
-        val_hidden = _hidden_curves(result, val_data)
-        val_percents = floor_percents(percents[split.val])
-        val_blend = CurveBlocks(len(val_hidden), lambda t: blend_inputs(
-            val_hidden.build(t), val_percents)[0])
-        selected, val_score = select_lambda(val_hidden, val_blend, val_data["times"],
-                                            val_data["events"], grid=config.lambda_grid)
+        selected, val_score = select_lambda(_hidden_curves(result, val_data), percents[split.val],
+                                            val_data["times"], val_data["events"],
+                                            grid=config.lambda_grid)
         test_percents = floor_percents(percents[split.test])
     test_data = _split_data(cohort, split.test, config, result.grid)
     channels = _channels(_hidden_curves(result, test_data), test_data["times"],
@@ -444,53 +438,31 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
 
 
 def finalize_teacher(cohort: Cohort) -> np.ndarray | None:
-    """The teacher's rounded 3-year percent per sample (None without a teacher).
-
-    A percent exists where the teacher's responses gave at least one
-    probability, NaN elsewhere. It depends only on that sample's own
-    probabilities (horizon means fill only rows with none), so no split is
-    needed and the cohort is left unchanged.
-    """
-    if cohort.teacher_probs is None:
-        return None
-    probs = cohort.teacher_probs
-    extracted = ~np.isnan(probs).all(axis=1)
-    percents = np.full(len(cohort), np.nan)
-    percents[extracted] = finalize_probs(probs[extracted])[2]
-    return percents
+    """`teacher_percents` of the cohort's horizon matrix: each sample's
+    rounded 3-year percent, NaN where nothing was extracted (None without a
+    teacher). The cohort is left unchanged."""
+    return None if cohort.teacher_probs is None else teacher_percents(cohort.teacher_probs)
 
 
-def train_and_evaluate(config: RunConfig, cohort: Cohort, split: CohortSplit,
-                       percents: np.ndarray | None = None) -> tuple[TrainResult, RunReport]:
+def train_and_evaluate(config: RunConfig, cohort: Cohort,
+                       split: CohortSplit) -> tuple[TrainResult, RunReport]:
     """Pretrain (late fusion of several modalities, if asked), train, and
-    evaluate one configuration; `percents` as for `evaluate`."""
+    evaluate one configuration."""
     warm = None
     if config.pretrain and config.fusion == "late" and len(config.modalities) > 1:
         warm = pretrain_heads(config, cohort, split)
     result = train(config, cohort, split, warm_start=warm)
-    return result, evaluate(result, cohort, split, config, percents)
-
-
-def run_experiment(config: RunConfig, cohort: Cohort, split: CohortSplit) -> RunReport:
-    """Finalize the teacher, then `train_and_evaluate` one configuration."""
-    return train_and_evaluate(config, cohort, split, finalize_teacher(cohort))[1]
+    return result, evaluate(result, cohort, split, config)
 
 
 def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
                          cohort: Cohort, split: CohortSplit) -> dict[str, RunReport | str]:
-    """Run each configuration on the shared split; failures are isolated.
-
-    The teacher is finalized once: its percents depend only on the cohort,
-    which every configuration shares and none changes.
-    """
-    try:
-        percents = finalize_teacher(cohort)
-    except Exception as exc:  # noqa: BLE001 - reported per run, as below
-        return {name: f"failed: {type(exc).__name__}: {exc}" for name, _ in named_configs}
+    """`train_and_evaluate` each configuration on the shared split; a
+    failure is reported as that run's entry, and the suite goes on."""
     reports: dict[str, RunReport | str] = {}
     for name, config in named_configs:
         try:
-            reports[name] = train_and_evaluate(config, cohort, split, percents)[1]
+            reports[name] = train_and_evaluate(config, cohort, split)[1]
         except Exception as exc:  # noqa: BLE001 - suite must continue
             reports[name] = f"failed: {type(exc).__name__}: {exc}"
     return reports

@@ -322,14 +322,14 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
 
     unimodal = {}
     for m in ("text", "cov", "ge"):
-        report = training.run_experiment(
-            run_config(fusion="none", modalities=(m,)), cohort, split)
+        report = training.train_and_evaluate(
+            run_config(fusion="none", modalities=(m,)), cohort, split)[1]
         unimodal[m] = report.channels["hidden"].c_td
 
     late_cfg = run_config(fusion="late", modalities=("text", "cov", "ge"))
     result = training.train(late_cfg, cohort, split)
     percents = training.finalize_teacher(cohort)
-    late = training.evaluate(result, cohort, split, late_cfg, percents)
+    late = training.evaluate(result, cohort, split, late_cfg)
 
     # (a) fusing the modalities beats every single-modality model clearly
     assert late.channels["hidden"].c_td >= max(unimodal.values()) + 0.03
@@ -350,13 +350,13 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
     # must not cost the hidden channel more than 0.01 concordance
     shifted_cohort, shifted_split = synth_cohort(tmp_path / "shifted",
                                                  calibration_shift=2.0)
-    plain = training.run_experiment(
+    plain = training.train_and_evaluate(
         run_config(fusion="late", modalities=("text", "cov", "ge")),
-        shifted_cohort, shifted_split)
-    corrected = training.run_experiment(
+        shifted_cohort, shifted_split)[1]
+    corrected = training.train_and_evaluate(
         run_config(fusion="late", modalities=("text", "cov", "ge"),
                    calibration_correction=True),
-        shifted_cohort, shifted_split)
+        shifted_cohort, shifted_split)[1]
     assert corrected.masked_samples > 0 and plain.masked_samples == 0
     degradation = plain.channels["hidden"].c_td - corrected.channels["hidden"].c_td
     assert degradation <= 0.01
@@ -378,8 +378,8 @@ def test_criterion_7_training_is_deterministic(tmp_path):
     split = split_cohort(len(cohort), seed=0)
     config = run_config(fusion="late", modalities=("text", "cov", "ge"),
                         epochs=8, patience=4)
-    first = training.run_experiment(config, cohort, split)
-    second = training.run_experiment(config, cohort, split)
+    first = training.train_and_evaluate(config, cohort, split)[1]
+    second = training.train_and_evaluate(config, cohort, split)[1]
     assert first.to_dict() == second.to_dict()
 
 

@@ -167,38 +167,49 @@ def risk_ordered_curves(scores, times=GRID):
     return [curve(times.copy(), np.exp(-s * times)) for s in scores]
 
 
+def blend_partners(hidden, percents):
+    """`blend_inputs`' blend partner of each hidden curve, one curve each."""
+    partners = blend_inputs(stack(hidden), percents)[0]
+    return [curve(partners.times, row) for row in partners.values]
+
+
 def test_select_lambda_prefers_the_informative_source():
     # event times decrease in the underlying risk; the verbalized curves
     # rank subjects correctly while the hidden curves rank them backwards
     times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     events = np.ones(5, dtype=bool)
     risks = np.array([1.0, 0.8, 0.6, 0.4, 0.2])
-    verbalized = risk_ordered_curves(risks)
+    percents = 100.0 * np.exp(-3.0 * risks)  # verbalized curves exp(-risk * t)
     hidden = risk_ordered_curves(risks[::-1])
-    lam, score = select_lambda(stack(hidden), stack(verbalized), times, events)
+    lam, score = select_lambda(stack(hidden), percents, times, events)
     assert score == 1.0
     # perfect concordance arrives somewhere past the midpoint, and ties
     # resolve to the smallest lambda achieving it
     assert lam > 0.5
-    ref_lam, _ = brute_force_lambda(hidden, verbalized, times, events,
+    ref_lam, _ = brute_force_lambda(hidden, blend_partners(hidden, percents), times, events,
                                     DEFAULT_LAMBDA_GRID)
     assert lam == ref_lam
     # with the sources swapped the hidden curves already score 1 at lambda 0
-    lam, score = select_lambda(stack(verbalized), stack(hidden), times, events)
+    lam, score = select_lambda(verbalized_curves(percents, GRID), percents[::-1], times, events)
     assert lam == 0.0
     assert score == 1.0
 
 
 def test_select_lambda_ties_take_smallest():
     rng = np.random.default_rng(36)
-    curves = [random_curve(rng) for _ in range(6)]
+    percents = rng.uniform(1.0, 100.0, size=6)
     times = rng.uniform(0.5, 5.5, size=6)
     events = np.ones(6, dtype=bool)
     # identical sources: every lambda scores the same
-    curve_set = stack(curves)
-    lam, score = select_lambda(curve_set, curve_set, times, events)
+    curve_set = verbalized_curves(percents, GRID)
+    lam, score = select_lambda(curve_set, percents, times, events)
     assert lam == 0.0
     assert score == c_td(curve_set, times, events)
+
+
+def random_percents(rng, n):
+    """Percents in [1, 100], about a third of them absent (NaN)."""
+    return np.where(rng.random(n) < 0.3, np.nan, rng.integers(1, 101, size=n).astype(float))
 
 
 def test_select_lambda_matches_brute_force():
@@ -206,14 +217,14 @@ def test_select_lambda_matches_brute_force():
     for trial in range(8):
         n = 12
         hidden = [random_curve(rng) for _ in range(n)]
-        verbalized = [random_curve(rng) for _ in range(n)]
+        percents = random_percents(rng, n)
         times = rng.uniform(0.2, 5.8, size=n)
         events = rng.random(n) < 0.7
         if not events.any():
             events[0] = True
-        lam, score = select_lambda(stack(hidden), stack(verbalized), times, events)
-        ref_lam, ref_score = brute_force_lambda(hidden, verbalized, times,
-                                                events, DEFAULT_LAMBDA_GRID)
+        lam, score = select_lambda(stack(hidden), percents, times, events)
+        ref_lam, ref_score = brute_force_lambda(hidden, blend_partners(hidden, percents),
+                                                times, events, DEFAULT_LAMBDA_GRID)
         assert lam == ref_lam
         assert score == ref_score
 
@@ -221,22 +232,21 @@ def test_select_lambda_matches_brute_force():
 def test_select_lambda_custom_grid_and_validation():
     rng = np.random.default_rng(38)
     hidden = [random_curve(rng) for _ in range(4)]
-    verbalized = [random_curve(rng) for _ in range(4)]
+    percents = random_percents(rng, 4)
     times = np.array([1.0, 2.0, 3.0, 4.0])
     events = np.ones(4, dtype=bool)
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     hidden_set = stack(hidden)
-    verbalized_set = stack(verbalized)
-    lam, score = select_lambda(hidden_set, verbalized_set, times, events, grid=grid)
+    lam, score = select_lambda(hidden_set, percents, times, events, grid=grid)
     assert lam in grid
-    ref = brute_force_lambda(hidden, verbalized, times, events, grid)
+    ref = brute_force_lambda(hidden, blend_partners(hidden, percents), times, events, grid)
     assert (lam, score) == ref
     with pytest.raises(ValueError):
-        select_lambda(hidden_set, verbalized_set, times, events, grid=())
+        select_lambda(hidden_set, percents, times, events, grid=())
     with pytest.raises(ValueError):
-        select_lambda(hidden_set, verbalized_set, times, events, grid=(-0.1, 0.5))
+        select_lambda(hidden_set, percents, times, events, grid=(-0.1, 0.5))
     with pytest.raises(ValueError):
-        select_lambda(hidden_set, verbalized_set, times, events, grid=(0.5, 1.2))
+        select_lambda(hidden_set, percents, times, events, grid=(0.5, 1.2))
 
 
 def test_default_grid_shape():
@@ -246,9 +256,8 @@ def test_default_grid_shape():
     assert all(DEFAULT_LAMBDA_GRID[k] == k / 20 for k in range(21))
 
 
-def test_select_lambda_rejects_different_grids():
+def test_select_lambda_needs_one_percent_per_curve():
     rng = np.random.default_rng(39)
     hidden = stack([random_curve(rng) for _ in range(3)])
-    other = stack([random_curve(rng, times=np.array([0.0, 1.0, 2.0])) for _ in range(3)])
-    with pytest.raises(ValueError, match="share evaluation times"):
-        select_lambda(hidden, other, np.array([1.5, 2.5, 3.5]), np.ones(3, dtype=bool))
+    with pytest.raises(ValueError, match="one percent"):
+        select_lambda(hidden, [50.0, 60.0], np.array([1.5, 2.5, 3.5]), np.ones(3, dtype=bool))

@@ -390,6 +390,54 @@ def test_blend_rejects_weight_flags_before_reading_files(tmp_path, capsys, flags
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:verbalized probability")
+def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys):
+    """With refusals, parse-teacher writes the teacher's own estimate (empty
+    where nothing was extracted), and blend at the report's lambda on eval's
+    curves scores exactly the report's combined channel."""
+    from survfuse.cohort import load_bundle
+    from survfuse.metrics import c_td, ibs
+    from survfuse.training import finalize_teacher
+
+    spec = write(tmp_path / "gen.cfg", "n=120\nd_c=4\nd_g=10\nge_latent=3\nseq_len=5\n"
+                 "d_text=8\nseed=3\nrefusal_rate=0.3\nmissing_rate=0.2\n")
+    assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "raw")]) == 0
+    ingest_cfg = write(tmp_path / "ingest.cfg",
+                       "outcomes=raw/outcomes.csv\ncovariates=raw/covariates.csv\n"
+                       "ge=raw/ge.csv\nhidden=raw/hidden.svhs\nteacher=raw/teacher.jsonl\n")
+    bundle, run, ev = (str(tmp_path / name) for name in ("bundle", "run", "eval"))
+    assert main(["ingest", "--config", ingest_cfg, "--out", bundle]) == 0
+    assert main(["train", "--config", write(tmp_path / "run.cfg", TRAIN_CFG),
+                 "--bundle", bundle, "--out", run]) == 0
+    assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint.svck"),
+                 "--bundle", bundle, "--out", ev]) == 0
+    targets = str(tmp_path / "targets")
+    assert main(["parse-teacher", "--teacher", str(tmp_path / "raw" / "teacher.jsonl"),
+                 "--outcomes", str(tmp_path / "raw" / "outcomes.csv"), "--out", targets]) == 0
+
+    cohort, split = load_bundle(bundle)
+    expected = {sid: "" if np.isnan(p) else str(int(p))
+                for sid, p in zip(cohort.ids, finalize_teacher(cohort))}
+    header, rows = formats.read_csv_table(os.path.join(targets, "percents.csv"))
+    assert header == ["id", "percent"]
+    assert {row["id"]: row["percent"] for row in rows} == expected and len(rows) == len(cohort)
+    test_ids = [cohort.ids[i] for i in split.test]
+    n_verbalized = sum(expected[sid] != "" for sid in test_ids)
+    assert 0 < n_verbalized < len(test_ids)  # some test samples have no estimate
+
+    report = read_json(os.path.join(run, "report.json"))
+    capsys.readouterr()
+    assert main(["blend", "--curves", os.path.join(ev, "curves"),
+                 "--percents", os.path.join(targets, "percents.csv"),
+                 "--lam", repr(report["selected_lambda"]), "--out", str(tmp_path / "blend")]) == 0
+    assert f"({n_verbalized} with verbalized input)" in capsys.readouterr().out
+    ids, combined = formats.read_curves(str(tmp_path / "blend" / "combined"))
+    assert ids == test_ids
+    times, events = cohort.times[split.test], cohort.events[split.test]
+    assert report["channels"]["combined"]["c_td"] == c_td(combined, times, events)
+    assert report["channels"]["combined"]["ibs"] == ibs(combined, times, events).value
+
+
 def test_suite_runs_configs_and_reports(pipeline, tmp_path):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()

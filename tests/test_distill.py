@@ -11,7 +11,6 @@ from survfuse.distill import (
     HORIZONS,
     VPROB_CLOSE,
     VPROB_OPEN,
-    TeacherRecord,
     build_target_sequence,
     calibration_mask,
     extract_probability,
@@ -23,6 +22,7 @@ from survfuse.distill import (
     prob_matrix,
     round_to_nearest_five,
     target_rows,
+    teacher_percents,
     three_year_percent,
     token_masks,
     weighted_text_loss,
@@ -484,6 +484,11 @@ def test_parse_teacher_file_rejects_duplicates():
         parse_teacher_file(rows)
 
 
+def fit_percent(row):
+    """The rounded 3-year percent of an exponential fit through a completed row."""
+    return three_year_percent(fit_parametric(list(zip(HORIZONS, row)), "exponential"))
+
+
 def test_finalize_records_pipeline():
     rho = math.log(2.0) / 3.0
     texts = {h: f"{math.exp(-rho * h):.12f}" for h in HORIZONS}
@@ -493,16 +498,18 @@ def test_finalize_records_pipeline():
         teacher_row("empty"),
     ]
     records = parse_teacher_file(rows)
-    finalize_records(records)
-    by_id = {r.sample_id: r for r in records}
+    probs = [r.probs for r in records]
+    percents = finalize_records(records)
     # exact half-life data refits to the same rate and rounds to 50
-    assert abs(by_id["full"].rate - rho) < 1e-9
-    assert by_id["full"].percent == 50
-    assert by_id["partial"].percent == 50
+    assert abs(finalize_probs(prob_matrix(probs))[1][0] - rho) < 1e-9
+    assert percents[:2] == [50, 50]
     # the empty record fell back to the means of the extracting records
-    expect = mean_fill([by_id["full"].probs, by_id["partial"].probs])
-    assert by_id["empty"].completed == expect
-    assert all(r.percent is not None for r in records)
+    expect = mean_fill(probs[:2])
+    assert completed(probs)[2] == expect
+    assert percents[2] == fit_percent(expect)
+    # as the teacher's own estimate, the empty record has none
+    assert np.array_equal(teacher_percents(prob_matrix(probs)), [50, 50, np.nan],
+                          equal_nan=True)
 
 
 def test_finalize_records_train_pool():
@@ -510,15 +517,14 @@ def test_finalize_records_train_pool():
             teacher_row("te", y1="40%", y3="30%", y5="20%"),
             teacher_row("none")]
     records = parse_teacher_file(rows)
-    finalize_records(records, train_ids={"tr"})
-    by_id = {r.sample_id: r for r in records}
+    probs = [r.probs for r in records]
     # the all-missing record sees only the training-split extraction
-    assert by_id["none"].completed == mean_fill([by_id["tr"].probs])
+    assert completed(probs, train=np.array([True, False, False]))[2] == mean_fill(probs[:1])
+    assert finalize_records(records, train_ids={"tr"})[2] == fit_percent(mean_fill(probs[:1]))
     # a training split with no extractions falls back to every record
-    records = parse_teacher_file(rows)
-    finalize_records(records, train_ids={"none"})
-    by_id = {r.sample_id: r for r in records}
-    assert by_id["none"].completed == mean_fill([by_id["tr"].probs, by_id["te"].probs])
+    assert completed(probs, train=np.array([False, False, True]))[2] == mean_fill(probs[:2])
+    assert finalize_records(records, train_ids={"none"})[2] == fit_percent(mean_fill(probs[:2]))
+    assert fit_percent(mean_fill(probs[:1])) != fit_percent(mean_fill(probs[:2]))
 
 
 def test_finalize_records_warns_once_with_clamp_count():
@@ -536,7 +542,8 @@ def test_finalize_records_warns_once_with_clamp_count():
     assert len(messages) == 1
     assert messages[0].startswith("survival value 0 clamped")
     assert ": 4 value(s)" in messages[0]
-    assert records[2].completed[1:] == (0.0, 0.0)
+    with pytest.warns(UserWarning, match="survival value 0 clamped"):
+        assert completed([r.probs for r in records])[2][1:] == (0.0, 0.0)
     # a file without zeros finalizes silently
     records = parse_teacher_file(rows[:1])
     with warnings.catch_warnings():
@@ -548,24 +555,24 @@ def test_finalize_records_keeps_the_rounding_tie():
     # 50% at one year only: the completed curve halves per year, so the final
     # rate is ln 2 up to rounding and the 3-year value sits on the 12.5 tie
     records = parse_teacher_file([teacher_row("tie", y1="50%")])
-    finalize_records(records)
-    fit = fit_parametric(list(zip(HORIZONS, records[0].completed)), "exponential")
-    assert records[0].rate == fit.rate
-    assert records[0].percent == three_year_percent(fit)
+    probs = prob_matrix([records[0].probs])
+    fit = fit_parametric(list(zip(HORIZONS, finalize_probs(probs)[0][0])), "exponential")
+    assert finalize_probs(probs)[1][0] == fit.rate
+    assert finalize_records(records) == [three_year_percent(fit)]
 
 
 def test_target_rows_respects_correction_flag():
     rows = [teacher_row("lo", y3="30%"), teacher_row("hi", y3="70%")]
     records = parse_teacher_file(rows)
-    finalize_records(records)
+    percents = finalize_records(records)
     outcomes = {"lo": (4.0, False), "hi": (1.0, True)}
-    out = target_rows(records, outcomes, correction=True)
+    out = target_rows(records, percents, outcomes, correction=True)
     flags = {r["id"]: r["text_loss_included"] for r in out}
     assert flags == {"lo": False, "hi": False}
-    out = target_rows(records, outcomes, correction=False)
+    out = target_rows(records, percents, outcomes, correction=False)
     assert all(r["text_loss_included"] for r in out)
     # a record without a known outcome stays included
-    out = target_rows(records, {}, correction=True)
+    out = target_rows(records, percents, {}, correction=True)
     assert all(r["text_loss_included"] for r in out)
     # rows carry usable spans
     seq = out[0]
@@ -574,7 +581,7 @@ def test_target_rows_respects_correction_flag():
     assert raw[ns:ne] == b"30"
 
 
-def test_target_rows_requires_finalized_records():
-    rec = TeacherRecord(sample_id="x", responses={}, explanation="e")
+def test_target_rows_needs_one_percent_per_record():
+    records = parse_teacher_file([teacher_row("a", y3="30%"), teacher_row("b", y3="70%")])
     with pytest.raises(ValueError):
-        target_rows([rec], {})
+        target_rows(records, [30], {})

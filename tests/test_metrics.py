@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from survfuse.blending import blend_inputs, select_lambda
+from survfuse.blending import select_lambda
 from survfuse.heads import CurveBlocks, breslow_baseline, cox_curve
 from survfuse.metrics import BLOCK_ELEMENTS, c_td, censoring_km, ibs
 from survfuse.training import _channels
@@ -339,12 +339,10 @@ def test_evaluation_memory_stays_bounded_at_large_n():
         columns = np.unique(np.searchsorted(baseline.event_times, scored, side="right")).size
         assert n * columns * 8 >= 3 * bound
         hidden = CurveBlocks(n, functools.partial(cox_curve, scores, baseline))
-        blend = CurveBlocks(n, lambda t, hidden=hidden, percents=percents:
-                            blend_inputs(hidden.build(t), percents)[0])
 
         tracemalloc.start()
         try:
-            lam, _ = select_lambda(hidden, blend, times, events)
+            lam, _ = select_lambda(hidden, percents, times, events)
             channels = _channels(hidden, times, events, percents, lam)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -20,7 +20,6 @@ TEST_ONLY = {
     "weighted_text_loss": "acceptance criteria 1 and 5 (text loss)",
     "finite_difference_check": "acceptance criterion 1 (gradient checks)",
     "oracle_curves": "synthetic ground truth for the simulator's tests",
-    "run_experiment": "the acceptance tests' entry point",
 }
 
 

@@ -9,15 +9,16 @@ the cache-free forward) and for the whole-array training and teacher code
 against the per-element forms it replaced (Cox risk sets, Breslow
 increments, flat AdamW, the flat-vector training step, sigmoid, one-draw
 dropout masks, batch and columnar teacher finalisation), the bit-exact
-bundle round trip, the binary formats (checkpoint, .svhs, .svpv, .npy,
-curve directories: bit-exact round trips, and a ValueError at every
-truncation), and the column-wise set-up code against the per-element forms
+bundle round trip, the on-disk formats (checkpoint, .svhs, .svpv, .npy,
+curve directories, percents.csv: bit-exact round trips, and a ValueError
+at every truncation), and the column-wise set-up code against the per-element forms
 (batched attention pooling, the one-pass numeric-table parser, the joined
 CSV writer, cached teacher extraction)."""
 
 import csv
 import functools
 import io
+import math
 import os
 import tempfile
 import warnings
@@ -33,12 +34,13 @@ from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_
                                select_lambda)
 from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
                              split_cohort)
-from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_records,
-                              fit_parametric, fit_survival_at, parse_teacher_file,
-                              prob_matrix, three_year_percent)
+from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_probs,
+                              finalize_records, fit_parametric, fit_survival_at,
+                              parse_teacher_file, prob_matrix, three_year_percent)
 from survfuse.formats import (read_checkpoint, read_curves, read_hidden_states, read_npy,
-                              read_pooled, write_checkpoint, write_csv_table, write_curves,
-                              write_hidden_states, write_npy, write_pooled)
+                              read_percents, read_pooled, write_checkpoint, write_csv_table,
+                              write_curves, write_hidden_states, write_npy, write_percents,
+                              write_pooled)
 from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
 from survfuse.heads import (CurveBlocks, CurveSet, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, build_discrete_targets,
@@ -362,6 +364,10 @@ def per_lambda_selection(hidden, verbalized, times, events, grid):
     return best_lam, best
 
 
+# absent, floored, the extremes and a few between
+FEW_PERCENTS = np.array([np.nan, 0.5, 5.0, 50.0, 95.0, 100.0])
+
+
 def blocks_of(curves: CurveSet) -> CurveBlocks:
     return CurveBlocks(len(curves), functools.partial(restricted, curves))
 
@@ -383,14 +389,15 @@ def outcome_or_error(fn, *args):
 def test_one_pass_lambda_scores_equal_per_lambda_c_td(n, n_times, levels, event_p, tied_times,
                                                       grid, seed):
     rng = np.random.default_rng(seed)
-    # coarse lattices give tied values, within and across the blends
+    # coarse lattices and a few percents give tied values, within and across the blends
     hidden = quantized_set(rng, n, n_times, levels)
-    verbalized = quantized_set(rng, n, n_times, levels, grid=hidden.times[1:])
+    percents = rng.choice(FEW_PERCENTS, size=n)
     times, events = outcomes(rng, n, event_p, hidden.times[1:] if tied_times else None)
-    want = outcome_or_error(per_lambda_selection, hidden, verbalized, times, events, grid)
-    assert outcome_or_error(select_lambda, hidden, verbalized, times, events, grid) == want
-    assert outcome_or_error(select_lambda, blocks_of(hidden), blocks_of(verbalized), times,
-                            events, grid) == want
+    want = outcome_or_error(per_lambda_selection, hidden, blend_inputs(hidden, percents)[0],
+                            times, events, grid)
+    assert outcome_or_error(select_lambda, hidden, percents, times, events, grid) == want
+    assert outcome_or_error(select_lambda, blocks_of(hidden), percents, times, events,
+                            grid) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -404,15 +411,16 @@ def test_metrics_and_blends_do_not_depend_on_the_block_budget(n, n_times, levels
     rng = np.random.default_rng(seed)
     hidden = quantized_set(rng, n, n_times, levels)
     verbalized = quantized_set(rng, n, n_times, levels, grid=hidden.times[1:])
+    percents = rng.choice(FEW_PERCENTS, size=n)
     times, events = outcomes(rng, n, event_p, hidden.times[1:] if tied_times else None)
 
     def results(elements):
         with mock.patch("survfuse.metrics.BLOCK_ELEMENTS", elements), \
                 mock.patch("survfuse.blending.BLOCK_ELEMENTS", elements):
             return (outcome_or_error(c_td, hidden, times, events),
-                    outcome_or_error(select_lambda, hidden, verbalized, times, events),
-                    outcome_or_error(select_lambda, blocks_of(hidden), blocks_of(verbalized),
-                                     times, events),
+                    outcome_or_error(select_lambda, hidden, percents, times, events),
+                    outcome_or_error(select_lambda, blocks_of(hidden), percents, times,
+                                     events),
                     ibs(hidden, times, events, grid_points),
                     combine(hidden, verbalized, lam).values.tobytes())
 
@@ -917,14 +925,17 @@ def test_batch_finalisation_equals_per_record_path(rows, train_flags):
                 return
         else:
             means = {}
-        finalize_records(records, train_ids=train_ids)
-        for rec, pct in zip(records, columnar):
+        targets = finalize_records(records, train_ids=train_ids)
+        train = None if train_ids is None else np.array([r.sample_id in train_ids
+                                                          for r in records])
+        batch_completed, batch_rates, _ = finalize_probs(cohort.teacher_probs, train)
+        for rec, pct, target, row, batch_rate in zip(records, columnar, targets,
+                                                     batch_completed, batch_rates):
             completed, rate, percent = per_record_finalize(rec.probs, means)
-            assert rec.percent == percent
-            assert np.all(np.abs(np.array(rec.completed) - completed)
-                          <= 4 * np.spacing(np.abs(completed)))
-            assert abs(rec.rate - rate) <= 4 * np.spacing(abs(rate))
-            assert np.isnan(pct) or pct == rec.percent
+            assert target == percent
+            assert np.all(np.abs(row - completed) <= 4 * np.spacing(np.abs(completed)))
+            assert abs(batch_rate - rate) <= 4 * np.spacing(abs(rate))
+            assert np.isnan(pct) or pct == target
 
 
 # ids a CSV or JSON writer would have to quote or escape
@@ -1104,6 +1115,21 @@ def test_curve_directories_round_trip_and_reject_every_prefix(data):
                                 (ids, curves), files=["times.npy", "values.npy", "meta.json"])
     assert back_ids == ids
     assert same_bits(back.times, times) and same_bits(back.values, values)
+
+
+# whole percents (as parse-teacher writes them), any other, and no estimate
+PERCENTS = st.integers(0, 100).map(float) | st.floats(0.0, 100.0) | st.just(math.nan)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_percents_round_trip_and_reject_every_prefix(data):
+    ids = data.draw(st.lists(CURVE_IDS, max_size=4, unique=True))
+    percents = np.array(data.draw(st.lists(PERCENTS, min_size=len(ids), max_size=len(ids))),
+                        dtype=np.float64)
+    back = round_trip(lambda path, value: write_percents(path, ids, value),
+                      functools.partial(read_percents, ids=ids), percents)
+    assert same_bits(back, percents)
 
 
 # ------------------------------------------------------- set-up in columns

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from survfuse.cohort import Cohort, Modality, pool_text, split_cohort
+from survfuse.cohort import Cohort, Modality, split_cohort
 from survfuse.distill import calibration_mask
 from survfuse.formats import read_checkpoint, write_checkpoint
 from survfuse.heads import TimeGrid, discrete_loss
@@ -26,7 +26,6 @@ from survfuse.training import (
     predict_curves,
     pretrain_heads,
     report_table,
-    run_experiment,
     run_experiment_suite,
     save_checkpoint,
     total_loss,
@@ -239,9 +238,9 @@ def test_calibration_masking_counts():
     split = split_cohort(40, seed=2)
     percents = finalize_teacher(cohort)
     masked = train_and_evaluate(tiny_config(calibration_correction=True, epochs=1),
-                                cohort, split, percents)[1].masked_samples
+                                cohort, split)[1].masked_samples
     unmasked = train_and_evaluate(tiny_config(calibration_correction=False, epochs=1),
-                                  cohort, split, percents)[1].masked_samples
+                                  cohort, split)[1].masked_samples
     assert unmasked == 0
     assert masked > 0
     assert masked <= 40
@@ -273,9 +272,8 @@ def test_evaluate_reports_all_channels():
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     config = tiny_config()
-    percents = finalize_teacher(cohort)
     result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config, percents)
+    report = evaluate(result, cohort, split, config)
     assert set(report.channels) == {"hidden", "verbalized", "combined"}
     for metrics in report.channels.values():
         assert 0.0 <= metrics.c_td <= 1.0
@@ -291,7 +289,9 @@ def test_evaluate_reports_all_channels():
     assert report.lambda_val_ctd >= hidden_val
 
 
-def test_evaluate_warns_once_per_split_about_floored_percents():
+def test_evaluate_warns_once_per_split_about_floored_percents(monkeypatch):
+    import survfuse.training as training_module
+
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     config = tiny_config(epochs=1)
@@ -299,9 +299,11 @@ def test_evaluate_warns_once_per_split_about_floored_percents():
     percents[split.val[:1]] = 0.0
     percents[split.test[:3]] = 0.0
     result = train(config, cohort, split)
+    # evaluate takes the teacher's percents from finalize_teacher
+    monkeypatch.setattr(training_module, "finalize_teacher", lambda _: percents)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = evaluate(result, cohort, split, config, percents)
+        report = evaluate(result, cohort, split, config)
     floored = [str(w.message) for w in caught if "floored" in str(w.message)]
     # every metric reads its curves in several blocks; each split warns once
     assert floored == [
@@ -309,8 +311,8 @@ def test_evaluate_warns_once_per_split_about_floored_percents():
         f"{split.val.size} percents",
         f"verbalized probability 0 floored to 0.5% before the log for 3 of "
         f"{split.test.size} percents"]
-    floored_up_front = np.where(percents == 0.0, 0.5, percents)
-    assert evaluate(result, cohort, split, config, floored_up_front).to_dict() == report.to_dict()
+    percents = np.where(percents == 0.0, 0.5, percents)  # floored up front
+    assert evaluate(result, cohort, split, config).to_dict() == report.to_dict()
 
 
 def test_evaluate_without_teacher_reports_hidden_only():
@@ -324,18 +326,15 @@ def test_evaluate_without_teacher_reports_hidden_only():
     assert report.lambda_val_ctd is None
 
 
-def test_run_experiment_deterministic_report():
+def test_train_and_evaluate_deterministic_report():
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     config = tiny_config()
-    rep_a = run_experiment(config, cohort, split)
-    rep_b = run_experiment(config, cohort, split)
+    result, rep_a = train_and_evaluate(config, cohort, split)
+    rep_b = train_and_evaluate(config, cohort, split)[1]
     assert rep_a.to_dict() == rep_b.to_dict()
-    # the one path run_experiment takes also hands back the trained model
-    percents = finalize_teacher(cohort)
-    result, rep_c = train_and_evaluate(config, cohort, split, percents)
-    assert rep_c.to_dict() == rep_a.to_dict()
-    assert evaluate(result, cohort, split, config, percents).to_dict() == rep_a.to_dict()
+    # the trained model it hands back re-evaluates to the same report
+    assert evaluate(result, cohort, split, config).to_dict() == rep_a.to_dict()
 
 
 def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypatch):
@@ -351,13 +350,12 @@ def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypa
     monkeypatch.setattr(training_module, "pretrain_heads", counting)
     cohort = toy_cohort(30)
     split = split_cohort(30, seed=2)
-    percents = finalize_teacher(cohort)
     short = dict(epochs=1, pretrain_epochs=1, pretrain_patience=1)
     for config in (tiny_config(**short),
                    tiny_config(pretrain=True, fusion="early", **short),
                    tiny_config(pretrain=True, modalities=("ge",), **short),
                    tiny_config(pretrain=True, modalities=("text", "cov"), **short)):
-        train_and_evaluate(config, cohort, split, percents)
+        train_and_evaluate(config, cohort, split)
     assert calls == [("late", ("text", "cov"))]
 
 
@@ -378,7 +376,7 @@ def test_coxph_pretraining_run_fits_one_breslow_baseline(monkeypatch):
     split = split_cohort(40, seed=2)
     config = tiny_config(head="coxph", pretrain=True, epochs=1, pretrain_batch_size=16,
                          pretrain_epochs=2, pretrain_patience=2)
-    result, _ = train_and_evaluate(config, cohort, split, finalize_teacher(cohort))
+    result, _ = train_and_evaluate(config, cohort, split)
     assert calls == [split.train.size + split.val.size]
     assert result.baseline is not None
 
@@ -522,56 +520,35 @@ def test_suite_isolates_failures_and_renders_table():
     assert len(lines) >= 4
 
 
-@pytest.mark.filterwarnings("ignore:survival value", "ignore:verbalized probability")
-def test_evaluate_before_finalize_teacher_raises(tmp_path):
-    from survfuse import synth
-    from survfuse.cohort import load_cohort
-
-    files = synth.generate(synth.GeneratorSpec(n=300, seed=3), str(tmp_path)).files
-    cohort = load_cohort(files["outcomes"], covariates_path=files["covariates"],
-                         ge_path=files["ge"], hidden_states_path=files["hidden"],
-                         teacher_path=files["teacher"])
-    pool_text(cohort)
-    split = split_cohort(len(cohort), seed=0)
-    config = tiny_config(epochs=1)
-    result = train(config, cohort, split)
-    # every response parsed, but no percent computed yet
-    assert not np.isnan(cohort.teacher_probs).all(axis=1).any()
-    with pytest.raises(ValueError, match="teacher records not finalized"):
-        evaluate(result, cohort, split, config)
-    report = evaluate(result, cohort, split, config, finalize_teacher(cohort))
-    assert report.channels["verbalized"].c_td is not None
-
-
-def test_suite_finalizes_teacher_once(monkeypatch):
-    import survfuse.training as training_module
+def test_suite_finalizes_teacher_once_per_config(monkeypatch):
+    import survfuse.distill as distill_module
 
     calls = []
-    original = training_module.finalize_probs
+    original = distill_module.finalize_probs
 
     def counting(probs, train=None):
         calls.append(len(probs))
         return original(probs, train=train)
 
-    monkeypatch.setattr(training_module, "finalize_probs", counting)
+    monkeypatch.setattr(distill_module, "finalize_probs", counting)
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     configs = [("a", tiny_config(epochs=1)), ("b", tiny_config(epochs=1, seed=8))]
     reports = run_experiment_suite(configs, cohort, split)
-    assert calls == [40]
-    assert all(not isinstance(rep, str) for rep in reports.values())
-    # a standalone run still finalizes, and reports what the suite reported
-    assert run_experiment(configs[0][1], cohort, split).to_dict() == reports["a"].to_dict()
     assert calls == [40, 40]
+    assert all(not isinstance(rep, str) for rep in reports.values())
+    # a standalone run finalizes the same way, and reports what the suite reported
+    assert train_and_evaluate(configs[0][1], cohort, split)[1].to_dict() == reports["a"].to_dict()
+    assert calls == [40, 40, 40]
 
 
 def test_suite_reports_finalize_failure_per_run(monkeypatch):
-    import survfuse.training as training_module
+    import survfuse.distill as distill_module
 
     def broken(probs, train=None):
         raise ValueError("no horizon means")
 
-    monkeypatch.setattr(training_module, "finalize_probs", broken)
+    monkeypatch.setattr(distill_module, "finalize_probs", broken)
     cohort = toy_cohort(20)
     split = split_cohort(20, seed=2)
     reports = run_experiment_suite([("a", tiny_config(epochs=1)),
