@@ -31,11 +31,12 @@ def floor_percents(percents) -> np.ndarray:
     return percents
 
 
-def verbalized_curves(percents, times) -> CurveSet:
+def verbalized_curves(percents, times) -> np.ndarray:
     """Exponential curves anchored at 3-year verbalized probabilities.
 
-    rho = -ln(percent/100)/3, sampled at `times` (which must start at 0).
-    Percents are floored by `floor_percents` before the log.
+    rho = -ln(percent/100)/3, sampled at `times`: the (N, len(times)) values
+    exp(-rho * t), each from its own percent and time alone. Percents are
+    floored by `floor_percents` before the log.
     """
     percents = np.asarray(percents, dtype=np.float64).reshape(-1)
     bad = percents[~((percents >= 0) & (percents <= 100))]
@@ -45,12 +46,13 @@ def verbalized_curves(percents, times) -> CurveSet:
     times = np.asarray(times, dtype=np.float64)
     values = -rho[:, None] * times[None, :]
     np.exp(values, out=values)
-    return CurveSet(times=times, values=values)
+    return values
 
 
 def verbalized_curve(percent: float, times) -> CurveSet:
-    """`verbalized_curves` for one percent: a one-row CurveSet."""
-    return verbalized_curves([percent], times)
+    """`verbalized_curves` for one percent, as a one-row CurveSet (`times`
+    must start at 0)."""
+    return CurveSet(times=times, values=verbalized_curves([percent], times))
 
 
 def _convex(hidden: np.ndarray, verbalized: np.ndarray, lam: float) -> np.ndarray:
@@ -66,53 +68,58 @@ def _convex(hidden: np.ndarray, verbalized: np.ndarray, lam: float) -> np.ndarra
     return values
 
 
-def combine(hidden: CurveSet, verbalized: CurveSet, lam: float) -> CurveSet:
-    """Row-wise convex combination (1 - lam) * S + lam * S^v on a shared grid."""
+def combine(hidden: np.ndarray, verbalized: np.ndarray, lam: float) -> np.ndarray:
+    """Row-wise convex combination (1 - lam) * S + lam * S^v of curve values
+    on the same columns."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda {lam} outside [0, 1]")
-    if not np.array_equal(hidden.times, verbalized.times):
-        raise ValueError("curves must share evaluation times")
-    if hidden.values.shape != verbalized.values.shape:
+    if hidden.shape != verbalized.shape:
         raise ValueError("one verbalized curve per hidden curve required")
-    return CurveSet(times=hidden.times, values=_convex(hidden.values, verbalized.values, lam))
+    return _convex(hidden, verbalized, lam)
 
 
-def mean_curve(curves: CurveSet) -> CurveSet:
-    """Pointwise mean of the set's curves, as a one-curve set (imputation for
-    absent S^v)."""
-    if len(curves) == 0:
+def mean_curve(values: np.ndarray) -> np.ndarray:
+    """Pointwise mean of (N, T) curve values, shape (1, T) (imputation for
+    absent S^v).
+
+    Each column is summed row by row (the running sum, not numpy's pairwise
+    sum of a lone column), so a column's mean does not depend on the
+    columns read with it.
+    """
+    if len(values) == 0:
         raise ValueError("no curves to average")
-    return CurveSet(times=curves.times, values=curves.values.mean(axis=0, keepdims=True))
+    return np.cumsum(values, axis=0)[-1:] / len(values)
 
 
-def blend_inputs(hidden: CurveSet, percents) -> tuple[CurveSet, CurveSet | None, int]:
+def blend_inputs(values, times, percents) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Verbalized curves for the blend and for verbalized-only evaluation.
 
-    `percents` holds one rounded percent per hidden curve, None or NaN where
-    the teacher gave nothing extractable. Returns (curves to blend with,
-    curves to evaluate, number of percents present). An absent curve blends
-    against the hidden curve itself, so its blend is a no-op, and is
-    evaluated as the mean of the present verbalized curves; the evaluation
-    set is None when no percent is present.
+    `values` holds the hidden curves on the grid times `times`, any columns
+    in any order; `percents` holds one rounded percent per hidden curve,
+    None or NaN where the teacher gave nothing extractable. Returns (values
+    to blend with, values to evaluate, number of percents present), on the
+    same columns; every column is computed from its own time alone. An
+    absent curve blends against the hidden curve itself, so its blend is a
+    no-op, and is evaluated as the mean of the present verbalized curves;
+    the evaluation values are None when no percent is present.
     """
     percents = np.asarray(percents, dtype=np.float64).reshape(-1)  # None -> NaN
-    if percents.size != len(hidden):
+    if percents.size != len(values):
         raise ValueError("one percent (or None) per hidden curve required")
     present = ~np.isnan(percents)
     n_present = int(present.sum())
     if n_present == 0:
-        return hidden, None, 0
-    verbalized = verbalized_curves(percents[present], hidden.times)
-    if n_present == len(hidden):
+        return values, None, 0
+    verbalized = verbalized_curves(percents[present], times)
+    if n_present == len(values):
         return verbalized, verbalized, n_present
-    mean = mean_curve(verbalized).values
-    blend = hidden.values.copy()
-    blend[present] = verbalized.values
-    del verbalized  # at most three (N, T) matrices live at once
+    mean = mean_curve(verbalized)
+    blend = values.copy()
+    blend[present] = verbalized
+    del verbalized  # at most three arrays of this size live at once
     evaluated = blend.copy()
     evaluated[~present] = mean
-    return (CurveSet(times=hidden.times, values=blend),
-            CurveSet(times=hidden.times, values=evaluated), n_present)
+    return blend, evaluated, n_present
 
 
 def select_lambda(hidden, percents, times, events,
@@ -121,12 +128,11 @@ def select_lambda(hidden, percents, times, events,
 
     `hidden` is a CurveSet or a CurveBlocks and `percents` holds one percent
     per curve, NaN where absent; they are floored once, here. Every lambda
-    is scored in one pass: each block of event times builds one block of
-    hidden curves, takes its blend partner from it (`blend_inputs`), reads
-    both once, and blends them with `combine`'s own arithmetic, so every
-    score equals `c_td` of `combine(hidden, blend_inputs(hidden,
-    percents)[0], lam)` (a blend of valid curves needs no clean-up, so
-    `combine` keeps exactly these values). Returns (lambda*, its concordance).
+    is scored in one pass: each block of event times reads the hidden
+    curves' columns once, takes their blend partner (`blend_inputs`) and
+    blends them with `combine`'s own arithmetic, so every score equals
+    `c_td` of the whole set `combine(hidden.values, blend_inputs(...)[0],
+    lam)`. Returns (lambda*, its concordance).
     """
     grid = sorted(float(g) for g in grid)
     if not grid or grid[0] < 0 or grid[-1] > 1:
@@ -134,8 +140,9 @@ def select_lambda(hidden, percents, times, events,
     percents = floor_percents(percents)
 
     def blends(t, rows, later):
-        block = hidden.build(t)
-        h, v = block.at(t), blend_inputs(block, percents)[0].at(t)
+        cols = hidden.cells(t)
+        h = hidden.columns(cols)
+        v = blend_inputs(h, hidden.times[cols], percents)[0]
         own = np.arange(rows.size)
         own_h, own_v, later_h, later_v = h[rows, own], v[rows, own], h[later], v[later]
         del h, v

@@ -295,7 +295,7 @@ def _cmd_eval(args, started: float) -> int:
 
 
 def _cmd_parse_teacher(args, started: float) -> int:
-    import warnings
+    import numpy as np
 
     from . import distill, formats
     from .cohort import read_outcomes
@@ -312,9 +312,8 @@ def _cmd_parse_teacher(args, started: float) -> int:
         outcomes = {sid: (o.time, o.event) for sid, o in read_outcomes(args.outcomes).items()}
     correction = not args.no_correction and bool(outcomes)
     rows = distill.target_rows(records, targets, outcomes, correction=correction)
-    with warnings.catch_warnings():  # its clamps are among those finalize_records reported
-        warnings.simplefilter("ignore", UserWarning)
-        percents = distill.teacher_percents(distill.prob_matrix([rec.probs for rec in records]))
+    # the teacher's estimate: a record's target where it extracted a horizon
+    percents = np.where([rec.any_extracted() for rec in records], targets, np.nan)
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_jsonl(os.path.join(args.out, "targets.jsonl"), rows)
@@ -343,6 +342,7 @@ def _cmd_blend(args, started: float) -> int:
 
     from . import blending, formats
     from .cohort import read_outcomes
+    from .heads import CurveSet
 
     # the weight flags are checked before any file is read
     if args.lam is None and args.outcomes is None:
@@ -354,7 +354,7 @@ def _cmd_blend(args, started: float) -> int:
     ids, hidden = formats.read_curves(args.curves)
     # floored once here, so the blend and the selection warn once between them
     percents = blending.floor_percents(formats.read_percents(args.percents, ids))
-    blend_in, _, n_present = blending.blend_inputs(hidden, percents)
+    blend_in, _, n_present = blending.blend_inputs(hidden.values, hidden.times, percents)
 
     val_ctd = None
     if args.lam is not None:
@@ -368,7 +368,7 @@ def _cmd_blend(args, started: float) -> int:
         e = np.array([outcome_map[sid].event for sid in ids])
         lam, val_ctd = blending.select_lambda(hidden, percents, t, e)
 
-    combined = blending.combine(hidden, blend_in, lam)
+    combined = CurveSet(times=hidden.times, values=blending.combine(hidden.values, blend_in, lam))
     os.makedirs(args.out, exist_ok=True)
     formats.write_curves(os.path.join(args.out, "combined"), ids, combined)
     _write_json(os.path.join(args.out, "blend.json"),

@@ -153,12 +153,12 @@ def administrative_censor(outcome: Outcome, horizon_years: float = HORIZON_YEARS
 
 def read_outcomes(path: str) -> dict[str, Outcome]:
     """The outcomes of an `id,time_years,event` CSV by id, as given (not censored)."""
-    header, rows = formats.read_csv_table(path)
+    header, rows, lines = formats.read_csv_table(path)
     for col in ("id", "time_years", "event"):
         if col not in header:
             raise ValueError(f"outcomes file missing column {col!r}")
     out: dict[str, Outcome] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         sid = row["id"]
         if sid in out:
             raise ValueError(f"duplicate outcome id {sid!r} (line {lineno})")
@@ -183,7 +183,7 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
     an empty cell becomes 0 when `missing_to_zero`, and otherwise the first
     bad row raises an error naming its id and line.
     """
-    header, rows = formats.read_csv_rows(path)
+    header, rows, lines = formats.read_csv_rows(path)
     if not header or header[0] != "id":
         raise ValueError(f"{path}: first column must be 'id'")
     ids = [row[0] for row in rows]
@@ -195,7 +195,7 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
             return ids, values.reshape(shape)
     values = np.empty(shape, dtype=np.float64)
     seen: set[str] = set()
-    for lineno, (vec, row) in enumerate(zip(values, rows), start=2):
+    for lineno, vec, row in zip(lines, values, rows):
         sid = row[0]
         if sid in seen:
             raise ValueError(f"duplicate id {sid!r} in {path} (line {lineno})")
@@ -216,13 +216,13 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
 
 def _parse_clinical_table(path: str) -> tuple[dict[str, dict[str, str]], set[str]]:
     """Raw clinical rows keyed by id, plus ids excluded for missing fields."""
-    header, rows = formats.read_csv_table(path)
+    header, rows, lines = formats.read_csv_table(path)
     for col in ("id",) + CLINICAL_FIELDS:
         if col not in header:
             raise ValueError(f"covariates file missing column {col!r}")
     out: dict[str, dict[str, str]] = {}
     excluded: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         sid = row["id"]
         if sid in out or sid in excluded:
             raise ValueError(f"duplicate covariate id {sid!r} (line {lineno})")

@@ -311,11 +311,13 @@ def format_floats(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Read a headered CSV into (header, rows as lists of cells).
+def read_csv_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
+    """Read a headered CSV into (header, rows as lists of cells, each row's line).
 
-    Blank lines are skipped; duplicate column names and a row with the wrong
-    number of cells (named by its line) are errors.
+    A row's line is the file line it starts on, counting the blank lines,
+    which are skipped, and the line breaks inside quoted cells. Duplicate
+    column names and a row with the wrong number of cells (named by its
+    line) are errors.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -325,21 +327,23 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
             raise ValueError(f"{path}: empty file") from None
         if len(set(header)) != len(header):
             raise ValueError(f"{path}: duplicate column names")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
-                                 f"got {len(row)}")
-            rows.append(row)
-    return header, rows
+        rows, lines = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{start}: expected {len(header)} cells, "
+                                     f"got {len(row)}")
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
+    return header, rows, lines
 
 
-def read_csv_table(path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a headered CSV into (header, rows as column-name dicts)."""
-    header, rows = read_csv_rows(path)
-    return header, [dict(zip(header, row)) for row in rows]
+def read_csv_table(path) -> tuple[list[str], list[dict[str, str]], list[int]]:
+    """Read a headered CSV into (header, rows as column-name dicts, each row's line)."""
+    header, rows, lines = read_csv_rows(path)
+    return header, [dict(zip(header, row)) for row in rows], lines
 
 
 def _csv_line(row) -> str:
@@ -388,11 +392,11 @@ def read_percents(path, ids: list[str]) -> np.ndarray:
     """
     if not Path(path).read_bytes().endswith(b"\n"):  # an empty file fails here too
         raise ValueError(f"{path}: truncated file: no line break at the end")
-    header, rows = read_csv_table(path)
+    header, rows, lines = read_csv_table(path)
     if "id" not in header or "percent" not in header:
         raise ValueError(f"{path}: expected columns id and percent, got {header}")
     percents: dict[str, float] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         if row["id"] in percents:
             raise ValueError(f"{path}:{lineno}: duplicate id {row['id']!r}")
         text = row["percent"].strip()

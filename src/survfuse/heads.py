@@ -56,23 +56,6 @@ class DiscreteTargets:
     a: np.ndarray
 
 
-def _grid_cells(grid_times, t) -> np.ndarray:
-    """Column of a step-curve grid holding each time's value: the last grid_times[k] <= t."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise ValueError("curves are defined for t >= 0")
-    return np.searchsorted(grid_times, t, side="right") - 1
-
-
-def _grid_columns(grid_times, t) -> np.ndarray:
-    """The grid columns that hold times t, and column 0, ascending.
-
-    Step curves kept on only these columns are exact at every time in t:
-    each keeps the grid point it had.
-    """
-    return np.union1d([0], _grid_cells(grid_times, t))
-
-
 def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
     """Validate (N, T) step-curve values on a shared grid; return them cleaned.
 
@@ -109,8 +92,23 @@ def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
+class _StepCurves:
+    """Reading step curves on the grid `times` through `columns(cols)`."""
+
+    def cells(self, t) -> np.ndarray:
+        """Grid column holding each time's value: the last times[k] <= t."""
+        t = np.asarray(t, dtype=np.float64)
+        if np.any(t < 0):
+            raise ValueError("curves are defined for t >= 0")
+        return np.searchsorted(self.times, t, side="right") - 1
+
+    def at(self, t) -> np.ndarray:
+        """Every curve at time(s) t: shape (N,) + shape(t)."""
+        return self.columns(self.cells(t))
+
+
 @dataclass
-class CurveSet:
+class CurveSet(_StepCurves):
     """N step curves on one shared grid: `times` (T,), `values` (N, T).
 
     Row i is S_i; column k holds every S_i on [times[k], times[k+1]). The
@@ -127,44 +125,35 @@ class CurveSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def cells(self, t) -> np.ndarray:
-        """Grid column holding each time's value: the last times[k] <= t."""
-        return _grid_cells(self.times, t)
+    def columns(self, cols) -> np.ndarray:
+        """Every curve on the grid columns `cols` (any order, repeats allowed)."""
+        return self.values[:, cols]
 
-    def at(self, t) -> np.ndarray:
-        """Every curve at time(s) t: shape (N,) + shape(t)."""
-        return self.values[:, self.cells(t)]
-
-    def build(self, t) -> "CurveSet":
-        """The curves on only the grid columns that hold times t, and 0 (as `CurveBlocks`)."""
-        cols = _grid_columns(self.times, t)
-        return CurveSet(times=self.times[cols], values=self.values[:, cols])
+    def whole(self) -> "CurveSet":
+        """The set itself, as `CurveBlocks.whole()` for a set already made."""
+        return self
 
 
 @dataclass
-class CurveBlocks:
-    """N curves built on demand, a block of times at a time.
+class CurveBlocks(_StepCurves):
+    """N step curves on the grid `times` whose columns are computed on demand.
 
-    `build(t)` returns the curves as a CurveSet on only the grid points that
-    hold times t (`at=` of `cox_curve` and `discrete_curve`, or functions of
-    such a set), and `at(t)` reads that set at t. The metrics read curves
-    only through `len` and `at`, so they score a CurveBlocks exactly as the
-    CurveSet it stands for, holding one (N, len(t)) block at a time.
+    `columns(cols)` returns the (N, len(cols)) values on those grid columns,
+    exactly the same columns of `whole()`, the checked CurveSet. The metrics
+    read curves only through `len` and `at`, so they score a CurveBlocks
+    exactly as its whole set, holding one block of columns at a time.
     """
 
+    times: np.ndarray
     n: int
-    build: Callable[[np.ndarray], CurveSet]
+    columns: Callable[[np.ndarray], np.ndarray]
 
     def __len__(self) -> int:
         return self.n
 
-    def at(self, t) -> np.ndarray:
-        """Every curve at times t (1-D): shape (N, len(t))."""
-        t = np.asarray(t, dtype=np.float64)
-        block = self.build(t)
-        if len(block) != self.n:
-            raise ValueError(f"built {len(block)} curves, expected {self.n}")
-        return block.at(t)
+    def whole(self) -> CurveSet:
+        """All the columns, as a checked CurveSet."""
+        return CurveSet(times=self.times, values=self.columns(np.arange(self.times.size)))
 
 
 def build_discrete_targets(times, events, grid: TimeGrid) -> DiscreteTargets:
@@ -211,12 +200,8 @@ def discrete_loss_grad(logits: np.ndarray, targets: DiscreteTargets) -> tuple[fl
     return loss, grad
 
 
-def discrete_curve(logits: np.ndarray, grid: TimeGrid, at=None) -> CurveSet:
-    """Survival step curves from per-bin hazard logits (N, B): S(t_b) = prod_{k<=b}(1 - h_k).
-
-    With `at`, only the grid columns that hold those times, and 0, are kept,
-    so every curve keeps its value at each time in `at`, bit for bit.
-    """
+def discrete_curve(logits: np.ndarray, grid: TimeGrid) -> CurveSet:
+    """Survival step curves from per-bin hazard logits (N, B): S(t_b) = prod_{k<=b}(1 - h_k)."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] != grid.n_bins:
         raise ValueError(f"expected (N, {grid.n_bins}) logits, got shape {logits.shape}")
@@ -225,12 +210,7 @@ def discrete_curve(logits: np.ndarray, grid: TimeGrid, at=None) -> CurveSet:
     values = np.empty((logits.shape[0], grid.n_bins + 1))
     values[:, 0] = 1.0
     np.cumprod(1.0 - sigmoid(logits), axis=1, out=values[:, 1:])
-    times = grid.edges
-    if at is not None:
-        cols = _grid_columns(times, at)
-        if cols.size < times.size:
-            times, values = times[cols], values[:, cols]
-    return CurveSet(times=times, values=values)
+    return CurveSet(times=grid.edges, values=values)
 
 
 def _event_counts(times: np.ndarray, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,12 +308,11 @@ def breslow_baseline(scores, times, events) -> BreslowBaseline:
     return BreslowBaseline(event_times=event_times, increments=increments)
 
 
-def cox_curve(scores, baseline: BreslowBaseline, at=None) -> CurveSet:
+def cox_curve(scores, baseline: BreslowBaseline) -> CurveBlocks:
     """Curves S_i(t) = exp(-H0(t) * exp(g_i)) on 0 and the baseline's event times.
 
-    With `at`, the curves are computed on only the grid columns that hold
-    those times, and 0, so every curve keeps its value at each time in `at`,
-    bit for bit, and the full (N, T) matrix is never made.
+    H0 and exp(g) are computed once; each block of columns costs one product
+    and one exp per value, and the (N, T) matrix is made only by `whole()`.
     """
     if baseline.event_times.size == 0:
         raise ValueError("empty baseline")
@@ -342,13 +321,18 @@ def cox_curve(scores, baseline: BreslowBaseline, at=None) -> CurveSet:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError(f"expected one score per subject, got shape {scores.shape}")
+    if np.isnan(scores).any():
+        raise ValueError("NaN scores")
     times = np.concatenate([[0.0], baseline.event_times])
-    cum = np.cumsum(baseline.increments)  # H0 at times[1:]
-    if at is not None:
-        cols = _grid_columns(times, at)
-        times, cum = times[cols], cum[cols[1:] - 1]
-    values = np.empty((scores.size, times.size))
-    values[:, 0] = 1.0
-    np.multiply(-cum, np.exp(scores)[:, None], out=values[:, 1:])
-    np.exp(values[:, 1:], out=values[:, 1:])
-    return CurveSet(times=times, values=values)
+    neg_h0 = -np.concatenate([[0.0], np.cumsum(baseline.increments)])
+    risk = np.exp(scores)
+
+    def columns(cols) -> np.ndarray:
+        neg_h = neg_h0[cols]
+        with np.errstate(invalid="ignore"):  # -0.0 * inf where exp(g) overflows
+            values = np.multiply.outer(risk, neg_h)
+        np.exp(values, out=values)
+        values[..., neg_h == 0.0] = 1.0  # no hazard yet: 1 whatever the score
+        return values
+
+    return CurveBlocks(times=times, n=scores.size, columns=columns)

@@ -3,7 +3,6 @@ stopping, per-channel evaluation, and experiment suites."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -351,23 +350,20 @@ class RunReport:
         }
 
 
-def _hidden_curves(result: TrainResult, data: dict) -> CurveBlocks:
-    """The model's curves for `data` (one inference forward), built on
-    demand: `build(at)` keeps only the grid points that hold times `at`, and
-    `build(None)` is the whole grid (see `cox_curve`)."""
+def _hidden_curves(result: TrainResult, data: dict) -> CurveSet | CurveBlocks:
+    """The model's curves for `data` (one inference forward): the whole set
+    for the discrete head, column blocks on the Breslow grid for Cox."""
     out = model_forward(result.model, data, rng=None, keep_cache=False).out
     if result.model.head_type == "discrete":
-        build = functools.partial(discrete_curve, out, result.grid)
-    else:
-        build = functools.partial(cox_curve, out, result.baseline)
-    return CurveBlocks(out.shape[0], build)
+        return discrete_curve(out, result.grid)
+    return cox_curve(out, result.baseline)
 
 
 def predict_curves(result: TrainResult, cohort: Cohort, indices,
                    config: RunConfig) -> CurveSet:
     """Survival curves for the given samples under the trained model."""
     data = _split_data(cohort, indices, config, result.grid)
-    return _hidden_curves(result, data).build(None)
+    return _hidden_curves(result, data).whole()
 
 
 def _channel(curves, times, events) -> ChannelMetrics:
@@ -375,14 +371,15 @@ def _channel(curves, times, events) -> ChannelMetrics:
                           ibs=ibs(curves, times, events).value)
 
 
-def _channels(hidden: CurveBlocks, times, events, percents=None,
+def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
               lam: float | None = None) -> dict[str, ChannelMetrics]:
     """Metrics of the hidden channel and, given the teacher's percents (NaN
     where absent) and the blend weight, of the verbalized and combined ones.
 
-    Each channel's blocks are built from `hidden`'s blocks by `blend_inputs`
-    and `combine`, so they equal the matching columns of those functions on
-    the full curves, and the metrics read one block at a time.
+    The verbalized and combined channels are column readers over `hidden`'s
+    columns through `blend_inputs` and `combine`, so they equal the same
+    columns of those functions on the whole set, and the metrics read one
+    block at a time.
     """
     channels = {"hidden": _channel(hidden, times, events)}
     if percents is None:
@@ -395,15 +392,16 @@ def _channels(hidden: CurveBlocks, times, events, percents=None,
             note="combined equals hidden (all verbalized missing)")
         return channels
 
-    def verbalized(t):
-        return blend_inputs(hidden.build(t), percents)[1]
+    def verbalized(cols):
+        return blend_inputs(hidden.columns(cols), hidden.times[cols], percents)[1]
 
-    def combined(t):
-        block = hidden.build(t)
-        return combine(block, blend_inputs(block, percents)[0], lam)
+    def combined(cols):
+        values = hidden.columns(cols)
+        return combine(values, blend_inputs(values, hidden.times[cols], percents)[0], lam)
 
-    for name, build in (("verbalized", verbalized), ("combined", combined)):
-        channels[name] = _channel(CurveBlocks(len(hidden), build), times, events)
+    for name, columns in (("verbalized", verbalized), ("combined", combined)):
+        channels[name] = _channel(CurveBlocks(hidden.times, len(hidden), columns),
+                                  times, events)
     return channels
 
 
@@ -411,12 +409,12 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
              config: RunConfig) -> RunReport:
     """Test-set metrics for the hidden, verbalized, and combined channels.
 
-    The teacher's percents are `finalize_teacher`'s. Every curve set here is
-    a `CurveBlocks`: the metrics read it a block of times at a time, and
-    each block is built on only the grid points that hold its times, so the
-    scores equal those of the full curves and no (N, T) matrix is made.
-    Each split's percents are floored once, before any block is built, so
-    a split warns once about its 0% estimates.
+    The teacher's percents are `finalize_teacher`'s. Each split's hidden
+    curves are built once (`_hidden_curves`), and the metrics read every
+    channel a block of columns at a time, so the scores equal those of the
+    whole sets and no (N, T) matrix is made for the Cox grid. Each split's
+    percents are floored once, before any block is read, so a split warns
+    once about its 0% estimates.
     """
     percents = finalize_teacher(cohort)
     selected = val_score = test_percents = None

@@ -19,7 +19,7 @@ from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
                               weighted_text_loss_grad)
 from survfuse.fusion import FusionGates, ModalityOutputs, late_fuse
-from survfuse.heads import (TimeGrid, breslow_baseline, build_discrete_targets, cox_loss,
+from survfuse.heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets, cox_loss,
                             discrete_loss_grad, cox_loss_grad)
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
@@ -339,7 +339,8 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
     val_data = training._split_data(cohort, split.val, late_cfg, result.grid)
     hidden_val = training.predict_curves(result, cohort, split.val, late_cfg)
     val_pct = percents[split.val]
-    blend_val, _, _ = blend_inputs(hidden_val, val_pct)
+    blend_val = CurveSet(hidden_val.times,
+                         blend_inputs(hidden_val.values, hidden_val.times, val_pct)[0])
     t_val, e_val = val_data["times"], val_data["events"]
     hidden_val_ctd = c_td(hidden_val, t_val, e_val)
     verb_val_ctd = c_td(blend_val, t_val, e_val)

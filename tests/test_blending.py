@@ -69,18 +69,17 @@ def test_combine_formula():
         hidden = random_curve(rng)
         verb = random_curve(rng)
         for lam in (0.15, 0.5, 0.85):
-            out = combine(hidden, verb, lam)
+            out = combine(hidden.values, verb.values, lam)
             expect = (1.0 - lam) * hidden.values + lam * verb.values
-            assert np.array_equal(out.values, expect)
-            assert np.array_equal(out.times, GRID)
+            assert np.array_equal(out, expect)
 
 
 def test_combine_endpoints_exact():
     rng = np.random.default_rng(32)
     hidden = random_curve(rng)
     verb = random_curve(rng)
-    assert np.array_equal(combine(hidden, verb, 0.0).values, hidden.values)
-    assert np.array_equal(combine(hidden, verb, 1.0).values, verb.values)
+    assert np.array_equal(combine(hidden.values, verb.values, 0.0), hidden.values)
+    assert np.array_equal(combine(hidden.values, verb.values, 1.0), verb.values)
 
 
 def test_combine_validation():
@@ -88,60 +87,69 @@ def test_combine_validation():
     hidden = random_curve(rng)
     verb = random_curve(rng)
     with pytest.raises(ValueError):
-        combine(hidden, verb, -0.01)
+        combine(hidden.values, verb.values, -0.01)
     with pytest.raises(ValueError):
-        combine(hidden, verb, 1.01)
+        combine(hidden.values, verb.values, 1.01)
     other = random_curve(rng, times=np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        combine(hidden, other, 0.5)
+        combine(hidden.values, other.values, 0.5)
     # one verbalized curve per hidden curve
     with pytest.raises(ValueError):
-        combine(hidden, stack([verb, verb]), 0.5)
+        combine(hidden.values, stack([verb, verb]).values, 0.5)
 
 
 def test_mean_curve():
     rng = np.random.default_rng(34)
     curves = [random_curve(rng) for _ in range(5)]
-    out = mean_curve(stack(curves))
+    values = stack(curves).values
+    out = mean_curve(values)
     expect = np.mean([c.values[0] for c in curves], axis=0)
-    assert len(out) == 1
-    assert np.allclose(out.values[0], expect, rtol=0, atol=1e-15)
+    assert out.shape == (1, GRID.size)
+    assert np.allclose(out[0], expect, rtol=0, atol=1e-15)
+    # the sum runs row by row
+    total = values[0].copy()
+    for row in values[1:]:
+        total += row
+    assert out.tobytes() == (total / len(values))[None, :].tobytes()
+    # each column's mean is the same read alone or in any company
+    for cols in ([3], [5, 1], [2, 2, 6]):
+        assert mean_curve(values[:, cols]).tobytes() == out[:, cols].tobytes()
     with pytest.raises(ValueError):
-        mean_curve(CurveSet(times=GRID, values=np.empty((0, GRID.size))))
+        mean_curve(np.empty((0, GRID.size)))
 
 
 def test_blend_inputs_resolves_missing():
     rng = np.random.default_rng(35)
     hidden = stack([random_curve(rng) for _ in range(4)])
     percents = [70, None, 40, None]
-    blend_in, verb_eval, n_present = blend_inputs(hidden, percents)
+    blend_in, verb_eval, n_present = blend_inputs(hidden.values, GRID, percents)
     assert n_present == 2
     (v70,), (v40,) = verbalized_curve(70, GRID).values, verbalized_curve(40, GRID).values
     mean = np.mean([v70, v40], axis=0)
     # present: the verbalized curve serves both paths
     for i, verb in ((0, v70), (2, v40)):
-        assert np.array_equal(blend_in.values[i], verb)
-        assert np.array_equal(verb_eval.values[i], verb)
+        assert np.array_equal(blend_in[i], verb)
+        assert np.array_equal(verb_eval[i], verb)
     # absent: blend against the hidden curve itself, evaluate the cohort mean
     for i in (1, 3):
-        assert np.array_equal(blend_in.values[i], hidden.values[i])
-        assert np.array_equal(verb_eval.values[i], mean)
-    # every percent present: one set serves both paths
-    blend_in, verb_eval, n_present = blend_inputs(hidden, [10, 20, 30, 40])
+        assert np.array_equal(blend_in[i], hidden.values[i])
+        assert np.array_equal(verb_eval[i], mean)
+    # every percent present: one array serves both paths
+    blend_in, verb_eval, n_present = blend_inputs(hidden.values, GRID, [10, 20, 30, 40])
     assert blend_in is verb_eval and n_present == 4
     # absent with no extractable probability anywhere
-    blend_in, verb_eval, n_present = blend_inputs(hidden, [None] * 4)
-    assert blend_in is hidden and verb_eval is None and n_present == 0
+    blend_in, verb_eval, n_present = blend_inputs(hidden.values, GRID, [None] * 4)
+    assert blend_in is hidden.values and verb_eval is None and n_present == 0
     with pytest.raises(ValueError):
-        blend_inputs(hidden, [10, 20])
+        blend_inputs(hidden.values, GRID, [10, 20])
 
 
 def test_verbalized_curves_warn_once_per_call():
     with pytest.warns(UserWarning, match="for 3 of 5 percents") as record:
-        curves = verbalized_curves([0, 50, 0, 0, 100], GRID)
+        values = verbalized_curves([0, 50, 0, 0, 100], GRID)
     assert len(record) == 1
-    assert np.array_equal(curves.values[0], curves.values[2])
-    assert abs(curves.at(3.0)[0] - 0.005) < 1e-12
+    assert np.array_equal(values[0], values[2])
+    assert abs(CurveSet(GRID, values).at(3.0)[0] - 0.005) < 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verbalized_curves([10, 90], GRID)
@@ -169,8 +177,9 @@ def risk_ordered_curves(scores, times=GRID):
 
 def blend_partners(hidden, percents):
     """`blend_inputs`' blend partner of each hidden curve, one curve each."""
-    partners = blend_inputs(stack(hidden), percents)[0]
-    return [curve(partners.times, row) for row in partners.values]
+    hidden = stack(hidden)
+    partners = blend_inputs(hidden.values, hidden.times, percents)[0]
+    return [curve(hidden.times, row) for row in partners]
 
 
 def test_select_lambda_prefers_the_informative_source():
@@ -190,7 +199,8 @@ def test_select_lambda_prefers_the_informative_source():
                                     DEFAULT_LAMBDA_GRID)
     assert lam == ref_lam
     # with the sources swapped the hidden curves already score 1 at lambda 0
-    lam, score = select_lambda(verbalized_curves(percents, GRID), percents[::-1], times, events)
+    lam, score = select_lambda(CurveSet(GRID, verbalized_curves(percents, GRID)), percents[::-1],
+                               times, events)
     assert lam == 0.0
     assert score == 1.0
 
@@ -201,7 +211,7 @@ def test_select_lambda_ties_take_smallest():
     times = rng.uniform(0.5, 5.5, size=6)
     events = np.ones(6, dtype=bool)
     # identical sources: every lambda scores the same
-    curve_set = verbalized_curves(percents, GRID)
+    curve_set = CurveSet(GRID, verbalized_curves(percents, GRID))
     lam, score = select_lambda(curve_set, percents, times, events)
     assert lam == 0.0
     assert score == c_td(curve_set, times, events)

@@ -253,6 +253,39 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
     assert len(combined) == 19
 
 
+@pytest.mark.parametrize("train_ids", [False, True])
+def test_parse_teacher_percents_are_the_teachers_estimates(tmp_path, train_ids):
+    """percents.csv is `teacher_percents` of the extracted horizons (empty
+    where none was extracted), taken from the student targets' one
+    finalisation, which warns once about the survival values of 0 it clamped."""
+    from survfuse import distill
+
+    responses = {"a": ("80%", "0%", None), "b": (None, None, "no idea"),
+                 "c": ("90%", "70%", "55%"), "d": ("0.6", None, "10%"),
+                 "e": ("0%", "0%", "0%"), "f": (None, "I cannot say", None)}
+    teacher = tmp_path / "teacher.jsonl"
+    formats.write_jsonl(teacher, [
+        {"id": sid, "explanation": "why", "responses": dict(zip(("y1", "y3", "y5"), texts))}
+        for sid, texts in responses.items()])
+    flags = []
+    if train_ids:
+        flags = ["--train-ids", write(tmp_path / "train.txt", "a\nb\nc\n")]
+    out = tmp_path / "targets"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["parse-teacher", "--teacher", str(teacher), "--out", str(out)] + flags) == 0
+    clamps = [w for w in caught if "clamped for log transform" in str(w.message)]
+    assert len(clamps) == 1
+
+    records = distill.parse_teacher_file(formats.read_jsonl(teacher))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        expected = distill.teacher_percents(distill.prob_matrix([r.probs for r in records]))
+    formats.write_percents(tmp_path / "expected.csv", list(responses), expected)
+    assert (out / "percents.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert np.isnan(expected[[1, 5]]).all() and not np.isnan(expected[[0, 2, 3, 4]]).any()
+
+
 def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",
@@ -418,7 +451,7 @@ def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys
     cohort, split = load_bundle(bundle)
     expected = {sid: "" if np.isnan(p) else str(int(p))
                 for sid, p in zip(cohort.ids, finalize_teacher(cohort))}
-    header, rows = formats.read_csv_table(os.path.join(targets, "percents.csv"))
+    header, rows, _ = formats.read_csv_table(os.path.join(targets, "percents.csv"))
     assert header == ["id", "percent"]
     assert {row["id"]: row["percent"] for row in rows} == expected and len(rows) == len(cohort)
     test_ids = [cohort.ids[i] for i in split.test]

@@ -166,9 +166,10 @@ def test_format_float_round_trips_exactly():
 def test_csv_table_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     formats.write_csv_table(path, ["id", "x"], [["a", "1.5"], ["b", "2"]])
-    header, rows = formats.read_csv_table(path)
+    header, rows, lines = formats.read_csv_table(path)
     assert header == ["id", "x"]
     assert rows == [{"id": "a", "x": "1.5"}, {"id": "b", "x": "2"}]
+    assert lines == [2, 3]
 
 
 def test_csv_table_rejects_ragged_rows(tmp_path):
@@ -176,6 +177,23 @@ def test_csv_table_rejects_ragged_rows(tmp_path):
     path.write_text("id,x\na,1\nb\n")
     with pytest.raises(ValueError, match="expected 2 cells"):
         formats.read_csv_table(path)
+
+
+def test_csv_errors_name_the_file_line_after_blank_lines(tmp_path):
+    from survfuse.cohort import read_outcomes
+
+    percents = tmp_path / "p.csv"
+    percents.write_text("id,percent\n\na,50\nb,x\n")
+    with pytest.raises(ValueError, match=f"{percents}:4: percent 'x'"):
+        formats.read_percents(percents, ["a", "b"])
+    outcomes = tmp_path / "o.csv"
+    outcomes.write_text("id,time_years,event\n\na,1.0,1\nb,x,1\n")
+    with pytest.raises(ValueError, match=r"id 'b' \(line 4\)"):
+        read_outcomes(str(outcomes))
+    ragged = tmp_path / "r.csv"
+    ragged.write_text('id,x\n\na,"1\n2"\nb\n')
+    with pytest.raises(ValueError, match=f"{ragged}:5: expected 2 cells"):
+        formats.read_csv_rows(ragged)
 
 
 def test_csv_table_rejects_duplicate_columns(tmp_path):

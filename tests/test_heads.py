@@ -280,7 +280,7 @@ def test_discrete_curve_is_cumulative_product():
 def test_cox_curve_uses_baseline_and_score():
     base = BreslowBaseline(event_times=np.array([1.0, 2.0]),
                            increments=np.array([0.1, 0.4]))
-    one = cox_curve(np.array([0.5]), base)
+    one = cox_curve(np.array([0.5]), base).whole()
     assert one.values[0, 0] == 1.0
     expected_at_2 = math.exp(-(0.1 + 0.4) * math.exp(0.5))
     assert abs(curve_at(one, 2.0) - expected_at_2) < 1e-15
@@ -375,10 +375,12 @@ def test_set_builders_match_row_formulas():
     base = BreslowBaseline(event_times=np.array([1.0, 2.0, 4.0]),
                            increments=np.array([0.1, 0.4, 0.2]))
     scores = rng.normal(size=6)
-    curves = cox_curve(scores, base)
+    curves = cox_curve(scores, base).whole()
     assert np.array_equal(curves.times, [0.0, 1.0, 2.0, 4.0])
     for i, g in enumerate(scores):
         row = np.exp(-np.cumsum(base.increments) * np.exp(float(g)))
         assert np.array_equal(curves.values[i, 1:], row)
     with pytest.raises(ValueError):
         cox_curve(0.5, base)
+    with pytest.raises(ValueError, match="NaN scores"):
+        cox_curve(np.array([0.5, np.nan]), base)

@@ -2,14 +2,13 @@
 concordance, the IPCW integrated Brier score, and the memory of the
 evaluation path at large n."""
 
-import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from survfuse.blending import select_lambda
-from survfuse.heads import CurveBlocks, breslow_baseline, cox_curve
+from survfuse.heads import breslow_baseline, cox_curve
 from survfuse.metrics import BLOCK_ELEMENTS, c_td, censoring_km, ibs
 from survfuse.training import _channels
 from stepcurves import curve as step_curve
@@ -307,7 +306,7 @@ def test_ibs_float_conversion():
 
 def test_evaluation_memory_stays_bounded_at_large_n():
     """The streamed evaluation path (lambda selection, then c_td and ibs of
-    the hidden, verbalized and combined channels, all on CurveBlocks) on
+    the hidden, verbalized and combined channels, all read by column) on
     2,000 and 4,000 test subjects with continuous event times and a Cox
     baseline of 25,000 event times. Curves on the whole grid would take up
     to 1 GB, and even on only the scored times (one column per distinct
@@ -338,7 +337,7 @@ def test_evaluation_memory_stays_bounded_at_large_n():
         scored = np.concatenate([times[events], np.linspace(0.0, times.max(), 512)])
         columns = np.unique(np.searchsorted(baseline.event_times, scored, side="right")).size
         assert n * columns * 8 >= 3 * bound
-        hidden = CurveBlocks(n, functools.partial(cox_curve, scores, baseline))
+        hidden = cox_curve(scores, baseline)
 
         tracemalloc.start()
         try:

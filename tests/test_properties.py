@@ -204,49 +204,68 @@ def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, 
     short = restricted(curves, scored_times(times, events, grid_points))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        full_in, full_verb, n_present = blend_inputs(curves, percents)
-        short_in, short_verb, _ = blend_inputs(short, percents)
-    full_sets = [curves, combine(curves, full_in, lam)]
-    short_sets = [short, combine(short, short_in, lam)]
+        full_in, full_verb, n_present = blend_inputs(curves.values, curves.times, percents)
+        short_in, short_verb, _ = blend_inputs(short.values, short.times, percents)
+    full_sets = [curves, CurveSet(curves.times, combine(curves.values, full_in, lam))]
+    short_sets = [short, CurveSet(short.times, combine(short.values, short_in, lam))]
     if n_present:
-        full_sets.append(full_verb)
-        short_sets.append(short_verb)
+        full_sets.append(CurveSet(curves.times, full_verb))
+        short_sets.append(CurveSet(short.times, short_verb))
     # the hidden, combined and verbalized channels score == on the scored times
     for full, short_set in zip(full_sets, short_sets):
         assert (channel_scores(short_set, times, events, grid_points)
                 == channel_scores(full, times, events, grid_points))
 
 
-@settings(max_examples=80, deadline=None)
-@given(head=st.sampled_from(["coxph", "discrete"]), n=st.integers(1, 30),
-       n_fit=st.integers(1, 60), n_bins=st.integers(1, 25), n_at=st.integers(0, 40),
-       seed=SEEDS)
-def test_curves_built_at_times_equal_restricted_full_curves(head, n, n_fit, n_bins, n_at,
-                                                               seed):
-    rng = np.random.default_rng(seed)
+def hidden_curves(rng, head, n, n_fit, n_bins, overflow=False):
+    """A model's curves for n subjects, as evaluate builds them: Cox curves on a
+    Breslow baseline with tied fit times (with `overflow`, every other score
+    lies past 710, where exp overflows), or discrete-time curves."""
     if head == "coxph":
-        # tied fit times give fewer baseline points than fit subjects
         fit_times = rng.choice(rng.uniform(0.01, 5.0, size=n_fit), size=n_fit)
         fit_events = rng.random(n_fit) < 0.6
         fit_events[0] = True
         baseline = breslow_baseline(rng.normal(size=n_fit), fit_times, fit_events)
-        build = functools.partial(cox_curve, rng.normal(scale=2.0, size=n), baseline)
-    else:
-        build = functools.partial(discrete_curve, rng.normal(scale=3.0, size=(n, n_bins)),
-                                  TimeGrid.equal_width(n_bins, 5.0))
-    full = build()
+        scores = rng.normal(scale=1.5, size=n)
+        if overflow:
+            scores[::2] += 720.0
+        return cox_curve(scores, baseline)
+    return discrete_curve(rng.normal(scale=3.0, size=(n, n_bins)),
+                          TimeGrid.equal_width(n_bins, 5.0))
+
+
+def no_clean_up(times, values, _checked=_checked_curves):
+    """`_checked_curves`, failing when it has to clip or flatten a row."""
+    checked = _checked(times, values)
+    assert checked[1] is values, "the whole set needed clean-up"
+    return checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(head=st.sampled_from(["coxph", "discrete"]), n=st.integers(1, 30),
+       n_fit=st.integers(1, 60), n_bins=st.integers(1, 25), n_cols=st.integers(0, 40),
+       overflow=st.booleans(), seed=SEEDS)
+def test_columns_equal_the_checked_whole_set(head, n, n_fit, n_bins, n_cols, overflow, seed):
+    rng = np.random.default_rng(seed)
+    # the whole set needs no clean-up: the check returns the built values unchanged
+    with mock.patch("survfuse.heads._checked_curves", no_clean_up), \
+            np.errstate(over="ignore"):
+        curves = hidden_curves(rng, head, n, n_fit, n_bins, overflow)
+        whole = curves.whole()
+    assert np.all(whole.values[:, 0] == 1.0)
+    # columns in any order, repeated, 0 among them or not
+    cols = rng.integers(0, whole.times.size, size=n_cols)
+    assert curves.columns(cols).tobytes() == whole.values[:, cols].tobytes()
     # times between, on, and past the grid points, and 0
-    at = np.concatenate([rng.uniform(0.0, 6.0, size=n_at),
-                         rng.choice(full.times, size=int(rng.integers(0, 4)))])
-    expected, got = restricted(full, at), build(at=at)
-    assert got.times.tobytes() == expected.times.tobytes()
-    assert got.values.tobytes() == expected.values.tobytes()
+    at = np.concatenate([rng.uniform(0.0, 6.0, size=n_cols),
+                         rng.choice(whole.times, size=int(rng.integers(0, 4)))])
+    assert curves.at(at).tobytes() == whole.at(at).tobytes()
 
 
-def assert_valid(curves: CurveSet):
-    assert np.all(curves.values[:, 0] == 1.0)
-    assert np.all(np.diff(curves.values, axis=1) <= 0.0)
-    assert curves.values.min() >= 0.0 and curves.values.max() <= 1.0
+def assert_valid(values):
+    assert np.all(values[:, 0] == 1.0)
+    assert np.all(np.diff(values, axis=1) <= 0.0)
+    assert values.min() >= 0.0 and values.max() <= 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,12 +282,12 @@ def test_blends_and_means_stay_valid(n, n_times, percents, lam, seed):
                                                      np.exp(-np.cumsum(drops, axis=1))]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        blend_in, verb_eval, n_present = blend_inputs(hidden, percents[:n])
-    blended = combine(hidden, blend_in, lam)
+        blend_in, verb_eval, n_present = blend_inputs(hidden.values, times, percents[:n])
+    blended = combine(hidden.values, blend_in, lam)
     # the raw convex combination already satisfies every invariant
-    assert np.array_equal(blended.values, (1.0 - lam) * hidden.values + lam * blend_in.values)
-    for curves in (blend_in, blended, mean_curve(hidden), mean_curve(blend_in)):
-        assert_valid(curves)
+    assert np.array_equal(blended, (1.0 - lam) * hidden.values + lam * blend_in)
+    for values in (blend_in, blended, mean_curve(hidden.values), mean_curve(blend_in)):
+        assert_valid(values)
     if n_present:
         assert_valid(verb_eval)
         assert_valid(mean_curve(verb_eval))
@@ -358,7 +377,8 @@ def per_lambda_selection(hidden, verbalized, times, events, grid):
     """select_lambda as first written: c_td of each lambda's combined set."""
     best_lam, best = None, -np.inf
     for lam in sorted(grid):
-        score = c_td(combine(hidden, verbalized, lam), times, events)
+        score = c_td(CurveSet(hidden.times, combine(hidden.values, verbalized, lam)), times,
+                     events)
         if score > best:
             best_lam, best = lam, score
     return best_lam, best
@@ -369,7 +389,7 @@ FEW_PERCENTS = np.array([np.nan, 0.5, 5.0, 50.0, 95.0, 100.0])
 
 
 def blocks_of(curves: CurveSet) -> CurveBlocks:
-    return CurveBlocks(len(curves), functools.partial(restricted, curves))
+    return CurveBlocks(curves.times, len(curves), curves.columns)
 
 
 def outcome_or_error(fn, *args):
@@ -393,7 +413,8 @@ def test_one_pass_lambda_scores_equal_per_lambda_c_td(n, n_times, levels, event_
     hidden = quantized_set(rng, n, n_times, levels)
     percents = rng.choice(FEW_PERCENTS, size=n)
     times, events = outcomes(rng, n, event_p, hidden.times[1:] if tied_times else None)
-    want = outcome_or_error(per_lambda_selection, hidden, blend_inputs(hidden, percents)[0],
+    want = outcome_or_error(per_lambda_selection, hidden,
+                            blend_inputs(hidden.values, hidden.times, percents)[0],
                             times, events, grid)
     assert outcome_or_error(select_lambda, hidden, percents, times, events, grid) == want
     assert outcome_or_error(select_lambda, blocks_of(hidden), percents, times, events,
@@ -422,32 +443,10 @@ def test_metrics_and_blends_do_not_depend_on_the_block_budget(n, n_times, levels
                     outcome_or_error(select_lambda, blocks_of(hidden), percents, times,
                                      events),
                     ibs(hidden, times, events, grid_points),
-                    combine(hidden, verbalized, lam).values.tobytes())
+                    combine(hidden.values, verbalized.values, lam).tobytes())
 
     # one block for everything, against blocks of a few subjects, columns or rows
     assert results(budget) == results(1 << 60)
-
-
-def hidden_blocks(rng, head, n, n_fit, n_bins):
-    """A model's curves for n subjects, as evaluate builds them: Cox curves on a
-    Breslow baseline with tied fit times, or discrete-time curves."""
-    if head == "coxph":
-        fit_times = rng.choice(rng.uniform(0.01, 5.0, size=n_fit), size=n_fit)
-        fit_events = rng.random(n_fit) < 0.6
-        fit_events[0] = True
-        baseline = breslow_baseline(rng.normal(size=n_fit), fit_times, fit_events)
-        build = functools.partial(cox_curve, rng.normal(scale=1.5, size=n), baseline)
-    else:
-        build = functools.partial(discrete_curve, rng.normal(scale=3.0, size=(n, n_bins)),
-                                  TimeGrid.equal_width(n_bins, 5.0))
-    return CurveBlocks(n, build)
-
-
-def no_clean_up(times, values, _checked=_checked_curves):
-    """`_checked_curves`, failing when it has to clip or flatten a row."""
-    checked = _checked(times, values)
-    assert checked[1] is values, "a block needed clean-up"
-    return checked
 
 
 @settings(max_examples=80, deadline=None)
@@ -458,8 +457,8 @@ def no_clean_up(times, values, _checked=_checked_curves):
 def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_bins, present,
                                                               tied_times, lam, seed):
     rng = np.random.default_rng(seed)
-    hidden = hidden_blocks(rng, head, n, n_fit, n_bins)
-    full = hidden.build(None)
+    hidden = hidden_curves(rng, head, n, n_fit, n_bins)
+    full = hidden.whole()
     # tied outcome times that also sit exactly on grid points
     times, events = outcomes(rng, n, 0.6, full.times[1:] if tied_times else None)
     percents = rng.integers(0, 101, size=n).astype(np.float64)  # 0 is floored
@@ -469,15 +468,15 @@ def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_
         warnings.simplefilter("ignore", UserWarning)
         # as evaluate built them before: whole matrices on the scored times
         scored = restricted(full, scored_times(times, events))
-        blend, verbalized, n_present = blend_inputs(scored, percents)
+        blend, verbalized, n_present = blend_inputs(scored.values, scored.times, percents)
         want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
         if n_present:
-            want["verbalized"] = channel_scores(verbalized, times, events, IBS_GRID_POINTS)
-            want["combined"] = channel_scores(combine(scored, blend, lam), times, events,
-                                              IBS_GRID_POINTS)
-        # every block is a checked CurveSet that needs no clean-up
-        with mock.patch("survfuse.heads._checked_curves", no_clean_up):
-            got = outcome_or_error(_channels, hidden, times, events, percents, lam)
+            want["verbalized"] = channel_scores(CurveSet(scored.times, verbalized), times,
+                                                events, IBS_GRID_POINTS)
+            want["combined"] = channel_scores(
+                CurveSet(scored.times, combine(scored.values, blend, lam)), times, events,
+                IBS_GRID_POINTS)
+        got = outcome_or_error(_channels, hidden, times, events, percents, lam)
     if want["hidden"][0] is None:
         assert isinstance(got, str)  # c_td raised: no comparable pairs
         return
@@ -1158,11 +1157,23 @@ def test_batched_pooling_equals_pooling_each_matrix(shapes, stack, scale, block,
         assert same_bits(vec, attention_pool(mat))
 
 
+def record_lines(rows):
+    """The file line each row starts on when csv.writer writes it after a
+    one-line header: a quoted cell's line breaks push the later rows down."""
+    lines, line = [], 2
+    for row in rows:
+        lines.append(line)
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        line += len(io.StringIO(buf.getvalue(), newline="").readlines())
+    return lines
+
+
 def per_cell_numeric_table(path, header, rows, missing_to_zero):
     """Each cell stripped, then float() or the empty-cell rule, row by row."""
     values = np.empty((len(rows), len(header) - 1))
     seen = set()
-    for lineno, (vec, row) in enumerate(zip(values, rows), start=2):
+    for lineno, vec, row in zip(record_lines(rows), values, rows):
         sid = row[0]
         if sid in seen:
             raise ValueError(f"duplicate id {sid!r} in {path} (line {lineno})")

@@ -89,7 +89,7 @@ def test_generate_writes_every_interface_file(tmp_path):
 def test_truth_file_matches_generator_state(tmp_path):
     spec = small_spec()
     result = generate(spec, str(tmp_path))
-    _, rows = formats.read_csv_table(result.files["truth"])
+    _, rows, _ = formats.read_csv_table(result.files["truth"])
     assert [r["id"] for r in rows] == result.ids
     rates = np.array([float(r["rate"]) for r in rows])
     assert np.array_equal(rates, result.rates)
@@ -104,7 +104,7 @@ def test_truth_file_matches_generator_state(tmp_path):
 def test_outcomes_respect_horizon(tmp_path):
     spec = small_spec(n=200, censor_rate=0.3)
     result = generate(spec, str(tmp_path))
-    _, rows = formats.read_csv_table(result.files["outcomes"])
+    _, rows, _ = formats.read_csv_table(result.files["outcomes"])
     times = np.array([float(r["time_years"]) for r in rows])
     events = np.array([r["event"] == "1" for r in rows])
     assert np.all(times > 0.0)
