@@ -19,15 +19,8 @@ class Autoencoder:
     decoder: Mlp
 
     @property
-    def input_dim(self) -> int:
-        return self.encoder.in_dim
-
-    @property
     def latent_dim(self) -> int:
         return self.encoder.out_dim
-
-    def copy(self) -> "Autoencoder":
-        return Autoencoder(encoder=self.encoder.copy(), decoder=self.decoder.copy())
 
 
 def init_autoencoder(input_dim: int, rng: np.random.Generator,

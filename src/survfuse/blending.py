@@ -91,17 +91,15 @@ def mean_curve(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=0)[-1:] / len(values)
 
 
-def blend_inputs(values, times, percents) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Verbalized curves for the blend and for verbalized-only evaluation.
+def blend_inputs(values, times, percents) -> tuple[np.ndarray, int]:
+    """The verbalized curves to blend the hidden curves with.
 
     `values` holds the hidden curves on the grid times `times`, any columns
     in any order; `percents` holds one rounded percent per hidden curve,
     None or NaN where the teacher gave nothing extractable. Returns (values
-    to blend with, values to evaluate, number of percents present), on the
-    same columns; every column is computed from its own time alone. An
-    absent curve blends against the hidden curve itself, so its blend is a
-    no-op, and is evaluated as the mean of the present verbalized curves;
-    the evaluation values are None when no percent is present.
+    to blend with, on the same columns, number of percents present); every
+    column is computed from its own time alone. An absent curve blends
+    against the hidden curve itself, so its blend is a no-op.
     """
     percents = np.asarray(percents, dtype=np.float64).reshape(-1)  # None -> NaN
     if percents.size != len(values):
@@ -109,17 +107,13 @@ def blend_inputs(values, times, percents) -> tuple[np.ndarray, np.ndarray | None
     present = ~np.isnan(percents)
     n_present = int(present.sum())
     if n_present == 0:
-        return values, None, 0
+        return values, 0
     verbalized = verbalized_curves(percents[present], times)
     if n_present == len(values):
-        return verbalized, verbalized, n_present
-    mean = mean_curve(verbalized)
+        return verbalized, n_present
     blend = values.copy()
     blend[present] = verbalized
-    del verbalized  # at most three arrays of this size live at once
-    evaluated = blend.copy()
-    evaluated[~present] = mean
-    return blend, evaluated, n_present
+    return blend, n_present
 
 
 def select_lambda(hidden, percents, times, events,

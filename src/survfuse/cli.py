@@ -354,7 +354,7 @@ def _cmd_blend(args, started: float) -> int:
     ids, hidden = formats.read_curves(args.curves)
     # floored once here, so the blend and the selection warn once between them
     percents = blending.floor_percents(formats.read_percents(args.percents, ids))
-    blend_in, _, n_present = blending.blend_inputs(hidden.values, hidden.times, percents)
+    blend_in, n_present = blending.blend_inputs(hidden.values, hidden.times, percents)
 
     val_ctd = None
     if args.lam is not None:

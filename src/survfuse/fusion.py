@@ -1,4 +1,8 @@
-"""Modality fusion: early concatenation and nested gated late fusion."""
+"""Modality fusion: early concatenation and nested gated late fusion.
+
+Both take a dict from modality name to array; only the present modalities
+are keys, and they are read in MODALITY_ORDER whatever the dict's order.
+"""
 
 from __future__ import annotations
 
@@ -23,21 +27,6 @@ class FusionGates:
     inner_logit: np.ndarray
     outer_logit: np.ndarray
 
-    def copy(self) -> "FusionGates":
-        return FusionGates(self.inner_logit.copy(), self.outer_logit.copy())
-
-
-@dataclass
-class ModalityOutputs:
-    """Per-modality head outputs; None marks a disabled modality."""
-
-    text: np.ndarray | None = None
-    cov: np.ndarray | None = None
-    ge: np.ndarray | None = None
-
-    def present(self) -> list[str]:
-        return [m for m in MODALITY_ORDER if getattr(self, m) is not None]
-
 
 def init_fusion_gates(n_bins: int | None) -> FusionGates:
     """Zero logits (gates at 0.5). n_bins=None gives scalar CoxPH gates."""
@@ -45,58 +34,60 @@ def init_fusion_gates(n_bins: int | None) -> FusionGates:
     return FusionGates(inner_logit=np.zeros(shape), outer_logit=np.zeros(shape))
 
 
-def early_fuse(z_text: np.ndarray | None = None,
-               x_cov: np.ndarray | None = None,
-               z_ge: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate present modality vectors in fixed order text, cov, ge."""
-    parts = [np.asarray(p, dtype=np.float64)
-             for p in (z_text, x_cov, z_ge) if p is not None]
-    if not parts:
-        raise ValueError("no modality supplied")
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-
-def _check_shapes(outputs: ModalityOutputs, gates: FusionGates) -> list[str]:
-    present = outputs.present()
+def _present(arrays: dict[str, np.ndarray]) -> list[str]:
+    """The dict's modalities in MODALITY_ORDER; at least one, none unknown."""
+    present = [m for m in MODALITY_ORDER if m in arrays]
+    if len(present) != len(arrays):
+        unknown = sorted(set(arrays) - set(MODALITY_ORDER))
+        raise ValueError(f"unknown modalities {unknown}: expected {MODALITY_ORDER}")
     if not present:
-        raise ValueError("no modality outputs supplied")
-    shapes = {m: getattr(outputs, m).shape for m in present}
-    if len(set(shapes.values())) != 1:
-        raise ValueError(f"inconsistent modality output shapes: {shapes}")
-    shape = next(iter(shapes.values()))
-    gdim = gates.outer_logit.shape
-    if gdim != () and (len(shape) == 0 or shape[-1:] != gdim):
-        raise ValueError(f"gate shape {gdim} does not match output shape {shape}")
+        raise ValueError("no modality supplied")
     return present
 
 
-def late_fuse(outputs: ModalityOutputs, gates: FusionGates) -> np.ndarray:
-    """Nested gated blend over the present modalities.
+def early_fuse(inputs: dict[str, np.ndarray]) -> np.ndarray:
+    """Concatenate the present modality vectors in MODALITY_ORDER."""
+    parts = [np.asarray(inputs[m], dtype=np.float64) for m in _present(inputs)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _checked(outputs: dict[str, np.ndarray],
+             gates: FusionGates) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The present modalities in MODALITY_ORDER, and the realized gate of
+    each one after the first: the inner gate for cov, the outer for ge
+    (text, first whenever present, has none)."""
+    order = _present(outputs)
+    shapes = {m: np.shape(outputs[m]) for m in order}
+    if len(set(shapes.values())) != 1:
+        raise ValueError(f"inconsistent modality output shapes: {shapes}")
+    shape = shapes[order[0]]
+    gdim = gates.outer_logit.shape
+    if gdim != () and (len(shape) == 0 or shape[-1:] != gdim):
+        raise ValueError(f"gate shape {gdim} does not match output shape {shape}")
+    return order, {m: sigmoid(gates.inner_logit if m == "cov" else gates.outer_logit)
+                   for m in order[1:]}
+
+
+def _fold(outputs: dict[str, np.ndarray], order: list[str],
+          g: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """The running fusion after each modality of `order`: the first passes
+    through, and each later one m is blended in as (1 - g) * o + g * o_m."""
+    fused = [np.asarray(outputs[order[0]], dtype=np.float64)]
+    for m in order[1:]:
+        fused.append((1.0 - g[m]) * fused[-1] + g[m] * outputs[m])
+    return fused
+
+
+def late_fuse(outputs: dict[str, np.ndarray], gates: FusionGates) -> np.ndarray:
+    """Nested gated blend over the present modalities, as a new array.
 
     All three: o = (1 - g_ge)[(1 - g_cov) o_text + g_cov o_cov] + g_ge o_ge.
-    With a modality disabled the corresponding nesting level drops out; a
-    single modality passes through untouched.
+    A fold over MODALITY_ORDER: with a modality absent its nesting level
+    drops out, and a single modality passes through untouched.
     """
-    present = _check_shapes(outputs, gates)
-    if len(present) == 1:
-        return np.asarray(getattr(outputs, present[0]), dtype=np.float64).copy()
-    g_cov = sigmoid(gates.inner_logit)
-    g_ge = sigmoid(gates.outer_logit)
-    if "text" in present and "cov" in present:
-        inner = (1.0 - g_cov) * outputs.text + g_cov * outputs.cov
-    else:
-        inner = np.asarray(outputs.text if outputs.text is not None else outputs.cov,
-                           dtype=np.float64)
-    if "ge" not in present:
-        return inner
-    return (1.0 - g_ge) * inner + g_ge * outputs.ge
-
-
-@dataclass
-class FusionGrads:
-    outputs: ModalityOutputs
-    inner_logit: np.ndarray
-    outer_logit: np.ndarray
+    order, g = _checked(outputs, gates)
+    fused = _fold(outputs, order, g)[-1]
+    return fused.copy() if len(order) == 1 else fused
 
 
 def _reduce_like(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -107,52 +98,27 @@ def _reduce_like(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def late_fuse_backward(upstream: np.ndarray, outputs: ModalityOutputs,
-                       gates: FusionGates) -> FusionGrads:
-    """Gradients of the fused output w.r.t. modality outputs and gate logits.
+def late_fuse_backward(upstream: np.ndarray, outputs: dict[str, np.ndarray],
+                       gates: FusionGates
+                       ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Gradients of `late_fuse`'s output: (per-modality gradients in
+    MODALITY_ORDER, inner logit gradient, outer logit gradient).
 
-    Gate-logit gradients chain through the sigmoid; gates at unused nesting
-    levels get exact zeros.
+    The fold is undone from the last modality back. Gate-logit gradients
+    chain through the sigmoid; a gate the present modalities leave unused
+    gets an exact zero.
     """
-    present = _check_shapes(outputs, gates)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    zero_inner = np.zeros_like(gates.inner_logit)
-    zero_outer = np.zeros_like(gates.outer_logit)
-    if len(present) == 1:
-        grads = ModalityOutputs(**{present[0]: upstream.copy()})
-        return FusionGrads(grads, zero_inner, zero_outer)
-
-    g_cov = sigmoid(gates.inner_logit)
-    g_ge = sigmoid(gates.outer_logit)
-    has_pair = "text" in present and "cov" in present
-    has_ge = "ge" in present
-
-    outer_weight = (1.0 - g_ge) if has_ge else 1.0
-    d_inner = upstream * outer_weight
-    grad_text = grad_cov = None
-    grad_inner_logit = zero_inner
-    if has_pair:
-        inner = (1.0 - g_cov) * outputs.text + g_cov * outputs.cov
-        grad_text = d_inner * (1.0 - g_cov)
-        grad_cov = d_inner * g_cov
-        d_gcov = d_inner * (outputs.cov - outputs.text)
-        grad_inner_logit = _reduce_like(d_gcov * g_cov * (1.0 - g_cov),
-                                        gates.inner_logit.shape)
-    else:
-        inner = np.asarray(outputs.text if outputs.text is not None else outputs.cov,
-                           dtype=np.float64)
-        if outputs.text is not None:
-            grad_text = d_inner
-        else:
-            grad_cov = d_inner
-
-    grad_ge = None
-    grad_outer_logit = zero_outer
-    if has_ge:
-        grad_ge = upstream * g_ge
-        d_gge = upstream * (outputs.ge - inner)
-        grad_outer_logit = _reduce_like(d_gge * g_ge * (1.0 - g_ge),
-                                        gates.outer_logit.shape)
-
-    return FusionGrads(ModalityOutputs(text=grad_text, cov=grad_cov, ge=grad_ge),
-                       grad_inner_logit, grad_outer_logit)
+    order, g = _checked(outputs, gates)
+    before = _fold(outputs, order[:-1], g) if len(order) > 1 else []
+    logit_grads = {"cov": np.zeros_like(gates.inner_logit),
+                   "ge": np.zeros_like(gates.outer_logit)}
+    d = np.asarray(upstream, dtype=np.float64)
+    grads = {}
+    for k in range(len(order) - 1, 0, -1):
+        m = order[k]
+        grads[m] = d * g[m]
+        logit_grads[m] = _reduce_like(d * (outputs[m] - before[k - 1]) * g[m] * (1.0 - g[m]),
+                                      logit_grads[m].shape)
+        d = d * (1.0 - g[m])
+    grads[order[0]] = d.copy() if len(order) == 1 else d
+    return {m: grads[m] for m in order}, logit_grads["cov"], logit_grads["ge"]

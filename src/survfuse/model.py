@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import Autoencoder, init_autoencoder
-from .fusion import (MODALITY_ORDER, FusionGates, ModalityOutputs, early_fuse,
-                     init_fusion_gates, late_fuse, late_fuse_backward)
+from .fusion import (MODALITY_ORDER, FusionGates, early_fuse, init_fusion_gates, late_fuse,
+                     late_fuse_backward)
 from .nn import (FlatViews, Mlp, MlpCache, MlpGrads, ParamLayout, draw_dropout_masks,
                  init_mlp, mlp_backward, mlp_forward, sigmoid)
 
@@ -63,27 +63,15 @@ class SurvivalModel:
             self.gates.inner_logit = views["gates.inner"]
             self.gates.outer_logit = views["gates.outer"]
 
-    def out_dim(self) -> int:
-        return self.n_bins if self.head_type == "discrete" else 1
-
-    def copy(self) -> "SurvivalModel":
-        return SurvivalModel(
-            head_type=self.head_type, fusion=self.fusion, modalities=self.modalities,
-            n_bins=self.n_bins, heads={k: v.copy() for k, v in self.heads.items()},
-            ae=self.ae.copy() if self.ae else None,
-            gates=self.gates.copy() if self.gates else None)
-
 
 @dataclass
 class ModelForward:
     out: np.ndarray                      # (N, B) logits or (N,) scores
-    modality_outputs: ModalityOutputs | None
+    head_outputs: dict[str, np.ndarray]  # each head's (N, B) logits or (N,) scores
     head_caches: dict[str, MlpCache | None]  # None without keep_cache
-    z_ge: np.ndarray | None = None
     recon: np.ndarray | None = None
     enc_cache: MlpCache | None = None
     dec_cache: MlpCache | None = None
-    batch: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
@@ -94,8 +82,10 @@ def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
     """Build all components for one run configuration.
 
     `dims` maps each enabled modality to its input width (ge gives d_g; the
-    heads then consume the autoencoder latent). Late fusion gets one head per
-    modality plus gates; early/none get a single head.
+    heads then consume the autoencoder latent). Late fusion of several
+    modalities gets one head per modality plus gates; otherwise one head
+    reads the early-fused input and the model has no gates, so `gates is
+    None` is how the forward and backward passes tell the two apart.
     """
     modalities = checked_structure(head_type, fusion, modalities)
     if head_type == "discrete" and (n_bins is None or n_bins < 1):
@@ -112,21 +102,14 @@ def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
         hidden = list(ae_hidden) if ae_hidden is not None else [64, 32]
         ae = init_autoencoder(dims["ge"], rng, hidden=hidden,
                               latent_dim=latent_dim, dropout=ae_dropout)
+    width = {m: ae.latent_dim if m == "ge" else dims[m] for m in modalities}
 
-    def head_in(modality: str) -> int:
-        return ae.latent_dim if modality == "ge" else dims[modality]
-
-    heads: dict[str, Mlp] = {}
-    gates = None
-    if fusion == "late" and len(modalities) > 1:
-        for m in modalities:
-            heads[f"head_{m}"] = init_mlp(head_in(m), list(head_layers), out_dim,
-                                          rng, dropout=dropout)
-        gates = init_fusion_gates(n_bins if head_type == "discrete" else None)
-    else:
-        total = sum(head_in(m) for m in modalities)
-        heads["head"] = init_mlp(total, list(head_layers), out_dim, rng,
-                                 dropout=dropout)
+    gated = fusion == "late" and len(modalities) > 1
+    head_reads = {f"head_{m}": (m,) for m in modalities} if gated else {"head": modalities}
+    heads = {name: init_mlp(sum(width[m] for m in read), list(head_layers), out_dim, rng,
+                            dropout=dropout)
+             for name, read in head_reads.items()}
+    gates = init_fusion_gates(n_bins if head_type == "discrete" else None) if gated else None
     return SurvivalModel(head_type=head_type, fusion=fusion, modalities=modalities,
                          n_bins=n_bins, heads=heads, ae=ae, gates=gates)
 
@@ -150,14 +133,6 @@ def model_params(model: SurvivalModel) -> dict[str, np.ndarray]:
         params["gates.inner"] = model.gates.inner_logit
         params["gates.outer"] = model.gates.outer_logit
     return params
-
-
-def _modality_input(model: SurvivalModel, batch: dict[str, np.ndarray],
-                    z_ge: np.ndarray | None, modality: str) -> np.ndarray:
-    if modality == "ge":
-        return z_ge
-    key = "text" if modality == "text" else "cov"
-    return batch[key]
 
 
 def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
@@ -194,31 +169,24 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
                                            masks=masks_for(model.ae.decoder),
                                            keep_cache=keep_cache)
 
-    head_caches: dict[str, MlpCache | None] = {}
-    modality_outputs = None
-    if model.fusion == "late" and len(model.modalities) > 1:
-        outs = {}
-        for m in model.modalities:
-            name = f"head_{m}"
-            mlp = model.heads[name]
-            x = _modality_input(model, batch, z_ge, m)
-            out_m, head_caches[name] = mlp_forward(mlp, x, masks=masks_for(mlp),
-                                                   keep_cache=keep_cache)
-            outs[m] = out_m if model.head_type == "discrete" else out_m[:, 0]
-        modality_outputs = ModalityOutputs(**outs)
-        out = late_fuse(modality_outputs, model.gates)
+    inputs = {m: z_ge if m == "ge" else batch[m] for m in model.modalities}
+    if model.gates is None:
+        head_inputs = {"head": early_fuse(inputs)}
     else:
-        inputs = {m: _modality_input(model, batch, z_ge, m) for m in model.modalities}
-        x = early_fuse(z_text=inputs.get("text"), x_cov=inputs.get("cov"),
-                       z_ge=inputs.get("ge"))
-        mlp = model.heads["head"]
-        out, head_caches["head"] = mlp_forward(mlp, x, masks=masks_for(mlp),
-                                               keep_cache=keep_cache)
-        if model.head_type == "coxph":
-            out = out[:, 0]
-    return ModelForward(out=out, modality_outputs=modality_outputs,
-                        head_caches=head_caches, z_ge=z_ge, recon=recon,
-                        enc_cache=enc_cache, dec_cache=dec_cache, batch=batch)
+        head_inputs = {f"head_{m}": x for m, x in inputs.items()}
+    head_outputs: dict[str, np.ndarray] = {}
+    head_caches: dict[str, MlpCache | None] = {}
+    for name, x in head_inputs.items():
+        mlp = model.heads[name]
+        out, head_caches[name] = mlp_forward(mlp, x, masks=masks_for(mlp),
+                                             keep_cache=keep_cache)
+        head_outputs[name] = out if model.head_type == "discrete" else out[:, 0]
+    if model.gates is None:
+        out = head_outputs["head"]
+    else:
+        out = late_fuse({m: head_outputs[f"head_{m}"] for m in inputs}, model.gates)
+    return ModelForward(out=out, head_outputs=head_outputs, head_caches=head_caches,
+                        recon=recon, enc_cache=enc_cache, dec_cache=dec_cache)
 
 
 def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray,
@@ -239,33 +207,29 @@ def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray
                        [grads[f"{prefix}.b{i}"] for i in range(n)])
         return mlp_backward(mlp, cache, g, out=out, input_grad=input_grad)[1]
 
-    grad_z_ge = None
-    if model.fusion == "late" and len(model.modalities) > 1:
-        fusion_grads = late_fuse_backward(grad_out, fwd.modality_outputs, model.gates)
-        np.copyto(grads["gates.inner"], fusion_grads.inner_logit)
-        np.copyto(grads["gates.outer"], fusion_grads.outer_logit)
-        for m in model.modalities:
-            name = f"head_{m}"
-            g = getattr(fusion_grads.outputs, m)
-            if model.head_type == "coxph":
-                g = g[:, None]
-            grad_in = backward(name, model.heads[name], fwd.head_caches[name], g,
-                               input_grad=(m == "ge"))
-            if m == "ge":
-                grad_z_ge = grad_in
+    if model.gates is None:
+        head_grads = {"head": grad_out}
     else:
-        g = grad_out[:, None] if model.head_type == "coxph" else grad_out
-        grad_in = backward("head", model.heads["head"], fwd.head_caches["head"], g,
-                           input_grad="ge" in model.modalities)
-        if "ge" in model.modalities:
-            # ge occupies the trailing latent_dim columns of the early-fused input
+        by_modality, grad_inner, grad_outer = late_fuse_backward(
+            grad_out, {m: fwd.head_outputs[f"head_{m}"] for m in model.modalities},
+            model.gates)
+        np.copyto(grads["gates.inner"], grad_inner)
+        np.copyto(grads["gates.outer"], grad_outer)
+        head_grads = {f"head_{m}": g for m, g in by_modality.items()}
+    grad_z_ge = None
+    for name, g in head_grads.items():
+        reads_ge = model.ae is not None and name in ("head", "head_ge")
+        grad_in = backward(name, model.heads[name], fwd.head_caches[name],
+                           g[:, None] if model.head_type == "coxph" else g,
+                           input_grad=reads_ge)
+        if reads_ge:
+            # ge is last in MODALITY_ORDER: the trailing latent_dim columns of the input
             grad_z_ge = grad_in[:, -model.ae.latent_dim:]
 
     if model.ae is not None:
         if grad_recon is not None:
-            grad_z_from_dec = backward("dec", model.ae.decoder, fwd.dec_cache, grad_recon,
-                                       input_grad=True)
-            grad_z = grad_z_from_dec if grad_z_ge is None else grad_z_from_dec + grad_z_ge
+            grad_z = backward("dec", model.ae.decoder, fwd.dec_cache, grad_recon,
+                              input_grad=True) + grad_z_ge
         else:
             for i in range(len(model.ae.decoder.weights)):
                 grads[f"dec.w{i}"].fill(0.0)

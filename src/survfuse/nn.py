@@ -46,9 +46,6 @@ class Mlp:
     def out_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.dropout)
-
 
 @dataclass
 class MlpCache:
@@ -221,11 +218,6 @@ class ParamLayout:
         k = int(np.searchsorted(self.offsets, i, side="right")) - 1
         return self.names[k], int(i - self.offsets[k])
 
-    def scatter(self, flat: np.ndarray, tensors: Mapping[str, np.ndarray]) -> None:
-        """Copy the flat vector back into the named tensors, in place."""
-        for name, view in self.views(flat).items():
-            np.copyto(tensors[name], view)
-
 
 class FlatViews(dict):
     """A name -> array mapping whose arrays are views of one vector, `flat`."""
@@ -276,10 +268,11 @@ def init_adamw(params: Mapping[str, np.ndarray], lr: float | Callable[[str], flo
 def adamw_step(p: np.ndarray, g: np.ndarray, state: AdamWState) -> None:
     """One decoupled-weight-decay update of the flat vector `p`, in place.
 
-    `p` and `g` are laid out by `state.layout` (a mapping goes through
-    `state.layout.gather` and `scatter`). Each element is updated by the
-    expressions of a per-tensor update, in the same order, with the results
-    kept in the state's scratch vectors instead of new arrays.
+    `p` and `g` are laid out by `state.layout` (a mapping goes in through
+    `state.layout.gather`, and `state.layout.views` reads it back). Each
+    element is updated by the expressions of a per-tensor update, in the
+    same order, with the results kept in the state's scratch vectors
+    instead of new arrays.
     """
     if not np.isfinite(g).all():
         name, _ = state.layout.locate(np.flatnonzero(~np.isfinite(g))[0])

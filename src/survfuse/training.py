@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import formats
-from .blending import DEFAULT_LAMBDA_GRID, blend_inputs, combine, floor_percents, select_lambda
+from .blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, floor_percents, mean_curve,
+                       select_lambda, verbalized_curves)
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, teacher_percents
 from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
@@ -210,18 +211,14 @@ def _build_model(config: RunConfig, dims: dict[str, int],
 
 
 def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
-          warm_start: dict[str, np.ndarray] | None = None,
-          batch_size: int | None = None, epochs: int | None = None,
-          patience: int | None = None) -> TrainResult:
+          warm_start: dict[str, np.ndarray] | None = None) -> TrainResult:
     """Mini-batch AdamW on the joint objective with early stopping.
 
     Monitors validation survival loss; restores the best checkpoint; for the
     CoxPH head, fits the Breslow baseline on train+val afterwards.
     """
-    result = _train_loop(config, cohort, split, warm_start,
-                         batch_size or config.batch_size,
-                         config.epochs if epochs is None else epochs,
-                         config.patience if patience is None else patience)
+    result = _train_loop(config, cohort, split, warm_start, config.batch_size,
+                         config.epochs, config.patience)
     if config.head == "coxph":
         fit_idx = np.concatenate([split.train, split.val])
         fit_data = _split_data(cohort, fit_idx, config, result.grid)
@@ -376,15 +373,17 @@ def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
     """Metrics of the hidden channel and, given the teacher's percents (NaN
     where absent) and the blend weight, of the verbalized and combined ones.
 
-    The verbalized and combined channels are column readers over `hidden`'s
-    columns through `blend_inputs` and `combine`, so they equal the same
-    columns of those functions on the whole set, and the metrics read one
-    block at a time.
+    The verbalized channel is each present percent's curve, and the mean of
+    those curves for every absent one. The combined channel reads
+    `hidden`'s columns through `blend_inputs` and `combine`. Both are column
+    readers, so they equal the same columns of the whole sets, and the
+    metrics read one block at a time.
     """
     channels = {"hidden": _channel(hidden, times, events)}
     if percents is None:
         return channels
-    if np.isnan(percents).all():
+    present = ~np.isnan(percents)
+    if not present.any():
         channels["verbalized"] = ChannelMetrics(
             c_td=None, ibs=None, note="no extractable teacher probabilities")
         channels["combined"] = ChannelMetrics(
@@ -393,7 +392,13 @@ def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
         return channels
 
     def verbalized(cols):
-        return blend_inputs(hidden.columns(cols), hidden.times[cols], percents)[1]
+        own = verbalized_curves(percents[present], hidden.times[cols])
+        if present.all():
+            return own
+        values = np.empty((present.size, own.shape[1]))
+        values[present] = own
+        values[~present] = mean_curve(own)
+        return values
 
     def combined(cols):
         values = hidden.columns(cols)

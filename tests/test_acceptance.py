@@ -18,7 +18,7 @@ from survfuse.cohort import load_cohort, pool_text, split_cohort
 from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
                               weighted_text_loss_grad)
-from survfuse.fusion import FusionGates, ModalityOutputs, late_fuse
+from survfuse.fusion import FusionGates, late_fuse
 from survfuse.heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets, cox_loss,
                             discrete_loss_grad, cox_loss_grad)
 from survfuse.metrics import c_td, ibs
@@ -390,15 +390,13 @@ def test_criterion_8_saturated_gates_pick_one_modality():
     rng = np.random.default_rng(808)
 
     for shape in ((), (6,)):
-        outs = ModalityOutputs(text=rng.normal(size=(7,) + shape),
-                               cov=rng.normal(size=(7,) + shape),
-                               ge=rng.normal(size=(7,) + shape))
+        outs = {m: rng.normal(size=(7,) + shape) for m in ("text", "cov", "ge")}
         picks = [("text", -800.0, -800.0), ("cov", 800.0, -800.0),
                  ("ge", 800.0, 800.0)]
         for name, inner, outer in picks:
             gates = FusionGates(inner_logit=np.full(shape, inner),
                                 outer_logit=np.full(shape, outer))
-            assert np.array_equal(late_fuse(outs, gates), getattr(outs, name))
+            assert np.array_equal(late_fuse(outs, gates), outs[name])
 
     dims = {"text": 6, "cov": 4, "ge": 10}
     for head, bins in (("discrete", 5), ("coxph", None)):

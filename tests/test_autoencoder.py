@@ -6,7 +6,7 @@ from survfuse.nn import finite_difference_check, mlp_forward
 
 def test_mirror_architecture_and_latent_dim():
     ae = init_autoencoder(20, np.random.default_rng(0), hidden=[8, 4], latent_dim=3)
-    assert ae.input_dim == 20
+    assert ae.encoder.in_dim == ae.decoder.out_dim == 20
     assert ae.latent_dim == 3
     assert [w.shape for w in ae.encoder.weights] == [(20, 8), (8, 4), (4, 3)]
     assert [w.shape for w in ae.decoder.weights] == [(3, 4), (4, 8), (8, 20)]

@@ -122,24 +122,23 @@ def test_blend_inputs_resolves_missing():
     rng = np.random.default_rng(35)
     hidden = stack([random_curve(rng) for _ in range(4)])
     percents = [70, None, 40, None]
-    blend_in, verb_eval, n_present = blend_inputs(hidden.values, GRID, percents)
+    blend_in, n_present = blend_inputs(hidden.values, GRID, percents)
     assert n_present == 2
     (v70,), (v40,) = verbalized_curve(70, GRID).values, verbalized_curve(40, GRID).values
-    mean = np.mean([v70, v40], axis=0)
-    # present: the verbalized curve serves both paths
+    # present: blend against the verbalized curve
     for i, verb in ((0, v70), (2, v40)):
         assert np.array_equal(blend_in[i], verb)
-        assert np.array_equal(verb_eval[i], verb)
-    # absent: blend against the hidden curve itself, evaluate the cohort mean
+    # absent: blend against the hidden curve itself
     for i in (1, 3):
         assert np.array_equal(blend_in[i], hidden.values[i])
-        assert np.array_equal(verb_eval[i], mean)
-    # every percent present: one array serves both paths
-    blend_in, verb_eval, n_present = blend_inputs(hidden.values, GRID, [10, 20, 30, 40])
-    assert blend_in is verb_eval and n_present == 4
+    assert not np.shares_memory(blend_in, hidden.values)
+    # every percent present: the verbalized curves themselves
+    blend_in, n_present = blend_inputs(hidden.values, GRID, [10, 20, 30, 40])
+    assert np.array_equal(blend_in, verbalized_curves([10, 20, 30, 40], GRID))
+    assert n_present == 4
     # absent with no extractable probability anywhere
-    blend_in, verb_eval, n_present = blend_inputs(hidden.values, GRID, [None] * 4)
-    assert blend_in is hidden.values and verb_eval is None and n_present == 0
+    blend_in, n_present = blend_inputs(hidden.values, GRID, [None] * 4)
+    assert blend_in is hidden.values and n_present == 0
     with pytest.raises(ValueError):
         blend_inputs(hidden.values, GRID, [10, 20])
 

@@ -178,10 +178,11 @@ def test_backward_input_gradient():
 
 
 def adamw_on_mappings(p, g, state):
-    """One step on name -> array mappings, gathered and scattered through the layout."""
+    """One step on name -> array mappings, gathered into the layout and copied back."""
     flat = state.layout.gather(p)
     adamw_step(flat, state.layout.gather(g), state)
-    state.layout.scatter(flat, p)
+    for name, view in state.layout.views(flat).items():
+        np.copyto(p[name], view)
 
 
 def test_adamw_decoupled_decay_single_step():

@@ -1,13 +1,15 @@
 """Every public module-level function and class of survfuse has a caller in
-survfuse itself, outside its own definition.
+survfuse itself, outside its own definition, and so does every public method
+and property of a survfuse class.
 
 Library code that only tests call is a second path to keep correct. The
 exceptions are the names the benchmark traces (read from BENCHMARK.json) and
-the short list below, each with the reason it stays.
+the short lists below, each with the reason it stays.
 """
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +22,11 @@ TEST_ONLY = {
     "weighted_text_loss": "acceptance criteria 1 and 5 (text loss)",
     "finite_difference_check": "acceptance criterion 1 (gradient checks)",
     "oracle_curves": "synthetic ground truth for the simulator's tests",
+}
+
+# Methods that code outside survfuse calls, so no survfuse code names them.
+HOOKS = {
+    "error": "argparse calls it on a usage error (cli._Parser overrides it)",
 }
 
 
@@ -45,12 +52,17 @@ def module_imports(tree: ast.Module) -> tuple[dict, dict]:
     return names, modules
 
 
+def package_trees() -> dict[str, ast.Module]:
+    """Each survfuse module's syntax tree, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def definitions_and_uses() -> tuple[set, set]:
     """Public top-level (module, name) definitions, and those that a
     top-level statement other than the definition itself refers to, by name
     or through its module (`formats.read_npy`)."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     defined = {}  # (module, name) -> index of the defining top-level statement
     for module, tree in trees.items():
         for index, stmt in enumerate(tree.body):
@@ -74,6 +86,30 @@ def definitions_and_uses() -> tuple[set, set]:
     return set(defined), used
 
 
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute (`x.name`) inside `node`."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def unread_methods() -> set[tuple[str, str]]:
+    """(module.Class, name) of every public method or property of a survfuse
+    class whose name no survfuse code reads as an attribute, outside the
+    method's own body."""
+    trees = package_trees()
+    reads = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    unread = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and reads[item.name] == attribute_reads(item)[item.name]):
+                    unread.add((f"{module}.{cls.name}", item.name))
+    return unread
+
+
 def test_every_public_definition_has_a_library_caller():
     defined, used = definitions_and_uses()
     unused = sorted(f"{module}.{name}" for module, name in defined - used - benchmark_names()
@@ -81,8 +117,16 @@ def test_every_public_definition_has_a_library_caller():
     assert not unused, f"survfuse code that only tests call: {unused}"
 
 
+def test_every_public_method_is_read_by_library_code():
+    unread = sorted(f"{owner}.{name}" for owner, name in unread_methods()
+                    if name not in HOOKS)
+    assert not unread, f"survfuse methods that only tests call: {unread}"
+
+
 def test_every_exemption_is_still_needed():
     defined, used = definitions_and_uses()
     test_only = {name for _, name in defined - used}
     stale = sorted(set(TEST_ONLY) - test_only)
     assert not stale, f"exempt, but gone or called by survfuse: {stale}"
+    stale = sorted(set(HOOKS) - {name for _, name in unread_methods()})
+    assert not stale, f"exempt hooks that are gone or named by survfuse: {stale}"

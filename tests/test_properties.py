@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from survfuse import pooling
 from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve,
-                               select_lambda)
+                               select_lambda, verbalized_curves)
 from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
                              split_cohort)
 from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_probs,
@@ -41,7 +41,6 @@ from survfuse.formats import (read_checkpoint, read_curves, read_hidden_states, 
                               read_percents, read_pooled, write_checkpoint, write_csv_table,
                               write_curves, write_hidden_states, write_npy, write_percents,
                               write_pooled)
-from survfuse.fusion import ModalityOutputs, early_fuse, late_fuse, late_fuse_backward
 from survfuse.heads import (CurveBlocks, CurveSet, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, build_discrete_targets,
                             cox_curve, cox_loss_grad, discrete_curve, discrete_loss_grad)
@@ -188,6 +187,21 @@ def channel_scores(curves: CurveSet, times, events, grid_points):
     return score, ibs(curves, times, events, grid_points)
 
 
+def verbalized_channel(percents, times):
+    """The verbalized channel as a whole matrix on `times`: each present
+    percent's curve, and the mean of those curves for every absent one (None
+    when no percent is present)."""
+    percents = np.asarray(percents, dtype=np.float64)  # None -> NaN
+    present = ~np.isnan(percents)
+    if not present.any():
+        return None
+    own = verbalized_curves(percents[present], times)
+    values = np.empty((percents.size, own.shape[1]))
+    values[present] = own
+    values[~present] = mean_curve(own)
+    return values
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 512), n_times=st.integers(1, 600), levels=st.integers(1, 5),
        event_p=st.floats(0.05, 1.0), tied_times=st.booleans(), lam=st.floats(0.0, 1.0),
@@ -204,8 +218,10 @@ def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, 
     short = restricted(curves, scored_times(times, events, grid_points))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        full_in, full_verb, n_present = blend_inputs(curves.values, curves.times, percents)
-        short_in, short_verb, _ = blend_inputs(short.values, short.times, percents)
+        full_in, n_present = blend_inputs(curves.values, curves.times, percents)
+        short_in, _ = blend_inputs(short.values, short.times, percents)
+        full_verb = verbalized_channel(percents, curves.times)
+        short_verb = verbalized_channel(percents, short.times)
     full_sets = [curves, CurveSet(curves.times, combine(curves.values, full_in, lam))]
     short_sets = [short, CurveSet(short.times, combine(short.values, short_in, lam))]
     if n_present:
@@ -282,7 +298,8 @@ def test_blends_and_means_stay_valid(n, n_times, percents, lam, seed):
                                                      np.exp(-np.cumsum(drops, axis=1))]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        blend_in, verb_eval, n_present = blend_inputs(hidden.values, times, percents[:n])
+        blend_in, n_present = blend_inputs(hidden.values, times, percents[:n])
+        verb_eval = verbalized_channel(percents[:n], times)
     blended = combine(hidden.values, blend_in, lam)
     # the raw convex combination already satisfies every invariant
     assert np.array_equal(blended, (1.0 - lam) * hidden.values + lam * blend_in)
@@ -468,7 +485,8 @@ def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_
         warnings.simplefilter("ignore", UserWarning)
         # as evaluate built them before: whole matrices on the scored times
         scored = restricted(full, scored_times(times, events))
-        blend, verbalized, n_present = blend_inputs(scored.values, scored.times, percents)
+        blend, n_present = blend_inputs(scored.values, scored.times, percents)
+        verbalized = verbalized_channel(percents, scored.times)
         want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
         if n_present:
             want["verbalized"] = channel_scores(CurveSet(scored.times, verbalized), times,
@@ -617,7 +635,8 @@ def test_flat_adamw_equals_per_tensor_reference(shapes, steps, weight_decay, see
                  for name, arr in params.items()}
         flat = state.layout.gather(params)
         adamw_step(flat, state.layout.gather(grads), state)
-        state.layout.scatter(flat, params)
+        for name, view in state.layout.views(flat).items():
+            np.copyto(params[name], view)
         per_tensor_adamw(ref, grads, m, v, step, rates.__getitem__, weight_decay)
         for name in params:
             assert np.array_equal(params[name], ref[name])
@@ -669,6 +688,40 @@ def reference_backward(mlp, cache, g, prefix, grads):
     return g
 
 
+def reference_fuse(outs, gates):
+    """Gated late fusion of 2 or 3 modality outputs: the nested blend written out."""
+    g_cov, g_ge = sigmoid(gates.inner_logit), sigmoid(gates.outer_logit)
+    if "ge" not in outs:
+        return (1.0 - g_cov) * outs["text"] + g_cov * outs["cov"]
+    if len(outs) == 3:
+        inner = (1.0 - g_cov) * outs["text"] + g_cov * outs["cov"]
+    else:
+        inner = outs["text" if "text" in outs else "cov"]
+    return (1.0 - g_ge) * inner + g_ge * outs["ge"]
+
+
+def reference_fuse_grads(u, outs, gates):
+    """The chain rule through `reference_fuse`, written out: per-modality
+    gradients, then the inner and the outer logit gradient (zero when unused)."""
+    g_cov, g_ge = sigmoid(gates.inner_logit), sigmoid(gates.outer_logit)
+    zero = np.zeros_like(gates.inner_logit)
+    if "ge" not in outs:
+        t, c = outs["text"], outs["cov"]
+        return ({"text": u * (1.0 - g_cov), "cov": u * g_cov},
+                (u * (c - t) * g_cov * (1.0 - g_cov)).sum(axis=0), zero)
+    ge = outs["ge"]
+    if len(outs) == 2:
+        first = "text" if "text" in outs else "cov"
+        return ({first: u * (1.0 - g_ge), "ge": u * g_ge}, zero,
+                (u * (ge - outs[first]) * g_ge * (1.0 - g_ge)).sum(axis=0))
+    t, c = outs["text"], outs["cov"]
+    inner = (1.0 - g_cov) * t + g_cov * c
+    return ({"text": u * (1.0 - g_ge) * (1.0 - g_cov), "cov": u * (1.0 - g_ge) * g_cov,
+             "ge": u * g_ge},
+            (u * (1.0 - g_ge) * (c - t) * g_cov * (1.0 - g_cov)).sum(axis=0),
+            (u * (ge - inner) * g_ge * (1.0 - g_ge)).sum(axis=0))
+
+
 def reference_step_grads(parts, batch, alpha, rng):
     """Per-tensor gradients of the joint objective; `parts` holds plain Mlps."""
     head_type, late, modalities = parts["head_type"], parts["late"], parts["modalities"]
@@ -685,10 +738,9 @@ def reference_step_grads(parts, batch, alpha, rng):
             mlp = heads[f"head_{m}"]
             out_m, caches[m] = reference_forward(mlp, inputs[m], reference_masks(mlp, n, rng))
             outs[m] = out_m if head_type == "discrete" else out_m[:, 0]
-        out = late_fuse(ModalityOutputs(**outs), gates)
+        out = reference_fuse(outs, gates)
     else:
-        x = early_fuse(z_text=inputs.get("text"), x_cov=inputs.get("cov"),
-                       z_ge=inputs.get("ge"))
+        x = np.concatenate([inputs[m] for m in modalities], axis=1)
         out, cache = reference_forward(heads["head"], x, reference_masks(heads["head"], n, rng))
         if head_type == "coxph":
             out = out[:, 0]
@@ -700,11 +752,10 @@ def reference_step_grads(parts, batch, alpha, rng):
     grads = {}
     grad_z_ge = None
     if late:
-        fusion_grads = late_fuse_backward(grad_out, ModalityOutputs(**outs), gates)
-        grads["gates.inner"] = fusion_grads.inner_logit
-        grads["gates.outer"] = fusion_grads.outer_logit
+        by_modality, grads["gates.inner"], grads["gates.outer"] = reference_fuse_grads(
+            grad_out, outs, gates)
         for m in modalities:
-            g = getattr(fusion_grads.outputs, m)
+            g = by_modality[m]
             g = g[:, None] if head_type == "coxph" else g
             grad_in = reference_backward(heads[f"head_{m}"], caches[m], g, f"head_{m}", grads)
             if m == "ge":
@@ -723,6 +774,7 @@ def reference_step_grads(parts, batch, alpha, rng):
 
 
 FUSIONS = [("late", ("text", "cov", "ge")), ("late", ("text", "ge")), ("late", ("text", "cov")),
+           ("late", ("cov", "ge")),
            ("early", ("text", "cov", "ge")), ("early", ("cov", "ge")),
            ("none", ("text",)), ("none", ("cov",)), ("none", ("ge",))]
 STEP_DIMS = {"text": 5, "cov": 3, "ge": 7}
@@ -801,11 +853,14 @@ def test_cache_free_forward_equals_caching_forward(head_type, fusion, dropout, a
     cached = model_forward(model, batch, rng=rng_a)
     free = model_forward(model, batch, rng=rng_b, keep_cache=False)
     assert free.out.tobytes() == cached.out.tobytes()
+    assert list(free.head_outputs) == list(cached.head_outputs)
+    for name, out in cached.head_outputs.items():
+        assert free.head_outputs[name].tobytes() == out.tobytes(), name
     # an inference forward (no rng) runs no decoder; a training one does
-    for name in ("z_ge", "recon") if train_mode else ("z_ge",):
-        a, b = getattr(cached, name), getattr(free, name)
-        assert (a is None and b is None) or a.tobytes() == b.tobytes()
-    if not train_mode:
+    if train_mode:
+        assert ((cached.recon is None and free.recon is None)
+                or cached.recon.tobytes() == free.recon.tobytes())
+    else:
         assert free.recon is None
     assert all(c is None for c in free.head_caches.values())
     assert free.enc_cache is None and free.dec_cache is None

@@ -10,10 +10,14 @@ import pytest
 from survfuse.cohort import Cohort, Modality, split_cohort
 from survfuse.distill import calibration_mask
 from survfuse.formats import read_checkpoint, write_checkpoint
-from survfuse.heads import TimeGrid, discrete_loss
+from survfuse.blending import verbalized_curves
+from survfuse.heads import CurveSet, TimeGrid, discrete_loss
+from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_forward, model_params
 from survfuse.training import (
     RunConfig,
+    TrainResult,
+    _channels,
     _split_data,
     _val_surv_loss,
     build_time_grid,
@@ -214,7 +218,7 @@ def test_train_reproducible_and_restores_best():
 def test_train_patience_zero_stops_after_one_epoch():
     cohort = toy_cohort(30)
     split = split_cohort(30, seed=2)
-    result = train(tiny_config(epochs=5), cohort, split, patience=0)
+    result = train(tiny_config(epochs=5, patience=0), cohort, split)
     assert len(result.val_trace) == 1
     assert result.best_epoch == 1
 
@@ -324,6 +328,19 @@ def test_evaluate_without_teacher_reports_hidden_only():
     assert set(report.channels) == {"hidden"}
     assert report.selected_lambda is None
     assert report.lambda_val_ctd is None
+
+
+def test_verbalized_channel_imputes_the_mean_of_present_curves():
+    times = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+    hidden = CurveSet(times, verbalized_curves([20, 30, 50, 60, 80], times))
+    percents = np.array([70.0, np.nan, 40.0, np.nan, 90.0])
+    t = np.array([0.7, 1.5, 2.5, 3.2, 3.9])
+    e = np.array([True, True, False, True, True])
+    own = verbalized_curves([70, 40, 90], times)
+    mean = (own[0] + own[1] + own[2]) / 3
+    want = CurveSet(times, np.vstack([own[0], mean, own[1], mean, own[2]]))
+    got = _channels(hidden, t, e, percents, lam=0.5)["verbalized"]
+    assert (got.c_td, got.ibs) == (c_td(want, t, e), ibs(want, t, e).value)
 
 
 def test_train_and_evaluate_deterministic_report():
@@ -470,10 +487,17 @@ def assert_params_view_flat(model):
     ("discrete", "early", ("text", "cov", "ge")),
     ("coxph", "none", ("cov",)),
 ])
-def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modalities):
+def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modalities, tmp_path):
+    config = RunConfig(head=head, fusion=fusion, modalities=modalities, n_bins=5,
+                       head_layers=(7, 6), ae_hidden=(8, 5), latent_dim=3)
     model = init_model(head, fusion, modalities, DIMS, np.random.default_rng(0), n_bins=5,
                        head_layers=[7, 6], ae_hidden=[8, 5], latent_dim=3)
-    clone = model.copy()
+    # the copy: the model rebuilt from a checkpoint of it
+    path = str(tmp_path / "init.svck")
+    save_checkpoint(path, TrainResult(model=model, grid=None, baseline=None, train_trace=[],
+                                      val_trace=[], best_epoch=0, skipped_batches=0,
+                                      dims=DIMS), config)
+    clone = load_checkpoint(path)[0].model
     assert np.array_equal(clone.flat, model.flat)
     assert not np.shares_memory(clone.flat, model.flat)
     before = clone.flat.copy()
