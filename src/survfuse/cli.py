@@ -300,29 +300,28 @@ def _cmd_parse_teacher(args, started: float) -> int:
     from . import distill, formats
     from .cohort import read_outcomes
 
-    records = distill.parse_teacher_file(formats.read_jsonl(args.teacher))
+    table = distill.parse_teacher_file(formats.read_jsonl(args.teacher))
     train_ids = None
     if args.train_ids is not None:
         with open(args.train_ids, encoding="utf-8") as fh:
             train_ids = {line.strip() for line in fh if line.strip()}
-    targets = distill.finalize_records(records, train_ids=train_ids)
+    targets = distill.finalize_records(table, train_ids=train_ids)
 
-    outcomes: dict[str, tuple[float, bool]] = {}
-    if args.outcomes is not None:
-        outcomes = {sid: (o.time, o.event) for sid, o in read_outcomes(args.outcomes).items()}
-    correction = not args.no_correction and bool(outcomes)
-    rows = distill.target_rows(records, targets, outcomes, correction=correction)
-    # the teacher's estimate: a record's target where it extracted a horizon
-    percents = np.where([rec.any_extracted() for rec in records], targets, np.nan)
+    # the file is read, and so checked, even when --no-correction leaves it unused
+    outcomes = read_outcomes(args.outcomes) if args.outcomes is not None else None
+    correction = not args.no_correction and outcomes is not None
+    rows = distill.target_rows(table, targets, outcomes if correction else None)
+    # the teacher's estimate: a sample's target where it extracted a horizon
+    extracted = ~np.isnan(table.probs).all(axis=1)
+    percents = np.where(extracted, targets, np.nan)
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_jsonl(os.path.join(args.out, "targets.jsonl"), rows)
-    formats.write_percents(os.path.join(args.out, "percents.csv"),
-                           [rec.sample_id for rec in records], percents)
+    formats.write_percents(os.path.join(args.out, "percents.csv"), table.ids, percents)
 
-    n_extracted = sum(1 for rec in records if rec.any_extracted())
+    n_extracted = int(extracted.sum())
     n_masked = sum(1 for row in rows if not row["text_loss_included"])
-    print(f"records {len(records)}, extracted {n_extracted}, "
+    print(f"records {len(table.ids)}, extracted {n_extracted}, "
           f"loss-masked {n_masked}")
     inputs = {"teacher": args.teacher}
     if args.outcomes:
@@ -330,7 +329,7 @@ def _cmd_parse_teacher(args, started: float) -> int:
     if args.train_ids:
         inputs["train_ids"] = args.train_ids
     _write_manifest(args.out, "parse-teacher", started, inputs=inputs,
-                    extra={"summary": {"records": len(records),
+                    extra={"summary": {"records": len(table.ids),
                                        "extracted": n_extracted,
                                        "masked": n_masked,
                                        "correction": correction}})
@@ -338,8 +337,6 @@ def _cmd_parse_teacher(args, started: float) -> int:
 
 
 def _cmd_blend(args, started: float) -> int:
-    import numpy as np
-
     from . import blending, formats
     from .cohort import read_outcomes
     from .heads import CurveSet
@@ -360,13 +357,12 @@ def _cmd_blend(args, started: float) -> int:
     if args.lam is not None:
         lam = args.lam
     else:
-        outcome_map = read_outcomes(args.outcomes)
-        missing_out = [sid for sid in ids if sid not in outcome_map]
+        out_ids, times, events = read_outcomes(args.outcomes)
+        rows = formats.id_rows(out_ids, ids)
+        missing_out = [sid for sid, row in zip(ids, rows) if row < 0]
         if missing_out:
             raise UsageError(f"no outcome rows for ids {missing_out[:5]}")
-        t = np.array([outcome_map[sid].time for sid in ids])
-        e = np.array([outcome_map[sid].event for sid in ids])
-        lam, val_ctd = blending.select_lambda(hidden, percents, t, e)
+        lam, val_ctd = blending.select_lambda(hidden, percents, times[rows], events[rows])
 
     combined = CurveSet(times=hidden.times, values=blending.combine(hidden.values, blend_in, lam))
     os.makedirs(args.out, exist_ok=True)

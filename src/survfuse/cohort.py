@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import formats
-from .distill import HORIZONS, parse_teacher_file, prob_matrix
+from .distill import HORIZONS, parse_teacher_file
 from .fusion import MODALITY_ORDER
 from .pooling import pool_many
 
@@ -45,18 +45,6 @@ _STAGE_CODES = {"I": 1.0, "II": 2.0, "III": 3.0, "IV": 4.0,
                 "1": 1.0, "2": 2.0, "3": 3.0, "4": 4.0}
 
 CLINICAL_FIELDS = ("age", "sex", "race", "stage", "cancer_type")
-
-
-@dataclass
-class Outcome:
-    time: float
-    event: bool
-
-    def __post_init__(self):
-        self.time = float(self.time)
-        self.event = bool(self.event)
-        if not (self.time > 0):
-            raise ValueError(f"follow-up time must be positive, got {self.time}")
 
 
 @dataclass
@@ -145,34 +133,34 @@ class IngestConfig:
     ratios: tuple[float, ...] = (0.70, 0.10, 0.20)
 
 
-def administrative_censor(outcome: Outcome, horizon_years: float = HORIZON_YEARS) -> Outcome:
-    if outcome.time > horizon_years:
-        return Outcome(time=horizon_years, event=False)
-    return outcome
-
-
-def read_outcomes(path: str) -> dict[str, Outcome]:
-    """The outcomes of an `id,time_years,event` CSV by id, as given (not censored)."""
+def read_outcomes(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ids, float64 follow-up times and boolean events of an
+    `id,time_years,event` CSV, in file order and as given (not censored)."""
     header, rows, lines = formats.read_csv_table(path)
     for col in ("id", "time_years", "event"):
         if col not in header:
             raise ValueError(f"outcomes file missing column {col!r}")
-    out: dict[str, Outcome] = {}
-    for lineno, row in zip(lines, rows):
-        sid = row["id"]
-        if sid in out:
+    if not rows:
+        raise ValueError(f"no outcome rows in {path}")
+    ids = [row["id"] for row in rows]
+    times = np.empty(len(rows))
+    events = np.empty(len(rows), dtype=bool)
+    seen: set[str] = set()
+    for k, (lineno, sid, row) in enumerate(zip(lines, ids, rows)):
+        if sid in seen:
             raise ValueError(f"duplicate outcome id {sid!r} (line {lineno})")
+        seen.add(sid)
         try:
-            time = float(row["time_years"])
+            times[k] = float(row["time_years"])
             event_raw = row["event"].strip()
             if event_raw not in ("0", "1"):
                 raise ValueError(f"event must be 0 or 1, got {event_raw!r}")
-            out[sid] = Outcome(time=time, event=event_raw == "1")
+            if not times[k] > 0:
+                raise ValueError(f"follow-up time must be positive, got {times[k]}")
         except ValueError as exc:
             raise ValueError(f"outcomes row for id {sid!r} (line {lineno}): {exc}") from exc
-    if not out:
-        raise ValueError(f"no outcome rows in {path}")
-    return out
+        events[k] = event_raw == "1"
+    return ids, times, events
 
 
 def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], np.ndarray]:
@@ -257,12 +245,9 @@ def _modality(table: tuple[list[str], np.ndarray] | None, ids: list[str]) -> Mod
     if table is None or not table[0]:
         return None
     keys, values = table
-    mod = Modality.empty(len(ids), values.shape[1])
-    index = {sid: k for k, sid in enumerate(keys)}
-    rows = [i for i, sid in enumerate(ids) if sid in index]
-    if rows:
-        mod.values[rows] = values[[index[ids[i]] for i in rows]]
-        mod.present[rows] = True
+    rows = formats.id_rows(keys, ids)
+    mod = Modality(values=np.full((len(ids), values.shape[1]), np.nan), present=rows >= 0)
+    mod.values[mod.present] = values[rows[mod.present]]
     return mod
 
 
@@ -284,7 +269,7 @@ def load_cohort(outcomes_path: str,
     """
     if schema not in ("numeric", "clinical"):
         raise ValueError(f"unknown schema {schema!r}")
-    outcomes = read_outcomes(outcomes_path)
+    ids, times, events = read_outcomes(outcomes_path)
 
     cov_numeric = None
     cov_raw: dict[str, dict[str, str]] = {}
@@ -297,35 +282,34 @@ def load_cohort(outcomes_path: str,
     ge = _parse_numeric_table(ge_path, missing_to_zero=True) if ge_path else None
     hidden = formats.read_hidden_states(hidden_states_path) if hidden_states_path else {}
     pooled = formats.read_pooled(pooled_path) if pooled_path else {}
-    records = ({rec.sample_id: rec for rec in parse_teacher_file(formats.read_jsonl(teacher_path))}
-               if teacher_path is not None else {})
+    teacher = (parse_teacher_file(formats.read_jsonl(teacher_path))
+               if teacher_path is not None else None)
 
     for name, table in (("hidden states", hidden), ("pooled vectors", pooled)):
         widths = {v.shape[-1] for v in table.values()}
         if len(widths) > 1:
             raise ValueError(f"inconsistent {name} dimensions: {sorted(widths)}")
 
-    kept = [(sid, outcome) for sid, outcome in outcomes.items() if sid not in excluded]
+    kept = np.array([sid not in excluded for sid in ids], dtype=bool)
+    ids = [sid for sid, keep in zip(ids, kept) if keep]
+    times, events = times[kept], events[kept]
     if horizon_years is not None:
-        kept = [(sid, administrative_censor(outcome, horizon_years)) for sid, outcome in kept]
-    ids = [sid for sid, _ in kept]
+        over = times > horizon_years
+        times = np.where(over, horizon_years, times)
+        events &= ~over
     pooled_table = (list(pooled), np.stack(list(pooled.values()))) if pooled else None
     modalities = {name: mod for name, mod in (("text", _modality(pooled_table, ids)),
                                               ("cov", _modality(cov_numeric, ids)),
                                               ("ge", _modality(ge, ids)))
                   if mod is not None}
-    teacher_probs = None
-    matched = [i for i, sid in enumerate(ids) if sid in records]
-    if matched:
-        teacher_probs = np.full((len(ids), len(HORIZONS)), np.nan)
-        teacher_probs[matched] = prob_matrix([records[ids[i]].probs for i in matched])
+    teacher_mod = _modality((teacher.ids, teacher.probs) if teacher is not None else None, ids)
+    teacher_probs = (teacher_mod.values
+                     if teacher_mod is not None and teacher_mod.present.any() else None)
     meta = {"schema": schema, "n_samples": len(ids),
             "excluded_missing_critical": len(excluded),
             "horizon_years": horizon_years,
             "allow_other_family": allow_other_family}
-    return Cohort(ids=ids,
-                  times=np.array([outcome.time for _, outcome in kept]),
-                  events=np.array([outcome.event for _, outcome in kept], dtype=bool),
+    return Cohort(ids=ids, times=times, events=events,
                   modalities=modalities, teacher_probs=teacher_probs, metadata=meta,
                   token_states=[hidden.get(sid) for sid in ids] if hidden else None,
                   clinical=[cov_raw.get(sid) for sid in ids] if cov_raw else None)

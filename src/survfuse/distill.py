@@ -6,30 +6,31 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import formats
 
 VPROB_OPEN = "«VPROB»"
 VPROB_CLOSE = "«END_VPROB»"
 S_FLOOR = 1e-6
 HORIZONS = (1.0, 3.0, 5.0)
+_RESPONSE_KEYS = ("y1", "y3", "y5")  # a teacher row's response to each horizon
 
 # a number, optionally followed by whitespace and a percent sign
 _NUMBER_RE = re.compile(r"(\d+(?:\.\d+)?|\.\d+)(\s*%)?")
 
 
 @dataclass
-class TeacherRecord:
-    """One teacher response set for one sample, parsed incrementally."""
+class TeacherTable:
+    """Teacher responses as columns, in file order: each sample's id, its
+    explanation, and its row of the (N, len(HORIZONS)) extracted
+    probabilities `probs` (NaN where nothing was extracted)."""
 
-    sample_id: str
-    responses: dict[str, str | None]
-    explanation: str
-    probs: dict[float, float | None] = field(default_factory=dict)
-
-    def any_extracted(self) -> bool:
-        return any(p is not None for p in self.probs.values())
+    ids: list[str]
+    explanations: list[str]
+    probs: np.ndarray
 
 
 @dataclass
@@ -140,12 +141,6 @@ def _column_means(probs: np.ndarray) -> dict[float, float]:
             raise ValueError(f"no extracted probability at horizon {h} anywhere in the split")
         means[h] = float(np.mean(vals))
     return means
-
-
-def prob_matrix(prob_rows: list[dict[float, float | None]]) -> np.ndarray:
-    """(N, len(HORIZONS)) extracted probabilities, NaN where one is missing."""
-    return np.array([[math.nan if row.get(h) is None else row[h] for h in HORIZONS]
-                     for row in prob_rows], dtype=np.float64).reshape(-1, len(HORIZONS))
 
 
 def _exponential_rates(s: np.ndarray) -> tuple[np.ndarray, int]:
@@ -295,30 +290,31 @@ def calibration_mask(percent, time, event, horizon: float = 3.0,
     return bool(keep) if keep.ndim == 0 else keep
 
 
-def parse_teacher_file(rows: list[dict]) -> list[TeacherRecord]:
-    """Build records from teacher JSONL rows, running probability extraction.
+def parse_teacher_file(rows: list[dict]) -> TeacherTable:
+    """The columns of teacher JSONL rows, running probability extraction.
 
     Each distinct response text is extracted once per call: a teacher repeats
     its phrasings, so most responses are copies of an earlier one.
     """
-    records = []
+    ids: list[str] = []
     seen: set[str] = set()
-    extracted: dict[str | None, float | None] = {}
-    for row in rows:
+    extracted: dict[str | None, float] = {}
+    probs = np.empty((len(rows), len(HORIZONS)))
+    for row, out in zip(rows, probs):
         sid = row["id"]
         if sid in seen:
             raise ValueError(f"duplicate teacher record for id {sid!r}")
         seen.add(sid)
+        ids.append(sid)
         responses = row.get("responses", {})
-        rec = TeacherRecord(sample_id=sid, responses=responses,
-                            explanation=row.get("explanation", ""))
-        for key, h in (("y1", 1.0), ("y3", 3.0), ("y5", 5.0)):
+        for j, key in enumerate(_RESPONSE_KEYS):
             text = responses.get(key)
             if text not in extracted:
-                extracted[text] = extract_probability(text)
-            rec.probs[h] = extracted[text]
-        records.append(rec)
-    return records
+                p = extract_probability(text)
+                extracted[text] = math.nan if p is None else p
+            out[j] = extracted[text]
+    return TeacherTable(ids=ids, explanations=[row.get("explanation", "") for row in rows],
+                        probs=probs)
 
 
 def finalize_probs(probs: np.ndarray,
@@ -360,33 +356,42 @@ def teacher_percents(probs: np.ndarray) -> np.ndarray:
     return percents
 
 
-def finalize_records(records: list[TeacherRecord],
-                     train_ids: set[str] | None = None) -> list[int]:
-    """The student-target percent of each record (`finalize_probs`): unlike
-    `teacher_percents`, a record with no extraction gets the percent of the
-    horizon means over the extracting records (of `train_ids`, if given)."""
+def finalize_records(table: TeacherTable, train_ids: set[str] | None = None) -> list[int]:
+    """The student-target percent of each sample (`finalize_probs`): unlike
+    `teacher_percents`, a sample with no extraction gets the percent of the
+    horizon means over the extracting samples (of `train_ids`, if given)."""
     train = (None if train_ids is None else
-             np.array([r.sample_id in train_ids for r in records], dtype=bool))
-    return finalize_probs(prob_matrix([r.probs for r in records]), train)[2]
+             np.array([sid in train_ids for sid in table.ids], dtype=bool))
+    return finalize_probs(table.probs, train)[2]
 
 
-def target_rows(records: list[TeacherRecord], percents: list[int],
-                outcomes: dict[str, tuple[float, bool]],
-                correction: bool = True) -> list[dict]:
-    """JSONL rows for the student targets, one per record and its percent
-    (`finalize_records`), with spans and the text-loss flag."""
-    rows = []
-    for rec, percent in zip(records, percents, strict=True):
-        seq = build_target_sequence(rec.explanation, percent)
-        included = True
-        if correction and rec.sample_id in outcomes:
-            t, e = outcomes[rec.sample_id]
-            included = calibration_mask(percent, t, e)
-        rows.append({
-            "id": rec.sample_id,
+def target_rows(table: TeacherTable, percents: list[int],
+                outcomes: tuple[list[str], np.ndarray, np.ndarray] | None) -> list[dict]:
+    """JSONL rows for the student targets, one per sample and its percent
+    (`finalize_records`), with spans and the text-loss flag.
+
+    The flag is `calibration_mask` against `outcomes` (ids, times, events)
+    for a sample they hold, and True for any other; None includes every
+    sample's text loss.
+    """
+    if len(percents) != len(table.ids):
+        raise ValueError(f"{len(percents)} percents for {len(table.ids)} samples")
+    included = np.ones(len(table.ids), dtype=bool)
+    if outcomes is not None:
+        out_ids, times, events = outcomes
+        rows = formats.id_rows(out_ids, table.ids)
+        known = rows >= 0
+        included[known] = calibration_mask(np.asarray(percents)[known], times[rows[known]],
+                                           events[rows[known]])
+    out = []
+    for sid, explanation, percent, keep in zip(table.ids, table.explanations, percents,
+                                               included.tolist()):
+        seq = build_target_sequence(explanation, percent)
+        out.append({
+            "id": sid,
             "target": seq.target,
             "vprob_span": list(seq.vprob_span),
             "num_span": list(seq.num_span),
-            "text_loss_included": included,
+            "text_loss_included": keep,
         })
-    return rows
+    return out

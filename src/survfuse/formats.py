@@ -51,6 +51,8 @@ def _check_end(fh, path) -> None:
 
 
 def _check_header(fh, magic: bytes, path) -> int:
+    """Check the magic and version; return the header's third u32 (a sample
+    count, or a checkpoint's manifest length)."""
     got = fh.read(4)
     if got != magic:
         raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
@@ -60,75 +62,71 @@ def _check_header(fh, magic: bytes, path) -> int:
     return _read_u32(fh)
 
 
-def write_hidden_states(path, matrices: dict[str, np.ndarray]) -> None:
-    """Write per-sample token hidden-state matrices (rows are tokens, float32),
-    atomically."""
+def id_rows(keys, ids) -> np.ndarray:
+    """The row of `keys` holding each of `ids` (int64), -1 where none does."""
+    index = {key: k for k, key in enumerate(keys)}
+    return np.array([index.get(sid, -1) for sid in ids], dtype=np.int64)
+
+
+def _write_id_arrays(path, magic: bytes, arrays: dict[str, np.ndarray], ndim: int) -> None:
+    """Write {id: array of `ndim` axes} atomically as the magic, the version and
+    the count, then per sample its UTF-8 id (length first), each axis length
+    and the float32 data, all little-endian."""
     with atomic_open(path, "wb") as fh:
-        fh.write(HIDDEN_MAGIC)
+        fh.write(magic)
         _write_u32(fh, FORMAT_VERSION)
-        _write_u32(fh, len(matrices))
-        for sample_id, mat in matrices.items():
-            mat = np.ascontiguousarray(mat, dtype="<f4")
-            if mat.ndim != 2:
-                raise ValueError(f"hidden states for {sample_id!r} must be 2-D")
+        _write_u32(fh, len(arrays))
+        for sample_id, arr in arrays.items():
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            if arr.ndim != ndim:
+                raise ValueError(f"array for {sample_id!r} must be {ndim}-D")
             encoded = sample_id.encode("utf-8")
             _write_u32(fh, len(encoded))
             fh.write(encoded)
-            _write_u32(fh, mat.shape[0])
-            _write_u32(fh, mat.shape[1])
-            fh.write(mat.tobytes())
+            for length in arr.shape:
+                _write_u32(fh, length)
+            fh.write(arr.tobytes())
+
+
+def _read_id_arrays(path, magic: bytes, ndim: int) -> dict[str, np.ndarray]:
+    """Read a file written by `_write_id_arrays` into {id: float64 array}."""
+    out: dict[str, np.ndarray] = {}
+    with open(path, "rb") as fh:
+        count = _check_header(fh, magic, path)
+        for _ in range(count):
+            sample_id = _read_exact(fh, _read_u32(fh)).decode("utf-8")
+            shape = tuple(_read_u32(fh) for _ in range(ndim))
+            raw = _read_exact(fh, 4 * math.prod(shape))
+            if sample_id in out:
+                raise ValueError(f"{path}: duplicate id {sample_id!r}")
+            out[sample_id] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        _check_end(fh, path)
+    return out
+
+
+def write_hidden_states(path, matrices: dict[str, np.ndarray]) -> None:
+    """Write per-sample token hidden-state matrices (rows are tokens), atomically."""
+    _write_id_arrays(path, HIDDEN_MAGIC, matrices, 2)
 
 
 def read_hidden_states(path) -> dict[str, np.ndarray]:
-    """Read a hidden-state file into {id: float64 matrix of shape (L, d)}."""
-    out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        count = _check_header(fh, HIDDEN_MAGIC, path)
-        for _ in range(count):
-            sample_id = _read_exact(fh, _read_u32(fh)).decode("utf-8")
-            n_rows = _read_u32(fh)
-            n_cols = _read_u32(fh)
-            if n_rows < 1 or n_cols < 1:
-                raise ValueError(f"{path}: sample {sample_id!r} has empty matrix")
-            raw = _read_exact(fh, 4 * n_rows * n_cols)
-            mat = np.frombuffer(raw, dtype="<f4").reshape(n_rows, n_cols)
-            if sample_id in out:
-                raise ValueError(f"{path}: duplicate id {sample_id!r}")
-            out[sample_id] = mat.astype(np.float64)
-        _check_end(fh, path)
+    """Read a hidden-state file into {id: float64 matrix of shape (L, d)};
+    a matrix without a row or a column is an error."""
+    out = _read_id_arrays(path, HIDDEN_MAGIC, 2)
+    empty = [sid for sid, mat in out.items() if not mat.size]
+    if empty:
+        raise ValueError(f"{path}: sample {empty[0]!r} has empty matrix")
     return out
 
 
 def write_pooled(path, vectors: dict[str, np.ndarray]) -> None:
-    """Write per-sample pooled text vectors (float32), atomically."""
-    with atomic_open(path, "wb") as fh:
-        fh.write(POOLED_MAGIC)
-        _write_u32(fh, FORMAT_VERSION)
-        _write_u32(fh, len(vectors))
-        for sample_id, vec in vectors.items():
-            vec = np.ascontiguousarray(vec, dtype="<f4")
-            if vec.ndim != 1:
-                raise ValueError(f"pooled vector for {sample_id!r} must be 1-D")
-            encoded = sample_id.encode("utf-8")
-            _write_u32(fh, len(encoded))
-            fh.write(encoded)
-            _write_u32(fh, vec.shape[0])
-            fh.write(vec.tobytes())
+    """Write per-sample pooled text vectors, atomically."""
+    _write_id_arrays(path, POOLED_MAGIC, vectors, 1)
 
 
 def read_pooled(path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        count = _check_header(fh, POOLED_MAGIC, path)
-        for _ in range(count):
-            sample_id = _read_exact(fh, _read_u32(fh)).decode("utf-8")
-            dim = _read_u32(fh)
-            raw = _read_exact(fh, 4 * dim)
-            if sample_id in out:
-                raise ValueError(f"{path}: duplicate id {sample_id!r}")
-            out[sample_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        _check_end(fh, path)
-    return out
+    """Read a pooled-vector file into {id: float64 vector}."""
+    return _read_id_arrays(path, POOLED_MAGIC, 1)
 
 
 def write_checkpoint(path, params: dict[str, np.ndarray], manifest: dict) -> None:
@@ -153,13 +151,8 @@ def write_checkpoint(path, params: dict[str, np.ndarray], manifest: dict) -> Non
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Tensors (views of one new float64 vector) and the manifest of a checkpoint."""
     with open(path, "rb") as fh:
-        got = fh.read(4)
-        if got != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad magic {got!r}, expected {CHECKPOINT_MAGIC!r}")
-        version = _read_u32(fh)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        manifest = json.loads(_read_exact(fh, _read_u32(fh)).decode("utf-8"))
+        manifest_length = _check_header(fh, CHECKPOINT_MAGIC, path)
+        manifest = json.loads(_read_exact(fh, manifest_length).decode("utf-8"))
         specs = manifest["tensors"]
         names = [spec["name"] for spec in specs]
         if len(set(names)) != len(names):

@@ -38,6 +38,12 @@ def checked_structure(head_type: str, fusion: str, modalities) -> tuple[str, ...
     return ordered
 
 
+def gated_fusion(fusion: str, modalities) -> bool:
+    """Whether a model has one head per modality blended by gates: late
+    fusion of more than one modality."""
+    return fusion == "late" and len(modalities) > 1
+
+
 @dataclass
 class SurvivalModel:
     head_type: str  # 'discrete' | 'coxph'
@@ -104,7 +110,7 @@ def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
                               latent_dim=latent_dim, dropout=ae_dropout)
     width = {m: ae.latent_dim if m == "ge" else dims[m] for m in modalities}
 
-    gated = fusion == "late" and len(modalities) > 1
+    gated = gated_fusion(fusion, modalities)
     head_reads = {f"head_{m}": (m,) for m in modalities} if gated else {"head": modalities}
     heads = {name: init_mlp(sum(width[m] for m in read), list(head_layers), out_dim, rng,
                             dropout=dropout)

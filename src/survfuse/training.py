@@ -17,8 +17,8 @@ from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_dis
                     cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
                     discrete_loss_grad)
 from .metrics import c_td, ibs
-from .model import (SurvivalModel, checked_structure, gate_values, init_model,
-                    model_backward, model_forward, model_params)
+from .model import (SurvivalModel, checked_structure, gate_values, gated_fusion,
+                    init_model, model_backward, model_forward, model_params)
 from .nn import adamw_step, init_adamw
 
 
@@ -452,7 +452,7 @@ def train_and_evaluate(config: RunConfig, cohort: Cohort,
     """Pretrain (late fusion of several modalities, if asked), train, and
     evaluate one configuration."""
     warm = None
-    if config.pretrain and config.fusion == "late" and len(config.modalities) > 1:
+    if config.pretrain and gated_fusion(config.fusion, config.modalities):
         warm = pretrain_heads(config, cohort, split)
     result = train(config, cohort, split, warm_start=warm)
     return result, evaluate(result, cohort, split, config)

@@ -277,10 +277,10 @@ def test_parse_teacher_percents_are_the_teachers_estimates(tmp_path, train_ids):
     clamps = [w for w in caught if "clamped for log transform" in str(w.message)]
     assert len(clamps) == 1
 
-    records = distill.parse_teacher_file(formats.read_jsonl(teacher))
+    table = distill.parse_teacher_file(formats.read_jsonl(teacher))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        expected = distill.teacher_percents(distill.prob_matrix([r.probs for r in records]))
+        expected = distill.teacher_percents(table.probs)
     formats.write_percents(tmp_path / "expected.csv", list(responses), expected)
     assert (out / "percents.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert np.isnan(expected[[1, 5]]).all() and not np.isnan(expected[[0, 2, 3, 4]]).any()

@@ -11,8 +11,6 @@ from survfuse import formats
 from survfuse.cohort import (
     CANCER_FAMILIES,
     Modality,
-    Outcome,
-    administrative_censor,
     cancer_family,
     load_bundle,
     load_cohort,
@@ -20,6 +18,7 @@ from survfuse.cohort import (
     outcome_arrays,
     pool_text,
     preprocess_covariates,
+    read_outcomes,
     save_bundle,
     split_cohort,
 )
@@ -88,20 +87,23 @@ def test_load_cohort_reads_outcomes_in_file_order(tmp_path):
 def test_administrative_censoring(tmp_path):
     path = write_outcomes(tmp_path / "o.csv",
                           [("late", 7.2, 1), ("edge", 5.0, 1), ("early", 2.0, 0)])
+    # read as given, in file order
+    ids, times, events = read_outcomes(path)
+    assert ids == ["late", "edge", "early"]
+    assert times.dtype == np.float64 and events.dtype == bool
+    assert times.tolist() == [7.2, 5.0, 2.0] and events.tolist() == [True, True, False]
     cohort = load_cohort(path)
-    by_id = {sid: Outcome(t, e) for sid, t, e in zip(cohort.ids, cohort.times, cohort.events)}
-    # past the horizon: censored at the horizon
-    assert by_id["late"].time == 5.0 and by_id["late"].event is False
-    # exactly at the horizon: untouched
-    assert by_id["edge"].time == 5.0 and by_id["edge"].event is True
-    assert by_id["early"].time == 2.0
+    assert cohort.ids == ids
+    # past the horizon: censored at the horizon; exactly at the horizon: untouched
+    assert cohort.times.tolist() == [5.0, 5.0, 2.0]
+    assert cohort.events.tolist() == [False, True, False]
     # custom and disabled horizons
     cohort = load_cohort(path, horizon_years=3.0)
-    assert set(cohort.times.tolist()) == {3.0, 2.0}
+    assert cohort.times.tolist() == [3.0, 3.0, 2.0]
+    assert cohort.events.tolist() == [False, False, False]
     cohort = load_cohort(path, horizon_years=None)
-    assert set(cohort.times.tolist()) == {7.2, 5.0, 2.0}
-    out = administrative_censor(Outcome(time=9.0, event=True), 5.0)
-    assert (out.time, out.event) == (5.0, False)
+    assert cohort.times.tolist() == [7.2, 5.0, 2.0]
+    assert cohort.events.tolist() == [True, True, False]
 
 
 def test_outcome_validation(tmp_path):
@@ -109,7 +111,7 @@ def test_outcome_validation(tmp_path):
         load_cohort(write_outcomes(tmp_path / "a.csv", [("x", 1.0, 2)]))
     with pytest.raises(ValueError, match="positive"):
         load_cohort(write_outcomes(tmp_path / "b.csv", [("x", 0.0, 1)]))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"duplicate outcome id 'x' \(line 3\)"):
         load_cohort(write_outcomes(tmp_path / "c.csv", [("x", 1.0, 1), ("x", 2.0, 0)]))
     with pytest.raises(ValueError, match="missing column"):
         load_cohort(write_text(tmp_path / "d.csv", "id,time_years\nx,1.0\n"))

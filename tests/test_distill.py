@@ -19,7 +19,6 @@ from survfuse.distill import (
     fit_parametric,
     fit_survival_at,
     parse_teacher_file,
-    prob_matrix,
     round_to_nearest_five,
     target_rows,
     teacher_percents,
@@ -169,15 +168,25 @@ def test_fit_clamps_warn():
 
 # ----------------------------------------------- horizon completion and means
 
+def horizon_matrix(rows):
+    """The (N, 3) horizon matrix of rows of {horizon: probability or None},
+    NaN where a row has none; an array passes through."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    return np.array([[math.nan if row.get(h) is None else row[h] for h in HORIZONS]
+                     for row in rows]).reshape(-1, len(HORIZONS))
+
+
 def completed(rows, train=None):
-    """`finalize_probs`' completed rows, as tuples, for rows of horizon dicts."""
-    return [tuple(row) for row in finalize_probs(prob_matrix(rows), train)[0].tolist()]
+    """`finalize_probs`' completed rows, as tuples, for a horizon matrix or
+    rows of horizon dicts."""
+    return [tuple(row) for row in finalize_probs(horizon_matrix(rows), train)[0].tolist()]
 
 
 def mean_fill(rows):
     """The completion of a row with no extraction: the per-horizon means of
     `rows`' present probabilities, made non-increasing in t."""
-    return tuple(np.minimum.accumulate(np.nanmean(prob_matrix(rows), axis=0)).tolist())
+    return tuple(np.minimum.accumulate(np.nanmean(horizon_matrix(rows), axis=0)).tolist())
 
 
 def test_horizon_means_manual():
@@ -469,13 +478,14 @@ def test_parse_teacher_file_extracts_all_horizons():
     rows = [teacher_row("a", y1="90%", y3="70%", y5="50%"),
             teacher_row("b", y3="0.4"),
             teacher_row("c")]
-    records = parse_teacher_file(rows)
-    assert [r.sample_id for r in records] == ["a", "b", "c"]
-    assert records[0].probs == {1.0: 0.9, 3.0: 0.7, 5.0: 0.5}
-    assert records[1].probs == {1.0: None, 3.0: 0.4, 5.0: None}
-    assert records[2].probs == {1.0: None, 3.0: None, 5.0: None}
-    assert records[0].any_extracted() and records[1].any_extracted()
-    assert not records[2].any_extracted()
+    table = parse_teacher_file(rows)
+    assert table.ids == ["a", "b", "c"]
+    assert table.explanations == ["expl"] * 3
+    nan = math.nan
+    assert np.array_equal(table.probs, [[0.9, 0.7, 0.5], [nan, 0.4, nan], [nan, nan, nan]],
+                          equal_nan=True)
+    # an empty file is an empty table
+    assert parse_teacher_file([]).probs.shape == (0, len(HORIZONS))
 
 
 def test_parse_teacher_file_rejects_duplicates():
@@ -497,18 +507,18 @@ def test_finalize_records_pipeline():
         teacher_row("partial", y3="50%"),
         teacher_row("empty"),
     ]
-    records = parse_teacher_file(rows)
-    probs = [r.probs for r in records]
-    percents = finalize_records(records)
+    table = parse_teacher_file(rows)
+    probs = table.probs
+    percents = finalize_records(table)
     # exact half-life data refits to the same rate and rounds to 50
-    assert abs(finalize_probs(prob_matrix(probs))[1][0] - rho) < 1e-9
+    assert abs(finalize_probs(probs)[1][0] - rho) < 1e-9
     assert percents[:2] == [50, 50]
     # the empty record fell back to the means of the extracting records
     expect = mean_fill(probs[:2])
     assert completed(probs)[2] == expect
     assert percents[2] == fit_percent(expect)
     # as the teacher's own estimate, the empty record has none
-    assert np.array_equal(teacher_percents(prob_matrix(probs)), [50, 50, np.nan],
+    assert np.array_equal(teacher_percents(probs), [50, 50, np.nan],
                           equal_nan=True)
 
 
@@ -516,14 +526,14 @@ def test_finalize_records_train_pool():
     rows = [teacher_row("tr", y1="90%", y3="80%", y5="70%"),
             teacher_row("te", y1="40%", y3="30%", y5="20%"),
             teacher_row("none")]
-    records = parse_teacher_file(rows)
-    probs = [r.probs for r in records]
+    table = parse_teacher_file(rows)
+    probs = table.probs
     # the all-missing record sees only the training-split extraction
     assert completed(probs, train=np.array([True, False, False]))[2] == mean_fill(probs[:1])
-    assert finalize_records(records, train_ids={"tr"})[2] == fit_percent(mean_fill(probs[:1]))
+    assert finalize_records(table, train_ids={"tr"})[2] == fit_percent(mean_fill(probs[:1]))
     # a training split with no extractions falls back to every record
     assert completed(probs, train=np.array([False, False, True]))[2] == mean_fill(probs[:2])
-    assert finalize_records(records, train_ids={"none"})[2] == fit_percent(mean_fill(probs[:2]))
+    assert finalize_records(table, train_ids={"none"})[2] == fit_percent(mean_fill(probs[:2]))
     assert fit_percent(mean_fill(probs[:1])) != fit_percent(mean_fill(probs[:2]))
 
 
@@ -534,45 +544,47 @@ def test_finalize_records_warns_once_with_clamp_count():
             # the completion fit clamps the zero; its curve then reaches 0 at
             # 3 and 5 years, so the final fit clamps two more
             teacher_row("partial", y3="0%")]
-    records = parse_teacher_file(rows)
+    table = parse_teacher_file(rows)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        finalize_records(records)
+        finalize_records(table)
     messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     assert len(messages) == 1
     assert messages[0].startswith("survival value 0 clamped")
     assert ": 4 value(s)" in messages[0]
     with pytest.warns(UserWarning, match="survival value 0 clamped"):
-        assert completed([r.probs for r in records])[2][1:] == (0.0, 0.0)
+        assert completed(table.probs)[2][1:] == (0.0, 0.0)
     # a file without zeros finalizes silently
-    records = parse_teacher_file(rows[:1])
+    table = parse_teacher_file(rows[:1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        finalize_records(records)
+        finalize_records(table)
 
 
 def test_finalize_records_keeps_the_rounding_tie():
     # 50% at one year only: the completed curve halves per year, so the final
     # rate is ln 2 up to rounding and the 3-year value sits on the 12.5 tie
-    records = parse_teacher_file([teacher_row("tie", y1="50%")])
-    probs = prob_matrix([records[0].probs])
-    fit = fit_parametric(list(zip(HORIZONS, finalize_probs(probs)[0][0])), "exponential")
-    assert finalize_probs(probs)[1][0] == fit.rate
-    assert finalize_records(records) == [three_year_percent(fit)]
+    table = parse_teacher_file([teacher_row("tie", y1="50%")])
+    fit = fit_parametric(list(zip(HORIZONS, finalize_probs(table.probs)[0][0])), "exponential")
+    assert finalize_probs(table.probs)[1][0] == fit.rate
+    assert finalize_records(table) == [three_year_percent(fit)]
 
 
 def test_target_rows_respects_correction_flag():
     rows = [teacher_row("lo", y3="30%"), teacher_row("hi", y3="70%")]
-    records = parse_teacher_file(rows)
-    percents = finalize_records(records)
-    outcomes = {"lo": (4.0, False), "hi": (1.0, True)}
-    out = target_rows(records, percents, outcomes, correction=True)
+    table = parse_teacher_file(rows)
+    percents = finalize_records(table)
+    # outcome columns in another order than the table, with an id it lacks
+    outcomes = (["other", "hi", "lo"], np.array([2.0, 1.0, 4.0]), np.array([True, True, False]))
+    out = target_rows(table, percents, outcomes)
     flags = {r["id"]: r["text_loss_included"] for r in out}
     assert flags == {"lo": False, "hi": False}
-    out = target_rows(records, percents, outcomes, correction=False)
+    assert all(type(r["text_loss_included"]) is bool for r in out)
+    # no outcomes: no correction
+    out = target_rows(table, percents, None)
     assert all(r["text_loss_included"] for r in out)
     # a record without a known outcome stays included
-    out = target_rows(records, percents, {}, correction=True)
+    out = target_rows(table, percents, (["other"], np.array([2.0]), np.array([True])))
     assert all(r["text_loss_included"] for r in out)
     # rows carry usable spans
     seq = out[0]
@@ -582,6 +594,8 @@ def test_target_rows_respects_correction_flag():
 
 
 def test_target_rows_needs_one_percent_per_record():
-    records = parse_teacher_file([teacher_row("a", y3="30%"), teacher_row("b", y3="70%")])
-    with pytest.raises(ValueError):
-        target_rows(records, [30], {})
+    table = parse_teacher_file([teacher_row("a", y3="30%"), teacher_row("b", y3="70%")])
+    outcomes = (["a"], np.array([1.0]), np.array([True]))
+    for given in (None, outcomes):
+        with pytest.raises(ValueError, match="1 percents for 2 samples"):
+            target_rows(table, [30], given)

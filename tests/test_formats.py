@@ -46,6 +46,14 @@ def test_pooled_round_trip(tmp_path):
         formats.read_pooled(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_hidden_states_rejects_an_empty_matrix(tmp_path, shape):
+    path = tmp_path / "h.svhs"
+    formats.write_hidden_states(path, {"a": np.zeros((2, 3)), "b": np.zeros(shape)})
+    with pytest.raises(ValueError, match=f"{path}: sample 'b' has empty matrix"):
+        formats.read_hidden_states(path)
+
+
 def test_hidden_states_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.svhs"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

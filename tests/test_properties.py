@@ -34,13 +34,13 @@ from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_
                                select_lambda, verbalized_curves)
 from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
                              split_cohort)
-from survfuse.distill import (HORIZONS, TeacherRecord, extract_probability, finalize_probs,
+from survfuse.distill import (HORIZONS, TeacherTable, extract_probability, finalize_probs,
                               finalize_records, fit_parametric, fit_survival_at,
-                              parse_teacher_file, prob_matrix, three_year_percent)
-from survfuse.formats import (read_checkpoint, read_curves, read_hidden_states, read_npy,
-                              read_percents, read_pooled, write_checkpoint, write_csv_table,
-                              write_curves, write_hidden_states, write_npy, write_percents,
-                              write_pooled)
+                              parse_teacher_file, three_year_percent)
+from survfuse.formats import (id_rows, read_checkpoint, read_curves, read_hidden_states,
+                              read_npy, read_percents, read_pooled, write_checkpoint,
+                              write_csv_table, write_curves, write_hidden_states, write_npy,
+                              write_percents, write_pooled)
 from survfuse.heads import (CurveBlocks, CurveSet, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, build_discrete_targets,
                             cox_curve, cox_loss_grad, discrete_curve, discrete_loss_grad)
@@ -951,23 +951,26 @@ PROBS = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 0.5, 1e-7]),
 @given(rows=st.lists(st.tuples(PROBS, PROBS, PROBS), min_size=1, max_size=40),
        train_flags=st.lists(st.booleans(), max_size=40))
 def test_batch_finalisation_equals_per_record_path(rows, train_flags):
-    records = [TeacherRecord(sample_id=str(i), responses={}, explanation="",
-                             probs=dict(zip(HORIZONS, row))) for i, row in enumerate(rows)]
+    ids = [str(i) for i in range(len(rows))]
+    records = [dict(zip(HORIZONS, row)) for row in rows]
+    extracted = [any(p is not None for p in row) for row in rows]
+    table = TeacherTable(ids=ids, explanations=[""] * len(rows),
+                         probs=np.array([[np.nan if p is None else p for p in row]
+                                         for row in rows]))
     # no flags: means over every record; else over the flagged training ids
     train_ids = {str(i) for i, flag in enumerate(train_flags) if flag} if train_flags else None
-    pool = [r.probs for r in records if r.any_extracted()]
-    train_pool = [r.probs for r in records if r.any_extracted()
-                  and (train_ids is None or r.sample_id in train_ids)]
+    pool = [rec for rec, x in zip(records, extracted) if x]
+    train_pool = [rec for sid, rec, x in zip(ids, records, extracted)
+                  if x and (train_ids is None or sid in train_ids)]
     # the columnar path: one percent per row with an extraction, NaN elsewhere
-    cohort = Cohort(ids=[r.sample_id for r in records], times=np.ones(len(rows)),
-                    events=np.zeros(len(rows), dtype=bool),
-                    teacher_probs=prob_matrix([r.probs for r in records]))
+    cohort = Cohort(ids=ids, times=np.ones(len(rows)), events=np.zeros(len(rows), dtype=bool),
+                    teacher_probs=table.probs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         columnar = finalize_teacher(cohort)
-        for rec, pct in zip(records, columnar):
-            if rec.any_extracted():
-                assert pct == per_record_finalize(rec.probs, {})[2]
+        for rec, x, pct in zip(records, extracted, columnar):
+            if x:
+                assert pct == per_record_finalize(rec, {})[2]
             else:
                 assert np.isnan(pct)
         if len(pool) < len(records):
@@ -975,17 +978,16 @@ def test_batch_finalisation_equals_per_record_path(rows, train_flags):
                 means = pool_means(train_pool or pool)
             except ValueError:  # some horizon has no extraction anywhere
                 with pytest.raises(ValueError):
-                    finalize_records(records, train_ids=train_ids)
+                    finalize_records(table, train_ids=train_ids)
                 return
         else:
             means = {}
-        targets = finalize_records(records, train_ids=train_ids)
-        train = None if train_ids is None else np.array([r.sample_id in train_ids
-                                                          for r in records])
+        targets = finalize_records(table, train_ids=train_ids)
+        train = None if train_ids is None else np.array([sid in train_ids for sid in ids])
         batch_completed, batch_rates, _ = finalize_probs(cohort.teacher_probs, train)
         for rec, pct, target, row, batch_rate in zip(records, columnar, targets,
                                                      batch_completed, batch_rates):
-            completed, rate, percent = per_record_finalize(rec.probs, means)
+            completed, rate, percent = per_record_finalize(rec, means)
             assert target == percent
             assert np.all(np.abs(row - completed) <= 4 * np.spacing(np.abs(completed)))
             assert abs(batch_rate - rate) <= 4 * np.spacing(abs(rate))
@@ -1110,6 +1112,20 @@ def test_checkpoint_round_trips_and_rejects_every_prefix(data):
     assert all(same_bits(back[name], arr) for name, arr in params.items())
     assert back_manifest == {**manifest, "tensors": [{"name": name, "shape": shape}
                                                      for name, shape in shapes.items()]}
+
+
+@given(data=st.data())
+def test_id_rows_equals_a_dict_lookup(data):
+    keys = data.draw(st.lists(IDS, unique=True, max_size=8))
+    # some of the keys, shuffled, and ids the table lacks; the other keys go unasked
+    asked = data.draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    absent = data.draw(st.lists(IDS.filter(lambda sid: sid not in keys), unique=True,
+                                max_size=4))
+    ids = data.draw(st.permutations(asked + absent))
+    lookup = {key: row for row, key in enumerate(keys)}
+    rows = id_rows(keys, ids)
+    assert rows.dtype == np.int64 and rows.shape == (len(ids),)
+    assert rows.tolist() == [lookup.get(sid, -1) for sid in ids]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1326,6 +1342,9 @@ RESPONSES = st.none() | st.sampled_from(["The estimated survival is: 40.0%.", "0
                                           RESPONSES), max_size=12))
 def test_cached_teacher_parsing_equals_one_extraction_per_text(responses):
     rows = [{"id": f"s{i}", "responses": r} for i, r in enumerate(responses)]
-    for rec, row in zip(parse_teacher_file(rows), rows):
-        assert rec.probs == {h: extract_probability(row["responses"].get(key))
-                             for key, h in (("y1", 1.0), ("y3", 3.0), ("y5", 5.0))}
+    table = parse_teacher_file(rows)
+    assert table.ids == [row["id"] for row in rows]
+    expected = [[extract_probability(row["responses"].get(key)) for key in ("y1", "y3", "y5")]
+                for row in rows]
+    assert same_bits(table.probs, np.array([[np.nan if p is None else p for p in probs]
+                                            for probs in expected]).reshape(-1, len(HORIZONS)))

@@ -126,8 +126,8 @@ def test_generated_cohort_loads(tmp_path):
     assert all(states is not None for states in cohort.token_states)
     # the cohort keeps only the extracted probabilities; every sample has a record
     assert cohort.teacher_probs is not None
-    records = parse_teacher_file(formats.read_jsonl(result.files["teacher"]))
-    assert set(result.ids) <= {rec.sample_id for rec in records}
+    table = parse_teacher_file(formats.read_jsonl(result.files["teacher"]))
+    assert set(result.ids) <= set(table.ids)
 
 
 # ------------------------------------------------------------ oracle curves
