@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .heads import CurveSet
@@ -13,36 +11,19 @@ PERCENT_FLOOR = 0.5
 DEFAULT_LAMBDA_GRID = tuple(k / 20.0 for k in range(21))
 
 
-def floor_percents(percents) -> np.ndarray:
-    """The percents as a float64 vector, 0 raised to PERCENT_FLOOR.
-
-    One warning per call says how many of the present (non-NaN) percents
-    were floored. Flooring floored percents changes nothing and warns no
-    more, so a split's percents can be floored once, up front.
-    """
-    percents = np.asarray(percents, dtype=np.float64).reshape(-1)
-    zero = percents == 0
-    if zero.any():
-        warnings.warn(f"verbalized probability 0 floored to {PERCENT_FLOOR}% before "
-                      f"the log for {int(zero.sum())} of "
-                      f"{int(np.count_nonzero(~np.isnan(percents)))} percents",
-                      stacklevel=2)
-        percents = np.where(zero, PERCENT_FLOOR, percents)
-    return percents
-
-
 def verbalized_curves(percents, times) -> np.ndarray:
     """Exponential curves anchored at 3-year verbalized probabilities.
 
     rho = -ln(percent/100)/3, sampled at `times`: the (N, len(times)) values
-    exp(-rho * t), each from its own percent and time alone. Percents are
-    floored by `floor_percents` before the log.
+    exp(-rho * t), each from its own percent and time alone. A percent of 0
+    is raised to PERCENT_FLOOR before the log; a caller that reports it counts
+    the zeros.
     """
     percents = np.asarray(percents, dtype=np.float64).reshape(-1)
     bad = percents[~((percents >= 0) & (percents <= 100))]
     if bad.size:
         raise ValueError(f"percent {bad[0]:g} outside [0, 100]")
-    rho = -np.log(floor_percents(percents) / 100.0) / 3.0
+    rho = -np.log(np.where(percents == 0, PERCENT_FLOOR, percents) / 100.0) / 3.0
     times = np.asarray(times, dtype=np.float64)
     values = -rho[:, None] * times[None, :]
     np.exp(values, out=values)
@@ -121,7 +102,7 @@ def select_lambda(hidden, percents, times, events,
     """Concordance-maximizing lambda over the grid; ties go to the smallest.
 
     `hidden` is a CurveSet or a CurveBlocks and `percents` holds one percent
-    per curve, NaN where absent; they are floored once, here. Every lambda
+    per curve, NaN where absent. Every lambda
     is scored in one pass: each block of event times reads the hidden
     curves' columns once, takes their blend partner (`blend_inputs`) and
     blends them with `combine`'s own arithmetic, so every score equals
@@ -131,7 +112,6 @@ def select_lambda(hidden, percents, times, events,
     grid = sorted(float(g) for g in grid)
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise ValueError("lambda grid must lie in [0, 1]")
-    percents = floor_percents(percents)
 
     def blends(t, rows, later):
         cols = hidden.cells(t)

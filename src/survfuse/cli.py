@@ -127,6 +127,25 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _warn_counts(command: str, counts: dict[str, int | None]) -> None:
+    """Log one WARNING naming each nonzero count of the quiet workarounds a
+    command took, by its key in the command's output; none when all are 0."""
+    done = " ".join(f"{key}={n}" for key, n in counts.items() if n)
+    if done:
+        log.warning("%s: %s", command, done)
+
+
+def _report_counts(report: dict) -> dict[str, int | None]:
+    """The workaround counts of a `RunReport.to_dict()`, by key."""
+    counts = {"clamped_values": report["clamped_values"],
+              "imputed_curves": report["imputed_curves"]}
+    for split, n in report["floored_percents"].items():
+        counts[f"floored_percents.{split}"] = n
+    for name, metrics in report["channels"].items():
+        counts[f"channels.{name}.dropped_terms"] = metrics["dropped_terms"]
+    return counts
+
+
 def _resolve(base_dir: str, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
@@ -136,10 +155,10 @@ def _resolve(base_dir: str, path: str) -> str:
 
 def _cmd_simulate(args, started: float) -> int:
     from . import synth
-    from .formats import parse_kv_file
+    from .formats import dataclass_from_kv, parse_kv_file
 
     if args.spec is not None:
-        spec = synth.spec_from_kv(parse_kv_file(args.spec))
+        spec = dataclass_from_kv(synth.GeneratorSpec, parse_kv_file(args.spec), args.spec)
     else:
         spec = synth.GeneratorSpec()
     timings: dict[str, float] = {}
@@ -159,10 +178,7 @@ def _cmd_ingest(args, started: float) -> int:
 
     kv = parse_kv_file(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
-    unknown = set(kv) - set(co.IngestConfig.__dataclass_fields__)
-    if unknown:
-        raise UsageError(f"unknown ingest keys: {sorted(unknown)}")
-    cfg = dataclass_from_kv(co.IngestConfig, kv)
+    cfg = dataclass_from_kv(co.IngestConfig, kv, args.config)
     if cfg.outcomes is None:
         raise UsageError("ingest config needs an 'outcomes' path")
     paths = {key: _resolve(base, getattr(cfg, key)) for key in co.IngestConfig.INPUTS
@@ -234,10 +250,12 @@ def _cmd_train(args, started: float) -> int:
     os.makedirs(args.out, exist_ok=True)
     training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"),
                              result, config)
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
+    payload = report.to_dict()
+    _write_json(os.path.join(args.out, "report.json"), payload)
     print(training.report_table({"train": report}))
+    _warn_counts("train", _report_counts(payload))
     _write_manifest(args.out, "train", started,
-                    config=report.to_dict()["config"],
+                    config=payload["config"],
                     seeds={"master": config.seed},
                     inputs={"config": args.config, "bundle": args.bundle})
     return 0
@@ -264,6 +282,9 @@ def _cmd_suite(args, started: float) -> int:
     with formats.atomic_open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
+    for name, rep in payload.items():
+        if isinstance(rep, dict):
+            _warn_counts(f"suite {name}", _report_counts(rep))
     seeds = {name: cfg.seed for name, cfg in named}
     _write_manifest(args.out, "suite", started, seeds=seeds,
                     inputs={"configs": args.configs, "bundle": args.bundle})
@@ -281,14 +302,16 @@ def _cmd_eval(args, started: float) -> int:
     report = training.evaluate(result, cohort, split, config)
 
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "report.json"), report.to_dict())
+    payload = report.to_dict()
+    _write_json(os.path.join(args.out, "report.json"), payload)
 
     curves = training.predict_curves(result, cohort, split.test, config)
     ids = [cohort.ids[i] for i in split.test]
     formats.write_curves(os.path.join(args.out, "curves"), ids, curves)
     print(training.report_table({"eval": report}))
+    _warn_counts("eval", _report_counts(payload))
     _write_manifest(args.out, "eval", started,
-                    config=report.to_dict()["config"],
+                    config=payload["config"],
                     seeds={"master": config.seed},
                     inputs={"checkpoint": args.checkpoint, "bundle": args.bundle})
     return 0
@@ -300,29 +323,27 @@ def _cmd_parse_teacher(args, started: float) -> int:
     from . import distill, formats
     from .cohort import read_outcomes
 
-    table = distill.parse_teacher_file(formats.read_jsonl(args.teacher))
+    table = distill.parse_teacher_file(args.teacher)
     train_ids = None
     if args.train_ids is not None:
         with open(args.train_ids, encoding="utf-8") as fh:
             train_ids = {line.strip() for line in fh if line.strip()}
-    targets = distill.finalize_records(table, train_ids=train_ids)
+    percents, targets, clamped = distill.finalize_records(table, train_ids=train_ids)
 
     # the file is read, and so checked, even when --no-correction leaves it unused
     outcomes = read_outcomes(args.outcomes) if args.outcomes is not None else None
     correction = not args.no_correction and outcomes is not None
     rows = distill.target_rows(table, targets, outcomes if correction else None)
-    # the teacher's estimate: a sample's target where it extracted a horizon
-    extracted = ~np.isnan(table.probs).all(axis=1)
-    percents = np.where(extracted, targets, np.nan)
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_jsonl(os.path.join(args.out, "targets.jsonl"), rows)
     formats.write_percents(os.path.join(args.out, "percents.csv"), table.ids, percents)
 
-    n_extracted = int(extracted.sum())
+    n_extracted = int(np.count_nonzero(~np.isnan(percents)))
     n_masked = sum(1 for row in rows if not row["text_loss_included"])
     print(f"records {len(table.ids)}, extracted {n_extracted}, "
           f"loss-masked {n_masked}")
+    _warn_counts("parse-teacher", {"clamped": clamped})
     inputs = {"teacher": args.teacher}
     if args.outcomes:
         inputs["outcomes"] = args.outcomes
@@ -332,11 +353,14 @@ def _cmd_parse_teacher(args, started: float) -> int:
                     extra={"summary": {"records": len(table.ids),
                                        "extracted": n_extracted,
                                        "masked": n_masked,
-                                       "correction": correction}})
+                                       "correction": correction,
+                                       "clamped": clamped}})
     return 0
 
 
 def _cmd_blend(args, started: float) -> int:
+    import numpy as np
+
     from . import blending, formats
     from .cohort import read_outcomes
     from .heads import CurveSet
@@ -349,8 +373,7 @@ def _cmd_blend(args, started: float) -> int:
     if args.lam is not None and not 0.0 <= args.lam <= 1.0:  # NaN fails too
         raise UsageError(f"--lam {args.lam:g} outside [0, 1]")
     ids, hidden = formats.read_curves(args.curves)
-    # floored once here, so the blend and the selection warn once between them
-    percents = blending.floor_percents(formats.read_percents(args.percents, ids))
+    percents = formats.read_percents(args.percents, ids)
     blend_in, n_present = blending.blend_inputs(hidden.values, hidden.times, percents)
 
     val_ctd = None
@@ -367,11 +390,13 @@ def _cmd_blend(args, started: float) -> int:
     combined = CurveSet(times=hidden.times, values=blending.combine(hidden.values, blend_in, lam))
     os.makedirs(args.out, exist_ok=True)
     formats.write_curves(os.path.join(args.out, "combined"), ids, combined)
+    n_floored = int(np.count_nonzero(percents == 0))
     _write_json(os.path.join(args.out, "blend.json"),
                 {"lambda": lam, "selection_c_td": val_ctd,
-                 "n_curves": len(ids), "n_verbalized": n_present})
+                 "n_curves": len(ids), "n_verbalized": n_present, "n_floored": n_floored})
     print(f"lambda {lam:g}, blended {len(ids)} curves "
           f"({n_present} with verbalized input)")
+    _warn_counts("blend", {"n_floored": n_floored})
     inputs = {"curves": args.curves, "percents": args.percents}
     if args.outcomes:
         inputs["outcomes"] = args.outcomes

@@ -148,17 +148,17 @@ def read_outcomes(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     seen: set[str] = set()
     for k, (lineno, sid, row) in enumerate(zip(lines, ids, rows)):
         if sid in seen:
-            raise ValueError(f"duplicate outcome id {sid!r} (line {lineno})")
+            raise ValueError(f"{path}: duplicate outcome id {sid!r} (line {lineno})")
         seen.add(sid)
         try:
             times[k] = float(row["time_years"])
             event_raw = row["event"].strip()
             if event_raw not in ("0", "1"):
                 raise ValueError(f"event must be 0 or 1, got {event_raw!r}")
-            if not times[k] > 0:
-                raise ValueError(f"follow-up time must be positive, got {times[k]}")
+            if not 0 < times[k] < math.inf:  # NaN fails too
+                raise ValueError(f"follow-up time must be positive and finite, got {times[k]}")
         except ValueError as exc:
-            raise ValueError(f"outcomes row for id {sid!r} (line {lineno}): {exc}") from exc
+            raise ValueError(f"{path}: outcomes row for id {sid!r} (line {lineno}): {exc}") from exc
         events[k] = event_raw == "1"
     return ids, times, events
 
@@ -282,8 +282,7 @@ def load_cohort(outcomes_path: str,
     ge = _parse_numeric_table(ge_path, missing_to_zero=True) if ge_path else None
     hidden = formats.read_hidden_states(hidden_states_path) if hidden_states_path else {}
     pooled = formats.read_pooled(pooled_path) if pooled_path else {}
-    teacher = (parse_teacher_file(formats.read_jsonl(teacher_path))
-               if teacher_path is not None else None)
+    teacher = parse_teacher_file(teacher_path) if teacher_path is not None else None
 
     for name, table in (("hidden states", hidden), ("pooled vectors", pooled)):
         widths = {v.shape[-1] for v in table.values()}

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +94,6 @@ def fit_parametric(points: list[tuple[float, float]], family: str = "exponential
     if np.any(s > 1.0) or np.any(s < 0.0):
         raise ValueError("survival values must lie in [0, 1]")
     if np.any(s == 0.0):
-        warnings.warn("survival value 0 clamped for log transform", stacklevel=2)
         s = np.maximum(s, S_FLOOR)
 
     if family == "exponential":
@@ -107,7 +105,6 @@ def fit_parametric(points: list[tuple[float, float]], family: str = "exponential
     if np.unique(t).size < 2:
         raise ValueError("two-parameter families need at least two distinct times")
     if np.any(s == 1.0):
-        warnings.warn("survival value 1 clamped for log transform", stacklevel=2)
         s = np.minimum(s, 1.0 - 1e-12)
     x = np.log(t)
     if family == "weibull":
@@ -132,15 +129,15 @@ def fit_survival_at(fit: ParametricFit, t) -> np.ndarray:
     raise ValueError(f"unknown family {fit.family!r}")
 
 
-def _column_means(probs: np.ndarray) -> dict[float, float]:
-    """Per-horizon means of an (N, 3) matrix's non-NaN values, summed in row order."""
-    means: dict[float, float] = {}
+def _column_means(probs: np.ndarray) -> np.ndarray:
+    """Per-horizon means of an (N, 3) matrix's non-NaN values, as a (1, 3) row."""
+    means = []
     for h, column in zip(HORIZONS, probs.T):
         vals = column[~np.isnan(column)]
         if not vals.size:
             raise ValueError(f"no extracted probability at horizon {h} anywhere in the split")
-        means[h] = float(np.mean(vals))
-    return means
+        means.append(np.mean(vals))
+    return np.array([means])
 
 
 def _exponential_rates(s: np.ndarray) -> tuple[np.ndarray, int]:
@@ -166,26 +163,6 @@ def _exponential_rates(s: np.ndarray) -> tuple[np.ndarray, int]:
         # differently, and a rate at a rounding tie would change the percent)
         rates[rows] = np.matmul(tk[None, None, :], y[:, :, None])[:, 0, 0] / (tk @ tk)
     return rates, int(zeros.sum())
-
-
-def _complete_matrix(probs: np.ndarray, means: dict[float, float]) -> tuple[np.ndarray, int]:
-    """Fill the missing horizons of an (N, 3) matrix (NaN where missing): an
-    exponential refit through a row's present points, or the per-horizon
-    `means` for a row with none; rows are clipped to [0, 1] and made
-    non-increasing. Returns the matrix and the number of zeros the refits clamped.
-    """
-    present = ~np.isnan(probs)
-    if np.any(probs[present] < 0.0) or np.any(probs[present] > 1.0):
-        raise ValueError("survival values must lie in [0, 1]")
-    out = probs.copy()
-    refit = present.any(axis=1) & ~present.all(axis=1)
-    rates, clamped = _exponential_rates(probs[refit])
-    out[refit] = np.where(present[refit], probs[refit],
-                          np.exp(-rates[:, None] * np.asarray(HORIZONS)))
-    empty = ~present.any(axis=1)
-    if empty.any():
-        out[empty] = [means[h] for h in HORIZONS]
-    return np.minimum.accumulate(np.clip(out, 0.0, 1.0), axis=1), clamped
 
 
 def round_to_nearest_five(x: float) -> int:
@@ -290,25 +267,40 @@ def calibration_mask(percent, time, event, horizon: float = 3.0,
     return bool(keep) if keep.ndim == 0 else keep
 
 
-def parse_teacher_file(rows: list[dict]) -> TeacherTable:
-    """The columns of teacher JSONL rows, running probability extraction.
+def parse_teacher_file(path) -> TeacherTable:
+    """The columns of a teacher JSONL file, running probability extraction.
 
-    Each distinct response text is extracted once per call: a teacher repeats
-    its phrasings, so most responses are copies of an earlier one.
+    Each row is an object with a string `id`, an optional string
+    `explanation` and optional `responses`: an object whose values are
+    strings or null. A row that breaks this, or repeats an id, is a
+    ValueError naming the file, the line and (if it has one) the id. Each
+    distinct response text is extracted once per call: a teacher repeats its
+    phrasings, so most responses are copies of an earlier one.
     """
+    rows, lines = formats.read_jsonl(path)
     ids: list[str] = []
     seen: set[str] = set()
     extracted: dict[str | None, float] = {}
     probs = np.empty((len(rows), len(HORIZONS)))
-    for row, out in zip(rows, probs):
-        sid = row["id"]
+    for row, lineno, out in zip(rows, lines, probs):
+        sid = row.get("id") if isinstance(row, dict) else None
+        if not isinstance(sid, str):
+            raise ValueError(f"{path}:{lineno}: a teacher row must be a JSON object "
+                             f"with a string 'id'")
+        where = f"{path}:{lineno}: id {sid!r}"
         if sid in seen:
-            raise ValueError(f"duplicate teacher record for id {sid!r}")
+            raise ValueError(f"{where}: duplicate teacher record")
         seen.add(sid)
-        ids.append(sid)
         responses = row.get("responses", {})
+        if not isinstance(responses, dict):
+            raise ValueError(f"{where}: 'responses' must be a JSON object")
+        if not isinstance(row.get("explanation", ""), str):
+            raise ValueError(f"{where}: 'explanation' must be a string")
+        ids.append(sid)
         for j, key in enumerate(_RESPONSE_KEYS):
             text = responses.get(key)
+            if text is not None and not isinstance(text, str):
+                raise ValueError(f"{where}: response {key!r} must be a string or null")
             if text not in extracted:
                 p = extract_probability(text)
                 extracted[text] = math.nan if p is None else p
@@ -317,52 +309,59 @@ def parse_teacher_file(rows: list[dict]) -> TeacherTable:
                         probs=probs)
 
 
-def finalize_probs(probs: np.ndarray,
-                   train: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Complete, refit and round an (N, 3) horizon matrix (NaN where missing).
+def finalize_probs(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+    """Complete, refit and round an (N, 3) horizon matrix (NaN where missing)
+    whose every row holds at least one probability.
 
-    Only rows with a missing horizon get the exponential completion fit,
-    every row gets the second fit, and one warning states how many survival
-    values of 0 both fits clamped. A row with no extraction is completed
-    with per-horizon means, taken over the extracting rows that the boolean
-    mask `train` selects (all of them when it is None or selects none).
-    Returns the completed matrix, the rates and the rounded 3-year percents.
+    Only rows with a missing horizon get the exponential completion fit
+    through their present points; the completed rows are clipped to [0, 1]
+    and made non-increasing, and every row gets the second fit. Returns the
+    completed matrix, the rates, the rounded 3-year percents and the number
+    of survival values of 0 that both fits clamped to S_FLOOR.
     """
-    # the means are only defined (and only needed) when some row has no
-    # extraction at all; a fully extracting matrix must not require coverage
-    means: dict[float, float] = {}
-    extracted = ~np.isnan(probs).all(axis=1)
-    if not extracted.all():
-        pool = extracted if train is None else extracted & train
-        means = _column_means(probs[pool if pool.any() else extracted])
-    completed, clamped = _complete_matrix(probs, means)
+    present = ~np.isnan(probs)
+    if np.any(probs[present] < 0.0) or np.any(probs[present] > 1.0):
+        raise ValueError("survival values must lie in [0, 1]")
+    completed = probs.copy()
+    refit = ~present.all(axis=1)
+    rates, clamped = _exponential_rates(probs[refit])
+    completed[refit] = np.where(present[refit], probs[refit],
+                                np.exp(-rates[:, None] * np.asarray(HORIZONS)))
+    completed = np.minimum.accumulate(np.clip(completed, 0.0, 1.0), axis=1)
     rates, refit_clamped = _exponential_rates(completed)
-    if clamped + refit_clamped:
-        warnings.warn(f"survival value 0 clamped for log transform: "
-                      f"{clamped + refit_clamped} value(s) set to {S_FLOOR}",
-                      stacklevel=3)  # the caller's caller
     percents = [round_to_nearest_five(p) for p in (np.exp(-rates * 3.0) * 100.0).tolist()]
-    return completed, rates, percents
+    return completed, rates, percents, clamped + refit_clamped
 
 
-def teacher_percents(probs: np.ndarray) -> np.ndarray:
+def teacher_percents(probs: np.ndarray) -> tuple[np.ndarray, int]:
     """The teacher's estimate per row of an (N, 3) horizon matrix (NaN where
     missing): the rounded 3-year percent of the row's completed fit where
     at least one horizon was extracted (`finalize_probs` of those rows, each
-    on its own probabilities), NaN where none was."""
+    on its own probabilities), NaN where none was. Returns the percents and
+    the number of values clamped."""
     extracted = ~np.isnan(probs).all(axis=1)
     percents = np.full(len(probs), np.nan)
-    percents[extracted] = finalize_probs(probs[extracted])[2]
-    return percents
+    _, _, percents[extracted], clamped = finalize_probs(probs[extracted])
+    return percents, clamped
 
 
-def finalize_records(table: TeacherTable, train_ids: set[str] | None = None) -> list[int]:
-    """The student-target percent of each sample (`finalize_probs`): unlike
-    `teacher_percents`, a sample with no extraction gets the percent of the
-    horizon means over the extracting samples (of `train_ids`, if given)."""
-    train = (None if train_ids is None else
-             np.array([sid in train_ids for sid in table.ids], dtype=bool))
-    return finalize_probs(table.probs, train)[2]
+def finalize_records(table: TeacherTable,
+                     train_ids: set[str] | None = None) -> tuple[np.ndarray, list[int], int]:
+    """The teacher's estimates (`teacher_percents`), each sample's student
+    target, and the number of values clamped. A target is the teacher's
+    estimate, or for a sample with no extraction the percent of the
+    per-horizon means over the extracting samples (of `train_ids`, if it
+    names any); each such sample's clamped values count."""
+    percents, clamped = teacher_percents(table.probs)
+    targets = percents.copy()
+    empty = np.isnan(percents)
+    if empty.any():
+        train = ~empty & np.array([train_ids is None or sid in train_ids for sid in table.ids])
+        pool = train if train.any() else ~empty
+        _, _, (mean_percent,), mean_clamped = finalize_probs(_column_means(table.probs[pool]))
+        targets[empty] = mean_percent
+        clamped += mean_clamped * int(empty.sum())
+    return percents, [int(p) for p in targets.tolist()], clamped
 
 
 def target_rows(table: TeacherTable, percents: list[int],

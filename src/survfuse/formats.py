@@ -406,8 +406,9 @@ def read_percents(path, ids: list[str]) -> np.ndarray:
     return np.array([percents[sid] for sid in ids], dtype=np.float64)
 
 
-def read_jsonl(path) -> list[dict]:
-    records = []
+def read_jsonl(path) -> tuple[list, list[int]]:
+    """The JSON value of each non-blank line of a file, and each one's line number."""
+    records, lines = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -417,7 +418,8 @@ def read_jsonl(path) -> list[dict]:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-    return records
+            lines.append(lineno)
+    return records, lines
 
 
 def write_jsonl(path, records) -> None:
@@ -447,28 +449,33 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def dataclass_from_kv(cls, kv: dict[str, str]):
-    """An instance of dataclass `cls` from a flat key=value mapping.
+def dataclass_from_kv(cls, kv: dict[str, str], path):
+    """An instance of dataclass `cls` from the key=value mapping of the
+    config file `path`.
 
     Keys are the field names. Each value is parsed by its field's annotation:
     `str` is stripped, `bool` is true/false, `tuple[X, ...]` is split on
     commas into X values, and `int` and `float` parse as such. A field
     annotated `X | None` takes `none` (any case) for None, else parses as X.
+    An unknown key or a value that does not parse is a ValueError naming the
+    file and the key.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, raw in kv.items():
         if key not in cls.__dataclass_fields__:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _parse_field(key, hints[key], raw)
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        try:
+            kwargs[key] = _parse_field(hints[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
     return cls(**kwargs)
 
 
-def _parse_field(key: str, anno, raw: str):
+def _parse_field(anno, raw: str):
     if typing.get_origin(anno) is tuple:
         item = typing.get_args(anno)[0]
-        return tuple(_parse_field(key, item, part)
-                     for part in raw.split(",") if part.strip())
+        return tuple(_parse_field(item, part) for part in raw.split(",") if part.strip())
     # `X | None` parses as X, except for the word none
     args = typing.get_args(anno)
     if type(None) in args:
@@ -477,7 +484,7 @@ def _parse_field(key: str, anno, raw: str):
         anno = next(a for a in args if a is not type(None))
     if anno is bool:
         if raw.strip().lower() not in ("true", "false"):
-            raise ValueError(f"{key} must be true or false, got {raw!r}")
+            raise ValueError(f"expected true or false, got {raw!r}")
         return raw.strip().lower() == "true"
     if anno is str:
         return raw.strip()

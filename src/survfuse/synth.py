@@ -51,11 +51,6 @@ class GeneratorSpec:
             raise ValueError(f"unknown event family {self.event_family!r}")
 
 
-def spec_from_kv(kv: dict[str, str]) -> GeneratorSpec:
-    """GeneratorSpec from a flat key=value mapping (keys are field names)."""
-    return formats.dataclass_from_kv(GeneratorSpec, kv)
-
-
 @dataclass
 class ExponentialCurve:
     """Exact S(t) = exp(-rate * t); oracle counterpart of the step curves."""

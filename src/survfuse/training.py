@@ -4,13 +4,13 @@ stopping, per-channel evaluation, and experiment suites."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import formats
-from .blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, floor_percents, mean_curve,
-                       select_lambda, verbalized_curves)
+from .blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve, select_lambda,
+                       verbalized_curves)
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, teacher_percents
 from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
@@ -63,23 +63,13 @@ class RunConfig:
             raise ValueError("patience cannot exceed epochs")
 
 
-def config_from_kv(kv: dict[str, str]) -> RunConfig:
-    """RunConfig from a flat key=value mapping (keys exactly the field names)."""
-    return formats.dataclass_from_kv(RunConfig, kv)
-
-
 def load_run_config(path: str) -> RunConfig:
-    return config_from_kv(formats.parse_kv_file(path))
-
-
-def _config_dict(config: RunConfig) -> dict:
-    """The config as JSON-ready values: tuples become lists."""
-    return {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in config.__dict__.items()}
+    """RunConfig from a key=value file (keys exactly the field names)."""
+    return formats.dataclass_from_kv(RunConfig, formats.parse_kv_file(path), path)
 
 
 def _config_from_dict(raw: dict) -> RunConfig:
-    """Inverse of `_config_dict`; keys this RunConfig lacks are an error."""
+    """Inverse of JSON'd `asdict` (lists become tuples); unknown keys are an error."""
     stale = sorted(set(raw) - set(RunConfig.__dataclass_fields__))
     if stale:
         raise ValueError(f"checkpoint config has keys this version does not know: "
@@ -315,6 +305,7 @@ def pretrain_heads(config: RunConfig, cohort: Cohort,
 class ChannelMetrics:
     c_td: float | None
     ibs: float | None
+    dropped_terms: int | None  # IPCW terms `ibs` dropped
     note: str | None = None
 
 
@@ -330,21 +321,13 @@ class RunReport:
     best_epoch: int
     skipped_batches: int
     masked_samples: int
+    clamped_values: int
+    floored_percents: dict[str, int]
+    imputed_curves: int
 
     def to_dict(self) -> dict:
-        return {
-            "config": _config_dict(self.config),
-            "channels": {name: {"c_td": m.c_td, "ibs": m.ibs, "note": m.note}
-                         for name, m in self.channels.items()},
-            "selected_lambda": self.selected_lambda,
-            "lambda_val_ctd": self.lambda_val_ctd,
-            "gates": self.gates,
-            "train_trace": self.train_trace,
-            "val_trace": self.val_trace,
-            "best_epoch": self.best_epoch,
-            "skipped_batches": self.skipped_batches,
-            "masked_samples": self.masked_samples,
-        }
+        """The report as JSON-ready values, as `report.json` holds it."""
+        return asdict(self)
 
 
 def _hidden_curves(result: TrainResult, data: dict) -> CurveSet | CurveBlocks:
@@ -364,8 +347,9 @@ def predict_curves(result: TrainResult, cohort: Cohort, indices,
 
 
 def _channel(curves, times, events) -> ChannelMetrics:
-    return ChannelMetrics(c_td=c_td(curves, times, events),
-                          ibs=ibs(curves, times, events).value)
+    concordance = c_td(curves, times, events)
+    score = ibs(curves, times, events)
+    return ChannelMetrics(c_td=concordance, ibs=score.value, dropped_terms=score.dropped_terms)
 
 
 def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
@@ -385,10 +369,9 @@ def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
     present = ~np.isnan(percents)
     if not present.any():
         channels["verbalized"] = ChannelMetrics(
-            c_td=None, ibs=None, note="no extractable teacher probabilities")
-        channels["combined"] = ChannelMetrics(
-            c_td=channels["hidden"].c_td, ibs=channels["hidden"].ibs,
-            note="combined equals hidden (all verbalized missing)")
+            c_td=None, ibs=None, dropped_terms=None, note="no extractable teacher probabilities")
+        channels["combined"] = replace(channels["hidden"],
+                                       note="combined equals hidden (all verbalized missing)")
         return channels
 
     def verbalized(cols):
@@ -417,18 +400,25 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     The teacher's percents are `finalize_teacher`'s. Each split's hidden
     curves are built once (`_hidden_curves`), and the metrics read every
     channel a block of columns at a time, so the scores equal those of the
-    whole sets and no (N, T) matrix is made for the Cox grid. Each split's
-    percents are floored once, before any block is read, so a split warns
-    once about its 0% estimates.
+    whole sets and no (N, T) matrix is made for the Cox grid. The report
+    counts the survival values the teacher's fits clamped, each split's 0%
+    estimates (raised to `PERCENT_FLOOR` before the log), the test curves
+    imputed by `mean_curve`, and each channel's dropped IPCW terms.
     """
-    percents = finalize_teacher(cohort)
+    percents, clamped = finalize_teacher(cohort)
     selected = val_score = test_percents = None
+    floored = {"val": 0, "test": 0}
+    imputed = 0
     if percents is not None:
         val_data = _split_data(cohort, split.val, config, result.grid)
         selected, val_score = select_lambda(_hidden_curves(result, val_data), percents[split.val],
                                             val_data["times"], val_data["events"],
                                             grid=config.lambda_grid)
-        test_percents = floor_percents(percents[split.test])
+        test_percents = percents[split.test]
+        floored = {name: int(np.count_nonzero(percents[rows] == 0))
+                   for name, rows in (("val", split.val), ("test", split.test))}
+        absent = np.isnan(test_percents)
+        imputed = 0 if absent.all() else int(absent.sum())
     test_data = _split_data(cohort, split.test, config, result.grid)
     channels = _channels(_hidden_curves(result, test_data), test_data["times"],
                          test_data["events"], test_percents, selected)
@@ -437,14 +427,15 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
                      train_trace=result.train_trace, val_trace=result.val_trace,
                      best_epoch=result.best_epoch,
                      skipped_batches=result.skipped_batches,
-                     masked_samples=_masked_count(cohort, percents, config))
+                     masked_samples=_masked_count(cohort, percents, config),
+                     clamped_values=clamped, floored_percents=floored, imputed_curves=imputed)
 
 
-def finalize_teacher(cohort: Cohort) -> np.ndarray | None:
+def finalize_teacher(cohort: Cohort) -> tuple[np.ndarray | None, int]:
     """`teacher_percents` of the cohort's horizon matrix: each sample's
     rounded 3-year percent, NaN where nothing was extracted (None without a
-    teacher). The cohort is left unchanged."""
-    return None if cohort.teacher_probs is None else teacher_percents(cohort.teacher_probs)
+    teacher), and the number of values clamped. The cohort is left unchanged."""
+    return (None, 0) if cohort.teacher_probs is None else teacher_percents(cohort.teacher_probs)
 
 
 def train_and_evaluate(config: RunConfig, cohort: Cohort,
@@ -474,7 +465,7 @@ def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
 def save_checkpoint(path: str, result: TrainResult, config: RunConfig) -> None:
     """Persist trained parameters plus everything needed to rebuild the model."""
     manifest = {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "dims": result.dims,
         "grid_edges": result.grid.edges.tolist() if result.grid else None,
         "baseline": {

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from survfuse import synth, training
 from survfuse.autoencoder import init_autoencoder, reconstruction_loss_grad
@@ -25,9 +24,6 @@ from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import finite_difference_check, mlp_forward
 from stepcurves import curve, curve_at, stack
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:survival value", "ignore:verbalized probability")
 
 GRAD_TOL = 1e-4
 
@@ -328,7 +324,7 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
 
     late_cfg = run_config(fusion="late", modalities=("text", "cov", "ge"))
     result = training.train(late_cfg, cohort, split)
-    percents = training.finalize_teacher(cohort)
+    percents, _ = training.finalize_teacher(cohort)
     late = training.evaluate(result, cohort, split, late_cfg)
 
     # (a) fusing the modalities beats every single-modality model clearly

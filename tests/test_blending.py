@@ -2,13 +2,13 @@
 handling, and grid selection of the blend weight."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from survfuse.blending import (
     DEFAULT_LAMBDA_GRID,
+    PERCENT_FLOOR,
     blend_inputs,
     combine,
     mean_curve,
@@ -48,8 +48,7 @@ def test_verbalized_curve_certain_survival():
 
 
 def test_verbalized_curve_floors_zero_percent():
-    with pytest.warns(UserWarning):
-        one = verbalized_curve(0, GRID)
+    one = verbalized_curve(0, GRID)
     assert abs(curve_at(one, 3.0) - 0.005) < 1e-12
     assert np.all(one.values > 0.0)
 
@@ -143,15 +142,16 @@ def test_blend_inputs_resolves_missing():
         blend_inputs(hidden.values, GRID, [10, 20])
 
 
-def test_verbalized_curves_warn_once_per_call():
-    with pytest.warns(UserWarning, match="for 3 of 5 percents") as record:
-        values = verbalized_curves([0, 50, 0, 0, 100], GRID)
-    assert len(record) == 1
-    assert np.array_equal(values[0], values[2])
+def test_verbalized_curves_floor_zero_percents():
+    percents = np.array([0, 50, 0, 0, 100])
+    values = verbalized_curves(percents, GRID)
+    # each 0 (the count callers report) is the curve of PERCENT_FLOOR
+    floored = percents == 0
+    assert np.count_nonzero(floored) == 3
+    assert np.array_equal(values[floored], np.repeat(verbalized_curves([PERCENT_FLOOR], GRID), 3,
+                                                     axis=0))
+    assert np.array_equal(values[~floored], verbalized_curves(percents[~floored], GRID))
     assert abs(CurveSet(GRID, values).at(3.0)[0] - 0.005) < 1e-12
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        verbalized_curves([10, 90], GRID)
     with pytest.raises(ValueError):
         verbalized_curves([50, 100.5], GRID)
 

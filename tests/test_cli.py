@@ -7,7 +7,6 @@ observable without spawning interpreters.
 import hashlib
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +14,6 @@ import pytest
 from survfuse import formats
 from survfuse.cli import main
 from survfuse.heads import CurveSet
-
-# cohorts with extreme true survival legitimately hit the fit clamp
-pytestmark = pytest.mark.filterwarnings("ignore:survival value")
 
 TRAIN_CFG = """\
 # tiny but multimodal
@@ -161,7 +157,7 @@ def test_ingest_manifest_lists_only_the_new_bundle(pipeline, tmp_path):
 def test_ingest_rejects_unknown_keys(tmp_path, capsys):
     cfg = write(tmp_path / "bad.cfg", "outcomes=o.csv\ncolumns=4\n")
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
-    assert "unknown ingest keys" in capsys.readouterr().err
+    assert f"{cfg}: unknown config key 'columns'" in capsys.readouterr().err
     cfg2 = write(tmp_path / "noout.cfg", "ge=g.csv\n")
     assert main(["ingest", "--config", cfg2, "--out", str(tmp_path / "b")]) == 1
 
@@ -228,7 +224,7 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "records 90, extracted 90" in out
-    rows = formats.read_jsonl(os.path.join(targets, "targets.jsonl"))
+    rows = formats.read_jsonl(os.path.join(targets, "targets.jsonl"))[0]
     assert len(rows) == 90 and all("target" in r for r in rows)
     assert all("vprob_span" in r and "num_span" in r for r in rows)
     manifest = read_json(os.path.join(targets, "manifest.json"))
@@ -254,10 +250,11 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("train_ids", [False, True])
-def test_parse_teacher_percents_are_the_teachers_estimates(tmp_path, train_ids):
+def test_parse_teacher_percents_are_the_teachers_estimates(tmp_path, caplog, train_ids):
     """percents.csv is `teacher_percents` of the extracted horizons (empty
     where none was extracted), taken from the student targets' one
-    finalisation, which warns once about the survival values of 0 it clamped."""
+    finalisation, whose count of survival values of 0 clamped the summary
+    and one WARNING report."""
     from survfuse import distill
 
     responses = {"a": ("80%", "0%", None), "b": (None, None, "no idea"),
@@ -271,19 +268,56 @@ def test_parse_teacher_percents_are_the_teachers_estimates(tmp_path, train_ids):
     if train_ids:
         flags = ["--train-ids", write(tmp_path / "train.txt", "a\nb\nc\n")]
     out = tmp_path / "targets"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["parse-teacher", "--teacher", str(teacher), "--out", str(out)] + flags) == 0
-    clamps = [w for w in caught if "clamped for log transform" in str(w.message)]
-    assert len(clamps) == 1
+    assert main(["parse-teacher", "--teacher", str(teacher), "--out", str(out)] + flags) == 0
+    # a: the completion fit clamps its 3-year 0, the completed row is then 0
+    # at 3 and 5 years, and the final fit clamps both; e: the final fit
+    # clamps its three; the horizon means hold no 0
+    summary = read_json(out / "manifest.json")["summary"]
+    assert summary["clamped"] == 1 + 2 + 3
+    assert [r.getMessage() for r in caplog.records] == ["parse-teacher: clamped=6"]
 
-    table = distill.parse_teacher_file(formats.read_jsonl(teacher))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        expected = distill.teacher_percents(table.probs)
+    expected, clamped = distill.teacher_percents(distill.parse_teacher_file(teacher).probs)
+    assert clamped == 6
     formats.write_percents(tmp_path / "expected.csv", list(responses), expected)
     assert (out / "percents.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert np.isnan(expected[[1, 5]]).all() and not np.isnan(expected[[0, 2, 3, 4]]).any()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("[1, 2]", "a teacher row must be a JSON object with a string 'id'"),
+    ('{"responses": {"y3": "50%"}}', "a teacher row must be a JSON object with a string 'id'"),
+    ('{"id": "a", "responses": {"y1": 0.5}}', "id 'a': response 'y1' must be a string or null"),
+    ('{"id": "a", "responses": "70%"}', "id 'a': 'responses' must be a JSON object"),
+])
+@pytest.mark.parametrize("command", ["parse-teacher", "ingest"])
+def test_a_malformed_teacher_row_is_a_usage_error_naming_file_and_line(
+        pipeline, tmp_path, capsys, command, line, message):
+    teacher = write(tmp_path / "teacher.jsonl", '{"id": "z", "responses": {}}\n' + line + "\n")
+    if command == "parse-teacher":
+        argv = ["parse-teacher", "--teacher", teacher, "--out", str(tmp_path / "t")]
+    else:
+        raw = pipeline["raw"]
+        cfg = write(tmp_path / "ingest.cfg", f"outcomes={raw}/outcomes.csv\nteacher={teacher}\n")
+        argv = ["ingest", "--config", cfg, "--out", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert f"{teacher}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("train", TRAIN_CFG.replace("epochs=2", "epochs=abc"), "epochs"),
+    ("train", TRAIN_CFG.replace("head_layers=8", "head_layers=8,x"), "head_layers"),
+    ("ingest", "outcomes=o.csv\nsplit_seed=one\n", "split_seed"),
+    ("ingest", "outcomes=o.csv\nratios=0.7,x,0.2\n", "ratios"),
+])
+def test_a_bad_config_value_names_the_key_and_the_file(tmp_path, capsys, command, text, key):
+    cfg = write(tmp_path / f"{command}.cfg", text)
+    if command == "train":
+        argv = ["train", "--config", cfg, "--bundle", str(tmp_path / "b"),
+                "--out", str(tmp_path / "r")]
+    else:
+        argv = ["ingest", "--config", cfg, "--out", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert f"{cfg}: bad value for {key!r}: " in capsys.readouterr().err
 
 
 def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
@@ -305,7 +339,7 @@ def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     assert np.array_equal(combined.values, hidden.values)
 
 
-def test_blend_warns_once_about_floored_percents(pipeline, tmp_path):
+def test_blend_counts_floored_percents(pipeline, tmp_path, caplog):
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",
                  os.path.join(pipeline["run"], "checkpoint.svck"),
@@ -313,15 +347,13 @@ def test_blend_warns_once_about_floored_percents(pipeline, tmp_path):
     ids, _ = formats.read_curves(os.path.join(ev, "curves"))
     percents = write(tmp_path / "percents.csv", "id,percent\n" + "".join(
         f"{sid},{0 if k < 3 else 50}\n" for k, sid in enumerate(ids)))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["blend", "--curves", os.path.join(ev, "curves"),
-                     "--percents", percents,
-                     "--outcomes", os.path.join(pipeline["raw"], "outcomes.csv"),
-                     "--out", str(tmp_path / "blend")]) == 0
-    floored = [str(w.message) for w in caught if "floored" in str(w.message)]
-    assert floored == ["verbalized probability 0 floored to 0.5% before the log "
-                       f"for 3 of {len(ids)} percents"]
+    caplog.clear()
+    assert main(["blend", "--curves", os.path.join(ev, "curves"),
+                 "--percents", percents,
+                 "--outcomes", os.path.join(pipeline["raw"], "outcomes.csv"),
+                 "--out", str(tmp_path / "blend")]) == 0
+    assert read_json(tmp_path / "blend" / "blend.json")["n_floored"] == 3
+    assert [r.getMessage() for r in caplog.records] == ["blend: n_floored=3"]
 
 
 def test_blend_needs_lambda_or_outcomes(pipeline, tmp_path, capsys):
@@ -423,8 +455,7 @@ def test_blend_rejects_weight_flags_before_reading_files(tmp_path, capsys, flags
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:verbalized probability")
-def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys):
+def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys, caplog):
     """With refusals, parse-teacher writes the teacher's own estimate (empty
     where nothing was extracted), and blend at the report's lambda on eval's
     curves scores exactly the report's combined channel."""
@@ -450,7 +481,7 @@ def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys
 
     cohort, split = load_bundle(bundle)
     expected = {sid: "" if np.isnan(p) else str(int(p))
-                for sid, p in zip(cohort.ids, finalize_teacher(cohort))}
+                for sid, p in zip(cohort.ids, finalize_teacher(cohort)[0])}
     header, rows, _ = formats.read_csv_table(os.path.join(targets, "percents.csv"))
     assert header == ["id", "percent"]
     assert {row["id"]: row["percent"] for row in rows} == expected and len(rows) == len(cohort)
@@ -458,7 +489,18 @@ def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys
     n_verbalized = sum(expected[sid] != "" for sid in test_ids)
     assert 0 < n_verbalized < len(test_ids)  # some test samples have no estimate
 
+    # the report counts what the teacher's estimates needed, by hand here
     report = read_json(os.path.join(run, "report.json"))
+    val_ids = [cohort.ids[i] for i in split.val]
+    assert report["imputed_curves"] == len(test_ids) - n_verbalized
+    assert report["floored_percents"] == {
+        name: sum(expected[sid] == "0" for sid in ids)
+        for name, ids in (("val", val_ids), ("test", test_ids))}
+    assert report["clamped_values"] == finalize_teacher(cohort)[1]
+    train_warning = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("train: ")]
+    assert len(train_warning) == 1
+    assert f"imputed_curves={report['imputed_curves']}" in train_warning[0].split()
     capsys.readouterr()
     assert main(["blend", "--curves", os.path.join(ev, "curves"),
                  "--percents", os.path.join(targets, "percents.csv"),
@@ -554,7 +596,7 @@ def test_ingest_parses_keys_by_field_type(tmp_path, capsys):
     # a misspelt boolean is an error, not the strict family policy
     cfg = write(tmp_path / "typo.cfg", "outcomes=o.csv\nallow_other=ture\n")
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b0")]) == 1
-    assert "allow_other must be true or false" in capsys.readouterr().err
+    assert f"{cfg}: bad value for 'allow_other': expected true or false" in capsys.readouterr().err
     cfg = write(tmp_path / "seed.cfg", "outcomes=o.csv\nsplit_seed=1.5\n")
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b1")]) == 1
 

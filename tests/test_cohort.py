@@ -111,6 +111,12 @@ def test_outcome_validation(tmp_path):
         load_cohort(write_outcomes(tmp_path / "a.csv", [("x", 1.0, 2)]))
     with pytest.raises(ValueError, match="positive"):
         load_cohort(write_outcomes(tmp_path / "b.csv", [("x", 0.0, 1)]))
+    for bad in ("inf", "nan"):
+        path = write_text(tmp_path / "f.csv", f"id,time_years,event\na,{bad},1\n")
+        with pytest.raises(ValueError) as exc:
+            read_outcomes(path)
+        assert str(exc.value) == (f"{path}: outcomes row for id 'a' (line 2): follow-up time "
+                                  f"must be positive and finite, got {bad}")
     with pytest.raises(ValueError, match=r"duplicate outcome id 'x' \(line 3\)"):
         load_cohort(write_outcomes(tmp_path / "c.csv", [("x", 1.0, 1), ("x", 2.0, 0)]))
     with pytest.raises(ValueError, match="missing column"):

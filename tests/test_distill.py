@@ -1,14 +1,16 @@
 """Tests for teacher parsing, parametric fits, target sequences, the
 span-weighted text loss, and calibration masking."""
 
+import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
+from survfuse import formats
 from survfuse.distill import (
     HORIZONS,
+    S_FLOOR,
     VPROB_CLOSE,
     VPROB_OPEN,
     build_target_sequence,
@@ -18,6 +20,8 @@ from survfuse.distill import (
     finalize_records,
     fit_parametric,
     fit_survival_at,
+    TeacherTable,
+    _column_means,
     parse_teacher_file,
     round_to_nearest_five,
     target_rows,
@@ -158,12 +162,13 @@ def test_fit_validation():
         fit_parametric([(2.0, 0.9), (2.0, 0.5)], "weibull")
 
 
-def test_fit_clamps_warn():
-    with pytest.warns(UserWarning):
-        fit = fit_parametric([(3.0, 0.0)], "exponential")
-    assert fit.rate > 0
-    with pytest.warns(UserWarning):
-        fit_parametric([(1.0, 1.0), (3.0, 0.5)], "weibull")
+def test_fit_clamps_zero_and_one():
+    # a survival value of 0 is fitted as S_FLOOR
+    fit = fit_parametric([(3.0, 0.0)], "exponential")
+    assert fit.rate == fit_parametric([(3.0, S_FLOOR)], "exponential").rate > 0
+    # and, for two-parameter families, 1 as 1 - 1e-12
+    assert (fit_parametric([(1.0, 1.0), (3.0, 0.5)], "weibull")
+            == fit_parametric([(1.0, 1.0 - 1e-12), (3.0, 0.5)], "weibull"))
 
 
 # ----------------------------------------------- horizon completion and means
@@ -177,10 +182,16 @@ def horizon_matrix(rows):
                      for row in rows]).reshape(-1, len(HORIZONS))
 
 
-def completed(rows, train=None):
+def completed(rows):
     """`finalize_probs`' completed rows, as tuples, for a horizon matrix or
     rows of horizon dicts."""
-    return [tuple(row) for row in finalize_probs(horizon_matrix(rows), train)[0].tolist()]
+    return [tuple(row) for row in finalize_probs(horizon_matrix(rows))[0].tolist()]
+
+
+def means_completed(rows):
+    """The completed row that `finalize_records` fits for a sample with no
+    extraction: that of the per-horizon means of `rows`."""
+    return completed(_column_means(horizon_matrix(rows)))[0]
 
 
 def mean_fill(rows):
@@ -196,15 +207,16 @@ def test_horizon_means_manual():
         {1.0: None, 3.0: 0.5, 5.0: None},
     ]
     # a row with no extraction is completed with the means
-    means = completed(rows + [{}])[3]
+    means = means_completed(rows + [{}])
     assert means[0] == pytest.approx((0.9 + 0.8) / 2, abs=1e-15)
     assert means[1] == pytest.approx((0.7 + 0.5) / 2, abs=1e-15)
     assert means[2] == pytest.approx((0.5 + 0.3) / 2, abs=1e-15)
 
 
 def test_horizon_means_requires_coverage():
-    with pytest.raises(ValueError):
-        completed([{1.0: 0.9, 3.0: None, 5.0: 0.5}, {}])
+    probs = horizon_matrix([{1.0: 0.9, 3.0: None, 5.0: 0.5}, {}])
+    with pytest.raises(ValueError, match="no extracted probability at horizon 3.0"):
+        finalize_records(TeacherTable(ids=["a", "b"], explanations=["", ""], probs=probs))
 
 
 def test_complete_horizons_passthrough_when_full():
@@ -224,7 +236,7 @@ def test_complete_horizons_refits_missing():
 
 def test_complete_horizons_means_fallback():
     means = {1.0: 0.8, 3.0: 0.6, 5.0: 0.4}
-    out = completed([means, {1.0: None, 3.0: None, 5.0: None}])[1]
+    out = means_completed([means, {1.0: None, 3.0: None, 5.0: None}])
     assert out == (0.8, 0.6, 0.4)
 
 
@@ -235,7 +247,7 @@ def test_complete_horizons_enforces_monotone():
     assert out[1] <= out[0]
     assert out[2] <= out[1]
     # non-monotone means fall under the same clamp
-    out = completed([{1.0: 0.4, 3.0: 0.6, 5.0: 0.5}, {1.0: None, 3.0: None, 5.0: None}])[1]
+    out = means_completed([{1.0: 0.4, 3.0: 0.6, 5.0: 0.5}, {1.0: None, 3.0: None, 5.0: None}])
     assert out == (0.4, 0.4, 0.4)
 
 
@@ -474,24 +486,48 @@ def teacher_row(sid, y1=None, y3=None, y5=None, explanation="expl"):
     return {"id": sid, "responses": responses, "explanation": explanation}
 
 
-def test_parse_teacher_file_extracts_all_horizons():
+def parse(tmp_path, rows):
+    """`parse_teacher_file` of `rows`, written as a teacher JSONL file."""
+    path = tmp_path / "teacher.jsonl"
+    formats.write_jsonl(path, rows)
+    return parse_teacher_file(path)
+
+
+def test_parse_teacher_file_extracts_all_horizons(tmp_path):
     rows = [teacher_row("a", y1="90%", y3="70%", y5="50%"),
             teacher_row("b", y3="0.4"),
             teacher_row("c")]
-    table = parse_teacher_file(rows)
+    table = parse(tmp_path, rows)
     assert table.ids == ["a", "b", "c"]
     assert table.explanations == ["expl"] * 3
     nan = math.nan
     assert np.array_equal(table.probs, [[0.9, 0.7, 0.5], [nan, 0.4, nan], [nan, nan, nan]],
                           equal_nan=True)
     # an empty file is an empty table
-    assert parse_teacher_file([]).probs.shape == (0, len(HORIZONS))
+    assert parse(tmp_path, []).probs.shape == (0, len(HORIZONS))
 
 
-def test_parse_teacher_file_rejects_duplicates():
+def test_parse_teacher_file_rejects_duplicates(tmp_path):
     rows = [teacher_row("a", y3="50%"), teacher_row("a", y3="60%")]
-    with pytest.raises(ValueError):
-        parse_teacher_file(rows)
+    with pytest.raises(ValueError, match=r"teacher.jsonl:2: id 'a': duplicate"):
+        parse(tmp_path, rows)
+
+
+@pytest.mark.parametrize("row,message", [
+    ([1, 2], "a teacher row must be a JSON object with a string 'id'"),
+    ({"responses": {"y3": "50%"}}, "a teacher row must be a JSON object with a string 'id'"),
+    ({"id": 7}, "a teacher row must be a JSON object with a string 'id'"),
+    ({"id": "b", "responses": "70%"}, "id 'b': 'responses' must be a JSON object"),
+    ({"id": "b", "responses": {"y1": 0.5}}, "id 'b': response 'y1' must be a string or null"),
+    ({"id": "b", "explanation": None}, "id 'b': 'explanation' must be a string"),
+])
+def test_parse_teacher_file_names_the_file_line_and_id_of_a_bad_row(tmp_path, row, message):
+    # a blank line counts: the bad row is on line 3
+    path = tmp_path / "teacher.jsonl"
+    path.write_text(json.dumps(teacher_row("a", y3="50%")) + "\n\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError) as exc:
+        parse_teacher_file(path)
+    assert str(exc.value) == f"{path}:3: {message}"
 
 
 def fit_percent(row):
@@ -499,7 +535,7 @@ def fit_percent(row):
     return three_year_percent(fit_parametric(list(zip(HORIZONS, row)), "exponential"))
 
 
-def test_finalize_records_pipeline():
+def test_finalize_records_pipeline(tmp_path):
     rho = math.log(2.0) / 3.0
     texts = {h: f"{math.exp(-rho * h):.12f}" for h in HORIZONS}
     rows = [
@@ -507,73 +543,69 @@ def test_finalize_records_pipeline():
         teacher_row("partial", y3="50%"),
         teacher_row("empty"),
     ]
-    table = parse_teacher_file(rows)
+    table = parse(tmp_path, rows)
     probs = table.probs
-    percents = finalize_records(table)
+    teacher, targets, clamped = finalize_records(table)
     # exact half-life data refits to the same rate and rounds to 50
-    assert abs(finalize_probs(probs)[1][0] - rho) < 1e-9
-    assert percents[:2] == [50, 50]
+    assert abs(finalize_probs(probs[:2])[1][0] - rho) < 1e-9
+    assert targets[:2] == [50, 50]
     # the empty record fell back to the means of the extracting records
     expect = mean_fill(probs[:2])
-    assert completed(probs)[2] == expect
-    assert percents[2] == fit_percent(expect)
+    assert means_completed(probs[:2]) == expect
+    assert targets[2] == fit_percent(expect)
     # as the teacher's own estimate, the empty record has none
-    assert np.array_equal(teacher_percents(probs), [50, 50, np.nan],
-                          equal_nan=True)
+    assert np.array_equal(teacher, [50, 50, np.nan], equal_nan=True)
+    assert np.array_equal(teacher_percents(probs)[0], teacher, equal_nan=True)
+    assert clamped == 0
 
 
-def test_finalize_records_train_pool():
+def test_finalize_records_train_pool(tmp_path):
     rows = [teacher_row("tr", y1="90%", y3="80%", y5="70%"),
             teacher_row("te", y1="40%", y3="30%", y5="20%"),
             teacher_row("none")]
-    table = parse_teacher_file(rows)
+    table = parse(tmp_path, rows)
     probs = table.probs
     # the all-missing record sees only the training-split extraction
-    assert completed(probs, train=np.array([True, False, False]))[2] == mean_fill(probs[:1])
-    assert finalize_records(table, train_ids={"tr"})[2] == fit_percent(mean_fill(probs[:1]))
+    assert finalize_records(table, train_ids={"tr"})[1][2] == fit_percent(mean_fill(probs[:1]))
     # a training split with no extractions falls back to every record
-    assert completed(probs, train=np.array([False, False, True]))[2] == mean_fill(probs[:2])
-    assert finalize_records(table, train_ids={"none"})[2] == fit_percent(mean_fill(probs[:2]))
+    assert finalize_records(table, train_ids={"none"})[1][2] == fit_percent(mean_fill(probs[:2]))
     assert fit_percent(mean_fill(probs[:1])) != fit_percent(mean_fill(probs[:2]))
 
 
-def test_finalize_records_warns_once_with_clamp_count():
+def test_finalize_records_counts_clamped_values(tmp_path):
     rows = [teacher_row("clean", y1="90%", y3="80%", y5="70%"),
             # all present: the final fit clamps the one zero
             teacher_row("full", y1="90%", y3="50%", y5="0%"),
             # the completion fit clamps the zero; its curve then reaches 0 at
             # 3 and 5 years, so the final fit clamps two more
             teacher_row("partial", y3="0%")]
-    table = parse_teacher_file(rows)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        finalize_records(table)
-    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
-    assert len(messages) == 1
-    assert messages[0].startswith("survival value 0 clamped")
-    assert ": 4 value(s)" in messages[0]
-    with pytest.warns(UserWarning, match="survival value 0 clamped"):
-        assert completed(table.probs)[2][1:] == (0.0, 0.0)
-    # a file without zeros finalizes silently
-    table = parse_teacher_file(rows[:1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        finalize_records(table)
+    table = parse(tmp_path, rows)
+    assert finalize_records(table)[2] == 1 + 1 + 2
+    assert finalize_probs(table.probs)[3] == 4
+    assert teacher_percents(table.probs)[1] == 4
+    assert completed(table.probs)[2][1:] == (0.0, 0.0)
+    # a row with no extraction takes the means (0.9, 0, 0) of the one
+    # extracting row, so each such row clamps two zeros, as that row does
+    table = parse(tmp_path, [teacher_row("zeros", y1="90%", y3="0%", y5="0%"),
+                             teacher_row("none"), teacher_row("silent")])
+    assert finalize_records(table)[2] == 2 + 2 * 2
+    # a file without zeros clamps nothing
+    assert finalize_records(parse(tmp_path, rows[:1]))[2] == 0
 
 
-def test_finalize_records_keeps_the_rounding_tie():
+def test_finalize_records_keeps_the_rounding_tie(tmp_path):
     # 50% at one year only: the completed curve halves per year, so the final
     # rate is ln 2 up to rounding and the 3-year value sits on the 12.5 tie
-    table = parse_teacher_file([teacher_row("tie", y1="50%")])
+    table = parse(tmp_path, [teacher_row("tie", y1="50%")])
     fit = fit_parametric(list(zip(HORIZONS, finalize_probs(table.probs)[0][0])), "exponential")
     assert finalize_probs(table.probs)[1][0] == fit.rate
-    assert finalize_records(table) == [three_year_percent(fit)]
+    assert finalize_records(table)[1] == [three_year_percent(fit)]
 
 
-def test_target_rows_respects_correction_flag():
+def test_target_rows_respects_correction_flag(tmp_path):
     rows = [teacher_row("lo", y3="30%"), teacher_row("hi", y3="70%")]
-    table = parse_teacher_file(rows)
-    percents = finalize_records(table)
+    table = parse(tmp_path, rows)
+    percents = finalize_records(table)[1]
     # outcome columns in another order than the table, with an id it lacks
     outcomes = (["other", "hi", "lo"], np.array([2.0, 1.0, 4.0]), np.array([True, True, False]))
     out = target_rows(table, percents, outcomes)
@@ -593,8 +625,8 @@ def test_target_rows_respects_correction_flag():
     assert raw[ns:ne] == b"30"
 
 
-def test_target_rows_needs_one_percent_per_record():
-    table = parse_teacher_file([teacher_row("a", y3="30%"), teacher_row("b", y3="70%")])
+def test_target_rows_needs_one_percent_per_record(tmp_path):
+    table = parse(tmp_path, [teacher_row("a", y3="30%"), teacher_row("b", y3="70%")])
     outcomes = (["a"], np.array([1.0]), np.array([True]))
     for given in (None, outcomes):
         with pytest.raises(ValueError, match="1 percents for 2 samples"):

@@ -361,7 +361,10 @@ def test_jsonl_round_trip(tmp_path):
     rows = [{"id": "a", "v": [1, 2]}, {"id": "b", "v": None}]
     path = tmp_path / "r.jsonl"
     formats.write_jsonl(path, rows)
-    assert formats.read_jsonl(path) == rows
+    assert formats.read_jsonl(path) == (rows, [1, 2])
+    # blank lines are skipped, and each value keeps its own line number
+    path.write_text('\n[1, 2]\n  \n"x"\n')
+    assert formats.read_jsonl(path) == ([[1, 2], "x"], [2, 4])
 
 
 def test_jsonl_reports_bad_line(tmp_path):
@@ -401,15 +404,19 @@ def test_dataclass_from_kv_parses_by_annotation():
 
     got = formats.dataclass_from_kv(Settings, {
         "name": " disc ", "flag": "True", "count": " 3", "rate": "0.25",
-        "sizes": "4, 2,", "tags": " a ,b"})
+        "sizes": "4, 2,", "tags": " a ,b"}, "s.cfg")
     assert got == Settings(name="disc", flag=True, count=3, rate=0.25,
                            sizes=(4, 2), tags=("a", "b"))
     assert type(got.count) is int and type(got.rate) is float
     # an optional field takes the word none
-    assert formats.dataclass_from_kv(Settings, {"rate": " None"}).rate is None
-    with pytest.raises(ValueError, match="unknown config key 'size'"):
-        formats.dataclass_from_kv(Settings, {"size": "1"})
-    with pytest.raises(ValueError, match="flag must be true or false"):
-        formats.dataclass_from_kv(Settings, {"flag": "1"})
-    with pytest.raises(ValueError):
-        formats.dataclass_from_kv(Settings, {"count": "2.5"})
+    assert formats.dataclass_from_kv(Settings, {"rate": " None"}, "s.cfg").rate is None
+    # errors name the file and the key
+    for kv, message in [
+            ({"size": "1"}, "s.cfg: unknown config key 'size'"),
+            ({"flag": "1"}, "s.cfg: bad value for 'flag': expected true or false, got '1'"),
+            ({"count": "2.5"}, "s.cfg: bad value for 'count': invalid literal for int()"),
+            ({"rate": "fast"}, "s.cfg: bad value for 'rate': could not convert"),
+            ({"sizes": "4,x"}, "s.cfg: bad value for 'sizes': invalid literal for int()")]:
+        with pytest.raises(ValueError) as exc:
+            formats.dataclass_from_kv(Settings, kv, "s.cfg")
+        assert str(exc.value).startswith(message), kv

@@ -21,7 +21,6 @@ import io
 import math
 import os
 import tempfile
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,8 +38,8 @@ from survfuse.distill import (HORIZONS, TeacherTable, extract_probability, final
                               parse_teacher_file, three_year_percent)
 from survfuse.formats import (id_rows, read_checkpoint, read_curves, read_hidden_states,
                               read_npy, read_percents, read_pooled, write_checkpoint,
-                              write_csv_table, write_curves, write_hidden_states, write_npy,
-                              write_percents, write_pooled)
+                              write_csv_table, write_curves, write_hidden_states, write_jsonl,
+                              write_npy, write_percents, write_pooled)
 from survfuse.heads import (CurveBlocks, CurveSet, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, build_discrete_targets,
                             cox_curve, cox_loss_grad, discrete_curve, discrete_loss_grad)
@@ -216,12 +215,10 @@ def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, 
     times, events = outcomes(rng, n, event_p, curves.times[1:] if tied_times else None)
     percents = np.where(rng.random(n) < 0.7, rng.integers(0, 101, size=n), np.nan)
     short = restricted(curves, scored_times(times, events, grid_points))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        full_in, n_present = blend_inputs(curves.values, curves.times, percents)
-        short_in, _ = blend_inputs(short.values, short.times, percents)
-        full_verb = verbalized_channel(percents, curves.times)
-        short_verb = verbalized_channel(percents, short.times)
+    full_in, n_present = blend_inputs(curves.values, curves.times, percents)
+    short_in, _ = blend_inputs(short.values, short.times, percents)
+    full_verb = verbalized_channel(percents, curves.times)
+    short_verb = verbalized_channel(percents, short.times)
     full_sets = [curves, CurveSet(curves.times, combine(curves.values, full_in, lam))]
     short_sets = [short, CurveSet(short.times, combine(short.values, short_in, lam))]
     if n_present:
@@ -296,10 +293,8 @@ def test_blends_and_means_stay_valid(n, n_times, percents, lam, seed):
     drops = rng.exponential(size=(n, n_times)) * rng.uniform(0.0, 2.0, size=(n, 1))
     hidden = CurveSet(times=times, values=np.hstack([np.ones((n, 1)),
                                                      np.exp(-np.cumsum(drops, axis=1))]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        blend_in, n_present = blend_inputs(hidden.values, times, percents[:n])
-        verb_eval = verbalized_channel(percents[:n], times)
+    blend_in, n_present = blend_inputs(hidden.values, times, percents[:n])
+    verb_eval = verbalized_channel(percents[:n], times)
     blended = combine(hidden.values, blend_in, lam)
     # the raw convex combination already satisfies every invariant
     assert np.array_equal(blended, (1.0 - lam) * hidden.values + lam * blend_in)
@@ -481,20 +476,18 @@ def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_
     percents = rng.integers(0, 101, size=n).astype(np.float64)  # 0 is floored
     if present != "all":
         percents[rng.random(n) < (1.0 if present == "none" else 0.4)] = np.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        # as evaluate built them before: whole matrices on the scored times
-        scored = restricted(full, scored_times(times, events))
-        blend, n_present = blend_inputs(scored.values, scored.times, percents)
-        verbalized = verbalized_channel(percents, scored.times)
-        want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
-        if n_present:
-            want["verbalized"] = channel_scores(CurveSet(scored.times, verbalized), times,
-                                                events, IBS_GRID_POINTS)
-            want["combined"] = channel_scores(
-                CurveSet(scored.times, combine(scored.values, blend, lam)), times, events,
-                IBS_GRID_POINTS)
-        got = outcome_or_error(_channels, hidden, times, events, percents, lam)
+    # as evaluate built them before: whole matrices on the scored times
+    scored = restricted(full, scored_times(times, events))
+    blend, n_present = blend_inputs(scored.values, scored.times, percents)
+    verbalized = verbalized_channel(percents, scored.times)
+    want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
+    if n_present:
+        want["verbalized"] = channel_scores(CurveSet(scored.times, verbalized), times,
+                                            events, IBS_GRID_POINTS)
+        want["combined"] = channel_scores(
+            CurveSet(scored.times, combine(scored.values, blend, lam)), times, events,
+            IBS_GRID_POINTS)
+    got = outcome_or_error(_channels, hidden, times, events, percents, lam)
     if want["hidden"][0] is None:
         assert isinstance(got, str)  # c_td raised: no comparable pairs
         return
@@ -965,33 +958,36 @@ def test_batch_finalisation_equals_per_record_path(rows, train_flags):
     # the columnar path: one percent per row with an extraction, NaN elsewhere
     cohort = Cohort(ids=ids, times=np.ones(len(rows)), events=np.zeros(len(rows), dtype=bool),
                     teacher_probs=table.probs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        columnar = finalize_teacher(cohort)
-        for rec, x, pct in zip(records, extracted, columnar):
-            if x:
-                assert pct == per_record_finalize(rec, {})[2]
-            else:
-                assert np.isnan(pct)
-        if len(pool) < len(records):
-            try:
-                means = pool_means(train_pool or pool)
-            except ValueError:  # some horizon has no extraction anywhere
-                with pytest.raises(ValueError):
-                    finalize_records(table, train_ids=train_ids)
-                return
+    columnar, clamped = finalize_teacher(cohort)
+    for rec, x, pct in zip(records, extracted, columnar):
+        if x:
+            assert pct == per_record_finalize(rec, {})[2]
         else:
-            means = {}
-        targets = finalize_records(table, train_ids=train_ids)
-        train = None if train_ids is None else np.array([sid in train_ids for sid in ids])
-        batch_completed, batch_rates, _ = finalize_probs(cohort.teacher_probs, train)
-        for rec, pct, target, row, batch_rate in zip(records, columnar, targets,
-                                                     batch_completed, batch_rates):
-            completed, rate, percent = per_record_finalize(rec, means)
-            assert target == percent
-            assert np.all(np.abs(row - completed) <= 4 * np.spacing(np.abs(completed)))
-            assert abs(batch_rate - rate) <= 4 * np.spacing(abs(rate))
-            assert np.isnan(pct) or pct == target
+            assert np.isnan(pct)
+    if len(pool) < len(records):
+        try:
+            means = pool_means(train_pool or pool)
+        except ValueError:  # some horizon has no extraction anywhere
+            with pytest.raises(ValueError):
+                finalize_records(table, train_ids=train_ids)
+            return
+    else:
+        means = {}
+    teacher, targets, all_clamped = finalize_records(table, train_ids=train_ids)
+    assert np.array_equal(teacher, columnar, equal_nan=True)
+    # the batch fits of every row, each empty row filled with the means
+    filled = table.probs.copy()
+    if means:
+        filled[~np.array(extracted)] = [means[h] for h in HORIZONS]
+    batch_completed, batch_rates, _, batch_clamped = finalize_probs(filled)
+    assert all_clamped == batch_clamped >= clamped
+    for rec, pct, target, row, batch_rate in zip(records, columnar, targets,
+                                                 batch_completed, batch_rates):
+        completed, rate, percent = per_record_finalize(rec, means)
+        assert target == percent
+        assert np.all(np.abs(row - completed) <= 4 * np.spacing(np.abs(completed)))
+        assert abs(batch_rate - rate) <= 4 * np.spacing(abs(rate))
+        assert np.isnan(pct) or pct == target
 
 
 # ids a CSV or JSON writer would have to quote or escape
@@ -1342,7 +1338,10 @@ RESPONSES = st.none() | st.sampled_from(["The estimated survival is: 40.0%.", "0
                                           RESPONSES), max_size=12))
 def test_cached_teacher_parsing_equals_one_extraction_per_text(responses):
     rows = [{"id": f"s{i}", "responses": r} for i, r in enumerate(responses)]
-    table = parse_teacher_file(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "teacher.jsonl")
+        write_jsonl(path, rows)
+        table = parse_teacher_file(path)
     assert table.ids == [row["id"] for row in rows]
     expected = [[extract_probability(row["responses"].get(key)) for key in ("y1", "y3", "y5")]
                 for row in rows]

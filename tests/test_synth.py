@@ -17,7 +17,6 @@ from survfuse.synth import (
     generate,
     oracle_curves,
     partial_rates,
-    spec_from_kv,
     true_survival,
 )
 
@@ -54,14 +53,14 @@ def test_spec_validation():
 
 
 def test_spec_from_kv():
-    spec = spec_from_kv({"n": "120", "d_g": "24", "w_text": "0.9",
-                         "event_family": "weibull", "weibull_shape": "2.0",
-                         "missing_rate": "0.25", "seed": "11"})
+    spec = formats.dataclass_from_kv(GeneratorSpec, {
+        "n": "120", "d_g": "24", "w_text": "0.9", "event_family": "weibull",
+        "weibull_shape": "2.0", "missing_rate": "0.25", "seed": "11"}, "gen.cfg")
     assert spec.n == 120 and spec.d_g == 24 and spec.seed == 11
     assert spec.w_text == 0.9 and spec.missing_rate == 0.25
     assert spec.event_family == "weibull" and spec.weibull_shape == 2.0
-    with pytest.raises(ValueError):
-        spec_from_kv({"samples": "100"})
+    with pytest.raises(ValueError, match="gen.cfg: unknown config key 'samples'"):
+        formats.dataclass_from_kv(GeneratorSpec, {"samples": "100"}, "gen.cfg")
 
 
 # --------------------------------------------------------------- generation
@@ -126,7 +125,7 @@ def test_generated_cohort_loads(tmp_path):
     assert all(states is not None for states in cohort.token_states)
     # the cohort keeps only the extracted probabilities; every sample has a record
     assert cohort.teacher_probs is not None
-    table = parse_teacher_file(formats.read_jsonl(result.files["teacher"]))
+    table = parse_teacher_file(result.files["teacher"])
     assert set(result.ids) <= set(table.ids)
 
 
@@ -175,7 +174,7 @@ def test_partial_rates_drop_modalities(tmp_path):
 # ---------------------------------------------------------- simulated teacher
 
 def load_extracted(result, horizon_key="y3"):
-    rows = formats.read_jsonl(result.files["teacher"])
+    rows = formats.read_jsonl(result.files["teacher"])[0]
     return [extract_probability(r["responses"].get(horizon_key)) for r in rows]
 
 
@@ -202,11 +201,11 @@ def test_teacher_miscalibration_shifts_upward(tmp_path):
 
 def test_teacher_refusals_and_missing(tmp_path):
     refused = generate(small_spec(refusal_rate=1.0), str(tmp_path / "r"))
-    rows = formats.read_jsonl(refused.files["teacher"])
+    rows = formats.read_jsonl(refused.files["teacher"])[0]
     for row in rows:
         assert all(extract_probability(v) is None for v in row["responses"].values())
     missing = generate(small_spec(missing_rate=1.0), str(tmp_path / "m"))
-    rows = formats.read_jsonl(missing.files["teacher"])
+    rows = formats.read_jsonl(missing.files["teacher"])[0]
     for row in rows:
         assert all(v is None for v in row["responses"].values())
     # intermediate rates leave some but not all responses unusable

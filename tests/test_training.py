@@ -2,15 +2,14 @@
 evaluation channels, checkpoints, and experiment suites."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from survfuse.cohort import Cohort, Modality, split_cohort
 from survfuse.distill import calibration_mask
-from survfuse.formats import read_checkpoint, write_checkpoint
-from survfuse.blending import verbalized_curves
+from survfuse.formats import dataclass_from_kv, read_checkpoint, write_checkpoint
+from survfuse.blending import PERCENT_FLOOR, verbalized_curves
 from survfuse.heads import CurveSet, TimeGrid, discrete_loss
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_forward, model_params
@@ -21,7 +20,6 @@ from survfuse.training import (
     _split_data,
     _val_surv_loss,
     build_time_grid,
-    config_from_kv,
     evaluate,
     finalize_teacher,
     load_checkpoint,
@@ -79,13 +77,13 @@ def tiny_config(**overrides):
 # ------------------------------------------------------------- configuration
 
 def test_config_from_kv_types():
-    cfg = config_from_kv({
+    cfg = dataclass_from_kv(RunConfig, {
         "head": "coxph", "fusion": "early", "modalities": "ge,text",
         "pretrain": "true", "calibration_correction": "false",
         "n_bins": "12", "horizon": "4.5", "batch_size": "32",
         "lambda_grid": "0.0,0.5,1.0", "head_layers": "20,10",
         "lr_head": "0.01", "seed": "5",
-    })
+    }, "run.cfg")
     assert cfg.head == "coxph" and cfg.fusion == "early"
     # modality order is normalized
     assert cfg.modalities == ("text", "ge")
@@ -118,12 +116,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(patience=31, epochs=30)
     with pytest.raises(ValueError):
-        config_from_kv({"heads": "discrete"})
-    with pytest.raises(ValueError):
-        config_from_kv({"pretrain": "yes"})
+        dataclass_from_kv(RunConfig, {"heads": "discrete"}, "run.cfg")
+    with pytest.raises(ValueError, match="run.cfg: bad value for 'pretrain'"):
+        dataclass_from_kv(RunConfig, {"pretrain": "yes"}, "run.cfg")
     # the removed text-loss keys fail loudly instead of doing nothing
-    with pytest.raises(ValueError, match="unknown config key 'beta'"):
-        config_from_kv({"beta": "1"})
+    with pytest.raises(ValueError, match="run.cfg: unknown config key 'beta'"):
+        dataclass_from_kv(RunConfig, {"beta": "1"}, "run.cfg")
 
 
 def test_load_run_config(tmp_path):
@@ -240,7 +238,7 @@ def test_train_coxph_skips_event_free_batches_and_fits_baseline():
 def test_calibration_masking_counts():
     cohort = toy_cohort(40, contradict=True)
     split = split_cohort(40, seed=2)
-    percents = finalize_teacher(cohort)
+    percents, _ = finalize_teacher(cohort)
     masked = train_and_evaluate(tiny_config(calibration_correction=True, epochs=1),
                                 cohort, split)[1].masked_samples
     unmasked = train_and_evaluate(tiny_config(calibration_correction=False, epochs=1),
@@ -293,30 +291,55 @@ def test_evaluate_reports_all_channels():
     assert report.lambda_val_ctd >= hidden_val
 
 
-def test_evaluate_warns_once_per_split_about_floored_percents(monkeypatch):
+def test_evaluate_counts_floored_percents_per_split(monkeypatch):
     import survfuse.training as training_module
 
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     config = tiny_config(epochs=1)
-    percents = finalize_teacher(cohort)
+    percents, _ = finalize_teacher(cohort)
     percents[split.val[:1]] = 0.0
     percents[split.test[:3]] = 0.0
+    percents[split.test[3:5]] = np.nan  # their verbalized curves are imputed
     result = train(config, cohort, split)
     # evaluate takes the teacher's percents from finalize_teacher
-    monkeypatch.setattr(training_module, "finalize_teacher", lambda _: percents)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = evaluate(result, cohort, split, config)
-    floored = [str(w.message) for w in caught if "floored" in str(w.message)]
-    # every metric reads its curves in several blocks; each split warns once
-    assert floored == [
-        f"verbalized probability 0 floored to 0.5% before the log for 1 of "
-        f"{split.val.size} percents",
-        f"verbalized probability 0 floored to 0.5% before the log for 3 of "
-        f"{split.test.size} percents"]
-    percents = np.where(percents == 0.0, 0.5, percents)  # floored up front
-    assert evaluate(result, cohort, split, config).to_dict() == report.to_dict()
+    monkeypatch.setattr(training_module, "finalize_teacher", lambda _: (percents, 0))
+    report = evaluate(result, cohort, split, config)
+    assert report.floored_percents == {"val": 1, "test": 3}
+    assert report.imputed_curves == 2
+    # a 0 is scored as PERCENT_FLOOR: floored up front, only the counts change
+    floored = np.where(percents == 0.0, PERCENT_FLOOR, percents)
+    monkeypatch.setattr(training_module, "finalize_teacher", lambda _: (floored, 0))
+    again = evaluate(result, cohort, split, config).to_dict()
+    assert again == {**report.to_dict(), "floored_percents": {"val": 0, "test": 0}}
+
+
+def test_evaluate_reports_clamped_values_and_dropped_ipcw_terms(monkeypatch):
+    import survfuse.training as training_module
+    from survfuse.metrics import IbsResult
+
+    cohort = toy_cohort(40)
+    # a lone 3-year estimate of 0%: the completion fit clamps it, the
+    # completed row is 0 at 3 and 5 years (non-increasing), and the final fit
+    # clamps both, three values per sample
+    cohort.teacher_probs[:3, 1] = 0.0
+    split = split_cohort(40, seed=2)
+    config = tiny_config(epochs=1)
+    result = train(config, cohort, split)
+    report = evaluate(result, cohort, split, config)
+    assert report.clamped_values == finalize_teacher(cohort)[1] == 3 * (1 + 2)
+    assert report.imputed_curves == 0
+    # the censoring survival G is positive before the largest time, and every
+    # integration point lies before it, so no IPCW term is dropped here
+    assert [m.dropped_terms for m in report.channels.values()] == [0, 0, 0]
+    # each channel reports what its ibs call dropped
+    monkeypatch.setattr(training_module, "ibs",
+                        lambda *args: IbsResult(ibs(*args).value, dropped_terms=4))
+    rep = evaluate(result, cohort, split, config).to_dict()
+    assert {name: m["dropped_terms"] for name, m in rep["channels"].items()} == {
+        "hidden": 4, "verbalized": 4, "combined": 4}
+    assert rep == report.to_dict() | {"channels": {
+        name: m | {"dropped_terms": 4} for name, m in report.to_dict()["channels"].items()}}
 
 
 def test_evaluate_without_teacher_reports_hidden_only():
@@ -550,9 +573,9 @@ def test_suite_finalizes_teacher_once_per_config(monkeypatch):
     calls = []
     original = distill_module.finalize_probs
 
-    def counting(probs, train=None):
+    def counting(probs):
         calls.append(len(probs))
-        return original(probs, train=train)
+        return original(probs)
 
     monkeypatch.setattr(distill_module, "finalize_probs", counting)
     cohort = toy_cohort(40)
@@ -569,7 +592,7 @@ def test_suite_finalizes_teacher_once_per_config(monkeypatch):
 def test_suite_reports_finalize_failure_per_run(monkeypatch):
     import survfuse.distill as distill_module
 
-    def broken(probs, train=None):
+    def broken(probs):
         raise ValueError("no horizon means")
 
     monkeypatch.setattr(distill_module, "finalize_probs", broken)
