@@ -4,30 +4,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .heads import CurveSet
+from .formats import id_rows
+from .heads import CurveBlocks, CurveSet
 from .metrics import BLOCK_ELEMENTS, c_td_many
 
 PERCENT_FLOOR = 0.5
 DEFAULT_LAMBDA_GRID = tuple(k / 20.0 for k in range(21))
 
 
-def verbalized_curves(percents, times) -> np.ndarray:
-    """Exponential curves anchored at 3-year verbalized probabilities.
-
-    rho = -ln(percent/100)/3, sampled at `times`: the (N, len(times)) values
-    exp(-rho * t), each from its own percent and time alone. A percent of 0
-    is raised to PERCENT_FLOOR before the log; a caller that reports it counts
-    the zeros.
-    """
-    percents = np.asarray(percents, dtype=np.float64).reshape(-1)
-    bad = percents[~((percents >= 0) & (percents <= 100))]
+def verbalized_rates(percents) -> np.ndarray:
+    """The rate rho = -ln(percent/100)/3 of each 3-year verbalized
+    probability, NaN where the percent is absent (None or NaN), computed
+    once per set of curves. A percent of 0 is raised to PERCENT_FLOOR before
+    the log, only here (a caller that reports it counts the zeros); one
+    outside [0, 100] is a ValueError."""
+    percents = np.asarray(percents, dtype=np.float64).reshape(-1)  # None -> NaN
+    bad = percents[(percents < 0) | (percents > 100)]
     if bad.size:
         raise ValueError(f"percent {bad[0]:g} outside [0, 100]")
-    rho = -np.log(np.where(percents == 0, PERCENT_FLOOR, percents) / 100.0) / 3.0
-    times = np.asarray(times, dtype=np.float64)
-    values = -rho[:, None] * times[None, :]
+    return -np.log(np.where(percents == 0, PERCENT_FLOOR, percents) / 100.0) / 3.0
+
+
+def _exponential(rates, times) -> np.ndarray:
+    """The values exp(-rho * t), each from its own rate and time alone."""
+    values = -rates[:, None] * np.asarray(times, dtype=np.float64)[None, :]
     np.exp(values, out=values)
     return values
+
+
+def verbalized_curves(percents, times) -> np.ndarray:
+    """Exponential curves anchored at 3-year verbalized probabilities: the
+    (N, len(times)) values exp(-rho * t) of each percent's rate."""
+    return _exponential(verbalized_rates(percents), times)
 
 
 def verbalized_curve(percent: float, times) -> CurveSet:
@@ -72,29 +80,60 @@ def mean_curve(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=0)[-1:] / len(values)
 
 
-def blend_inputs(values, times, percents) -> tuple[np.ndarray, int]:
+def blend_inputs(values, times, rates) -> tuple[np.ndarray, int]:
     """The verbalized curves to blend the hidden curves with.
 
     `values` holds the hidden curves on the grid times `times`, any columns
-    in any order; `percents` holds one rounded percent per hidden curve,
-    None or NaN where the teacher gave nothing extractable. Returns (values
-    to blend with, on the same columns, number of percents present); every
-    column is computed from its own time alone. An absent curve blends
-    against the hidden curve itself, so its blend is a no-op.
+    in any order; `rates` holds one `verbalized_rates` rate per hidden
+    curve. Returns (values to blend with, on the same columns, number of
+    rates present); every column is computed from its own time alone. An
+    absent (NaN) rate blends against the hidden curve itself, a no-op.
     """
-    percents = np.asarray(percents, dtype=np.float64).reshape(-1)  # None -> NaN
-    if percents.size != len(values):
+    if len(rates) != len(values):
         raise ValueError("one percent (or None) per hidden curve required")
-    present = ~np.isnan(percents)
+    present = ~np.isnan(rates)
     n_present = int(present.sum())
     if n_present == 0:
         return values, 0
-    verbalized = verbalized_curves(percents[present], times)
+    verbalized = _exponential(rates[present], times)
     if n_present == len(values):
         return verbalized, n_present
     blend = values.copy()
     blend[present] = verbalized
     return blend, n_present
+
+
+def verbalized_blocks(hidden, percents) -> CurveBlocks:
+    """The verbalized channel on the grid of `hidden` (a CurveSet or a
+    CurveBlocks), a block of columns at a time: each present percent's
+    curve, and their `mean_curve` for every absent one (some are present)."""
+    rates = verbalized_rates(percents)
+    present = ~np.isnan(rates)
+    own_rates, imputed = rates[present], not present.all()
+
+    def columns(cols):
+        own = _exponential(own_rates, hidden.times[cols])
+        if not imputed:
+            return own
+        values = np.empty((present.size, own.shape[1]))
+        values[present] = own
+        values[~present] = mean_curve(own)
+        return values
+
+    return CurveBlocks(hidden.times, len(hidden), columns)
+
+
+def combined_blocks(hidden, percents, lam: float) -> CurveBlocks:
+    """The combined channel of `hidden` (a CurveSet or a CurveBlocks) at the
+    weight `lam`: `combine(h, blend_inputs(h, ...)[0], lam)` of each block h
+    of its columns, the same columns as of the whole set."""
+    rates = verbalized_rates(percents)
+
+    def columns(cols):
+        values = hidden.columns(cols)
+        return combine(values, blend_inputs(values, hidden.times[cols], rates)[0], lam)
+
+    return CurveBlocks(hidden.times, len(hidden), columns)
 
 
 def select_lambda(hidden, percents, times, events,
@@ -106,17 +145,18 @@ def select_lambda(hidden, percents, times, events,
     is scored in one pass: each block of event times reads the hidden
     curves' columns once, takes their blend partner (`blend_inputs`) and
     blends them with `combine`'s own arithmetic, so every score equals
-    `c_td` of the whole set `combine(hidden.values, blend_inputs(...)[0],
-    lam)`. Returns (lambda*, its concordance).
+    `c_td` of the whole set `combined_blocks(hidden, percents, lam)`.
+    Returns (lambda*, its concordance).
     """
     grid = sorted(float(g) for g in grid)
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise ValueError("lambda grid must lie in [0, 1]")
+    rates = verbalized_rates(percents)
 
     def blends(t, rows, later):
         cols = hidden.cells(t)
         h = hidden.columns(cols)
-        v = blend_inputs(h, hidden.times[cols], percents)[0]
+        v = blend_inputs(h, hidden.times[cols], rates)[0]
         own = np.arange(rows.size)
         own_h, own_v, later_h, later_v = h[rows, own], v[rows, own], h[later], v[later]
         del h, v
@@ -125,3 +165,24 @@ def select_lambda(hidden, percents, times, events,
     scores = c_td_many(blends, len(hidden), len(grid), times, events)
     best = int(np.argmax(scores))  # the first maximum: the smallest lambda
     return grid[best], float(scores[best])
+
+
+def blend_curves(hidden, percents, ids, lam: float | None = None,
+                 outcomes=None) -> tuple[CurveBlocks, dict]:
+    """`survfuse blend`: the `combined_blocks` of `hidden` at the weight
+    `lam`, or if it is None at `select_lambda`'s on `outcomes` (ids, times,
+    events; every id in `ids` needed), and blend.json's summary: the weight,
+    its selection concordance, and the curves, present percents and 0%
+    estimates counted."""
+    selection_ctd = None
+    if lam is None:
+        out_ids, times, events = outcomes
+        rows = id_rows(out_ids, ids)
+        missing = [sid for sid, row in zip(ids, rows) if row < 0]
+        if missing:
+            raise ValueError(f"no outcome rows for ids {missing[:5]}")
+        lam, selection_ctd = select_lambda(hidden, percents, times[rows], events[rows])
+    summary = {"lambda": lam, "selection_c_td": selection_ctd, "n_curves": len(hidden),
+               "n_verbalized": int(np.count_nonzero(~np.isnan(percents))),
+               "n_floored": int(np.count_nonzero(percents == 0))}
+    return combined_blocks(hidden, percents, lam), summary

@@ -79,26 +79,20 @@ def _write_manifest(out_dir: str, command: str, started: float,
                     extra: dict | None = None,
                     timings: dict[str, float] | None = None,
                     filename: str = "manifest.json") -> None:
-    """Write the manifest `filename` into `out_dir`; `timings`
-    holds the seconds of the command's stages, and the manifest's `timings`
-    adds the whole command as "total"."""
+    """Write the manifest `filename` into `out_dir`; `inputs` maps names to
+    the paths read (a None path was not given), `timings` holds the seconds
+    of the command's stages, and the manifest's `timings` adds the whole
+    command as "total"."""
     import numpy as np
 
     from . import __version__
 
     os.makedirs(out_dir, exist_ok=True)
-    outputs = {}
     if output_files is not None:
-        for path in output_files:
-            outputs[os.path.basename(path)] = _sha256(path)
-    else:
-        for root, _, names in sorted(os.walk(out_dir)):
-            for name in sorted(names):
-                full = os.path.join(root, name)
-                rel = os.path.relpath(full, out_dir)
-                if rel == "manifest.json":
-                    continue
-                outputs[rel] = _sha256(full)
+        outputs = {os.path.basename(path): _sha256(path) for path in output_files}
+    else:  # every file under out_dir but an older manifest
+        outputs = {rel: digest for rel, digest in _hash_tree(out_dir).items()
+                   if rel != "manifest.json"}
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -109,7 +103,7 @@ def _write_manifest(out_dir: str, command: str, started: float,
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "inputs": {name: _hash_tree(path) for name, path in (inputs or {}).items()},
+        "inputs": {name: _hash_tree(path) for name, path in (inputs or {}).items() if path},
         "outputs": outputs,
         "timings": {"total": time.perf_counter() - started, **(timings or {})},
     }
@@ -164,10 +158,9 @@ def _cmd_simulate(args, started: float) -> int:
     timings: dict[str, float] = {}
     result = synth.generate(spec, args.out, timings=timings)
     print(f"wrote {len(result.ids)} samples to {args.out}")
-    inputs = {"spec": args.spec} if args.spec else {}
     _write_manifest(args.out, "simulate", started,
                     config=spec.__dict__, seeds={"generator": spec.seed},
-                    inputs=inputs, timings=timings)
+                    inputs={"spec": args.spec}, timings=timings)
     return 0
 
 
@@ -248,17 +241,23 @@ def _cmd_train(args, started: float) -> int:
     result, report = training.train_and_evaluate(config, cohort, split)
 
     os.makedirs(args.out, exist_ok=True)
-    training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"),
-                             result, config)
-    payload = report.to_dict()
-    _write_json(os.path.join(args.out, "report.json"), payload)
-    print(training.report_table({"train": report}))
-    _warn_counts("train", _report_counts(payload))
-    _write_manifest(args.out, "train", started,
-                    config=payload["config"],
-                    seeds={"master": config.seed},
-                    inputs={"config": args.config, "bundle": args.bundle})
+    training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"), result, config)
+    _write_report(args.out, "train", started, report,
+                  inputs={"config": args.config, "bundle": args.bundle})
     return 0
+
+
+def _write_report(out_dir: str, command: str, started: float, report, inputs: dict) -> None:
+    """Write a run's report.json, print its table, log its counts and write
+    the manifest (`train` and `eval`)."""
+    from . import training
+
+    payload = report.to_dict()
+    _write_json(os.path.join(out_dir, "report.json"), payload)
+    print(training.report_table({command: report}))
+    _warn_counts(command, _report_counts(payload))
+    _write_manifest(out_dir, command, started, config=payload["config"],
+                    seeds={"master": report.config.seed}, inputs=inputs)
 
 
 def _cmd_suite(args, started: float) -> int:
@@ -299,27 +298,17 @@ def _cmd_eval(args, started: float) -> int:
 
     result, config = training.load_checkpoint(args.checkpoint)
     cohort, split = _load_bundle_with_split(args.bundle)
-    report = training.evaluate(result, cohort, split, config)
+    report, curves = training.evaluate(result, cohort, split, config)
 
     os.makedirs(args.out, exist_ok=True)
-    payload = report.to_dict()
-    _write_json(os.path.join(args.out, "report.json"), payload)
-
-    curves = training.predict_curves(result, cohort, split.test, config)
-    ids = [cohort.ids[i] for i in split.test]
-    formats.write_curves(os.path.join(args.out, "curves"), ids, curves)
-    print(training.report_table({"eval": report}))
-    _warn_counts("eval", _report_counts(payload))
-    _write_manifest(args.out, "eval", started,
-                    config=payload["config"],
-                    seeds={"master": config.seed},
-                    inputs={"checkpoint": args.checkpoint, "bundle": args.bundle})
+    formats.write_curves(os.path.join(args.out, "curves"),
+                         [cohort.ids[i] for i in split.test], curves.whole())
+    _write_report(args.out, "eval", started, report,
+                  inputs={"checkpoint": args.checkpoint, "bundle": args.bundle})
     return 0
 
 
 def _cmd_parse_teacher(args, started: float) -> int:
-    import numpy as np
-
     from . import distill, formats
     from .cohort import read_outcomes
 
@@ -328,42 +317,27 @@ def _cmd_parse_teacher(args, started: float) -> int:
     if args.train_ids is not None:
         with open(args.train_ids, encoding="utf-8") as fh:
             train_ids = {line.strip() for line in fh if line.strip()}
-    percents, targets, clamped = distill.finalize_records(table, train_ids=train_ids)
-
     # the file is read, and so checked, even when --no-correction leaves it unused
     outcomes = read_outcomes(args.outcomes) if args.outcomes is not None else None
-    correction = not args.no_correction and outcomes is not None
-    rows = distill.target_rows(table, targets, outcomes if correction else None)
+    percents, rows, summary = distill.student_targets(
+        table, train_ids, None if args.no_correction else outcomes)
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_jsonl(os.path.join(args.out, "targets.jsonl"), rows)
     formats.write_percents(os.path.join(args.out, "percents.csv"), table.ids, percents)
-
-    n_extracted = int(np.count_nonzero(~np.isnan(percents)))
-    n_masked = sum(1 for row in rows if not row["text_loss_included"])
-    print(f"records {len(table.ids)}, extracted {n_extracted}, "
-          f"loss-masked {n_masked}")
-    _warn_counts("parse-teacher", {"clamped": clamped})
-    inputs = {"teacher": args.teacher}
-    if args.outcomes:
-        inputs["outcomes"] = args.outcomes
-    if args.train_ids:
-        inputs["train_ids"] = args.train_ids
-    _write_manifest(args.out, "parse-teacher", started, inputs=inputs,
-                    extra={"summary": {"records": len(table.ids),
-                                       "extracted": n_extracted,
-                                       "masked": n_masked,
-                                       "correction": correction,
-                                       "clamped": clamped}})
+    print(f"records {summary['records']}, extracted {summary['extracted']}, "
+          f"loss-masked {summary['masked']}")
+    _warn_counts("parse-teacher", {"clamped": summary["clamped"]})
+    _write_manifest(args.out, "parse-teacher", started,
+                    inputs={"teacher": args.teacher, "outcomes": args.outcomes,
+                            "train_ids": args.train_ids},
+                    extra={"summary": summary})
     return 0
 
 
 def _cmd_blend(args, started: float) -> int:
-    import numpy as np
-
     from . import blending, formats
     from .cohort import read_outcomes
-    from .heads import CurveSet
 
     # the weight flags are checked before any file is read
     if args.lam is None and args.outcomes is None:
@@ -374,33 +348,17 @@ def _cmd_blend(args, started: float) -> int:
         raise UsageError(f"--lam {args.lam:g} outside [0, 1]")
     ids, hidden = formats.read_curves(args.curves)
     percents = formats.read_percents(args.percents, ids)
-    blend_in, n_present = blending.blend_inputs(hidden.values, hidden.times, percents)
+    outcomes = read_outcomes(args.outcomes) if args.outcomes is not None else None
+    combined, summary = blending.blend_curves(hidden, percents, ids, args.lam, outcomes)
 
-    val_ctd = None
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        out_ids, times, events = read_outcomes(args.outcomes)
-        rows = formats.id_rows(out_ids, ids)
-        missing_out = [sid for sid, row in zip(ids, rows) if row < 0]
-        if missing_out:
-            raise UsageError(f"no outcome rows for ids {missing_out[:5]}")
-        lam, val_ctd = blending.select_lambda(hidden, percents, times[rows], events[rows])
-
-    combined = CurveSet(times=hidden.times, values=blending.combine(hidden.values, blend_in, lam))
     os.makedirs(args.out, exist_ok=True)
-    formats.write_curves(os.path.join(args.out, "combined"), ids, combined)
-    n_floored = int(np.count_nonzero(percents == 0))
-    _write_json(os.path.join(args.out, "blend.json"),
-                {"lambda": lam, "selection_c_td": val_ctd,
-                 "n_curves": len(ids), "n_verbalized": n_present, "n_floored": n_floored})
-    print(f"lambda {lam:g}, blended {len(ids)} curves "
-          f"({n_present} with verbalized input)")
-    _warn_counts("blend", {"n_floored": n_floored})
-    inputs = {"curves": args.curves, "percents": args.percents}
-    if args.outcomes:
-        inputs["outcomes"] = args.outcomes
-    _write_manifest(args.out, "blend", started, inputs=inputs)
+    formats.write_curves(os.path.join(args.out, "combined"), ids, combined.whole())
+    _write_json(os.path.join(args.out, "blend.json"), summary)
+    print(f"lambda {summary['lambda']:g}, blended {len(ids)} curves "
+          f"({summary['n_verbalized']} with verbalized input)")
+    _warn_counts("blend", {"n_floored": summary["n_floored"]})
+    _write_manifest(args.out, "blend", started, inputs={
+        "curves": args.curves, "percents": args.percents, "outcomes": args.outcomes})
     return 0
 
 
@@ -480,18 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         _setup_environment()
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"survfuse: error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, started)
-    except UsageError as exc:
-        print(f"survfuse: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         log.debug("validation failure", exc_info=True)
         print(f"survfuse: error: {exc}", file=sys.stderr)
         return 1

@@ -364,6 +364,23 @@ def finalize_records(table: TeacherTable,
     return percents, [int(p) for p in targets.tolist()], clamped
 
 
+def student_targets(table: TeacherTable, train_ids: set[str] | None = None,
+                    outcomes: tuple[list[str], np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, list[dict], dict]:
+    """`survfuse parse-teacher`: the teacher's estimates and the target rows
+    (`finalize_records`, then `target_rows` against `outcomes`), and their
+    summary: records, extractions, text losses masked, whether `outcomes`
+    were given, and survival values clamped."""
+    percents, targets, clamped = finalize_records(table, train_ids=train_ids)
+    rows = target_rows(table, targets, outcomes)
+    summary = {"records": len(table.ids),
+               "extracted": int(np.count_nonzero(~np.isnan(percents))),
+               "masked": sum(1 for row in rows if not row["text_loss_included"]),
+               "correction": outcomes is not None,
+               "clamped": clamped}
+    return percents, rows, summary
+
+
 def target_rows(table: TeacherTable, percents: list[int],
                 outcomes: tuple[list[str], np.ndarray, np.ndarray] | None) -> list[dict]:
     """JSONL rows for the student targets, one per sample and its percent

@@ -458,7 +458,8 @@ def dataclass_from_kv(cls, kv: dict[str, str], path):
     commas into X values, and `int` and `float` parse as such. A field
     annotated `X | None` takes `none` (any case) for None, else parses as X.
     An unknown key or a value that does not parse is a ValueError naming the
-    file and the key.
+    file and the key; a ValueError from the dataclass's own checks is
+    prefixed with the file.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {}
@@ -469,7 +470,10 @@ def dataclass_from_kv(cls, kv: dict[str, str], path):
             kwargs[key] = _parse_field(hints[key], raw)
         except ValueError as exc:
             raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the dataclass's own check
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_field(anno, raw: str):

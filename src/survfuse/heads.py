@@ -126,7 +126,8 @@ class CurveSet(_StepCurves):
         return self.values.shape[0]
 
     def columns(self, cols) -> np.ndarray:
-        """Every curve on the grid columns `cols` (any order, repeats allowed)."""
+        """Every curve on the grid columns `cols`: an index array (any order,
+        repeats allowed) or a slice (a view)."""
         return self.values[:, cols]
 
     def whole(self) -> "CurveSet":
@@ -152,8 +153,9 @@ class CurveBlocks(_StepCurves):
         return self.n
 
     def whole(self) -> CurveSet:
-        """All the columns, as a checked CurveSet."""
-        return CurveSet(times=self.times, values=self.columns(np.arange(self.times.size)))
+        """All the columns, as a checked CurveSet (read as `columns(slice(None))`,
+        so a reader over a CurveSet reads its values without a copy)."""
+        return CurveSet(times=self.times, values=self.columns(slice(None)))
 
 
 def build_discrete_targets(times, events, grid: TimeGrid) -> DiscreteTargets:

@@ -48,25 +48,13 @@ def censoring_km(times, events) -> CensoringKM:
     if times.size == 0:
         raise ValueError("empty outcomes")
     order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    cens_sorted = ~events[order]
-    n = times.size
-    uniq, start_idx = np.unique(t_sorted, return_index=True)
-    jump_times = []
-    values = []
-    g = 1.0
-    for k, tau in enumerate(uniq):
-        lo = start_idx[k]
-        hi = start_idx[k + 1] if k + 1 < uniq.size else n
-        d_cens = int(cens_sorted[lo:hi].sum())
-        if d_cens == 0:
-            continue
-        at_risk = n - lo
-        g *= 1.0 - d_cens / at_risk
-        jump_times.append(tau)
-        values.append(g)
-    return CensoringKM(jump_times=np.array(jump_times, dtype=np.float64),
-                       values=np.array(values, dtype=np.float64))
+    uniq, start = np.unique(times[order], return_index=True)
+    # censorings at each distinct time; G jumps where there are any, by the
+    # factors the product-limit takes left to right
+    d_cens = np.add.reduceat(~events[order], start, dtype=np.intp)
+    jumps = d_cens > 0
+    return CensoringKM(jump_times=uniq[jumps],
+                       values=np.cumprod(1.0 - d_cens[jumps] / (times.size - start[jumps])))
 
 
 def _ibs_midpoints(t_max: float, grid_points: int) -> np.ndarray:

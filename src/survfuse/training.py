@@ -9,8 +9,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import formats
-from .blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve, select_lambda,
-                       verbalized_curves)
+from .blending import DEFAULT_LAMBDA_GRID, combined_blocks, select_lambda, verbalized_blocks
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, teacher_percents
 from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
@@ -330,20 +329,16 @@ class RunReport:
         return asdict(self)
 
 
-def _hidden_curves(result: TrainResult, data: dict) -> CurveSet | CurveBlocks:
-    """The model's curves for `data` (one inference forward): the whole set
-    for the discrete head, column blocks on the Breslow grid for Cox."""
+def predict_curves(result: TrainResult, cohort: Cohort, indices,
+                   config: RunConfig) -> CurveSet | CurveBlocks:
+    """The model's curves for the samples `indices` (one inference forward):
+    the whole set for the discrete head, column blocks on the Breslow grid
+    for Cox (`whole()` makes the set)."""
+    data = _split_data(cohort, indices, config, result.grid)
     out = model_forward(result.model, data, rng=None, keep_cache=False).out
     if result.model.head_type == "discrete":
         return discrete_curve(out, result.grid)
     return cox_curve(out, result.baseline)
-
-
-def predict_curves(result: TrainResult, cohort: Cohort, indices,
-                   config: RunConfig) -> CurveSet:
-    """Survival curves for the given samples under the trained model."""
-    data = _split_data(cohort, indices, config, result.grid)
-    return _hidden_curves(result, data).whole()
 
 
 def _channel(curves, times, events) -> ChannelMetrics:
@@ -355,50 +350,30 @@ def _channel(curves, times, events) -> ChannelMetrics:
 def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
               lam: float | None = None) -> dict[str, ChannelMetrics]:
     """Metrics of the hidden channel and, given the teacher's percents (NaN
-    where absent) and the blend weight, of the verbalized and combined ones.
-
-    The verbalized channel is each present percent's curve, and the mean of
-    those curves for every absent one. The combined channel reads
-    `hidden`'s columns through `blend_inputs` and `combine`. Both are column
-    readers, so they equal the same columns of the whole sets, and the
-    metrics read one block at a time.
-    """
+    where absent) and the blend weight, of the verbalized and combined ones
+    (`verbalized_blocks` and `combined_blocks`). Both are column readers
+    over `hidden`, so the metrics read one block at a time."""
     channels = {"hidden": _channel(hidden, times, events)}
     if percents is None:
         return channels
-    present = ~np.isnan(percents)
-    if not present.any():
+    if np.isnan(percents).all():
         channels["verbalized"] = ChannelMetrics(
             c_td=None, ibs=None, dropped_terms=None, note="no extractable teacher probabilities")
         channels["combined"] = replace(channels["hidden"],
                                        note="combined equals hidden (all verbalized missing)")
         return channels
-
-    def verbalized(cols):
-        own = verbalized_curves(percents[present], hidden.times[cols])
-        if present.all():
-            return own
-        values = np.empty((present.size, own.shape[1]))
-        values[present] = own
-        values[~present] = mean_curve(own)
-        return values
-
-    def combined(cols):
-        values = hidden.columns(cols)
-        return combine(values, blend_inputs(values, hidden.times[cols], percents)[0], lam)
-
-    for name, columns in (("verbalized", verbalized), ("combined", combined)):
-        channels[name] = _channel(CurveBlocks(hidden.times, len(hidden), columns),
-                                  times, events)
+    channels["verbalized"] = _channel(verbalized_blocks(hidden, percents), times, events)
+    channels["combined"] = _channel(combined_blocks(hidden, percents, lam), times, events)
     return channels
 
 
 def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
-             config: RunConfig) -> RunReport:
-    """Test-set metrics for the hidden, verbalized, and combined channels.
+             config: RunConfig) -> tuple[RunReport, CurveSet | CurveBlocks]:
+    """Test-set metrics for the hidden, verbalized, and combined channels,
+    and the test split's hidden curves they were read from.
 
     The teacher's percents are `finalize_teacher`'s. Each split's hidden
-    curves are built once (`_hidden_curves`), and the metrics read every
+    curves are built once (`predict_curves`), and the metrics read every
     channel a block of columns at a time, so the scores equal those of the
     whole sets and no (N, T) matrix is made for the Cox grid. The report
     counts the survival values the teacher's fits clamped, each split's 0%
@@ -410,25 +385,26 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     floored = {"val": 0, "test": 0}
     imputed = 0
     if percents is not None:
-        val_data = _split_data(cohort, split.val, config, result.grid)
-        selected, val_score = select_lambda(_hidden_curves(result, val_data), percents[split.val],
-                                            val_data["times"], val_data["events"],
+        selected, val_score = select_lambda(predict_curves(result, cohort, split.val, config),
+                                            percents[split.val],
+                                            *outcome_arrays(cohort, split.val),
                                             grid=config.lambda_grid)
         test_percents = percents[split.test]
         floored = {name: int(np.count_nonzero(percents[rows] == 0))
                    for name, rows in (("val", split.val), ("test", split.test))}
         absent = np.isnan(test_percents)
         imputed = 0 if absent.all() else int(absent.sum())
-    test_data = _split_data(cohort, split.test, config, result.grid)
-    channels = _channels(_hidden_curves(result, test_data), test_data["times"],
-                         test_data["events"], test_percents, selected)
-    return RunReport(config=config, channels=channels, selected_lambda=selected,
-                     lambda_val_ctd=val_score, gates=gate_values(result.model),
-                     train_trace=result.train_trace, val_trace=result.val_trace,
-                     best_epoch=result.best_epoch,
-                     skipped_batches=result.skipped_batches,
-                     masked_samples=_masked_count(cohort, percents, config),
-                     clamped_values=clamped, floored_percents=floored, imputed_curves=imputed)
+    test = predict_curves(result, cohort, split.test, config)
+    channels = _channels(test, *outcome_arrays(cohort, split.test), test_percents, selected)
+    report = RunReport(config=config, channels=channels, selected_lambda=selected,
+                       lambda_val_ctd=val_score, gates=gate_values(result.model),
+                       train_trace=result.train_trace, val_trace=result.val_trace,
+                       best_epoch=result.best_epoch,
+                       skipped_batches=result.skipped_batches,
+                       masked_samples=_masked_count(cohort, percents, config),
+                       clamped_values=clamped, floored_percents=floored,
+                       imputed_curves=imputed)
+    return report, test
 
 
 def finalize_teacher(cohort: Cohort) -> tuple[np.ndarray | None, int]:
@@ -446,7 +422,7 @@ def train_and_evaluate(config: RunConfig, cohort: Cohort,
     if config.pretrain and gated_fusion(config.fusion, config.modalities):
         warm = pretrain_heads(config, cohort, split)
     result = train(config, cohort, split, warm_start=warm)
-    return result, evaluate(result, cohort, split, config)
+    return result, evaluate(result, cohort, split, config)[0]
 
 
 def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],

@@ -12,7 +12,7 @@ import numpy as np
 
 from survfuse import synth, training
 from survfuse.autoencoder import init_autoencoder, reconstruction_loss_grad
-from survfuse.blending import blend_inputs
+from survfuse.blending import blend_inputs, verbalized_rates
 from survfuse.cohort import load_cohort, pool_text, split_cohort
 from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
@@ -325,7 +325,7 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
     late_cfg = run_config(fusion="late", modalities=("text", "cov", "ge"))
     result = training.train(late_cfg, cohort, split)
     percents, _ = training.finalize_teacher(cohort)
-    late = training.evaluate(result, cohort, split, late_cfg)
+    late = training.evaluate(result, cohort, split, late_cfg)[0]
 
     # (a) fusing the modalities beats every single-modality model clearly
     assert late.channels["hidden"].c_td >= max(unimodal.values()) + 0.03
@@ -335,8 +335,8 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
     val_data = training._split_data(cohort, split.val, late_cfg, result.grid)
     hidden_val = training.predict_curves(result, cohort, split.val, late_cfg)
     val_pct = percents[split.val]
-    blend_val = CurveSet(hidden_val.times,
-                         blend_inputs(hidden_val.values, hidden_val.times, val_pct)[0])
+    blend_val = CurveSet(hidden_val.times, blend_inputs(hidden_val.values, hidden_val.times,
+                                                        verbalized_rates(val_pct))[0])
     t_val, e_val = val_data["times"], val_data["events"]
     hidden_val_ctd = c_td(hidden_val, t_val, e_val)
     verb_val_ctd = c_td(blend_val, t_val, e_val)

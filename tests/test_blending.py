@@ -15,6 +15,7 @@ from survfuse.blending import (
     select_lambda,
     verbalized_curve,
     verbalized_curves,
+    verbalized_rates,
 )
 from survfuse.heads import CurveSet
 from survfuse.metrics import c_td
@@ -121,7 +122,7 @@ def test_blend_inputs_resolves_missing():
     rng = np.random.default_rng(35)
     hidden = stack([random_curve(rng) for _ in range(4)])
     percents = [70, None, 40, None]
-    blend_in, n_present = blend_inputs(hidden.values, GRID, percents)
+    blend_in, n_present = blend_inputs(hidden.values, GRID, verbalized_rates(percents))
     assert n_present == 2
     (v70,), (v40,) = verbalized_curve(70, GRID).values, verbalized_curve(40, GRID).values
     # present: blend against the verbalized curve
@@ -132,14 +133,14 @@ def test_blend_inputs_resolves_missing():
         assert np.array_equal(blend_in[i], hidden.values[i])
     assert not np.shares_memory(blend_in, hidden.values)
     # every percent present: the verbalized curves themselves
-    blend_in, n_present = blend_inputs(hidden.values, GRID, [10, 20, 30, 40])
+    blend_in, n_present = blend_inputs(hidden.values, GRID, verbalized_rates([10, 20, 30, 40]))
     assert np.array_equal(blend_in, verbalized_curves([10, 20, 30, 40], GRID))
     assert n_present == 4
     # absent with no extractable probability anywhere
-    blend_in, n_present = blend_inputs(hidden.values, GRID, [None] * 4)
+    blend_in, n_present = blend_inputs(hidden.values, GRID, verbalized_rates([None] * 4))
     assert blend_in is hidden.values and n_present == 0
     with pytest.raises(ValueError):
-        blend_inputs(hidden.values, GRID, [10, 20])
+        blend_inputs(hidden.values, GRID, verbalized_rates([10, 20]))
 
 
 def test_verbalized_curves_floor_zero_percents():
@@ -177,7 +178,7 @@ def risk_ordered_curves(scores, times=GRID):
 def blend_partners(hidden, percents):
     """`blend_inputs`' blend partner of each hidden curve, one curve each."""
     hidden = stack(hidden)
-    partners = blend_inputs(hidden.values, hidden.times, percents)[0]
+    partners = blend_inputs(hidden.values, hidden.times, verbalized_rates(percents))[0]
     return [curve(hidden.times, row) for row in partners]
 
 

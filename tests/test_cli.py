@@ -203,6 +203,39 @@ def test_eval_matches_train_report(pipeline, tmp_path):
     assert np.all(np.diff(curves.values, axis=1) <= 0.0)
 
 
+@pytest.mark.parametrize("head", ["discrete", "coxph"])
+def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_path,
+                                                                 monkeypatch, head):
+    """eval writes the test curves `evaluate` built (`whole()` of them), and
+    no second forward of the test split makes them again."""
+    from survfuse import training
+    from survfuse.cohort import load_bundle, modality_matrix
+
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", write(tmp_path / "run.cfg",
+                                            TRAIN_CFG.replace("head=discrete", f"head={head}")),
+                 "--bundle", pipeline["bundle"], "--out", run]) == 0
+    cohort, split = load_bundle(pipeline["bundle"])
+    test_cov = modality_matrix(cohort, split.test, "cov")
+    forwarded = []
+    forward = training.model_forward
+
+    def counted(model, batch, **kwargs):
+        forwarded.append(np.array_equal(batch["cov"], test_cov))
+        return forward(model, batch, **kwargs)
+
+    monkeypatch.setattr(training, "model_forward", counted)
+    out = tmp_path / "eval"
+    checkpoint = os.path.join(run, "checkpoint.svck")
+    assert main(["eval", "--checkpoint", checkpoint, "--bundle", pipeline["bundle"],
+                 "--out", str(out)]) == 0
+    assert sum(forwarded) == 1
+    result, config = training.load_checkpoint(checkpoint)
+    test_curves = training.evaluate(result, cohort, split, config)[1]
+    written = formats.read_npy(out / "curves" / "values.npy", "<f8", (len(split.test), None))
+    assert written.tobytes() == test_curves.whole().values.tobytes()
+
+
 def test_eval_rejects_a_checkpoint_with_stale_config_keys(pipeline, tmp_path, capsys):
     tensors, manifest = formats.read_checkpoint(
         os.path.join(pipeline["run"], "checkpoint.svck"))
@@ -303,21 +336,34 @@ def test_a_malformed_teacher_row_is_a_usage_error_naming_file_and_line(
     assert f"{teacher}:2: {message}" in capsys.readouterr().err
 
 
+# the messages of the configs' own checks, which concern no one key
+OWN_CHECKS = {"train": "patience cannot exceed epochs", "simulate": "need at least 3 samples"}
+
+
 @pytest.mark.parametrize("command,text,key", [
     ("train", TRAIN_CFG.replace("epochs=2", "epochs=abc"), "epochs"),
     ("train", TRAIN_CFG.replace("head_layers=8", "head_layers=8,x"), "head_layers"),
     ("ingest", "outcomes=o.csv\nsplit_seed=one\n", "split_seed"),
     ("ingest", "outcomes=o.csv\nratios=0.7,x,0.2\n", "ratios"),
+    ("train", TRAIN_CFG.replace("epochs=2", "epochs=3").replace("patience=1", "patience=9"),
+     None),
+    ("simulate", "n=2\n", None),
 ])
 def test_a_bad_config_value_names_the_key_and_the_file(tmp_path, capsys, command, text, key):
     cfg = write(tmp_path / f"{command}.cfg", text)
     if command == "train":
         argv = ["train", "--config", cfg, "--bundle", str(tmp_path / "b"),
                 "--out", str(tmp_path / "r")]
+    elif command == "simulate":
+        argv = ["simulate", "--spec", cfg, "--out", str(tmp_path / "raw")]
     else:
         argv = ["ingest", "--config", cfg, "--out", str(tmp_path / "b")]
     assert main(argv) == 1
-    assert f"{cfg}: bad value for {key!r}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if key is None:
+        assert f"survfuse: error: {cfg}: {OWN_CHECKS[command]}" in err
+    else:
+        assert f"{cfg}: bad value for {key!r}: " in err
 
 
 def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):

@@ -29,8 +29,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survfuse import pooling
-from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, mean_curve,
-                               select_lambda, verbalized_curves)
+from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, combined_blocks,
+                               mean_curve, select_lambda, verbalized_curves, verbalized_rates)
 from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
                              split_cohort)
 from survfuse.distill import (HORIZONS, TeacherTable, extract_probability, finalize_probs,
@@ -117,6 +117,42 @@ def ibs_curve_by_curve(curves, times, events, grid_points=512):
     risk_term = np.where(still_at_risk & risk_ok[None, :],
                          (1.0 - surv) ** 2 / np.where(risk_ok, g_mid, 1.0)[None, :], 0.0)
     return float((event_term + risk_term).mean(axis=0).sum() * width / t_max)
+
+
+def censoring_km_loop(times, events):
+    """`censoring_km` as first written: one product-limit factor per distinct
+    time, in a Python loop."""
+    order = np.argsort(times, kind="stable")
+    t_sorted = times[order]
+    cens_sorted = ~events[order]
+    n = times.size
+    uniq, start_idx = np.unique(t_sorted, return_index=True)
+    jump_times, values, g = [], [], 1.0
+    for k, tau in enumerate(uniq):
+        lo = start_idx[k]
+        hi = start_idx[k + 1] if k + 1 < uniq.size else n
+        d_cens = int(cens_sorted[lo:hi].sum())
+        if d_cens == 0:
+            continue
+        g *= 1.0 - d_cens / (n - lo)
+        jump_times.append(tau)
+        values.append(g)
+    return np.array(jump_times, dtype=np.float64), np.array(values, dtype=np.float64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 400), n_distinct=st.integers(1, 50), event_p=st.floats(0.0, 1.0),
+       all_events=st.booleans(), seed=SEEDS)
+def test_censoring_km_equals_the_product_limit_loop(n, n_distinct, event_p, all_events, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct times give ties, within censorings and across events
+    times = rng.choice(rng.uniform(0.01, 6.5, size=n_distinct), size=n)
+    events = np.ones(n, dtype=bool) if all_events else rng.random(n) < event_p
+    km = censoring_km(times, events)
+    jump_times, values = censoring_km_loop(times, events)
+    assert km.jump_times.dtype == km.values.dtype == np.float64
+    assert km.jump_times.tobytes() == jump_times.tobytes()
+    assert km.values.tobytes() == values.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,8 +251,8 @@ def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, 
     times, events = outcomes(rng, n, event_p, curves.times[1:] if tied_times else None)
     percents = np.where(rng.random(n) < 0.7, rng.integers(0, 101, size=n), np.nan)
     short = restricted(curves, scored_times(times, events, grid_points))
-    full_in, n_present = blend_inputs(curves.values, curves.times, percents)
-    short_in, _ = blend_inputs(short.values, short.times, percents)
+    full_in, n_present = blend_inputs(curves.values, curves.times, verbalized_rates(percents))
+    short_in, _ = blend_inputs(short.values, short.times, verbalized_rates(percents))
     full_verb = verbalized_channel(percents, curves.times)
     short_verb = verbalized_channel(percents, short.times)
     full_sets = [curves, CurveSet(curves.times, combine(curves.values, full_in, lam))]
@@ -293,7 +329,7 @@ def test_blends_and_means_stay_valid(n, n_times, percents, lam, seed):
     drops = rng.exponential(size=(n, n_times)) * rng.uniform(0.0, 2.0, size=(n, 1))
     hidden = CurveSet(times=times, values=np.hstack([np.ones((n, 1)),
                                                      np.exp(-np.cumsum(drops, axis=1))]))
-    blend_in, n_present = blend_inputs(hidden.values, times, percents[:n])
+    blend_in, n_present = blend_inputs(hidden.values, times, verbalized_rates(percents[:n]))
     verb_eval = verbalized_channel(percents[:n], times)
     blended = combine(hidden.values, blend_in, lam)
     # the raw convex combination already satisfies every invariant
@@ -425,9 +461,8 @@ def test_one_pass_lambda_scores_equal_per_lambda_c_td(n, n_times, levels, event_
     hidden = quantized_set(rng, n, n_times, levels)
     percents = rng.choice(FEW_PERCENTS, size=n)
     times, events = outcomes(rng, n, event_p, hidden.times[1:] if tied_times else None)
-    want = outcome_or_error(per_lambda_selection, hidden,
-                            blend_inputs(hidden.values, hidden.times, percents)[0],
-                            times, events, grid)
+    partners = blend_inputs(hidden.values, hidden.times, verbalized_rates(percents))[0]
+    want = outcome_or_error(per_lambda_selection, hidden, partners, times, events, grid)
     assert outcome_or_error(select_lambda, hidden, percents, times, events, grid) == want
     assert outcome_or_error(select_lambda, blocks_of(hidden), percents, times, events,
                             grid) == want
@@ -462,6 +497,30 @@ def test_metrics_and_blends_do_not_depend_on_the_block_budget(n, n_times, levels
 
 
 @settings(max_examples=80, deadline=None)
+@given(head=st.sampled_from(["coxph", "discrete"]), n=st.integers(1, 60),
+       n_fit=st.integers(1, 100), n_bins=st.integers(1, 25),
+       present=st.sampled_from(["none", "some", "all"]),
+       lam=st.sampled_from(DEFAULT_LAMBDA_GRID) | st.floats(0.0, 1.0),
+       n_cols=st.integers(0, 40), seed=SEEDS)
+def test_combined_reader_columns_equal_the_whole_combined_set(head, n, n_fit, n_bins, present,
+                                                              lam, n_cols, seed):
+    rng = np.random.default_rng(seed)
+    hidden = hidden_curves(rng, head, n, n_fit, n_bins)
+    full = hidden.whole()
+    percents = rng.integers(0, 101, size=n).astype(np.float64)  # 0 is floored
+    if present != "all":
+        percents[rng.random(n) < (1.0 if present == "none" else 0.4)] = np.nan
+    whole = combine(full.values,
+                    blend_inputs(full.values, full.times, verbalized_rates(percents))[0], lam)
+    reader = combined_blocks(hidden, percents, lam)
+    assert len(reader) == n and reader.times.tobytes() == full.times.tobytes()
+    # any columns, in any order and with repeats, and all of them at once
+    cols = rng.integers(0, full.times.size, size=n_cols)
+    assert reader.columns(cols).tobytes() == whole[:, cols].tobytes()
+    assert reader.whole().values.tobytes() == whole.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
 @given(head=st.sampled_from(["coxph", "discrete"]), n=st.integers(1, 522),
        n_fit=st.integers(1, 400), n_bins=st.integers(1, 25),
        present=st.sampled_from(["none", "some", "all"]), tied_times=st.booleans(),
@@ -478,7 +537,7 @@ def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_
         percents[rng.random(n) < (1.0 if present == "none" else 0.4)] = np.nan
     # as evaluate built them before: whole matrices on the scored times
     scored = restricted(full, scored_times(times, events))
-    blend, n_present = blend_inputs(scored.values, scored.times, percents)
+    blend, n_present = blend_inputs(scored.values, scored.times, verbalized_rates(percents))
     verbalized = verbalized_channel(percents, scored.times)
     want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
     if n_present:

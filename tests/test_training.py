@@ -275,7 +275,7 @@ def test_evaluate_reports_all_channels():
     split = split_cohort(40, seed=2)
     config = tiny_config()
     result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config)
+    report = evaluate(result, cohort, split, config)[0]
     assert set(report.channels) == {"hidden", "verbalized", "combined"}
     for metrics in report.channels.values():
         assert 0.0 <= metrics.c_td <= 1.0
@@ -304,13 +304,13 @@ def test_evaluate_counts_floored_percents_per_split(monkeypatch):
     result = train(config, cohort, split)
     # evaluate takes the teacher's percents from finalize_teacher
     monkeypatch.setattr(training_module, "finalize_teacher", lambda _: (percents, 0))
-    report = evaluate(result, cohort, split, config)
+    report = evaluate(result, cohort, split, config)[0]
     assert report.floored_percents == {"val": 1, "test": 3}
     assert report.imputed_curves == 2
     # a 0 is scored as PERCENT_FLOOR: floored up front, only the counts change
     floored = np.where(percents == 0.0, PERCENT_FLOOR, percents)
     monkeypatch.setattr(training_module, "finalize_teacher", lambda _: (floored, 0))
-    again = evaluate(result, cohort, split, config).to_dict()
+    again = evaluate(result, cohort, split, config)[0].to_dict()
     assert again == {**report.to_dict(), "floored_percents": {"val": 0, "test": 0}}
 
 
@@ -326,7 +326,7 @@ def test_evaluate_reports_clamped_values_and_dropped_ipcw_terms(monkeypatch):
     split = split_cohort(40, seed=2)
     config = tiny_config(epochs=1)
     result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config)
+    report = evaluate(result, cohort, split, config)[0]
     assert report.clamped_values == finalize_teacher(cohort)[1] == 3 * (1 + 2)
     assert report.imputed_curves == 0
     # the censoring survival G is positive before the largest time, and every
@@ -335,7 +335,7 @@ def test_evaluate_reports_clamped_values_and_dropped_ipcw_terms(monkeypatch):
     # each channel reports what its ibs call dropped
     monkeypatch.setattr(training_module, "ibs",
                         lambda *args: IbsResult(ibs(*args).value, dropped_terms=4))
-    rep = evaluate(result, cohort, split, config).to_dict()
+    rep = evaluate(result, cohort, split, config)[0].to_dict()
     assert {name: m["dropped_terms"] for name, m in rep["channels"].items()} == {
         "hidden": 4, "verbalized": 4, "combined": 4}
     assert rep == report.to_dict() | {"channels": {
@@ -347,7 +347,7 @@ def test_evaluate_without_teacher_reports_hidden_only():
     split = split_cohort(40, seed=2)
     config = tiny_config()
     result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config)
+    report = evaluate(result, cohort, split, config)[0]
     assert set(report.channels) == {"hidden"}
     assert report.selected_lambda is None
     assert report.lambda_val_ctd is None
@@ -374,7 +374,7 @@ def test_train_and_evaluate_deterministic_report():
     rep_b = train_and_evaluate(config, cohort, split)[1]
     assert rep_a.to_dict() == rep_b.to_dict()
     # the trained model it hands back re-evaluates to the same report
-    assert evaluate(result, cohort, split, config).to_dict() == rep_a.to_dict()
+    assert evaluate(result, cohort, split, config)[0].to_dict() == rep_a.to_dict()
 
 
 def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypatch):
@@ -432,8 +432,8 @@ def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
         save_checkpoint(path, result, config)
         loaded, cfg = load_checkpoint(path)
         assert cfg == config
-        orig = predict_curves(result, cohort, split.test, config)
-        redo = predict_curves(loaded, cohort, split.test, cfg)
+        orig = predict_curves(result, cohort, split.test, config).whole()
+        redo = predict_curves(loaded, cohort, split.test, cfg).whole()
         assert np.array_equal(orig.times, redo.times)
         assert np.array_equal(orig.values, redo.values)
         assert loaded.best_epoch == result.best_epoch
