@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .formats import id_rows
-from .heads import CurveBlocks, CurveSet
+from .heads import CurveSet
 from .metrics import BLOCK_ELEMENTS, c_td_many
 
 PERCENT_FLOOR = 0.5
@@ -32,16 +32,11 @@ def _exponential(rates, times) -> np.ndarray:
     return values
 
 
-def verbalized_curves(percents, times) -> np.ndarray:
-    """Exponential curves anchored at 3-year verbalized probabilities: the
-    (N, len(times)) values exp(-rho * t) of each percent's rate."""
-    return _exponential(verbalized_rates(percents), times)
-
-
-def verbalized_curve(percent: float, times) -> CurveSet:
-    """`verbalized_curves` for one percent, as a one-row CurveSet (`times`
-    must start at 0)."""
-    return CurveSet(times=times, values=verbalized_curves([percent], times))
+def verbalized_curve(percents, times) -> CurveSet:
+    """Exponential curves anchored at 3-year verbalized probabilities, the
+    values exp(-rho * t) of each percent's rate on the grid `times` (which
+    must start at 0), as a CurveSet; one percent gives a one-row set."""
+    return CurveSet.of(times, _exponential(verbalized_rates(percents), times))
 
 
 def _convex(hidden: np.ndarray, verbalized: np.ndarray, lam: float) -> np.ndarray:
@@ -80,33 +75,32 @@ def mean_curve(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=0)[-1:] / len(values)
 
 
-def blend_inputs(values, times, rates) -> tuple[np.ndarray, int]:
+def blend_inputs(values, times, rates) -> np.ndarray:
     """The verbalized curves to blend the hidden curves with.
 
     `values` holds the hidden curves on the grid times `times`, any columns
     in any order; `rates` holds one `verbalized_rates` rate per hidden
-    curve. Returns (values to blend with, on the same columns, number of
-    rates present); every column is computed from its own time alone. An
-    absent (NaN) rate blends against the hidden curve itself, a no-op.
+    curve. Returns the values to blend with, on the same columns; every
+    column is computed from its own time alone. An absent (NaN) rate blends
+    against the hidden curve itself, a no-op.
     """
     if len(rates) != len(values):
         raise ValueError("one percent (or None) per hidden curve required")
     present = ~np.isnan(rates)
-    n_present = int(present.sum())
-    if n_present == 0:
-        return values, 0
+    if not present.any():
+        return values
     verbalized = _exponential(rates[present], times)
-    if n_present == len(values):
-        return verbalized, n_present
+    if present.all():
+        return verbalized
     blend = values.copy()
     blend[present] = verbalized
-    return blend, n_present
+    return blend
 
 
-def verbalized_blocks(hidden, percents) -> CurveBlocks:
-    """The verbalized channel on the grid of `hidden` (a CurveSet or a
-    CurveBlocks), a block of columns at a time: each present percent's
-    curve, and their `mean_curve` for every absent one (some are present)."""
+def verbalized_blocks(hidden: CurveSet, percents) -> CurveSet:
+    """The verbalized channel on the grid of `hidden`, a block of columns at
+    a time: each present percent's curve, and their `mean_curve` for every
+    absent one (some are present)."""
     rates = verbalized_rates(percents)
     present = ~np.isnan(rates)
     own_rates, imputed = rates[present], not present.all()
@@ -120,31 +114,30 @@ def verbalized_blocks(hidden, percents) -> CurveBlocks:
         values[~present] = mean_curve(own)
         return values
 
-    return CurveBlocks(hidden.times, len(hidden), columns)
+    return CurveSet(hidden.times, len(hidden), columns)
 
 
-def combined_blocks(hidden, percents, lam: float) -> CurveBlocks:
-    """The combined channel of `hidden` (a CurveSet or a CurveBlocks) at the
-    weight `lam`: `combine(h, blend_inputs(h, ...)[0], lam)` of each block h
-    of its columns, the same columns as of the whole set."""
+def combined_blocks(hidden: CurveSet, percents, lam: float) -> CurveSet:
+    """The combined channel of `hidden` at the weight `lam`:
+    `combine(h, blend_inputs(h, ...), lam)` of each block h of its columns,
+    the same columns as of the whole set."""
     rates = verbalized_rates(percents)
 
     def columns(cols):
         values = hidden.columns(cols)
-        return combine(values, blend_inputs(values, hidden.times[cols], rates)[0], lam)
+        return combine(values, blend_inputs(values, hidden.times[cols], rates), lam)
 
-    return CurveBlocks(hidden.times, len(hidden), columns)
+    return CurveSet(hidden.times, len(hidden), columns)
 
 
-def select_lambda(hidden, percents, times, events,
+def select_lambda(hidden: CurveSet, percents, times, events,
                   grid=DEFAULT_LAMBDA_GRID) -> tuple[float, float]:
     """Concordance-maximizing lambda over the grid; ties go to the smallest.
 
-    `hidden` is a CurveSet or a CurveBlocks and `percents` holds one percent
-    per curve, NaN where absent. Every lambda
-    is scored in one pass: each block of event times reads the hidden
-    curves' columns once, takes their blend partner (`blend_inputs`) and
-    blends them with `combine`'s own arithmetic, so every score equals
+    `percents` holds one percent per curve of `hidden`, NaN where absent.
+    Every lambda is scored in one pass: each block of event times reads the
+    hidden curves' columns once, takes their blend partner (`blend_inputs`)
+    and blends them with `combine`'s own arithmetic, so every score equals
     `c_td` of the whole set `combined_blocks(hidden, percents, lam)`.
     Returns (lambda*, its concordance).
     """
@@ -156,7 +149,7 @@ def select_lambda(hidden, percents, times, events,
     def blends(t, rows, later):
         cols = hidden.cells(t)
         h = hidden.columns(cols)
-        v = blend_inputs(h, hidden.times[cols], rates)[0]
+        v = blend_inputs(h, hidden.times[cols], rates)
         own = np.arange(rows.size)
         own_h, own_v, later_h, later_v = h[rows, own], v[rows, own], h[later], v[later]
         del h, v
@@ -167,8 +160,8 @@ def select_lambda(hidden, percents, times, events,
     return grid[best], float(scores[best])
 
 
-def blend_curves(hidden, percents, ids, lam: float | None = None,
-                 outcomes=None) -> tuple[CurveBlocks, dict]:
+def blend_curves(hidden: CurveSet, percents, ids, lam: float | None = None,
+                 outcomes=None) -> tuple[CurveSet, dict]:
     """`survfuse blend`: the `combined_blocks` of `hidden` at the weight
     `lam`, or if it is None at `select_lambda`'s on `outcomes` (ids, times,
     events; every id in `ids` needed), and blend.json's summary: the weight,

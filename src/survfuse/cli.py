@@ -61,14 +61,17 @@ def _sha256(path: str) -> str:
 
 
 def _hash_tree(path: str) -> dict[str, str] | str:
-    """File -> digest; directory -> {relative path: digest}, sorted."""
+    """File -> digest; directory -> {relative path: digest}, sorted, without
+    the directory's own manifest.json, whose timings change on every run."""
     if os.path.isfile(path):
         return _sha256(path)
     hashes = {}
     for root, _, names in sorted(os.walk(path)):
         for name in sorted(names):
             full = os.path.join(root, name)
-            hashes[os.path.relpath(full, path)] = _sha256(full)
+            rel = os.path.relpath(full, path)
+            if rel != "manifest.json":
+                hashes[rel] = _sha256(full)
     return hashes
 
 
@@ -91,8 +94,7 @@ def _write_manifest(out_dir: str, command: str, started: float,
     if output_files is not None:
         outputs = {os.path.basename(path): _sha256(path) for path in output_files}
     else:  # every file under out_dir but an older manifest
-        outputs = {rel: digest for rel, digest in _hash_tree(out_dir).items()
-                   if rel != "manifest.json"}
+        outputs = _hash_tree(out_dir)
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -121,7 +123,7 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _warn_counts(command: str, counts: dict[str, int | None]) -> None:
+def _warn_counts(command: str, counts: dict[str, int]) -> None:
     """Log one WARNING naming each nonzero count of the quiet workarounds a
     command took, by its key in the command's output; none when all are 0."""
     done = " ".join(f"{key}={n}" for key, n in counts.items() if n)
@@ -129,14 +131,12 @@ def _warn_counts(command: str, counts: dict[str, int | None]) -> None:
         log.warning("%s: %s", command, done)
 
 
-def _report_counts(report: dict) -> dict[str, int | None]:
+def _report_counts(report: dict) -> dict[str, int]:
     """The workaround counts of a `RunReport.to_dict()`, by key."""
     counts = {"clamped_values": report["clamped_values"],
               "imputed_curves": report["imputed_curves"]}
     for split, n in report["floored_percents"].items():
         counts[f"floored_percents.{split}"] = n
-    for name, metrics in report["channels"].items():
-        counts[f"channels.{name}.dropped_terms"] = metrics["dropped_terms"]
     return counts
 
 
@@ -302,7 +302,7 @@ def _cmd_eval(args, started: float) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_curves(os.path.join(args.out, "curves"),
-                         [cohort.ids[i] for i in split.test], curves.whole())
+                         [cohort.ids[i] for i in split.test], curves)
     _write_report(args.out, "eval", started, report,
                   inputs={"checkpoint": args.checkpoint, "bundle": args.bundle})
     return 0
@@ -352,7 +352,7 @@ def _cmd_blend(args, started: float) -> int:
     combined, summary = blending.blend_curves(hidden, percents, ids, args.lam, outcomes)
 
     os.makedirs(args.out, exist_ok=True)
-    formats.write_curves(os.path.join(args.out, "combined"), ids, combined.whole())
+    formats.write_curves(os.path.join(args.out, "combined"), ids, combined)
     _write_json(os.path.join(args.out, "blend.json"), summary)
     print(f"lambda {summary['lambda']:g}, blended {len(ids)} curves "
           f"({summary['n_verbalized']} with verbalized input)")

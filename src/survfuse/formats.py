@@ -259,8 +259,9 @@ def _distinct_strings(ids) -> bool:
 
 
 def write_curves(out_dir, ids: list[str], curves: CurveSet) -> None:
-    """Write curves as a directory: `times.npy` (T,), `values.npy` (N, T) and
-    a meta.json with the version and the N ids.
+    """Write a set of curves as a directory: `times.npy` (T,), `values.npy`
+    (N, T), its `whole()` matrix, and a meta.json with the version and the N
+    ids.
 
     The old meta.json is removed first and the new one written last, so an
     interrupted write leaves a directory that reads as incomplete, never old
@@ -268,12 +269,13 @@ def write_curves(out_dir, ids: list[str], curves: CurveSet) -> None:
     """
     if len(ids) != len(curves) or not _distinct_strings(ids):
         raise ValueError("one distinct string id per curve required")
+    values = curves.whole()
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, META)
     with contextlib.suppress(FileNotFoundError):
         os.remove(meta_path)
     write_npy(os.path.join(out_dir, "times.npy"), np.asarray(curves.times, dtype="<f8"))
-    write_npy(os.path.join(out_dir, "values.npy"), np.asarray(curves.values, dtype="<f8"))
+    write_npy(os.path.join(out_dir, "values.npy"), np.asarray(values, dtype="<f8"))
     with atomic_open(meta_path, "w", encoding="utf-8") as fh:
         json.dump({"curves_version": CURVES_VERSION, "ids": list(ids)}, fh, indent=1)
 
@@ -293,7 +295,7 @@ def read_curves(curve_dir) -> tuple[list[str], CurveSet]:
     times = read_npy(os.path.join(curve_dir, "times.npy"), "<f8", (None,))
     values = read_npy(os.path.join(curve_dir, "values.npy"), "<f8", (len(ids), times.size))
     try:
-        return ids, CurveSet(times=times, values=values)
+        return ids, CurveSet.of(times, values)
     except ValueError as exc:
         raise ValueError(f"{curve_dir}: {exc}") from None
 

@@ -92,8 +92,34 @@ def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
-class _StepCurves:
-    """Reading step curves on the grid `times` through `columns(cols)`."""
+@dataclass
+class CurveSet:
+    """N step curves on the shared grid `times` (T,), read through `columns`.
+
+    `columns(cols)` returns the (N, len(cols)) values on the grid columns
+    `cols`, an index array (any order, repeats allowed) or a slice; column k
+    holds every S_i on [times[k], times[k+1]). The times start at 0 and
+    strictly increase; every curve starts at 1, never rises and lies in
+    [0, 1]. `CurveSet.of` checks a whole matrix once and reads its columns
+    (a slice is a view); a set whose columns are computed on demand is
+    checked by `whole()`. The metrics read curves only through `len` and
+    `at`, a block of columns at a time, so they score any set exactly as
+    its whole matrix.
+    """
+
+    times: np.ndarray
+    n: int
+    columns: Callable[[np.ndarray | slice], np.ndarray]
+
+    @classmethod
+    def of(cls, times, values) -> "CurveSet":
+        """The set of the (N, T) value matrix `values` on `times`, checked
+        once (a single curve is a one-row set)."""
+        times, values = _checked_curves(times, values)
+        return cls(times, len(values), lambda cols: values[:, cols])
+
+    def __len__(self) -> int:
+        return self.n
 
     def cells(self, t) -> np.ndarray:
         """Grid column holding each time's value: the last times[k] <= t."""
@@ -106,56 +132,11 @@ class _StepCurves:
         """Every curve at time(s) t: shape (N,) + shape(t)."""
         return self.columns(self.cells(t))
 
-
-@dataclass
-class CurveSet(_StepCurves):
-    """N step curves on one shared grid: `times` (T,), `values` (N, T).
-
-    Row i is S_i; column k holds every S_i on [times[k], times[k+1]). The
-    times start at 0 and strictly increase; every row starts at 1, never
-    rises and lies in [0, 1], checked once for the whole matrix.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times, self.values = _checked_curves(self.times, self.values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def columns(self, cols) -> np.ndarray:
-        """Every curve on the grid columns `cols`: an index array (any order,
-        repeats allowed) or a slice (a view)."""
-        return self.values[:, cols]
-
-    def whole(self) -> "CurveSet":
-        """The set itself, as `CurveBlocks.whole()` for a set already made."""
-        return self
-
-
-@dataclass
-class CurveBlocks(_StepCurves):
-    """N step curves on the grid `times` whose columns are computed on demand.
-
-    `columns(cols)` returns the (N, len(cols)) values on those grid columns,
-    exactly the same columns of `whole()`, the checked CurveSet. The metrics
-    read curves only through `len` and `at`, so they score a CurveBlocks
-    exactly as its whole set, holding one block of columns at a time.
-    """
-
-    times: np.ndarray
-    n: int
-    columns: Callable[[np.ndarray], np.ndarray]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def whole(self) -> CurveSet:
-        """All the columns, as a checked CurveSet (read as `columns(slice(None))`,
-        so a reader over a CurveSet reads its values without a copy)."""
-        return CurveSet(times=self.times, values=self.columns(slice(None)))
+    def whole(self) -> np.ndarray:
+        """All the columns as the checked (N, T) matrix, read as
+        `columns(slice(None))` (a set made by `of` gives its own values,
+        without a copy)."""
+        return _checked_curves(self.times, self.columns(slice(None)))[1]
 
 
 def build_discrete_targets(times, events, grid: TimeGrid) -> DiscreteTargets:
@@ -212,7 +193,7 @@ def discrete_curve(logits: np.ndarray, grid: TimeGrid) -> CurveSet:
     values = np.empty((logits.shape[0], grid.n_bins + 1))
     values[:, 0] = 1.0
     np.cumprod(1.0 - sigmoid(logits), axis=1, out=values[:, 1:])
-    return CurveSet(times=grid.edges, values=values)
+    return CurveSet.of(grid.edges, values)
 
 
 def _event_counts(times: np.ndarray, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +291,7 @@ def breslow_baseline(scores, times, events) -> BreslowBaseline:
     return BreslowBaseline(event_times=event_times, increments=increments)
 
 
-def cox_curve(scores, baseline: BreslowBaseline) -> CurveBlocks:
+def cox_curve(scores, baseline: BreslowBaseline) -> CurveSet:
     """Curves S_i(t) = exp(-H0(t) * exp(g_i)) on 0 and the baseline's event times.
 
     H0 and exp(g) are computed once; each block of columns costs one product
@@ -337,4 +318,4 @@ def cox_curve(scores, baseline: BreslowBaseline) -> CurveBlocks:
         values[..., neg_h == 0.0] = 1.0  # no hazard yet: 1 whatever the score
         return values
 
-    return CurveBlocks(times=times, n=scores.size, columns=columns)
+    return CurveSet(times, scores.size, columns)

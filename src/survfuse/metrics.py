@@ -67,9 +67,9 @@ def c_td(curves, times, events) -> float:
 
     A pair (i, j) is comparable when t_i < t_j and e_i = 1; it scores 1 when
     S_i(t_i) < S_j(t_i), 0.5 on an exact tie, 0 otherwise. `curves` is a
-    CurveSet or a CurveBlocks, read only through `len` and `at`. Event subjects
-    are scored in blocks of max(1, BLOCK_ELEMENTS // n) against every later
-    subject at once, reading every curve at the block's event times,
+    CurveSet, read only through `len` and `at`. Event subjects are scored
+    in blocks of max(1, BLOCK_ELEMENTS // n) against every later subject
+    at once, reading every curve at the block's event times,
     `curves.at(times)`: extra memory stays O(BLOCK_ELEMENTS), and the counts
     are integers, so the result does not depend on the blocking.
     """
@@ -124,23 +124,16 @@ def c_td_many(read, n_curves: int, n_sets: int, times, events) -> list[float]:
     return [(c + 0.5 * t) / pairs for c, t in zip(concordant, ties)]
 
 
-@dataclass
-class IbsResult:
-    value: float
-    dropped_terms: int
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def ibs(curves, times, events, grid_points: int = IBS_GRID_POINTS) -> IbsResult:
+def ibs(curves, times, events, grid_points: int = IBS_GRID_POINTS) -> float:
     """Integrated Brier score with IPCW, composite-midpoint integration.
 
     At each t the score averages S(t|x_i)^2 / G(t_i-) over subjects with an
     observed event by t, plus (1 - S(t|x_i))^2 / G(t) over subjects still
     under observation after t; the integral over [0, t_max] is normalized by
-    t_max. Terms whose IPCW denominator is zero are dropped and counted.
-    `curves` is a CurveSet or a CurveBlocks, read only through `len` and `at`.
+    t_max. No weight is zero: subject i is at risk at every censoring before
+    t_i, and the subjects observed to t_max at every one before a midpoint,
+    so each G read here is at least 1/n. `curves` is a CurveSet, read only
+    through `len` and `at`.
     """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
@@ -153,15 +146,12 @@ def ibs(curves, times, events, grid_points: int = IBS_GRID_POINTS) -> IbsResult:
     if t_max <= 0:
         raise ValueError("non-positive time horizon")
     km = censoring_km(times, events)
-    g_left = km.at_left(times)
 
     width = t_max / grid_points
     mids = _ibs_midpoints(t_max, grid_points)
     g_mid = km.at(mids)
-    event_ok = g_left > 0.0
-    g_event = np.where(event_ok, g_left, 1.0)[:, None]
+    g_event = km.at_left(times)[:, None]
     per_t = np.empty(grid_points)
-    dropped = 0
     # A block at least two wide is averaged over subjects in the same order
     # as the whole matrix would be, so the result does not depend on blocking.
     block_cols = max(2, BLOCK_ELEMENTS // n)
@@ -171,12 +161,7 @@ def ibs(curves, times, events, grid_points: int = IBS_GRID_POINTS) -> IbsResult:
         surv = curves.at(at)
         had_event = events[:, None] & (times[:, None] <= at[None, :])
         still_at_risk = times[:, None] > at[None, :]
-        risk_ok = g > 0.0
-        event_term = np.where(had_event & event_ok[:, None], surv ** 2 / g_event, 0.0)
-        risk_term = np.where(still_at_risk & risk_ok[None, :],
-                             (1.0 - surv) ** 2 / np.where(risk_ok, g, 1.0)[None, :], 0.0)
-        dropped += int((had_event & ~event_ok[:, None]).sum()
-                       + (still_at_risk & ~risk_ok[None, :]).sum())
+        event_term = np.where(had_event, surv ** 2 / g_event, 0.0)
+        risk_term = np.where(still_at_risk, (1.0 - surv) ** 2 / g[None, :], 0.0)
         per_t[block] = (event_term + risk_term).mean(axis=0)
-    value = float(per_t.sum() * width / t_max)
-    return IbsResult(value=value, dropped_terms=dropped)
+    return float(per_t.sum() * width / t_max)

@@ -54,7 +54,6 @@ class MlpCache:
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
     masks: list[np.ndarray] | None
-    squeezed: bool
 
 
 @dataclass
@@ -98,7 +97,7 @@ def draw_dropout_masks(mlp: Mlp, n_rows: int, rng: np.random.Generator) -> list[
 
 def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
                 keep_cache: bool = True) -> tuple[np.ndarray, MlpCache | None]:
-    """Forward pass. `x` is (n, in_dim) or (in_dim,); masks enable training dropout.
+    """Forward pass of the (n, in_dim) input `x`; masks enable training dropout.
 
     With `keep_cache=False` no layer's input or pre-activation is kept and
     ReLU runs in place, so an inference pass holds two layers' activations
@@ -106,9 +105,8 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
     either way.
     """
     x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    if squeezed:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"expected an (n, {mlp.in_dim}) input, got shape {x.shape}")
     if x.shape[1] != mlp.in_dim:
         raise ValueError(f"input dim {x.shape[1]} does not match first layer {mlp.in_dim}")
     n_layers = len(mlp.weights)
@@ -134,8 +132,7 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
                 h /= keep
         else:
             h = z
-    out = h[0] if squeezed else h
-    return out, MlpCache(inputs, preacts, masks, squeezed) if keep_cache else None
+    return h, MlpCache(inputs, preacts, masks) if keep_cache else None
 
 
 def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
@@ -151,8 +148,6 @@ def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
     if cache is None:
         raise ValueError("the forward pass kept no cache (keep_cache=False)")
     g = np.asarray(grad_out, dtype=np.float64)
-    if cache.squeezed:
-        g = g[None, :]
     n_layers = len(mlp.weights)
     if g.shape != (cache.inputs[0].shape[0], mlp.out_dim):
         raise ValueError(f"upstream gradient shape {g.shape} does not match cached "
@@ -173,8 +168,7 @@ def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
         if i == 0 and not input_grad:
             return out, None
         g = g @ mlp.weights[i].T
-    grad_in = g[0] if cache.squeezed else g
-    return out, grad_in
+    return out, g
 
 
 @dataclass(frozen=True)

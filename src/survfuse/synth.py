@@ -41,6 +41,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 samples")
+        for name in ("d_c", "d_g", "ge_latent", "seq_len", "d_text"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.base_rate <= 0 or self.censor_rate <= 0:
             raise ValueError("hazard rates must be positive")
         for name in ("missing_rate", "refusal_rate"):

@@ -12,9 +12,8 @@ from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, combined_blocks, select_lambda, verbalized_blocks
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, teacher_percents
-from .heads import (CurveBlocks, CurveSet, TimeGrid, breslow_baseline, build_discrete_targets,
-                    cox_curve, cox_loss, cox_loss_grad, discrete_curve, discrete_loss,
-                    discrete_loss_grad)
+from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets, cox_curve,
+                    cox_loss, cox_loss_grad, discrete_curve, discrete_loss, discrete_loss_grad)
 from .metrics import c_td, ibs
 from .model import (SurvivalModel, checked_structure, gate_values, gated_fusion,
                     init_model, model_backward, model_forward, model_params)
@@ -58,6 +57,8 @@ class RunConfig:
             raise ValueError("alpha must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if self.grid not in ("equal", "quantile"):
+            raise ValueError(f"grid must be 'equal' or 'quantile', not {self.grid!r}")
         if self.patience > self.epochs:
             raise ValueError("patience cannot exceed epochs")
 
@@ -304,7 +305,6 @@ def pretrain_heads(config: RunConfig, cohort: Cohort,
 class ChannelMetrics:
     c_td: float | None
     ibs: float | None
-    dropped_terms: int | None  # IPCW terms `ibs` dropped
     note: str | None = None
 
 
@@ -330,10 +330,10 @@ class RunReport:
 
 
 def predict_curves(result: TrainResult, cohort: Cohort, indices,
-                   config: RunConfig) -> CurveSet | CurveBlocks:
+                   config: RunConfig) -> CurveSet:
     """The model's curves for the samples `indices` (one inference forward):
-    the whole set for the discrete head, column blocks on the Breslow grid
-    for Cox (`whole()` makes the set)."""
+    the checked matrix for the discrete head, columns computed on demand on
+    the Breslow grid for Cox (`whole()` makes the matrix)."""
     data = _split_data(cohort, indices, config, result.grid)
     out = model_forward(result.model, data, rng=None, keep_cache=False).out
     if result.model.head_type == "discrete":
@@ -341,24 +341,22 @@ def predict_curves(result: TrainResult, cohort: Cohort, indices,
     return cox_curve(out, result.baseline)
 
 
-def _channel(curves, times, events) -> ChannelMetrics:
-    concordance = c_td(curves, times, events)
-    score = ibs(curves, times, events)
-    return ChannelMetrics(c_td=concordance, ibs=score.value, dropped_terms=score.dropped_terms)
+def _channel(curves: CurveSet, times, events) -> ChannelMetrics:
+    return ChannelMetrics(c_td=c_td(curves, times, events), ibs=ibs(curves, times, events))
 
 
-def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
+def _channels(hidden: CurveSet, times, events, percents=None,
               lam: float | None = None) -> dict[str, ChannelMetrics]:
     """Metrics of the hidden channel and, given the teacher's percents (NaN
     where absent) and the blend weight, of the verbalized and combined ones
-    (`verbalized_blocks` and `combined_blocks`). Both are column readers
-    over `hidden`, so the metrics read one block at a time."""
+    (`verbalized_blocks` and `combined_blocks`). Both read `hidden` a block
+    of columns at a time, and so do the metrics."""
     channels = {"hidden": _channel(hidden, times, events)}
     if percents is None:
         return channels
     if np.isnan(percents).all():
         channels["verbalized"] = ChannelMetrics(
-            c_td=None, ibs=None, dropped_terms=None, note="no extractable teacher probabilities")
+            c_td=None, ibs=None, note="no extractable teacher probabilities")
         channels["combined"] = replace(channels["hidden"],
                                        note="combined equals hidden (all verbalized missing)")
         return channels
@@ -368,7 +366,7 @@ def _channels(hidden: CurveSet | CurveBlocks, times, events, percents=None,
 
 
 def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
-             config: RunConfig) -> tuple[RunReport, CurveSet | CurveBlocks]:
+             config: RunConfig) -> tuple[RunReport, CurveSet]:
     """Test-set metrics for the hidden, verbalized, and combined channels,
     and the test split's hidden curves they were read from.
 
@@ -377,8 +375,8 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     channel a block of columns at a time, so the scores equal those of the
     whole sets and no (N, T) matrix is made for the Cox grid. The report
     counts the survival values the teacher's fits clamped, each split's 0%
-    estimates (raised to `PERCENT_FLOOR` before the log), the test curves
-    imputed by `mean_curve`, and each channel's dropped IPCW terms.
+    estimates (raised to `PERCENT_FLOOR` before the log) and the test curves
+    imputed by `mean_curve`.
     """
     percents, clamped = finalize_teacher(cohort)
     selected = val_score = test_percents = None

@@ -8,8 +8,8 @@ from survfuse.heads import CurveSet
 
 def curve(times, values) -> CurveSet:
     """One step curve, checked like any set: a one-row CurveSet."""
-    return CurveSet(times=np.asarray(times, dtype=np.float64),
-                    values=np.asarray(values, dtype=np.float64)[None, :])
+    return CurveSet.of(np.asarray(times, dtype=np.float64),
+                       np.asarray(values, dtype=np.float64)[None, :])
 
 
 def curve_at(one: CurveSet, t):
@@ -22,4 +22,4 @@ def stack(curves) -> CurveSet:
     """Every row of `curves` on the union of their grids (exact for step functions)."""
     curves = list(curves)
     times = np.unique(np.concatenate([c.times for c in curves]))
-    return CurveSet(times=times, values=np.vstack([c.at(times) for c in curves]))
+    return CurveSet.of(times, np.vstack([c.at(times) for c in curves]))

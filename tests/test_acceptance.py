@@ -193,17 +193,16 @@ def test_criterion_2_metrics_match_oracles():
     events = rng.random(n) < 0.5
     events[0] = True
     curves = stack(random_step_curve(rng) for _ in range(n))
-    at_512 = ibs(curves, times, events, grid_points=512).value
-    at_1024 = ibs(curves, times, events, grid_points=1024).value
-    at_2048 = ibs(curves, times, events, grid_points=2048).value
+    at_512 = ibs(curves, times, events, grid_points=512)
+    at_1024 = ibs(curves, times, events, grid_points=1024)
+    at_2048 = ibs(curves, times, events, grid_points=2048)
     assert abs(at_1024 - at_512) < 1e-4
     assert abs(at_2048 - at_1024) < 1e-4
 
     # closed form: S == 1/2 everywhere, one uncensored subject -> 1/4
     half = curve([0.0, 1e-6], [1.0, 0.5])
     result = ibs(half, np.array([4.0]), np.array([True]))
-    assert result.value == 0.25
-    assert result.dropped_terms == 0
+    assert result == 0.25
     assert time.perf_counter() - started < 30.0
 
 
@@ -335,8 +334,8 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
     val_data = training._split_data(cohort, split.val, late_cfg, result.grid)
     hidden_val = training.predict_curves(result, cohort, split.val, late_cfg)
     val_pct = percents[split.val]
-    blend_val = CurveSet(hidden_val.times, blend_inputs(hidden_val.values, hidden_val.times,
-                                                        verbalized_rates(val_pct))[0])
+    blend_val = CurveSet.of(hidden_val.times, blend_inputs(hidden_val.whole(), hidden_val.times,
+                                                           verbalized_rates(val_pct)))
     t_val, e_val = val_data["times"], val_data["events"]
     hidden_val_ctd = c_td(hidden_val, t_val, e_val)
     verb_val_ctd = c_td(blend_val, t_val, e_val)

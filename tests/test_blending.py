@@ -14,7 +14,6 @@ from survfuse.blending import (
     mean_curve,
     select_lambda,
     verbalized_curve,
-    verbalized_curves,
     verbalized_rates,
 )
 from survfuse.heads import CurveSet
@@ -36,22 +35,22 @@ def random_curve(rng, times=GRID):
 def test_verbalized_curve_exponential_anchor():
     one = verbalized_curve(90, GRID)
     rho = -math.log(0.9) / 3.0
-    assert np.allclose(one.values[0], np.exp(-rho * GRID), rtol=0, atol=1e-15)
+    assert np.allclose(one.whole()[0], np.exp(-rho * GRID), rtol=0, atol=1e-15)
     # anchored at the 3-year point, squared by 6 years
     assert abs(curve_at(one, 3.0) - 0.9) < 1e-12
     assert abs(curve_at(one, 6.0) - 0.81) < 1e-12
-    assert one.values[0, 0] == 1.0
+    assert one.whole()[0, 0] == 1.0
 
 
 def test_verbalized_curve_certain_survival():
     one = verbalized_curve(100, GRID)
-    assert np.array_equal(one.values[0], np.ones_like(GRID))
+    assert np.array_equal(one.whole()[0], np.ones_like(GRID))
 
 
 def test_verbalized_curve_floors_zero_percent():
     one = verbalized_curve(0, GRID)
     assert abs(curve_at(one, 3.0) - 0.005) < 1e-12
-    assert np.all(one.values > 0.0)
+    assert np.all(one.whole() > 0.0)
 
 
 def test_verbalized_curve_rejects_out_of_range():
@@ -69,8 +68,8 @@ def test_combine_formula():
         hidden = random_curve(rng)
         verb = random_curve(rng)
         for lam in (0.15, 0.5, 0.85):
-            out = combine(hidden.values, verb.values, lam)
-            expect = (1.0 - lam) * hidden.values + lam * verb.values
+            out = combine(hidden.whole(), verb.whole(), lam)
+            expect = (1.0 - lam) * hidden.whole() + lam * verb.whole()
             assert np.array_equal(out, expect)
 
 
@@ -78,8 +77,8 @@ def test_combine_endpoints_exact():
     rng = np.random.default_rng(32)
     hidden = random_curve(rng)
     verb = random_curve(rng)
-    assert np.array_equal(combine(hidden.values, verb.values, 0.0), hidden.values)
-    assert np.array_equal(combine(hidden.values, verb.values, 1.0), verb.values)
+    assert np.array_equal(combine(hidden.whole(), verb.whole(), 0.0), hidden.whole())
+    assert np.array_equal(combine(hidden.whole(), verb.whole(), 1.0), verb.whole())
 
 
 def test_combine_validation():
@@ -87,23 +86,23 @@ def test_combine_validation():
     hidden = random_curve(rng)
     verb = random_curve(rng)
     with pytest.raises(ValueError):
-        combine(hidden.values, verb.values, -0.01)
+        combine(hidden.whole(), verb.whole(), -0.01)
     with pytest.raises(ValueError):
-        combine(hidden.values, verb.values, 1.01)
+        combine(hidden.whole(), verb.whole(), 1.01)
     other = random_curve(rng, times=np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        combine(hidden.values, other.values, 0.5)
+        combine(hidden.whole(), other.whole(), 0.5)
     # one verbalized curve per hidden curve
     with pytest.raises(ValueError):
-        combine(hidden.values, stack([verb, verb]).values, 0.5)
+        combine(hidden.whole(), stack([verb, verb]).whole(), 0.5)
 
 
 def test_mean_curve():
     rng = np.random.default_rng(34)
     curves = [random_curve(rng) for _ in range(5)]
-    values = stack(curves).values
+    values = stack(curves).whole()
     out = mean_curve(values)
-    expect = np.mean([c.values[0] for c in curves], axis=0)
+    expect = np.mean([c.whole()[0] for c in curves], axis=0)
     assert out.shape == (1, GRID.size)
     assert np.allclose(out[0], expect, rtol=0, atol=1e-15)
     # the sum runs row by row
@@ -120,41 +119,39 @@ def test_mean_curve():
 
 def test_blend_inputs_resolves_missing():
     rng = np.random.default_rng(35)
-    hidden = stack([random_curve(rng) for _ in range(4)])
+    hidden = stack([random_curve(rng) for _ in range(4)]).whole()
     percents = [70, None, 40, None]
-    blend_in, n_present = blend_inputs(hidden.values, GRID, verbalized_rates(percents))
-    assert n_present == 2
-    (v70,), (v40,) = verbalized_curve(70, GRID).values, verbalized_curve(40, GRID).values
+    blend_in = blend_inputs(hidden, GRID, verbalized_rates(percents))
+    (v70,), (v40,) = verbalized_curve(70, GRID).whole(), verbalized_curve(40, GRID).whole()
     # present: blend against the verbalized curve
     for i, verb in ((0, v70), (2, v40)):
         assert np.array_equal(blend_in[i], verb)
     # absent: blend against the hidden curve itself
     for i in (1, 3):
-        assert np.array_equal(blend_in[i], hidden.values[i])
-    assert not np.shares_memory(blend_in, hidden.values)
+        assert np.array_equal(blend_in[i], hidden[i])
+    assert not np.shares_memory(blend_in, hidden)
     # every percent present: the verbalized curves themselves
-    blend_in, n_present = blend_inputs(hidden.values, GRID, verbalized_rates([10, 20, 30, 40]))
-    assert np.array_equal(blend_in, verbalized_curves([10, 20, 30, 40], GRID))
-    assert n_present == 4
+    blend_in = blend_inputs(hidden, GRID, verbalized_rates([10, 20, 30, 40]))
+    assert np.array_equal(blend_in, verbalized_curve([10, 20, 30, 40], GRID).whole())
     # absent with no extractable probability anywhere
-    blend_in, n_present = blend_inputs(hidden.values, GRID, verbalized_rates([None] * 4))
-    assert blend_in is hidden.values and n_present == 0
+    blend_in = blend_inputs(hidden, GRID, verbalized_rates([None] * 4))
+    assert blend_in is hidden
     with pytest.raises(ValueError):
-        blend_inputs(hidden.values, GRID, verbalized_rates([10, 20]))
+        blend_inputs(hidden, GRID, verbalized_rates([10, 20]))
 
 
 def test_verbalized_curves_floor_zero_percents():
     percents = np.array([0, 50, 0, 0, 100])
-    values = verbalized_curves(percents, GRID)
+    values = verbalized_curve(percents, GRID).whole()
     # each 0 (the count callers report) is the curve of PERCENT_FLOOR
     floored = percents == 0
     assert np.count_nonzero(floored) == 3
-    assert np.array_equal(values[floored], np.repeat(verbalized_curves([PERCENT_FLOOR], GRID), 3,
-                                                     axis=0))
-    assert np.array_equal(values[~floored], verbalized_curves(percents[~floored], GRID))
-    assert abs(CurveSet(GRID, values).at(3.0)[0] - 0.005) < 1e-12
+    assert np.array_equal(values[floored],
+                          np.repeat(verbalized_curve([PERCENT_FLOOR], GRID).whole(), 3, axis=0))
+    assert np.array_equal(values[~floored], verbalized_curve(percents[~floored], GRID).whole())
+    assert abs(CurveSet.of(GRID, values).at(3.0)[0] - 0.005) < 1e-12
     with pytest.raises(ValueError):
-        verbalized_curves([50, 100.5], GRID)
+        verbalized_curve([50, 100.5], GRID)
 
 
 # ------------------------------------------------------------- grid selection
@@ -162,7 +159,7 @@ def test_verbalized_curves_floor_zero_percents():
 def brute_force_lambda(hidden, verbalized, times, events, grid):
     best_lam, best_score = None, -np.inf
     for lam in sorted(grid):
-        combined = stack(CurveSet(h.times, (1.0 - lam) * h.values + lam * v.values)
+        combined = stack(CurveSet.of(h.times, (1.0 - lam) * h.whole() + lam * v.whole())
                          for h, v in zip(hidden, verbalized))
         score = c_td(combined, times, events)
         if score > best_score:
@@ -178,7 +175,7 @@ def risk_ordered_curves(scores, times=GRID):
 def blend_partners(hidden, percents):
     """`blend_inputs`' blend partner of each hidden curve, one curve each."""
     hidden = stack(hidden)
-    partners = blend_inputs(hidden.values, hidden.times, verbalized_rates(percents))[0]
+    partners = blend_inputs(hidden.whole(), hidden.times, verbalized_rates(percents))
     return [curve(hidden.times, row) for row in partners]
 
 
@@ -199,8 +196,7 @@ def test_select_lambda_prefers_the_informative_source():
                                     DEFAULT_LAMBDA_GRID)
     assert lam == ref_lam
     # with the sources swapped the hidden curves already score 1 at lambda 0
-    lam, score = select_lambda(CurveSet(GRID, verbalized_curves(percents, GRID)), percents[::-1],
-                               times, events)
+    lam, score = select_lambda(verbalized_curve(percents, GRID), percents[::-1], times, events)
     assert lam == 0.0
     assert score == 1.0
 
@@ -211,7 +207,8 @@ def test_select_lambda_ties_take_smallest():
     times = rng.uniform(0.5, 5.5, size=6)
     events = np.ones(6, dtype=bool)
     # identical sources: every lambda scores the same
-    curve_set = CurveSet(GRID, verbalized_curves(percents, GRID))
+    curve_set = verbalized_curve(percents, GRID)
+
     lam, score = select_lambda(curve_set, percents, times, events)
     assert lam == 0.0
     assert score == c_td(curve_set, times, events)

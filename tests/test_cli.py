@@ -7,6 +7,7 @@ observable without spawning interpreters.
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -189,6 +190,25 @@ def test_train_report_reproducible(pipeline, tmp_path):
     assert b"timing" not in first
 
 
+def test_a_bundle_manifest_leaves_the_input_digests_alone(pipeline, tmp_path):
+    """Two bundles whose only difference is their manifest's timings give a
+    command that reads them the same input digests."""
+    copy = tmp_path / "bundle"
+    shutil.copytree(pipeline["bundle"], copy)
+    manifest = read_json(copy / "manifest.json")
+    manifest["timings"] = {name: t + 1.0 for name, t in manifest["timings"].items()}
+    write(copy / "manifest.json", json.dumps(manifest))
+    checkpoint = os.path.join(pipeline["run"], "checkpoint.svck")
+    digests = []
+    for k, bundle in enumerate([pipeline["bundle"], str(copy)]):
+        out = tmp_path / f"eval{k}"
+        assert main(["eval", "--checkpoint", checkpoint, "--bundle", bundle,
+                     "--out", str(out)]) == 0
+        digests.append(read_json(out / "manifest.json")["inputs"]["bundle"])
+    assert digests[0] == digests[1]
+    assert "meta.json" in digests[0] and "manifest.json" not in digests[0]
+
+
 def test_eval_matches_train_report(pipeline, tmp_path):
     out = str(tmp_path / "eval")
     assert main(["eval", "--checkpoint",
@@ -199,8 +219,8 @@ def test_eval_matches_train_report(pipeline, tmp_path):
     assert eval_report["channels"] == train_report["channels"]
     _, curves = formats.read_curves(os.path.join(out, "curves"))
     assert len(curves) == 19
-    assert curves.times[0] == 0.0 and np.all(curves.values[:, 0] == 1.0)
-    assert np.all(np.diff(curves.values, axis=1) <= 0.0)
+    assert curves.times[0] == 0.0 and np.all(curves.whole()[:, 0] == 1.0)
+    assert np.all(np.diff(curves.whole(), axis=1) <= 0.0)
 
 
 @pytest.mark.parametrize("head", ["discrete", "coxph"])
@@ -233,7 +253,7 @@ def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_p
     result, config = training.load_checkpoint(checkpoint)
     test_curves = training.evaluate(result, cohort, split, config)[1]
     written = formats.read_npy(out / "curves" / "values.npy", "<f8", (len(split.test), None))
-    assert written.tobytes() == test_curves.whole().values.tobytes()
+    assert written.tobytes() == test_curves.whole().tobytes()
 
 
 def test_eval_rejects_a_checkpoint_with_stale_config_keys(pipeline, tmp_path, capsys):
@@ -336,8 +356,10 @@ def test_a_malformed_teacher_row_is_a_usage_error_naming_file_and_line(
     assert f"{teacher}:2: {message}" in capsys.readouterr().err
 
 
-# the messages of the configs' own checks, which concern no one key
-OWN_CHECKS = {"train": "patience cannot exceed epochs", "simulate": "need at least 3 samples"}
+# the messages of the configs' own checks, by the line that fails one
+OWN_CHECKS = {"patience=9": "patience cannot exceed epochs", "n=2": "need at least 3 samples",
+              "grid=quantiles": "grid must be 'equal' or 'quantile', not 'quantiles'",
+              "d_c=0": "d_c must be at least 1"}
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -348,6 +370,8 @@ OWN_CHECKS = {"train": "patience cannot exceed epochs", "simulate": "need at lea
     ("train", TRAIN_CFG.replace("epochs=2", "epochs=3").replace("patience=1", "patience=9"),
      None),
     ("simulate", "n=2\n", None),
+    ("train", TRAIN_CFG + "grid=quantiles\n", None),
+    ("simulate", "d_c=0\n", None),
 ])
 def test_a_bad_config_value_names_the_key_and_the_file(tmp_path, capsys, command, text, key):
     cfg = write(tmp_path / f"{command}.cfg", text)
@@ -361,7 +385,9 @@ def test_a_bad_config_value_names_the_key_and_the_file(tmp_path, capsys, command
     assert main(argv) == 1
     err = capsys.readouterr().err
     if key is None:
-        assert f"survfuse: error: {cfg}: {OWN_CHECKS[command]}" in err
+        (message,) = [OWN_CHECKS[line] for line in text.splitlines() if line in OWN_CHECKS]
+        assert f"survfuse: error: {cfg}: {message}" in err
+
     else:
         assert f"{cfg}: bad value for {key!r}: " in err
 
@@ -382,7 +408,7 @@ def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     hidden_ids, hidden = formats.read_curves(os.path.join(ev, "curves"))
     combined_ids, combined = formats.read_curves(os.path.join(blended, "combined"))
     assert combined_ids == hidden_ids
-    assert np.array_equal(combined.values, hidden.values)
+    assert np.array_equal(combined.whole(), hidden.whole())
 
 
 def test_blend_counts_floored_percents(pipeline, tmp_path, caplog):
@@ -419,8 +445,8 @@ def test_blend_needs_lambda_or_outcomes(pipeline, tmp_path, capsys):
 
 def small_blend_inputs(tmp_path):
     curves = str(tmp_path / "curves")
-    formats.write_curves(curves, ["a", "b"], CurveSet(
-        times=[0.0, 1.0, 2.0], values=[[1.0, 0.8, 0.5], [1.0, 0.6, 0.6]]))
+    formats.write_curves(curves, ["a", "b"], CurveSet.of(
+        [0.0, 1.0, 2.0], [[1.0, 0.8, 0.5], [1.0, 0.6, 0.6]]))
     percents = write(tmp_path / "percents.csv", "id,percent\na,50\nb,\n")
     return curves, percents
 
@@ -556,7 +582,7 @@ def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys
     assert ids == test_ids
     times, events = cohort.times[split.test], cohort.events[split.test]
     assert report["channels"]["combined"]["c_td"] == c_td(combined, times, events)
-    assert report["channels"]["combined"]["ibs"] == ibs(combined, times, events).value
+    assert report["channels"]["combined"]["ibs"] == ibs(combined, times, events)
 
 
 def test_suite_runs_configs_and_reports(pipeline, tmp_path):

@@ -216,7 +216,7 @@ def random_curves(seed, n, n_times):
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, size=n_times - 1))])
     values = np.hstack([np.ones((n, 1)),
                         np.sort(rng.uniform(size=(n, n_times - 1)), axis=1)[:, ::-1]])
-    return CurveSet(times=times, values=values)
+    return CurveSet.of(times, values)
 
 
 def test_curve_directory_round_trip(tmp_path):
@@ -230,11 +230,11 @@ def test_curve_directory_round_trip(tmp_path):
     back_ids, back = formats.read_curves(tmp_path / "c")
     assert back_ids == ids
     assert np.array_equal(back.times, curves.times)
-    assert np.array_equal(back.values, curves.values)
+    assert np.array_equal(back.whole(), curves.whole())
     # a second write replaces every file; no temporary file is left
     formats.write_curves(tmp_path / "c", ids[:2], random_curves(5, 2, 3))
     back_ids, back = formats.read_curves(tmp_path / "c")
-    assert back_ids == ids[:2] and back.values.shape == (2, 3)
+    assert back_ids == ids[:2] and back.whole().shape == (2, 3)
     assert not list((tmp_path / "c").glob("*.tmp"))
 
 
@@ -245,7 +245,7 @@ def test_curve_directory_keeps_any_string_id(tmp_path):
     formats.write_curves(tmp_path / "c", ids, curves)
     back_ids, back = formats.read_curves(tmp_path / "c")
     assert back_ids == ids
-    assert np.array_equal(back.values, curves.values)
+    assert np.array_equal(back.whole(), curves.whole())
     # the writer refuses what the reader would reject, and writes nothing
     for bad in (ids[:-1], ["a"] * len(ids), [*ids[:-1], 7]):
         with pytest.raises(ValueError, match="one distinct string id per curve"):
@@ -312,7 +312,7 @@ def test_curve_directory_rejects_truncated_and_trailing_bytes(tmp_path):
     with pytest.raises(ValueError, match="values.npy: trailing bytes"):
         formats.read_curves(path)
     (path / "values.npy").write_bytes(good)
-    assert np.array_equal(formats.read_curves(path)[1].values, curves.values)
+    assert np.array_equal(formats.read_curves(path)[1].whole(), curves.whole())
 
 
 @pytest.mark.parametrize("times, values, match", [

@@ -267,7 +267,7 @@ def test_discrete_curve_is_cumulative_product():
     rng = np.random.default_rng(8)
     grid = TimeGrid.equal_width(4, 4.0)
     logits = rng.normal(size=4)
-    (values,) = discrete_curve(logits[None, :], grid).values
+    (values,) = discrete_curve(logits[None, :], grid).whole()
     h = sigmoid(logits)
     expected = [1.0]
     for k in range(4):
@@ -280,8 +280,8 @@ def test_discrete_curve_is_cumulative_product():
 def test_cox_curve_uses_baseline_and_score():
     base = BreslowBaseline(event_times=np.array([1.0, 2.0]),
                            increments=np.array([0.1, 0.4]))
-    one = cox_curve(np.array([0.5]), base).whole()
-    assert one.values[0, 0] == 1.0
+    one = cox_curve(np.array([0.5]), base)
+    assert one.whole()[0, 0] == 1.0
     expected_at_2 = math.exp(-(0.1 + 0.4) * math.exp(0.5))
     assert abs(curve_at(one, 2.0) - expected_at_2) < 1e-15
 
@@ -324,7 +324,7 @@ def test_curve_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         curve([0.0, float("nan"), 2.0], [1.0, 0.8, 0.6])
     # a tiny numerical increase is tolerated and flattened, not fatal
-    (values,) = curve([0.0, 1.0, 2.0], [1.0, 0.5, 0.5 + 1e-15]).values
+    (values,) = curve([0.0, 1.0, 2.0], [1.0, 0.5, 0.5 + 1e-15]).whole()
     assert np.all(np.diff(values) <= 0)
     assert values[2] == 0.5
 
@@ -332,9 +332,9 @@ def test_curve_validation():
 def test_curve_set_checks_whole_matrix():
     times = np.array([0.0, 1.0, 2.0])
     values = np.array([[1.0, 0.6, 0.2], [1.0, 1.0, 0.5]])
-    curves = CurveSet(times=times, values=values)
+    curves = CurveSet.of(times, values)
     assert len(curves) == 2
-    assert curves.values is values  # clean float64 input is not copied
+    assert np.shares_memory(curves.whole(), values)  # clean float64 input is not copied
     assert np.array_equal(curves.cells([0.0, 0.5, 1.0, 9.0]), [0, 0, 1, 2])
     assert np.array_equal(curves.at([0.5, 2.0]), [[1.0, 0.2], [1.0, 0.5]])
     with pytest.raises(ValueError):
@@ -348,17 +348,17 @@ def test_curve_set_checks_whole_matrix():
             (times, np.array([[1.0, 0.6, 0.2], [1.0, 0.5, -0.1]])),  # below 0
             (times, np.array([[1.0, 0.6, np.nan], [1.0, 0.5, 0.1]]))):  # NaN
         with pytest.raises(ValueError):
-            CurveSet(times=bad_times, values=bad_values)
-    empty = CurveSet(times=times, values=np.empty((0, 3)))
+            CurveSet.of(bad_times, bad_values)
+    empty = CurveSet.of(times, np.empty((0, 3)))
     assert len(empty) == 0
 
 
 def test_curve_set_flattens_only_bumped_rows():
     times = np.array([0.0, 1.0, 2.0])
     values = np.array([[1.0, 0.5, 0.5 + 1e-15], [1.0, 0.4, 0.3]])
-    curves = CurveSet(times=times, values=values)
-    assert curves.values is not values and values[0, 2] == 0.5 + 1e-15
-    assert np.array_equal(curves.values, [[1.0, 0.5, 0.5], [1.0, 0.4, 0.3]])
+    curves = CurveSet.of(times, values)
+    assert not np.shares_memory(curves.whole(), values) and values[0, 2] == 0.5 + 1e-15
+    assert np.array_equal(curves.whole(), [[1.0, 0.5, 0.5], [1.0, 0.4, 0.3]])
 
 
 def test_set_builders_match_row_formulas():
@@ -366,20 +366,20 @@ def test_set_builders_match_row_formulas():
     grid = TimeGrid.equal_width(5, 5.0)
     logits = rng.normal(size=(7, 5))
     curves = discrete_curve(logits, grid)
-    assert curves.values.shape == (7, 6)
+    assert curves.whole().shape == (7, 6)
     for i in range(7):
         row = np.concatenate([[1.0], np.cumprod(1.0 - sigmoid(logits[i]))])
-        assert np.array_equal(curves.values[i], row)
+        assert np.array_equal(curves.whole()[i], row)
     with pytest.raises(ValueError):
         discrete_curve(logits[0], grid)
     base = BreslowBaseline(event_times=np.array([1.0, 2.0, 4.0]),
                            increments=np.array([0.1, 0.4, 0.2]))
     scores = rng.normal(size=6)
-    curves = cox_curve(scores, base).whole()
+    curves = cox_curve(scores, base)
     assert np.array_equal(curves.times, [0.0, 1.0, 2.0, 4.0])
     for i, g in enumerate(scores):
         row = np.exp(-np.cumsum(base.increments) * np.exp(float(g)))
-        assert np.array_equal(curves.values[i, 1:], row)
+        assert np.array_equal(curves.whole()[i, 1:], row)
     with pytest.raises(ValueError):
         cox_curve(0.5, base)
     with pytest.raises(ValueError, match="NaN scores"):

@@ -79,14 +79,13 @@ def test_forward_without_masks_is_deterministic_eval():
     assert np.array_equal(out1, out2)
 
 
-def test_forward_one_dim_input_round_trip():
+def test_forward_rejects_input_that_is_not_2d():
     rng = np.random.default_rng(4)
     mlp = init_mlp(4, [3], 2, rng)
-    x = rng.normal(size=4)
-    out, _ = mlp_forward(mlp, x)
-    assert out.shape == (2,)
-    batch_out, _ = mlp_forward(mlp, x[None, :])
-    assert np.array_equal(out, batch_out[0])
+    for x in (rng.normal(size=4), rng.normal(size=(1, 1, 4))):
+        with pytest.raises(ValueError, match=r"expected an \(n, 4\) input"):
+            mlp_forward(mlp, x)
+
 
 
 def test_dropout_mask_draw_respects_rate():

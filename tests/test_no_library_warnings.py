@@ -1,8 +1,9 @@
 """No survfuse module imports `warnings`.
 
 A quiet workaround (a clamped survival value, a floored 0% estimate, an
-imputed curve, a dropped IPCW term) returns its count to its caller, and the
-command records the count in its output and logs it once. A warning raised
+imputed curve) returns its count to its caller, and the command records the
+count in its output and logs it once. A warning raised
+
 inside the library instead depends on the caller's filters, repeats or
 vanishes with the call pattern, and never reaches a report.
 """

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from survfuse import pooling
 from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, combined_blocks,
-                               mean_curve, select_lambda, verbalized_curves, verbalized_rates)
+                               mean_curve, select_lambda, verbalized_curve, verbalized_rates)
 from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
                              split_cohort)
 from survfuse.distill import (HORIZONS, TeacherTable, extract_probability, finalize_probs,
@@ -40,10 +40,10 @@ from survfuse.formats import (id_rows, read_checkpoint, read_curves, read_hidden
                               read_npy, read_percents, read_pooled, write_checkpoint,
                               write_csv_table, write_curves, write_hidden_states, write_jsonl,
                               write_npy, write_percents, write_pooled)
-from survfuse.heads import (CurveBlocks, CurveSet, TimeGrid, _checked_curves,
+from survfuse.heads import (CurveSet, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, build_discrete_targets,
                             cox_curve, cox_loss_grad, discrete_curve, discrete_loss_grad)
-from survfuse.metrics import IBS_GRID_POINTS, c_td, censoring_km, ibs
+from survfuse.metrics import IBS_GRID_POINTS, _ibs_midpoints, c_td, censoring_km, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          sigmoid)
@@ -65,7 +65,7 @@ def quantized_set(rng, n, n_times, levels, grid=None):
     drops = rng.integers(0, 2, size=(n, n_times)) * rng.integers(1, levels + 1,
                                                                   size=(n, n_times))
     steps = np.maximum(levels - np.cumsum(drops, axis=1), 0) / levels
-    return CurveSet(times=times, values=np.hstack([np.ones((n, 1)), steps]))
+    return CurveSet.of(times, np.hstack([np.ones((n, 1)), steps]))
 
 
 def random_curve(rng):
@@ -89,8 +89,8 @@ def pairwise_ctd(curves: CurveSet, times, events):
     for i in np.flatnonzero(events):
         cell = int(np.count_nonzero(curves.times <= times[i])) - 1
         later = times > times[i]
-        s_i = curves.values[i, cell]
-        s_j = curves.values[later, cell]
+        s_i = curves.whole()[i, cell]
+        s_j = curves.whole()[later, cell]
         num += float((s_i < s_j).sum()) + 0.5 * float((s_i == s_j).sum())
         pairs += int(later.sum())
     return num, pairs
@@ -155,6 +155,25 @@ def test_censoring_km_equals_the_product_limit_loop(n, n_distinct, event_p, all_
     assert km.values.tobytes() == values.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 400), n_distinct=st.integers(1, 50), event_p=st.floats(0.0, 1.0),
+       grid_points=st.one_of(st.just(IBS_GRID_POINTS), st.integers(1, 64)), seed=SEEDS)
+def test_every_ipcw_weight_is_at_least_one_over_n(n, n_distinct, event_p, grid_points, seed):
+    """No weight `ibs` divides by is zero: G(t_i-) of an event subject, who is
+    at risk at every earlier censoring, and G at each integration midpoint,
+    where the subjects observed to t_max are still at risk, are at least 1/n
+    up to rounding."""
+    rng = np.random.default_rng(seed)
+    # few distinct times give ties, and a low event rate long runs of censorings
+    times = rng.choice(rng.uniform(0.01, 6.5, size=n_distinct), size=n)
+    events = rng.random(n) < event_p
+    km = censoring_km(times, events)
+    floor = (1.0 - 1e-12) / n
+    assert np.all(km.at_left(times[events]) >= floor)
+    assert np.all(km.at(_ibs_midpoints(float(times.max()), grid_points)) >= floor)
+
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 768), n_times=st.integers(1, 8),
        levels=st.integers(1, 5), event_p=st.floats(0.05, 1.0),
@@ -196,7 +215,7 @@ def test_metrics_on_union_grid_equal_curve_by_curve(n, event_p, grid_points, see
             pairs += 1
     if pairs:
         assert c_td(curve_set, times, events) == num / pairs
-    assert (ibs(curve_set, times, events, grid_points).value
+    assert (ibs(curve_set, times, events, grid_points)
             == ibs_curve_by_curve(curves, times, events, grid_points))
 
 
@@ -210,7 +229,7 @@ def restricted(curves: CurveSet, t) -> CurveSet:
     """The curves on only their grid points that hold times t, and 0: the
     value held at each time in t is kept."""
     cols = np.union1d([0], np.searchsorted(curves.times, t, side="right") - 1)
-    return CurveSet(times=curves.times[cols], values=curves.values[:, cols])
+    return CurveSet.of(curves.times[cols], curves.whole()[:, cols])
 
 
 def channel_scores(curves: CurveSet, times, events, grid_points):
@@ -230,7 +249,7 @@ def verbalized_channel(percents, times):
     present = ~np.isnan(percents)
     if not present.any():
         return None
-    own = verbalized_curves(percents[present], times)
+    own = verbalized_curve(percents[present], times).whole()
     values = np.empty((percents.size, own.shape[1]))
     values[present] = own
     values[~present] = mean_curve(own)
@@ -251,15 +270,15 @@ def test_metrics_on_scored_times_equal_full_curves(n, n_times, levels, event_p, 
     times, events = outcomes(rng, n, event_p, curves.times[1:] if tied_times else None)
     percents = np.where(rng.random(n) < 0.7, rng.integers(0, 101, size=n), np.nan)
     short = restricted(curves, scored_times(times, events, grid_points))
-    full_in, n_present = blend_inputs(curves.values, curves.times, verbalized_rates(percents))
-    short_in, _ = blend_inputs(short.values, short.times, verbalized_rates(percents))
+    full_in = blend_inputs(curves.whole(), curves.times, verbalized_rates(percents))
+    short_in = blend_inputs(short.whole(), short.times, verbalized_rates(percents))
     full_verb = verbalized_channel(percents, curves.times)
     short_verb = verbalized_channel(percents, short.times)
-    full_sets = [curves, CurveSet(curves.times, combine(curves.values, full_in, lam))]
-    short_sets = [short, CurveSet(short.times, combine(short.values, short_in, lam))]
-    if n_present:
-        full_sets.append(CurveSet(curves.times, full_verb))
-        short_sets.append(CurveSet(short.times, short_verb))
+    full_sets = [curves, CurveSet.of(curves.times, combine(curves.whole(), full_in, lam))]
+    short_sets = [short, CurveSet.of(short.times, combine(short.whole(), short_in, lam))]
+    if full_verb is not None:
+        full_sets.append(CurveSet.of(curves.times, full_verb))
+        short_sets.append(CurveSet.of(short.times, short_verb))
     # the hidden, combined and verbalized channels score == on the scored times
     for full, short_set in zip(full_sets, short_sets):
         assert (channel_scores(short_set, times, events, grid_points)
@@ -301,14 +320,14 @@ def test_columns_equal_the_checked_whole_set(head, n, n_fit, n_bins, n_cols, ove
             np.errstate(over="ignore"):
         curves = hidden_curves(rng, head, n, n_fit, n_bins, overflow)
         whole = curves.whole()
-    assert np.all(whole.values[:, 0] == 1.0)
+    assert np.all(whole[:, 0] == 1.0)
     # columns in any order, repeated, 0 among them or not
-    cols = rng.integers(0, whole.times.size, size=n_cols)
-    assert curves.columns(cols).tobytes() == whole.values[:, cols].tobytes()
+    cols = rng.integers(0, curves.times.size, size=n_cols)
+    assert curves.columns(cols).tobytes() == whole[:, cols].tobytes()
     # times between, on, and past the grid points, and 0
     at = np.concatenate([rng.uniform(0.0, 6.0, size=n_cols),
-                         rng.choice(whole.times, size=int(rng.integers(0, 4)))])
-    assert curves.at(at).tobytes() == whole.at(at).tobytes()
+                         rng.choice(curves.times, size=int(rng.integers(0, 4)))])
+    assert curves.at(at).tobytes() == CurveSet.of(curves.times, whole).at(at).tobytes()
 
 
 def assert_valid(values):
@@ -327,16 +346,15 @@ def test_blends_and_means_stay_valid(n, n_times, percents, lam, seed):
     rng = np.random.default_rng(seed)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, size=n_times))])
     drops = rng.exponential(size=(n, n_times)) * rng.uniform(0.0, 2.0, size=(n, 1))
-    hidden = CurveSet(times=times, values=np.hstack([np.ones((n, 1)),
-                                                     np.exp(-np.cumsum(drops, axis=1))]))
-    blend_in, n_present = blend_inputs(hidden.values, times, verbalized_rates(percents[:n]))
+    hidden = CurveSet.of(times, np.hstack([np.ones((n, 1)), np.exp(-np.cumsum(drops, axis=1))]))
+    blend_in = blend_inputs(hidden.whole(), times, verbalized_rates(percents[:n]))
     verb_eval = verbalized_channel(percents[:n], times)
-    blended = combine(hidden.values, blend_in, lam)
+    blended = combine(hidden.whole(), blend_in, lam)
     # the raw convex combination already satisfies every invariant
-    assert np.array_equal(blended, (1.0 - lam) * hidden.values + lam * blend_in)
-    for values in (blend_in, blended, mean_curve(hidden.values), mean_curve(blend_in)):
+    assert np.array_equal(blended, (1.0 - lam) * hidden.whole() + lam * blend_in)
+    for values in (blend_in, blended, mean_curve(hidden.whole()), mean_curve(blend_in)):
         assert_valid(values)
-    if n_present:
+    if verb_eval is not None:
         assert_valid(verb_eval)
         assert_valid(mean_curve(verb_eval))
 
@@ -352,7 +370,7 @@ def test_clean_up_matches_full_running_minimum(n, n_times, seed):
     noisy = rng.random(n) < 0.5
     values[noisy, 1:] += rng.uniform(-1e-13, 1e-13, size=(int(noisy.sum()), n_times))
     before = values.copy()
-    cleaned = CurveSet(times=times, values=values).values
+    cleaned = CurveSet.of(times, values).whole()
     assert np.array_equal(values, before)  # the caller's array is untouched
     assert np.array_equal(cleaned, np.minimum.accumulate(np.clip(before, 0.0, 1.0), axis=1))
 
@@ -425,7 +443,7 @@ def per_lambda_selection(hidden, verbalized, times, events, grid):
     """select_lambda as first written: c_td of each lambda's combined set."""
     best_lam, best = None, -np.inf
     for lam in sorted(grid):
-        score = c_td(CurveSet(hidden.times, combine(hidden.values, verbalized, lam)), times,
+        score = c_td(CurveSet.of(hidden.times, combine(hidden.whole(), verbalized, lam)), times,
                      events)
         if score > best:
             best_lam, best = lam, score
@@ -436,8 +454,8 @@ def per_lambda_selection(hidden, verbalized, times, events, grid):
 FEW_PERCENTS = np.array([np.nan, 0.5, 5.0, 50.0, 95.0, 100.0])
 
 
-def blocks_of(curves: CurveSet) -> CurveBlocks:
-    return CurveBlocks(curves.times, len(curves), curves.columns)
+def blocks_of(curves: CurveSet) -> CurveSet:
+    return CurveSet(curves.times, len(curves), curves.columns)
 
 
 def outcome_or_error(fn, *args):
@@ -461,7 +479,7 @@ def test_one_pass_lambda_scores_equal_per_lambda_c_td(n, n_times, levels, event_
     hidden = quantized_set(rng, n, n_times, levels)
     percents = rng.choice(FEW_PERCENTS, size=n)
     times, events = outcomes(rng, n, event_p, hidden.times[1:] if tied_times else None)
-    partners = blend_inputs(hidden.values, hidden.times, verbalized_rates(percents))[0]
+    partners = blend_inputs(hidden.whole(), hidden.times, verbalized_rates(percents))
     want = outcome_or_error(per_lambda_selection, hidden, partners, times, events, grid)
     assert outcome_or_error(select_lambda, hidden, percents, times, events, grid) == want
     assert outcome_or_error(select_lambda, blocks_of(hidden), percents, times, events,
@@ -490,7 +508,7 @@ def test_metrics_and_blends_do_not_depend_on_the_block_budget(n, n_times, levels
                     outcome_or_error(select_lambda, blocks_of(hidden), percents, times,
                                      events),
                     ibs(hidden, times, events, grid_points),
-                    combine(hidden.values, verbalized.values, lam).tobytes())
+                    combine(hidden.whole(), verbalized.whole(), lam).tobytes())
 
     # one block for everything, against blocks of a few subjects, columns or rows
     assert results(budget) == results(1 << 60)
@@ -510,14 +528,13 @@ def test_combined_reader_columns_equal_the_whole_combined_set(head, n, n_fit, n_
     percents = rng.integers(0, 101, size=n).astype(np.float64)  # 0 is floored
     if present != "all":
         percents[rng.random(n) < (1.0 if present == "none" else 0.4)] = np.nan
-    whole = combine(full.values,
-                    blend_inputs(full.values, full.times, verbalized_rates(percents))[0], lam)
+    whole = combine(full, blend_inputs(full, hidden.times, verbalized_rates(percents)), lam)
     reader = combined_blocks(hidden, percents, lam)
-    assert len(reader) == n and reader.times.tobytes() == full.times.tobytes()
+    assert len(reader) == n and reader.times.tobytes() == hidden.times.tobytes()
     # any columns, in any order and with repeats, and all of them at once
-    cols = rng.integers(0, full.times.size, size=n_cols)
+    cols = rng.integers(0, hidden.times.size, size=n_cols)
     assert reader.columns(cols).tobytes() == whole[:, cols].tobytes()
-    assert reader.whole().values.tobytes() == whole.tobytes()
+    assert reader.whole().tobytes() == whole.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -529,22 +546,21 @@ def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_
                                                               tied_times, lam, seed):
     rng = np.random.default_rng(seed)
     hidden = hidden_curves(rng, head, n, n_fit, n_bins)
-    full = hidden.whole()
     # tied outcome times that also sit exactly on grid points
-    times, events = outcomes(rng, n, 0.6, full.times[1:] if tied_times else None)
+    times, events = outcomes(rng, n, 0.6, hidden.times[1:] if tied_times else None)
     percents = rng.integers(0, 101, size=n).astype(np.float64)  # 0 is floored
     if present != "all":
         percents[rng.random(n) < (1.0 if present == "none" else 0.4)] = np.nan
     # as evaluate built them before: whole matrices on the scored times
-    scored = restricted(full, scored_times(times, events))
-    blend, n_present = blend_inputs(scored.values, scored.times, verbalized_rates(percents))
+    scored = restricted(hidden, scored_times(times, events))
+    blend = blend_inputs(scored.whole(), scored.times, verbalized_rates(percents))
     verbalized = verbalized_channel(percents, scored.times)
     want = {"hidden": channel_scores(scored, times, events, IBS_GRID_POINTS)}
-    if n_present:
-        want["verbalized"] = channel_scores(CurveSet(scored.times, verbalized), times,
+    if verbalized is not None:
+        want["verbalized"] = channel_scores(CurveSet.of(scored.times, verbalized), times,
                                             events, IBS_GRID_POINTS)
         want["combined"] = channel_scores(
-            CurveSet(scored.times, combine(scored.values, blend, lam)), times, events,
+            CurveSet.of(scored.times, combine(scored.whole(), blend, lam)), times, events,
             IBS_GRID_POINTS)
     got = outcome_or_error(_channels, hidden, times, events, percents, lam)
     if want["hidden"][0] is None:
@@ -552,8 +568,9 @@ def test_block_channels_equal_channels_of_materialised_curves(head, n, n_fit, n_
         return
     assert set(got) == {"hidden", "verbalized", "combined"}
     for name, (score, brier) in want.items():
-        assert (got[name].c_td, got[name].ibs) == (score, brier.value), name
-    if not n_present:
+        assert (got[name].c_td, got[name].ibs) == (score, brier), name
+    if verbalized is None:
+
         assert got["verbalized"].c_td is None
         assert (got["combined"].c_td, got["combined"].ibs) == (got["hidden"].c_td,
                                                               got["hidden"].ibs)
@@ -572,11 +589,11 @@ def test_ctd_is_unchanged_by_a_strictly_increasing_map(n, n_times, levels, event
     f = {"power": lambda x: x ** shape,
          "expm1": lambda x: np.expm1(shape * x) / np.expm1(shape),
          "sqrt": np.sqrt, "cube": lambda x: x ** 3}[transform]
-    present, where = np.unique(curves.values.ravel(), return_inverse=True)
+    present, where = np.unique(curves.whole().ravel(), return_inverse=True)
     mapped = f(present)
     # in floating point the map must stay strictly increasing on the values present
     assume(np.all(np.diff(mapped) > 0.0) and mapped[-1] == 1.0)
-    moved = CurveSet(times=curves.times, values=mapped[where].reshape(curves.values.shape))
+    moved = CurveSet.of(curves.times, mapped[where].reshape(curves.whole().shape))
     assert outcome_or_error(c_td, moved, times, events) == outcome_or_error(c_td, curves,
                                                                             times, events)
 
@@ -1235,11 +1252,11 @@ def test_curve_directories_round_trip_and_reject_every_prefix(data):
     values = np.array([[1.0] + sorted(data.draw(st.lists(UNIT_VALUES, min_size=len(steps),
                                                          max_size=len(steps))), reverse=True)
                        for _ in ids]).reshape(len(ids), times.size)
-    curves = CurveSet(times=times, values=values)
+    curves = CurveSet.of(times, values)
     back_ids, back = round_trip(lambda path, value: write_curves(path, *value), read_curves,
                                 (ids, curves), files=["times.npy", "values.npy", "meta.json"])
     assert back_ids == ids
-    assert same_bits(back.times, times) and same_bits(back.values, values)
+    assert same_bits(back.times, times) and same_bits(back.whole(), values)
 
 
 # whole percents (as parse-teacher writes them), any other, and no estimate

@@ -9,7 +9,7 @@ import pytest
 from survfuse.cohort import Cohort, Modality, split_cohort
 from survfuse.distill import calibration_mask
 from survfuse.formats import dataclass_from_kv, read_checkpoint, write_checkpoint
-from survfuse.blending import PERCENT_FLOOR, verbalized_curves
+from survfuse.blending import PERCENT_FLOOR, verbalized_curve
 from survfuse.heads import CurveSet, TimeGrid, discrete_loss
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_forward, model_params
@@ -314,10 +314,7 @@ def test_evaluate_counts_floored_percents_per_split(monkeypatch):
     assert again == {**report.to_dict(), "floored_percents": {"val": 0, "test": 0}}
 
 
-def test_evaluate_reports_clamped_values_and_dropped_ipcw_terms(monkeypatch):
-    import survfuse.training as training_module
-    from survfuse.metrics import IbsResult
-
+def test_evaluate_reports_clamped_values():
     cohort = toy_cohort(40)
     # a lone 3-year estimate of 0%: the completion fit clamps it, the
     # completed row is 0 at 3 and 5 years (non-increasing), and the final fit
@@ -329,17 +326,6 @@ def test_evaluate_reports_clamped_values_and_dropped_ipcw_terms(monkeypatch):
     report = evaluate(result, cohort, split, config)[0]
     assert report.clamped_values == finalize_teacher(cohort)[1] == 3 * (1 + 2)
     assert report.imputed_curves == 0
-    # the censoring survival G is positive before the largest time, and every
-    # integration point lies before it, so no IPCW term is dropped here
-    assert [m.dropped_terms for m in report.channels.values()] == [0, 0, 0]
-    # each channel reports what its ibs call dropped
-    monkeypatch.setattr(training_module, "ibs",
-                        lambda *args: IbsResult(ibs(*args).value, dropped_terms=4))
-    rep = evaluate(result, cohort, split, config)[0].to_dict()
-    assert {name: m["dropped_terms"] for name, m in rep["channels"].items()} == {
-        "hidden": 4, "verbalized": 4, "combined": 4}
-    assert rep == report.to_dict() | {"channels": {
-        name: m | {"dropped_terms": 4} for name, m in report.to_dict()["channels"].items()}}
 
 
 def test_evaluate_without_teacher_reports_hidden_only():
@@ -355,15 +341,15 @@ def test_evaluate_without_teacher_reports_hidden_only():
 
 def test_verbalized_channel_imputes_the_mean_of_present_curves():
     times = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
-    hidden = CurveSet(times, verbalized_curves([20, 30, 50, 60, 80], times))
+    hidden = verbalized_curve([20, 30, 50, 60, 80], times)
     percents = np.array([70.0, np.nan, 40.0, np.nan, 90.0])
     t = np.array([0.7, 1.5, 2.5, 3.2, 3.9])
     e = np.array([True, True, False, True, True])
-    own = verbalized_curves([70, 40, 90], times)
+    own = verbalized_curve([70, 40, 90], times).whole()
     mean = (own[0] + own[1] + own[2]) / 3
-    want = CurveSet(times, np.vstack([own[0], mean, own[1], mean, own[2]]))
+    want = CurveSet.of(times, np.vstack([own[0], mean, own[1], mean, own[2]]))
     got = _channels(hidden, t, e, percents, lam=0.5)["verbalized"]
-    assert (got.c_td, got.ibs) == (c_td(want, t, e), ibs(want, t, e).value)
+    assert (got.c_td, got.ibs) == (c_td(want, t, e), ibs(want, t, e))
 
 
 def test_train_and_evaluate_deterministic_report():
@@ -432,10 +418,10 @@ def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
         save_checkpoint(path, result, config)
         loaded, cfg = load_checkpoint(path)
         assert cfg == config
-        orig = predict_curves(result, cohort, split.test, config).whole()
-        redo = predict_curves(loaded, cohort, split.test, cfg).whole()
+        orig = predict_curves(result, cohort, split.test, config)
+        redo = predict_curves(loaded, cohort, split.test, cfg)
         assert np.array_equal(orig.times, redo.times)
-        assert np.array_equal(orig.values, redo.values)
+        assert np.array_equal(orig.whole(), redo.whole())
         assert loaded.best_epoch == result.best_epoch
 
 
