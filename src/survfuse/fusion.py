@@ -21,17 +21,17 @@ class FusionGates:
     """Gate logits; realized gates are sigmoid(logit).
 
     inner_logit gates cov against text, outer_logit gates ge against the rest.
-    Per-bin vectors (length B) for the discrete head, 0-d scalars for CoxPH.
+    Each holds one logit per output column (a discrete head's bins; one for
+    a Cox score).
     """
 
     inner_logit: np.ndarray
     outer_logit: np.ndarray
 
 
-def init_fusion_gates(n_bins: int | None) -> FusionGates:
-    """Zero logits (gates at 0.5). n_bins=None gives scalar CoxPH gates."""
-    shape = () if n_bins is None else (int(n_bins),)
-    return FusionGates(inner_logit=np.zeros(shape), outer_logit=np.zeros(shape))
+def init_fusion_gates(width: int) -> FusionGates:
+    """Zero logits (gates at 0.5), `width` of each."""
+    return FusionGates(inner_logit=np.zeros(width), outer_logit=np.zeros(width))
 
 
 def _present(arrays: dict[str, np.ndarray]) -> list[str]:
@@ -55,14 +55,14 @@ def _checked(outputs: dict[str, np.ndarray],
              gates: FusionGates) -> tuple[list[str], dict[str, np.ndarray]]:
     """The present modalities in MODALITY_ORDER, and the realized gate of
     each one after the first: the inner gate for cov, the outer for ge
-    (text, first whenever present, has none)."""
+    (text, first whenever present, has none). Outputs are (N, width), gates (width,)."""
     order = _present(outputs)
     shapes = {m: np.shape(outputs[m]) for m in order}
     if len(set(shapes.values())) != 1:
         raise ValueError(f"inconsistent modality output shapes: {shapes}")
     shape = shapes[order[0]]
     gdim = gates.outer_logit.shape
-    if gdim != () and (len(shape) == 0 or shape[-1:] != gdim):
+    if shape[1:] != gdim:
         raise ValueError(f"gate shape {gdim} does not match output shape {shape}")
     return order, {m: sigmoid(gates.inner_logit if m == "cov" else gates.outer_logit)
                    for m in order[1:]}
@@ -90,14 +90,6 @@ def late_fuse(outputs: dict[str, np.ndarray], gates: FusionGates) -> np.ndarray:
     return fused.copy() if len(order) == 1 else fused
 
 
-def _reduce_like(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum out broadcast (leading) axes so grad matches the parameter shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    return grad.reshape(shape)
-
-
 def late_fuse_backward(upstream: np.ndarray, outputs: dict[str, np.ndarray],
                        gates: FusionGates
                        ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
@@ -105,8 +97,8 @@ def late_fuse_backward(upstream: np.ndarray, outputs: dict[str, np.ndarray],
     MODALITY_ORDER, inner logit gradient, outer logit gradient).
 
     The fold is undone from the last modality back. Gate-logit gradients
-    chain through the sigmoid; a gate the present modalities leave unused
-    gets an exact zero.
+    chain through the sigmoid and sum over the samples; a gate the present
+    modalities leave unused gets an exact zero.
     """
     order, g = _checked(outputs, gates)
     before = _fold(outputs, order[:-1], g) if len(order) > 1 else []
@@ -117,8 +109,7 @@ def late_fuse_backward(upstream: np.ndarray, outputs: dict[str, np.ndarray],
     for k in range(len(order) - 1, 0, -1):
         m = order[k]
         grads[m] = d * g[m]
-        logit_grads[m] = _reduce_like(d * (outputs[m] - before[k - 1]) * g[m] * (1.0 - g[m]),
-                                      logit_grads[m].shape)
+        logit_grads[m] = (d * (outputs[m] - before[k - 1]) * g[m] * (1.0 - g[m])).sum(axis=0)
         d = d * (1.0 - g[m])
     grads[order[0]] = d.copy() if len(order) == 1 else d
     return {m: grads[m] for m in order}, logit_grads["cov"], logit_grads["ge"]

@@ -1,7 +1,8 @@
 """Survival heads: discrete-time hazards and Cox partial likelihood.
 
 Target construction, losses with exact gradients, Breslow baseline hazards,
-and step-function survival curves.
+step-function survival curves, and a run's head (`init_head`): a `DiscreteHead`
+or a `CoxHead`, the one place the two differ, so no other module names either.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ class TimeGrid:
         qs = np.quantile(np.asarray(times, dtype=np.float64), np.linspace(0, 1, n_bins + 1))
         edges = np.unique(np.concatenate([[0.0], qs[1:-1], [float(horizon)]]))
         return cls(edges[edges <= horizon])
-
-
-@dataclass
-class DiscreteTargets:
-    """Per-subject event indicators `y` and at-risk masks `a`, both (N, B)."""
-
-    y: np.ndarray
-    a: np.ndarray
 
 
 def _checked_curves(times, values) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +132,9 @@ class CurveSet:
         return _checked_curves(self.times, self.columns(slice(None)))[1]
 
 
-def build_discrete_targets(times, events, grid: TimeGrid) -> DiscreteTargets:
-    """Event and at-risk indicator matrices for the masked Bernoulli objective.
+def build_discrete_targets(times, events, grid: TimeGrid) -> dict[str, np.ndarray]:
+    """Event and at-risk indicator matrices for the masked Bernoulli objective,
+    `y` and `a`, both (N, B), one row per subject.
 
     y[i, b] = 1 iff subject i has an event in (t_{b-1}, t_b]; a[i, b] = 1 iff
     the subject is still at risk at the start of bin b (observed time strictly
@@ -158,18 +152,14 @@ def build_discrete_targets(times, events, grid: TimeGrid) -> DiscreteTargets:
     in_bin = (t_col > lower) & (t_col <= upper)
     y = (in_bin & events[:, None]).astype(np.float64)
     a = (t_col > lower).astype(np.float64)
-    return DiscreteTargets(y=y, a=a)
+    return {"y": y, "a": a}
 
 
-def discrete_loss(logits: np.ndarray, targets: DiscreteTargets) -> float:
-    """At-risk-masked mean binary cross-entropy of per-bin hazards."""
-    loss, _ = discrete_loss_grad(logits, targets)
-    return loss
-
-
-def discrete_loss_grad(logits: np.ndarray, targets: DiscreteTargets) -> tuple[float, np.ndarray]:
+def discrete_loss_grad(logits: np.ndarray, targets: dict) -> tuple[float, np.ndarray]:
+    """At-risk-masked mean binary cross-entropy of per-bin hazards, with its
+    gradient; `targets` holds `build_discrete_targets`' `y` and `a`."""
     logits = np.asarray(logits, dtype=np.float64)
-    y, a = targets.y, targets.a
+    y, a = targets["y"], targets["a"]
     if logits.shape != y.shape:
         raise ValueError(f"logits shape {logits.shape} does not match targets {y.shape}")
     total_at_risk = a.sum()
@@ -231,13 +221,8 @@ def _event_time_groups(times: np.ndarray, events: np.ndarray,
     return event_times, d, shift[k] + np.log(sums[k])
 
 
-def cox_loss(scores, times, events) -> float:
-    """Negative partial log-likelihood, averaged over events (Breslow ties)."""
-    loss, _ = cox_loss_grad(scores, times, events)
-    return loss
-
-
 def cox_loss_grad(scores, times, events) -> tuple[float, np.ndarray]:
+    """Negative partial log-likelihood per event (Breslow ties), with its gradient."""
     scores = np.asarray(scores, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
@@ -319,3 +304,89 @@ def cox_curve(scores, baseline: BreslowBaseline) -> CurveSet:
         return values
 
     return CurveSet(times, scores.size, columns)
+
+
+# The heads by name, each with the autoencoder weight alpha it defaults to.
+HEAD_ALPHA = {"discrete": 1e-9, "coxph": 1e-8}
+
+
+@dataclass(frozen=True)
+class DiscreteHead:
+    """Discrete-time hazards: one logit per bin of `grid`."""
+
+    grid: TimeGrid
+
+    @property
+    def width(self) -> int:
+        return self.grid.n_bins
+
+    def targets(self, times, events) -> dict[str, np.ndarray]:
+        return build_discrete_targets(times, events, self.grid)
+
+    def trains_on(self, rows: dict) -> bool:
+        return True
+
+    def loss_grad(self, out: np.ndarray, rows: dict) -> tuple[float, np.ndarray]:
+        return discrete_loss_grad(out, rows)
+
+    def fitted(self, fit: Callable[[], tuple]) -> "DiscreteHead":
+        """The head after training: itself (the grid needs no fit)."""
+        return self
+
+    def curves(self, out: np.ndarray) -> CurveSet:
+        return discrete_curve(out, self.grid)
+
+    def record(self) -> dict:
+        return {"grid_edges": self.grid.edges.tolist(), "baseline": None}
+
+
+@dataclass(frozen=True)
+class CoxHead:
+    """Cox partial likelihood on one score per subject, the model's (N, 1)
+    outputs; `fitted` adds the Breslow baseline the curves read."""
+
+    baseline: BreslowBaseline | None = None
+    width = 1
+
+    def targets(self, times, events) -> dict[str, np.ndarray]:
+        return {"times": times, "events": events}
+
+    def trains_on(self, rows: dict) -> bool:
+        """A batch without an event has no partial likelihood."""
+        return bool(rows["events"].any())
+
+    def loss_grad(self, out: np.ndarray, rows: dict) -> tuple[float, np.ndarray]:
+        loss, grad = cox_loss_grad(out[:, 0], rows["times"], rows["events"])
+        return loss, grad[:, None]
+
+    def fitted(self, fit: Callable[[], tuple]) -> "CoxHead":
+        """With the Breslow baseline of `fit()`'s (outputs, times, events)."""
+        out, times, events = fit()
+        return CoxHead(breslow_baseline(out[:, 0], times, events))
+
+    def curves(self, out: np.ndarray) -> CurveSet:
+        return cox_curve(out[:, 0], self.baseline)
+
+    def record(self) -> dict:
+        return {"grid_edges": None,
+                "baseline": {"event_times": self.baseline.event_times.tolist(),
+                             "increments": self.baseline.increments.tolist()}}
+
+
+def init_head(config, train_times) -> DiscreteHead | CoxHead:
+    """A run's head before training, from its config: discrete hazards on an
+    equal grid, or on the training times' quantiles, whose tied edges merge
+    (so it may have fewer than `n_bins` bins); or Cox, with no baseline yet."""
+    if config.head == "coxph":
+        return CoxHead()
+    if config.grid == "quantile":
+        return DiscreteHead(TimeGrid.from_quantiles(train_times, config.n_bins, config.horizon))
+    return DiscreteHead(TimeGrid.equal_width(config.n_bins, config.horizon))
+
+
+def read_head(name: str, record: dict) -> DiscreteHead | CoxHead:
+    """The fitted head `name` from the `grid_edges` and `baseline` of its
+    `record()`."""
+    if name == "coxph":
+        return CoxHead(BreslowBaseline(**record["baseline"]))
+    return DiscreteHead(TimeGrid(record["grid_edges"]))

@@ -18,15 +18,12 @@ from .nn import (FlatViews, Mlp, MlpCache, MlpGrads, ParamLayout, draw_dropout_m
                  init_mlp, mlp_backward, mlp_forward, sigmoid)
 
 DEFAULT_HEAD_LAYERS = [100, 100, 100]
-HEAD_TYPES = ("discrete", "coxph")
 FUSION_MODES = ("early", "late", "none")
 
 
-def checked_structure(head_type: str, fusion: str, modalities) -> tuple[str, ...]:
-    """Validate a head type, fusion mode and modality set (a run config and
-    a model both); return the modalities in MODALITY_ORDER."""
-    if head_type not in HEAD_TYPES:
-        raise ValueError(f"unknown head {head_type!r}")
+def checked_structure(fusion: str, modalities) -> tuple[str, ...]:
+    """Validate a fusion mode and modality set (a run config and a model
+    both); return the modalities in MODALITY_ORDER."""
     if fusion not in FUSION_MODES:
         raise ValueError(f"unknown fusion {fusion!r}")
     ordered = tuple(m for m in MODALITY_ORDER if m in modalities)
@@ -46,10 +43,8 @@ def gated_fusion(fusion: str, modalities) -> bool:
 
 @dataclass
 class SurvivalModel:
-    head_type: str  # 'discrete' | 'coxph'
     fusion: str     # 'early' | 'late' | 'none'
     modalities: tuple[str, ...]
-    n_bins: int | None
     heads: dict[str, Mlp]
     ae: Autoencoder | None = None
     gates: FusionGates | None = None
@@ -72,20 +67,21 @@ class SurvivalModel:
 
 @dataclass
 class ModelForward:
-    out: np.ndarray                      # (N, B) logits or (N,) scores
-    head_outputs: dict[str, np.ndarray]  # each head's (N, B) logits or (N,) scores
+    out: np.ndarray                      # (N, width)
+    head_outputs: dict[str, np.ndarray]  # each head's (N, width)
     head_caches: dict[str, MlpCache | None]  # None without keep_cache
     recon: np.ndarray | None = None
     enc_cache: MlpCache | None = None
     dec_cache: MlpCache | None = None
 
 
-def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
-               rng: np.random.Generator, n_bins: int | None = None,
+def init_model(fusion: str, modalities, dims: dict[str, int],
+               rng: np.random.Generator, width: int,
                head_layers=None, dropout: float = 0.3,
                ae_hidden=None, latent_dim: int = 16,
                ae_dropout: float = 0.0) -> SurvivalModel:
-    """Build all components for one run configuration.
+    """Build all components for one run configuration: `width` outputs per
+    sample (the survival head's `width`), and gates as wide.
 
     `dims` maps each enabled modality to its input width (ge gives d_g; the
     heads then consume the autoencoder latent). Late fusion of several
@@ -93,31 +89,29 @@ def init_model(head_type: str, fusion: str, modalities, dims: dict[str, int],
     reads the early-fused input and the model has no gates, so `gates is
     None` is how the forward and backward passes tell the two apart.
     """
-    modalities = checked_structure(head_type, fusion, modalities)
-    if head_type == "discrete" and (n_bins is None or n_bins < 1):
-        raise ValueError("discrete head needs n_bins")
+    modalities = checked_structure(fusion, modalities)
+    if width < 1:
+        raise ValueError("the model needs at least one output")
     if head_layers is None:
         head_layers = list(DEFAULT_HEAD_LAYERS)
     missing = [m for m in modalities if m not in dims]
     if missing:
         raise ValueError(f"missing dims for modalities: {missing}")
 
-    out_dim = n_bins if head_type == "discrete" else 1
     ae = None
     if "ge" in modalities:
         hidden = list(ae_hidden) if ae_hidden is not None else [64, 32]
         ae = init_autoencoder(dims["ge"], rng, hidden=hidden,
                               latent_dim=latent_dim, dropout=ae_dropout)
-    width = {m: ae.latent_dim if m == "ge" else dims[m] for m in modalities}
+    reads = {m: ae.latent_dim if m == "ge" else dims[m] for m in modalities}
 
     gated = gated_fusion(fusion, modalities)
     head_reads = {f"head_{m}": (m,) for m in modalities} if gated else {"head": modalities}
-    heads = {name: init_mlp(sum(width[m] for m in read), list(head_layers), out_dim, rng,
+    heads = {name: init_mlp(sum(reads[m] for m in read), list(head_layers), width, rng,
                             dropout=dropout)
              for name, read in head_reads.items()}
-    gates = init_fusion_gates(n_bins if head_type == "discrete" else None) if gated else None
-    return SurvivalModel(head_type=head_type, fusion=fusion, modalities=modalities,
-                         n_bins=n_bins, heads=heads, ae=ae, gates=gates)
+    gates = init_fusion_gates(width) if gated else None
+    return SurvivalModel(fusion=fusion, modalities=modalities, heads=heads, ae=ae, gates=gates)
 
 
 def _named_mlps(model: SurvivalModel):
@@ -184,9 +178,8 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
     head_caches: dict[str, MlpCache | None] = {}
     for name, x in head_inputs.items():
         mlp = model.heads[name]
-        out, head_caches[name] = mlp_forward(mlp, x, masks=masks_for(mlp),
-                                             keep_cache=keep_cache)
-        head_outputs[name] = out if model.head_type == "discrete" else out[:, 0]
+        head_outputs[name], head_caches[name] = mlp_forward(mlp, x, masks=masks_for(mlp),
+                                                            keep_cache=keep_cache)
     if model.gates is None:
         out = head_outputs["head"]
     else:
@@ -225,8 +218,7 @@ def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray
     grad_z_ge = None
     for name, g in head_grads.items():
         reads_ge = model.ae is not None and name in ("head", "head_ge")
-        grad_in = backward(name, model.heads[name], fwd.head_caches[name],
-                           g[:, None] if model.head_type == "coxph" else g,
+        grad_in = backward(name, model.heads[name], fwd.head_caches[name], g,
                            input_grad=reads_ge)
         if reads_ge:
             # ge is last in MODALITY_ORDER: the trailing latent_dim columns of the input
@@ -249,5 +241,5 @@ def gate_values(model: SurvivalModel) -> dict[str, list[float]] | None:
     """Realized sigmoid gates for reporting, None when the run has no gates."""
     if model.gates is None:
         return None
-    return {"inner": np.atleast_1d(sigmoid(model.gates.inner_logit)).tolist(),
-            "outer": np.atleast_1d(sigmoid(model.gates.outer_logit)).tolist()}
+    return {"inner": sigmoid(model.gates.inner_logit).tolist(),
+            "outer": sigmoid(model.gates.outer_logit).tolist()}

@@ -55,34 +55,12 @@ class GeneratorSpec:
 
 
 @dataclass
-class ExponentialCurve:
-    """Exact S(t) = exp(-rate * t); oracle counterpart of the step curves."""
-
-    rate: float
-
-    def at(self, t) -> np.ndarray:
-        return np.exp(-self.rate * np.asarray(t, dtype=np.float64))
-
-
-@dataclass
-class WeibullCurve:
-    """Exact S(t) = exp(-(rate * t)^shape)."""
-
-    rate: float
-    shape: float
-
-    def at(self, t) -> np.ndarray:
-        return np.exp(-((self.rate * np.asarray(t, dtype=np.float64)) ** self.shape))
-
-
-@dataclass
 class SynthResult:
     spec: GeneratorSpec
     out_dir: str
     files: dict[str, str]
     ids: list[str]
     rates: np.ndarray                      # lambda_i
-    components: dict[str, np.ndarray]      # per-modality risk scalars u_m
     true_s3: np.ndarray = field(default=None)
 
 
@@ -226,27 +204,4 @@ def generate(spec: GeneratorSpec, out_dir: str,
 
     return SynthResult(spec=spec, out_dir=out_dir, files=files, ids=ids,
                        rates=rates,
-                       components={"text": u_text, "cov": u_cov, "ge": u_ge},
                        true_s3=true_survival(spec, rates, np.array([3.0]))[:, 0])
-
-
-def partial_rates(result: SynthResult, modalities) -> np.ndarray:
-    """Hazard rates using only the chosen modalities' risk terms."""
-    spec = result.spec
-    weights = {"text": spec.w_text, "cov": spec.w_cov, "ge": spec.w_ge}
-    score = np.zeros(len(result.ids))
-    for m in modalities:
-        score += weights[m] * result.components[m]
-    return spec.base_rate * np.exp(score)
-
-
-def oracle_curves(result: SynthResult, indices=None, modalities=None) -> list:
-    """Exact per-sample survival curves from the generator's own hazards."""
-    rates = result.rates if modalities is None else partial_rates(result, modalities)
-    if indices is None:
-        indices = range(len(result.ids))
-    spec = result.spec
-    if spec.event_family == "weibull":
-        return [WeibullCurve(rate=float(rates[i]), shape=spec.weibull_shape)
-                for i in indices]
-    return [ExponentialCurve(rate=float(rates[i])) for i in indices]

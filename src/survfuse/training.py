@@ -12,8 +12,7 @@ from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, combined_blocks, select_lambda, verbalized_blocks
 from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
 from .distill import calibration_mask, teacher_percents
-from .heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets, cox_curve,
-                    cox_loss, cox_loss_grad, discrete_curve, discrete_loss, discrete_loss_grad)
+from .heads import HEAD_ALPHA, CoxHead, CurveSet, DiscreteHead, init_head, read_head
 from .metrics import c_td, ibs
 from .model import (SurvivalModel, checked_structure, gate_values, gated_fusion,
                     init_model, model_backward, model_forward, model_params)
@@ -27,8 +26,8 @@ class RunConfig:
     modalities: tuple[str, ...] = ("text", "cov", "ge")
     pretrain: bool = False
     calibration_correction: bool = False
-    alpha: float | None = None   # default depends on head
-    n_bins: int = 30
+    alpha: float | None = None   # default depends on head (heads.HEAD_ALPHA)
+    n_bins: int = 30             # requested; a quantile grid may merge tied edges
     grid: str = "equal"          # 'equal' | 'quantile'
     horizon: float = 5.0
     batch_size: int = 16
@@ -50,17 +49,25 @@ class RunConfig:
     ae_dropout: float = 0.0
 
     def __post_init__(self):
-        self.modalities = checked_structure(self.head, self.fusion, self.modalities)
+        if self.head not in HEAD_ALPHA:
+            raise ValueError(f"unknown head {self.head!r}")
+        self.modalities = checked_structure(self.fusion, self.modalities)
         if self.alpha is None:
-            self.alpha = 1e-8 if self.head == "coxph" else 1e-9
+            self.alpha = HEAD_ALPHA[self.head]
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+        for name in ("batch_size", "pretrain_batch_size", "n_bins", "epochs", "pretrain_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.grid not in ("equal", "quantile"):
             raise ValueError(f"grid must be 'equal' or 'quantile', not {self.grid!r}")
         if self.patience > self.epochs:
             raise ValueError("patience cannot exceed epochs")
+        if self.pretrain_patience > self.pretrain_epochs:
+            raise ValueError("pretrain_patience cannot exceed pretrain_epochs")
+        for name in ("lr_head", "lr_gates", "lr_ae", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -85,24 +92,14 @@ def named_rngs(seed: int, names: tuple[str, ...]) -> dict[str, np.random.Generat
             for name, child in zip(names, children)}
 
 
-def build_time_grid(config: RunConfig, train_times) -> TimeGrid:
-    if config.grid == "quantile":
-        return TimeGrid.from_quantiles(train_times, config.n_bins, config.horizon)
-    return TimeGrid.equal_width(config.n_bins, config.horizon)
-
-
-def total_loss(model: SurvivalModel, batch: dict, config: RunConfig,
-               rng: np.random.Generator | None = None):
+def total_loss(model: SurvivalModel, head: DiscreteHead | CoxHead, batch: dict,
+               config: RunConfig, rng: np.random.Generator | None = None):
     """Joint objective L_surv + alpha * L_AE with gradients.
 
-    `batch` holds the modality matrices plus 'times'/'events' (coxph) or
-    'targets' (discrete).
+    `batch` holds the modality matrices plus the head's target rows.
     """
     fwd = model_forward(model, batch, rng=rng)
-    if model.head_type == "discrete":
-        l_surv, grad_out = discrete_loss_grad(fwd.out, batch["targets"])
-    else:
-        l_surv, grad_out = cox_loss_grad(fwd.out, batch["times"], batch["events"])
+    l_surv, grad_out = head.loss_grad(fwd.out, batch)
 
     l_ae = 0.0
     grad_recon = None
@@ -134,8 +131,7 @@ def _learning_rate(config: RunConfig):
 @dataclass
 class TrainResult:
     model: SurvivalModel
-    grid: TimeGrid | None
-    baseline: object | None
+    head: DiscreteHead | CoxHead
     train_trace: list[float]
     val_trace: list[float]
     best_epoch: int
@@ -143,35 +139,20 @@ class TrainResult:
     dims: dict[str, int] = field(default_factory=dict)
 
 
-def _gather_batch(data: dict, idx: np.ndarray, head: str) -> dict:
-    batch = {m: data[m][idx] for m in data["modalities"]}
-    if head == "discrete":
-        targets = data["targets"]
-        batch["targets"] = type(targets)(y=targets.y[idx], a=targets.a[idx])
-    else:
-        batch["times"] = data["times"][idx]
-        batch["events"] = data["events"][idx]
-    return batch
+# The training record that a report and a checkpoint both carry.
+_RECORD = ("train_trace", "val_trace", "best_epoch", "skipped_batches")
 
 
-def _split_data(cohort: Cohort, indices, config: RunConfig,
-                grid: TimeGrid | None) -> dict:
-    data: dict = {"modalities": config.modalities}
-    for m in config.modalities:
-        data[m] = modality_matrix(cohort, indices, m)
-    times, events = outcome_arrays(cohort, indices)
-    data["times"] = times
-    data["events"] = events
-    if config.head == "discrete":
-        data["targets"] = build_discrete_targets(times, events, grid)
-    return data
+def _forward(model: SurvivalModel, cohort: Cohort, indices, config: RunConfig) -> np.ndarray:
+    """The model's (N, width) outputs for the samples `indices` (one inference forward)."""
+    inputs = {m: modality_matrix(cohort, indices, m) for m in config.modalities}
+    return model_forward(model, inputs, rng=None, keep_cache=False).out
 
 
-def _val_surv_loss(model: SurvivalModel, data: dict) -> float:
-    fwd = model_forward(model, data, rng=None, keep_cache=False)
-    if model.head_type == "discrete":
-        return discrete_loss(fwd.out, data["targets"])
-    return cox_loss(fwd.out, data["times"], data["events"])
+def _rows(cohort: Cohort, indices, config: RunConfig, head: DiscreteHead | CoxHead) -> dict:
+    """The modality matrices and head targets of `indices`, one row per sample."""
+    return {**{m: modality_matrix(cohort, indices, m) for m in config.modalities},
+            **head.targets(*outcome_arrays(cohort, indices))}
 
 
 def _inject(dst: SurvivalModel, src_params: dict[str, np.ndarray]) -> None:
@@ -192,10 +173,10 @@ def _masked_count(cohort: Cohort, percents: np.ndarray | None, config: RunConfig
     return int(keep.size - np.count_nonzero(keep))
 
 
-def _build_model(config: RunConfig, dims: dict[str, int],
-                 rng: np.random.Generator) -> SurvivalModel:
-    return init_model(config.head, config.fusion, config.modalities, dims, rng,
-                      n_bins=config.n_bins, head_layers=list(config.head_layers),
+def _build_model(config: RunConfig, dims: dict[str, int], rng: np.random.Generator,
+                 width: int) -> SurvivalModel:
+    return init_model(config.fusion, config.modalities, dims, rng, width,
+                      head_layers=list(config.head_layers),
                       dropout=config.dropout, ae_hidden=list(config.ae_hidden),
                       latent_dim=config.latent_dim, ae_dropout=config.ae_dropout)
 
@@ -204,34 +185,28 @@ def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
           warm_start: dict[str, np.ndarray] | None = None) -> TrainResult:
     """Mini-batch AdamW on the joint objective with early stopping.
 
-    Monitors validation survival loss; restores the best checkpoint; for the
-    CoxPH head, fits the Breslow baseline on train+val afterwards.
+    Monitors validation survival loss; restores the best checkpoint; then
+    fits the head on train+val (the Breslow baseline of a Cox head).
     """
     result = _train_loop(config, cohort, split, warm_start, config.batch_size,
                          config.epochs, config.patience)
-    if config.head == "coxph":
-        fit_idx = np.concatenate([split.train, split.val])
-        fit_data = _split_data(cohort, fit_idx, config, result.grid)
-        fwd = model_forward(result.model, fit_data, rng=None, keep_cache=False)
-        result.baseline = breslow_baseline(fwd.out, fit_data["times"], fit_data["events"])
+    fit_idx = np.concatenate([split.train, split.val])
+    result.head = result.head.fitted(lambda: (_forward(result.model, cohort, fit_idx, config),
+                                              *outcome_arrays(cohort, fit_idx)))
     return result
 
 
 def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
                 warm_start: dict[str, np.ndarray] | None, batch_size: int,
                 epochs: int, patience: int) -> TrainResult:
-    """`train`'s epoch loop: the model at its best validation epoch, no baseline."""
+    """`train`'s epoch loop: the model at its best validation epoch, head unfitted."""
     rngs = named_rngs(config.seed, ("init", "shuffle", "dropout", "pretrain"))
-    grid = None
-    if config.head == "discrete":
-        train_times, _ = outcome_arrays(cohort, split.train)
-        grid = build_time_grid(config, train_times)
-
-    train_data = _split_data(cohort, split.train, config, grid)
-    val_data = _split_data(cohort, split.val, config, grid)
+    head = init_head(config, outcome_arrays(cohort, split.train)[0])
+    train_data = _rows(cohort, split.train, config, head)
+    val_data = _rows(cohort, split.val, config, head)
     dims = {m: train_data[m].shape[1] for m in config.modalities}
 
-    model = _build_model(config, dims, rngs["init"])
+    model = _build_model(config, dims, rngs["init"], head.width)
     if warm_start:
         _inject(model, warm_start)
 
@@ -252,16 +227,17 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
         epoch_losses = []
         for start in range(0, n_train, batch_size):
             idx = order[start:start + batch_size]
-            batch = _gather_batch(train_data, idx, config.head)
-            if config.head == "coxph" and not batch["events"].any():
+            batch = {k: v[idx] for k, v in train_data.items()}
+            if not head.trains_on(batch):
                 skipped += 1
                 continue
-            loss, _, grads = total_loss(model, batch, config, rng=rngs["dropout"])
+            loss, _, grads = total_loss(model, head, batch, config, rng=rngs["dropout"])
             adamw_step(model.flat, grads.flat, opt)
             epoch_losses.append(loss)
         train_trace.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
 
-        val_loss = _val_surv_loss(model, val_data)
+        val_loss = head.loss_grad(model_forward(model, val_data, rng=None,
+                                                keep_cache=False).out, val_data)[0]
         val_trace.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
@@ -274,8 +250,7 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
             break
 
     np.copyto(model.flat, best_snapshot)
-    return TrainResult(model=model, grid=grid, baseline=None,
-                       train_trace=train_trace, val_trace=val_trace,
+    return TrainResult(model=model, head=head, train_trace=train_trace, val_trace=val_trace,
                        best_epoch=best_epoch, skipped_batches=skipped, dims=dims)
 
 
@@ -334,11 +309,7 @@ def predict_curves(result: TrainResult, cohort: Cohort, indices,
     """The model's curves for the samples `indices` (one inference forward):
     the checked matrix for the discrete head, columns computed on demand on
     the Breslow grid for Cox (`whole()` makes the matrix)."""
-    data = _split_data(cohort, indices, config, result.grid)
-    out = model_forward(result.model, data, rng=None, keep_cache=False).out
-    if result.model.head_type == "discrete":
-        return discrete_curve(out, result.grid)
-    return cox_curve(out, result.baseline)
+    return result.head.curves(_forward(result.model, cohort, indices, config))
 
 
 def _channel(curves: CurveSet, times, events) -> ChannelMetrics:
@@ -396,9 +367,7 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     channels = _channels(test, *outcome_arrays(cohort, split.test), test_percents, selected)
     report = RunReport(config=config, channels=channels, selected_lambda=selected,
                        lambda_val_ctd=val_score, gates=gate_values(result.model),
-                       train_trace=result.train_trace, val_trace=result.val_trace,
-                       best_epoch=result.best_epoch,
-                       skipped_batches=result.skipped_batches,
+                       **{key: getattr(result, key) for key in _RECORD},
                        masked_samples=_masked_count(cohort, percents, config),
                        clamped_values=clamped, floored_percents=floored,
                        imputed_curves=imputed)
@@ -437,27 +406,22 @@ def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
 
 
 def save_checkpoint(path: str, result: TrainResult, config: RunConfig) -> None:
-    """Persist trained parameters plus everything needed to rebuild the model."""
-    manifest = {
-        "config": asdict(config),
-        "dims": result.dims,
-        "grid_edges": result.grid.edges.tolist() if result.grid else None,
-        "baseline": {
-            "event_times": result.baseline.event_times.tolist(),
-            "increments": result.baseline.increments.tolist(),
-        } if result.baseline is not None else None,
-        "best_epoch": result.best_epoch,
-    }
+    """Persist the parameters, the fitted head's record and the training record."""
+    manifest = {"config": asdict(config), "dims": result.dims, **result.head.record(),
+                **{key: getattr(result, key) for key in _RECORD}}
     formats.write_checkpoint(path, model_params(result.model), manifest)
 
 
 def load_checkpoint(path: str) -> tuple[TrainResult, RunConfig]:
-    """Rebuild the trained model (no traces) from a checkpoint file."""
-    from .heads import BreslowBaseline
-
+    """The trained model, its fitted head and its training record, from a checkpoint."""
     tensors, manifest = formats.read_checkpoint(path)
+    missing = [key for key in _RECORD if key not in manifest]
+    if missing:
+        raise ValueError(f"{path}: checkpoint has no training record {missing}; "
+                         f"retrain the model")
     config = _config_from_dict(manifest["config"])
-    model = _build_model(config, manifest["dims"], np.random.default_rng(0))
+    head = read_head(config.head, manifest)
+    model = _build_model(config, manifest["dims"], np.random.default_rng(0), head.width)
     params = model_params(model)
     if set(params) != set(tensors):
         raise ValueError("checkpoint parameters do not match the configured model")
@@ -467,17 +431,8 @@ def load_checkpoint(path: str) -> tuple[TrainResult, RunConfig]:
                              f"the configured model expects {params[name].shape}")
         np.copyto(params[name], value)
 
-    grid = TimeGrid(np.array(manifest["grid_edges"])) if manifest["grid_edges"] else None
-    baseline = None
-    if manifest["baseline"] is not None:
-        baseline = BreslowBaseline(
-            event_times=np.array(manifest["baseline"]["event_times"]),
-            increments=np.array(manifest["baseline"]["increments"]))
-    result = TrainResult(model=model, grid=grid, baseline=baseline,
-                         train_trace=[], val_trace=[],
-                         best_epoch=manifest.get("best_epoch", 0),
-                         skipped_batches=0,
-                         dims=dict(manifest["dims"]))
+    result = TrainResult(model=model, head=head, dims=dict(manifest["dims"]),
+                         **{key: manifest[key] for key in _RECORD})
     return result, config
 
 

@@ -13,13 +13,13 @@ import numpy as np
 from survfuse import synth, training
 from survfuse.autoencoder import init_autoencoder, reconstruction_loss_grad
 from survfuse.blending import blend_inputs, verbalized_rates
-from survfuse.cohort import load_cohort, pool_text, split_cohort
+from survfuse.cohort import load_cohort, outcome_arrays, pool_text, split_cohort
 from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
                               weighted_text_loss_grad)
 from survfuse.fusion import FusionGates, late_fuse
-from survfuse.heads import (CurveSet, TimeGrid, breslow_baseline, build_discrete_targets, cox_loss,
-                            discrete_loss_grad, cox_loss_grad)
+from survfuse.heads import (CoxHead, CurveSet, DiscreteHead, TimeGrid, breslow_baseline,
+                            build_discrete_targets, discrete_loss_grad, cox_loss_grad)
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import finite_difference_check, mlp_forward
@@ -121,11 +121,10 @@ def test_criterion_1_gradients_match_finite_differences():
     # gate logits, propagated through the full fused survival loss with
     # dropout active and its masks held fixed across every evaluation
     for trial in range(20):
-        head = "discrete" if trial % 2 == 0 else "coxph"
-        bins = 4 if head == "discrete" else None
+        head = DiscreteHead(TimeGrid.equal_width(4, 5.0)) if trial % 2 == 0 else CoxHead()
         dims = {"text": 5, "cov": 3, "ge": 7}
-        model = init_model(head, "late", ("text", "cov", "ge"), dims, rng,
-                           n_bins=bins, head_layers=[6], dropout=0.3,
+        model = init_model("late", ("text", "cov", "ge"), dims, rng, head.width,
+                           head_layers=[6], dropout=0.3,
                            ae_hidden=[6], latent_dim=3)
         randomize(model, rng)
         n = int(rng.integers(4, 10))
@@ -133,19 +132,15 @@ def test_criterion_1_gradients_match_finite_differences():
         times = rng.uniform(0.2, 5.0, size=n)
         events = rng.random(n) < 0.6
         events[0] = True
-        targets = (build_discrete_targets(times, events, TimeGrid.equal_width(4, 5.0))
-                   if head == "discrete" else None)
+        targets = head.targets(times, events)
         mask_seed = int(rng.integers(1 << 30))
         gate_params = {"gates.inner": model.gates.inner_logit,
                        "gates.outer": model.gates.outer_logit}
 
-        def gate_fn(p, model=model, batch=batch, targets=targets,
-                    times=times, events=events, mask_seed=mask_seed):
+        def gate_fn(p, model=model, batch=batch, head=head, targets=targets,
+                    mask_seed=mask_seed):
             fwd = model_forward(model, batch, rng=np.random.default_rng(mask_seed))
-            if targets is not None:
-                loss, grad_out = discrete_loss_grad(fwd.out, targets)
-            else:
-                loss, grad_out = cox_loss_grad(fwd.out, times, events)
+            loss, grad_out = head.loss_grad(fwd.out, targets)
             grads = model_backward(model, fwd, grad_out)
             return loss, grads
 
@@ -209,7 +204,7 @@ def test_criterion_2_metrics_match_oracles():
 # ------------------------------------------------------------- criterion 3
 
 def test_criterion_3_closed_form_losses():
-    loss = cox_loss(np.zeros(2), np.array([1.0, 2.0]), np.array([True, False]))
+    loss = cox_loss_grad(np.zeros(2), np.array([1.0, 2.0]), np.array([True, False]))[0]
     assert abs(loss - math.log(2.0)) < 1e-12
 
     rng = np.random.default_rng(303)
@@ -235,8 +230,8 @@ def test_criterion_3_closed_form_losses():
     ]
     for t, e, want_y, want_a in cases:
         targets = build_discrete_targets(np.array([t]), np.array([e]), grid)
-        assert np.array_equal(targets.y[0], np.array(want_y, dtype=np.float64))
-        assert np.array_equal(targets.a[0], np.array(want_a, dtype=np.float64))
+        assert np.array_equal(targets["y"][0], np.array(want_y, dtype=np.float64))
+        assert np.array_equal(targets["a"][0], np.array(want_a, dtype=np.float64))
 
 
 # ------------------------------------------------------------- criterion 4
@@ -331,12 +326,11 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
 
     # (b) the blend weight is chosen on a grid containing 0 and 1, so the
     # combined validation concordance can never fall below either channel
-    val_data = training._split_data(cohort, split.val, late_cfg, result.grid)
     hidden_val = training.predict_curves(result, cohort, split.val, late_cfg)
     val_pct = percents[split.val]
     blend_val = CurveSet.of(hidden_val.times, blend_inputs(hidden_val.whole(), hidden_val.times,
                                                            verbalized_rates(val_pct)))
-    t_val, e_val = val_data["times"], val_data["events"]
+    t_val, e_val = outcome_arrays(cohort, split.val)
     hidden_val_ctd = c_td(hidden_val, t_val, e_val)
     verb_val_ctd = c_td(blend_val, t_val, e_val)
     assert late.lambda_val_ctd >= hidden_val_ctd
@@ -384,7 +378,7 @@ def test_criterion_7_training_is_deterministic(tmp_path):
 def test_criterion_8_saturated_gates_pick_one_modality():
     rng = np.random.default_rng(808)
 
-    for shape in ((), (6,)):
+    for shape in ((1,), (6,)):
         outs = {m: rng.normal(size=(7,) + shape) for m in ("text", "cov", "ge")}
         picks = [("text", -800.0, -800.0), ("cov", 800.0, -800.0),
                  ("ge", 800.0, 800.0)]
@@ -394,9 +388,9 @@ def test_criterion_8_saturated_gates_pick_one_modality():
             assert np.array_equal(late_fuse(outs, gates), outs[name])
 
     dims = {"text": 6, "cov": 4, "ge": 10}
-    for head, bins in (("discrete", 5), ("coxph", None)):
-        model = init_model(head, "late", ("text", "cov", "ge"), dims, rng,
-                           n_bins=bins, head_layers=[8], dropout=0.0,
+    for width in (5, 1):
+        model = init_model("late", ("text", "cov", "ge"), dims, rng, width,
+                           head_layers=[8], dropout=0.0,
                            ae_hidden=[6], latent_dim=3)
         randomize(model, rng)
         batch = {m: rng.normal(size=(5, d)) for m, d in dims.items()}
@@ -404,13 +398,9 @@ def test_criterion_8_saturated_gates_pick_one_modality():
         model.gates.inner_logit[...] = -800.0
         model.gates.outer_logit[...] = -800.0
         text_out, _ = mlp_forward(model.heads["head_text"], batch["text"])
-        if head == "coxph":
-            text_out = text_out[:, 0]
         assert np.array_equal(model_forward(model, batch).out, text_out)
 
         model.gates.outer_logit[...] = 800.0
         z, _ = mlp_forward(model.ae.encoder, batch["ge"])
         ge_out, _ = mlp_forward(model.heads["head_ge"], z)
-        if head == "coxph":
-            ge_out = ge_out[:, 0]
         assert np.array_equal(model_forward(model, batch).out, ge_out)

@@ -224,6 +224,45 @@ def test_eval_matches_train_report(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("head", ["discrete", "coxph"])
+def test_eval_writes_the_report_train_wrote(pipeline, tmp_path, head):
+    """The checkpoint keeps the training record, so `eval` of it writes
+    `train`'s report byte for byte; at batch size 2 the Cox run skips
+    event-free batches, and the count survives too."""
+    cfg = TRAIN_CFG.replace("head=discrete", f"head={head}").replace("batch_size=16",
+                                                                     "batch_size=2")
+    run, ev = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--config", write(tmp_path / "run.cfg", cfg),
+                 "--bundle", pipeline["bundle"], "--out", str(run)]) == 0
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.svck"),
+                 "--bundle", pipeline["bundle"], "--out", str(ev)]) == 0
+    written = (run / "report.json").read_bytes()
+    assert (ev / "report.json").read_bytes() == written
+    report = json.loads(written)
+    assert len(report["train_trace"]) == len(report["val_trace"]) == 2
+    assert (report["skipped_batches"] > 0) == (head == "coxph")
+
+
+def test_eval_rejects_a_checkpoint_without_its_training_record(pipeline, tmp_path, capsys):
+    """Each record key is required. A checkpoint written before they were
+    kept lacks three, and fails on that before its tensors are read (a Cox
+    one had gates of another shape; here a transposed weight stands in)."""
+    tensors, manifest = formats.read_checkpoint(
+        os.path.join(pipeline["run"], "checkpoint.svck"))
+    cases = [[key] for key in ("train_trace", "val_trace", "best_epoch", "skipped_batches")]
+    cases.append(["train_trace", "val_trace", "skipped_batches"])
+    for k, missing in enumerate(cases):
+        old = str(tmp_path / f"old{k}.svck")
+        if len(missing) > 1:
+            tensors["head_text.w0"] = tensors["head_text.w0"].T.copy()
+        formats.write_checkpoint(old, tensors, {key: value for key, value in manifest.items()
+                                                if key not in missing})
+        assert main(["eval", "--checkpoint", old, "--bundle", pipeline["bundle"],
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert (f"{old}: checkpoint has no training record {missing}; retrain the model"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("head", ["discrete", "coxph"])
 def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_path,
                                                                  monkeypatch, head):
     """eval writes the test curves `evaluate` built (`whole()` of them), and
@@ -359,7 +398,13 @@ def test_a_malformed_teacher_row_is_a_usage_error_naming_file_and_line(
 # the messages of the configs' own checks, by the line that fails one
 OWN_CHECKS = {"patience=9": "patience cannot exceed epochs", "n=2": "need at least 3 samples",
               "grid=quantiles": "grid must be 'equal' or 'quantile', not 'quantiles'",
-              "d_c=0": "d_c must be at least 1"}
+              "d_c=0": "d_c must be at least 1", "epochs=0": "epochs must be at least 1",
+              "pretrain_epochs=0": "pretrain_epochs must be at least 1",
+              "pretrain_patience=5": "pretrain_patience cannot exceed pretrain_epochs",
+              "pretrain_batch_size=0": "pretrain_batch_size must be at least 1",
+              "n_bins=0": "n_bins must be at least 1",
+              "lr_head=-1": "lr_head must be non-negative",
+              "weight_decay=-0.1": "weight_decay must be non-negative"}
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -372,6 +417,14 @@ OWN_CHECKS = {"patience=9": "patience cannot exceed epochs", "n=2": "need at lea
     ("simulate", "n=2\n", None),
     ("train", TRAIN_CFG + "grid=quantiles\n", None),
     ("simulate", "d_c=0\n", None),
+    ("train", TRAIN_CFG.replace("epochs=2", "epochs=0").replace("patience=1", "patience=0"),
+     None),
+    ("train", TRAIN_CFG + "pretrain_epochs=0\n", None),
+    ("train", TRAIN_CFG + "pretrain_epochs=2\npretrain_patience=5\n", None),
+    ("train", TRAIN_CFG + "pretrain_batch_size=0\n", None),
+    ("train", TRAIN_CFG.replace("n_bins=5", "n_bins=0"), None),
+    ("train", TRAIN_CFG + "lr_head=-1\n", None),
+    ("train", TRAIN_CFG + "weight_decay=-0.1\n", None),
 ])
 def test_a_bad_config_value_names_the_key_and_the_file(tmp_path, capsys, command, text, key):
     cfg = write(tmp_path / f"{command}.cfg", text)

@@ -35,8 +35,8 @@ def nested_backward(subset, u, o, gc, gg):
 
 
 # (output shape, gate shape): discrete logits with per-bin gates, Cox scores
-# with scalar gates
-SHAPES = [((3, 4), (4,)), ((5,), ())]
+# (one column) with one-element gates
+SHAPES = [((3, 4), (4,)), ((5, 1), (1,))]
 
 
 # ------------------------------------------------------------- early fuse
@@ -70,8 +70,8 @@ def test_init_gates_start_at_half():
     gates = init_fusion_gates(4)
     assert gates.inner_logit.shape == (4,)
     assert np.all(sigmoid(gates.inner_logit) == 0.5)
-    scalar = init_fusion_gates(None)
-    assert scalar.outer_logit.shape == ()
+    single = init_fusion_gates(1)
+    assert single.outer_logit.shape == (1,)
 
 
 def test_late_fuse_matches_scalar_reference():
@@ -91,13 +91,13 @@ def test_late_fuse_matches_scalar_reference():
 
 def test_late_fuse_scalar_gates_for_cox_scores():
     rng = np.random.default_rng(1)
-    outs = {m: rng.normal(size=5) for m in ("text", "cov", "ge")}
-    gates = FusionGates(inner_logit=np.array(0.3), outer_logit=np.array(-0.7))
+    outs = {m: rng.normal(size=(5, 1)) for m in ("text", "cov", "ge")}
+    gates = FusionGates(inner_logit=np.array([0.3]), outer_logit=np.array([-0.7]))
     fused = late_fuse(outs, gates)
-    assert fused.shape == (5,)
+    assert fused.shape == (5, 1)
     for i in range(5):
-        assert fused[i] == scalar_late_fuse(outs["text"][i], outs["cov"][i], outs["ge"][i],
-                                            0.3, -0.7)
+        assert fused[i, 0] == scalar_late_fuse(outs["text"][i, 0], outs["cov"][i, 0],
+                                               outs["ge"][i, 0], 0.3, -0.7)
 
 
 def test_late_fuse_two_modality_collapses():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from survfuse.heads import (BreslowBaseline, CurveSet, TimeGrid, breslow_baseline,
-                            build_discrete_targets, cox_curve, cox_loss, cox_loss_grad,
-                            discrete_curve, discrete_loss, discrete_loss_grad)
+                            build_discrete_targets, cox_curve, cox_loss_grad,
+                            discrete_curve, discrete_loss_grad)
 from survfuse.nn import sigmoid
 from stepcurves import curve, curve_at
 
@@ -52,14 +52,14 @@ def test_grid_rejects_unsorted_edges():
 def test_discrete_targets_worked_examples():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0]))
     t = build_discrete_targets([1.5], [1], grid)
-    assert t.y.tolist() == [[0, 1, 0]]
-    assert t.a.tolist() == [[1, 1, 0]]
+    assert t["y"].tolist() == [[0, 1, 0]]
+    assert t["a"].tolist() == [[1, 1, 0]]
     t = build_discrete_targets([1.5], [0], grid)
-    assert t.y.tolist() == [[0, 0, 0]]
-    assert t.a.tolist() == [[1, 1, 0]]
+    assert t["y"].tolist() == [[0, 0, 0]]
+    assert t["a"].tolist() == [[1, 1, 0]]
     t = build_discrete_targets([3.0], [1], grid)
-    assert t.y.tolist() == [[0, 0, 1]]
-    assert t.a.tolist() == [[1, 1, 1]]
+    assert t["y"].tolist() == [[0, 0, 1]]
+    assert t["a"].tolist() == [[1, 1, 1]]
 
 
 def test_discrete_targets_match_indicator_oracle():
@@ -75,12 +75,12 @@ def test_discrete_targets_match_indicator_oracle():
         for i in range(n):
             for b in range(n_bins):
                 in_bin = edges[b] < times[i] <= edges[b + 1]
-                assert targets.y[i, b] == (1.0 if in_bin and events[i] else 0.0)
-                assert targets.a[i, b] == (1.0 if times[i] > edges[b] else 0.0)
+                assert targets["y"][i, b] == (1.0 if in_bin and events[i] else 0.0)
+                assert targets["a"][i, b] == (1.0 if times[i] > edges[b] else 0.0)
         # structural invariants
-        assert np.all(targets.y.sum(axis=1) <= 1)
-        assert np.all(targets.a >= targets.y)
-        assert np.all(np.diff(targets.a, axis=1) <= 0)
+        assert np.all(targets["y"].sum(axis=1) <= 1)
+        assert np.all(targets["a"] >= targets["y"])
+        assert np.all(np.diff(targets["a"], axis=1) <= 0)
 
 
 def test_discrete_targets_reject_time_past_horizon():
@@ -110,10 +110,10 @@ def brute_force_discrete_loss(logits, y, a):
 def test_discrete_loss_single_cell_examples():
     grid = TimeGrid(np.array([0.0, 1.0]))
     targets = build_discrete_targets([0.5], [1], grid)
-    loss = discrete_loss(np.array([[0.0]]), targets)
+    loss = discrete_loss_grad(np.array([[0.0]]), targets)[0]
     assert abs(loss - math.log(2.0)) < 1e-15
     # perfectly confident prediction on the at-risk cell: loss collapses to ~0
-    loss = discrete_loss(np.array([[40.0]]), targets)
+    loss = discrete_loss_grad(np.array([[40.0]]), targets)[0]
     assert loss < 1e-12
 
 
@@ -127,16 +127,16 @@ def test_discrete_loss_matches_brute_force():
         events = rng.random(n) < 0.6
         targets = build_discrete_targets(times, events, grid)
         logits = rng.normal(scale=2.0, size=(n, b))
-        expected = brute_force_discrete_loss(logits, targets.y, targets.a)
-        assert abs(discrete_loss(logits, targets) - expected) < 1e-12
+        expected = brute_force_discrete_loss(logits, targets["y"], targets["a"])
+        assert abs(discrete_loss_grad(logits, targets)[0] - expected) < 1e-12
 
 
 def test_discrete_loss_rejects_empty_mask():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
     targets = build_discrete_targets([0.5], [1], grid)
-    targets.a[:] = 0.0
+    targets["a"][:] = 0.0
     with pytest.raises(ValueError):
-        discrete_loss(np.zeros((1, 2)), targets)
+        discrete_loss_grad(np.zeros((1, 2)), targets)[0]
 
 
 def test_discrete_gradient_matches_finite_differences():
@@ -154,9 +154,9 @@ def test_discrete_gradient_matches_finite_differences():
         for i in range(n):
             for j in range(b):
                 logits[i, j] += h
-                up = discrete_loss(logits, targets)
+                up = discrete_loss_grad(logits, targets)[0]
                 logits[i, j] -= 2 * h
-                down = discrete_loss(logits, targets)
+                down = discrete_loss_grad(logits, targets)[0]
                 logits[i, j] += h
                 numeric = (up - down) / (2 * h)
                 assert abs(numeric - grad[i, j]) < 1e-7
@@ -177,7 +177,7 @@ def brute_force_cox_loss(scores, times, events):
 
 
 def test_cox_two_subject_closed_form():
-    loss = cox_loss(np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([1, 0]))
+    loss = cox_loss_grad(np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([1, 0]))[0]
     assert abs(loss - math.log(2.0)) < 1e-12
 
 
@@ -188,12 +188,12 @@ def test_cox_loss_matches_brute_force_with_ties():
         times, events = random_survival_data(rng, n)
         scores = rng.normal(scale=1.5, size=n)
         expected = brute_force_cox_loss(scores, times, events)
-        assert abs(cox_loss(scores, times, events) - expected) < 1e-10
+        assert abs(cox_loss_grad(scores, times, events)[0] - expected) < 1e-10
 
 
 def test_cox_loss_rejects_zero_events():
     with pytest.raises(ValueError):
-        cox_loss(np.zeros(3), np.ones(3), np.zeros(3, dtype=bool))
+        cox_loss_grad(np.zeros(3), np.ones(3), np.zeros(3, dtype=bool))[0]
 
 
 def test_cox_gradient_matches_finite_differences():
@@ -206,9 +206,9 @@ def test_cox_gradient_matches_finite_differences():
         h = 1e-6
         for i in range(n):
             scores[i] += h
-            up = cox_loss(scores, times, events)
+            up = cox_loss_grad(scores, times, events)[0]
             scores[i] -= 2 * h
-            down = cox_loss(scores, times, events)
+            down = cox_loss_grad(scores, times, events)[0]
             scores[i] += h
             assert abs((up - down) / (2 * h) - grad[i]) < 1e-7
 
@@ -218,8 +218,8 @@ def test_cox_loss_shift_invariance():
     rng = np.random.default_rng(5)
     times, events = random_survival_data(rng, 10)
     scores = rng.normal(size=10)
-    a = cox_loss(scores, times, events)
-    b = cox_loss(scores + 3.7, times, events)
+    a = cox_loss_grad(scores, times, events)[0]
+    b = cox_loss_grad(scores + 3.7, times, events)[0]
     assert abs(a - b) < 1e-10
 
 

@@ -17,10 +17,10 @@ from survfuse.training import RunConfig
 DIMS = {"text": 6, "cov": 4, "ge": 10}
 
 
-def build(head_type="discrete", fusion="late", modalities=("text", "cov", "ge"),
+def build(width=5, fusion="late", modalities=("text", "cov", "ge"),
           dropout=0.0, seed=0):
     rng = np.random.default_rng(seed)
-    return init_model(head_type, fusion, modalities, DIMS, rng, n_bins=5,
+    return init_model(fusion, modalities, DIMS, rng, width,
                       head_layers=[7, 6], dropout=dropout,
                       ae_hidden=[8, 5], latent_dim=3)
 
@@ -57,10 +57,11 @@ def test_init_late_fusion_discrete():
     assert model.heads["head_text"].out_dim == 5
 
 
-def test_init_coxph_gates_are_scalars():
-    model = build(head_type="coxph")
-    assert model.gates.inner_logit.shape == ()
-    assert model.gates.outer_logit.shape == ()
+def test_init_one_output_has_one_gate_logit_each():
+    # a Cox head's width: one score per sample, blended by one-element gates
+    model = build(width=1)
+    assert model.gates.inner_logit.shape == (1,)
+    assert model.gates.outer_logit.shape == (1,)
     assert all(h.weights[-1].shape == (6, 1) for h in model.heads.values())
     assert model.heads["head_text"].out_dim == 1
 
@@ -91,21 +92,19 @@ def test_init_normalizes_modality_order():
 def test_init_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        init_model("discrete", "late", (), DIMS, rng, n_bins=5)
+        init_model("late", (), DIMS, rng, 5)
     with pytest.raises(ValueError):
-        init_model("gamma", "late", ("text",), DIMS, rng, n_bins=5)
+        init_model("middle", ("text",), DIMS, rng, 5)
     with pytest.raises(ValueError):
-        init_model("discrete", "middle", ("text",), DIMS, rng, n_bins=5)
+        init_model("none", ("text", "cov"), DIMS, rng, 5)
     with pytest.raises(ValueError):
-        init_model("discrete", "none", ("text", "cov"), DIMS, rng, n_bins=5)
+        init_model("late", ("text",), DIMS, rng, 0)
     with pytest.raises(ValueError):
-        init_model("discrete", "late", ("text",), DIMS, rng, n_bins=None)
-    with pytest.raises(ValueError):
-        init_model("discrete", "late", ("text",), {"cov": 4}, rng, n_bins=5)
+        init_model("late", ("text",), {"cov": 4}, rng, 5)
 
 
 @pytest.mark.parametrize("head, fusion, modalities, message", [
-    ("gamma", "late", ("text",), "unknown head 'gamma'"),
+    ("discrete", "late", ("audio",), "bad modalities"),
     ("discrete", "middle", ("text",), "unknown fusion 'middle'"),
     ("discrete", "late", (), "bad modalities"),
     ("discrete", "late", ("text", "audio"), "bad modalities"),
@@ -115,7 +114,7 @@ def test_run_config_and_model_reject_the_same_structures(head, fusion, modalitie
     with pytest.raises(ValueError, match=message):
         RunConfig(head=head, fusion=fusion, modalities=modalities)
     with pytest.raises(ValueError, match=message):
-        init_model(head, fusion, modalities, DIMS, np.random.default_rng(0), n_bins=5)
+        init_model(fusion, modalities, DIMS, np.random.default_rng(0), 5)
 
 
 def test_model_params_are_live_views():
@@ -153,10 +152,10 @@ def test_forward_late_matches_manual_composition():
 
 
 def test_forward_coxph_late_shapes():
-    model = build(head_type="coxph")
+    model = build(width=1)
     randomize_biases(model)
     fwd = model_forward(model, batch_for(model))
-    assert fwd.out.shape == (9,)
+    assert fwd.out.shape == (9, 1)
 
 
 def test_forward_early_matches_concatenated_head():
@@ -171,12 +170,12 @@ def test_forward_early_matches_concatenated_head():
 
 
 def test_forward_single_modality():
-    model = build(fusion="none", modalities=("text",), head_type="coxph")
+    model = build(fusion="none", modalities=("text",), width=1)
     randomize_biases(model)
     batch = batch_for(model)
     fwd = model_forward(model, batch)
     expect, _ = mlp_forward(model.heads["head"], batch["text"])
-    assert np.array_equal(fwd.out, expect[:, 0])
+    assert np.array_equal(fwd.out, expect)
 
 
 def test_forward_requires_all_modalities():
@@ -236,7 +235,8 @@ def linear_probe_loss(model, batch, with_recon, seed=3):
     ("coxph", "none", ("cov",), False),
 ])
 def test_backward_matches_finite_differences(head_type, fusion, modalities, with_recon):
-    model = build(head_type=head_type, fusion=fusion, modalities=modalities)
+    model = build(width=5 if head_type == "discrete" else 1, fusion=fusion,
+                  modalities=modalities)
     randomize_biases(model)
     batch = batch_for(model, n=7)
     loss_fn = linear_probe_loss(model, batch, with_recon)

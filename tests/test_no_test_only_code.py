@@ -21,7 +21,6 @@ TEST_ONLY = {
     "token_masks": "acceptance criterion 5 (target sequences and masks)",
     "weighted_text_loss": "acceptance criteria 1 and 5 (text loss)",
     "finite_difference_check": "acceptance criterion 1 (gradient checks)",
-    "oracle_curves": "synthetic ground truth for the simulator's tests",
 }
 
 # Methods that code outside survfuse calls, so no survfuse code names them.

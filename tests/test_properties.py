@@ -40,9 +40,9 @@ from survfuse.formats import (id_rows, read_checkpoint, read_curves, read_hidden
                               read_npy, read_percents, read_pooled, write_checkpoint,
                               write_csv_table, write_curves, write_hidden_states, write_jsonl,
                               write_npy, write_percents, write_pooled)
-from survfuse.heads import (CurveSet, TimeGrid, _checked_curves,
-                            _event_time_groups, breslow_baseline, build_discrete_targets,
-                            cox_curve, cox_loss_grad, discrete_curve, discrete_loss_grad)
+from survfuse.heads import (CoxHead, CurveSet, DiscreteHead, TimeGrid, _checked_curves,
+                            _event_time_groups, breslow_baseline, cox_curve,
+                            discrete_curve)
 from survfuse.metrics import IBS_GRID_POINTS, _ibs_midpoints, c_td, censoring_km, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
@@ -793,7 +793,7 @@ def reference_fuse_grads(u, outs, gates):
 
 def reference_step_grads(parts, batch, alpha, rng):
     """Per-tensor gradients of the joint objective; `parts` holds plain Mlps."""
-    head_type, late, modalities = parts["head_type"], parts["late"], parts["modalities"]
+    head, late, modalities = parts["head"], parts["late"], parts["modalities"]
     heads, enc, dec, gates = parts["heads"], parts["enc"], parts["dec"], parts["gates"]
     n = batch[modalities[0]].shape[0]
     z_ge = None
@@ -805,18 +805,12 @@ def reference_step_grads(parts, batch, alpha, rng):
     if late:
         for m in modalities:
             mlp = heads[f"head_{m}"]
-            out_m, caches[m] = reference_forward(mlp, inputs[m], reference_masks(mlp, n, rng))
-            outs[m] = out_m if head_type == "discrete" else out_m[:, 0]
+            outs[m], caches[m] = reference_forward(mlp, inputs[m], reference_masks(mlp, n, rng))
         out = reference_fuse(outs, gates)
     else:
         x = np.concatenate([inputs[m] for m in modalities], axis=1)
         out, cache = reference_forward(heads["head"], x, reference_masks(heads["head"], n, rng))
-        if head_type == "coxph":
-            out = out[:, 0]
-    if head_type == "discrete":
-        _, grad_out = discrete_loss_grad(out, batch["targets"])
-    else:
-        _, grad_out = cox_loss_grad(out, batch["times"], batch["events"])
+    _, grad_out = head.loss_grad(out, batch)
 
     grads = {}
     grad_z_ge = None
@@ -824,14 +818,12 @@ def reference_step_grads(parts, batch, alpha, rng):
         by_modality, grads["gates.inner"], grads["gates.outer"] = reference_fuse_grads(
             grad_out, outs, gates)
         for m in modalities:
-            g = by_modality[m]
-            g = g[:, None] if head_type == "coxph" else g
-            grad_in = reference_backward(heads[f"head_{m}"], caches[m], g, f"head_{m}", grads)
+            grad_in = reference_backward(heads[f"head_{m}"], caches[m], by_modality[m],
+                                         f"head_{m}", grads)
             if m == "ge":
                 grad_z_ge = grad_in
     else:
-        g = grad_out[:, None] if head_type == "coxph" else grad_out
-        grad_in = reference_backward(heads["head"], cache, g, "head", grads)
+        grad_in = reference_backward(heads["head"], cache, grad_out, "head", grads)
         if "ge" in modalities:
             grad_z_ge = grad_in[:, -enc.out_dim:]
     if enc is not None:
@@ -860,7 +852,8 @@ def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropo
                        dropout=dropout, ae_dropout=ae_dropout, lr_head=0.05, lr_gates=0.2,
                        lr_ae=0.01, weight_decay=0.1)
     rng = np.random.default_rng(seed)
-    model = init_model(head_type, fusion, modalities, STEP_DIMS, rng, n_bins=4,
+    head = DiscreteHead(TimeGrid.equal_width(4, 5.0)) if head_type == "discrete" else CoxHead()
+    model = init_model(fusion, modalities, STEP_DIMS, rng, head.width,
                        head_layers=[6, 5], dropout=dropout, ae_hidden=[4], latent_dim=3,
                        ae_dropout=ae_dropout)
     for arr in model_params(model).values():
@@ -871,7 +864,7 @@ def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropo
         return Mlp([ref[f"{prefix}.w{i}"] for i in range(len(mlp.weights))],
                    [ref[f"{prefix}.b{i}"] for i in range(len(mlp.biases))], mlp.dropout)
 
-    parts = {"head_type": head_type, "late": model.gates is not None,
+    parts = {"head": head, "late": model.gates is not None,
              "modalities": model.modalities,
              "heads": {name: plain_mlp(name, mlp) for name, mlp in model.heads.items()},
              "enc": plain_mlp("enc", model.ae.encoder) if model.ae else None,
@@ -882,8 +875,7 @@ def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropo
     events = rng.random(n) < 0.6
     events[0] = True
     batch = {m: rng.normal(size=(n, STEP_DIMS[m])) for m in modalities}
-    batch.update(times=times, events=events,
-                 targets=build_discrete_targets(times, events, TimeGrid.equal_width(4, 5.0)))
+    batch.update(head.targets(times, events))
 
     lr = _learning_rate(config)
     opt = init_adamw(model_params(model), lr, weight_decay=config.weight_decay)
@@ -891,7 +883,7 @@ def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropo
     v = {name: np.zeros_like(arr) for name, arr in ref.items()}
     rng_flat, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for step in range(1, steps + 1):
-        _, _, grads = total_loss(model, batch, config, rng=rng_flat)
+        _, _, grads = total_loss(model, head, batch, config, rng=rng_flat)
         want = reference_step_grads(parts, batch, config.alpha, rng_ref)
         assert set(grads) == set(want)
         for name in want:
@@ -912,7 +904,7 @@ def test_cache_free_forward_equals_caching_forward(head_type, fusion, dropout, a
                                                    train_mode, seed):
     fusion, modalities = fusion
     rng = np.random.default_rng(seed)
-    model = init_model(head_type, fusion, modalities, STEP_DIMS, rng, n_bins=4,
+    model = init_model(fusion, modalities, STEP_DIMS, rng, 4 if head_type == "discrete" else 1,
                        head_layers=[6, 5], dropout=dropout, ae_hidden=[4], latent_dim=3,
                        ae_dropout=ae_dropout)
     for arr in model_params(model).values():

@@ -1,4 +1,4 @@
-"""Tests for the synthetic cohort generator and its oracle curves."""
+"""Tests for the synthetic cohort generator and its simulated teacher."""
 
 import hashlib
 import math
@@ -10,15 +10,7 @@ import pytest
 from survfuse import formats
 from survfuse.cohort import load_cohort
 from survfuse.distill import extract_probability, parse_teacher_file
-from survfuse.synth import (
-    ExponentialCurve,
-    GeneratorSpec,
-    WeibullCurve,
-    generate,
-    oracle_curves,
-    partial_rates,
-    true_survival,
-)
+from survfuse.synth import GeneratorSpec, generate
 
 
 def small_spec(**overrides):
@@ -127,48 +119,6 @@ def test_generated_cohort_loads(tmp_path):
     assert cohort.teacher_probs is not None
     table = parse_teacher_file(result.files["teacher"])
     assert set(result.ids) <= set(table.ids)
-
-
-# ------------------------------------------------------------ oracle curves
-
-def test_oracle_curve_closed_forms():
-    t = np.array([0.0, 1.0, 2.5])
-    exp_curve = ExponentialCurve(rate=0.4)
-    assert np.array_equal(exp_curve.at(t), np.exp(-0.4 * t))
-    wei = WeibullCurve(rate=0.4, shape=1.5)
-    assert np.array_equal(wei.at(t), np.exp(-((0.4 * t) ** 1.5)))
-    assert exp_curve.at(0.0) == 1.0 and wei.at(0.0) == 1.0
-
-
-def test_oracle_curves_track_true_rates(tmp_path):
-    result = generate(small_spec(), str(tmp_path / "e"))
-    curves = oracle_curves(result)
-    assert len(curves) == 60
-    for i in (0, 17, 59):
-        assert curves[i].rate == result.rates[i]
-    # true_s3 agrees with the curve evaluations
-    s3 = np.array([float(c.at(3.0)) for c in curves])
-    assert np.allclose(s3, result.true_s3, rtol=0, atol=1e-15)
-    wei = generate(small_spec(event_family="weibull", weibull_shape=2.0),
-                   str(tmp_path / "w"))
-    wcurves = oracle_curves(wei)
-    assert all(c.shape == 2.0 for c in wcurves)
-    expect = true_survival(wei.spec, wei.rates, np.array([2.0]))[:, 0]
-    got = np.array([float(c.at(2.0)) for c in wcurves])
-    assert np.allclose(got, expect, rtol=0, atol=1e-15)
-
-
-def test_partial_rates_drop_modalities(tmp_path):
-    spec = small_spec()
-    result = generate(spec, str(tmp_path))
-    full = partial_rates(result, ("text", "cov", "ge"))
-    assert np.allclose(full, result.rates, rtol=1e-15)
-    text_only = partial_rates(result, ("text",))
-    expect = spec.base_rate * np.exp(spec.w_text * result.components["text"])
-    assert np.allclose(text_only, expect, rtol=1e-15)
-    sub = oracle_curves(result, indices=[3, 5], modalities=("cov",))
-    cov_rates = partial_rates(result, ("cov",))
-    assert sub[0].rate == cov_rates[3] and sub[1].rate == cov_rates[5]
 
 
 # ---------------------------------------------------------- simulated teacher

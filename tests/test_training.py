@@ -10,16 +10,16 @@ from survfuse.cohort import Cohort, Modality, split_cohort
 from survfuse.distill import calibration_mask
 from survfuse.formats import dataclass_from_kv, read_checkpoint, write_checkpoint
 from survfuse.blending import PERCENT_FLOOR, verbalized_curve
-from survfuse.heads import CurveSet, TimeGrid, discrete_loss
+import survfuse.heads as heads_module
+from survfuse.cohort import outcome_arrays
+from survfuse.heads import CoxHead, CurveSet, TimeGrid, discrete_loss_grad, init_head
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_forward, model_params
 from survfuse.training import (
     RunConfig,
     TrainResult,
     _channels,
-    _split_data,
-    _val_surv_loss,
-    build_time_grid,
+    _rows,
     evaluate,
     finalize_teacher,
     load_checkpoint,
@@ -143,10 +143,10 @@ def test_named_rngs_deterministic_and_independent():
 
 def test_build_time_grid():
     cfg = tiny_config(grid="equal", n_bins=5, horizon=10.0)
-    grid = build_time_grid(cfg, np.array([1.0, 2.0]))
+    grid = init_head(cfg, np.array([1.0, 2.0])).grid
     assert np.array_equal(grid.edges, np.linspace(0.0, 10.0, 6))
     cfg = tiny_config(grid="quantile", n_bins=4)
-    qgrid = build_time_grid(cfg, np.random.default_rng(0).uniform(0.1, 4.9, 200))
+    qgrid = init_head(cfg, np.random.default_rng(0).uniform(0.1, 4.9, 200)).grid
     assert qgrid.edges[0] == 0.0
     assert qgrid.edges[-1] == cfg.horizon
     assert isinstance(qgrid, TimeGrid)
@@ -158,17 +158,17 @@ def test_total_loss_composition():
     cohort = toy_cohort(20, teacher=False)
     split = split_cohort(20, seed=1)
     config = tiny_config(alpha=0.01, dropout=0.0)
-    grid = build_time_grid(config, np.array([1.0]))
-    data = _split_data(cohort, split.train, config, grid)
+    head = init_head(config, np.array([1.0]))
+    data = _rows(cohort, split.train, config, head)
 
     rng = np.random.default_rng(0)
     from survfuse.model import init_model
-    model = init_model(config.head, config.fusion, config.modalities, DIMS, rng,
-                       n_bins=config.n_bins, head_layers=[8], dropout=0.0,
+    model = init_model(config.fusion, config.modalities, DIMS, rng, head.width,
+                       head_layers=[8], dropout=0.0,
                        ae_hidden=[6], latent_dim=3)
-    loss, parts, grads = total_loss(model, data, config)
+    loss, parts, grads = total_loss(model, head, data, config)
     fwd = model_forward(model, data)
-    l_surv = discrete_loss(fwd.out, data["targets"])
+    l_surv = discrete_loss_grad(fwd.out, data)[0]
     resid = fwd.recon - data["ge"]
     l_ae = float((resid ** 2).sum() / resid.size)
     assert parts.keys() == {"surv", "ae"}
@@ -182,15 +182,15 @@ def test_total_loss_rejects_non_finite():
     cohort = toy_cohort(12, teacher=False)
     split = split_cohort(12, seed=1)
     config = tiny_config(dropout=0.0)
-    grid = build_time_grid(config, np.array([1.0]))
-    data = _split_data(cohort, split.train, config, grid)
+    head = init_head(config, np.array([1.0]))
+    data = _rows(cohort, split.train, config, head)
     from survfuse.model import init_model
-    model = init_model(config.head, config.fusion, config.modalities, DIMS,
-                       np.random.default_rng(0), n_bins=config.n_bins,
+    model = init_model(config.fusion, config.modalities, DIMS,
+                       np.random.default_rng(0), head.width,
                        head_layers=[8], dropout=0.0, ae_hidden=[6], latent_dim=3)
     data["ge"][0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        total_loss(model, data, config)
+        total_loss(model, head, data, config)
 
 
 # ------------------------------------------------------------ training loop
@@ -206,8 +206,9 @@ def test_train_reproducible_and_restores_best():
     pa, pb = model_params(a.model), model_params(b.model)
     assert all(np.array_equal(pa[k], pb[k]) for k in pa)
     # the returned parameters are the best-validation snapshot
-    val_data = _split_data(cohort, split.val, config, a.grid)
-    assert _val_surv_loss(a.model, val_data) == min(a.val_trace)
+    val_data = _rows(cohort, split.val, config, a.head)
+    val_out = model_forward(a.model, val_data, rng=None, keep_cache=False).out
+    assert a.head.loss_grad(val_out, val_data)[0] == min(a.val_trace)
     assert a.best_epoch == 1 + int(np.argmin(a.val_trace))
     assert len(a.val_trace) <= config.epochs
     assert a.dims == DIMS
@@ -227,12 +228,12 @@ def test_train_coxph_skips_event_free_batches_and_fits_baseline():
     config = tiny_config(head="coxph", batch_size=4, epochs=2)
     result = train(config, cohort, split)
     assert result.skipped_batches > 0
-    assert result.grid is None
-    assert result.baseline is not None
+    assert isinstance(result.head, CoxHead)
+    assert result.head.baseline is not None
     # baseline jump times come from observed train+val events
     fit_idx = np.concatenate([split.train, split.val])
     fit_times = {cohort.times[i] for i in fit_idx if cohort.events[i]}
-    assert set(result.baseline.event_times.tolist()) == fit_times
+    assert set(result.head.baseline.event_times.tolist()) == fit_times
 
 
 def test_calibration_masking_counts():
@@ -284,10 +285,9 @@ def test_evaluate_reports_all_channels():
     assert report.gates is not None
     assert len(report.gates["inner"]) == config.n_bins
     # the grid search saw both endpoints, so the winner beats or ties them
-    val_data = _split_data(cohort, split.val, config, result.grid)
     from survfuse.metrics import c_td as ctd
     hidden_val = ctd(predict_curves(result, cohort, split.val, config),
-                     val_data["times"], val_data["events"])
+                     *outcome_arrays(cohort, split.val))
     assert report.lambda_val_ctd >= hidden_val
 
 
@@ -388,23 +388,43 @@ def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypa
 def test_coxph_pretraining_run_fits_one_breslow_baseline(monkeypatch):
     """Pretraining keeps only the heads' parameters, so only the joint model
     fits a baseline."""
-    import survfuse.training as training_module
-
     calls = []
-    original = training_module.breslow_baseline
+    original = heads_module.breslow_baseline
 
     def counting(scores, times, events):
         calls.append(scores.size)
         return original(scores, times, events)
 
-    monkeypatch.setattr(training_module, "breslow_baseline", counting)
+    monkeypatch.setattr(heads_module, "breslow_baseline", counting)
     cohort = toy_cohort(40)
     split = split_cohort(40, seed=2)
     config = tiny_config(head="coxph", pretrain=True, epochs=1, pretrain_batch_size=16,
                          pretrain_epochs=2, pretrain_patience=2)
     result, _ = train_and_evaluate(config, cohort, split)
     assert calls == [split.train.size + split.val.size]
-    assert result.baseline is not None
+    assert result.head.baseline is not None
+
+
+def test_quantile_grid_with_merged_edges_trains_checkpoints_and_evaluates(tmp_path):
+    """Censoring tied at the horizon merges the top quantile edges, so the
+    grid has fewer bins than asked for; the model is as wide as the grid."""
+    cohort = toy_cohort(40)
+    cohort.times[::2] = 5.0  # censored at the horizon, 20 of 40
+    cohort.events[::2] = False
+    split = split_cohort(40, seed=2)
+    config = tiny_config(grid="quantile", n_bins=6)
+    result = train(config, cohort, split)
+    width = result.head.grid.n_bins
+    assert width < config.n_bins
+    assert all(mlp.out_dim == width for mlp in result.model.heads.values())
+    assert result.model.gates.inner_logit.shape == (width,)
+    path = str(tmp_path / "quantile.svck")
+    save_checkpoint(path, result, config)
+    loaded, cfg = load_checkpoint(path)
+    assert np.array_equal(loaded.head.grid.edges, result.head.grid.edges)
+    report, curves = evaluate(loaded, cohort, split, cfg)
+    assert report.to_dict() == evaluate(result, cohort, split, config)[0].to_dict()
+    assert curves.whole().shape == (split.test.size, width + 1)
 
 
 # ------------------------------------------------------------- checkpoints
@@ -499,11 +519,13 @@ def assert_params_view_flat(model):
 def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modalities, tmp_path):
     config = RunConfig(head=head, fusion=fusion, modalities=modalities, n_bins=5,
                        head_layers=(7, 6), ae_hidden=(8, 5), latent_dim=3)
-    model = init_model(head, fusion, modalities, DIMS, np.random.default_rng(0), n_bins=5,
+    fitted = init_head(config, None).fitted(lambda: (np.zeros((2, 1)), np.ones(2),
+                                                      np.ones(2, dtype=bool)))
+    model = init_model(fusion, modalities, DIMS, np.random.default_rng(0), fitted.width,
                        head_layers=[7, 6], ae_hidden=[8, 5], latent_dim=3)
     # the copy: the model rebuilt from a checkpoint of it
     path = str(tmp_path / "init.svck")
-    save_checkpoint(path, TrainResult(model=model, grid=None, baseline=None, train_trace=[],
+    save_checkpoint(path, TrainResult(model=model, head=fitted, train_trace=[],
                                       val_trace=[], best_epoch=0, skipped_batches=0,
                                       dims=DIMS), config)
     clone = load_checkpoint(path)[0].model
