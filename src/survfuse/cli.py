@@ -140,10 +140,6 @@ def _report_counts(report: dict) -> dict[str, int]:
     return counts
 
 
-def _resolve(base_dir: str, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -170,39 +166,17 @@ def _cmd_ingest(args, started: float) -> int:
     from .timing import stage
 
     kv = parse_kv_file(args.config)
-    base = os.path.dirname(os.path.abspath(args.config))
     cfg = dataclass_from_kv(co.IngestConfig, kv, args.config)
-    if cfg.outcomes is None:
-        raise UsageError("ingest config needs an 'outcomes' path")
-    paths = {key: _resolve(base, getattr(cfg, key)) for key in co.IngestConfig.INPUTS
-             if getattr(cfg, key) is not None}
-
     timings: dict[str, float] = {}
-    with stage(timings, "read"):
-        cohort = co.load_cohort(
-            outcomes_path=paths["outcomes"],
-            covariates_path=paths.get("covariates"),
-            ge_path=paths.get("ge"),
-            hidden_states_path=paths.get("hidden"),
-            pooled_path=paths.get("pooled"),
-            teacher_path=paths.get("teacher"),
-            schema=cfg.schema,
-            horizon_years=cfg.horizon,
-            allow_other_family=cfg.allow_other,
-        )
-        split = co.split_cohort(len(cohort), ratios=cfg.ratios, seed=cfg.split_seed)
-        if cfg.schema == "clinical":
-            co.preprocess_covariates(cohort, split.train)
-    with stage(timings, "pool"):
-        pooled_count = co.pool_text(cohort)
+    cohort, split, pooled_count = co.load_cohort(cfg, args.config, timings)
     with stage(timings, "save"):
         written = co.save_bundle(cohort, args.out, split=split)
     print(f"bundle: {len(cohort)} samples "
           f"(train {len(split.train)}, val {len(split.val)}, "
           f"test {len(split.test)}), pooled {pooled_count}")
     _write_manifest(args.out, "ingest", started, config=dict(kv),
-                    seeds={"split": cfg.split_seed}, inputs=paths, output_files=written,
-                    timings=timings)
+                    seeds={"split": cfg.split_seed}, inputs=cfg.input_paths(args.config),
+                    output_files=written, timings=timings)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Cohort loading, validation, covariate preprocessing, splitting, and bundles.
 
-A `Cohort` is columnar: one row per sample in every array. Raw inputs that
-only ingest needs (ragged token states, clinical text fields) ride along on
-the cohort `load_cohort` builds and are never written to a bundle.
+A `Cohort` is columnar: one row per sample in every array, and it holds
+exactly what a bundle stores. `load_cohort` builds one from the raw files an
+`IngestConfig` names; the raw inputs only ingest needs (ragged token states,
+clinical text fields) never leave it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import formats
 from .distill import HORIZONS, parse_teacher_file
 from .fusion import MODALITY_ORDER
 from .pooling import pool_many
+from .timing import stage
 
 HORIZON_YEARS = 5.0
 
@@ -76,10 +78,6 @@ class Cohort:
     """Samples as columns: ids, outcomes, a `Modality` per available input,
     and the teacher's extracted (N, 3) horizon probabilities (NaN where
     missing; None without a teacher file).
-
-    `token_states` and `clinical` hold ingest-only raw inputs, one entry per
-    sample (None where absent); `pool_text` and `preprocess_covariates`
-    turn them into the text and cov modalities.
     """
 
     ids: list[str]
@@ -88,8 +86,6 @@ class Cohort:
     modalities: dict[str, Modality] = field(default_factory=dict)
     teacher_probs: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
-    token_states: list[np.ndarray | None] | None = None
-    clinical: list[dict[str, str] | None] | None = None
 
     def __post_init__(self):
         n = len(self.ids)
@@ -113,12 +109,13 @@ class Cohort:
 class IngestConfig:
     """The keys of an ingest config file, parsed by `formats.dataclass_from_kv`.
 
-    The input paths are relative to the config file; `horizon=none` disables
-    administrative censoring.
+    `outcomes` is required. The input paths are relative to the config file;
+    `horizon=none` disables administrative censoring.
     """
 
     INPUTS: ClassVar[tuple[str, ...]] = ("outcomes", "covariates", "ge", "hidden",
                                          "pooled", "teacher")
+    SCHEMAS: ClassVar[tuple[str, ...]] = ("numeric", "clinical")
 
     outcomes: str | None = None
     covariates: str | None = None
@@ -132,6 +129,23 @@ class IngestConfig:
     split_seed: int = 0
     ratios: tuple[float, ...] = (0.70, 0.10, 0.20)
 
+    def __post_init__(self):
+        if self.outcomes is None:
+            raise ValueError("ingest config needs an 'outcomes' path")
+        if self.schema not in self.SCHEMAS:
+            raise ValueError(f"unknown schema {self.schema!r}")
+        if len(self.ratios) != 3 or not all(r >= 0 for r in self.ratios):
+            raise ValueError("need three non-negative ratios")
+        if not abs(sum(self.ratios) - 1.0) <= 1e-9:  # NaN fails too
+            raise ValueError(f"ratios sum to {sum(self.ratios)}, expected 1")
+
+    def input_paths(self, config_path: str) -> dict[str, str]:
+        """The path of each input the config names, by key, resolved against
+        the directory of the config file `config_path`."""
+        base = os.path.dirname(os.path.abspath(config_path))
+        return {key: os.path.join(base, getattr(self, key)) for key in self.INPUTS
+                if getattr(self, key) is not None}
+
 
 def read_outcomes(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The ids, float64 follow-up times and boolean events of an
@@ -139,7 +153,7 @@ def read_outcomes(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     header, rows, lines = formats.read_csv_table(path)
     for col in ("id", "time_years", "event"):
         if col not in header:
-            raise ValueError(f"outcomes file missing column {col!r}")
+            raise ValueError(f"{path}: outcomes file missing column {col!r}")
     if not rows:
         raise ValueError(f"no outcome rows in {path}")
     ids = [row["id"] for row in rows]
@@ -167,9 +181,9 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
     """The ids and the (N, d) float64 matrix of a CSV whose first column is id.
 
     Every cell goes through `float()` in one pass. A table that pass rejects
-    (an empty or malformed cell, a duplicate id) is parsed again cell by cell:
-    an empty cell becomes 0 when `missing_to_zero`, and otherwise the first
-    bad row raises an error naming its id and line.
+    (an empty, malformed or non-finite cell, a duplicate id) is parsed again
+    cell by cell: an empty cell becomes 0 when `missing_to_zero`, and
+    otherwise the first bad row raises an error naming its id and line.
     """
     header, rows, lines = formats.read_csv_rows(path)
     if not header or header[0] != "id":
@@ -180,7 +194,8 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
         with contextlib.suppress(ValueError):
             cells = itertools.chain.from_iterable([row[1:] for row in rows])
             values = np.fromiter(map(float, cells), dtype=np.float64, count=math.prod(shape))
-            return ids, values.reshape(shape)
+            if np.isfinite(values).all():
+                return ids, values.reshape(shape)
     values = np.empty(shape, dtype=np.float64)
     seen: set[str] = set()
     for lineno, vec, row in zip(lines, values, rows):
@@ -199,6 +214,9 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
                 vec[j] = float(cell)
             except ValueError as exc:
                 raise ValueError(f"{path} id {sid!r} (line {lineno}): {exc}") from exc
+            if not math.isfinite(vec[j]):
+                raise ValueError(f"{path} id {sid!r} (line {lineno}): "
+                                 f"non-finite value {cell!r} in {col!r}")
     return ids, values
 
 
@@ -207,13 +225,13 @@ def _parse_clinical_table(path: str) -> tuple[dict[str, dict[str, str]], set[str
     header, rows, lines = formats.read_csv_table(path)
     for col in ("id",) + CLINICAL_FIELDS:
         if col not in header:
-            raise ValueError(f"covariates file missing column {col!r}")
+            raise ValueError(f"{path}: covariates file missing column {col!r}")
     out: dict[str, dict[str, str]] = {}
     excluded: set[str] = set()
     for lineno, row in zip(lines, rows):
         sid = row["id"]
         if sid in out or sid in excluded:
-            raise ValueError(f"duplicate covariate id {sid!r} (line {lineno})")
+            raise ValueError(f"{path}: duplicate covariate id {sid!r} (line {lineno})")
         if any(row[c].strip() == "" for c in CLINICAL_FIELDS):
             excluded.add(sid)
             continue
@@ -251,101 +269,110 @@ def _modality(table: tuple[list[str], np.ndarray] | None, ids: list[str]) -> Mod
     return mod
 
 
-def load_cohort(outcomes_path: str,
-                covariates_path: str | None = None,
-                ge_path: str | None = None,
-                hidden_states_path: str | None = None,
-                pooled_path: str | None = None,
-                teacher_path: str | None = None,
-                schema: str = "numeric",
-                horizon_years: float | None = HORIZON_YEARS,
-                allow_other_family: bool = True) -> Cohort:
-    """Assemble one row per outcome, attaching whatever modalities exist.
+def load_cohort(config: IngestConfig, config_path: str,
+                timings: dict[str, float] | None = None) -> tuple[Cohort, CohortSplit, int]:
+    """The cohort and split of the ingest config read from `config_path`
+    (input paths are relative to its directory, and a split left empty is an
+    error naming it), and how many samples' token states were pooled.
 
-    schema 'numeric' reads covariates as ready numeric vectors; 'clinical'
-    keeps raw text fields for preprocess_covariates (which needs the training
-    split). Token states stay ragged on the cohort until `pool_text`.
-    Administrative censoring at `horizon_years` unless None.
+    One row per outcome in file order, less clinical rows with a missing
+    field, censored at `horizon`; clinical fields are encoded with the
+    training split's statistics, and samples without a pooled vector get the
+    attention pool of their token states. The time spent is added to
+    `timings` under "read" and "pool".
     """
-    if schema not in ("numeric", "clinical"):
-        raise ValueError(f"unknown schema {schema!r}")
-    ids, times, events = read_outcomes(outcomes_path)
+    paths = config.input_paths(config_path)
+    clinical = config.schema == "clinical"
+    with stage(timings, "read"):
+        ids, times, events = read_outcomes(paths["outcomes"])
+        cov_numeric, cov_raw, excluded = None, {}, set()
+        if "covariates" in paths and clinical:
+            cov_raw, excluded = _parse_clinical_table(paths["covariates"])
+        elif "covariates" in paths:
+            cov_numeric = _parse_numeric_table(paths["covariates"], missing_to_zero=False)
+        ge = _parse_numeric_table(paths["ge"], missing_to_zero=True) if "ge" in paths else None
+        hidden = formats.read_hidden_states(paths["hidden"]) if "hidden" in paths else {}
+        pooled = formats.read_pooled(paths["pooled"]) if "pooled" in paths else {}
+        teacher = parse_teacher_file(paths["teacher"]) if "teacher" in paths else None
 
-    cov_numeric = None
-    cov_raw: dict[str, dict[str, str]] = {}
-    excluded: set[str] = set()
-    if covariates_path is not None:
-        if schema == "numeric":
-            cov_numeric = _parse_numeric_table(covariates_path, missing_to_zero=False)
-        else:
-            cov_raw, excluded = _parse_clinical_table(covariates_path)
-    ge = _parse_numeric_table(ge_path, missing_to_zero=True) if ge_path else None
-    hidden = formats.read_hidden_states(hidden_states_path) if hidden_states_path else {}
-    pooled = formats.read_pooled(pooled_path) if pooled_path else {}
-    teacher = parse_teacher_file(teacher_path) if teacher_path is not None else None
+        for name, key, table in (("hidden states", "hidden", hidden),
+                                 ("pooled vectors", "pooled", pooled)):
+            widths = {v.shape[-1] for v in table.values()}
+            if len(widths) > 1:
+                raise ValueError(f"inconsistent {name} dimensions: {sorted(widths)}")
+            bad = next((sid for sid, v in table.items() if not np.isfinite(v).all()), None)
+            if bad is not None:
+                raise ValueError(f"{paths[key]}: sample {bad!r} has non-finite {name}")
 
-    for name, table in (("hidden states", hidden), ("pooled vectors", pooled)):
-        widths = {v.shape[-1] for v in table.values()}
-        if len(widths) > 1:
-            raise ValueError(f"inconsistent {name} dimensions: {sorted(widths)}")
+        kept = np.array([sid not in excluded for sid in ids], dtype=bool)
+        ids = [sid for sid, keep in zip(ids, kept) if keep]
+        times, events = times[kept], events[kept]
+        if config.horizon is not None:
+            over = times > config.horizon
+            times = np.where(over, config.horizon, times)
+            events &= ~over
+        split = split_cohort(len(ids), config.ratios, config.split_seed)
+        empty = [part for part, rows in vars(split).items() if not rows.size]
+        if empty:
+            raise ValueError(f"{config_path}: ratios={','.join(f'{r:g}' for r in config.ratios)} "
+                             f"leave the {empty[0]} split of {len(ids)} samples empty")
 
-    kept = np.array([sid not in excluded for sid in ids], dtype=bool)
-    ids = [sid for sid, keep in zip(ids, kept) if keep]
-    times, events = times[kept], events[kept]
-    if horizon_years is not None:
-        over = times > horizon_years
-        times = np.where(over, horizon_years, times)
-        events &= ~over
-    pooled_table = (list(pooled), np.stack(list(pooled.values()))) if pooled else None
-    modalities = {name: mod for name, mod in (("text", _modality(pooled_table, ids)),
-                                              ("cov", _modality(cov_numeric, ids)),
+        meta = {"schema": config.schema, "n_samples": len(ids),
+                "excluded_missing_critical": len(excluded), "horizon_years": config.horizon,
+                "allow_other_family": config.allow_other}
+        cov = _modality(cov_numeric, ids)
+        if clinical:
+            cov, encoding = _clinical_modality([cov_raw.get(sid) for sid in ids], split.train,
+                                               config.allow_other)
+            meta.update(encoding)
+        teacher_mod = _modality((teacher.ids, teacher.probs) if teacher is not None else None,
+                                ids)
+    with stage(timings, "pool"):
+        text, n_pooled = _pool_text(ids, pooled, hidden)
+    modalities = {name: mod for name, mod in (("text", text), ("cov", cov),
                                               ("ge", _modality(ge, ids)))
                   if mod is not None}
-    teacher_mod = _modality((teacher.ids, teacher.probs) if teacher is not None else None, ids)
     teacher_probs = (teacher_mod.values
                      if teacher_mod is not None and teacher_mod.present.any() else None)
-    meta = {"schema": schema, "n_samples": len(ids),
-            "excluded_missing_critical": len(excluded),
-            "horizon_years": horizon_years,
-            "allow_other_family": allow_other_family}
-    return Cohort(ids=ids, times=times, events=events,
-                  modalities=modalities, teacher_probs=teacher_probs, metadata=meta,
-                  token_states=[hidden.get(sid) for sid in ids] if hidden else None,
-                  clinical=[cov_raw.get(sid) for sid in ids] if cov_raw else None)
+    cohort = Cohort(ids=ids, times=times, events=events, modalities=modalities,
+                    teacher_probs=teacher_probs, metadata=meta)
+    return cohort, split, n_pooled
 
 
-def pool_text(cohort: Cohort) -> int:
-    """Attention-pool the token states of every sample that has no text
-    vector yet into the text modality; returns how many were pooled."""
-    if cohort.token_states is None:
-        return 0
-    text = cohort.modalities.get("text")
-    rows = [i for i, states in enumerate(cohort.token_states)
-            if states is not None and (text is None or not text.present[i])]
+def _pool_text(ids: list[str], pooled: dict[str, np.ndarray],
+               hidden: dict[str, np.ndarray]) -> tuple[Modality | None, int]:
+    """The text modality over `ids`: each sample's pooled vector, else the
+    attention pool of its token states (None without either); and how many
+    rows were pooled here."""
+    text = _modality((list(pooled), np.stack(list(pooled.values()))) if pooled else None, ids)
+    rows = [i for i, sid in enumerate(ids)
+            if sid in hidden and (text is None or not text.present[i])]
     if not rows:
-        return 0
-    pooled = np.stack(pool_many([cohort.token_states[i] for i in rows]))
+        return text, 0
+    vectors = np.stack(pool_many([hidden[ids[i]] for i in rows]))
     if text is None:
-        text = cohort.modalities["text"] = Modality.empty(len(cohort), pooled.shape[1])
-    elif text.values.shape[1] != pooled.shape[1]:
-        raise ValueError(f"pooled token states have {pooled.shape[1]} dimensions, "
+        text = Modality.empty(len(ids), vectors.shape[1])
+    elif text.values.shape[1] != vectors.shape[1]:
+        raise ValueError(f"pooled token states have {vectors.shape[1]} dimensions, "
                          f"the pooled vectors {text.values.shape[1]}")
-    text.values[rows] = pooled
+    text.values[rows] = vectors
     text.present[rows] = True
-    return len(rows)
+    return text, len(rows)
 
 
-def preprocess_covariates(cohort: Cohort, train_indices) -> dict:
-    """Turn raw clinical fields into numeric vectors, scaling with train stats.
+def _clinical_modality(clinical: list[dict[str, str] | None], train_indices,
+                       allow_other: bool) -> tuple[Modality, dict]:
+    """The cov modality of raw clinical fields (one entry per sample, None
+    where absent), scaled with training statistics, and the metadata
+    describing the encoding.
 
     Layout: [age, sex, race, stage, 7-way cancer-family one-hot]. Age and
     stage are min-max scaled with training extrema (test values may leave
     [0,1]; not clipped). Sex and race become majority-vs-other indicators,
     majority taken over the training split, ties to the lexicographically
-    smallest label. Returns the metadata describing the encoding.
+    smallest label. An unknown cancer type is "other" when `allow_other`,
+    and an error otherwise.
     """
-    train_indices = np.asarray(train_indices, dtype=np.int64)
-    clinical = cohort.clinical or [None] * len(cohort)
     train_rows = [clinical[i] for i in train_indices if clinical[i] is not None]
     if not train_rows:
         raise ValueError("no raw clinical rows in the training split")
@@ -371,8 +398,7 @@ def preprocess_covariates(cohort: Cohort, train_indices) -> dict:
             return 0.0
         return (x - lo) / (hi - lo)
 
-    allow_other = bool(cohort.metadata.get("allow_other_family", True))
-    cov = Modality.empty(len(cohort), 4 + len(CANCER_FAMILIES))
+    cov = Modality.empty(len(clinical), 4 + len(CANCER_FAMILIES))
     for i, raw in enumerate(clinical):
         if raw is None:
             continue
@@ -386,23 +412,15 @@ def preprocess_covariates(cohort: Cohort, train_indices) -> dict:
             *onehot,
         ]
         cov.present[i] = True
-    cohort.modalities["cov"] = cov
     layout = ["age", "sex", "race", "stage"] + [f"family_{f}" for f in CANCER_FAMILIES]
-    meta = {"cov_layout": layout, **stats}
-    cohort.metadata.update(meta)
-    return meta
+    return cov, {"cov_layout": layout, **stats}
 
 
 def split_cohort(n: int, ratios=(0.70, 0.10, 0.20), seed: int = 0) -> CohortSplit:
     """Seeded shuffle of n samples, then floor sizes with the final split
-    taking the remainder."""
+    taking the remainder; `IngestConfig` checks the three ratios."""
     if n < 3:
         raise ValueError(f"cohort of {n} is too small to split")
-    ratios = [float(r) for r in ratios]
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("need three non-negative ratios")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios sum to {sum(ratios)}, expected 1")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(np.floor(ratios[0] * n))
     n_val = int(np.floor(ratios[1] * n))

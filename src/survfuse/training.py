@@ -200,7 +200,11 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
                 warm_start: dict[str, np.ndarray] | None, batch_size: int,
                 epochs: int, patience: int) -> TrainResult:
     """`train`'s epoch loop: the model at its best validation epoch, head unfitted."""
-    rngs = named_rngs(config.seed, ("init", "shuffle", "dropout", "pretrain"))
+    for part in ("train", "val"):
+        if not getattr(split, part).size:
+            raise ValueError(f"the {part} split is empty; re-ingest with ratios "
+                             f"that leave it samples")
+    rngs = named_rngs(config.seed, ("init", "shuffle", "dropout"))
     head = init_head(config, outcome_arrays(cohort, split.train)[0])
     train_data = _rows(cohort, split.train, config, head)
     val_data = _rows(cohort, split.val, config, head)

@@ -13,7 +13,7 @@ import numpy as np
 from survfuse import synth, training
 from survfuse.autoencoder import init_autoencoder, reconstruction_loss_grad
 from survfuse.blending import blend_inputs, verbalized_rates
-from survfuse.cohort import load_cohort, outcome_arrays, pool_text, split_cohort
+from survfuse.cohort import IngestConfig, load_cohort, outcome_arrays
 from survfuse.distill import (build_target_sequence, calibration_mask,
                               extract_probability, fit_parametric,
                               weighted_text_loss_grad)
@@ -288,13 +288,10 @@ def test_criterion_5_target_round_trip_and_mask():
 def synth_cohort(out_dir, calibration_shift=0.0):
     spec = synth.GeneratorSpec(n=2000, seed=7, calibration_shift=calibration_shift)
     result = synth.generate(spec, str(out_dir))
-    cohort = load_cohort(result.files["outcomes"],
-                         covariates_path=result.files["covariates"],
-                         ge_path=result.files["ge"],
-                         hidden_states_path=result.files["hidden"],
-                         teacher_path=result.files["teacher"])
-    pool_text(cohort)
-    split = split_cohort(len(cohort), seed=0)
+    config = IngestConfig(outcomes=result.files["outcomes"],
+                          covariates=result.files["covariates"], ge=result.files["ge"],
+                          hidden=result.files["hidden"], teacher=result.files["teacher"])
+    cohort, split, _ = load_cohort(config, str(out_dir / "ingest.cfg"))
     return cohort, split
 
 
@@ -359,13 +356,10 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
 def test_criterion_7_training_is_deterministic(tmp_path):
     spec = synth.GeneratorSpec(n=400, seed=5)
     result = synth.generate(spec, str(tmp_path))
-    cohort = load_cohort(result.files["outcomes"],
-                         covariates_path=result.files["covariates"],
-                         ge_path=result.files["ge"],
-                         hidden_states_path=result.files["hidden"],
-                         teacher_path=result.files["teacher"])
-    pool_text(cohort)
-    split = split_cohort(len(cohort), seed=0)
+    ingest = IngestConfig(outcomes=result.files["outcomes"],
+                          covariates=result.files["covariates"], ge=result.files["ge"],
+                          hidden=result.files["hidden"], teacher=result.files["teacher"])
+    cohort, split, _ = load_cohort(ingest, str(tmp_path / "ingest.cfg"))
     config = run_config(fusion="late", modalities=("text", "cov", "ge"),
                         epochs=8, patience=4)
     first = training.train_and_evaluate(config, cohort, split)[1]

@@ -404,7 +404,10 @@ OWN_CHECKS = {"patience=9": "patience cannot exceed epochs", "n=2": "need at lea
               "pretrain_batch_size=0": "pretrain_batch_size must be at least 1",
               "n_bins=0": "n_bins must be at least 1",
               "lr_head=-1": "lr_head must be non-negative",
-              "weight_decay=-0.1": "weight_decay must be non-negative"}
+              "weight_decay=-0.1": "weight_decay must be non-negative",
+              "schema=tabular": "unknown schema 'tabular'",
+              "ratios=0.5,0.5,0.5": "ratios sum to 1.5, expected 1",
+              "ge=g.csv": "ingest config needs an 'outcomes' path"}
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -425,6 +428,9 @@ OWN_CHECKS = {"patience=9": "patience cannot exceed epochs", "n=2": "need at lea
     ("train", TRAIN_CFG.replace("n_bins=5", "n_bins=0"), None),
     ("train", TRAIN_CFG + "lr_head=-1\n", None),
     ("train", TRAIN_CFG + "weight_decay=-0.1\n", None),
+    ("ingest", "outcomes=o.csv\nschema=tabular\n", None),
+    ("ingest", "outcomes=o.csv\nratios=0.5,0.5,0.5\n", None),
+    ("ingest", "ge=g.csv\n", None),
 ])
 def test_a_bad_config_value_names_the_key_and_the_file(tmp_path, capsys, command, text, key):
     cfg = write(tmp_path / f"{command}.cfg", text)
@@ -734,7 +740,7 @@ def test_ingest_parses_keys_by_field_type(tmp_path, capsys):
     assert cohort.times[0] == 7.5 and cohort.events[0]
     assert cohort.metadata["horizon_years"] is None
     assert (split.train.size, split.val.size, split.test.size) == (2, 1, 1)
-    cfg = write(tmp_path / "default.cfg", "outcomes=o.csv\n")
+    cfg = write(tmp_path / "default.cfg", "outcomes=o.csv\nratios=0.5,0.25,0.25\n")
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b3")]) == 0
     cohort, _ = load_bundle(str(tmp_path / "b3"))
     assert cohort.times[0] == 5.0 and not cohort.events[0]

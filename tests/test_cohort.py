@@ -10,19 +10,24 @@ import pytest
 from survfuse import formats
 from survfuse.cohort import (
     CANCER_FAMILIES,
+    IngestConfig,
     Modality,
+    _clinical_modality,
+    _parse_clinical_table,
+    _pool_text,
     cancer_family,
     load_bundle,
     load_cohort,
     modality_matrix,
     outcome_arrays,
-    pool_text,
-    preprocess_covariates,
     read_outcomes,
     save_bundle,
     split_cohort,
 )
 from survfuse.pooling import attention_pool
+
+# one sample in each split of a three-sample cohort
+THIRDS = (0.34, 0.34, 0.32)
 
 
 def write_text(path, text):
@@ -34,6 +39,12 @@ def write_text(path, text):
 def write_outcomes(path, rows):
     lines = ["id,time_years,event"] + [f"{sid},{t},{e}" for sid, t, e in rows]
     return write_text(path, "\n".join(lines) + "\n")
+
+
+def ingest(tmp_path, **keys):
+    """The cohort `load_cohort` builds from an ingest config of `keys`, as if
+    read from a file in `tmp_path`."""
+    return load_cohort(IngestConfig(**keys), str(tmp_path / "ingest.cfg"))[0]
 
 
 # ------------------------------------------------------------------ splitting
@@ -66,19 +77,19 @@ def test_split_validation():
     with pytest.raises(ValueError):
         split_cohort(2)
     with pytest.raises(ValueError):
-        split_cohort(10, ratios=(0.7, 0.2))
+        IngestConfig(outcomes="o.csv", ratios=(0.7, 0.2))
     with pytest.raises(ValueError):
-        split_cohort(10, ratios=(0.9, 0.2, -0.1))
+        IngestConfig(outcomes="o.csv", ratios=(0.9, 0.2, -0.1))
     with pytest.raises(ValueError):
-        split_cohort(10, ratios=(0.5, 0.4, 0.2))
+        IngestConfig(outcomes="o.csv", ratios=(0.5, 0.4, 0.2))
 
 
 # ----------------------------------------------------------- outcome parsing
 
 def test_load_cohort_reads_outcomes_in_file_order(tmp_path):
-    path = write_outcomes(tmp_path / "o.csv", [("b", 2.5, 1), ("a", 1.0, 0)])
-    cohort = load_cohort(path)
-    assert cohort.ids == ["b", "a"]
+    path = write_outcomes(tmp_path / "o.csv", [("b", 2.5, 1), ("a", 1.0, 0), ("c", 3.0, 0)])
+    cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS)
+    assert cohort.ids == ["b", "a", "c"]
     assert cohort.times[0] == 2.5
     assert cohort.events[0] == True  # noqa: E712 - a numpy bool
     assert cohort.events[1] == False  # noqa: E712
@@ -92,25 +103,25 @@ def test_administrative_censoring(tmp_path):
     assert ids == ["late", "edge", "early"]
     assert times.dtype == np.float64 and events.dtype == bool
     assert times.tolist() == [7.2, 5.0, 2.0] and events.tolist() == [True, True, False]
-    cohort = load_cohort(path)
+    cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS)
     assert cohort.ids == ids
     # past the horizon: censored at the horizon; exactly at the horizon: untouched
     assert cohort.times.tolist() == [5.0, 5.0, 2.0]
     assert cohort.events.tolist() == [False, True, False]
     # custom and disabled horizons
-    cohort = load_cohort(path, horizon_years=3.0)
+    cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS, horizon=3.0)
     assert cohort.times.tolist() == [3.0, 3.0, 2.0]
     assert cohort.events.tolist() == [False, False, False]
-    cohort = load_cohort(path, horizon_years=None)
+    cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS, horizon=None)
     assert cohort.times.tolist() == [7.2, 5.0, 2.0]
     assert cohort.events.tolist() == [True, True, False]
 
 
 def test_outcome_validation(tmp_path):
     with pytest.raises(ValueError, match="event"):
-        load_cohort(write_outcomes(tmp_path / "a.csv", [("x", 1.0, 2)]))
+        ingest(tmp_path, outcomes=write_outcomes(tmp_path / "a.csv", [("x", 1.0, 2)]))
     with pytest.raises(ValueError, match="positive"):
-        load_cohort(write_outcomes(tmp_path / "b.csv", [("x", 0.0, 1)]))
+        ingest(tmp_path, outcomes=write_outcomes(tmp_path / "b.csv", [("x", 0.0, 1)]))
     for bad in ("inf", "nan"):
         path = write_text(tmp_path / "f.csv", f"id,time_years,event\na,{bad},1\n")
         with pytest.raises(ValueError) as exc:
@@ -118,38 +129,90 @@ def test_outcome_validation(tmp_path):
         assert str(exc.value) == (f"{path}: outcomes row for id 'a' (line 2): follow-up time "
                                   f"must be positive and finite, got {bad}")
     with pytest.raises(ValueError, match=r"duplicate outcome id 'x' \(line 3\)"):
-        load_cohort(write_outcomes(tmp_path / "c.csv", [("x", 1.0, 1), ("x", 2.0, 0)]))
+        ingest(tmp_path,
+               outcomes=write_outcomes(tmp_path / "c.csv", [("x", 1.0, 1), ("x", 2.0, 0)]))
     with pytest.raises(ValueError, match="missing column"):
-        load_cohort(write_text(tmp_path / "d.csv", "id,time_years\nx,1.0\n"))
+        ingest(tmp_path, outcomes=write_text(tmp_path / "d.csv", "id,time_years\nx,1.0\n"))
     with pytest.raises(ValueError, match="no outcome rows"):
-        load_cohort(write_text(tmp_path / "e.csv", "id,time_years,event\n"))
+        ingest(tmp_path, outcomes=write_text(tmp_path / "e.csv", "id,time_years,event\n"))
+
+
+def test_csv_errors_name_their_file(tmp_path):
+    outcomes = write_text(tmp_path / "o.csv", "id,time_years\na,1.0\n")
+    with pytest.raises(ValueError) as exc:
+        read_outcomes(outcomes)
+    assert str(exc.value) == f"{outcomes}: outcomes file missing column 'event'"
+    out = write_outcomes(tmp_path / "o2.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
+    cov = write_text(tmp_path / "cov.csv", "id,age,sex,race,stage\na,40,F,W,I\n")
+    with pytest.raises(ValueError) as exc:
+        ingest(tmp_path, outcomes=out, covariates=cov, schema="clinical", ratios=THIRDS)
+    assert str(exc.value) == f"{cov}: covariates file missing column 'cancer_type'"
+    cov = write_text(tmp_path / "dup.csv", f"{CLINICAL_HEADER}\na,40,F,W,I,skin\n"
+                                           "a,50,M,W,II,skin\n")
+    with pytest.raises(ValueError) as exc:
+        ingest(tmp_path, outcomes=out, covariates=cov, schema="clinical", ratios=THIRDS)
+    assert str(exc.value) == f"{cov}: duplicate covariate id 'a' (line 3)"
+
+
+@pytest.mark.parametrize("ratios,part", [((0.0, 0.2, 0.8), "train"), ((0.8, 0.0, 0.2), "val"),
+                                         ((0.5, 0.5, 0.0), "test")])
+def test_load_cohort_refuses_an_empty_split(tmp_path, ratios, part):
+    out = write_outcomes(tmp_path / "o.csv", [(f"s{i}", 1.0 + i, i % 2) for i in range(10)])
+    with pytest.raises(ValueError) as exc:
+        ingest(tmp_path, outcomes=out, ratios=ratios)
+    shown = ",".join(f"{r:g}" for r in ratios)
+    assert str(exc.value) == (f"{tmp_path / 'ingest.cfg'}: ratios={shown} leave the {part} "
+                              f"split of 10 samples empty")
 
 
 # ------------------------------------------------------------ numeric tables
 
 def test_numeric_covariates_and_ge_imputation(tmp_path):
-    out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0)])
+    out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
     cov = write_text(tmp_path / "cov.csv", "id,c1,c2\na,0.5,1.5\nb,-1.0,2.5\n")
     # an empty gene-expression cell is imputed to zero
     ge = write_text(tmp_path / "ge.csv", "id,g1,g2,g3\na,1.0,,3.0\nb,4.0,5.0,6.0\n")
-    cohort = load_cohort(out, covariates_path=cov, ge_path=ge)
+    cohort = ingest(tmp_path, outcomes=out, covariates=cov, ge=ge, ratios=THIRDS)
     assert np.array_equal(modality_matrix(cohort, [0], "cov")[0], [0.5, 1.5])
     assert np.array_equal(modality_matrix(cohort, [0], "ge")[0], [1.0, 0.0, 3.0])
     assert np.array_equal(modality_matrix(cohort, [1], "ge")[0], [4.0, 5.0, 6.0])
     # covariates do not get the imputation: empty cell is an error
     bad = write_text(tmp_path / "bad.csv", "id,c1,c2\na,0.5,\nb,1.0,2.0\n")
     with pytest.raises(ValueError, match="empty cell"):
-        load_cohort(out, covariates_path=bad)
+        ingest(tmp_path, outcomes=out, covariates=bad, ratios=THIRDS)
     # a modality file may cover a subset; uncovered samples carry None
     part = write_text(tmp_path / "part.csv", "id,c1\na,0.5\n")
-    cohort = load_cohort(out, covariates_path=part)
+    cohort = ingest(tmp_path, outcomes=out, covariates=part, ratios=THIRDS)
     assert not cohort.modalities["cov"].present[1]
 
 
+def test_non_finite_inputs_fail_at_ingest_naming_where(tmp_path):
+    out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
+    cov = write_text(tmp_path / "cov.csv", "id,c1,c2\na,0.5,1.5\nb,nan,2.5\n")
+    with pytest.raises(ValueError) as exc:
+        ingest(tmp_path, outcomes=out, covariates=cov, ratios=THIRDS)
+    assert str(exc.value) == f"{cov} id 'b' (line 3): non-finite value 'nan' in 'c1'"
+    ge = write_text(tmp_path / "ge.csv", "id,g1,g2\na,1.0,-inf\nb,,2.0\n")
+    with pytest.raises(ValueError) as exc:
+        ingest(tmp_path, outcomes=out, ge=ge, ratios=THIRDS)
+    assert str(exc.value) == f"{ge} id 'a' (line 2): non-finite value '-inf' in 'g2'"
+    hidden = str(tmp_path / "h.svhs")
+    formats.write_hidden_states(hidden, {"a": np.ones((2, 3)),
+                                         "b": np.array([[1.0, np.nan, 0.0]])})
+    with pytest.raises(ValueError) as exc:
+        ingest(tmp_path, outcomes=out, hidden=hidden, ratios=THIRDS)
+    assert str(exc.value) == f"{hidden}: sample 'b' has non-finite hidden states"
+    pooled = str(tmp_path / "p.svpv")
+    formats.write_pooled(pooled, {"c": np.array([np.inf, 0.0])})
+    with pytest.raises(ValueError) as exc:
+        ingest(tmp_path, outcomes=out, pooled=pooled, ratios=THIRDS)
+    assert str(exc.value) == f"{pooled}: sample 'c' has non-finite pooled vectors"
+
+
 def test_modality_matrix_and_outcome_arrays(tmp_path):
-    out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0)])
+    out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
     cov = write_text(tmp_path / "cov.csv", "id,c1,c2\na,0.5,1.5\nb,-1.0,2.5\n")
-    cohort = load_cohort(out, covariates_path=cov)
+    cohort = ingest(tmp_path, outcomes=out, covariates=cov, ratios=THIRDS)
     mat = modality_matrix(cohort, [1, 0], "cov")
     assert np.array_equal(mat, [[-1.0, 2.5], [0.5, 1.5]])
     times, events = outcome_arrays(cohort, [1, 0])
@@ -165,26 +228,27 @@ def test_modality_matrix_and_outcome_arrays(tmp_path):
 CLINICAL_HEADER = "id,age,sex,race,stage,cancer_type"
 
 
-def clinical_cohort(tmp_path, rows, outcome_rows=None, **kwargs):
-    if outcome_rows is None:
-        outcome_rows = [(r.split(",")[0], 2.0, 1) for r in rows]
-    out = write_outcomes(tmp_path / "o.csv", outcome_rows)
+def clinical_rows(tmp_path, rows):
+    """The ids and the raw clinical fields (None where excluded) of a
+    covariates file of `rows`."""
     cov = write_text(tmp_path / "cov.csv",
                      "\n".join([CLINICAL_HEADER] + rows) + "\n")
-    return load_cohort(out, covariates_path=cov, schema="clinical", **kwargs)
+    table, _ = _parse_clinical_table(cov)
+    ids = [r.split(",")[0] for r in rows]
+    return ids, [table.get(sid) for sid in ids]
 
 
 def test_clinical_preprocessing_layout_and_scaling(tmp_path):
-    cohort = clinical_cohort(tmp_path, [
+    ids, clinical = clinical_rows(tmp_path, [
         "a,40,F,White,I,LUAD",
         "b,60,F,Black,III,skin",
         "c,80,M,White,IV,COAD",
         "d,90,F,Asian,II,nonsense",
     ])
-    meta = preprocess_covariates(cohort, train_indices=[0, 1, 2])
+    cov, meta = _clinical_modality(clinical, train_indices=[0, 1, 2], allow_other=True)
     assert meta["cov_layout"] == (["age", "sex", "race", "stage"]
                                   + [f"family_{f}" for f in CANCER_FAMILIES])
-    by_id = dict(zip(cohort.ids, cohort.modalities["cov"].values))
+    by_id = dict(zip(ids, cov.values))
     # train extrema: ages 40..80, stages 1..4
     assert by_id["a"][0] == 0.0 and by_id["c"][0] == 1.0
     assert by_id["b"][0] == pytest.approx(0.5)
@@ -203,42 +267,43 @@ def test_clinical_preprocessing_layout_and_scaling(tmp_path):
 
 
 def test_clinical_majority_tie_breaks_lexicographic(tmp_path):
-    cohort = clinical_cohort(tmp_path, [
+    _, clinical = clinical_rows(tmp_path, [
         "a,50,M,White,II,skin",
         "b,50,F,Black,II,skin",
     ])
-    meta = preprocess_covariates(cohort, train_indices=[0, 1])
+    cov, meta = _clinical_modality(clinical, train_indices=[0, 1], allow_other=True)
     assert meta["sex_majority"] == "F"
     assert meta["race_majority"] == "Black"
     # equal train extrema: scaled coordinate collapses to 0
-    assert all(cov[0] == 0.0 and cov[3] == 0.0 for cov in cohort.modalities["cov"].values)
+    assert all(row[0] == 0.0 and row[3] == 0.0 for row in cov.values)
 
 
 def test_clinical_stage_spellings(tmp_path):
-    cohort = clinical_cohort(tmp_path, [
+    ids, clinical = clinical_rows(tmp_path, [
         "a,40,F,White,Stage I,skin",
         "b,50,F,White,stage iv,skin",
         "c,60,F,White,2,skin",
     ])
-    preprocess_covariates(cohort, train_indices=[0, 1, 2])
-    by_id = dict(zip(cohort.ids, cohort.modalities["cov"].values[:, 3]))
+    cov, _ = _clinical_modality(clinical, train_indices=[0, 1, 2], allow_other=True)
+    by_id = dict(zip(ids, cov.values[:, 3]))
     # codes 1, 4, 2 scaled by extrema (1, 4)
     assert by_id["a"] == 0.0
     assert by_id["b"] == 1.0
     assert by_id["c"] == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError, match="stage"):
-        cohort = clinical_cohort(tmp_path, ["a,40,F,White,V,skin",
-                                            "b,50,F,White,I,skin"])
-        preprocess_covariates(cohort, train_indices=[0, 1])
+        _, clinical = clinical_rows(tmp_path, ["a,40,F,White,V,skin",
+                                               "b,50,F,White,I,skin"])
+        _clinical_modality(clinical, train_indices=[0, 1], allow_other=True)
 
 
 def test_clinical_missing_critical_field_excludes_sample(tmp_path):
-    cohort = clinical_cohort(tmp_path, [
-        "a,40,F,White,I,skin",
-        "b,,F,White,II,skin",
-        "c,60,M,White,III,skin",
-    ], outcome_rows=[("a", 1.0, 1), ("b", 2.0, 1), ("c", 3.0, 0)])
-    assert cohort.ids == ["a", "c"]
+    rows = ["a,40,F,White,I,skin", "b,,F,White,II,skin", "c,60,M,White,III,skin",
+            "d,70,M,White,IV,skin"]
+    out = write_outcomes(tmp_path / "o.csv",
+                         [("a", 1.0, 1), ("b", 2.0, 1), ("c", 3.0, 0), ("d", 4.0, 1)])
+    cov = write_text(tmp_path / "cov.csv", "\n".join([CLINICAL_HEADER] + rows) + "\n")
+    cohort = ingest(tmp_path, outcomes=out, covariates=cov, schema="clinical", ratios=THIRDS)
+    assert cohort.ids == ["a", "c", "d"]
     assert cohort.metadata["excluded_missing_critical"] == 1
 
 
@@ -249,20 +314,19 @@ def test_unknown_family_policy(tmp_path):
     assert cancer_family("mystery") == "other"
     with pytest.raises(ValueError, match="cancer type"):
         cancer_family("mystery", allow_other=False)
-    cohort = clinical_cohort(tmp_path, ["a,40,F,White,I,mystery",
-                                        "b,50,F,White,II,skin"],
-                             allow_other_family=False)
+    _, clinical = clinical_rows(tmp_path, ["a,40,F,White,I,mystery",
+                                           "b,50,F,White,II,skin"])
     with pytest.raises(ValueError, match="cancer type"):
-        preprocess_covariates(cohort, train_indices=[0, 1])
+        _clinical_modality(clinical, train_indices=[0, 1], allow_other=False)
 
 
 def test_clinical_requires_all_columns(tmp_path):
     out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1)])
     cov = write_text(tmp_path / "cov.csv", "id,age,sex,race,stage\na,40,F,W,I\n")
     with pytest.raises(ValueError, match="missing column"):
-        load_cohort(out, covariates_path=cov, schema="clinical")
+        ingest(tmp_path, outcomes=out, covariates=cov, schema="clinical")
     with pytest.raises(ValueError, match="schema"):
-        load_cohort(out, covariates_path=cov, schema="tabular")
+        IngestConfig(outcomes=out, covariates=cov, schema="tabular")
 
 
 # ----------------------------------------------------------------- bundles
@@ -294,10 +358,9 @@ def build_full_cohort(tmp_path, n=6, with_teacher=True):
                  "explanation": f"case {sid}"} for sid in ids]
         teacher = str(tmp_path / "t.jsonl")
         formats.write_jsonl(teacher, rows)
-    return load_cohort(out, covariates_path=cov, ge_path=ge,
-                       hidden_states_path=str(tmp_path / "h.svhs"),
-                       pooled_path=str(tmp_path / "p.svpv"),
-                       teacher_path=teacher)
+    return ingest(tmp_path, outcomes=out, covariates=cov, ge=ge,
+                  hidden=str(tmp_path / "h.svhs"), pooled=str(tmp_path / "p.svpv"),
+                  teacher=teacher, ratios=(0.5, 0.25, 0.25))
 
 
 def test_bundle_round_trip_bit_exact(tmp_path):
@@ -314,7 +377,7 @@ def test_bundle_round_trip_bit_exact(tmp_path):
         assert np.array_equal(loaded.modalities[name].present, cohort.modalities[name].present)
     # the bundle keeps the extracted probabilities, not the responses or token states
     assert np.array_equal(loaded.teacher_probs, cohort.teacher_probs, equal_nan=True)
-    assert loaded.token_states is None
+    assert not hasattr(loaded, "token_states")
     for name in ("train", "val", "test"):
         assert np.array_equal(getattr(loaded_split, name), getattr(split, name))
     assert loaded.metadata == cohort.metadata
@@ -324,7 +387,7 @@ def test_bundle_outcomes_not_recensored(tmp_path):
     # bundle outcomes were already administratively censored on ingest;
     # loading must not apply the horizon again
     path = write_outcomes(tmp_path / "o.csv", [("a", 7.5, 1), ("b", 1.0, 1), ("c", 2.0, 0)])
-    cohort = load_cohort(path, horizon_years=None)
+    cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS, horizon=None)
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir))
     loaded, split = load_bundle(str(out_dir))
@@ -334,13 +397,13 @@ def test_bundle_outcomes_not_recensored(tmp_path):
 
 
 def test_bundle_minimal_and_version_check(tmp_path):
-    path = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0)])
-    cohort = load_cohort(path)
+    path = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
+    cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS)
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir))
     loaded, _ = load_bundle(str(out_dir))
     assert "cov" not in loaded.modalities
-    assert loaded.token_states is None
+    assert not hasattr(loaded, "token_states")
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -353,23 +416,28 @@ def test_bundle_minimal_and_version_check(tmp_path):
 
 def test_pool_text_fills_only_samples_without_a_text_vector(tmp_path):
     cohort = build_full_cohort(tmp_path)
+    hidden = formats.read_hidden_states(tmp_path / "h.svhs")
+    pooled = formats.read_pooled(tmp_path / "p.svpv")
     # every sample has a pooled vector: nothing to pool
-    assert pool_text(cohort) == 0
-    cohort.modalities["text"].present[[1, 4]] = False
-    assert pool_text(cohort) == 2
-    text = cohort.modalities["text"]
+    text, n_pooled = _pool_text(cohort.ids, pooled, hidden)
+    assert n_pooled == 0
+    assert np.array_equal(text.values, cohort.modalities["text"].values)
+    for i in (1, 4):
+        del pooled[cohort.ids[i]]
+    text, n_pooled = _pool_text(cohort.ids, pooled, hidden)
+    assert n_pooled == 2
     assert text.present.all()
     for i in (1, 4):
-        assert np.array_equal(text.values[i], attention_pool(cohort.token_states[i]))
+        assert np.array_equal(text.values[i], attention_pool(hidden[cohort.ids[i]]))
     # without a pooled file the text modality comes from the token states alone
-    cohort.modalities.pop("text")
-    assert pool_text(cohort) == len(cohort)
-    assert cohort.modalities["text"].values.shape == (len(cohort), 8)
+    text, n_pooled = _pool_text(cohort.ids, {}, hidden)
+    assert n_pooled == len(cohort)
+    assert text.values.shape == (len(cohort), 8)
 
 
 def test_bundle_stores_text_in_32_bits(tmp_path):
     path = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
-    cohort = load_cohort(path)
+    cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS)
     values = np.array([[0.1, 1 / 3], [2.0, -0.7], [np.nan, np.nan]])
     cohort.modalities["text"] = Modality(values=values, present=np.array([True, True, False]))
     save_bundle(cohort, str(tmp_path / "bundle"))

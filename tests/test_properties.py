@@ -1305,7 +1305,8 @@ def record_lines(rows):
 
 
 def per_cell_numeric_table(path, header, rows, missing_to_zero):
-    """Each cell stripped, then float() or the empty-cell rule, row by row."""
+    """Each cell stripped, then float() or the empty-cell rule, row by row;
+    a value that is not finite is an error."""
     values = np.empty((len(rows), len(header) - 1))
     seen = set()
     for lineno, vec, row in zip(record_lines(rows), values, rows):
@@ -1325,6 +1326,9 @@ def per_cell_numeric_table(path, header, rows, missing_to_zero):
                 vec[j] = float(cell)
             except ValueError as exc:
                 raise ValueError(f"{path} id {sid!r} (line {lineno}): {exc}") from exc
+            if not math.isfinite(vec[j]):
+                raise ValueError(f"{path} id {sid!r} (line {lineno}): "
+                                 f"non-finite value {cell!r} in {col!r}")
     return [row[0] for row in rows], values
 
 

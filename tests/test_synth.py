@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from survfuse import formats
-from survfuse.cohort import load_cohort
+from survfuse.cohort import IngestConfig, load_cohort
 from survfuse.distill import extract_probability, parse_teacher_file
 from survfuse.synth import GeneratorSpec, generate
 
@@ -107,14 +107,13 @@ def test_outcomes_respect_horizon(tmp_path):
 
 def test_generated_cohort_loads(tmp_path):
     result = generate(small_spec(), str(tmp_path))
-    cohort = load_cohort(result.files["outcomes"],
-                         covariates_path=result.files["covariates"],
-                         ge_path=result.files["ge"],
-                         hidden_states_path=result.files["hidden"],
-                         teacher_path=result.files["teacher"])
+    config = IngestConfig(outcomes=result.files["outcomes"],
+                          covariates=result.files["covariates"], ge=result.files["ge"],
+                          hidden=result.files["hidden"], teacher=result.files["teacher"])
+    cohort, _, n_pooled = load_cohort(config, str(tmp_path / "ingest.cfg"))
     assert cohort.ids == result.ids
     assert cohort.modalities["cov"].present.all() and cohort.modalities["ge"].present.all()
-    assert all(states is not None for states in cohort.token_states)
+    assert n_pooled == len(cohort) and cohort.modalities["text"].present.all()
     # the cohort keeps only the extracted probabilities; every sample has a record
     assert cohort.teacher_probs is not None
     table = parse_teacher_file(result.files["teacher"])

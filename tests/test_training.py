@@ -2,6 +2,7 @@
 evaluation channels, checkpoints, and experiment suites."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ def test_total_loss_rejects_non_finite():
 
 
 # ------------------------------------------------------------ training loop
+
+@pytest.mark.parametrize("part", ["train", "val"])
+def test_train_refuses_an_empty_split(part):
+    # a bundle written before ingest refused empty splits may carry one
+    cohort = toy_cohort(20, teacher=False)
+    split = replace(split_cohort(20, seed=1), **{part: np.array([], dtype=np.int64)})
+    with pytest.raises(ValueError, match=f"the {part} split is empty"):
+        train(tiny_config(), cohort, split)
+
 
 def test_train_reproducible_and_restores_best():
     cohort = toy_cohort(40)
