@@ -109,8 +109,9 @@ class Cohort:
 class IngestConfig:
     """The keys of an ingest config file, parsed by `formats.dataclass_from_kv`.
 
-    `outcomes` is required. The input paths are relative to the config file;
-    `horizon=none` disables administrative censoring.
+    `outcomes` is required, and `covariates` with `schema=clinical`. Input
+    paths are relative to the config file; `horizon` is positive and finite,
+    or `none`, which disables administrative censoring.
     """
 
     INPUTS: ClassVar[tuple[str, ...]] = ("outcomes", "covariates", "ge", "hidden",
@@ -134,6 +135,10 @@ class IngestConfig:
             raise ValueError("ingest config needs an 'outcomes' path")
         if self.schema not in self.SCHEMAS:
             raise ValueError(f"unknown schema {self.schema!r}")
+        if self.schema == "clinical" and self.covariates is None:
+            raise ValueError("schema 'clinical' needs a 'covariates' path")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:  # NaN fails too
+            raise ValueError(f"horizon must be positive and finite or none, got {self.horizon}")
         if len(self.ratios) != 3 or not all(r >= 0 for r in self.ratios):
             raise ValueError("need three non-negative ratios")
         if not abs(sum(self.ratios) - 1.0) <= 1e-9:  # NaN fails too

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import sigmoid
+from .nn import Workspace, sigmoid
 
 # The one order of the modalities: model heads, early-fusion columns, gates.
 MODALITY_ORDER = ("text", "cov", "ge")
@@ -78,30 +78,37 @@ def _fold(outputs: dict[str, np.ndarray], order: list[str],
     return fused
 
 
-def late_fuse(outputs: dict[str, np.ndarray], gates: FusionGates) -> np.ndarray:
+def late_fuse(outputs: dict[str, np.ndarray], gates: FusionGates,
+              work: Workspace | None = None) -> np.ndarray:
     """Nested gated blend over the present modalities, as a new array.
 
     All three: o = (1 - g_ge)[(1 - g_cov) o_text + g_cov o_cov] + g_ge o_ge.
     A fold over MODALITY_ORDER: with a modality absent its nesting level
-    drops out, and a single modality passes through untouched.
+    drops out, and a single modality passes through untouched. The realized
+    gates and the fold are kept in `work` for `late_fuse_backward`.
     """
     order, g = _checked(outputs, gates)
-    fused = _fold(outputs, order, g)[-1]
-    return fused.copy() if len(order) == 1 else fused
+    fused = _fold(outputs, order, g)
+    if work is not None:
+        work["fuse"] = order, g, fused
+    return fused[-1].copy() if len(order) == 1 else fused[-1]
 
 
 def late_fuse_backward(upstream: np.ndarray, outputs: dict[str, np.ndarray],
-                       gates: FusionGates
+                       gates: FusionGates, work: Workspace | None = None
                        ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Gradients of `late_fuse`'s output: (per-modality gradients in
     MODALITY_ORDER, inner logit gradient, outer logit gradient).
 
-    The fold is undone from the last modality back. Gate-logit gradients
-    chain through the sigmoid and sum over the samples; a gate the present
-    modalities leave unused gets an exact zero.
+    The realized gates and the fold are those `late_fuse` kept in `work`;
+    without a workspace they are computed here. The fold is undone from the
+    last modality back. Gate-logit gradients chain through the sigmoid and
+    sum over the samples; a gate the present modalities leave unused gets an
+    exact zero.
     """
-    order, g = _checked(outputs, gates)
-    before = _fold(outputs, order[:-1], g) if len(order) > 1 else []
+    if work is None:
+        late_fuse(outputs, gates, work := Workspace())
+    order, g, before = work["fuse"]
     logit_grads = {"cov": np.zeros_like(gates.inner_logit),
                    "ge": np.zeros_like(gates.outer_logit)}
     d = np.asarray(upstream, dtype=np.float64)

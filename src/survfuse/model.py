@@ -14,8 +14,8 @@ import numpy as np
 from .autoencoder import Autoencoder, init_autoencoder
 from .fusion import (MODALITY_ORDER, FusionGates, early_fuse, init_fusion_gates, late_fuse,
                      late_fuse_backward)
-from .nn import (FlatViews, Mlp, MlpCache, MlpGrads, ParamLayout, draw_dropout_masks,
-                 init_mlp, mlp_backward, mlp_forward, sigmoid)
+from .nn import (FlatViews, Mlp, MlpCache, MlpGrads, ParamLayout, Workspace,
+                 draw_dropout_masks, init_mlp, mlp_backward, mlp_forward, sigmoid)
 
 DEFAULT_HEAD_LAYERS = [100, 100, 100]
 FUSION_MODES = ("early", "late", "none")
@@ -73,6 +73,7 @@ class ModelForward:
     recon: np.ndarray | None = None
     enc_cache: MlpCache | None = None
     dec_cache: MlpCache | None = None
+    work: Workspace = field(default_factory=Workspace)  # what the forward wrote
 
 
 def init_model(fusion: str, modalities, dims: dict[str, int],
@@ -136,8 +137,8 @@ def model_params(model: SurvivalModel) -> dict[str, np.ndarray]:
 
 
 def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
-                  rng: np.random.Generator | None = None,
-                  keep_cache: bool = True) -> ModelForward:
+                  rng: np.random.Generator | None = None, keep_cache: bool = True,
+                  work: Workspace | None = None) -> ModelForward:
     """Run every component; pass `rng` to draw dropout masks (training mode).
 
     `batch` maps modality names to matrices: text -> (N, d) pooled vectors,
@@ -147,27 +148,27 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
     outputs are the same either way. An inference forward (`keep_cache=False`
     and no `rng`) also skips the autoencoder's decoder, whose output only the
     training loss reads, and returns `recon=None`; with an `rng` the decoder
-    runs, so the dropout masks drawn stay the same.
+    runs, so the dropout masks drawn stay the same. The forward writes into
+    `work` (a new workspace if None), which it returns for `model_backward`.
     """
     for m in model.modalities:
         if m not in batch:
             raise ValueError(f"batch missing modality {m!r}")
     n = batch[model.modalities[0]].shape[0]
-
-    def masks_for(mlp: Mlp):
-        if rng is None or mlp.dropout == 0.0:
-            return None
-        return draw_dropout_masks(mlp, n, rng)
+    work = Workspace() if work is None else work
+    # every network's masks in one draw, in the order the networks run
+    nets = {**({"enc": model.ae.encoder, "dec": model.ae.decoder} if model.ae else {}),
+            **model.heads}
+    masks = dict(zip(nets, draw_dropout_masks(list(nets.values()), n, rng, work)
+                     if rng is not None else [None] * len(nets)))
 
     z_ge = recon = enc_cache = dec_cache = None
     if model.ae is not None:
-        z_ge, enc_cache = mlp_forward(model.ae.encoder, batch["ge"],
-                                      masks=masks_for(model.ae.encoder),
-                                      keep_cache=keep_cache)
+        z_ge, enc_cache = mlp_forward(model.ae.encoder, batch["ge"], masks=masks["enc"],
+                                      keep_cache=keep_cache, work=work.part("enc"))
         if keep_cache or rng is not None:
-            recon, dec_cache = mlp_forward(model.ae.decoder, z_ge,
-                                           masks=masks_for(model.ae.decoder),
-                                           keep_cache=keep_cache)
+            recon, dec_cache = mlp_forward(model.ae.decoder, z_ge, masks=masks["dec"],
+                                           keep_cache=keep_cache, work=work.part("dec"))
 
     inputs = {m: z_ge if m == "ge" else batch[m] for m in model.modalities}
     if model.gates is None:
@@ -178,40 +179,45 @@ def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
     head_caches: dict[str, MlpCache | None] = {}
     for name, x in head_inputs.items():
         mlp = model.heads[name]
-        head_outputs[name], head_caches[name] = mlp_forward(mlp, x, masks=masks_for(mlp),
-                                                            keep_cache=keep_cache)
+        head_outputs[name], head_caches[name] = mlp_forward(
+            mlp, x, masks=masks[name], keep_cache=keep_cache, work=work.part(name))
     if model.gates is None:
         out = head_outputs["head"]
     else:
-        out = late_fuse({m: head_outputs[f"head_{m}"] for m in inputs}, model.gates)
+        out = late_fuse({m: head_outputs[f"head_{m}"] for m in inputs}, model.gates, work)
     return ModelForward(out=out, head_outputs=head_outputs, head_caches=head_caches,
-                        recon=recon, enc_cache=enc_cache, dec_cache=dec_cache)
+                        recon=recon, enc_cache=enc_cache, dec_cache=dec_cache, work=work)
 
 
 def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray,
                    grad_recon: np.ndarray | None = None) -> FlatViews:
-    """Gradients for every parameter, as views of one new vector in `model.layout`.
+    """Gradients for every parameter, as views of one vector in `model.layout`.
 
     `grad_out` is dL/d(out); `grad_recon` is dL/d(recon) for the autoencoder
     term (None when the run has no reconstruction loss, and the decoder's
     gradients are zero). The encoder receives the sum of the head-path and
-    decoder-path gradients. Each call returns a new vector (`.flat`).
+    decoder-path gradients. The vector (`.flat`), its views and every input
+    gradient live in the forward's workspace (`fwd.work`): a forward with a
+    new workspace gets a new vector, and a workspace kept across steps gets
+    the same vector back each step, overwritten.
     """
-    grads = model.layout.views(np.empty(model.layout.size))
+    work = fwd.work
+    grads = work.made("grads", lambda: model.layout.views(np.empty(model.layout.size)))
 
     def backward(prefix: str, mlp: Mlp, cache: MlpCache, g: np.ndarray,
                  input_grad: bool) -> np.ndarray | None:
-        n = len(mlp.weights)
-        out = MlpGrads([grads[f"{prefix}.w{i}"] for i in range(n)],
-                       [grads[f"{prefix}.b{i}"] for i in range(n)])
-        return mlp_backward(mlp, cache, g, out=out, input_grad=input_grad)[1]
+        out = work.made(("grads", prefix), lambda: MlpGrads(
+            [grads[f"{prefix}.w{i}"] for i in range(len(mlp.weights))],
+            [grads[f"{prefix}.b{i}"] for i in range(len(mlp.biases))]))
+        return mlp_backward(mlp, cache, g, out=out, input_grad=input_grad,
+                            work=work.part(prefix))[1]
 
     if model.gates is None:
         head_grads = {"head": grad_out}
     else:
         by_modality, grad_inner, grad_outer = late_fuse_backward(
             grad_out, {m: fwd.head_outputs[f"head_{m}"] for m in model.modalities},
-            model.gates)
+            model.gates, work)
         np.copyto(grads["gates.inner"], grad_inner)
         np.copyto(grads["gates.outer"], grad_outer)
         head_grads = {f"head_{m}": g for m, g in by_modality.items()}
@@ -227,7 +233,8 @@ def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray
     if model.ae is not None:
         if grad_recon is not None:
             grad_z = backward("dec", model.ae.decoder, fwd.dec_cache, grad_recon,
-                              input_grad=True) + grad_z_ge
+                              input_grad=True)
+            grad_z += grad_z_ge
         else:
             for i in range(len(model.ae.decoder.weights)):
                 grads[f"dec.w{i}"].fill(0.0)

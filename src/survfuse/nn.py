@@ -7,7 +7,10 @@ pass is a pure function of (params, input, masks).
 
 Training keeps every trainable tensor as a view into one flat vector laid
 out by a `ParamLayout`; gradients are written into a second such vector, and
-`adamw_step` updates the flat vector in place.
+`adamw_step` updates the flat vector in place. A training step writes its
+activations, input gradients and dropout masks into a `Workspace`, which a
+training loop keeps across steps, so no step after the first makes them
+again.
 """
 
 from __future__ import annotations
@@ -28,6 +31,36 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
+
+
+class Workspace(dict):
+    """Arrays and values a training step writes into, made on first use.
+
+    A loop that keeps its workspace reuses every array from its second step
+    on; a new workspace per call allocates as plain expressions would. The
+    values are the same either way.
+    """
+
+    def made(self, key, make: Callable[[], object]):
+        """The value under `key`, made by `make()` on first use."""
+        value = self.get(key)
+        if value is None:
+            value = self[key] = make()
+        return value
+
+    def array(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The leading `shape[0]` rows of the array kept under `key` (a last,
+        partial batch writes into a full batch's arrays), made if too short."""
+        buf = self.get(key)
+        if buf is not None and buf.shape == shape:
+            return buf
+        if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:]:
+            buf = self[key] = np.empty(shape, dtype)
+        return buf[:shape[0]]
+
+    def part(self, name: str) -> "Workspace":
+        """The nested workspace of one network."""
+        return self.made(name, Workspace)
 
 
 @dataclass
@@ -76,33 +109,42 @@ def init_mlp(in_dim: int, hidden: list[int], out_dim: int, rng: np.random.Genera
     return Mlp(weights, biases, dropout)
 
 
-def draw_dropout_masks(mlp: Mlp, n_rows: int, rng: np.random.Generator) -> list[np.ndarray] | None:
-    """One keep-mask per hidden layer, or None when the rate is zero.
+def draw_dropout_masks(mlps: list[Mlp], n_rows: int, rng: np.random.Generator,
+                       work: Workspace | None = None) -> list[list[np.ndarray] | None]:
+    """Each network's keep-masks, one (n_rows, width) 0/1 matrix per hidden
+    layer, or None where its rate is zero or it has no hidden layer.
 
-    One `rng.random` call draws every layer's uniforms, layer after layer in
-    row-major order: the same stream, and the same masks, as one draw per
-    layer.
+    One `rng.random` call draws every masked network's uniforms into `work`,
+    network after network and layer after layer in row-major order: the same
+    stream, and the same masks, as one draw per layer. Each layer's uniforms
+    become its mask in place.
     """
-    n_hidden = len(mlp.weights) - 1
-    if mlp.dropout == 0.0 or n_hidden == 0:
-        return None
-    widths = [w.shape[1] for w in mlp.weights[:-1]]
-    keep = (rng.random(n_rows * sum(widths)) < 1.0 - mlp.dropout).astype(np.float64)
+    widths = [[w.shape[1] for w in mlp.weights[:-1]] if mlp.dropout > 0.0 else []
+              for mlp in mlps]
+    work = Workspace() if work is None else work
+    uniforms = work.array("dropout", (n_rows * sum(map(sum, widths)),))
+    rng.random(out=uniforms)
     masks, start = [], 0
-    for width in widths:
-        masks.append(keep[start:start + n_rows * width].reshape(n_rows, width))
-        start += n_rows * width
+    for mlp, layer_widths in zip(mlps, widths):
+        layers = []
+        for width in layer_widths:
+            u = uniforms[start:start + n_rows * width].reshape(n_rows, width)
+            layers.append(np.less(u, 1.0 - mlp.dropout, out=u))
+            start += n_rows * width
+        masks.append(layers or None)
     return masks
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
-                keep_cache: bool = True) -> tuple[np.ndarray, MlpCache | None]:
+                keep_cache: bool = True,
+                work: Workspace | None = None) -> tuple[np.ndarray, MlpCache | None]:
     """Forward pass of the (n, in_dim) input `x`; masks enable training dropout.
 
-    With `keep_cache=False` no layer's input or pre-activation is kept and
-    ReLU runs in place, so an inference pass holds two layers' activations
-    at a time, and None is returned in place of the cache; `out` is the same
-    either way.
+    Each layer's pre-activation and activation are written into `work` (a
+    new workspace if None). With `keep_cache=False` no layer's input or
+    pre-activation is kept, `work` is not used and ReLU runs in place, so an
+    inference pass holds two layers' activations at a time, and None is
+    returned in place of the cache; `out` is the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -112,18 +154,20 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
     n_layers = len(mlp.weights)
     if masks is not None and len(masks) != n_layers - 1:
         raise ValueError(f"expected {n_layers - 1} dropout masks, got {len(masks)}")
+    work = Workspace() if work is None else work
     keep = 1.0 - mlp.dropout
     inputs, preacts = [], []
     h = x
-    for i in range(n_layers):
-        z = h @ mlp.weights[i]
+    for i, w in enumerate(mlp.weights):
+        shape = (x.shape[0], w.shape[1])
+        z = np.matmul(h, w, out=work.array(("z", i), shape) if keep_cache else None)
         z += mlp.biases[i]
         if keep_cache:
             inputs.append(h)
             preacts.append(z)
         if i < n_layers - 1:
             # without a cache nothing else reads z, so ReLU may overwrite it
-            h = np.maximum(z, 0.0, out=None if keep_cache else z)
+            h = np.maximum(z, 0.0, out=work.array(("h", i), shape) if keep_cache else z)
             if masks is not None:
                 if masks[i].shape != h.shape:
                     raise ValueError(f"dropout mask {i} has shape {masks[i].shape}, "
@@ -136,13 +180,14 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
 
 
 def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
-                 out: MlpGrads | None = None,
-                 input_grad: bool = True) -> tuple[MlpGrads, np.ndarray | None]:
+                 out: MlpGrads | None = None, input_grad: bool = True,
+                 work: Workspace | None = None) -> tuple[MlpGrads, np.ndarray | None]:
     """Exact gradients of the forward map for parameters and input.
 
     Parameter gradients are written into `out` (arrays shaped like the
     weights and biases, e.g. views of a flat gradient vector) or into new
-    arrays. With `input_grad=False` the input gradient is not computed and
+    arrays, and each layer's input gradient into `work` (a new workspace if
+    None). With `input_grad=False` the input gradient is not computed and
     None is returned in its place.
     """
     if cache is None:
@@ -155,6 +200,7 @@ def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
     if out is None:
         out = MlpGrads([np.empty_like(w) for w in mlp.weights],
                        [np.empty_like(b) for b in mlp.biases])
+    work = Workspace() if work is None else work
     keep = 1.0 - mlp.dropout
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
@@ -167,7 +213,7 @@ def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
         g.sum(axis=0, out=out.biases[i])
         if i == 0 and not input_grad:
             return out, None
-        g = g @ mlp.weights[i].T
+        g = np.matmul(g, mlp.weights[i].T, out=work.array(("g", i), cache.inputs[i].shape))
     return out, g
 
 
@@ -293,31 +339,3 @@ def adamw_step(p: np.ndarray, g: np.ndarray, state: AdamWState) -> None:
     b += state.eps
     a /= b
     p -= a
-
-
-def finite_difference_check(loss_fn: Callable[[dict[str, np.ndarray]], tuple[float, Mapping[str, np.ndarray]]],
-                            params: dict[str, np.ndarray], probes: int = 20,
-                            h: float = 1e-5, rng: np.random.Generator | None = None) -> float:
-    """Compare analytic gradients against central differences at sampled coordinates.
-
-    `loss_fn` must be deterministic (fix any dropout masks) and return
-    (loss, gradient dict). Returns the worst relative discrepancy.
-    """
-    rng = rng or np.random.default_rng(0)
-    _, grads = loss_fn(params)
-    layout = ParamLayout.of({name: params[name] for name in sorted(params)})
-    worst = 0.0
-    for flat_idx in rng.choice(layout.size, size=min(probes, layout.size), replace=False):
-        name, offset = layout.locate(flat_idx)
-        idx = np.unravel_index(offset, params[name].shape)
-        original = params[name][idx]
-        params[name][idx] = original + h
-        up, _ = loss_fn(params)
-        params[name][idx] = original - h
-        down, _ = loss_fn(params)
-        params[name][idx] = original
-        numeric = (up - down) / (2.0 * h)
-        analytic = float(np.asarray(grads[name])[idx])
-        scale = max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, abs(analytic - numeric) / scale)
-    return worst

@@ -16,7 +16,7 @@ from .heads import HEAD_ALPHA, CoxHead, CurveSet, DiscreteHead, init_head, read_
 from .metrics import c_td, ibs
 from .model import (SurvivalModel, checked_structure, gate_values, gated_fusion,
                     init_model, model_backward, model_forward, model_params)
-from .nn import adamw_step, init_adamw
+from .nn import Workspace, adamw_step, init_adamw
 
 
 @dataclass
@@ -56,6 +56,8 @@ class RunConfig:
             self.alpha = HEAD_ALPHA[self.head]
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
+        if not 0.0 < self.horizon < math.inf:  # NaN fails too
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         for name in ("batch_size", "pretrain_batch_size", "n_bins", "epochs", "pretrain_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -93,22 +95,27 @@ def named_rngs(seed: int, names: tuple[str, ...]) -> dict[str, np.random.Generat
 
 
 def total_loss(model: SurvivalModel, head: DiscreteHead | CoxHead, batch: dict,
-               config: RunConfig, rng: np.random.Generator | None = None):
+               config: RunConfig, rng: np.random.Generator | None = None,
+               work: Workspace | None = None):
     """Joint objective L_surv + alpha * L_AE with gradients.
 
-    `batch` holds the modality matrices plus the head's target rows.
+    `batch` holds the modality matrices plus the head's target rows. The
+    step writes into `work` (a new workspace if None), and so do the
+    returned gradients.
     """
-    fwd = model_forward(model, batch, rng=rng)
+    work = Workspace() if work is None else work
+    fwd = model_forward(model, batch, rng=rng, work=work)
     l_surv, grad_out = head.loss_grad(fwd.out, batch)
 
     l_ae = 0.0
     grad_recon = None
     if model.ae is not None:
         x = batch["ge"]
-        resid = fwd.recon - x
         n, d = x.shape
-        l_ae = float((resid ** 2).sum() / (n * d))
-        grad_recon = config.alpha * 2.0 * resid / (n * d)
+        resid = np.subtract(fwd.recon, x, out=work.array("resid", x.shape))
+        l_ae = float(np.square(resid, out=work.array("resid_sq", x.shape)).sum() / (n * d))
+        grad_recon = np.multiply(config.alpha * 2.0, resid, out=work.array("grad_recon", x.shape))
+        grad_recon /= n * d
 
     loss = l_surv + config.alpha * l_ae
     if not math.isfinite(loss):
@@ -218,6 +225,7 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
                      weight_decay=config.weight_decay)
 
     n_train = split.train.size
+    work = Workspace()  # every step's arrays, until the loop returns
     best_val = math.inf
     best_snapshot = model.flat.copy()
     best_epoch = 0
@@ -231,11 +239,15 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
         epoch_losses = []
         for start in range(0, n_train, batch_size):
             idx = order[start:start + batch_size]
-            batch = {k: v[idx] for k, v in train_data.items()}
+            # "clip" gathers straight into `out` ("raise" buffers a copy); idx is in range
+            batch = {k: np.take(v, idx, axis=0, mode="clip",
+                                out=work.array(("batch", k), idx.shape + v.shape[1:], v.dtype))
+                     for k, v in train_data.items()}
             if not head.trains_on(batch):
                 skipped += 1
                 continue
-            loss, _, grads = total_loss(model, head, batch, config, rng=rngs["dropout"])
+            loss, _, grads = total_loss(model, head, batch, config, rng=rngs["dropout"],
+                                        work=work)
             adamw_step(model.flat, grads.flat, opt)
             epoch_losses.append(loss)
         train_trace.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)

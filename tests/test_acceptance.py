@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from survfuse import synth, training
-from survfuse.autoencoder import init_autoencoder, reconstruction_loss_grad
+from survfuse.autoencoder import init_autoencoder
 from survfuse.blending import blend_inputs, verbalized_rates
 from survfuse.cohort import IngestConfig, load_cohort, outcome_arrays
 from survfuse.distill import (build_target_sequence, calibration_mask,
@@ -22,7 +22,8 @@ from survfuse.heads import (CoxHead, CurveSet, DiscreteHead, TimeGrid, breslow_b
                             build_discrete_targets, discrete_loss_grad, cox_loss_grad)
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
-from survfuse.nn import finite_difference_check, mlp_forward
+from survfuse.nn import mlp_forward
+from gradcheck import finite_difference_check, reconstruction_loss_grad
 from stepcurves import curve, curve_at, stack
 
 GRAD_TOL = 1e-4

@@ -1,7 +1,8 @@
 import numpy as np
 
-from survfuse.autoencoder import Autoencoder, init_autoencoder, reconstruction_loss_grad
-from survfuse.nn import finite_difference_check, mlp_forward
+from survfuse.autoencoder import Autoencoder, init_autoencoder
+from survfuse.nn import mlp_forward
+from gradcheck import finite_difference_check, reconstruction_loss_grad
 
 
 def test_mirror_architecture_and_latent_dim():

@@ -451,6 +451,34 @@ def test_a_bad_config_value_names_the_key_and_the_file(tmp_path, capsys, command
         assert f"{cfg}: bad value for {key!r}: " in err
 
 
+# before, ingest took each of these and exited 0, and train failed on -3 only with
+# "grid edges must be strictly increasing"
+@pytest.mark.parametrize("command,line", [
+    ("ingest", "horizon=-1"), ("ingest", "horizon=0"), ("ingest", "horizon=-0.0"),
+    ("ingest", "horizon=nan"), ("ingest", "horizon=inf"), ("train", "horizon=-3"),
+    ("train", "horizon=0"), ("train", "horizon=nan"), ("train", "horizon=inf"),
+])
+def test_a_horizon_that_is_not_positive_and_finite_names_the_key_and_the_file(
+        tmp_path, capsys, command, line):
+    if command == "train":
+        cfg = write(tmp_path / "train.cfg", TRAIN_CFG + line + "\n")
+        argv = ["train", "--config", cfg, "--bundle", str(tmp_path / "b"),
+                "--out", str(tmp_path / "r")]
+    else:
+        cfg = write(tmp_path / "ingest.cfg", f"outcomes=o.csv\n{line}\n")
+        argv = ["ingest", "--config", cfg, "--out", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert f"survfuse: error: {cfg}: horizon must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists() and not (tmp_path / "r").exists()
+
+
+def test_clinical_ingest_without_covariates_names_the_key_and_the_file(tmp_path, capsys):
+    cfg = write(tmp_path / "ingest.cfg", "outcomes=o.csv\nschema=clinical\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert f"survfuse: error: {cfg}: schema 'clinical' needs a 'covariates' path" in err
+
+
 def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",

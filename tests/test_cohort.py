@@ -329,6 +329,18 @@ def test_clinical_requires_all_columns(tmp_path):
         IngestConfig(outcomes=out, covariates=cov, schema="tabular")
 
 
+def test_clinical_schema_needs_covariates():
+    with pytest.raises(ValueError, match="schema 'clinical' needs a 'covariates' path"):
+        IngestConfig(outcomes="o.csv", schema="clinical")
+    assert IngestConfig(outcomes="o.csv", covariates="c.csv", schema="clinical").covariates
+
+
+def test_horizon_none_disables_censoring_after_parsing():
+    config = formats.dataclass_from_kv(IngestConfig, {"outcomes": "o.csv", "horizon": "none"},
+                                       "ingest.cfg")
+    assert config.horizon is None
+
+
 # ----------------------------------------------------------------- bundles
 
 def build_full_cohort(tmp_path, n=6, with_teacher=True):

@@ -11,8 +11,9 @@ from survfuse.model import (
     model_forward,
     model_params,
 )
-from survfuse.nn import finite_difference_check, mlp_forward, sigmoid
+from survfuse.nn import mlp_forward, sigmoid
 from survfuse.training import RunConfig
+from gradcheck import finite_difference_check
 
 DIMS = {"text": 6, "cov": 4, "ge": 10}
 

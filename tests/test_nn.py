@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from survfuse.nn import (AdamWState, adamw_step, draw_dropout_masks,
-                         finite_difference_check, init_adamw, init_mlp,
+from survfuse.nn import (AdamWState, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          mlp_backward, mlp_forward, sigmoid)
+from gradcheck import finite_difference_check
 
 
 def reference_forward(mlp, x, masks):
@@ -64,7 +64,7 @@ def test_forward_with_dropout_masks_matches_reference():
     rng = np.random.default_rng(2)
     mlp = init_mlp(5, [6, 6], 2, rng, dropout=0.4)
     x = rng.normal(size=(8, 5))
-    masks = draw_dropout_masks(mlp, 8, rng)
+    (masks,) = draw_dropout_masks([mlp], 8, rng)
     assert all(set(np.unique(m)) <= {0.0, 1.0} for m in masks)
     out, _ = mlp_forward(mlp, x, masks=masks)
     assert np.allclose(out, reference_forward(mlp, x, masks), rtol=1e-14, atol=0)
@@ -91,11 +91,11 @@ def test_forward_rejects_input_that_is_not_2d():
 def test_dropout_mask_draw_respects_rate():
     rng = np.random.default_rng(5)
     mlp = init_mlp(3, [200], 1, rng, dropout=0.3)
-    masks = draw_dropout_masks(mlp, 50, rng)
+    (masks,) = draw_dropout_masks([mlp], 50, rng)
     assert len(masks) == 1
     keep_fraction = masks[0].mean()
     assert abs(keep_fraction - 0.7) < 0.02
-    assert draw_dropout_masks(init_mlp(3, [4], 1, rng), 5, rng) is None
+    assert draw_dropout_masks([init_mlp(3, [4], 1, rng)], 5, rng) == [None]
 
 
 def params_of(mlp):
@@ -142,7 +142,7 @@ def test_backward_with_fixed_dropout_matches_finite_differences():
         b += rng.normal(scale=0.2, size=b.shape)
     x = rng.normal(size=(6, 4))
     u = rng.normal(size=(6, 2))
-    masks = draw_dropout_masks(mlp, 6, rng)
+    (masks,) = draw_dropout_masks([mlp], 6, rng)
 
     def loss_fn(params):
         out, cache = mlp_forward(mlp, x, masks=masks)

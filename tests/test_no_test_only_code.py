@@ -17,10 +17,8 @@ PACKAGE = ROOT / "src" / "survfuse"
 
 TEST_ONLY = {
     "three_year_percent": "reference implementation of the batch teacher finalisation",
-    "reconstruction_loss_grad": "reference implementation of the autoencoder term",
     "token_masks": "acceptance criterion 5 (target sequences and masks)",
     "weighted_text_loss": "acceptance criteria 1 and 5 (text loss)",
-    "finite_difference_check": "acceptance criterion 1 (gradient checks)",
 }
 
 # Methods that code outside survfuse calls, so no survfuse code names them.

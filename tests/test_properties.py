@@ -45,7 +45,7 @@ from survfuse.heads import (CoxHead, CurveSet, DiscreteHead, TimeGrid, _checked_
                             discrete_curve)
 from survfuse.metrics import IBS_GRID_POINTS, _ibs_midpoints, c_td, censoring_km, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
-from survfuse.nn import (Mlp, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
+from survfuse.nn import (Mlp, Workspace, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          sigmoid)
 from survfuse.pooling import attention_pool, pool_many
 from survfuse.training import (RunConfig, _channels, _learning_rate, finalize_teacher,
@@ -844,9 +844,14 @@ STEP_DIMS = {"text": 5, "cov": 3, "ge": 7}
 @settings(max_examples=60, deadline=None)
 @given(head_type=st.sampled_from(["discrete", "coxph"]), fusion=st.sampled_from(FUSIONS),
        dropout=st.sampled_from([0.0, 0.3]), ae_dropout=st.sampled_from([0.0, 0.2]),
-       n=st.integers(2, 12), steps=st.integers(1, 4), seed=SEEDS)
+       n=st.integers(1, 600), n_last=st.integers(1, 600), steps=st.integers(1, 5),
+       reuse=st.booleans(), seed=SEEDS)
 def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropout, ae_dropout,
-                                                        n, steps, seed):
+                                                        n, n_last, steps, reuse, seed):
+    """Consecutive steps as a training loop takes them (full batches, a last
+    partial batch, then full ones again), through one workspace or a new one
+    per step, against the per-tensor reference step: gradients, parameters
+    and generator state bit-identical."""
     fusion, modalities = fusion
     config = RunConfig(head=head_type, fusion=fusion, modalities=modalities, n_bins=4,
                        dropout=dropout, ae_dropout=ae_dropout, lr_head=0.05, lr_gates=0.2,
@@ -871,19 +876,17 @@ def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropo
              "dec": plain_mlp("dec", model.ae.decoder) if model.ae else None,
              "gates": (type(model.gates)(ref["gates.inner"], ref["gates.outer"])
                        if model.gates is not None else None)}
-    times = rng.uniform(0.1, 4.0, size=n)
-    events = rng.random(n) < 0.6
-    events[0] = True
-    batch = {m: rng.normal(size=(n, STEP_DIMS[m])) for m in modalities}
-    batch.update(head.targets(times, events))
+    sizes = [n, min(n, n_last), n, n, min(n, n_last)][:steps]
+    batches = [step_batch(rng, head, modalities, size) for size in sizes]
 
     lr = _learning_rate(config)
     opt = init_adamw(model_params(model), lr, weight_decay=config.weight_decay)
     m = {name: np.zeros_like(arr) for name, arr in ref.items()}
     v = {name: np.zeros_like(arr) for name, arr in ref.items()}
     rng_flat, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    for step in range(1, steps + 1):
-        _, _, grads = total_loss(model, head, batch, config, rng=rng_flat)
+    work = Workspace() if reuse else None
+    for step, batch in enumerate(batches, start=1):
+        _, _, grads = total_loss(model, head, batch, config, rng=rng_flat, work=work)
         want = reference_step_grads(parts, batch, config.alpha, rng_ref)
         assert set(grads) == set(want)
         for name in want:
@@ -894,6 +897,60 @@ def test_flat_training_step_equals_per_tensor_reference(head_type, fusion, dropo
         for name in ref:
             assert np.array_equal(params[name], ref[name]), name
     assert rng_flat.bit_generator.state == rng_ref.bit_generator.state
+
+
+def step_batch(rng, head, modalities, n):
+    """n random rows of each modality and the head's targets, with an event."""
+    times = rng.uniform(0.1, 4.0, size=n)
+    events = rng.random(n) < 0.6
+    events[0] = True
+    batch = {m: rng.normal(size=(n, STEP_DIMS[m])) for m in modalities}
+    batch.update(head.targets(times, events))
+    return batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 600), d_g=st.integers(1, 40),
+       alpha=st.sampled_from([1e-9, 1e-8, 0.01, 1.0, 3.7]), seed=SEEDS)
+def test_in_place_autoencoder_term_equals_its_expression_form(rows, d_g, alpha, seed):
+    """`total_loss`'s residual, its square and `grad_recon`, written into a
+    workspace that an earlier step of the same shape filled, equal
+    `recon - x`, `(resid ** 2).sum() / (n * d)` and `alpha * 2 * resid / (n * d)`."""
+    rng = np.random.default_rng(seed)
+    head = DiscreteHead(TimeGrid.equal_width(4, 5.0))
+    config = RunConfig(fusion="none", modalities=("ge",), alpha=alpha)
+    model = init_model("none", ("ge",), {"ge": d_g}, rng, head.width, head_layers=[5],
+                       dropout=0.0, ae_hidden=[4], latent_dim=3)
+    work = Workspace()
+    for _ in range(2):  # the second step writes over the first one's arrays
+        batch = step_batch(rng, head, (), rows)
+        batch["ge"] = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=(rows, d_g))
+        _, parts, grads = total_loss(model, head, batch, config, work=work)
+        fwd = model_forward(model, batch)
+        resid = fwd.recon - batch["ge"]
+        assert parts["ae"] == float((resid ** 2).sum() / (rows * d_g))
+        grad_recon = alpha * 2.0 * resid / (rows * d_g)
+        want = model_backward(model, fwd, head.loss_grad(fwd.out, batch)[1], grad_recon)
+        assert grads.flat.tobytes() == want.flat.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 600), d_in=st.integers(1, 130), d_out=st.integers(1, 130),
+       column_slice=st.booleans(), seed=SEEDS)
+def test_matmul_into_a_used_array_equals_the_operator(rows, d_in, d_out, column_slice, seed):
+    """The three products of a training step (`x @ W` forward, `x.T @ g` and
+    `g @ W.T` backward), written with `out=` into an array that holds a
+    previous step's values, equal the operator's new array bit for bit; `g`
+    may be a column slice, as the latent columns of an early-fusion head's
+    input gradient are."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, d_in))
+    w = rng.normal(size=(d_in, d_out))
+    g = rng.normal(size=(rows, d_out + 3 * column_slice))[:, -d_out:]
+    for a, b in ((x, w), (x.T, g), (g, w.T)):
+        out = rng.normal(size=(a.shape[0], b.shape[1]))
+        assert np.matmul(a, b, out=out) is out
+        assert out.tobytes() == (a @ b).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -962,21 +1019,31 @@ def test_sigmoid_equals_masked_form_bit_for_bit(values):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n_rows=st.integers(0, 12), hidden=st.lists(st.integers(1, 9), max_size=4),
-       dropout=st.sampled_from([0.0, 0.1, 0.5, 0.9]), seed=SEEDS)
-def test_one_draw_masks_equal_per_layer_draws(n_rows, hidden, dropout, seed):
-    mlp = init_mlp(3, hidden, 2, np.random.default_rng(0), dropout=dropout)
-    one, per_layer = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = draw_dropout_masks(mlp, n_rows, one)
-    want = reference_masks(mlp, n_rows, per_layer)
-    if want is None:
-        assert got is None
-    else:
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert np.array_equal(a, b)
-    assert one.bit_generator.state == per_layer.bit_generator.state
+@given(nets=st.lists(st.tuples(st.lists(st.integers(1, 9), max_size=4),
+                               st.sampled_from([0.0, 0.1, 0.5, 0.9])), min_size=1, max_size=4),
+       n_rows=st.integers(0, 600), seed=SEEDS)
+def test_one_draw_masks_equal_per_layer_draws(nets, n_rows, seed):
+    """One `rng.random(out=)` into a workspace, split across networks, gives
+    the masks of consecutive one-network draws and of one draw per layer,
+    and leaves the generator where they do; a second, smaller step (a last
+    partial batch) draws into the leading part of the workspace's array."""
+    mlps = [init_mlp(3, hidden, 2, np.random.default_rng(0), dropout=rate)
+            for hidden, rate in nets]
+    work = Workspace()
+    one, each, per_layer = (np.random.default_rng(seed) for _ in range(3))
+    for rows in (n_rows, n_rows // 2):
+        got = draw_dropout_masks(mlps, rows, one, work)
+        by_network = [draw_dropout_masks([mlp], rows, each)[0] for mlp in mlps]
+        by_layer = [reference_masks(mlp, rows, per_layer) for mlp in mlps]
+        assert len(got) == len(mlps)
+        for masks, a, b in zip(got, by_network, by_layer):
+            if b is None:
+                assert masks is None and a is None
+                continue
+            for mask, mask_a, mask_b in zip(masks, a, b, strict=True):
+                assert mask.dtype == mask_b.dtype and mask.shape == mask_b.shape
+                assert np.array_equal(mask, mask_a) and np.array_equal(mask, mask_b)
+        assert one.bit_generator.state == each.bit_generator.state == per_layer.bit_generator.state
 
 
 def per_record_finalize(probs, means):
