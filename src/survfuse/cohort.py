@@ -225,23 +225,46 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
     return ids, values
 
 
-def _parse_clinical_table(path: str) -> tuple[dict[str, dict[str, str]], set[str]]:
-    """Raw clinical rows keyed by id, plus ids excluded for missing fields."""
+def _parse_clinical_table(path: str,
+                          allow_other: bool) -> tuple[dict[str, dict[str, object]], set[str]]:
+    """Clinical rows keyed by id, plus ids excluded for a missing field.
+
+    A kept row holds its age as a finite float, its stage code and its
+    cancer family (`cancer_family`), sex and race as given; a cell that does
+    not parse is an error naming the file, id, line and column.
+    """
     header, rows, lines = formats.read_csv_table(path)
     for col in ("id",) + CLINICAL_FIELDS:
         if col not in header:
             raise ValueError(f"{path}: covariates file missing column {col!r}")
-    out: dict[str, dict[str, str]] = {}
+    parsers = {"age": _age, "sex": str, "race": str, "stage": _stage_code,
+               "cancer_type": lambda label: cancer_family(label, allow_other)}
+    out: dict[str, dict[str, object]] = {}
     excluded: set[str] = set()
     for lineno, row in zip(lines, rows):
         sid = row["id"]
         if sid in out or sid in excluded:
             raise ValueError(f"{path}: duplicate covariate id {sid!r} (line {lineno})")
-        if any(row[c].strip() == "" for c in CLINICAL_FIELDS):
+        cells = {c: row[c].strip() for c in CLINICAL_FIELDS}
+        if "" in cells.values():
             excluded.add(sid)
             continue
-        out[sid] = {c: row[c].strip() for c in CLINICAL_FIELDS}
+        parsed = {}
+        for col, parse in parsers.items():
+            try:
+                parsed[col] = parse(cells[col])
+            except ValueError as exc:
+                raise ValueError(f"{path} id {sid!r} (line {lineno}): "
+                                 f"column {col!r}: {exc}") from exc
+        out[sid] = parsed
     return out, excluded
+
+
+def _age(label: str) -> float:
+    age = float(label)
+    if not math.isfinite(age):
+        raise ValueError(f"non-finite value {label!r}")
+    return age
 
 
 def cancer_family(label: str, allow_other: bool = True) -> str:
@@ -290,9 +313,9 @@ def load_cohort(config: IngestConfig, config_path: str,
     clinical = config.schema == "clinical"
     with stage(timings, "read"):
         ids, times, events = read_outcomes(paths["outcomes"])
-        cov_numeric, cov_raw, excluded = None, {}, set()
+        cov_numeric, cov_clinical, excluded = None, {}, set()
         if "covariates" in paths and clinical:
-            cov_raw, excluded = _parse_clinical_table(paths["covariates"])
+            cov_clinical, excluded = _parse_clinical_table(paths["covariates"], config.allow_other)
         elif "covariates" in paths:
             cov_numeric = _parse_numeric_table(paths["covariates"], missing_to_zero=False)
         ge = _parse_numeric_table(paths["ge"], missing_to_zero=True) if "ge" in paths else None
@@ -327,8 +350,7 @@ def load_cohort(config: IngestConfig, config_path: str,
                 "allow_other_family": config.allow_other}
         cov = _modality(cov_numeric, ids)
         if clinical:
-            cov, encoding = _clinical_modality([cov_raw.get(sid) for sid in ids], split.train,
-                                               config.allow_other)
+            cov, encoding = _clinical_modality([cov_clinical.get(sid) for sid in ids], split.train)
             meta.update(encoding)
         teacher_mod = _modality((teacher.ids, teacher.probs) if teacher is not None else None,
                                 ids)
@@ -365,25 +387,24 @@ def _pool_text(ids: list[str], pooled: dict[str, np.ndarray],
     return text, len(rows)
 
 
-def _clinical_modality(clinical: list[dict[str, str] | None], train_indices,
-                       allow_other: bool) -> tuple[Modality, dict]:
-    """The cov modality of raw clinical fields (one entry per sample, None
-    where absent), scaled with training statistics, and the metadata
-    describing the encoding.
+def _clinical_modality(clinical: list[dict[str, object] | None],
+                       train_indices) -> tuple[Modality, dict]:
+    """The cov modality of `_parse_clinical_table`'s rows (one entry per
+    sample, None where absent), scaled with training statistics, and the
+    metadata describing the encoding.
 
     Layout: [age, sex, race, stage, 7-way cancer-family one-hot]. Age and
     stage are min-max scaled with training extrema (test values may leave
     [0,1]; not clipped). Sex and race become majority-vs-other indicators,
     majority taken over the training split, ties to the lexicographically
-    smallest label. An unknown cancer type is "other" when `allow_other`,
-    and an error otherwise.
+    smallest label.
     """
     train_rows = [clinical[i] for i in train_indices if clinical[i] is not None]
     if not train_rows:
         raise ValueError("no raw clinical rows in the training split")
 
-    ages = np.array([float(r["age"]) for r in train_rows])
-    stages = np.array([_stage_code(r["stage"]) for r in train_rows])
+    ages = np.array([r["age"] for r in train_rows])
+    stages = np.array([r["stage"] for r in train_rows])
 
     def majority(field_name: str) -> str:
         values = sorted(r[field_name] for r in train_rows)
@@ -407,13 +428,12 @@ def _clinical_modality(clinical: list[dict[str, str] | None], train_indices,
     for i, raw in enumerate(clinical):
         if raw is None:
             continue
-        fam = cancer_family(raw["cancer_type"], allow_other=allow_other)
-        onehot = [1.0 if fam == f else 0.0 for f in CANCER_FAMILIES]
+        onehot = [1.0 if raw["cancer_type"] == f else 0.0 for f in CANCER_FAMILIES]
         cov.values[i] = [
-            scale(float(raw["age"]), stats["age_min"], stats["age_max"]),
+            scale(raw["age"], stats["age_min"], stats["age_max"]),
             1.0 if raw["sex"] == sex_ref else 0.0,
             1.0 if raw["race"] == race_ref else 0.0,
-            scale(_stage_code(raw["stage"]), stats["stage_min"], stats["stage_max"]),
+            scale(raw["stage"], stats["stage_min"], stats["stage_max"]),
             *onehot,
         ]
         cov.present[i] = True
@@ -554,10 +574,15 @@ def load_bundle(bundle_dir: str) -> tuple[Cohort, CohortSplit | None]:
         raise ValueError(f"{meta_path}: arrays {sorted(names)}, expected {sorted(expected)}")
     arrays = {name: formats.read_npy(os.path.join(bundle_dir, f"{name}.npy"), dtype, shape)
               for name, (dtype, shape) in expected.items()}
+    times = arrays["times"]
+    bad = np.flatnonzero(~((times > 0) & (times < math.inf)))  # NaN fails too
+    if bad.size:
+        raise ValueError(f"{os.path.join(bundle_dir, 'times.npy')}: follow-up time must be "
+                         f"positive and finite, got {times[bad[0]]} for id {ids[bad[0]]!r}")
     modalities = {name: Modality(values=np.asarray(arrays[name], dtype=np.float64),
                                  present=arrays[f"{name}_present"])
                   for name in MODALITY_ORDER if name in arrays}
-    cohort = Cohort(ids=ids, times=arrays["times"], events=arrays["events"],
+    cohort = Cohort(ids=ids, times=times, events=arrays["events"],
                     modalities=modalities, teacher_probs=arrays.get("teacher_probs"),
                     metadata=meta["metadata"])
 

@@ -118,17 +118,6 @@ def fit_parametric(points: list[tuple[float, float]], family: str = "exponential
                          scale=float(math.exp(-intercept / slope)))
 
 
-def fit_survival_at(fit: ParametricFit, t) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    if fit.family == "exponential":
-        return np.exp(-fit.rate * t)
-    if fit.family == "weibull":
-        return np.exp(-((t / fit.scale) ** fit.shape))
-    if fit.family == "loglogistic":
-        return 1.0 / (1.0 + (t / fit.scale) ** fit.shape)
-    raise ValueError(f"unknown family {fit.family!r}")
-
-
 def _column_means(probs: np.ndarray) -> np.ndarray:
     """Per-horizon means of an (N, 3) matrix's non-NaN values, as a (1, 3) row."""
     means = []
@@ -170,10 +159,6 @@ def round_to_nearest_five(x: float) -> int:
     if x < 0:
         return -round_to_nearest_five(-x)
     return 5 * math.floor(x / 5.0 + 0.5)
-
-
-def three_year_percent(fit: ParametricFit) -> int:
-    return round_to_nearest_five(float(fit_survival_at(fit, 3.0)) * 100.0)
 
 
 def build_target_sequence(explanation: str, percent: int) -> TargetSequence:

@@ -95,19 +95,18 @@ def late_fuse(outputs: dict[str, np.ndarray], gates: FusionGates,
 
 
 def late_fuse_backward(upstream: np.ndarray, outputs: dict[str, np.ndarray],
-                       gates: FusionGates, work: Workspace | None = None
+                       gates: FusionGates, work: Workspace
                        ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Gradients of `late_fuse`'s output: (per-modality gradients in
     MODALITY_ORDER, inner logit gradient, outer logit gradient).
 
-    The realized gates and the fold are those `late_fuse` kept in `work`;
-    without a workspace they are computed here. The fold is undone from the
-    last modality back. Gate-logit gradients chain through the sigmoid and
-    sum over the samples; a gate the present modalities leave unused gets an
-    exact zero.
+    The realized gates and the fold are those `late_fuse` kept in `work`.
+    The fold is undone from the last modality back. Gate-logit gradients
+    chain through the sigmoid and sum over the samples; a gate the present
+    modalities leave unused gets an exact zero.
     """
-    if work is None:
-        late_fuse(outputs, gates, work := Workspace())
+    if "fuse" not in work:
+        raise ValueError("no late_fuse wrote into this workspace")
     order, g, before = work["fuse"]
     logit_grads = {"cov": np.zeros_like(gates.inner_logit),
                    "ge": np.zeros_like(gates.outer_logit)}

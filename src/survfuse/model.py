@@ -3,7 +3,12 @@ wired into one parameter dictionary with a shared forward/backward pass.
 
 Every trainable tensor of a model is a view into one flat float64 vector,
 `SurvivalModel.flat`, laid out in `model_params` order by
-`SurvivalModel.layout`; an optimizer updates that vector in place."""
+`SurvivalModel.layout`; an optimizer updates that vector in place.
+
+`model_forward` given a `Workspace` is a training forward: every network
+writes its activations and dropout masks there, the decoder runs, and
+`model_backward` reads them back. Without a workspace it is an inference
+forward: nothing is kept, no decoder runs and no dropout is drawn."""
 
 from __future__ import annotations
 
@@ -14,10 +19,9 @@ import numpy as np
 from .autoencoder import Autoencoder, init_autoencoder
 from .fusion import (MODALITY_ORDER, FusionGates, early_fuse, init_fusion_gates, late_fuse,
                      late_fuse_backward)
-from .nn import (FlatViews, Mlp, MlpCache, MlpGrads, ParamLayout, Workspace,
-                 draw_dropout_masks, init_mlp, mlp_backward, mlp_forward, sigmoid)
+from .nn import (FlatViews, Mlp, MlpGrads, ParamLayout, Workspace, draw_dropout_masks,
+                 init_mlp, mlp_backward, mlp_forward, sigmoid)
 
-DEFAULT_HEAD_LAYERS = [100, 100, 100]
 FUSION_MODES = ("early", "late", "none")
 
 
@@ -69,20 +73,16 @@ class SurvivalModel:
 class ModelForward:
     out: np.ndarray                      # (N, width)
     head_outputs: dict[str, np.ndarray]  # each head's (N, width)
-    head_caches: dict[str, MlpCache | None]  # None without keep_cache
-    recon: np.ndarray | None = None
-    enc_cache: MlpCache | None = None
-    dec_cache: MlpCache | None = None
-    work: Workspace = field(default_factory=Workspace)  # what the forward wrote
+    recon: np.ndarray | None             # None for an inference forward or no autoencoder
+    work: Workspace | None               # what a training forward wrote; None for inference
 
 
 def init_model(fusion: str, modalities, dims: dict[str, int],
-               rng: np.random.Generator, width: int,
-               head_layers=None, dropout: float = 0.3,
-               ae_hidden=None, latent_dim: int = 16,
-               ae_dropout: float = 0.0) -> SurvivalModel:
+               rng: np.random.Generator, width: int, *, head_layers, dropout: float,
+               ae_hidden, latent_dim: int, ae_dropout: float) -> SurvivalModel:
     """Build all components for one run configuration: `width` outputs per
-    sample (the survival head's `width`), and gates as wide.
+    sample (the survival head's `width`), and gates as wide. The layer
+    widths and dropout rates are `RunConfig`'s.
 
     `dims` maps each enabled modality to its input width (ge gives d_g; the
     heads then consume the autoencoder latent). Late fusion of several
@@ -93,16 +93,13 @@ def init_model(fusion: str, modalities, dims: dict[str, int],
     modalities = checked_structure(fusion, modalities)
     if width < 1:
         raise ValueError("the model needs at least one output")
-    if head_layers is None:
-        head_layers = list(DEFAULT_HEAD_LAYERS)
     missing = [m for m in modalities if m not in dims]
     if missing:
         raise ValueError(f"missing dims for modalities: {missing}")
 
     ae = None
     if "ge" in modalities:
-        hidden = list(ae_hidden) if ae_hidden is not None else [64, 32]
-        ae = init_autoencoder(dims["ge"], rng, hidden=hidden,
+        ae = init_autoencoder(dims["ge"], rng, hidden=list(ae_hidden),
                               latent_dim=latent_dim, dropout=ae_dropout)
     reads = {m: ae.latent_dim if m == "ge" else dims[m] for m in modalities}
 
@@ -137,61 +134,58 @@ def model_params(model: SurvivalModel) -> dict[str, np.ndarray]:
 
 
 def model_forward(model: SurvivalModel, batch: dict[str, np.ndarray],
-                  rng: np.random.Generator | None = None, keep_cache: bool = True,
+                  rng: np.random.Generator | None = None,
                   work: Workspace | None = None) -> ModelForward:
-    """Run every component; pass `rng` to draw dropout masks (training mode).
+    """Run every component: a training forward into `work`, or an inference
+    forward without it.
 
     `batch` maps modality names to matrices: text -> (N, d) pooled vectors,
-    cov -> (N, d_c), ge -> (N, d_g). With `keep_cache=False` the networks
-    keep none of the activations that only `model_backward` reads (the
-    caches are None), so inference holds O(N x widest layer) at a time; the
-    outputs are the same either way. An inference forward (`keep_cache=False`
-    and no `rng`) also skips the autoencoder's decoder, whose output only the
-    training loss reads, and returns `recon=None`; with an `rng` the decoder
-    runs, so the dropout masks drawn stay the same. The forward writes into
-    `work` (a new workspace if None), which it returns for `model_backward`.
+    cov -> (N, d_c), ge -> (N, d_g). A training forward writes every
+    network's activations into `work`, draws dropout masks from `rng` if one
+    is given, and runs the autoencoder's decoder for the training loss. An
+    inference forward keeps nothing, so it holds O(N x widest layer) at a
+    time, skips the decoder (`recon=None`) and takes no `rng`; its outputs
+    equal a training forward's without dropout, bit for bit.
     """
+    if rng is not None and work is None:
+        raise ValueError("dropout is drawn only in a training forward: pass a workspace")
     for m in model.modalities:
         if m not in batch:
             raise ValueError(f"batch missing modality {m!r}")
     n = batch[model.modalities[0]].shape[0]
-    work = Workspace() if work is None else work
     # every network's masks in one draw, in the order the networks run
     nets = {**({"enc": model.ae.encoder, "dec": model.ae.decoder} if model.ae else {}),
             **model.heads}
     masks = dict(zip(nets, draw_dropout_masks(list(nets.values()), n, rng, work)
                      if rng is not None else [None] * len(nets)))
 
-    z_ge = recon = enc_cache = dec_cache = None
+    def run(name: str, x: np.ndarray) -> np.ndarray:
+        return mlp_forward(nets[name], x, masks=masks[name],
+                           work=None if work is None else work.part(name))
+
+    z_ge = recon = None
     if model.ae is not None:
-        z_ge, enc_cache = mlp_forward(model.ae.encoder, batch["ge"], masks=masks["enc"],
-                                      keep_cache=keep_cache, work=work.part("enc"))
-        if keep_cache or rng is not None:
-            recon, dec_cache = mlp_forward(model.ae.decoder, z_ge, masks=masks["dec"],
-                                           keep_cache=keep_cache, work=work.part("dec"))
+        z_ge = run("enc", batch["ge"])
+        if work is not None:
+            recon = run("dec", z_ge)
 
     inputs = {m: z_ge if m == "ge" else batch[m] for m in model.modalities}
     if model.gates is None:
         head_inputs = {"head": early_fuse(inputs)}
     else:
         head_inputs = {f"head_{m}": x for m, x in inputs.items()}
-    head_outputs: dict[str, np.ndarray] = {}
-    head_caches: dict[str, MlpCache | None] = {}
-    for name, x in head_inputs.items():
-        mlp = model.heads[name]
-        head_outputs[name], head_caches[name] = mlp_forward(
-            mlp, x, masks=masks[name], keep_cache=keep_cache, work=work.part(name))
+    head_outputs = {name: run(name, x) for name, x in head_inputs.items()}
     if model.gates is None:
         out = head_outputs["head"]
     else:
         out = late_fuse({m: head_outputs[f"head_{m}"] for m in inputs}, model.gates, work)
-    return ModelForward(out=out, head_outputs=head_outputs, head_caches=head_caches,
-                        recon=recon, enc_cache=enc_cache, dec_cache=dec_cache, work=work)
+    return ModelForward(out=out, head_outputs=head_outputs, recon=recon, work=work)
 
 
 def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray,
                    grad_recon: np.ndarray | None = None) -> FlatViews:
-    """Gradients for every parameter, as views of one vector in `model.layout`.
+    """Gradients for every parameter of the training forward `fwd`, as views
+    of one vector in `model.layout`.
 
     `grad_out` is dL/d(out); `grad_recon` is dL/d(recon) for the autoencoder
     term (None when the run has no reconstruction loss, and the decoder's
@@ -202,15 +196,16 @@ def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray
     the same vector back each step, overwritten.
     """
     work = fwd.work
+    if work is None:
+        raise ValueError("an inference forward keeps nothing for a backward: "
+                         "pass model_forward a workspace")
     grads = work.made("grads", lambda: model.layout.views(np.empty(model.layout.size)))
 
-    def backward(prefix: str, mlp: Mlp, cache: MlpCache, g: np.ndarray,
-                 input_grad: bool) -> np.ndarray | None:
+    def backward(prefix: str, mlp: Mlp, g: np.ndarray, input_grad: bool) -> np.ndarray | None:
         out = work.made(("grads", prefix), lambda: MlpGrads(
             [grads[f"{prefix}.w{i}"] for i in range(len(mlp.weights))],
             [grads[f"{prefix}.b{i}"] for i in range(len(mlp.biases))]))
-        return mlp_backward(mlp, cache, g, out=out, input_grad=input_grad,
-                            work=work.part(prefix))[1]
+        return mlp_backward(mlp, work.part(prefix), g, out=out, input_grad=input_grad)[1]
 
     if model.gates is None:
         head_grads = {"head": grad_out}
@@ -224,23 +219,21 @@ def model_backward(model: SurvivalModel, fwd: ModelForward, grad_out: np.ndarray
     grad_z_ge = None
     for name, g in head_grads.items():
         reads_ge = model.ae is not None and name in ("head", "head_ge")
-        grad_in = backward(name, model.heads[name], fwd.head_caches[name], g,
-                           input_grad=reads_ge)
+        grad_in = backward(name, model.heads[name], g, input_grad=reads_ge)
         if reads_ge:
             # ge is last in MODALITY_ORDER: the trailing latent_dim columns of the input
             grad_z_ge = grad_in[:, -model.ae.latent_dim:]
 
     if model.ae is not None:
         if grad_recon is not None:
-            grad_z = backward("dec", model.ae.decoder, fwd.dec_cache, grad_recon,
-                              input_grad=True)
+            grad_z = backward("dec", model.ae.decoder, grad_recon, input_grad=True)
             grad_z += grad_z_ge
         else:
             for i in range(len(model.ae.decoder.weights)):
                 grads[f"dec.w{i}"].fill(0.0)
                 grads[f"dec.b{i}"].fill(0.0)
             grad_z = grad_z_ge
-        backward("enc", model.ae.encoder, fwd.enc_cache, grad_z, input_grad=False)
+        backward("enc", model.ae.encoder, grad_z, input_grad=False)
     return grads
 
 

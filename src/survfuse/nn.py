@@ -5,12 +5,16 @@ dropout; the output layer is linear. Dropout masks are always supplied
 explicitly (training code draws them from its seeded stream), so a forward
 pass is a pure function of (params, input, masks).
 
+A forward given a `Workspace` is a training forward: it writes every
+layer's input, pre-activation, activation and dropout mask there, and the
+backward reads them from the same workspace, writing its input gradients
+beside them. A training loop keeps its workspace across steps, so no step
+after the first makes those arrays again. A forward without a workspace is
+an inference forward: it keeps nothing and runs ReLU in place.
+
 Training keeps every trainable tensor as a view into one flat vector laid
 out by a `ParamLayout`; gradients are written into a second such vector, and
-`adamw_step` updates the flat vector in place. A training step writes its
-activations, input gradients and dropout masks into a `Workspace`, which a
-training loop keeps across steps, so no step after the first makes them
-again.
+`adamw_step` updates the flat vector in place.
 """
 
 from __future__ import annotations
@@ -81,15 +85,6 @@ class Mlp:
 
 
 @dataclass
-class MlpCache:
-    """Activations saved by a forward pass, consumed by the matching backward."""
-
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-    masks: list[np.ndarray] | None
-
-
-@dataclass
 class MlpGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -136,15 +131,14 @@ def draw_dropout_masks(mlps: list[Mlp], n_rows: int, rng: np.random.Generator,
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
-                keep_cache: bool = True,
-                work: Workspace | None = None) -> tuple[np.ndarray, MlpCache | None]:
-    """Forward pass of the (n, in_dim) input `x`; masks enable training dropout.
+                work: Workspace | None = None) -> np.ndarray:
+    """The output of the (n, in_dim) input `x`; masks enable training dropout.
 
-    Each layer's pre-activation and activation are written into `work` (a
-    new workspace if None). With `keep_cache=False` no layer's input or
-    pre-activation is kept, `work` is not used and ReLU runs in place, so an
-    inference pass holds two layers' activations at a time, and None is
-    returned in place of the cache; `out` is the same either way.
+    Given `work` (a training forward), the input, the dropout masks and each
+    layer's pre-activation and activation are written into it for
+    `mlp_backward`. Without it (an inference forward) nothing is kept and
+    ReLU runs in place, so two layers' activations are held at a time; the
+    output is the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -154,20 +148,17 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
     n_layers = len(mlp.weights)
     if masks is not None and len(masks) != n_layers - 1:
         raise ValueError(f"expected {n_layers - 1} dropout masks, got {len(masks)}")
-    work = Workspace() if work is None else work
+    if work is not None:
+        work["input"], work["masks"] = x, masks
     keep = 1.0 - mlp.dropout
-    inputs, preacts = [], []
     h = x
     for i, w in enumerate(mlp.weights):
         shape = (x.shape[0], w.shape[1])
-        z = np.matmul(h, w, out=work.array(("z", i), shape) if keep_cache else None)
+        z = np.matmul(h, w, out=None if work is None else work.array(("z", i), shape))
         z += mlp.biases[i]
-        if keep_cache:
-            inputs.append(h)
-            preacts.append(z)
         if i < n_layers - 1:
-            # without a cache nothing else reads z, so ReLU may overwrite it
-            h = np.maximum(z, 0.0, out=work.array(("h", i), shape) if keep_cache else z)
+            # without a workspace nothing else reads z, so ReLU may overwrite it
+            h = np.maximum(z, 0.0, out=z if work is None else work.array(("h", i), shape))
             if masks is not None:
                 if masks[i].shape != h.shape:
                     raise ValueError(f"dropout mask {i} has shape {masks[i].shape}, "
@@ -176,44 +167,49 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, masks: list[np.ndarray] | None = None,
                 h /= keep
         else:
             h = z
-    return h, MlpCache(inputs, preacts, masks) if keep_cache else None
+    return h
 
 
-def mlp_backward(mlp: Mlp, cache: MlpCache, grad_out: np.ndarray,
-                 out: MlpGrads | None = None, input_grad: bool = True,
-                 work: Workspace | None = None) -> tuple[MlpGrads, np.ndarray | None]:
-    """Exact gradients of the forward map for parameters and input.
+def mlp_backward(mlp: Mlp, work: Workspace, grad_out: np.ndarray,
+                 out: MlpGrads | None = None,
+                 input_grad: bool = True) -> tuple[MlpGrads, np.ndarray | None]:
+    """Exact gradients for parameters and input of the training forward
+    that wrote into `work`.
 
     Parameter gradients are written into `out` (arrays shaped like the
     weights and biases, e.g. views of a flat gradient vector) or into new
-    arrays, and each layer's input gradient into `work` (a new workspace if
-    None). With `input_grad=False` the input gradient is not computed and
-    None is returned in its place.
+    arrays, and each layer's input gradient into `work`. With
+    `input_grad=False` the input gradient is not computed and None is
+    returned in its place.
     """
-    if cache is None:
-        raise ValueError("the forward pass kept no cache (keep_cache=False)")
+    x = work.get("input")
+    if x is None:
+        raise ValueError("no training forward wrote into this workspace "
+                         "(mlp_forward was not given it)")
+    n = x.shape[0]
     g = np.asarray(grad_out, dtype=np.float64)
     n_layers = len(mlp.weights)
-    if g.shape != (cache.inputs[0].shape[0], mlp.out_dim):
-        raise ValueError(f"upstream gradient shape {g.shape} does not match cached "
-                         f"forward output ({cache.inputs[0].shape[0]}, {mlp.out_dim})")
+    if g.shape != (n, mlp.out_dim):
+        raise ValueError(f"upstream gradient shape {g.shape} does not match the "
+                         f"forward output ({n}, {mlp.out_dim})")
     if out is None:
         out = MlpGrads([np.empty_like(w) for w in mlp.weights],
                        [np.empty_like(b) for b in mlp.biases])
-    work = Workspace() if work is None else work
+    masks = work["masks"]
     keep = 1.0 - mlp.dropout
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             # g is the fresh product of the layer above, so it is safe to scale in place
-            if cache.masks is not None:
-                g *= cache.masks[i]
+            if masks is not None:
+                g *= masks[i]
                 g /= keep
-            g *= cache.preacts[i] > 0.0
-        np.matmul(cache.inputs[i].T, g, out=out.weights[i])
+            g *= work[("z", i)][:n] > 0.0
+        layer_in = x if i == 0 else work[("h", i - 1)][:n]
+        np.matmul(layer_in.T, g, out=out.weights[i])
         g.sum(axis=0, out=out.biases[i])
         if i == 0 and not input_grad:
             return out, None
-        g = np.matmul(g, mlp.weights[i].T, out=work.array(("g", i), cache.inputs[i].shape))
+        g = np.matmul(g, mlp.weights[i].T, out=work.array(("g", i), layer_in.shape))
     return out, g
 
 

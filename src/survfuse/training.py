@@ -153,7 +153,7 @@ _RECORD = ("train_trace", "val_trace", "best_epoch", "skipped_batches")
 def _forward(model: SurvivalModel, cohort: Cohort, indices, config: RunConfig) -> np.ndarray:
     """The model's (N, width) outputs for the samples `indices` (one inference forward)."""
     inputs = {m: modality_matrix(cohort, indices, m) for m in config.modalities}
-    return model_forward(model, inputs, rng=None, keep_cache=False).out
+    return model_forward(model, inputs).out
 
 
 def _rows(cohort: Cohort, indices, config: RunConfig, head: DiscreteHead | CoxHead) -> dict:
@@ -252,8 +252,7 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
             epoch_losses.append(loss)
         train_trace.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
 
-        val_loss = head.loss_grad(model_forward(model, val_data, rng=None,
-                                                keep_cache=False).out, val_data)[0]
+        val_loss = head.loss_grad(model_forward(model, val_data).out, val_data)[0]
         val_trace.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss

@@ -7,7 +7,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from survfuse.autoencoder import Autoencoder
-from survfuse.nn import MlpGrads, ParamLayout, draw_dropout_masks, mlp_backward, mlp_forward
+from survfuse.nn import (MlpGrads, ParamLayout, Workspace, draw_dropout_masks, mlp_backward,
+                         mlp_forward)
 
 
 def finite_difference_check(loss_fn: Callable[[dict[str, np.ndarray]], tuple[float, Mapping[str, np.ndarray]]],
@@ -51,11 +52,12 @@ def reconstruction_loss_grad(
     enc_masks = dec_masks = None
     if rng is not None and ae.encoder.dropout > 0.0:
         enc_masks, dec_masks = draw_dropout_masks([ae.encoder, ae.decoder], n, rng)
-    z, enc_cache = mlp_forward(ae.encoder, x, masks=enc_masks)
-    recon, dec_cache = mlp_forward(ae.decoder, z, masks=dec_masks)
+    enc_work, dec_work = Workspace(), Workspace()
+    z = mlp_forward(ae.encoder, x, masks=enc_masks, work=enc_work)
+    recon = mlp_forward(ae.decoder, z, masks=dec_masks, work=dec_work)
     resid = recon - x
     loss = float((resid ** 2).sum() / (n * d))
     grad_recon = 2.0 * resid / (n * d)
-    dec_grads, grad_z = mlp_backward(ae.decoder, dec_cache, grad_recon)
-    enc_grads, _ = mlp_backward(ae.encoder, enc_cache, grad_z, input_grad=False)
+    dec_grads, grad_z = mlp_backward(ae.decoder, dec_work, grad_recon)
+    enc_grads, _ = mlp_backward(ae.encoder, enc_work, grad_z, input_grad=False)
     return loss, enc_grads, dec_grads

@@ -22,7 +22,7 @@ from survfuse.heads import (CoxHead, CurveSet, DiscreteHead, TimeGrid, breslow_b
                             build_discrete_targets, discrete_loss_grad, cox_loss_grad)
 from survfuse.metrics import c_td, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
-from survfuse.nn import mlp_forward
+from survfuse.nn import Workspace, mlp_forward
 from gradcheck import finite_difference_check, reconstruction_loss_grad
 from stepcurves import curve, curve_at, stack
 
@@ -126,7 +126,7 @@ def test_criterion_1_gradients_match_finite_differences():
         dims = {"text": 5, "cov": 3, "ge": 7}
         model = init_model("late", ("text", "cov", "ge"), dims, rng, head.width,
                            head_layers=[6], dropout=0.3,
-                           ae_hidden=[6], latent_dim=3)
+                           ae_hidden=[6], latent_dim=3, ae_dropout=0.0)
         randomize(model, rng)
         n = int(rng.integers(4, 10))
         batch = {m: rng.normal(size=(n, d)) for m, d in dims.items()}
@@ -140,7 +140,8 @@ def test_criterion_1_gradients_match_finite_differences():
 
         def gate_fn(p, model=model, batch=batch, head=head, targets=targets,
                     mask_seed=mask_seed):
-            fwd = model_forward(model, batch, rng=np.random.default_rng(mask_seed))
+            fwd = model_forward(model, batch, rng=np.random.default_rng(mask_seed),
+                                work=Workspace())
             loss, grad_out = head.loss_grad(fwd.out, targets)
             grads = model_backward(model, fwd, grad_out)
             return loss, grads
@@ -386,16 +387,16 @@ def test_criterion_8_saturated_gates_pick_one_modality():
     for width in (5, 1):
         model = init_model("late", ("text", "cov", "ge"), dims, rng, width,
                            head_layers=[8], dropout=0.0,
-                           ae_hidden=[6], latent_dim=3)
+                           ae_hidden=[6], latent_dim=3, ae_dropout=0.0)
         randomize(model, rng)
         batch = {m: rng.normal(size=(5, d)) for m, d in dims.items()}
 
         model.gates.inner_logit[...] = -800.0
         model.gates.outer_logit[...] = -800.0
-        text_out, _ = mlp_forward(model.heads["head_text"], batch["text"])
+        text_out = mlp_forward(model.heads["head_text"], batch["text"])
         assert np.array_equal(model_forward(model, batch).out, text_out)
 
         model.gates.outer_logit[...] = 800.0
-        z, _ = mlp_forward(model.ae.encoder, batch["ge"])
-        ge_out, _ = mlp_forward(model.heads["head_ge"], z)
+        z = mlp_forward(model.ae.encoder, batch["ge"])
+        ge_out = mlp_forward(model.heads["head_ge"], z)
         assert np.array_equal(model_forward(model, batch).out, ge_out)

@@ -13,16 +13,10 @@ def test_mirror_architecture_and_latent_dim():
     assert [w.shape for w in ae.decoder.weights] == [(3, 4), (4, 8), (8, 20)]
 
 
-def test_default_preset_is_production_scale():
-    ae = init_autoencoder(4096, np.random.default_rng(0))
-    assert [w.shape[1] for w in ae.encoder.weights] == [4096, 2048, 1024, 512, 256, 128]
-    assert ae.latent_dim == 128
-
-
 def test_encode_shape():
     rng = np.random.default_rng(1)
     ae = init_autoencoder(10, rng, hidden=[6], latent_dim=4)
-    z, _ = mlp_forward(ae.encoder, rng.normal(size=(5, 10)))
+    z = mlp_forward(ae.encoder, rng.normal(size=(5, 10)))
     assert z.shape == (5, 4)
 
 
@@ -30,8 +24,8 @@ def test_loss_matches_manual_computation():
     rng = np.random.default_rng(2)
     ae = init_autoencoder(7, rng, hidden=[5], latent_dim=3)
     x = rng.normal(size=(4, 7))
-    z, _ = mlp_forward(ae.encoder, x)
-    recon, _ = mlp_forward(ae.decoder, z)
+    z = mlp_forward(ae.encoder, x)
+    recon = mlp_forward(ae.decoder, z)
     expected = 0.0
     for i in range(4):
         expected += ((recon[i] - x[i]) ** 2).sum() / 7

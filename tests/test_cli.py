@@ -479,6 +479,23 @@ def test_clinical_ingest_without_covariates_names_the_key_and_the_file(tmp_path,
     assert f"survfuse: error: {cfg}: schema 'clinical' needs a 'covariates' path" in err
 
 
+@pytest.mark.parametrize("column,cell", [("age", "abc"), ("age", "inf"), ("stage", "V"),
+                                         ("cancer_type", "mystery")])
+def test_a_bad_clinical_cell_names_the_file_id_line_and_column(tmp_path, capsys, column, cell):
+    write(tmp_path / "o.csv", "id,time_years,event\na,1.0,1\nb,2.0,1\nc,3.0,0\nd,4.0,1\n")
+    good = {"age": "50", "sex": "F", "race": "White", "stage": "II", "cancer_type": "skin"}
+    bad = {**good, column: cell}
+    rows = [",".join([sid, *(bad if sid == "c" else good).values()]) for sid in "abcd"]
+    cov = write(tmp_path / "cov.csv", "\n".join(["id,age,sex,race,stage,cancer_type", *rows]) + "\n")
+    cfg = write(tmp_path / "ingest.cfg", "outcomes=o.csv\ncovariates=cov.csv\nschema=clinical\n"
+                                         "allow_other=false\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert f"survfuse: error: {cov} id 'c' (line 4): column {column!r}: " in err
+    assert repr(cell) in err
+    assert not (tmp_path / "b").exists()
+
+
 def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",
@@ -748,6 +765,29 @@ def test_train_on_a_version_1_bundle_asks_for_reingest(pipeline, tmp_path, capsy
                  "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert "bundle version 1" in err and "re-ingest" in err
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_train_refuses_a_bundle_whose_times_are_not_positive_and_finite(
+        pipeline, tmp_path, capsys, monkeypatch, value):
+    from survfuse import training
+
+    bundle = tmp_path / "bundle"
+    shutil.copytree(pipeline["bundle"], bundle)
+    times = formats.read_npy(bundle / "times.npy", "<f8", (None,))
+    times[5] = value
+    formats.write_npy(bundle / "times.npy", times)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(training, "_train_loop", unreachable)
+    assert main(["train", "--config", pipeline["train_cfg"], "--bundle", str(bundle),
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert (f"survfuse: error: {bundle / 'times.npy'}: follow-up time must be positive "
+            f"and finite, got {value}") in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_ingest_parses_keys_by_field_type(tmp_path, capsys):

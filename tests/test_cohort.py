@@ -228,12 +228,12 @@ def test_modality_matrix_and_outcome_arrays(tmp_path):
 CLINICAL_HEADER = "id,age,sex,race,stage,cancer_type"
 
 
-def clinical_rows(tmp_path, rows):
-    """The ids and the raw clinical fields (None where excluded) of a
+def clinical_rows(tmp_path, rows, allow_other=True):
+    """The ids and the parsed clinical fields (None where excluded) of a
     covariates file of `rows`."""
     cov = write_text(tmp_path / "cov.csv",
                      "\n".join([CLINICAL_HEADER] + rows) + "\n")
-    table, _ = _parse_clinical_table(cov)
+    table, _ = _parse_clinical_table(cov, allow_other)
     ids = [r.split(",")[0] for r in rows]
     return ids, [table.get(sid) for sid in ids]
 
@@ -245,7 +245,7 @@ def test_clinical_preprocessing_layout_and_scaling(tmp_path):
         "c,80,M,White,IV,COAD",
         "d,90,F,Asian,II,nonsense",
     ])
-    cov, meta = _clinical_modality(clinical, train_indices=[0, 1, 2], allow_other=True)
+    cov, meta = _clinical_modality(clinical, train_indices=[0, 1, 2])
     assert meta["cov_layout"] == (["age", "sex", "race", "stage"]
                                   + [f"family_{f}" for f in CANCER_FAMILIES])
     by_id = dict(zip(ids, cov.values))
@@ -271,7 +271,7 @@ def test_clinical_majority_tie_breaks_lexicographic(tmp_path):
         "a,50,M,White,II,skin",
         "b,50,F,Black,II,skin",
     ])
-    cov, meta = _clinical_modality(clinical, train_indices=[0, 1], allow_other=True)
+    cov, meta = _clinical_modality(clinical, train_indices=[0, 1])
     assert meta["sex_majority"] == "F"
     assert meta["race_majority"] == "Black"
     # equal train extrema: scaled coordinate collapses to 0
@@ -284,16 +284,14 @@ def test_clinical_stage_spellings(tmp_path):
         "b,50,F,White,stage iv,skin",
         "c,60,F,White,2,skin",
     ])
-    cov, _ = _clinical_modality(clinical, train_indices=[0, 1, 2], allow_other=True)
+    cov, _ = _clinical_modality(clinical, train_indices=[0, 1, 2])
     by_id = dict(zip(ids, cov.values[:, 3]))
     # codes 1, 4, 2 scaled by extrema (1, 4)
     assert by_id["a"] == 0.0
     assert by_id["b"] == 1.0
     assert by_id["c"] == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError, match="stage"):
-        _, clinical = clinical_rows(tmp_path, ["a,40,F,White,V,skin",
-                                               "b,50,F,White,I,skin"])
-        _clinical_modality(clinical, train_indices=[0, 1], allow_other=True)
+        clinical_rows(tmp_path, ["a,40,F,White,V,skin", "b,50,F,White,I,skin"])
 
 
 def test_clinical_missing_critical_field_excludes_sample(tmp_path):
@@ -314,10 +312,9 @@ def test_unknown_family_policy(tmp_path):
     assert cancer_family("mystery") == "other"
     with pytest.raises(ValueError, match="cancer type"):
         cancer_family("mystery", allow_other=False)
-    _, clinical = clinical_rows(tmp_path, ["a,40,F,White,I,mystery",
-                                           "b,50,F,White,II,skin"])
     with pytest.raises(ValueError, match="cancer type"):
-        _clinical_modality(clinical, train_indices=[0, 1], allow_other=False)
+        clinical_rows(tmp_path, ["a,40,F,White,I,mystery", "b,50,F,White,II,skin"],
+                      allow_other=False)
 
 
 def test_clinical_requires_all_columns(tmp_path):

@@ -19,18 +19,17 @@ from survfuse.distill import (
     finalize_probs,
     finalize_records,
     fit_parametric,
-    fit_survival_at,
     TeacherTable,
     _column_means,
     parse_teacher_file,
     round_to_nearest_five,
     target_rows,
     teacher_percents,
-    three_year_percent,
     token_masks,
     weighted_text_loss,
     weighted_text_loss_grad,
 )
+from parametric import fit_survival_at, three_year_percent
 
 
 # ---------------------------------------------------------------- extraction

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from survfuse.fusion import FusionGates, early_fuse, init_fusion_gates, late_fuse, late_fuse_backward
-from survfuse.nn import sigmoid
+from survfuse.nn import Workspace, sigmoid
 
 
 def scalar_late_fuse(ot, oc, og, inner_logit, outer_logit):
@@ -180,6 +180,21 @@ def fd_gradient(f, arr, h=1e-6):
     return grad
 
 
+def fused_backward(u, outs, gates):
+    """`late_fuse` into a workspace, then `late_fuse_backward` from it."""
+    work = Workspace()
+    late_fuse(outs, gates, work)
+    return late_fuse_backward(u, outs, gates, work)
+
+
+def test_backward_needs_the_workspace_late_fuse_wrote():
+    outs = {m: np.ones((2, 3)) for m in ("text", "cov")}
+    gates = init_fusion_gates(3)
+    late_fuse(outs, gates)  # without a workspace nothing is kept
+    with pytest.raises(ValueError, match="no late_fuse wrote into this workspace"):
+        late_fuse_backward(np.ones((2, 3)), outs, gates, Workspace())
+
+
 def test_backward_matches_finite_differences_all_modalities():
     rng = np.random.default_rng(6)
     for shape, gate_shape in SHAPES:
@@ -191,7 +206,7 @@ def test_backward_matches_finite_differences_all_modalities():
         def objective():
             return float((u * late_fuse(outs, gates)).sum())
 
-        grads, grad_inner, grad_outer = late_fuse_backward(u, outs, gates)
+        grads, grad_inner, grad_outer = fused_backward(u, outs, gates)
         for m in ("text", "cov", "ge"):
             numeric = fd_gradient(objective, outs[m])
             assert np.allclose(grads[m], numeric, rtol=1e-6, atol=1e-8)
@@ -210,7 +225,7 @@ def test_backward_equals_nested_chain_rule(subset, shape, gate_shape):
     u = rng.normal(size=shape)
     want, want_inner, want_outer = nested_backward(
         subset, u, outs, sigmoid(gates.inner_logit), sigmoid(gates.outer_logit))
-    grads, grad_inner, grad_outer = late_fuse_backward(u, outs, gates)
+    grads, grad_inner, grad_outer = fused_backward(u, outs, gates)
     assert list(grads) == list(subset)
     for m in subset:
         assert np.array_equal(grads[m], want[m]), m
@@ -229,10 +244,10 @@ def test_backward_unused_gate_gets_exact_zero():
     gates = FusionGates(inner_logit=rng.normal(size=3),
                         outer_logit=rng.normal(size=3))
     u = rng.normal(size=(2, 3))
-    grads, _, grad_outer = late_fuse_backward(u, {"text": t, "cov": c}, gates)
+    grads, _, grad_outer = fused_backward(u, {"text": t, "cov": c}, gates)
     assert np.array_equal(grad_outer, np.zeros(3))
     assert "ge" not in grads
-    _, grad_inner, _ = late_fuse_backward(u, {"text": t, "ge": c}, gates)
+    _, grad_inner, _ = fused_backward(u, {"text": t, "ge": c}, gates)
     assert np.array_equal(grad_inner, np.zeros(3))
 
 
@@ -241,7 +256,7 @@ def test_backward_single_modality_passes_upstream_through():
     c = rng.normal(size=(2, 3))
     u = rng.normal(size=(2, 3))
     gates = init_fusion_gates(3)
-    grads, grad_inner, grad_outer = late_fuse_backward(u, {"cov": c}, gates)
+    grads, grad_inner, grad_outer = fused_backward(u, {"cov": c}, gates)
     assert list(grads) == ["cov"]
     assert np.array_equal(grads["cov"], u)
     assert not np.shares_memory(grads["cov"], u)

@@ -5,25 +5,26 @@ import numpy as np
 import pytest
 
 from survfuse.model import (
+    ModelForward,
     gate_values,
     init_model,
     model_backward,
     model_forward,
     model_params,
 )
-from survfuse.nn import mlp_forward, sigmoid
+from survfuse.nn import Workspace, mlp_forward, sigmoid
 from survfuse.training import RunConfig
 from gradcheck import finite_difference_check
 
 DIMS = {"text": 6, "cov": 4, "ge": 10}
+ARCH = {"head_layers": [7, 6], "dropout": 0.0, "ae_hidden": [8, 5], "latent_dim": 3,
+        "ae_dropout": 0.0}
 
 
 def build(width=5, fusion="late", modalities=("text", "cov", "ge"),
           dropout=0.0, seed=0):
     rng = np.random.default_rng(seed)
-    return init_model(fusion, modalities, DIMS, rng, width,
-                      head_layers=[7, 6], dropout=dropout,
-                      ae_hidden=[8, 5], latent_dim=3)
+    return init_model(fusion, modalities, DIMS, rng, width, **{**ARCH, "dropout": dropout})
 
 
 def batch_for(model, n=9, seed=1):
@@ -93,15 +94,15 @@ def test_init_normalizes_modality_order():
 def test_init_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        init_model("late", (), DIMS, rng, 5)
+        init_model("late", (), DIMS, rng, 5, **ARCH)
     with pytest.raises(ValueError):
-        init_model("middle", ("text",), DIMS, rng, 5)
+        init_model("middle", ("text",), DIMS, rng, 5, **ARCH)
     with pytest.raises(ValueError):
-        init_model("none", ("text", "cov"), DIMS, rng, 5)
+        init_model("none", ("text", "cov"), DIMS, rng, 5, **ARCH)
     with pytest.raises(ValueError):
-        init_model("late", ("text",), DIMS, rng, 0)
+        init_model("late", ("text",), DIMS, rng, 0, **ARCH)
     with pytest.raises(ValueError):
-        init_model("late", ("text",), {"cov": 4}, rng, 5)
+        init_model("late", ("text",), {"cov": 4}, rng, 5, **ARCH)
 
 
 @pytest.mark.parametrize("head, fusion, modalities, message", [
@@ -115,7 +116,7 @@ def test_run_config_and_model_reject_the_same_structures(head, fusion, modalitie
     with pytest.raises(ValueError, match=message):
         RunConfig(head=head, fusion=fusion, modalities=modalities)
     with pytest.raises(ValueError, match=message):
-        init_model(fusion, modalities, DIMS, np.random.default_rng(0), 5)
+        init_model(fusion, modalities, DIMS, np.random.default_rng(0), 5, **ARCH)
 
 
 def test_model_params_are_live_views():
@@ -139,16 +140,16 @@ def test_forward_late_matches_manual_composition():
     model = build()
     randomize_biases(model)
     batch = batch_for(model)
-    fwd = model_forward(model, batch)
-    z_ge, _ = mlp_forward(model.ae.encoder, batch["ge"])
+    fwd = model_forward(model, batch, work=Workspace())
+    z_ge = mlp_forward(model.ae.encoder, batch["ge"])
     outs = {}
     for m, x in (("text", batch["text"]), ("cov", batch["cov"]), ("ge", z_ge)):
-        outs[m], _ = mlp_forward(model.heads[f"head_{m}"], x)
+        outs[m] = mlp_forward(model.heads[f"head_{m}"], x)
     g_cov, g_ge = sigmoid(model.gates.inner_logit), sigmoid(model.gates.outer_logit)
     expect = (1.0 - g_ge) * ((1.0 - g_cov) * outs["text"] + g_cov * outs["cov"]) + g_ge * outs["ge"]
     assert np.array_equal(fwd.out, expect)
     assert fwd.out.shape == (9, 5)
-    recon, _ = mlp_forward(model.ae.decoder, z_ge)
+    recon = mlp_forward(model.ae.decoder, z_ge)
     assert np.array_equal(fwd.recon, recon)
 
 
@@ -164,9 +165,9 @@ def test_forward_early_matches_concatenated_head():
     randomize_biases(model)
     batch = batch_for(model)
     fwd = model_forward(model, batch)
-    z_ge, _ = mlp_forward(model.ae.encoder, batch["ge"])
+    z_ge = mlp_forward(model.ae.encoder, batch["ge"])
     x = np.concatenate([batch["text"], batch["cov"], z_ge], axis=1)
-    expect, _ = mlp_forward(model.heads["head"], x)
+    expect = mlp_forward(model.heads["head"], x)
     assert np.array_equal(fwd.out, expect)
 
 
@@ -175,7 +176,7 @@ def test_forward_single_modality():
     randomize_biases(model)
     batch = batch_for(model)
     fwd = model_forward(model, batch)
-    expect, _ = mlp_forward(model.heads["head"], batch["text"])
+    expect = mlp_forward(model.heads["head"], batch["text"])
     assert np.array_equal(fwd.out, expect)
 
 
@@ -192,10 +193,31 @@ def test_forward_dropout_draws_from_rng():
     randomize_biases(model)
     batch = batch_for(model)
     eval_out = model_forward(model, batch).out
-    train_a = model_forward(model, batch, rng=np.random.default_rng(9)).out
-    train_b = model_forward(model, batch, rng=np.random.default_rng(9)).out
+    train_a = model_forward(model, batch, rng=np.random.default_rng(9), work=Workspace()).out
+    train_b = model_forward(model, batch, rng=np.random.default_rng(9), work=Workspace()).out
     assert np.array_equal(train_a, train_b)
     assert not np.array_equal(train_a, eval_out)
+
+
+def test_dropout_needs_a_training_forward():
+    model = build(dropout=0.4)
+    with pytest.raises(ValueError, match="pass a workspace"):
+        model_forward(model, batch_for(model), rng=np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("fusion", ["late", "early"])
+def test_backward_needs_the_workspace_a_training_forward_wrote(fusion):
+    model = build(fusion=fusion)
+    batch = batch_for(model)
+    inference = model_forward(model, batch)
+    assert inference.work is None and inference.recon is None
+    grad_out = np.ones_like(inference.out)
+    with pytest.raises(ValueError, match="inference forward keeps nothing"):
+        model_backward(model, inference, grad_out)
+    unwritten = ModelForward(out=inference.out, head_outputs=inference.head_outputs,
+                             recon=None, work=Workspace())
+    with pytest.raises(ValueError, match="no (training forward|late_fuse) wrote"):
+        model_backward(model, unwritten, grad_out)
 
 
 def test_gate_values_reporting():
@@ -210,12 +232,12 @@ def test_gate_values_reporting():
 def linear_probe_loss(model, batch, with_recon, seed=3):
     """Scalar loss sum(W_out * out) (+ sum(W_rec * recon)) and its gradients."""
     rng = np.random.default_rng(seed)
-    fwd0 = model_forward(model, batch)
+    fwd0 = model_forward(model, batch, work=Workspace())
     w_out = rng.normal(size=fwd0.out.shape)
     w_rec = rng.normal(size=fwd0.recon.shape) if with_recon else None
 
     def loss_fn(params):
-        fwd = model_forward(model, batch)
+        fwd = model_forward(model, batch, work=Workspace())
         loss = float((w_out * fwd.out).sum())
         if w_rec is not None:
             loss += float((w_rec * fwd.recon).sum())
@@ -253,7 +275,7 @@ def test_backward_unused_decoder_gets_zero_grads():
     model = build(fusion="early")
     randomize_biases(model)
     batch = batch_for(model)
-    fwd = model_forward(model, batch)
+    fwd = model_forward(model, batch, work=Workspace())
     grads = model_backward(model, fwd, np.ones_like(fwd.out), grad_recon=None)
     assert set(grads) == set(model_params(model))
     for i in range(3):

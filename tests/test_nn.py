@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from survfuse.nn import (AdamWState, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
-                         mlp_backward, mlp_forward, sigmoid)
+from survfuse.nn import (AdamWState, Workspace, adamw_step, draw_dropout_masks, init_adamw,
+                         init_mlp, mlp_backward, mlp_forward, sigmoid)
 from gradcheck import finite_difference_check
 
 
@@ -56,7 +56,7 @@ def test_forward_matches_reference_loop():
         hidden = list(rng.integers(2, 6, size=depth))
         mlp = init_mlp(int(rng.integers(2, 6)), hidden, int(rng.integers(1, 4)), rng)
         x = rng.normal(size=(int(rng.integers(1, 7)), mlp.in_dim))
-        out, _ = mlp_forward(mlp, x)
+        out = mlp_forward(mlp, x)
         assert np.allclose(out, reference_forward(mlp, x, None), rtol=1e-14, atol=0)
 
 
@@ -66,7 +66,7 @@ def test_forward_with_dropout_masks_matches_reference():
     x = rng.normal(size=(8, 5))
     (masks,) = draw_dropout_masks([mlp], 8, rng)
     assert all(set(np.unique(m)) <= {0.0, 1.0} for m in masks)
-    out, _ = mlp_forward(mlp, x, masks=masks)
+    out = mlp_forward(mlp, x, masks=masks)
     assert np.allclose(out, reference_forward(mlp, x, masks), rtol=1e-14, atol=0)
 
 
@@ -74,8 +74,8 @@ def test_forward_without_masks_is_deterministic_eval():
     rng = np.random.default_rng(3)
     mlp = init_mlp(4, [5], 2, rng, dropout=0.5)
     x = rng.normal(size=(3, 4))
-    out1, _ = mlp_forward(mlp, x)
-    out2, _ = mlp_forward(mlp, x)
+    out1 = mlp_forward(mlp, x)
+    out2 = mlp_forward(mlp, x)
     assert np.array_equal(out1, out2)
 
 
@@ -119,8 +119,9 @@ def test_backward_matches_finite_differences():
         u = rng.normal(size=(5, 3))
 
         def loss_fn(params):
-            out, cache = mlp_forward(mlp, x)
-            grads, _ = mlp_backward(mlp, cache, u)
+            work = Workspace()
+            out = mlp_forward(mlp, x, work=work)
+            grads, _ = mlp_backward(mlp, work, u)
             return float((u * out).sum()), params_of_grads(grads)
 
         def params_of_grads(grads):
@@ -145,8 +146,9 @@ def test_backward_with_fixed_dropout_matches_finite_differences():
     (masks,) = draw_dropout_masks([mlp], 6, rng)
 
     def loss_fn(params):
-        out, cache = mlp_forward(mlp, x, masks=masks)
-        grads, _ = mlp_backward(mlp, cache, u)
+        work = Workspace()
+        out = mlp_forward(mlp, x, masks=masks, work=work)
+        grads, _ = mlp_backward(mlp, work, u)
         flat = {}
         for i, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
             flat[f"w{i}"] = gw
@@ -162,19 +164,29 @@ def test_backward_input_gradient():
     mlp = init_mlp(5, [4], 3, rng)
     x = rng.normal(size=(2, 5))
     u = rng.normal(size=(2, 3))
-    _, cache = mlp_forward(mlp, x)
-    _, grad_in = mlp_backward(mlp, cache, u)
+    work = Workspace()
+    mlp_forward(mlp, x, work=work)
+    _, grad_in = mlp_backward(mlp, work, u)
     h = 1e-6
     for i in range(2):
         for j in range(5):
             bumped = x.copy()
             bumped[i, j] += h
-            up, _ = mlp_forward(mlp, bumped)
+            up = mlp_forward(mlp, bumped)
             bumped[i, j] -= 2 * h
-            down, _ = mlp_forward(mlp, bumped)
+            down = mlp_forward(mlp, bumped)
             numeric = ((u * up).sum() - (u * down).sum()) / (2 * h)
             assert abs(numeric - grad_in[i, j]) < 1e-5
 
+
+
+def test_backward_needs_the_workspace_a_training_forward_wrote():
+    rng = np.random.default_rng(9)
+    mlp = init_mlp(3, [4], 2, rng)
+    x = rng.normal(size=(2, 3))
+    mlp_forward(mlp, x)  # an inference forward keeps nothing
+    with pytest.raises(ValueError, match="no training forward wrote into this workspace"):
+        mlp_backward(mlp, Workspace(), np.ones((2, 2)))
 
 def adamw_on_mappings(p, g, state):
     """One step on name -> array mappings, gathered into the layout and copied back."""

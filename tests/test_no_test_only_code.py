@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "survfuse"
 
 TEST_ONLY = {
-    "three_year_percent": "reference implementation of the batch teacher finalisation",
     "token_masks": "acceptance criterion 5 (target sequences and masks)",
     "weighted_text_loss": "acceptance criteria 1 and 5 (text loss)",
 }

@@ -170,9 +170,9 @@ def test_total_loss_composition():
     from survfuse.model import init_model
     model = init_model(config.fusion, config.modalities, DIMS, rng, head.width,
                        head_layers=[8], dropout=0.0,
-                       ae_hidden=[6], latent_dim=3)
+                       ae_hidden=[6], latent_dim=3, ae_dropout=0.0)
     loss, parts, grads = total_loss(model, head, data, config)
-    fwd = model_forward(model, data)
+    fwd = model_forward(model, data, work=Workspace())
     l_surv = discrete_loss_grad(fwd.out, data)[0]
     resid = fwd.recon - data["ge"]
     l_ae = float((resid ** 2).sum() / resid.size)
@@ -192,7 +192,8 @@ def test_total_loss_rejects_non_finite():
     from survfuse.model import init_model
     model = init_model(config.fusion, config.modalities, DIMS,
                        np.random.default_rng(0), head.width,
-                       head_layers=[8], dropout=0.0, ae_hidden=[6], latent_dim=3)
+                       head_layers=[8], dropout=0.0, ae_hidden=[6], latent_dim=3,
+                       ae_dropout=0.0)
     data["ge"][0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         total_loss(model, head, data, config)
@@ -204,7 +205,8 @@ def test_total_loss_reuses_its_workspace():
     head = init_head(config, np.array([1.0]))
     data = _rows(cohort, np.arange(12), config, head)
     model = init_model(config.fusion, config.modalities, DIMS, np.random.default_rng(0),
-                       head.width, head_layers=[8], dropout=0.3, ae_hidden=[6], latent_dim=3)
+                       head.width, head_layers=[8], dropout=0.3, ae_hidden=[6], latent_dim=3,
+                       ae_dropout=0.0)
     work = Workspace()
     _, _, first = total_loss(model, head, data, config, rng=np.random.default_rng(1), work=work)
     kept = first.flat.copy()
@@ -268,7 +270,7 @@ def test_train_reproducible_and_restores_best():
     assert all(np.array_equal(pa[k], pb[k]) for k in pa)
     # the returned parameters are the best-validation snapshot
     val_data = _rows(cohort, split.val, config, a.head)
-    val_out = model_forward(a.model, val_data, rng=None, keep_cache=False).out
+    val_out = model_forward(a.model, val_data).out
     assert a.head.loss_grad(val_out, val_data)[0] == min(a.val_trace)
     assert a.best_epoch == 1 + int(np.argmin(a.val_trace))
     assert len(a.val_trace) <= config.epochs
@@ -583,7 +585,8 @@ def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modaliti
     fitted = init_head(config, None).fitted(lambda: (np.zeros((2, 1)), np.ones(2),
                                                       np.ones(2, dtype=bool)))
     model = init_model(fusion, modalities, DIMS, np.random.default_rng(0), fitted.width,
-                       head_layers=[7, 6], ae_hidden=[8, 5], latent_dim=3)
+                       head_layers=[7, 6], dropout=config.dropout, ae_hidden=[8, 5],
+                       latent_dim=3, ae_dropout=config.ae_dropout)
     # the copy: the model rebuilt from a checkpoint of it
     path = str(tmp_path / "init.svck")
     save_checkpoint(path, TrainResult(model=model, head=fitted, train_trace=[],
