@@ -168,12 +168,11 @@ def _cmd_ingest(args, started: float) -> int:
     kv = parse_kv_file(args.config)
     cfg = dataclass_from_kv(co.IngestConfig, kv, args.config)
     timings: dict[str, float] = {}
-    cohort, split, pooled_count = co.load_cohort(cfg, args.config, timings)
+    cohort, pooled_count = co.load_cohort(cfg, args.config, timings)
     with stage(timings, "save"):
-        written = co.save_bundle(cohort, args.out, split=split)
-    print(f"bundle: {len(cohort)} samples "
-          f"(train {len(split.train)}, val {len(split.val)}, "
-          f"test {len(split.test)}), pooled {pooled_count}")
+        written = co.save_bundle(cohort, args.out)
+    sizes = ", ".join(f"{part} {rows.size}" for part, rows in vars(cohort.split).items())
+    print(f"bundle: {len(cohort)} samples ({sizes}), pooled {pooled_count}")
     _write_manifest(args.out, "ingest", started, config=dict(kv),
                     seeds={"split": cfg.split_seed}, inputs=cfg.input_paths(args.config),
                     output_files=written, timings=timings)
@@ -198,24 +197,15 @@ def _cmd_pool(args, started: float) -> int:
     return 0
 
 
-def _load_bundle_with_split(bundle_dir: str):
-    from .cohort import load_bundle
-
-    cohort, split = load_bundle(bundle_dir)
-    if split is None:
-        raise UsageError(f"bundle {bundle_dir} carries no split; re-ingest")
-    return cohort, split
-
-
 def _cmd_train(args, started: float) -> int:
     from . import training
+    from .cohort import load_bundle
 
     config = training.load_run_config(args.config)
-    cohort, split = _load_bundle_with_split(args.bundle)
-    result, report = training.train_and_evaluate(config, cohort, split)
+    result, report = training.train_and_evaluate(config, load_bundle(args.bundle))
 
     os.makedirs(args.out, exist_ok=True)
-    training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"), result, config)
+    training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"), result)
     _write_report(args.out, "train", started, report,
                   inputs={"config": args.config, "bundle": args.bundle})
     return 0
@@ -238,14 +228,14 @@ def _cmd_suite(args, started: float) -> int:
     import glob as globlib
 
     from . import formats, training
+    from .cohort import load_bundle
 
     paths = sorted(globlib.glob(os.path.join(args.configs, "*.cfg")))
     if not paths:
         raise UsageError(f"no *.cfg files under {args.configs}")
     named = [(os.path.splitext(os.path.basename(p))[0],
               training.load_run_config(p)) for p in paths]
-    cohort, split = _load_bundle_with_split(args.bundle)
-    reports = training.run_experiment_suite(named, cohort, split)
+    reports = training.run_experiment_suite(named, load_bundle(args.bundle))
 
     os.makedirs(args.out, exist_ok=True)
     payload = {name: (rep if isinstance(rep, str) else rep.to_dict())
@@ -269,14 +259,15 @@ def _cmd_suite(args, started: float) -> int:
 
 def _cmd_eval(args, started: float) -> int:
     from . import formats, training
+    from .cohort import load_bundle
 
-    result, config = training.load_checkpoint(args.checkpoint)
-    cohort, split = _load_bundle_with_split(args.bundle)
-    report, curves = training.evaluate(result, cohort, split, config)
+    result = training.load_checkpoint(args.checkpoint)
+    cohort = load_bundle(args.bundle)
+    report, curves = training.evaluate(result, cohort)
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_curves(os.path.join(args.out, "curves"),
-                         [cohort.ids[i] for i in split.test], curves)
+                         [cohort.ids[i] for i in cohort.split.test], curves)
     _write_report(args.out, "eval", started, report,
                   inputs={"checkpoint": args.checkpoint, "bundle": args.bundle})
     return 0

@@ -1,9 +1,9 @@
 """Cohort loading, validation, covariate preprocessing, splitting, and bundles.
 
 A `Cohort` is columnar: one row per sample in every array, and it holds
-exactly what a bundle stores. `load_cohort` builds one from the raw files an
-`IngestConfig` names; the raw inputs only ingest needs (ragged token states,
-clinical text fields) never leave it.
+exactly what a bundle stores, its split included. `load_cohort` builds one
+from the raw files an `IngestConfig` names; the raw inputs only ingest needs
+(ragged token states, clinical text fields) never leave it.
 """
 
 from __future__ import annotations
@@ -68,21 +68,19 @@ class CohortSplit:
     val: np.ndarray
     test: np.ndarray
 
-    def as_dict(self) -> dict[str, list[int]]:
-        return {"train": self.train.tolist(), "val": self.val.tolist(),
-                "test": self.test.tolist()}
-
 
 @dataclass
 class Cohort:
-    """Samples as columns: ids, outcomes, a `Modality` per available input,
-    and the teacher's extracted (N, 3) horizon probabilities (NaN where
-    missing; None without a teacher file).
+    """Samples as columns: ids, outcomes, the split ingest drew (row indices;
+    clinical covariates are encoded with its training rows' statistics), a
+    `Modality` per available input, and the teacher's extracted (N, 3)
+    horizon probabilities (NaN where missing; None without a teacher file).
     """
 
     ids: list[str]
     times: np.ndarray
     events: np.ndarray
+    split: CohortSplit
     modalities: dict[str, Modality] = field(default_factory=dict)
     teacher_probs: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
@@ -298,10 +296,10 @@ def _modality(table: tuple[list[str], np.ndarray] | None, ids: list[str]) -> Mod
 
 
 def load_cohort(config: IngestConfig, config_path: str,
-                timings: dict[str, float] | None = None) -> tuple[Cohort, CohortSplit, int]:
-    """The cohort and split of the ingest config read from `config_path`
-    (input paths are relative to its directory, and a split left empty is an
-    error naming it), and how many samples' token states were pooled.
+                timings: dict[str, float] | None = None) -> tuple[Cohort, int]:
+    """The cohort of the ingest config read from `config_path` (input paths
+    are relative to its directory, and a split left empty is an error naming
+    it), and how many samples' token states were pooled.
 
     One row per outcome in file order, less clinical rows with a missing
     field, censored at `horizon`; clinical fields are encoded with the
@@ -361,9 +359,9 @@ def load_cohort(config: IngestConfig, config_path: str,
                   if mod is not None}
     teacher_probs = (teacher_mod.values
                      if teacher_mod is not None and teacher_mod.present.any() else None)
-    cohort = Cohort(ids=ids, times=times, events=events, modalities=modalities,
+    cohort = Cohort(ids=ids, times=times, events=events, split=split, modalities=modalities,
                     teacher_probs=teacher_probs, metadata=meta)
-    return cohort, split, n_pooled
+    return cohort, n_pooled
 
 
 def _pool_text(ids: list[str], pooled: dict[str, np.ndarray],
@@ -475,6 +473,8 @@ BUNDLE_VERSION = 2
 # On-disk dtype of each modality matrix. Text is stored in 32 bits, as the
 # pooled-vector files it comes from are, and widened to float64 on load.
 _MODALITY_DTYPES = {"text": "<f4", "cov": "<f8", "ge": "<f8"}
+# What an error about a bundle's meta.json asks for.
+_REINGEST = "re-ingest the raw files with `survfuse ingest`"
 
 
 def _old_bundle_files(meta_path: str, keep: set[str]) -> list[str]:
@@ -502,15 +502,15 @@ def _old_bundle_files(meta_path: str, keep: set[str]) -> list[str]:
             and os.path.basename(name) == name]
 
 
-def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) -> list[str]:
+def save_bundle(cohort: Cohort, out_dir: str) -> list[str]:
     """Write a cohort as a version-2 bundle; float64 arrays round-trip bit-exactly.
 
     Every file is written to a temporary name and renamed into place, and
     meta.json goes last (an old one is removed first), so an interrupted
     write leaves a bundle that loads as incomplete. The files an old bundle
     in `out_dir` claims in its meta.json and this one does not write are
-    deleted; no other file is. Token states and raw clinical fields are not
-    stored. Returns the paths written, meta.json last.
+    deleted; no other file is. The split is stored as ids; token states and
+    raw clinical fields are not stored. Returns the paths written, meta.json last.
     """
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, formats.META)
@@ -538,8 +538,7 @@ def save_bundle(cohort: Cohort, out_dir: str, split: CohortSplit | None = None) 
         "ids": ids,
         "metadata": cohort.metadata,
         "arrays": list(arrays),
-        "split": {k: [ids[i] for i in v] for k, v in split.as_dict().items()}
-                 if split is not None else None,
+        "split": {part: [ids[i] for i in rows] for part, rows in vars(cohort.split).items()},
     }
     with formats.atomic_open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1)
@@ -558,20 +557,20 @@ def _expected_arrays(n: int, names: list[str]) -> dict[str, tuple[str, tuple]]:
     return expected
 
 
-def load_bundle(bundle_dir: str) -> tuple[Cohort, CohortSplit | None]:
-    """Read a version-2 bundle; every array is checked against `meta.json`."""
-    meta = formats.read_meta(bundle_dir, "bundle_version", BUNDLE_VERSION,
-                             "re-ingest the raw files with `survfuse ingest`")
+def load_bundle(bundle_dir: str) -> Cohort:
+    """Read a version-2 bundle; every array and the split are checked against `meta.json`."""
+    meta = formats.read_meta(bundle_dir, "bundle_version", BUNDLE_VERSION, _REINGEST)
     meta_path = os.path.join(bundle_dir, formats.META)
-    ids = meta["ids"]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{meta_path}: duplicate sample ids")
+    ids = meta.get("ids")
+    if not isinstance(ids, list) or not formats.distinct_strings(ids):
+        raise ValueError(f"{meta_path}: ids must be distinct strings; {_REINGEST}")
     names = meta.get("arrays")
     if not isinstance(names, list):
         raise ValueError(f"{meta_path}: no list of arrays")
     expected = _expected_arrays(len(ids), names)
     if sorted(names) != sorted(expected):
         raise ValueError(f"{meta_path}: arrays {sorted(names)}, expected {sorted(expected)}")
+    split = _read_split(meta_path, meta.get("split"), ids)
     arrays = {name: formats.read_npy(os.path.join(bundle_dir, f"{name}.npy"), dtype, shape)
               for name, (dtype, shape) in expected.items()}
     times = arrays["times"]
@@ -582,16 +581,28 @@ def load_bundle(bundle_dir: str) -> tuple[Cohort, CohortSplit | None]:
     modalities = {name: Modality(values=np.asarray(arrays[name], dtype=np.float64),
                                  present=arrays[f"{name}_present"])
                   for name in MODALITY_ORDER if name in arrays}
-    cohort = Cohort(ids=ids, times=times, events=arrays["events"],
-                    modalities=modalities, teacher_probs=arrays.get("teacher_probs"),
-                    metadata=meta["metadata"])
+    return Cohort(ids=ids, times=times, events=arrays["events"], split=split,
+                  modalities=modalities, teacher_probs=arrays.get("teacher_probs"),
+                  metadata=meta["metadata"])
 
-    split = None
-    if meta.get("split") is not None:
-        index = {sid: i for i, sid in enumerate(ids)}
-        unknown = [sid for part in meta["split"].values() for sid in part if sid not in index]
-        if unknown:
-            raise ValueError(f"{meta_path}: split names unknown ids {unknown[:5]}")
-        split = CohortSplit(**{k: np.array([index[sid] for sid in v], dtype=np.int64)
-                               for k, v in meta["split"].items()})
-    return cohort, split
+
+def _read_split(meta_path: str, stored, ids: list[str]) -> CohortSplit:
+    """The rows of a bundle's split: a non-empty train, val and test list of
+    `ids` that name each id at most once (else an error naming `meta_path`)."""
+    parts = tuple(CohortSplit.__dataclass_fields__)
+    if not (isinstance(stored, dict) and sorted(stored) == sorted(parts)
+            and all(isinstance(stored[part], list) and stored[part] for part in parts)):
+        raise ValueError(f"{meta_path}: split must map each of {', '.join(parts)} to a "
+                         f"non-empty list of ids; {_REINGEST}")
+    index = {sid: i for i, sid in enumerate(ids)}
+    unknown = [sid for part in parts for sid in stored[part]
+               if not isinstance(sid, str) or sid not in index]
+    if unknown:
+        raise ValueError(f"{meta_path}: split names unknown ids {unknown[:5]}; {_REINGEST}")
+    split = CohortSplit(**{part: np.array([index[sid] for sid in stored[part]], dtype=np.int64)
+                           for part in parts})
+    repeated = np.flatnonzero(np.bincount(np.concatenate(list(vars(split).values()))) > 1)
+    if repeated.size:
+        raise ValueError(f"{meta_path}: split names id {ids[repeated[0]]!r} more than once; "
+                         f"{_REINGEST}")
+    return split

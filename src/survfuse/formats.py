@@ -254,7 +254,7 @@ def read_meta(directory, key: str, version: int, remedy: str) -> dict:
     return meta
 
 
-def _distinct_strings(ids) -> bool:
+def distinct_strings(ids) -> bool:
     return all(isinstance(sid, str) for sid in ids) and len(set(ids)) == len(ids)
 
 
@@ -267,7 +267,7 @@ def write_curves(out_dir, ids: list[str], curves: CurveSet) -> None:
     interrupted write leaves a directory that reads as incomplete, never old
     ids over new values.
     """
-    if len(ids) != len(curves) or not _distinct_strings(ids):
+    if len(ids) != len(curves) or not distinct_strings(ids):
         raise ValueError("one distinct string id per curve required")
     values = curves.whole()
     os.makedirs(out_dir, exist_ok=True)
@@ -290,7 +290,7 @@ def read_curves(curve_dir) -> tuple[list[str], CurveSet]:
     meta = read_meta(curve_dir, "curves_version", CURVES_VERSION,
                      "re-run `survfuse eval`, which writes curves as a directory")
     ids = meta.get("ids")
-    if not isinstance(ids, list) or not _distinct_strings(ids):
+    if not isinstance(ids, list) or not distinct_strings(ids):
         raise ValueError(f"{curve_dir}: {META} must list distinct string ids")
     times = read_npy(os.path.join(curve_dir, "times.npy"), "<f8", (None,))
     values = read_npy(os.path.join(curve_dir, "values.npy"), "<f8", (len(ids), times.size))

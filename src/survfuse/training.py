@@ -10,7 +10,7 @@ import numpy as np
 
 from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, combined_blocks, select_lambda, verbalized_blocks
-from .cohort import Cohort, CohortSplit, modality_matrix, outcome_arrays
+from .cohort import Cohort, modality_matrix, outcome_arrays
 from .distill import calibration_mask, teacher_percents
 from .heads import HEAD_ALPHA, CoxHead, CurveSet, DiscreteHead, init_head, read_head
 from .metrics import c_td, ibs
@@ -137,6 +137,9 @@ def _learning_rate(config: RunConfig):
 
 @dataclass
 class TrainResult:
+    """A trained model, the config that built it, its head and its training record."""
+
+    config: RunConfig
     model: SurvivalModel
     head: DiscreteHead | CoxHead
     train_trace: list[float]
@@ -150,9 +153,9 @@ class TrainResult:
 _RECORD = ("train_trace", "val_trace", "best_epoch", "skipped_batches")
 
 
-def _forward(model: SurvivalModel, cohort: Cohort, indices, config: RunConfig) -> np.ndarray:
+def _forward(model: SurvivalModel, cohort: Cohort, indices) -> np.ndarray:
     """The model's (N, width) outputs for the samples `indices` (one inference forward)."""
-    inputs = {m: modality_matrix(cohort, indices, m) for m in config.modalities}
+    inputs = {m: modality_matrix(cohort, indices, m) for m in model.modalities}
     return model_forward(model, inputs).out
 
 
@@ -188,29 +191,24 @@ def _build_model(config: RunConfig, dims: dict[str, int], rng: np.random.Generat
                       latent_dim=config.latent_dim, ae_dropout=config.ae_dropout)
 
 
-def train(config: RunConfig, cohort: Cohort, split: CohortSplit,
+def train(config: RunConfig, cohort: Cohort,
           warm_start: dict[str, np.ndarray] | None = None) -> TrainResult:
     """Mini-batch AdamW on the joint objective with early stopping.
 
     Monitors validation survival loss; restores the best checkpoint; then
     fits the head on train+val (the Breslow baseline of a Cox head).
     """
-    result = _train_loop(config, cohort, split, warm_start, config.batch_size,
-                         config.epochs, config.patience)
-    fit_idx = np.concatenate([split.train, split.val])
-    result.head = result.head.fitted(lambda: (_forward(result.model, cohort, fit_idx, config),
+    result = _train_loop(config, cohort, warm_start)
+    fit_idx = np.concatenate([cohort.split.train, cohort.split.val])
+    result.head = result.head.fitted(lambda: (_forward(result.model, cohort, fit_idx),
                                               *outcome_arrays(cohort, fit_idx)))
     return result
 
 
-def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
-                warm_start: dict[str, np.ndarray] | None, batch_size: int,
-                epochs: int, patience: int) -> TrainResult:
+def _train_loop(config: RunConfig, cohort: Cohort,
+                warm_start: dict[str, np.ndarray] | None) -> TrainResult:
     """`train`'s epoch loop: the model at its best validation epoch, head unfitted."""
-    for part in ("train", "val"):
-        if not getattr(split, part).size:
-            raise ValueError(f"the {part} split is empty; re-ingest with ratios "
-                             f"that leave it samples")
+    split = cohort.split
     rngs = named_rngs(config.seed, ("init", "shuffle", "dropout"))
     head = init_head(config, outcome_arrays(cohort, split.train)[0])
     train_data = _rows(cohort, split.train, config, head)
@@ -234,11 +232,11 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
     train_trace: list[float] = []
     val_trace: list[float] = []
 
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         order = rngs["shuffle"].permutation(n_train)
         epoch_losses = []
-        for start in range(0, n_train, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n_train, config.batch_size):
+            idx = order[start:start + config.batch_size]
             # "clip" gathers straight into `out` ("raise" buffers a copy); idx is in range
             batch = {k: np.take(v, idx, axis=0, mode="clip",
                                 out=work.array(("batch", k), idx.shape + v.shape[1:], v.dtype))
@@ -261,17 +259,17 @@ def _train_loop(config: RunConfig, cohort: Cohort, split: CohortSplit,
             since_improve = 0
         else:
             since_improve += 1
-        if since_improve >= patience:
+        if since_improve >= config.patience:
             break
 
     np.copyto(model.flat, best_snapshot)
-    return TrainResult(model=model, head=head, train_trace=train_trace, val_trace=val_trace,
-                       best_epoch=best_epoch, skipped_batches=skipped, dims=dims)
+    return TrainResult(config=config, model=model, head=head, train_trace=train_trace,
+                       val_trace=val_trace, best_epoch=best_epoch, skipped_batches=skipped,
+                       dims=dims)
 
 
-def pretrain_heads(config: RunConfig, cohort: Cohort,
-                   split: CohortSplit) -> dict[str, np.ndarray]:
-    """Train cov and ge heads alone at the pretraining batch size.
+def pretrain_heads(config: RunConfig, cohort: Cohort) -> dict[str, np.ndarray]:
+    """Train cov and ge heads alone at the pretraining batch size, epochs and patience.
 
     Returns a flat parameter dict keyed by the joint model's names: the
     single-modality heads land on head_cov / head_ge, and the ge run's
@@ -281,9 +279,10 @@ def pretrain_heads(config: RunConfig, cohort: Cohort,
     for m in ("cov", "ge"):
         if m not in config.modalities:
             continue
-        sub = replace(config, fusion="none", modalities=(m,), pretrain=False)
-        result = _train_loop(sub, cohort, split, None, config.pretrain_batch_size,
-                             config.pretrain_epochs, config.pretrain_patience)
+        sub = replace(config, fusion="none", modalities=(m,), pretrain=False,
+                      batch_size=config.pretrain_batch_size, epochs=config.pretrain_epochs,
+                      patience=config.pretrain_patience)
+        result = _train_loop(sub, cohort, None)
         for name, value in model_params(result.model).items():
             prefix, rest = name.split(".", 1)
             joint = f"head_{m}.{rest}" if prefix == "head" else name
@@ -319,12 +318,11 @@ class RunReport:
         return asdict(self)
 
 
-def predict_curves(result: TrainResult, cohort: Cohort, indices,
-                   config: RunConfig) -> CurveSet:
+def predict_curves(result: TrainResult, cohort: Cohort, indices) -> CurveSet:
     """The model's curves for the samples `indices` (one inference forward):
     the checked matrix for the discrete head, columns computed on demand on
     the Breslow grid for Cox (`whole()` makes the matrix)."""
-    return result.head.curves(_forward(result.model, cohort, indices, config))
+    return result.head.curves(_forward(result.model, cohort, indices))
 
 
 def _channel(curves: CurveSet, times, events) -> ChannelMetrics:
@@ -351,8 +349,7 @@ def _channels(hidden: CurveSet, times, events, percents=None,
     return channels
 
 
-def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
-             config: RunConfig) -> tuple[RunReport, CurveSet]:
+def evaluate(result: TrainResult, cohort: Cohort) -> tuple[RunReport, CurveSet]:
     """Test-set metrics for the hidden, verbalized, and combined channels,
     and the test split's hidden curves they were read from.
 
@@ -364,12 +361,13 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
     estimates (raised to `PERCENT_FLOOR` before the log) and the test curves
     imputed by `mean_curve`.
     """
+    config, split = result.config, cohort.split
     percents, clamped = finalize_teacher(cohort)
     selected = val_score = test_percents = None
     floored = {"val": 0, "test": 0}
     imputed = 0
     if percents is not None:
-        selected, val_score = select_lambda(predict_curves(result, cohort, split.val, config),
+        selected, val_score = select_lambda(predict_curves(result, cohort, split.val),
                                             percents[split.val],
                                             *outcome_arrays(cohort, split.val),
                                             grid=config.lambda_grid)
@@ -378,7 +376,7 @@ def evaluate(result: TrainResult, cohort: Cohort, split: CohortSplit,
                    for name, rows in (("val", split.val), ("test", split.test))}
         absent = np.isnan(test_percents)
         imputed = 0 if absent.all() else int(absent.sum())
-    test = predict_curves(result, cohort, split.test, config)
+    test = predict_curves(result, cohort, split.test)
     channels = _channels(test, *outcome_arrays(cohort, split.test), test_percents, selected)
     report = RunReport(config=config, channels=channels, selected_lambda=selected,
                        lambda_val_ctd=val_score, gates=gate_values(result.model),
@@ -396,39 +394,38 @@ def finalize_teacher(cohort: Cohort) -> tuple[np.ndarray | None, int]:
     return (None, 0) if cohort.teacher_probs is None else teacher_percents(cohort.teacher_probs)
 
 
-def train_and_evaluate(config: RunConfig, cohort: Cohort,
-                       split: CohortSplit) -> tuple[TrainResult, RunReport]:
+def train_and_evaluate(config: RunConfig, cohort: Cohort) -> tuple[TrainResult, RunReport]:
     """Pretrain (late fusion of several modalities, if asked), train, and
     evaluate one configuration."""
     warm = None
     if config.pretrain and gated_fusion(config.fusion, config.modalities):
-        warm = pretrain_heads(config, cohort, split)
-    result = train(config, cohort, split, warm_start=warm)
-    return result, evaluate(result, cohort, split, config)[0]
+        warm = pretrain_heads(config, cohort)
+    result = train(config, cohort, warm_start=warm)
+    return result, evaluate(result, cohort)[0]
 
 
 def run_experiment_suite(named_configs: list[tuple[str, RunConfig]],
-                         cohort: Cohort, split: CohortSplit) -> dict[str, RunReport | str]:
-    """`train_and_evaluate` each configuration on the shared split; a
+                         cohort: Cohort) -> dict[str, RunReport | str]:
+    """`train_and_evaluate` each configuration on the cohort's split; a
     failure is reported as that run's entry, and the suite goes on."""
     reports: dict[str, RunReport | str] = {}
     for name, config in named_configs:
         try:
-            reports[name] = train_and_evaluate(config, cohort, split)[1]
+            reports[name] = train_and_evaluate(config, cohort)[1]
         except Exception as exc:  # noqa: BLE001 - suite must continue
             reports[name] = f"failed: {type(exc).__name__}: {exc}"
     return reports
 
 
-def save_checkpoint(path: str, result: TrainResult, config: RunConfig) -> None:
-    """Persist the parameters, the fitted head's record and the training record."""
-    manifest = {"config": asdict(config), "dims": result.dims, **result.head.record(),
+def save_checkpoint(path: str, result: TrainResult) -> None:
+    """Persist the config, the parameters, the fitted head's record and the training record."""
+    manifest = {"config": asdict(result.config), "dims": result.dims, **result.head.record(),
                 **{key: getattr(result, key) for key in _RECORD}}
     formats.write_checkpoint(path, model_params(result.model), manifest)
 
 
-def load_checkpoint(path: str) -> tuple[TrainResult, RunConfig]:
-    """The trained model, its fitted head and its training record, from a checkpoint."""
+def load_checkpoint(path: str) -> TrainResult:
+    """The trained model, its config, fitted head and training record, from a checkpoint."""
     tensors, manifest = formats.read_checkpoint(path)
     missing = [key for key in _RECORD if key not in manifest]
     if missing:
@@ -446,9 +443,8 @@ def load_checkpoint(path: str) -> tuple[TrainResult, RunConfig]:
                              f"the configured model expects {params[name].shape}")
         np.copyto(params[name], value)
 
-    result = TrainResult(model=model, head=head, dims=dict(manifest["dims"]),
-                         **{key: manifest[key] for key in _RECORD})
-    return result, config
+    return TrainResult(config=config, model=model, head=head, dims=dict(manifest["dims"]),
+                       **{key: manifest[key] for key in _RECORD})
 
 
 def report_table(reports: dict[str, RunReport | str]) -> str:

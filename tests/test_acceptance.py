@@ -293,8 +293,7 @@ def synth_cohort(out_dir, calibration_shift=0.0):
     config = IngestConfig(outcomes=result.files["outcomes"],
                           covariates=result.files["covariates"], ge=result.files["ge"],
                           hidden=result.files["hidden"], teacher=result.files["teacher"])
-    cohort, split, _ = load_cohort(config, str(out_dir / "ingest.cfg"))
-    return cohort, split
+    return load_cohort(config, str(out_dir / "ingest.cfg"))[0]
 
 
 def run_config(**overrides):
@@ -307,25 +306,26 @@ def run_config(**overrides):
 
 def test_criterion_6_synthetic_end_to_end(tmp_path):
     started = time.perf_counter()
-    cohort, split = synth_cohort(tmp_path / "honest")
+    cohort = synth_cohort(tmp_path / "honest")
+    split = cohort.split
 
     unimodal = {}
     for m in ("text", "cov", "ge"):
         report = training.train_and_evaluate(
-            run_config(fusion="none", modalities=(m,)), cohort, split)[1]
+            run_config(fusion="none", modalities=(m,)), cohort)[1]
         unimodal[m] = report.channels["hidden"].c_td
 
     late_cfg = run_config(fusion="late", modalities=("text", "cov", "ge"))
-    result = training.train(late_cfg, cohort, split)
+    result = training.train(late_cfg, cohort)
     percents, _ = training.finalize_teacher(cohort)
-    late = training.evaluate(result, cohort, split, late_cfg)[0]
+    late = training.evaluate(result, cohort)[0]
 
     # (a) fusing the modalities beats every single-modality model clearly
     assert late.channels["hidden"].c_td >= max(unimodal.values()) + 0.03
 
     # (b) the blend weight is chosen on a grid containing 0 and 1, so the
     # combined validation concordance can never fall below either channel
-    hidden_val = training.predict_curves(result, cohort, split.val, late_cfg)
+    hidden_val = training.predict_curves(result, cohort, split.val)
     val_pct = percents[split.val]
     blend_val = CurveSet.of(hidden_val.times, blend_inputs(hidden_val.whole(), hidden_val.times,
                                                            verbalized_rates(val_pct)))
@@ -337,15 +337,14 @@ def test_criterion_6_synthetic_end_to_end(tmp_path):
 
     # (c) with a miscalibrated teacher, turning the contradiction mask on
     # must not cost the hidden channel more than 0.01 concordance
-    shifted_cohort, shifted_split = synth_cohort(tmp_path / "shifted",
-                                                 calibration_shift=2.0)
+    shifted_cohort = synth_cohort(tmp_path / "shifted", calibration_shift=2.0)
     plain = training.train_and_evaluate(
         run_config(fusion="late", modalities=("text", "cov", "ge")),
-        shifted_cohort, shifted_split)[1]
+        shifted_cohort)[1]
     corrected = training.train_and_evaluate(
         run_config(fusion="late", modalities=("text", "cov", "ge"),
                    calibration_correction=True),
-        shifted_cohort, shifted_split)[1]
+        shifted_cohort)[1]
     assert corrected.masked_samples > 0 and plain.masked_samples == 0
     degradation = plain.channels["hidden"].c_td - corrected.channels["hidden"].c_td
     assert degradation <= 0.01
@@ -361,11 +360,11 @@ def test_criterion_7_training_is_deterministic(tmp_path):
     ingest = IngestConfig(outcomes=result.files["outcomes"],
                           covariates=result.files["covariates"], ge=result.files["ge"],
                           hidden=result.files["hidden"], teacher=result.files["teacher"])
-    cohort, split, _ = load_cohort(ingest, str(tmp_path / "ingest.cfg"))
+    cohort = load_cohort(ingest, str(tmp_path / "ingest.cfg"))[0]
     config = run_config(fusion="late", modalities=("text", "cov", "ge"),
                         epochs=8, patience=4)
-    first = training.train_and_evaluate(config, cohort, split)[1]
-    second = training.train_and_evaluate(config, cohort, split)[1]
+    first = training.train_and_evaluate(config, cohort)[1]
+    second = training.train_and_evaluate(config, cohort)[1]
     assert first.to_dict() == second.to_dict()
 
 

@@ -274,8 +274,8 @@ def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_p
     assert main(["train", "--config", write(tmp_path / "run.cfg",
                                             TRAIN_CFG.replace("head=discrete", f"head={head}")),
                  "--bundle", pipeline["bundle"], "--out", run]) == 0
-    cohort, split = load_bundle(pipeline["bundle"])
-    test_cov = modality_matrix(cohort, split.test, "cov")
+    cohort = load_bundle(pipeline["bundle"])
+    test_cov = modality_matrix(cohort, cohort.split.test, "cov")
     forwarded = []
     forward = training.model_forward
 
@@ -289,9 +289,9 @@ def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_p
     assert main(["eval", "--checkpoint", checkpoint, "--bundle", pipeline["bundle"],
                  "--out", str(out)]) == 0
     assert sum(forwarded) == 1
-    result, config = training.load_checkpoint(checkpoint)
-    test_curves = training.evaluate(result, cohort, split, config)[1]
-    written = formats.read_npy(out / "curves" / "values.npy", "<f8", (len(split.test), None))
+    test_curves = training.evaluate(training.load_checkpoint(checkpoint), cohort)[1]
+    written = formats.read_npy(out / "curves" / "values.npy", "<f8",
+                               (len(cohort.split.test), None))
     assert written.tobytes() == test_curves.whole().tobytes()
 
 
@@ -655,7 +655,8 @@ def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys
     assert main(["parse-teacher", "--teacher", str(tmp_path / "raw" / "teacher.jsonl"),
                  "--outcomes", str(tmp_path / "raw" / "outcomes.csv"), "--out", targets]) == 0
 
-    cohort, split = load_bundle(bundle)
+    cohort = load_bundle(bundle)
+    split = cohort.split
     expected = {sid: "" if np.isnan(p) else str(int(p))
                 for sid, p in zip(cohort.ids, finalize_teacher(cohort)[0])}
     header, rows, _ = formats.read_csv_table(os.path.join(targets, "percents.csv"))
@@ -745,14 +746,50 @@ def test_pool_into_the_raw_directory_keeps_simulates_manifest(pipeline, tmp_path
 
 
 def test_bundle_without_split_is_rejected(pipeline, tmp_path, capsys):
-    from survfuse.cohort import load_bundle, save_bundle
-
-    cohort, _ = load_bundle(pipeline["bundle"])
-    bare = str(tmp_path / "bare")
-    save_bundle(cohort, bare)
+    bundle = tmp_path / "bare"
+    shutil.copytree(pipeline["bundle"], bundle)
+    write(bundle / "meta.json", json.dumps({**read_json(bundle / "meta.json"), "split": None}))
     assert main(["train", "--config", pipeline["train_cfg"],
-                 "--bundle", bare, "--out", str(tmp_path / "r")]) == 1
-    assert "no split" in capsys.readouterr().err
+                 "--bundle", str(bundle), "--out", str(tmp_path / "r")]) == 1
+    assert (f"{bundle / 'meta.json'}: split must map each of train, val, test to a non-empty "
+            f"list of ids; re-ingest") in capsys.readouterr().err
+
+
+# Each edit is made to the meta.json of a copy of a good bundle.
+SPLIT_EDITS = {
+    "no split": lambda meta: meta.pop("split"),
+    "split as a list": lambda meta: meta.update(split=list(meta["split"].values())),
+    "part added": lambda meta: meta["split"].update(extra=[]),
+    "part missing": lambda meta: meta["split"].pop("val"),
+    "part not a list": lambda meta: meta["split"].update(test=meta["split"]["test"][0]),
+    "empty train": lambda meta: meta["split"].update(train=[]),
+    "empty val": lambda meta: meta["split"].update(val=[]),
+    "empty test": lambda meta: meta["split"].update(test=[]),
+    "unknown id": lambda meta: meta["split"]["test"].append("nobody"),
+    "id not a string": lambda meta: meta["split"]["test"].append(7),
+    "id twice in a part": lambda meta: meta["split"]["test"].append(meta["split"]["test"][0]),
+    "test id also in train": lambda meta: meta["split"]["test"].append(meta["split"]["train"][0]),
+    "id not a string in ids": lambda meta: meta["ids"].__setitem__(0, ["s0"]),
+    "id repeated in ids": lambda meta: meta["ids"].__setitem__(1, meta["ids"][0]),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit", list(SPLIT_EDITS))
+def test_a_bundle_whose_split_does_not_check_is_refused(pipeline, tmp_path, capsys,
+                                                        command, edit):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(pipeline["bundle"], bundle)
+    meta = read_json(bundle / "meta.json")
+    SPLIT_EDITS[edit](meta)
+    write(bundle / "meta.json", json.dumps(meta))
+    given = (["--config", pipeline["train_cfg"]] if command == "train" else
+             ["--checkpoint", os.path.join(pipeline["run"], "checkpoint.svck")])
+    assert main([command, *given, "--bundle", str(bundle), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert f"survfuse: error: {bundle / 'meta.json'}: " in err
+    assert err.rstrip().endswith("re-ingest the raw files with `survfuse ingest`")
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_on_a_version_1_bundle_asks_for_reingest(pipeline, tmp_path, capsys):
@@ -804,11 +841,11 @@ def test_ingest_parses_keys_by_field_type(tmp_path, capsys):
     # horizon=none keeps follow-up past the administrative horizon
     cfg = write(tmp_path / "none.cfg", "outcomes=o.csv\nhorizon=none\nratios=0.5,0.25,0.25\n")
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b2")]) == 0
-    cohort, split = load_bundle(str(tmp_path / "b2"))
+    cohort = load_bundle(str(tmp_path / "b2"))
     assert cohort.times[0] == 7.5 and cohort.events[0]
     assert cohort.metadata["horizon_years"] is None
-    assert (split.train.size, split.val.size, split.test.size) == (2, 1, 1)
+    assert [rows.size for rows in vars(cohort.split).values()] == [2, 1, 1]
     cfg = write(tmp_path / "default.cfg", "outcomes=o.csv\nratios=0.5,0.25,0.25\n")
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b3")]) == 0
-    cohort, _ = load_bundle(str(tmp_path / "b3"))
+    cohort = load_bundle(str(tmp_path / "b3"))
     assert cohort.times[0] == 5.0 and not cohort.events[0]

@@ -1,6 +1,6 @@
 """The command line reaches the cohort layer through five names only.
 
-`cohort.load_cohort` builds a cohort and its split from an `IngestConfig`,
+`cohort.load_cohort` builds a cohort, split included, from an `IngestConfig`,
 `save_bundle` and `load_bundle` store and read it, and `read_outcomes` reads
 an outcomes file for `parse-teacher` and `blend`. A command that uses any
 other cohort name, or names a covariate schema, is assembling the cohort

@@ -374,10 +374,9 @@ def build_full_cohort(tmp_path, n=6, with_teacher=True):
 
 def test_bundle_round_trip_bit_exact(tmp_path):
     cohort = build_full_cohort(tmp_path)
-    split = split_cohort(len(cohort), seed=5)
     out_dir = tmp_path / "bundle"
-    save_bundle(cohort, str(out_dir), split=split)
-    loaded, loaded_split = load_bundle(str(out_dir))
+    save_bundle(cohort, str(out_dir))
+    loaded = load_bundle(str(out_dir))
     assert loaded.ids == cohort.ids
     assert np.array_equal(loaded.times, cohort.times)
     assert np.array_equal(loaded.events, cohort.events)
@@ -388,7 +387,7 @@ def test_bundle_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.teacher_probs, cohort.teacher_probs, equal_nan=True)
     assert not hasattr(loaded, "token_states")
     for name in ("train", "val", "test"):
-        assert np.array_equal(getattr(loaded_split, name), getattr(split, name))
+        assert np.array_equal(getattr(loaded.split, name), getattr(cohort.split, name))
     assert loaded.metadata == cohort.metadata
 
 
@@ -399,8 +398,7 @@ def test_bundle_outcomes_not_recensored(tmp_path):
     cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS, horizon=None)
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir))
-    loaded, split = load_bundle(str(out_dir))
-    assert split is None
+    loaded = load_bundle(str(out_dir))
     assert loaded.times[0] == 7.5
     assert loaded.events[0] == True  # noqa: E712 - a numpy bool
 
@@ -410,7 +408,7 @@ def test_bundle_minimal_and_version_check(tmp_path):
     cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS)
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir))
-    loaded, _ = load_bundle(str(out_dir))
+    loaded = load_bundle(str(out_dir))
     assert "cov" not in loaded.modalities
     assert not hasattr(loaded, "token_states")
     meta_path = os.path.join(out_dir, "meta.json")
@@ -452,7 +450,7 @@ def test_bundle_stores_text_in_32_bits(tmp_path):
     save_bundle(cohort, str(tmp_path / "bundle"))
     stored = np.load(tmp_path / "bundle" / "text.npy")
     assert stored.dtype == np.dtype("<f4")
-    loaded, _ = load_bundle(str(tmp_path / "bundle"))
+    loaded = load_bundle(str(tmp_path / "bundle"))
     text = loaded.modalities["text"]
     assert text.values.dtype == np.float64
     assert np.array_equal(text.values[:2], values[:2].astype(np.float32).astype(np.float64))
@@ -462,7 +460,7 @@ def test_bundle_stores_text_in_32_bits(tmp_path):
 def test_bundle_without_meta_is_incomplete(tmp_path):
     cohort = build_full_cohort(tmp_path)
     out_dir = tmp_path / "bundle"
-    save_bundle(cohort, str(out_dir), split=split_cohort(len(cohort), seed=5))
+    save_bundle(cohort, str(out_dir))
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
         ["meta.json", "times.npy", "events.npy", "teacher_probs.npy"]
         + [f"{m}{suffix}.npy" for m in ("text", "cov", "ge") for suffix in ("", "_present")])
@@ -471,8 +469,7 @@ def test_bundle_without_meta_is_incomplete(tmp_path):
         load_bundle(str(out_dir))
     # rewriting a bundle removes its old meta.json before any array changes
     save_bundle(cohort, str(out_dir))
-    loaded, split = load_bundle(str(out_dir))
-    assert split is None and loaded.ids == cohort.ids
+    assert load_bundle(str(out_dir)).ids == cohort.ids
 
 
 def test_rewriting_a_version_1_bundle_deletes_the_files_it_claims(tmp_path):
@@ -493,7 +490,7 @@ def test_rewriting_a_version_1_bundle_deletes_the_files_it_claims(tmp_path):
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
         [os.path.basename(p) for p in written] + ["notes.txt"])
     assert (tmp_path / "outside.csv").read_text() == "keep"
-    assert load_bundle(str(out_dir))[0].ids == cohort.ids
+    assert load_bundle(str(out_dir)).ids == cohort.ids
 
 
 def test_rewriting_a_version_2_bundle_deletes_arrays_it_no_longer_writes(tmp_path):
@@ -507,7 +504,7 @@ def test_rewriting_a_version_2_bundle_deletes_arrays_it_no_longer_writes(tmp_pat
         [os.path.basename(p) for p in written] + ["notes.npy"])
     assert {"ge.npy", "ge_present.npy", "teacher_probs.npy"}.isdisjoint(
         os.path.basename(p) for p in written)
-    loaded, _ = load_bundle(str(out_dir))
+    loaded = load_bundle(str(out_dir))
     assert sorted(loaded.modalities) == ["cov", "text"] and loaded.teacher_probs is None
 
 

@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 from survfuse import pooling
 from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, combined_blocks,
                                mean_curve, select_lambda, verbalized_curve, verbalized_rates)
-from survfuse.cohort import (Cohort, Modality, _parse_numeric_table, load_bundle, save_bundle,
-                             split_cohort)
+from survfuse.cohort import (Cohort, CohortSplit, Modality, _parse_numeric_table, load_bundle,
+                             save_bundle)
 from survfuse.distill import (HORIZONS, TeacherTable, extract_probability, finalize_probs,
                               finalize_records, fit_parametric, parse_teacher_file)
 from survfuse.formats import (id_rows, read_checkpoint, read_curves, read_hidden_states,
@@ -1086,6 +1086,7 @@ def test_batch_finalisation_equals_per_record_path(rows, train_flags):
                   if x and (train_ids is None or sid in train_ids)]
     # the columnar path: one percent per row with an extraction, NaN elsewhere
     cohort = Cohort(ids=ids, times=np.ones(len(rows)), events=np.zeros(len(rows), dtype=bool),
+                    split=CohortSplit(*np.array_split(np.arange(len(rows)), 3)),
                     teacher_probs=table.probs)
     columnar, clamped = finalize_teacher(cohort)
     for rec, x, pct in zip(records, extracted, columnar):
@@ -1159,16 +1160,18 @@ def test_bundle_round_trip_is_bit_exact(data):
                 "cov_layout": ["age", "sex", "race", "stage"],
                 "age_min": data.draw(st.floats(allow_nan=False, allow_infinity=False)),
                 "sex_majority": data.draw(IDS)}
+    # any partition into three non-empty parts, each in any order
+    order = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True)))
+    split = CohortSplit(*(np.array(rows, dtype=np.int64) for rows in
+                          (order[:cuts[0]], order[cuts[0]:cuts[1]], order[cuts[1]:])))
     cohort = Cohort(ids=ids, times=column(st.floats(1e-6, 50.0), n),
-                    events=column(st.booleans(), n), modalities=modalities,
+                    events=column(st.booleans(), n), split=split, modalities=modalities,
                     teacher_probs=teacher, metadata=metadata)
-    split = None
-    if data.draw(st.booleans()):
-        split = split_cohort(n, seed=data.draw(st.integers(0, 9)))
 
     with tempfile.TemporaryDirectory() as tmp:
-        save_bundle(cohort, tmp, split=split)
-        loaded, loaded_split = load_bundle(tmp)
+        save_bundle(cohort, tmp)
+        loaded = load_bundle(tmp)
     assert loaded.ids == ids and loaded.metadata == metadata
     assert same_bits(loaded.times, cohort.times) and same_bits(loaded.events, cohort.events)
     assert sorted(loaded.modalities) == sorted(modalities)
@@ -1177,10 +1180,8 @@ def test_bundle_round_trip_is_bit_exact(data):
         assert same_bits(loaded.modalities[name].present, mod.present)
     assert (loaded.teacher_probs is None) == (teacher is None)
     assert teacher is None or same_bits(loaded.teacher_probs, teacher)
-    assert (loaded_split is None) == (split is None)
-    if split is not None:
-        for part in ("train", "val", "test"):
-            assert same_bits(getattr(loaded_split, part), getattr(split, part))
+    for part in ("train", "val", "test"):
+        assert same_bits(getattr(loaded.split, part), getattr(split, part))
 
 
 # ---------------------------------------------------------- binary formats

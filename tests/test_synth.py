@@ -110,7 +110,7 @@ def test_generated_cohort_loads(tmp_path):
     config = IngestConfig(outcomes=result.files["outcomes"],
                           covariates=result.files["covariates"], ge=result.files["ge"],
                           hidden=result.files["hidden"], teacher=result.files["teacher"])
-    cohort, _, n_pooled = load_cohort(config, str(tmp_path / "ingest.cfg"))
+    cohort, n_pooled = load_cohort(config, str(tmp_path / "ingest.cfg"))
     assert cohort.ids == result.ids
     assert cohort.modalities["cov"].present.all() and cohort.modalities["ge"].present.all()
     assert n_pooled == len(cohort) and cohort.modalities["text"].present.all()

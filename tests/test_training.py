@@ -43,8 +43,9 @@ from survfuse.training import (
 DIMS = {"text": 6, "cov": 4, "ge": 10}
 
 
-def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, contradict=False):
-    """Small synthetic cohort with a shared risk signal in every modality."""
+def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, contradict=False, split_seed=2):
+    """Small synthetic cohort with a shared risk signal in every modality,
+    split by `split_cohort` at `split_seed`."""
     rng = np.random.default_rng(seed)
     times, events, probs = [], [], []
     rows = {m: [] for m in ("cov", "ge", "text")}
@@ -64,6 +65,7 @@ def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, contradict=False):
         rows["ge"].append(rng.normal(size=DIMS["ge"]) + 0.3 * risk)
         rows["text"].append(rng.normal(size=DIMS["text"]) + 0.8 * risk)
     return Cohort(ids=[f"s{i}" for i in range(n)], times=times, events=events,
+                  split=split_cohort(n, seed=split_seed),
                   modalities={m: Modality(np.stack(r), np.ones(n, dtype=bool))
                               for m, r in rows.items()},
                   teacher_probs=np.array(probs) if teacher else None,
@@ -160,8 +162,8 @@ def test_build_time_grid():
 # -------------------------------------------------------------- objective
 
 def test_total_loss_composition():
-    cohort = toy_cohort(20, teacher=False)
-    split = split_cohort(20, seed=1)
+    cohort = toy_cohort(20, teacher=False, split_seed=1)
+    split = cohort.split
     config = tiny_config(alpha=0.01, dropout=0.0)
     head = init_head(config, np.array([1.0]))
     data = _rows(cohort, split.train, config, head)
@@ -184,8 +186,8 @@ def test_total_loss_composition():
 
 
 def test_total_loss_rejects_non_finite():
-    cohort = toy_cohort(12, teacher=False)
-    split = split_cohort(12, seed=1)
+    cohort = toy_cohort(12, teacher=False, split_seed=1)
+    split = cohort.split
     config = tiny_config(dropout=0.0)
     head = init_head(config, np.array([1.0]))
     data = _rows(cohort, split.train, config, head)
@@ -223,10 +225,12 @@ def test_a_ge_training_loop_allocates_little_after_its_first_step(head):
     """At the pretraining batch size of 512, each step after the first
     allocates under a tenth of what the loop holds: the batch, activations,
     masks and gradients of a step live in the loop's workspace."""
-    cohort = toy_cohort(n=2100, teacher=False)
-    split = CohortSplit(train=np.arange(2048), val=np.arange(2048, 2100), test=np.arange(0))
+    cohort = replace(toy_cohort(n=2100, teacher=False),
+                     split=CohortSplit(train=np.arange(2048), val=np.arange(2048, 2100),
+                                       test=np.arange(0)))
     config = tiny_config(head=head, fusion="none", modalities=("ge",), head_layers=(64, 32),
-                         ae_hidden=(32,), latent_dim=8, dropout=0.1, epochs=1)
+                         ae_hidden=(32,), latent_dim=8, dropout=0.1, epochs=1,
+                         batch_size=512)
     marks = []  # (traced memory, peak since the last step) after each step
     step = training.adamw_step
 
@@ -238,7 +242,7 @@ def test_a_ge_training_loop_allocates_little_after_its_first_step(head):
     tracemalloc.start()
     try:
         with mock.patch.object(training, "adamw_step", marked):
-            training._train_loop(config, cohort, split, None, 512, 1, 1)
+            training._train_loop(config, cohort, None)
     finally:
         tracemalloc.stop()
     assert len(marks) == 4
@@ -249,21 +253,12 @@ def test_a_ge_training_loop_allocates_little_after_its_first_step(head):
 
 # ------------------------------------------------------------ training loop
 
-@pytest.mark.parametrize("part", ["train", "val"])
-def test_train_refuses_an_empty_split(part):
-    # a bundle written before ingest refused empty splits may carry one
-    cohort = toy_cohort(20, teacher=False)
-    split = replace(split_cohort(20, seed=1), **{part: np.array([], dtype=np.int64)})
-    with pytest.raises(ValueError, match=f"the {part} split is empty"):
-        train(tiny_config(), cohort, split)
-
-
 def test_train_reproducible_and_restores_best():
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
+    split = cohort.split
     config = tiny_config()
-    a = train(config, cohort, split)
-    b = train(config, cohort, split)
+    a = train(config, cohort)
+    b = train(config, cohort)
     assert a.val_trace == b.val_trace
     assert a.train_trace == b.train_trace
     pa, pb = model_params(a.model), model_params(b.model)
@@ -279,17 +274,16 @@ def test_train_reproducible_and_restores_best():
 
 def test_train_patience_zero_stops_after_one_epoch():
     cohort = toy_cohort(30)
-    split = split_cohort(30, seed=2)
-    result = train(tiny_config(epochs=5, patience=0), cohort, split)
+    result = train(tiny_config(epochs=5, patience=0), cohort)
     assert len(result.val_trace) == 1
     assert result.best_epoch == 1
 
 
 def test_train_coxph_skips_event_free_batches_and_fits_baseline():
-    cohort = toy_cohort(36, event_p=0.25, teacher=False)
-    split = split_cohort(36, seed=4)
+    cohort = toy_cohort(36, event_p=0.25, teacher=False, split_seed=4)
+    split = cohort.split
     config = tiny_config(head="coxph", batch_size=4, epochs=2)
-    result = train(config, cohort, split)
+    result = train(config, cohort)
     assert result.skipped_batches > 0
     assert isinstance(result.head, CoxHead)
     assert result.head.baseline is not None
@@ -301,12 +295,11 @@ def test_train_coxph_skips_event_free_batches_and_fits_baseline():
 
 def test_calibration_masking_counts():
     cohort = toy_cohort(40, contradict=True)
-    split = split_cohort(40, seed=2)
     percents, _ = finalize_teacher(cohort)
     masked = train_and_evaluate(tiny_config(calibration_correction=True, epochs=1),
-                                cohort, split)[1].masked_samples
+                                cohort)[1].masked_samples
     unmasked = train_and_evaluate(tiny_config(calibration_correction=False, epochs=1),
-                                  cohort, split)[1].masked_samples
+                                  cohort)[1].masked_samples
     assert unmasked == 0
     assert masked > 0
     assert masked <= 40
@@ -317,29 +310,28 @@ def test_calibration_masking_counts():
 
 def test_pretrain_heads_provides_warm_start():
     cohort = toy_cohort(30, teacher=False)
-    split = split_cohort(30, seed=2)
     config = tiny_config(pretrain_epochs=2, pretrain_patience=2,
                          pretrain_batch_size=16)
-    warm = pretrain_heads(config, cohort, split)
+    warm = pretrain_heads(config, cohort)
     assert any(k.startswith("head_cov.") for k in warm)
     assert any(k.startswith("head_ge.") for k in warm)
     assert any(k.startswith("enc.") for k in warm)
     assert any(k.startswith("dec.") for k in warm)
     assert not any(k.startswith("head_text") for k in warm)
-    result = train(config, cohort, split, warm_start=warm)
+    result = train(config, cohort, warm_start=warm)
     assert np.isfinite(result.val_trace).all()
     with pytest.raises(ValueError, match="injection"):
-        train(config, cohort, split, warm_start={"nonexistent.w0": np.zeros(2)})
+        train(config, cohort, warm_start={"nonexistent.w0": np.zeros(2)})
 
 
 # ------------------------------------------------------------- evaluation
 
 def test_evaluate_reports_all_channels():
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
+    split = cohort.split
     config = tiny_config()
-    result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config)[0]
+    result = train(config, cohort)
+    report = evaluate(result, cohort)[0]
     assert set(report.channels) == {"hidden", "verbalized", "combined"}
     for metrics in report.channels.values():
         assert 0.0 <= metrics.c_td <= 1.0
@@ -349,7 +341,7 @@ def test_evaluate_reports_all_channels():
     assert len(report.gates["inner"]) == config.n_bins
     # the grid search saw both endpoints, so the winner beats or ties them
     from survfuse.metrics import c_td as ctd
-    hidden_val = ctd(predict_curves(result, cohort, split.val, config),
+    hidden_val = ctd(predict_curves(result, cohort, split.val),
                      *outcome_arrays(cohort, split.val))
     assert report.lambda_val_ctd >= hidden_val
 
@@ -358,22 +350,22 @@ def test_evaluate_counts_floored_percents_per_split(monkeypatch):
     import survfuse.training as training_module
 
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
+    split = cohort.split
     config = tiny_config(epochs=1)
     percents, _ = finalize_teacher(cohort)
     percents[split.val[:1]] = 0.0
     percents[split.test[:3]] = 0.0
     percents[split.test[3:5]] = np.nan  # their verbalized curves are imputed
-    result = train(config, cohort, split)
+    result = train(config, cohort)
     # evaluate takes the teacher's percents from finalize_teacher
     monkeypatch.setattr(training_module, "finalize_teacher", lambda _: (percents, 0))
-    report = evaluate(result, cohort, split, config)[0]
+    report = evaluate(result, cohort)[0]
     assert report.floored_percents == {"val": 1, "test": 3}
     assert report.imputed_curves == 2
     # a 0 is scored as PERCENT_FLOOR: floored up front, only the counts change
     floored = np.where(percents == 0.0, PERCENT_FLOOR, percents)
     monkeypatch.setattr(training_module, "finalize_teacher", lambda _: (floored, 0))
-    again = evaluate(result, cohort, split, config)[0].to_dict()
+    again = evaluate(result, cohort)[0].to_dict()
     assert again == {**report.to_dict(), "floored_percents": {"val": 0, "test": 0}}
 
 
@@ -383,20 +375,18 @@ def test_evaluate_reports_clamped_values():
     # completed row is 0 at 3 and 5 years (non-increasing), and the final fit
     # clamps both, three values per sample
     cohort.teacher_probs[:3, 1] = 0.0
-    split = split_cohort(40, seed=2)
     config = tiny_config(epochs=1)
-    result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config)[0]
+    result = train(config, cohort)
+    report = evaluate(result, cohort)[0]
     assert report.clamped_values == finalize_teacher(cohort)[1] == 3 * (1 + 2)
     assert report.imputed_curves == 0
 
 
 def test_evaluate_without_teacher_reports_hidden_only():
     cohort = toy_cohort(40, teacher=False)
-    split = split_cohort(40, seed=2)
     config = tiny_config()
-    result = train(config, cohort, split)
-    report = evaluate(result, cohort, split, config)[0]
+    result = train(config, cohort)
+    report = evaluate(result, cohort)[0]
     assert set(report.channels) == {"hidden"}
     assert report.selected_lambda is None
     assert report.lambda_val_ctd is None
@@ -417,13 +407,12 @@ def test_verbalized_channel_imputes_the_mean_of_present_curves():
 
 def test_train_and_evaluate_deterministic_report():
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
     config = tiny_config()
-    result, rep_a = train_and_evaluate(config, cohort, split)
-    rep_b = train_and_evaluate(config, cohort, split)[1]
+    result, rep_a = train_and_evaluate(config, cohort)
+    rep_b = train_and_evaluate(config, cohort)[1]
     assert rep_a.to_dict() == rep_b.to_dict()
     # the trained model it hands back re-evaluates to the same report
-    assert evaluate(result, cohort, split, config)[0].to_dict() == rep_a.to_dict()
+    assert evaluate(result, cohort)[0].to_dict() == rep_a.to_dict()
 
 
 def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypatch):
@@ -432,19 +421,18 @@ def test_train_and_evaluate_pretrains_late_fusion_of_several_modalities(monkeypa
     calls = []
     original = training_module.pretrain_heads
 
-    def counting(config, cohort, split):
+    def counting(config, cohort):
         calls.append((config.fusion, config.modalities))
-        return original(config, cohort, split)
+        return original(config, cohort)
 
     monkeypatch.setattr(training_module, "pretrain_heads", counting)
     cohort = toy_cohort(30)
-    split = split_cohort(30, seed=2)
     short = dict(epochs=1, pretrain_epochs=1, pretrain_patience=1)
     for config in (tiny_config(**short),
                    tiny_config(pretrain=True, fusion="early", **short),
                    tiny_config(pretrain=True, modalities=("ge",), **short),
                    tiny_config(pretrain=True, modalities=("text", "cov"), **short)):
-        train_and_evaluate(config, cohort, split)
+        train_and_evaluate(config, cohort)
     assert calls == [("late", ("text", "cov"))]
 
 
@@ -460,10 +448,10 @@ def test_coxph_pretraining_run_fits_one_breslow_baseline(monkeypatch):
 
     monkeypatch.setattr(heads_module, "breslow_baseline", counting)
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
+    split = cohort.split
     config = tiny_config(head="coxph", pretrain=True, epochs=1, pretrain_batch_size=16,
                          pretrain_epochs=2, pretrain_patience=2)
-    result, _ = train_and_evaluate(config, cohort, split)
+    result, _ = train_and_evaluate(config, cohort)
     assert calls == [split.train.size + split.val.size]
     assert result.head.baseline is not None
 
@@ -474,19 +462,19 @@ def test_quantile_grid_with_merged_edges_trains_checkpoints_and_evaluates(tmp_pa
     cohort = toy_cohort(40)
     cohort.times[::2] = 5.0  # censored at the horizon, 20 of 40
     cohort.events[::2] = False
-    split = split_cohort(40, seed=2)
+    split = cohort.split
     config = tiny_config(grid="quantile", n_bins=6)
-    result = train(config, cohort, split)
+    result = train(config, cohort)
     width = result.head.grid.n_bins
     assert width < config.n_bins
     assert all(mlp.out_dim == width for mlp in result.model.heads.values())
     assert result.model.gates.inner_logit.shape == (width,)
     path = str(tmp_path / "quantile.svck")
-    save_checkpoint(path, result, config)
-    loaded, cfg = load_checkpoint(path)
+    save_checkpoint(path, result)
+    loaded = load_checkpoint(path)
     assert np.array_equal(loaded.head.grid.edges, result.head.grid.edges)
-    report, curves = evaluate(loaded, cohort, split, cfg)
-    assert report.to_dict() == evaluate(result, cohort, split, config)[0].to_dict()
+    report, curves = evaluate(loaded, cohort)
+    assert report.to_dict() == evaluate(result, cohort)[0].to_dict()
     assert curves.whole().shape == (split.test.size, width + 1)
 
 
@@ -494,15 +482,15 @@ def test_quantile_grid_with_merged_edges_trains_checkpoints_and_evaluates(tmp_pa
 
 def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
+    split = cohort.split
     for config in (tiny_config(), tiny_config(head="coxph")):
-        result = train(config, cohort, split)
+        result = train(config, cohort)
         path = str(tmp_path / f"{config.head}.svck")
-        save_checkpoint(path, result, config)
-        loaded, cfg = load_checkpoint(path)
-        assert cfg == config
-        orig = predict_curves(result, cohort, split.test, config)
-        redo = predict_curves(loaded, cohort, split.test, cfg)
+        save_checkpoint(path, result)
+        loaded = load_checkpoint(path)
+        assert loaded.config == config
+        orig = predict_curves(result, cohort, split.test)
+        redo = predict_curves(loaded, cohort, split.test)
         assert np.array_equal(orig.times, redo.times)
         assert np.array_equal(orig.whole(), redo.whole())
         assert loaded.best_epoch == result.best_epoch
@@ -510,11 +498,10 @@ def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
 
 def test_checkpoint_rejects_mismatched_tensors(tmp_path):
     cohort = toy_cohort(30, teacher=False)
-    split = split_cohort(30, seed=2)
     config = tiny_config(epochs=1)
-    result = train(config, cohort, split)
+    result = train(config, cohort)
     path = str(tmp_path / "full.svck")
-    save_checkpoint(path, result, config)
+    save_checkpoint(path, result)
     tensors, manifest = read_checkpoint(path)
     tensors.pop(sorted(tensors)[0])
     clipped = str(tmp_path / "clipped.svck")
@@ -525,11 +512,10 @@ def test_checkpoint_rejects_mismatched_tensors(tmp_path):
 
 def test_load_checkpoint_rejects_a_reshaped_tensor(tmp_path):
     cohort = toy_cohort(30, teacher=False)
-    split = split_cohort(30, seed=2)
     config = tiny_config(epochs=1)
-    result = train(config, cohort, split)
+    result = train(config, cohort)
     path = str(tmp_path / "full.svck")
-    save_checkpoint(path, result, config)
+    save_checkpoint(path, result)
     tensors, manifest = read_checkpoint(path)
     w = tensors["head_text.w0"]  # (6, 8): same size, transposed shape
     tensors["head_text.w0"] = w.reshape(w.shape[::-1])
@@ -541,11 +527,10 @@ def test_load_checkpoint_rejects_a_reshaped_tensor(tmp_path):
 
 def test_load_checkpoint_rejects_config_keys_it_does_not_know(tmp_path):
     cohort = toy_cohort(30, teacher=False)
-    split = split_cohort(30, seed=2)
     config = tiny_config(epochs=1)
-    result = train(config, cohort, split)
+    result = train(config, cohort)
     path = str(tmp_path / "full.svck")
-    save_checkpoint(path, result, config)
+    save_checkpoint(path, result)
     tensors, manifest = read_checkpoint(path)
     # a checkpoint written while the text-loss keys still existed
     manifest["config"].update(beta=1.0, text_loss_w=2.0)
@@ -589,10 +574,10 @@ def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modaliti
                        latent_dim=3, ae_dropout=config.ae_dropout)
     # the copy: the model rebuilt from a checkpoint of it
     path = str(tmp_path / "init.svck")
-    save_checkpoint(path, TrainResult(model=model, head=fitted, train_trace=[],
-                                      val_trace=[], best_epoch=0, skipped_batches=0,
-                                      dims=DIMS), config)
-    clone = load_checkpoint(path)[0].model
+    save_checkpoint(path, TrainResult(config=config, model=model, head=fitted,
+                                      train_trace=[], val_trace=[], best_epoch=0,
+                                      skipped_batches=0, dims=DIMS))
+    clone = load_checkpoint(path).model
     assert np.array_equal(clone.flat, model.flat)
     assert not np.shares_memory(clone.flat, model.flat)
     before = clone.flat.copy()
@@ -603,14 +588,13 @@ def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modaliti
 
 def test_checkpoint_and_pretraining_keep_params_as_views_of_one_vector(tmp_path):
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
     config = tiny_config(head="coxph", pretrain=True, pretrain_batch_size=16,
                          pretrain_epochs=2, pretrain_patience=2)
-    warm = pretrain_heads(config, cohort, split)
-    result = train(config, cohort, split, warm_start=warm)
+    warm = pretrain_heads(config, cohort)
+    result = train(config, cohort, warm_start=warm)
     path = str(tmp_path / "cox.svck")
-    save_checkpoint(path, result, config)
-    loaded, _ = load_checkpoint(path)
+    save_checkpoint(path, result)
+    loaded = load_checkpoint(path)
     assert np.array_equal(loaded.model.flat, result.model.flat)
     assert_params_view_flat(loaded.model)
     assert_params_view_flat(result.model)
@@ -620,14 +604,13 @@ def test_checkpoint_and_pretraining_keep_params_as_views_of_one_vector(tmp_path)
 
 def test_suite_isolates_failures_and_renders_table():
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
     good = tiny_config(epochs=1)
     # cov-only config fails: the toy samples lack a 'cov' file? they have cov;
     # force failure through a modality the cohort cannot supply
     cohort.modalities["ge"].present[:] = False
     bad = tiny_config(fusion="none", modalities=("ge",), epochs=1)
     good = tiny_config(modalities=("text", "cov"), epochs=1)
-    reports = run_experiment_suite([("good", good), ("bad", bad)], cohort, split)
+    reports = run_experiment_suite([("good", good), ("bad", bad)], cohort)
     assert not isinstance(reports["good"], str)
     assert isinstance(reports["bad"], str) and reports["bad"].startswith("failed:")
     table = report_table(reports)
@@ -651,13 +634,12 @@ def test_suite_finalizes_teacher_once_per_config(monkeypatch):
 
     monkeypatch.setattr(distill_module, "finalize_probs", counting)
     cohort = toy_cohort(40)
-    split = split_cohort(40, seed=2)
     configs = [("a", tiny_config(epochs=1)), ("b", tiny_config(epochs=1, seed=8))]
-    reports = run_experiment_suite(configs, cohort, split)
+    reports = run_experiment_suite(configs, cohort)
     assert calls == [40, 40]
     assert all(not isinstance(rep, str) for rep in reports.values())
     # a standalone run finalizes the same way, and reports what the suite reported
-    assert train_and_evaluate(configs[0][1], cohort, split)[1].to_dict() == reports["a"].to_dict()
+    assert train_and_evaluate(configs[0][1], cohort)[1].to_dict() == reports["a"].to_dict()
     assert calls == [40, 40, 40]
 
 
@@ -669,8 +651,7 @@ def test_suite_reports_finalize_failure_per_run(monkeypatch):
 
     monkeypatch.setattr(distill_module, "finalize_probs", broken)
     cohort = toy_cohort(20)
-    split = split_cohort(20, seed=2)
     reports = run_experiment_suite([("a", tiny_config(epochs=1)),
-                                    ("b", tiny_config(epochs=1))], cohort, split)
+                                    ("b", tiny_config(epochs=1))], cohort)
     assert reports == {"a": "failed: ValueError: no horizon means",
                        "b": "failed: ValueError: no horizon means"}
