@@ -235,7 +235,10 @@ def _cmd_suite(args, started: float) -> int:
         raise UsageError(f"no *.cfg files under {args.configs}")
     named = [(os.path.splitext(os.path.basename(p))[0],
               training.load_run_config(p)) for p in paths]
-    reports = training.run_experiment_suite(named, load_bundle(args.bundle))
+    workers = training.suite_workers(len(named))
+    log.info("suite: %d configurations on %d worker processes", len(named), workers)
+    timings: dict[str, float] = {}
+    reports = training.run_experiment_suite(named, load_bundle(args.bundle), timings)
 
     os.makedirs(args.out, exist_ok=True)
     payload = {name: (rep if isinstance(rep, str) else rep.to_dict())
@@ -250,7 +253,9 @@ def _cmd_suite(args, started: float) -> int:
             _warn_counts(f"suite {name}", _report_counts(rep))
     seeds = {name: cfg.seed for name, cfg in named}
     _write_manifest(args.out, "suite", started, seeds=seeds,
-                    inputs={"configs": args.configs, "bundle": args.bundle})
+                    inputs={"configs": args.configs, "bundle": args.bundle},
+                    timings={f"config.{name}": s for name, s in timings.items()},
+                    extra={"workers": workers})
     failures = sum(1 for rep in reports.values() if isinstance(rep, str))
     if failures:
         log.warning("%d of %d runs failed", failures, len(reports))

@@ -588,7 +588,7 @@ def load_bundle(bundle_dir: str) -> Cohort:
 
 def _read_split(meta_path: str, stored, ids: list[str]) -> CohortSplit:
     """The rows of a bundle's split: a non-empty train, val and test list of
-    `ids` that name each id at most once (else an error naming `meta_path`)."""
+    `ids` that name each id exactly once (else an error naming `meta_path`)."""
     parts = tuple(CohortSplit.__dataclass_fields__)
     if not (isinstance(stored, dict) and sorted(stored) == sorted(parts)
             and all(isinstance(stored[part], list) and stored[part] for part in parts)):
@@ -601,8 +601,13 @@ def _read_split(meta_path: str, stored, ids: list[str]) -> CohortSplit:
         raise ValueError(f"{meta_path}: split names unknown ids {unknown[:5]}; {_REINGEST}")
     split = CohortSplit(**{part: np.array([index[sid] for sid in stored[part]], dtype=np.int64)
                            for part in parts})
-    repeated = np.flatnonzero(np.bincount(np.concatenate(list(vars(split).values()))) > 1)
+    named = np.bincount(np.concatenate(list(vars(split).values())), minlength=len(ids))
+    repeated = np.flatnonzero(named > 1)
     if repeated.size:
         raise ValueError(f"{meta_path}: split names id {ids[repeated[0]]!r} more than once; "
                          f"{_REINGEST}")
+    left_out = np.flatnonzero(named == 0)
+    if left_out.size:
+        raise ValueError(f"{meta_path}: split leaves id {ids[left_out[0]]!r} out of every "
+                         f"part; {_REINGEST}")
     return split

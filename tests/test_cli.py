@@ -6,6 +6,8 @@ observable without spawning interpreters.
 
 import hashlib
 import json
+import logging
+import multiprocessing
 import os
 import shutil
 
@@ -720,6 +722,67 @@ def test_suite_requires_configs(tmp_path, pipeline, capsys):
     assert "no *.cfg" in capsys.readouterr().err
 
 
+COV_ONLY_CFG = ("head=discrete\nfusion=none\nmodalities=cov\nn_bins=5\nepochs=2\n"
+                "patience=1\nbatch_size=16\nhead_layers=8\nseed=5\n")
+
+
+def suite_configs(root):
+    """A directory of three configurations for `suite`."""
+    cfg_dir = root / "cfgs"
+    cfg_dir.mkdir()
+    write(cfg_dir / "late.cfg", TRAIN_CFG)
+    write(cfg_dir / "early.cfg", TRAIN_CFG.replace("fusion=late", "fusion=early"))
+    write(cfg_dir / "cov_only.cfg", COV_ONLY_CFG)
+    return str(cfg_dir)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="suite workers are forked")
+
+
+@needs_fork
+def test_suite_writes_the_same_reports_on_one_cpu_and_on_two(pipeline, tmp_path, monkeypatch,
+                                                             caplog):
+    configs = suite_configs(tmp_path)
+    caplog.set_level(logging.INFO, logger="survfuse")
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["suite", "--configs", configs, "--bundle", pipeline["bundle"],
+                     "--out", str(out)]) == 0
+        assert f"suite: 3 configurations on {cpus} worker processes" in caplog.messages
+        manifest = read_json(out / "manifest.json")
+        assert manifest["workers"] == cpus
+        assert sorted(manifest["timings"]) == ["config.cov_only", "config.early",
+                                               "config.late", "total"]
+    for name in ("reports.json", "table.txt"):
+        assert (tmp_path / "cpus1" / name).read_bytes() == (tmp_path / "cpus2" / name).read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_suite_worker_that_dies_fails_the_suite(pipeline, tmp_path, monkeypatch, capsys):
+    from survfuse import training
+
+    original = training.train_and_evaluate
+
+    def dying(config, cohort):
+        if config.seed == 5:  # cov_only
+            os._exit(3)
+        return original(config, cohort)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(training, "train_and_evaluate", dying)
+    out = tmp_path / "suite"
+    assert main(["suite", "--configs", suite_configs(tmp_path), "--bundle", pipeline["bundle"],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "survfuse: RuntimeError: suite: " in err and "cov_only" in err
+    assert "did not finish" in err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 def test_pool_roundtrip(pipeline, tmp_path):
     out = str(tmp_path / "pooled.svpv")
     assert main(["pool", "--hidden",
@@ -769,6 +832,7 @@ SPLIT_EDITS = {
     "id not a string": lambda meta: meta["split"]["test"].append(7),
     "id twice in a part": lambda meta: meta["split"]["test"].append(meta["split"]["test"][0]),
     "test id also in train": lambda meta: meta["split"]["test"].append(meta["split"]["train"][0]),
+    "id in no part": lambda meta: meta["split"]["test"].pop(),
     "id not a string in ids": lambda meta: meta["ids"].__setitem__(0, ["s0"]),
     "id repeated in ids": lambda meta: meta["ids"].__setitem__(1, meta["ids"][0]),
 }

@@ -2,6 +2,12 @@
 evaluation channels, checkpoints, and experiment suites."""
 
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -622,25 +628,159 @@ def test_suite_isolates_failures_and_renders_table():
     assert len(lines) >= 4
 
 
-def test_suite_finalizes_teacher_once_per_config(monkeypatch):
+def test_suite_finalizes_teacher_once_per_config(monkeypatch, tmp_path):
     import survfuse.distill as distill_module
 
-    calls = []
+    # one line per call in a file, not a list, so that calls made in forked
+    # suite workers are counted too
+    log = tmp_path / "calls.txt"
     original = distill_module.finalize_probs
 
     def counting(probs):
-        calls.append(len(probs))
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(probs)}\n")
         return original(probs)
+
+    def calls():
+        return [int(line) for line in log.read_text(encoding="utf-8").split()]
 
     monkeypatch.setattr(distill_module, "finalize_probs", counting)
     cohort = toy_cohort(40)
     configs = [("a", tiny_config(epochs=1)), ("b", tiny_config(epochs=1, seed=8))]
     reports = run_experiment_suite(configs, cohort)
-    assert calls == [40, 40]
+    assert calls() == [40, 40]
     assert all(not isinstance(rep, str) for rep in reports.values())
     # a standalone run finalizes the same way, and reports what the suite reported
     assert train_and_evaluate(configs[0][1], cohort)[1].to_dict() == reports["a"].to_dict()
-    assert calls == [40, 40, 40]
+    assert calls() == [40, 40, 40]
+
+
+def fake_cpus(monkeypatch, n):
+    """Make the process's CPU set (its affinity) look like n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="suite workers are forked")
+
+
+@needs_fork
+def test_suite_workers_follow_the_cpu_set_and_the_platform(monkeypatch):
+    fake_cpus(monkeypatch, 4)
+    assert training.suite_workers(5) == 4
+    assert training.suite_workers(3) == 3
+    fake_cpus(monkeypatch, 1)
+    assert training.suite_workers(5) == 1
+    fake_cpus(monkeypatch, 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert training.suite_workers(5) == 1
+
+
+@needs_fork
+def test_suite_reports_the_same_on_one_cpu_and_on_two(monkeypatch):
+    cohort = toy_cohort(40)
+    configs = [("a", tiny_config(epochs=2)), ("b", tiny_config(epochs=2, seed=8)),
+               ("c", tiny_config(fusion="early", epochs=2, seed=9))]
+    runs = []
+    for cpus in (1, 2):
+        fake_cpus(monkeypatch, cpus)
+        reports = run_experiment_suite(configs, cohort)
+        assert list(reports) == ["a", "b", "c"]
+        runs.append({name: rep.to_dict() for name, rep in reports.items()})
+    assert runs[0] == runs[1]
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus, in_process", [(1, True), (2, False)])
+def test_suite_runs_in_process_on_one_cpu_and_in_workers_on_two(monkeypatch, tmp_path,
+                                                                  cpus, in_process):
+    fake_cpus(monkeypatch, cpus)
+    pids = tmp_path / "pids.txt"
+    original = training.train_and_evaluate
+
+    def recording(config, cohort):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(config, cohort)
+
+    monkeypatch.setattr(training, "train_and_evaluate", recording)
+    timings = {}
+    run_experiment_suite([("a", tiny_config(epochs=1)), ("b", tiny_config(epochs=1, seed=8))],
+                         toy_cohort(40), timings)
+    ran_in = set(pids.read_text(encoding="utf-8").split())
+    # either worker may take both configurations, but the parent takes none
+    assert (ran_in == {str(os.getpid())}) if in_process else str(os.getpid()) not in ran_in
+    assert sorted(timings) == ["a", "b"] and all(seconds > 0 for seconds in timings.values())
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_configuration_that_raises_is_its_own_failed_entry(monkeypatch, cpus):
+    fake_cpus(monkeypatch, cpus)
+    original = training.train_and_evaluate
+
+    def failing(config, cohort):
+        if config.seed == 8:
+            raise ValueError("bad config")
+        return original(config, cohort)
+
+    monkeypatch.setattr(training, "train_and_evaluate", failing)
+    reports = run_experiment_suite([("a", tiny_config(epochs=1)),
+                                    ("b", tiny_config(epochs=1, seed=8)),
+                                    ("c", tiny_config(epochs=1, seed=9))], toy_cohort(40))
+    assert reports["b"] == "failed: ValueError: bad config"
+    assert not isinstance(reports["a"], str) and not isinstance(reports["c"], str)
+
+
+STUCK_SUITE = """
+import os, sys, time
+from survfuse import training
+
+def stuck(config, cohort):
+    with open(sys.argv[1], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(60)
+
+training.train_and_evaluate = stuck
+os.sched_getaffinity = lambda pid: {0, 1}
+training.run_experiment_suite([("a", training.RunConfig()), ("b", training.RunConfig())], None)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux's")
+def test_suite_workers_die_with_a_killed_parent(tmp_path):
+    pids_path = tmp_path / "pids.txt"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(training.__file__))}
+    proc = subprocess.Popen([sys.executable, "-c", STUCK_SUITE, str(pids_path)], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            if pids_path.exists():
+                pids = [int(line) for line in pids_path.read_text(encoding="utf-8").split()]
+        assert len(pids) == 2, "the workers did not start"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids)), "a worker outlived its killed parent"
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_suite_reports_finalize_failure_per_run(monkeypatch):
