@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .distill import VERBALIZED_HORIZON
 from .formats import id_rows
 from .heads import CurveSet
 from .metrics import BLOCK_ELEMENTS, c_td_many
@@ -13,7 +14,7 @@ DEFAULT_LAMBDA_GRID = tuple(k / 20.0 for k in range(21))
 
 
 def verbalized_rates(percents) -> np.ndarray:
-    """The rate rho = -ln(percent/100)/3 of each 3-year verbalized
+    """The rate rho = -ln(percent/100)/VERBALIZED_HORIZON of each verbalized
     probability, NaN where the percent is absent (None or NaN), computed
     once per set of curves. A percent of 0 is raised to PERCENT_FLOOR before
     the log, only here (a caller that reports it counts the zeros); one
@@ -22,7 +23,7 @@ def verbalized_rates(percents) -> np.ndarray:
     bad = percents[(percents < 0) | (percents > 100)]
     if bad.size:
         raise ValueError(f"percent {bad[0]:g} outside [0, 100]")
-    return -np.log(np.where(percents == 0, PERCENT_FLOOR, percents) / 100.0) / 3.0
+    return -np.log(np.where(percents == 0, PERCENT_FLOOR, percents) / 100.0) / VERBALIZED_HORIZON
 
 
 def _exponential(rates, times) -> np.ndarray:

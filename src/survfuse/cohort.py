@@ -50,19 +50,6 @@ CLINICAL_FIELDS = ("age", "sex", "race", "stage", "cancer_type")
 
 
 @dataclass
-class Modality:
-    """One modality over the cohort: an (N, d) float64 matrix (NaN rows where
-    absent) and the (N,) mask of samples that carry it."""
-
-    values: np.ndarray
-    present: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int, width: int) -> "Modality":
-        return cls(values=np.full((n, width), np.nan), present=np.zeros(n, dtype=bool))
-
-
-@dataclass
 class CohortSplit:
     train: np.ndarray
     val: np.ndarray
@@ -72,8 +59,9 @@ class CohortSplit:
 @dataclass
 class Cohort:
     """Samples as columns: ids, outcomes, the split ingest drew (row indices;
-    clinical covariates are encoded with its training rows' statistics), a
-    `Modality` per available input, and the teacher's extracted (N, 3)
+    clinical covariates are encoded with its training rows' statistics), an
+    (N, d) float64 matrix per available input, whose row is all NaN exactly
+    where a sample lacks that input, and the teacher's extracted (N, 3)
     horizon probabilities (NaN where missing; None without a teacher file).
     """
 
@@ -81,7 +69,7 @@ class Cohort:
     times: np.ndarray
     events: np.ndarray
     split: CohortSplit
-    modalities: dict[str, Modality] = field(default_factory=dict)
+    modalities: dict[str, np.ndarray] = field(default_factory=dict)
     teacher_probs: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -91,11 +79,11 @@ class Cohort:
         self.events = np.asarray(self.events, dtype=bool)
         if self.times.shape != (n,) or self.events.shape != (n,):
             raise ValueError(f"times and events must have shape ({n},)")
-        for name, mod in self.modalities.items():
+        for name, values in self.modalities.items():
             if name not in MODALITY_ORDER:
                 raise ValueError(f"unknown modality {name!r}")
-            if mod.values.ndim != 2 or mod.values.shape[0] != n or mod.present.shape != (n,):
-                raise ValueError(f"{name} matrix and mask must have {n} rows")
+            if values.ndim != 2 or values.shape[0] != n:
+                raise ValueError(f"{name} matrix must have {n} rows")
         if self.teacher_probs is not None and self.teacher_probs.shape != (n, len(HORIZONS)):
             raise ValueError(f"teacher probabilities must have shape ({n}, {len(HORIZONS)})")
 
@@ -223,13 +211,14 @@ def _parse_numeric_table(path: str, missing_to_zero: bool) -> tuple[list[str], n
     return ids, values
 
 
-def _parse_clinical_table(path: str,
-                          allow_other: bool) -> tuple[dict[str, dict[str, object]], set[str]]:
-    """Clinical rows keyed by id, plus ids excluded for a missing field.
+def _parse_clinical_table(path: str, allow_other: bool
+                          ) -> tuple[tuple[list[str], dict[str, tuple]], set[str]]:
+    """The kept clinical rows as (keys, columns by field), plus the ids
+    excluded for a missing field.
 
-    A kept row holds its age as a finite float, its stage code and its
-    cancer family (`cancer_family`), sex and race as given; a cell that does
-    not parse is an error naming the file, id, line and column.
+    A kept row's age is a finite float, its stage a code and its cancer
+    type a family (`cancer_family`); sex and race stay as given. A cell
+    that does not parse is an error naming the file, id, line and column.
     """
     header, rows, lines = formats.read_csv_table(path)
     for col in ("id",) + CLINICAL_FIELDS:
@@ -237,25 +226,25 @@ def _parse_clinical_table(path: str,
             raise ValueError(f"{path}: covariates file missing column {col!r}")
     parsers = {"age": _age, "sex": str, "race": str, "stage": _stage_code,
                "cancer_type": lambda label: cancer_family(label, allow_other)}
-    out: dict[str, dict[str, object]] = {}
+    kept: dict[str, list] = {}
     excluded: set[str] = set()
     for lineno, row in zip(lines, rows):
         sid = row["id"]
-        if sid in out or sid in excluded:
+        if sid in kept or sid in excluded:
             raise ValueError(f"{path}: duplicate covariate id {sid!r} (line {lineno})")
         cells = {c: row[c].strip() for c in CLINICAL_FIELDS}
         if "" in cells.values():
             excluded.add(sid)
             continue
-        parsed = {}
+        parsed = []
         for col, parse in parsers.items():
             try:
-                parsed[col] = parse(cells[col])
+                parsed.append(parse(cells[col]))
             except ValueError as exc:
                 raise ValueError(f"{path} id {sid!r} (line {lineno}): "
                                  f"column {col!r}: {exc}") from exc
-        out[sid] = parsed
-    return out, excluded
+        kept[sid] = parsed
+    return (list(kept), dict(zip(parsers, zip(*kept.values())))), excluded
 
 
 def _age(label: str) -> float:
@@ -284,15 +273,20 @@ def _stage_code(label: str) -> float:
     return _STAGE_CODES[norm]
 
 
-def _modality(table: tuple[list[str], np.ndarray] | None, ids: list[str]) -> Modality | None:
-    """The rows of a (keys, matrix) table in cohort order (None for no or an empty table)."""
+def _modality(path: str, table: tuple[list[str], np.ndarray] | None,
+              ids: list[str]) -> np.ndarray | None:
+    """The rows of `path`'s (keys, matrix) table in cohort order, a NaN row
+    for each id it lacks (None for no or an empty table). A table without a
+    column is an error naming `path`: no row of it could mark absence."""
     if table is None or not table[0]:
         return None
     keys, values = table
+    if not values.shape[1]:
+        raise ValueError(f"{path}: no values per sample (a modality needs at least one column)")
     rows = formats.id_rows(keys, ids)
-    mod = Modality(values=np.full((len(ids), values.shape[1]), np.nan), present=rows >= 0)
-    mod.values[mod.present] = values[rows[mod.present]]
-    return mod
+    out = np.full((len(ids), values.shape[1]), np.nan)
+    out[rows >= 0] = values[rows[rows >= 0]]
+    return out
 
 
 def load_cohort(config: IngestConfig, config_path: str,
@@ -302,20 +296,21 @@ def load_cohort(config: IngestConfig, config_path: str,
     it), and how many samples' token states were pooled.
 
     One row per outcome in file order, less clinical rows with a missing
-    field, censored at `horizon`; clinical fields are encoded with the
-    training split's statistics, and samples without a pooled vector get the
-    attention pool of their token states. The time spent is added to
-    `timings` under "read" and "pool".
+    field, censored at `horizon`; `_modality` aligns each sample-keyed table
+    to those rows (clinical fields encoded with the training split's
+    statistics first), and samples without a pooled vector get the attention
+    pool of their token states. The time spent is added to `timings` under
+    "read" and "pool".
     """
     paths = config.input_paths(config_path)
     clinical = config.schema == "clinical"
     with stage(timings, "read"):
         ids, times, events = read_outcomes(paths["outcomes"])
-        cov_numeric, cov_clinical, excluded = None, {}, set()
+        cov, excluded = None, set()
         if "covariates" in paths and clinical:
-            cov_clinical, excluded = _parse_clinical_table(paths["covariates"], config.allow_other)
+            cov, excluded = _parse_clinical_table(paths["covariates"], config.allow_other)
         elif "covariates" in paths:
-            cov_numeric = _parse_numeric_table(paths["covariates"], missing_to_zero=False)
+            cov = _parse_numeric_table(paths["covariates"], missing_to_zero=False)
         ge = _parse_numeric_table(paths["ge"], missing_to_zero=True) if "ge" in paths else None
         hidden = formats.read_hidden_states(paths["hidden"]) if "hidden" in paths else {}
         pooled = formats.read_pooled(paths["pooled"]) if "pooled" in paths else {}
@@ -346,50 +341,50 @@ def load_cohort(config: IngestConfig, config_path: str,
         meta = {"schema": config.schema, "n_samples": len(ids),
                 "excluded_missing_critical": len(excluded), "horizon_years": config.horizon,
                 "allow_other_family": config.allow_other}
-        cov = _modality(cov_numeric, ids)
         if clinical:
-            cov, encoding = _clinical_modality([cov_clinical.get(sid) for sid in ids], split.train)
+            cov, encoding = _clinical_modality(cov, [ids[i] for i in split.train])
             meta.update(encoding)
-        teacher_mod = _modality((teacher.ids, teacher.probs) if teacher is not None else None,
-                                ids)
+        text = (list(pooled), np.stack(list(pooled.values()))) if pooled else None
+        modalities = {"text": _modality(paths.get("pooled"), text, ids),
+                      "cov": _modality(paths.get("covariates"), cov, ids),
+                      "ge": _modality(paths.get("ge"), ge, ids)}
+        # a teacher file that names no sample of the cohort adds nothing
+        teacher_probs = (_modality(paths["teacher"], (teacher.ids, teacher.probs), ids)
+                         if teacher is not None and not set(teacher.ids).isdisjoint(ids)
+                         else None)
     with stage(timings, "pool"):
-        text, n_pooled = _pool_text(ids, pooled, hidden)
-    modalities = {name: mod for name, mod in (("text", text), ("cov", cov),
-                                              ("ge", _modality(ge, ids)))
-                  if mod is not None}
-    teacher_probs = (teacher_mod.values
-                     if teacher_mod is not None and teacher_mod.present.any() else None)
-    cohort = Cohort(ids=ids, times=times, events=events, split=split, modalities=modalities,
+        modalities["text"], n_pooled = _pool_text(modalities["text"], ids, hidden)
+    cohort = Cohort(ids=ids, times=times, events=events, split=split,
+                    modalities={name: values for name, values in modalities.items()
+                                if values is not None},
                     teacher_probs=teacher_probs, metadata=meta)
     return cohort, n_pooled
 
 
-def _pool_text(ids: list[str], pooled: dict[str, np.ndarray],
-               hidden: dict[str, np.ndarray]) -> tuple[Modality | None, int]:
-    """The text modality over `ids`: each sample's pooled vector, else the
-    attention pool of its token states (None without either); and how many
-    rows were pooled here."""
-    text = _modality((list(pooled), np.stack(list(pooled.values()))) if pooled else None, ids)
+def _pool_text(text: np.ndarray | None, ids: list[str],
+               hidden: dict[str, np.ndarray]) -> tuple[np.ndarray | None, int]:
+    """The text matrix over `ids` (None without a pooled file) with each NaN
+    row of a sample with token states filled, in place, with their attention
+    pool (None still without either); and how many rows were pooled here."""
     rows = [i for i, sid in enumerate(ids)
-            if sid in hidden and (text is None or not text.present[i])]
+            if sid in hidden and (text is None or np.isnan(text[i, 0]))]
     if not rows:
         return text, 0
     vectors = np.stack(pool_many([hidden[ids[i]] for i in rows]))
     if text is None:
-        text = Modality.empty(len(ids), vectors.shape[1])
-    elif text.values.shape[1] != vectors.shape[1]:
+        text = np.full((len(ids), vectors.shape[1]), np.nan)
+    elif text.shape[1] != vectors.shape[1]:
         raise ValueError(f"pooled token states have {vectors.shape[1]} dimensions, "
-                         f"the pooled vectors {text.values.shape[1]}")
-    text.values[rows] = vectors
-    text.present[rows] = True
+                         f"the pooled vectors {text.shape[1]}")
+    text[rows] = vectors
     return text, len(rows)
 
 
-def _clinical_modality(clinical: list[dict[str, object] | None],
-                       train_indices) -> tuple[Modality, dict]:
-    """The cov modality of `_parse_clinical_table`'s rows (one entry per
-    sample, None where absent), scaled with training statistics, and the
-    metadata describing the encoding.
+def _clinical_modality(table: tuple[list[str], dict[str, tuple]], train_ids: list[str]
+                       ) -> tuple[tuple[list[str], np.ndarray], dict]:
+    """The cov table (keys, (K, 11) matrix) of `_parse_clinical_table`'s
+    (keys, columns), scaled with the statistics of the rows of `train_ids`,
+    and the metadata describing the encoding.
 
     Layout: [age, sex, race, stage, 7-way cancer-family one-hot]. Age and
     stage are min-max scaled with training extrema (test values may leave
@@ -397,46 +392,30 @@ def _clinical_modality(clinical: list[dict[str, object] | None],
     majority taken over the training split, ties to the lexicographically
     smallest label.
     """
-    train_rows = [clinical[i] for i in train_indices if clinical[i] is not None]
-    if not train_rows:
+    keys, columns = table
+    train = formats.id_rows(train_ids, keys) >= 0
+    if not train.any():
         raise ValueError("no raw clinical rows in the training split")
+    cols = {name: np.array(values) for name, values in columns.items()}
 
-    ages = np.array([r["age"] for r in train_rows])
-    stages = np.array([r["stage"] for r in train_rows])
-
-    def majority(field_name: str) -> str:
-        values = sorted(r[field_name] for r in train_rows)
-        uniq, counts = np.unique(values, return_counts=True)
+    def majority(name: str) -> str:
+        uniq, counts = np.unique(cols[name][train], return_counts=True)
         return str(uniq[np.argmax(counts)])  # ties: first = lexicographic smallest
 
-    sex_ref = majority("sex")
-    race_ref = majority("race")
-    stats = {
-        "age_min": float(ages.min()), "age_max": float(ages.max()),
-        "stage_min": float(stages.min()), "stage_max": float(stages.max()),
-        "sex_majority": sex_ref, "race_majority": race_ref,
-    }
+    ages, stages = cols["age"][train], cols["stage"][train]
+    stats = {"age_min": float(ages.min()), "age_max": float(ages.max()),
+             "stage_min": float(stages.min()), "stage_max": float(stages.max()),
+             "sex_majority": majority("sex"), "race_majority": majority("race")}
 
-    def scale(x: float, lo: float, hi: float) -> float:
-        if hi == lo:
-            return 0.0
-        return (x - lo) / (hi - lo)
+    def scale(name: str) -> np.ndarray:
+        lo, hi = stats[f"{name}_min"], stats[f"{name}_max"]
+        return np.zeros(len(cols[name])) if hi == lo else (cols[name] - lo) / (hi - lo)
 
-    cov = Modality.empty(len(clinical), 4 + len(CANCER_FAMILIES))
-    for i, raw in enumerate(clinical):
-        if raw is None:
-            continue
-        onehot = [1.0 if raw["cancer_type"] == f else 0.0 for f in CANCER_FAMILIES]
-        cov.values[i] = [
-            scale(raw["age"], stats["age_min"], stats["age_max"]),
-            1.0 if raw["sex"] == sex_ref else 0.0,
-            1.0 if raw["race"] == race_ref else 0.0,
-            scale(raw["stage"], stats["stage_min"], stats["stage_max"]),
-            *onehot,
-        ]
-        cov.present[i] = True
+    matrix = np.column_stack([scale("age"), cols["sex"] == stats["sex_majority"],
+                              cols["race"] == stats["race_majority"], scale("stage"),
+                              cols["cancer_type"][:, None] == np.array(CANCER_FAMILIES)])
     layout = ["age", "sex", "race", "stage"] + [f"family_{f}" for f in CANCER_FAMILIES]
-    return cov, {"cov_layout": layout, **stats}
+    return (keys, matrix), {"cov_layout": layout, **stats}
 
 
 def split_cohort(n: int, ratios=(0.70, 0.10, 0.20), seed: int = 0) -> CohortSplit:
@@ -458,18 +437,19 @@ def outcome_arrays(cohort: Cohort, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def modality_matrix(cohort: Cohort, indices, modality: str) -> np.ndarray:
-    """One modality's rows for `indices`; every selected sample must carry it."""
+    """One modality's rows for `indices`; each selected sample must carry it (a row not NaN)."""
     indices = np.asarray(indices, dtype=np.int64)
-    mod = cohort.modalities.get(modality)
-    missing = indices if mod is None else indices[~mod.present[indices]]
-    if mod is None or missing.size:
+    values = cohort.modalities.get(modality)
+    missing = indices if values is None else indices[np.isnan(values[indices, 0])]
+    if values is None or missing.size:
         who = f"sample {cohort.ids[missing[0]]!r}" if missing.size else "the cohort"
         raise ValueError(f"{who} lacks {modality}")
-    return mod.values[indices]
+    return values[indices]
 
 
-# Bundle version 2: one .npy file per array and a meta.json written last.
-BUNDLE_VERSION = 2
+# Bundle version 3: one .npy file per array and a meta.json written last; a
+# modality is one matrix, all NaN in the rows of the samples that lack it.
+BUNDLE_VERSION = 3
 # On-disk dtype of each modality matrix. Text is stored in 32 bits, as the
 # pooled-vector files it comes from are, and widened to float64 on load.
 _MODALITY_DTYPES = {"text": "<f4", "cov": "<f8", "ge": "<f8"}
@@ -480,8 +460,8 @@ _REINGEST = "re-ingest the raw files with `survfuse ingest`"
 def _old_bundle_files(meta_path: str, keep: set[str]) -> list[str]:
     """Files the bundle described by an old meta.json holds beyond `keep`.
 
-    Version 1 claims its "files" entries and outcomes.csv, version 2 its
-    "arrays" entries as .npy files. Only plain file names are returned, so a
+    Version 1 claims its "files" entries and outcomes.csv, versions 2 and 3
+    their "arrays" entries as .npy files. Only plain file names are returned, so a
     meta.json cannot point outside its directory; an unreadable one claims
     nothing.
     """
@@ -495,7 +475,7 @@ def _old_bundle_files(meta_path: str, keep: set[str]) -> list[str]:
     names: list = []
     if meta.get("bundle_version") == 1 and isinstance(meta.get("files"), dict):
         names = ["outcomes.csv", *meta["files"].values()]
-    elif meta.get("bundle_version") == BUNDLE_VERSION and isinstance(meta.get("arrays"), list):
+    elif meta.get("bundle_version") in (2, 3) and isinstance(meta.get("arrays"), list):
         names = [f"{name}.npy" for name in meta["arrays"] if isinstance(name, str)]
     return [name for name in names
             if isinstance(name, str) and name not in keep and name not in ("", ".", "..")
@@ -503,7 +483,7 @@ def _old_bundle_files(meta_path: str, keep: set[str]) -> list[str]:
 
 
 def save_bundle(cohort: Cohort, out_dir: str) -> list[str]:
-    """Write a cohort as a version-2 bundle; float64 arrays round-trip bit-exactly.
+    """Write a cohort as a version-3 bundle; float64 arrays round-trip bit-exactly.
 
     Every file is written to a temporary name and renamed into place, and
     meta.json goes last (an old one is removed first), so an interrupted
@@ -516,10 +496,8 @@ def save_bundle(cohort: Cohort, out_dir: str) -> list[str]:
     meta_path = os.path.join(out_dir, formats.META)
     arrays = {"times": np.asarray(cohort.times, dtype="<f8"), "events": cohort.events}
     for name in MODALITY_ORDER:
-        mod = cohort.modalities.get(name)
-        if mod is not None:
-            arrays[name] = np.asarray(mod.values, dtype=_MODALITY_DTYPES[name])
-            arrays[f"{name}_present"] = mod.present
+        if name in cohort.modalities:
+            arrays[name] = np.asarray(cohort.modalities[name], dtype=_MODALITY_DTYPES[name])
     if cohort.teacher_probs is not None:
         arrays["teacher_probs"] = np.asarray(cohort.teacher_probs, dtype="<f8")
     written = [os.path.join(out_dir, f"{name}.npy") for name in arrays]
@@ -545,20 +523,10 @@ def save_bundle(cohort: Cohort, out_dir: str) -> list[str]:
     return written + [meta_path]
 
 
-def _expected_arrays(n: int, names: list[str]) -> dict[str, tuple[str, tuple]]:
-    """Array name -> (dtype, shape with None for any width) for a bundle of n rows."""
-    expected = {"times": ("<f8", (n,)), "events": ("|b1", (n,))}
-    for name in MODALITY_ORDER:
-        if name in names or f"{name}_present" in names:
-            expected[name] = (_MODALITY_DTYPES[name], (n, None))
-            expected[f"{name}_present"] = ("|b1", (n,))
-    if "teacher_probs" in names:
-        expected["teacher_probs"] = ("<f8", (n, len(HORIZONS)))
-    return expected
-
-
 def load_bundle(bundle_dir: str) -> Cohort:
-    """Read a version-2 bundle; every array and the split are checked against `meta.json`."""
+    """Read a version-3 bundle; every array and the split are checked against
+    `meta.json`, each modality row is all finite or all NaN, and each teacher
+    probability is NaN or in [0, 1] (else an error naming the file and id)."""
     meta = formats.read_meta(bundle_dir, "bundle_version", BUNDLE_VERSION, _REINGEST)
     meta_path = os.path.join(bundle_dir, formats.META)
     ids = meta.get("ids")
@@ -567,23 +535,51 @@ def load_bundle(bundle_dir: str) -> Cohort:
     names = meta.get("arrays")
     if not isinstance(names, list):
         raise ValueError(f"{meta_path}: no list of arrays")
-    expected = _expected_arrays(len(ids), names)
+    # array name -> (dtype, shape with None for any width)
+    n = len(ids)
+    expected = {"times": ("<f8", (n,)), "events": ("|b1", (n,)),
+                **{name: (_MODALITY_DTYPES[name], (n, None)) for name in MODALITY_ORDER
+                   if name in names}}
+    if "teacher_probs" in names:
+        expected["teacher_probs"] = ("<f8", (n, len(HORIZONS)))
     if sorted(names) != sorted(expected):
         raise ValueError(f"{meta_path}: arrays {sorted(names)}, expected {sorted(expected)}")
     split = _read_split(meta_path, meta.get("split"), ids)
     arrays = {name: formats.read_npy(os.path.join(bundle_dir, f"{name}.npy"), dtype, shape)
               for name, (dtype, shape) in expected.items()}
-    times = arrays["times"]
+    times, probs = arrays["times"], arrays.get("teacher_probs")
     bad = np.flatnonzero(~((times > 0) & (times < math.inf)))  # NaN fails too
     if bad.size:
         raise ValueError(f"{os.path.join(bundle_dir, 'times.npy')}: follow-up time must be "
                          f"positive and finite, got {times[bad[0]]} for id {ids[bad[0]]!r}")
-    modalities = {name: Modality(values=np.asarray(arrays[name], dtype=np.float64),
-                                 present=arrays[f"{name}_present"])
+    bad = np.argwhere((probs < 0) | (probs > 1)) if probs is not None else ()  # NaN passes
+    if len(bad):
+        raise ValueError(f"{os.path.join(bundle_dir, 'teacher_probs.npy')}: a teacher probability "
+                         f"must be NaN or lie in [0, 1], got {probs[tuple(bad[0])]} for id "
+                         f"{ids[bad[0][0]]!r}")
+    modalities = {name: np.asarray(arrays[name], dtype=np.float64)
                   for name in MODALITY_ORDER if name in arrays}
+    for name, values in modalities.items():
+        _check_rows(os.path.join(bundle_dir, f"{name}.npy"), values, ids)
     return Cohort(ids=ids, times=times, events=arrays["events"], split=split,
-                  modalities=modalities, teacher_probs=arrays.get("teacher_probs"),
+                  modalities=modalities, teacher_probs=probs,
                   metadata=meta["metadata"])
+
+
+def _check_rows(path: str, values: np.ndarray, ids: list[str]) -> None:
+    """Refuse a matrix without columns, and a row that is neither all finite
+    nor all NaN, naming `path` and the row's id; blocks of about 2**16
+    values keep the temporaries small."""
+    width = values.shape[1]
+    if not width:
+        raise ValueError(f"{path}: no columns, so no row can mark a sample that lacks it")
+    step = max(1, (1 << 16) // width)
+    for start in range(0, len(values), step):
+        block = values[start:start + step]
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1) & ~np.isnan(block).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{path}: the row of id {ids[start + bad[0]]!r} must be all "
+                             f"finite, or all NaN where the sample lacks this input")
 
 
 def _read_split(meta_path: str, stored, ids: list[str]) -> CohortSplit:

@@ -15,7 +15,8 @@ VPROB_OPEN = "«VPROB»"
 VPROB_CLOSE = "«END_VPROB»"
 S_FLOOR = 1e-6
 HORIZONS = (1.0, 3.0, 5.0)
-_RESPONSE_KEYS = ("y1", "y3", "y5")  # a teacher row's response to each horizon
+RESPONSE_KEYS = tuple(f"y{h:g}" for h in HORIZONS)  # a teacher row's keys: "y1", "y3", "y5"
+VERBALIZED_HORIZON = HORIZONS[1]  # the teacher's one-number estimate is at 3 years
 
 # a number, optionally followed by whitespace and a percent sign
 _NUMBER_RE = re.compile(r"(\d+(?:\.\d+)?|\.\d+)(\s*%)?")
@@ -233,7 +234,7 @@ def weighted_text_loss_grad(token_nlls, vprob_mask, num_mask,
     return float(grad @ nll), grad
 
 
-def calibration_mask(percent, time, event, horizon: float = 3.0,
+def calibration_mask(percent, time, event, horizon: float = VERBALIZED_HORIZON,
                      threshold: float = 50.0):
     """Whether a sample's text loss stays in the objective.
 
@@ -282,7 +283,7 @@ def parse_teacher_file(path) -> TeacherTable:
         if not isinstance(row.get("explanation", ""), str):
             raise ValueError(f"{where}: 'explanation' must be a string")
         ids.append(sid)
-        for j, key in enumerate(_RESPONSE_KEYS):
+        for j, key in enumerate(RESPONSE_KEYS):
             text = responses.get(key)
             if text is not None and not isinstance(text, str):
                 raise ValueError(f"{where}: response {key!r} must be a string or null")
@@ -314,7 +315,8 @@ def finalize_probs(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]
                                 np.exp(-rates[:, None] * np.asarray(HORIZONS)))
     completed = np.minimum.accumulate(np.clip(completed, 0.0, 1.0), axis=1)
     rates, refit_clamped = _exponential_rates(completed)
-    percents = [round_to_nearest_five(p) for p in (np.exp(-rates * 3.0) * 100.0).tolist()]
+    percents = [round_to_nearest_five(p)
+                for p in (np.exp(-rates * VERBALIZED_HORIZON) * 100.0).tolist()]
     return completed, rates, percents, clamped + refit_clamped
 
 

@@ -34,7 +34,7 @@ def init_fusion_gates(width: int) -> FusionGates:
     return FusionGates(inner_logit=np.zeros(width), outer_logit=np.zeros(width))
 
 
-def _present(arrays: dict[str, np.ndarray]) -> list[str]:
+def _ordered(arrays: dict[str, np.ndarray]) -> list[str]:
     """The dict's modalities in MODALITY_ORDER; at least one, none unknown."""
     present = [m for m in MODALITY_ORDER if m in arrays]
     if len(present) != len(arrays):
@@ -47,7 +47,7 @@ def _present(arrays: dict[str, np.ndarray]) -> list[str]:
 
 def early_fuse(inputs: dict[str, np.ndarray]) -> np.ndarray:
     """Concatenate the present modality vectors in MODALITY_ORDER."""
-    parts = [np.asarray(inputs[m], dtype=np.float64) for m in _present(inputs)]
+    parts = [np.asarray(inputs[m], dtype=np.float64) for m in _ordered(inputs)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
@@ -56,7 +56,7 @@ def _checked(outputs: dict[str, np.ndarray],
     """The present modalities in MODALITY_ORDER, and the realized gate of
     each one after the first: the inner gate for cov, the outer for ge
     (text, first whenever present, has none). Outputs are (N, width), gates (width,)."""
-    order = _present(outputs)
+    order = _ordered(outputs)
     shapes = {m: np.shape(outputs[m]) for m in order}
     if len(set(shapes.values())) != 1:
         raise ValueError(f"inconsistent modality output shapes: {shapes}")

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import formats
 from .cohort import HORIZON_YEARS
+from .distill import HORIZONS, RESPONSE_KEYS, VERBALIZED_HORIZON
 from .nn import sigmoid
 from .timing import stage
 
@@ -94,22 +95,20 @@ def _teacher_rows(spec: GeneratorSpec, ids: list[str], rates: np.ndarray,
     earlier draws: refusal, then per horizon a missing response, then noise.
     The arithmetic on the true survival runs once over the (n, 3) matrix.
     """
-    horizons = (1.0, 3.0, 5.0)
-    keys = [f"y{int(h)}" for h in horizons]
     refused = np.zeros(spec.n, dtype=bool)
-    missing = np.zeros((spec.n, len(horizons)), dtype=bool)
-    noise = np.zeros((spec.n, len(horizons)))
+    missing = np.zeros((spec.n, len(HORIZONS)), dtype=bool)
+    noise = np.zeros((spec.n, len(HORIZONS)))
     for i in range(spec.n):
         if rng.random() < spec.refusal_rate:
             refused[i] = True
             continue
-        for k in range(len(horizons)):
+        for k in range(len(HORIZONS)):
             if rng.random() < spec.missing_rate:
                 missing[i, k] = True
             elif spec.response_noise > 0:
                 noise[i, k] = rng.standard_normal()
 
-    p = np.clip(true_survival(spec, rates, np.array(horizons)), 1e-6, 1.0 - 1e-6)
+    p = np.clip(true_survival(spec, rates, np.array(HORIZONS)), 1e-6, 1.0 - 1e-6)
     # math.log per element: np.log's vector loop may round differently on some
     # CPUs, and the raw files are pinned byte for byte
     logit = np.array(list(map(math.log, (p / (1.0 - p)).ravel().tolist())))
@@ -121,11 +120,11 @@ def _teacher_rows(spec: GeneratorSpec, ids: list[str], rates: np.ndarray,
     rows = []
     for sid, is_refused, gaps, pcts in zip(ids, refused.tolist(), missing.tolist(), percents):
         if is_refused:
-            responses = dict.fromkeys(keys, _REFUSAL)
+            responses = dict.fromkeys(RESPONSE_KEYS, _REFUSAL)
         else:
             responses = {key: None if gap else
                          f"The estimated {key[1:]}-year survival probability is: {pct:.1f}%."
-                         for key, gap, pct in zip(keys, gaps, pcts)}
+                         for key, gap, pct in zip(RESPONSE_KEYS, gaps, pcts)}
         rows.append({"id": sid, "responses": responses,
                      "explanation": f"Synthetic case summary for {sid}."})
     return rows
@@ -204,4 +203,4 @@ def generate(spec: GeneratorSpec, out_dir: str,
 
     return SynthResult(spec=spec, out_dir=out_dir, files=files, ids=ids,
                        rates=rates,
-                       true_s3=true_survival(spec, rates, np.array([3.0]))[:, 0])
+                       true_s3=true_survival(spec, rates, np.array([VERBALIZED_HORIZON]))[:, 0])

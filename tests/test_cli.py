@@ -150,8 +150,7 @@ def test_ingest_manifest_lists_only_the_new_bundle(pipeline, tmp_path):
                 f"outcomes={pipeline['raw']}/outcomes.csv\nge={pipeline['raw']}/ge.csv\n")
     assert main(["ingest", "--config", cfg, "--out", str(out)]) == 0
     outputs = read_json(out / "manifest.json")["outputs"]
-    assert sorted(outputs) == ["events.npy", "ge.npy", "ge_present.npy", "meta.json",
-                               "times.npy"]
+    assert sorted(outputs) == ["events.npy", "ge.npy", "meta.json", "times.npy"]
     assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json",
                                                             "notes.txt"])
     assert outputs["ge.npy"] == hashlib.sha256((out / "ge.npy").read_bytes()).hexdigest()
@@ -495,6 +494,21 @@ def test_a_bad_clinical_cell_names_the_file_id_line_and_column(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"survfuse: error: {cov} id 'c' (line 4): column {column!r}: " in err
     assert repr(cell) in err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("key,name", [("covariates", "cov.csv"), ("ge", "ge.csv"),
+                                      ("pooled", "p.svpv")])
+def test_a_modality_without_a_column_is_refused_naming_the_file(tmp_path, capsys, key, name):
+    write(tmp_path / "o.csv", "id,time_years,event\na,1.0,1\nb,2.0,1\nc,3.0,0\n")
+    if name.endswith(".svpv"):
+        formats.write_pooled(tmp_path / name, {sid: np.zeros(0) for sid in "abc"})
+    else:
+        write(tmp_path / name, "id\na\nb\nc\n")
+    cfg = write(tmp_path / "ingest.cfg", f"outcomes=o.csv\n{key}={name}\nratios=0.34,0.34,0.32\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert f"survfuse: error: {tmp_path / name}: no values per sample" in err
     assert not (tmp_path / "b").exists()
 
 

@@ -3,6 +3,7 @@ and the bundle round trip."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from survfuse import formats
 from survfuse.cohort import (
     CANCER_FAMILIES,
     IngestConfig,
-    Modality,
     _clinical_modality,
     _parse_clinical_table,
     _pool_text,
@@ -180,10 +180,11 @@ def test_numeric_covariates_and_ge_imputation(tmp_path):
     bad = write_text(tmp_path / "bad.csv", "id,c1,c2\na,0.5,\nb,1.0,2.0\n")
     with pytest.raises(ValueError, match="empty cell"):
         ingest(tmp_path, outcomes=out, covariates=bad, ratios=THIRDS)
-    # a modality file may cover a subset; uncovered samples carry None
+    # a modality file may cover a subset; an uncovered sample's row is NaN
     part = write_text(tmp_path / "part.csv", "id,c1\na,0.5\n")
     cohort = ingest(tmp_path, outcomes=out, covariates=part, ratios=THIRDS)
-    assert not cohort.modalities["cov"].present[1]
+    assert cohort.modalities["cov"][0].tolist() == [0.5]
+    assert np.isnan(cohort.modalities["cov"][1:]).all()
 
 
 def test_non_finite_inputs_fail_at_ingest_naming_where(tmp_path):
@@ -209,6 +210,22 @@ def test_non_finite_inputs_fail_at_ingest_naming_where(tmp_path):
     assert str(exc.value) == f"{pooled}: sample 'c' has non-finite pooled vectors"
 
 
+def test_a_teacher_file_counts_when_it_names_a_cohort_id(tmp_path):
+    out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
+    teacher = str(tmp_path / "t.jsonl")
+    # naming no sample of the cohort: no teacher matrix
+    formats.write_jsonl(teacher, [{"id": "z", "responses": {"y3": "40%"}}])
+    assert ingest(tmp_path, outcomes=out, teacher=teacher, ratios=THIRDS).teacher_probs is None
+    # naming one, even with nothing extracted: the (N, 3) matrix, NaN where absent
+    formats.write_jsonl(teacher, [{"id": "b", "responses": {"y3": "unsure"}}])
+    probs = ingest(tmp_path, outcomes=out, teacher=teacher, ratios=THIRDS).teacher_probs
+    assert probs.shape == (3, 3) and np.isnan(probs).all()
+    formats.write_jsonl(teacher, [{"id": "b", "responses": {"y3": "40%"}}])
+    probs = ingest(tmp_path, outcomes=out, teacher=teacher, ratios=THIRDS).teacher_probs
+    assert np.array_equal(probs, [[np.nan] * 3, [np.nan, 0.4, np.nan], [np.nan] * 3],
+                          equal_nan=True)
+
+
 def test_modality_matrix_and_outcome_arrays(tmp_path):
     out = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
     cov = write_text(tmp_path / "cov.csv", "id,c1,c2\na,0.5,1.5\nb,-1.0,2.5\n")
@@ -218,9 +235,11 @@ def test_modality_matrix_and_outcome_arrays(tmp_path):
     times, events = outcome_arrays(cohort, [1, 0])
     assert np.array_equal(times, [2.0, 1.0])
     assert np.array_equal(events, [False, True])
-    cohort.modalities["cov"].present[0] = False
-    with pytest.raises(ValueError, match="lacks"):
-        modality_matrix(cohort, [0, 1], "cov")
+    cohort.modalities["cov"][0] = np.nan
+    with pytest.raises(ValueError, match="sample 'a' lacks cov"):
+        modality_matrix(cohort, [1, 0], "cov")
+    with pytest.raises(ValueError, match="sample 'b' lacks ge"):
+        modality_matrix(cohort, [1], "ge")
 
 
 # -------------------------------------------------------- clinical schema
@@ -229,13 +248,11 @@ CLINICAL_HEADER = "id,age,sex,race,stage,cancer_type"
 
 
 def clinical_rows(tmp_path, rows, allow_other=True):
-    """The ids and the parsed clinical fields (None where excluded) of a
-    covariates file of `rows`."""
+    """The kept ids and the parsed clinical columns of a covariates file of `rows`."""
     cov = write_text(tmp_path / "cov.csv",
                      "\n".join([CLINICAL_HEADER] + rows) + "\n")
     table, _ = _parse_clinical_table(cov, allow_other)
-    ids = [r.split(",")[0] for r in rows]
-    return ids, [table.get(sid) for sid in ids]
+    return table
 
 
 def test_clinical_preprocessing_layout_and_scaling(tmp_path):
@@ -245,17 +262,18 @@ def test_clinical_preprocessing_layout_and_scaling(tmp_path):
         "c,80,M,White,IV,COAD",
         "d,90,F,Asian,II,nonsense",
     ])
-    cov, meta = _clinical_modality(clinical, train_indices=[0, 1, 2])
+    (_, cov), meta = _clinical_modality((ids, clinical), train_ids=["a", "b", "c"])
     assert meta["cov_layout"] == (["age", "sex", "race", "stage"]
                                   + [f"family_{f}" for f in CANCER_FAMILIES])
-    by_id = dict(zip(ids, cov.values))
+    by_id = dict(zip(ids, cov))
     # train extrema: ages 40..80, stages 1..4
+    # each cell is (x - lo) / (hi - lo) in float64, bit for bit
     assert by_id["a"][0] == 0.0 and by_id["c"][0] == 1.0
-    assert by_id["b"][0] == pytest.approx(0.5)
+    assert by_id["b"][0] == (60.0 - 40.0) / (80.0 - 40.0)
     assert by_id["a"][3] == 0.0 and by_id["c"][3] == 1.0
-    assert by_id["b"][3] == pytest.approx(2.0 / 3.0)
+    assert by_id["b"][3] == (3.0 - 1.0) / (4.0 - 1.0)
     # the held-out sample scales with the same extrema and may leave [0, 1]
-    assert by_id["d"][0] == pytest.approx(1.25)
+    assert by_id["d"][0] == (90.0 - 40.0) / (80.0 - 40.0)
     # sex majority F, race majority White
     assert [v[1] for v in (by_id["a"], by_id["b"], by_id["c"], by_id["d"])] == [1, 1, 0, 1]
     assert [v[2] for v in (by_id["a"], by_id["b"], by_id["c"], by_id["d"])] == [1, 0, 1, 0]
@@ -267,15 +285,15 @@ def test_clinical_preprocessing_layout_and_scaling(tmp_path):
 
 
 def test_clinical_majority_tie_breaks_lexicographic(tmp_path):
-    _, clinical = clinical_rows(tmp_path, [
+    ids, clinical = clinical_rows(tmp_path, [
         "a,50,M,White,II,skin",
         "b,50,F,Black,II,skin",
     ])
-    cov, meta = _clinical_modality(clinical, train_indices=[0, 1])
+    (_, cov), meta = _clinical_modality((ids, clinical), train_ids=["a", "b"])
     assert meta["sex_majority"] == "F"
     assert meta["race_majority"] == "Black"
     # equal train extrema: scaled coordinate collapses to 0
-    assert all(row[0] == 0.0 and row[3] == 0.0 for row in cov.values)
+    assert all(row[0] == 0.0 and row[3] == 0.0 for row in cov)
 
 
 def test_clinical_stage_spellings(tmp_path):
@@ -284,8 +302,8 @@ def test_clinical_stage_spellings(tmp_path):
         "b,50,F,White,stage iv,skin",
         "c,60,F,White,2,skin",
     ])
-    cov, _ = _clinical_modality(clinical, train_indices=[0, 1, 2])
-    by_id = dict(zip(ids, cov.values[:, 3]))
+    (_, cov), _ = _clinical_modality((ids, clinical), train_ids=ids)
+    by_id = dict(zip(ids, cov[:, 3]))
     # codes 1, 4, 2 scaled by extrema (1, 4)
     assert by_id["a"] == 0.0
     assert by_id["b"] == 1.0
@@ -381,8 +399,7 @@ def test_bundle_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.times, cohort.times)
     assert np.array_equal(loaded.events, cohort.events)
     for name in ("cov", "ge", "text"):
-        assert np.array_equal(loaded.modalities[name].values, cohort.modalities[name].values)
-        assert np.array_equal(loaded.modalities[name].present, cohort.modalities[name].present)
+        assert np.array_equal(loaded.modalities[name], cohort.modalities[name])
     # the bundle keeps the extracted probabilities, not the responses or token states
     assert np.array_equal(loaded.teacher_probs, cohort.teacher_probs, equal_nan=True)
     assert not hasattr(loaded, "token_states")
@@ -414,47 +431,52 @@ def test_bundle_minimal_and_version_check(tmp_path):
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    meta["bundle_version"] = 99
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
-    with pytest.raises(ValueError, match="bundle version"):
-        load_bundle(str(out_dir))
+    # a version-2 bundle (with presence masks) is refused until re-ingested
+    for version in (2, 99):
+        meta["bundle_version"] = version
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(ValueError, match=f"bundle version {version} .*; re-ingest"):
+            load_bundle(str(out_dir))
 
 
 def test_pool_text_fills_only_samples_without_a_text_vector(tmp_path):
     cohort = build_full_cohort(tmp_path)
     hidden = formats.read_hidden_states(tmp_path / "h.svhs")
-    pooled = formats.read_pooled(tmp_path / "p.svpv")
+    pooled = cohort.modalities["text"]
     # every sample has a pooled vector: nothing to pool
-    text, n_pooled = _pool_text(cohort.ids, pooled, hidden)
+    text, n_pooled = _pool_text(pooled.copy(), cohort.ids, hidden)
     assert n_pooled == 0
-    assert np.array_equal(text.values, cohort.modalities["text"].values)
-    for i in (1, 4):
-        del pooled[cohort.ids[i]]
-    text, n_pooled = _pool_text(cohort.ids, pooled, hidden)
+    assert np.array_equal(text, pooled)
+    partial = pooled.copy()
+    partial[[1, 4]] = np.nan
+    text, n_pooled = _pool_text(partial.copy(), cohort.ids, hidden)
     assert n_pooled == 2
-    assert text.present.all()
-    for i in (1, 4):
-        assert np.array_equal(text.values[i], attention_pool(hidden[cohort.ids[i]]))
+    for i in range(len(cohort)):
+        want = attention_pool(hidden[cohort.ids[i]]) if i in (1, 4) else pooled[i]
+        assert np.array_equal(text[i], want)
     # without a pooled file the text modality comes from the token states alone
-    text, n_pooled = _pool_text(cohort.ids, {}, hidden)
+    text, n_pooled = _pool_text(None, cohort.ids, hidden)
     assert n_pooled == len(cohort)
-    assert text.values.shape == (len(cohort), 8)
+    assert text.shape == (len(cohort), 8)
+    # a sample with neither keeps its NaN row
+    text, n_pooled = _pool_text(partial, cohort.ids, {})
+    assert n_pooled == 0 and np.isnan(text[[1, 4]]).all()
 
 
 def test_bundle_stores_text_in_32_bits(tmp_path):
     path = write_outcomes(tmp_path / "o.csv", [("a", 1.0, 1), ("b", 2.0, 0), ("c", 3.0, 1)])
     cohort = ingest(tmp_path, outcomes=path, ratios=THIRDS)
     values = np.array([[0.1, 1 / 3], [2.0, -0.7], [np.nan, np.nan]])
-    cohort.modalities["text"] = Modality(values=values, present=np.array([True, True, False]))
+    cohort.modalities["text"] = values
     save_bundle(cohort, str(tmp_path / "bundle"))
     stored = np.load(tmp_path / "bundle" / "text.npy")
     assert stored.dtype == np.dtype("<f4")
     loaded = load_bundle(str(tmp_path / "bundle"))
     text = loaded.modalities["text"]
-    assert text.values.dtype == np.float64
-    assert np.array_equal(text.values[:2], values[:2].astype(np.float32).astype(np.float64))
-    assert np.array_equal(text.present, [True, True, False])
+    assert text.dtype == np.float64
+    assert np.array_equal(text[:2], values[:2].astype(np.float32).astype(np.float64))
+    assert np.isnan(text[2]).all()
 
 
 def test_bundle_without_meta_is_incomplete(tmp_path):
@@ -462,8 +484,8 @@ def test_bundle_without_meta_is_incomplete(tmp_path):
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir))
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
-        ["meta.json", "times.npy", "events.npy", "teacher_probs.npy"]
-        + [f"{m}{suffix}.npy" for m in ("text", "cov", "ge") for suffix in ("", "_present")])
+        ["meta.json", "times.npy", "events.npy", "teacher_probs.npy", "text.npy", "cov.npy",
+         "ge.npy"])
     os.remove(out_dir / "meta.json")
     with pytest.raises(ValueError, match="bundle is incomplete"):
         load_bundle(str(out_dir))
@@ -493,19 +515,36 @@ def test_rewriting_a_version_1_bundle_deletes_the_files_it_claims(tmp_path):
     assert load_bundle(str(out_dir)).ids == cohort.ids
 
 
+def make_version_2(out_dir):
+    """Turn the bundle in `out_dir` into the version-2 layout: a presence
+    mask `<name>_present.npy` beside each modality, listed in meta.json."""
+    meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
+    masks = [f"{name}_present" for name in ("text", "cov", "ge") if name in meta["arrays"]]
+    for name in masks:
+        formats.write_npy(out_dir / f"{name}.npy", np.ones(len(meta["ids"]), dtype=bool))
+    meta.update(bundle_version=2, arrays=meta["arrays"] + masks)
+    (out_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    return [f"{name}.npy" for name in masks]
+
+
 def test_rewriting_a_version_2_bundle_deletes_arrays_it_no_longer_writes(tmp_path):
     out_dir = tmp_path / "bundle"
-    save_bundle(build_full_cohort(tmp_path), str(out_dir))
-    (out_dir / "notes.npy").write_text("not an array of the bundle")
     smaller = build_full_cohort(tmp_path, with_teacher=False)
     del smaller.modalities["ge"]
-    written = save_bundle(smaller, str(out_dir))
-    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
-        [os.path.basename(p) for p in written] + ["notes.npy"])
-    assert {"ge.npy", "ge_present.npy", "teacher_probs.npy"}.isdisjoint(
-        os.path.basename(p) for p in written)
-    loaded = load_bundle(str(out_dir))
-    assert sorted(loaded.modalities) == ["cov", "text"] and loaded.teacher_probs is None
+    # over a version-2 bundle, and over a bundle of this version
+    for masks in (True, False):
+        save_bundle(build_full_cohort(tmp_path), str(out_dir))
+        if masks:
+            assert make_version_2(out_dir) == ["text_present.npy", "cov_present.npy",
+                                               "ge_present.npy"]
+        (out_dir / "notes.npy").write_text("not an array of the bundle")
+        written = save_bundle(smaller, str(out_dir))
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            [os.path.basename(p) for p in written] + ["notes.npy"])
+        assert {"ge.npy", "teacher_probs.npy"}.isdisjoint(os.path.basename(p) for p in written)
+        assert not any(p.name.endswith("_present.npy") for p in out_dir.iterdir())
+        loaded = load_bundle(str(out_dir))
+        assert sorted(loaded.modalities) == ["cov", "text"] and loaded.teacher_probs is None
 
 
 def test_bundle_rejects_arrays_of_the_wrong_kind(tmp_path):
@@ -513,18 +552,35 @@ def test_bundle_rejects_arrays_of_the_wrong_kind(tmp_path):
     out_dir = tmp_path / "bundle"
     save_bundle(cohort, str(out_dir))
     n = len(cohort)
-    bad = {
-        "times.npy": (np.zeros(n, dtype=np.float32), "times.npy: dtype <f4"),
-        "events.npy": (np.zeros((n, 1), dtype=bool), "events.npy: shape"),
-        "ge.npy": (np.zeros((n + 1, 4)), "ge.npy: shape"),
-        "cov_present.npy": (np.ones(n - 1, dtype=bool), "cov_present.npy: shape"),
-        "teacher_probs.npy": (np.zeros((n, 2)), "teacher_probs.npy: shape"),
-        "text.npy": (np.zeros((n, 8)), "text.npy: dtype <f8, expected <f4"),
-    }
-    for name, (arr, message) in bad.items():
+
+    def changed(name, row, col, value):
+        arr = np.array(cohort.teacher_probs if name == "teacher_probs" else
+                       cohort.modalities[name], dtype="<f4" if name == "text" else "<f8")
+        arr[row, col] = value
+        return arr
+    row_rule = "must be all finite, or all NaN where the sample lacks this input"
+    bad = [
+        ("times.npy", np.zeros(n, dtype=np.float32), "times.npy: dtype <f4"),
+        ("events.npy", np.zeros((n, 1), dtype=bool), "events.npy: shape"),
+        ("ge.npy", np.zeros((n + 1, 4)), "ge.npy: shape"),
+        ("ge.npy", np.zeros((n, 0)), "ge.npy: no columns"),
+        ("teacher_probs.npy", np.zeros((n, 2)), "teacher_probs.npy: shape"),
+        ("text.npy", np.zeros((n, 8)), "text.npy: dtype <f8, expected <f4"),
+        # a row partly NaN, or holding an infinity, is neither present nor absent
+        ("ge.npy", changed("ge", 2, 1, np.nan), f"ge.npy: the row of id 's2' {row_rule}"),
+        ("cov.npy", changed("cov", 4, 0, -np.inf), f"cov.npy: the row of id 's4' {row_rule}"),
+        ("text.npy", changed("text", 1, 7, np.inf), f"text.npy: the row of id 's1' {row_rule}"),
+        ("teacher_probs.npy", changed("teacher_probs", 3, 1, 1.5),
+         "teacher_probs.npy: a teacher probability must be NaN or lie in [0, 1], got 1.5 "
+         "for id 's3'"),
+        ("teacher_probs.npy", changed("teacher_probs", 0, 2, -np.inf),
+         "teacher_probs.npy: a teacher probability must be NaN or lie in [0, 1], got -inf "
+         "for id 's0'"),
+    ]
+    for name, arr, message in bad:
         good = (out_dir / name).read_bytes()
         formats.write_npy(out_dir / name, arr)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_bundle(str(out_dir))
         (out_dir / name).write_bytes(good)
     load_bundle(str(out_dir))

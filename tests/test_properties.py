@@ -31,8 +31,7 @@ from hypothesis import strategies as st
 from survfuse import pooling
 from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, combined_blocks,
                                mean_curve, select_lambda, verbalized_curve, verbalized_rates)
-from survfuse.cohort import (Cohort, CohortSplit, Modality, _parse_numeric_table, load_bundle,
-                             save_bundle)
+from survfuse.cohort import Cohort, CohortSplit, _parse_numeric_table, load_bundle, save_bundle
 from survfuse.distill import (HORIZONS, TeacherTable, extract_probability, finalize_probs,
                               finalize_records, fit_parametric, parse_teacher_file)
 from survfuse.formats import (id_rows, read_checkpoint, read_curves, read_hidden_states,
@@ -1130,6 +1129,22 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# finite values of each modality's on-disk dtype: text is stored in 32 bits,
+# so it round-trips exactly when it fits in them
+FINITE64S = st.floats(allow_nan=False, allow_infinity=False) | SPECIAL_FLOATS.filter(math.isfinite)
+MODALITY_VALUES = {"text": st.floats(width=32, allow_nan=False, allow_infinity=False),
+                   "cov": FINITE64S, "ge": FINITE64S}
+
+
+def drawn_modality(data, name, n):
+    """An (n, width >= 1) matrix of finite values, all NaN in the rows of
+    the samples drawn to lack the modality."""
+    width = data.draw(st.integers(1, 4))
+    values = drawn_array(data, MODALITY_VALUES[name], (n, width), np.float64)
+    values[~drawn_array(data, st.booleans(), (n,), bool)] = np.nan
+    return values
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_bundle_round_trip_is_bit_exact(data):
@@ -1139,18 +1154,8 @@ def test_bundle_round_trip_is_bit_exact(data):
     def column(elements, size):
         return data.draw(st.lists(elements, min_size=size, max_size=size))
 
-    modalities = {}
-    for name in ("text", "cov", "ge"):
-        if not data.draw(st.booleans()):
-            continue
-        width = data.draw(st.integers(1, 4))
-        # text is stored in 32 bits, so it round-trips exactly when it fits in them
-        elements = (st.floats(width=32, allow_nan=False) if name == "text"
-                    else st.floats() | SPECIAL_FLOATS)
-        present = np.array(column(st.booleans(), n), dtype=bool)
-        values = np.array(column(elements, n * width), dtype=np.float64).reshape(n, width)
-        values[~present] = np.nan
-        modalities[name] = Modality(values=values, present=present)
+    modalities = {name: drawn_modality(data, name, n) for name in ("text", "cov", "ge")
+                  if data.draw(st.booleans())}
     teacher = None
     if data.draw(st.booleans()):
         teacher = np.array(column(st.none() | st.floats(0.0, 1.0), 3 * n),
@@ -1175,13 +1180,35 @@ def test_bundle_round_trip_is_bit_exact(data):
     assert loaded.ids == ids and loaded.metadata == metadata
     assert same_bits(loaded.times, cohort.times) and same_bits(loaded.events, cohort.events)
     assert sorted(loaded.modalities) == sorted(modalities)
-    for name, mod in modalities.items():
-        assert same_bits(loaded.modalities[name].values, mod.values)
-        assert same_bits(loaded.modalities[name].present, mod.present)
+    for name, values in modalities.items():
+        assert same_bits(loaded.modalities[name], values)
     assert (loaded.teacher_probs is None) == (teacher is None)
     assert teacher is None or same_bits(loaded.teacher_probs, teacher)
     for part in ("train", "val", "test"):
         assert same_bits(getattr(loaded.split, part), getattr(split, part))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["text", "cov", "ge"]), n=st.integers(3, 8))
+def test_bundle_refuses_a_row_neither_all_finite_nor_all_nan(data, name, n):
+    ids = [f"s{i}" for i in range(n)]
+    values = drawn_modality(data, name, n)
+    row = data.draw(st.integers(0, n - 1))
+    # an infinity, or NaN beside a finite value: neither a present nor an absent sample
+    cells = st.lists(MODALITY_VALUES[name] | st.sampled_from([np.nan, np.inf, -np.inf]),
+                     min_size=values.shape[1], max_size=values.shape[1])
+    values[row] = data.draw(cells.filter(lambda r: not (np.isfinite(r).all()
+                                                        or np.isnan(r).all())))
+    cohort = Cohort(ids=ids, times=np.ones(n), events=np.zeros(n, dtype=bool),
+                    split=CohortSplit(np.array([0]), np.array([1]), np.arange(2, n)),
+                    modalities={name: values})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_bundle(cohort, tmp)
+        with pytest.raises(ValueError) as exc:
+            load_bundle(tmp)
+    assert str(exc.value) == (f"{os.path.join(tmp, name + '.npy')}: the row of id "
+                              f"{ids[row]!r} must be all finite, or all NaN where the sample "
+                              f"lacks this input")
 
 
 # ---------------------------------------------------------- binary formats

@@ -112,8 +112,8 @@ def test_generated_cohort_loads(tmp_path):
                           hidden=result.files["hidden"], teacher=result.files["teacher"])
     cohort, n_pooled = load_cohort(config, str(tmp_path / "ingest.cfg"))
     assert cohort.ids == result.ids
-    assert cohort.modalities["cov"].present.all() and cohort.modalities["ge"].present.all()
-    assert n_pooled == len(cohort) and cohort.modalities["text"].present.all()
+    assert all(np.isfinite(values).all() for values in cohort.modalities.values())
+    assert n_pooled == len(cohort) and sorted(cohort.modalities) == ["cov", "ge", "text"]
     # the cohort keeps only the extracted probabilities; every sample has a record
     assert cohort.teacher_probs is not None
     table = parse_teacher_file(result.files["teacher"])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from survfuse import training
-from survfuse.cohort import Cohort, CohortSplit, Modality, split_cohort
+from survfuse.cohort import Cohort, CohortSplit, split_cohort
 from survfuse.distill import calibration_mask
 from survfuse.formats import dataclass_from_kv, read_checkpoint, write_checkpoint
 from survfuse.blending import PERCENT_FLOOR, verbalized_curve
@@ -72,8 +72,7 @@ def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, contradict=False, split_
         rows["text"].append(rng.normal(size=DIMS["text"]) + 0.8 * risk)
     return Cohort(ids=[f"s{i}" for i in range(n)], times=times, events=events,
                   split=split_cohort(n, seed=split_seed),
-                  modalities={m: Modality(np.stack(r), np.ones(n, dtype=bool))
-                              for m, r in rows.items()},
+                  modalities={m: np.stack(r) for m, r in rows.items()},
                   teacher_probs=np.array(probs) if teacher else None,
                   metadata={"n_samples": n})
 
@@ -613,7 +612,7 @@ def test_suite_isolates_failures_and_renders_table():
     good = tiny_config(epochs=1)
     # cov-only config fails: the toy samples lack a 'cov' file? they have cov;
     # force failure through a modality the cohort cannot supply
-    cohort.modalities["ge"].present[:] = False
+    cohort.modalities["ge"][:] = np.nan
     bad = tiny_config(fusion="none", modalities=("ge",), epochs=1)
     good = tiny_config(modalities=("text", "cov"), epochs=1)
     reports = run_experiment_suite([("good", good), ("bad", bad)], cohort)
