@@ -276,14 +276,16 @@ def _stage_code(label: str) -> float:
 def _modality(path: str, table: tuple[list[str], np.ndarray] | None,
               ids: list[str]) -> np.ndarray | None:
     """The rows of `path`'s (keys, matrix) table in cohort order, a NaN row
-    for each id it lacks (None for no or an empty table). A table without a
-    column is an error naming `path`: no row of it could mark absence."""
-    if table is None or not table[0]:
+    for each id it lacks (None for no table). A table that names no id of the
+    cohort, or has no column, is an error naming `path`."""
+    if table is None:
         return None
     keys, values = table
+    rows = formats.id_rows(keys, ids)
+    if not (rows >= 0).any():
+        raise ValueError(f"{path}: names no sample of the cohort ({len(keys)} rows)")
     if not values.shape[1]:
         raise ValueError(f"{path}: no values per sample (a modality needs at least one column)")
-    rows = formats.id_rows(keys, ids)
     out = np.full((len(ids), values.shape[1]), np.nan)
     out[rows >= 0] = values[rows[rows >= 0]]
     return out
@@ -320,7 +322,8 @@ def load_cohort(config: IngestConfig, config_path: str,
                                  ("pooled vectors", "pooled", pooled)):
             widths = {v.shape[-1] for v in table.values()}
             if len(widths) > 1:
-                raise ValueError(f"inconsistent {name} dimensions: {sorted(widths)}")
+                raise ValueError(f"{paths[key]}: inconsistent {name} dimensions: "
+                                 f"{sorted(widths)}")
             bad = next((sid for sid, v in table.items() if not np.isfinite(v).all()), None)
             if bad is not None:
                 raise ValueError(f"{paths[key]}: sample {bad!r} has non-finite {name}")
@@ -344,7 +347,7 @@ def load_cohort(config: IngestConfig, config_path: str,
         if clinical:
             cov, encoding = _clinical_modality(cov, [ids[i] for i in split.train])
             meta.update(encoding)
-        text = (list(pooled), np.stack(list(pooled.values()))) if pooled else None
+        text = (list(pooled), np.array(list(pooled.values()))) if "pooled" in paths else None
         modalities = {"text": _modality(paths.get("pooled"), text, ids),
                       "cov": _modality(paths.get("covariates"), cov, ids),
                       "ge": _modality(paths.get("ge"), ge, ids)}
@@ -353,7 +356,7 @@ def load_cohort(config: IngestConfig, config_path: str,
                          if teacher is not None and not set(teacher.ids).isdisjoint(ids)
                          else None)
     with stage(timings, "pool"):
-        modalities["text"], n_pooled = _pool_text(modalities["text"], ids, hidden)
+        modalities["text"], n_pooled = _pool_text(modalities["text"], ids, hidden, paths)
     cohort = Cohort(ids=ids, times=times, events=events, split=split,
                     modalities={name: values for name, values in modalities.items()
                                 if values is not None},
@@ -361,8 +364,8 @@ def load_cohort(config: IngestConfig, config_path: str,
     return cohort, n_pooled
 
 
-def _pool_text(text: np.ndarray | None, ids: list[str],
-               hidden: dict[str, np.ndarray]) -> tuple[np.ndarray | None, int]:
+def _pool_text(text: np.ndarray | None, ids: list[str], hidden: dict[str, np.ndarray],
+               paths: dict[str, str]) -> tuple[np.ndarray | None, int]:
     """The text matrix over `ids` (None without a pooled file) with each NaN
     row of a sample with token states filled, in place, with their attention
     pool (None still without either); and how many rows were pooled here."""
@@ -374,8 +377,8 @@ def _pool_text(text: np.ndarray | None, ids: list[str],
     if text is None:
         text = np.full((len(ids), vectors.shape[1]), np.nan)
     elif text.shape[1] != vectors.shape[1]:
-        raise ValueError(f"pooled token states have {vectors.shape[1]} dimensions, "
-                         f"the pooled vectors {text.shape[1]}")
+        raise ValueError(f"{paths['hidden']}: pooled token states have {vectors.shape[1]} "
+                         f"dimensions, the pooled vectors of {paths['pooled']} {text.shape[1]}")
     text[rows] = vectors
     return text, len(rows)
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Float64 elements per sample stack that `pool_many` hands to one
-# `attention_pool` call, counting the (L, L) scores and the (L, d) states of
-# each sample (32 MiB): memory stays bounded at any cohort size and length.
-POOL_BLOCK_ELEMENTS = 1 << 22
+# Float64 elements of the temporaries one `attention_pool` call of `pool_many`
+# holds: per (L, d) sample, the stacked states, the scores, the weights and the
+# pooled rows, 2 * L * (L + d). 4 MiB bounds memory at any size and length.
+POOL_BLOCK_ELEMENTS = 1 << 19
 
 
 def attention_pool(hidden: np.ndarray) -> np.ndarray:
@@ -35,9 +35,9 @@ def attention_pool(hidden: np.ndarray) -> np.ndarray:
 def pool_many(matrices) -> list[np.ndarray]:
     """`attention_pool` of each (L, d) matrix in a sequence, in order.
 
-    Matrices of one shape are pooled together, in stacks of at most
-    POOL_BLOCK_ELEMENTS score and state elements, so a cohort takes a
-    handful of calls, not one per sample.
+    Matrices of one shape are pooled together, in stacks whose temporaries
+    hold at most POOL_BLOCK_ELEMENTS elements, so a cohort takes a handful
+    of calls, not one per sample.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, mat in enumerate(matrices):
@@ -46,7 +46,7 @@ def pool_many(matrices) -> list[np.ndarray]:
         groups.setdefault(np.shape(mat), []).append(i)
     out: list[np.ndarray] = [None] * len(matrices)
     for (length, width), rows in groups.items():
-        step = max(1, POOL_BLOCK_ELEMENTS // (length * (length + width)))
+        step = max(1, POOL_BLOCK_ELEMENTS // (2 * length * (length + width)))
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
             for i, vec in zip(block, attention_pool(np.stack([matrices[i] for i in block]))):

@@ -16,7 +16,7 @@ import numpy as np
 from . import formats
 from .blending import DEFAULT_LAMBDA_GRID, combined_blocks, select_lambda, verbalized_blocks
 from .cohort import Cohort, modality_matrix, outcome_arrays
-from .distill import calibration_mask, teacher_percents
+from .distill import teacher_percents
 from .heads import HEAD_ALPHA, CoxHead, CurveSet, DiscreteHead, init_head, read_head
 from .metrics import c_td, ibs
 from .model import (SurvivalModel, checked_structure, gate_values, gated_fusion,
@@ -30,7 +30,6 @@ class RunConfig:
     fusion: str = "late"
     modalities: tuple[str, ...] = ("text", "cov", "ge")
     pretrain: bool = False
-    calibration_correction: bool = False
     alpha: float | None = None   # default depends on head (heads.HEAD_ALPHA)
     n_bins: int = 30             # requested; a quantile grid may merge tied edges
     grid: str = "equal"          # 'equal' | 'quantile'
@@ -79,7 +78,11 @@ class RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     """RunConfig from a key=value file (keys exactly the field names)."""
-    return formats.dataclass_from_kv(RunConfig, formats.parse_kv_file(path), path)
+    kv = formats.parse_kv_file(path)
+    if "calibration_correction" in kv:
+        raise ValueError(f"{path}: config key 'calibration_correction' is retired: the "
+                         f"calibration mask acts in `survfuse parse-teacher --outcomes`")
+    return formats.dataclass_from_kv(RunConfig, kv, path)
 
 
 def _config_from_dict(raw: dict) -> RunConfig:
@@ -177,15 +180,6 @@ def _inject(dst: SurvivalModel, src_params: dict[str, np.ndarray]) -> None:
         if name not in dst_params:
             raise ValueError(f"no target parameter {name!r} for injection")
         np.copyto(dst_params[name], value)
-
-
-def _masked_count(cohort: Cohort, percents: np.ndarray | None, config: RunConfig) -> int:
-    """Teacher estimates the calibration mask rejects (0 without correction)."""
-    if not config.calibration_correction or percents is None:
-        return 0
-    have = ~np.isnan(percents)
-    keep = calibration_mask(percents[have], cohort.times[have], cohort.events[have])
-    return int(keep.size - np.count_nonzero(keep))
 
 
 def _build_model(config: RunConfig, dims: dict[str, int], rng: np.random.Generator,
@@ -313,7 +307,6 @@ class RunReport:
     val_trace: list[float]
     best_epoch: int
     skipped_batches: int
-    masked_samples: int
     clamped_values: int
     floored_percents: dict[str, int]
     imputed_curves: int
@@ -386,7 +379,6 @@ def evaluate(result: TrainResult, cohort: Cohort) -> tuple[RunReport, CurveSet]:
     report = RunReport(config=config, channels=channels, selected_lambda=selected,
                        lambda_val_ctd=val_score, gates=gate_values(result.model),
                        **{key: getattr(result, key) for key in _RECORD},
-                       masked_samples=_masked_count(cohort, percents, config),
                        clamped_values=clamped, floored_percents=floored,
                        imputed_curves=imputed)
     return report, test

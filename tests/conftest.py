@@ -12,7 +12,7 @@ _CRITERIA = {
     3: "losses reproduce closed-form values",
     4: "parametric fits recover true parameters",
     5: "target sequences round-trip and mask correctly",
-    6: "synthetic end to end: fusion and blending gains",
+    6: "synthetic end to end: fusion and blending gains, calibration mask",
     7: "training is bit-for-bit deterministic",
     8: "saturated gates reduce to single modalities",
 }

@@ -296,16 +296,33 @@ def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_p
     assert written.tobytes() == test_curves.whole().tobytes()
 
 
-def test_eval_rejects_a_checkpoint_with_stale_config_keys(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("stale", [{"beta": 1.0, "text_loss_w": 2.0, "text_loss_w_num": 5.0},
+                                   {"calibration_correction": False}])
+def test_eval_rejects_a_checkpoint_with_stale_config_keys(pipeline, tmp_path, capsys, stale):
     tensors, manifest = formats.read_checkpoint(
         os.path.join(pipeline["run"], "checkpoint.svck"))
-    manifest["config"].update(beta=1.0, text_loss_w=2.0, text_loss_w_num=5.0)
-    stale = str(tmp_path / "stale.svck")
-    formats.write_checkpoint(stale, tensors, manifest)
-    assert main(["eval", "--checkpoint", stale, "--bundle", pipeline["bundle"],
+    manifest["config"].update(stale)
+    old = str(tmp_path / "stale.svck")
+    formats.write_checkpoint(old, tensors, manifest)
+    assert main(["eval", "--checkpoint", old, "--bundle", pipeline["bundle"],
                  "--out", str(tmp_path / "eval")]) == 1
     err = capsys.readouterr().err
-    assert "['beta', 'text_loss_w', 'text_loss_w_num']" in err and "retrain" in err
+    assert f"does not know: {sorted(stale)}; retrain the model" in err
+
+
+@pytest.mark.parametrize("command", ["train", "suite"])
+def test_the_retired_calibration_key_points_to_parse_teacher(pipeline, tmp_path, capsys,
+                                                             command):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    cfg = write(cfg_dir / "run.cfg", TRAIN_CFG + "calibration_correction=true\n")
+    source = ["--config", cfg] if command == "train" else ["--configs", str(cfg_dir)]
+    assert main([command, *source, "--bundle", pipeline["bundle"],
+                 "--out", str(tmp_path / "out")]) == 1
+    assert (f"survfuse: error: {cfg}: config key 'calibration_correction' is retired: the "
+            f"calibration mask acts in `survfuse parse-teacher --outcomes`"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
@@ -510,6 +527,51 @@ def test_a_modality_without_a_column_is_refused_naming_the_file(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"survfuse: error: {tmp_path / name}: no values per sample" in err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("key,name", [("covariates", "cov.csv"), ("ge", "ge.csv"),
+                                      ("pooled", "p.svpv")])
+@pytest.mark.parametrize("rows", [(), ("x",), ("x", "b")])
+def test_a_modality_that_names_no_sample_is_refused_naming_the_file(tmp_path, capsys, key,
+                                                                    name, rows):
+    """An empty table, or one of unknown ids only, would give no sample the
+    modality; one that names some samples is taken."""
+    write(tmp_path / "o.csv", "id,time_years,event\na,1.0,1\nb,2.0,1\nc,3.0,0\n")
+    if name.endswith(".svpv"):
+        formats.write_pooled(tmp_path / name, {sid: np.ones(2) for sid in rows})
+    else:
+        write(tmp_path / name, "".join(f"{sid},1.5\n" for sid in ("id", *rows)))
+    cfg = write(tmp_path / "ingest.cfg", f"outcomes=o.csv\n{key}={name}\nratios=0.34,0.34,0.32\n")
+    code = main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")])
+    if "b" in rows:
+        assert code == 0
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (f"survfuse: error: {tmp_path / name}: names no sample of the cohort "
+            f"({len(rows)} rows)" in err)
+    assert not (tmp_path / "b").exists()
+
+
+def test_pooled_vectors_of_two_widths_are_refused_naming_the_file(tmp_path, capsys):
+    write(tmp_path / "o.csv", "id,time_years,event\na,1.0,1\nb,2.0,1\nc,3.0,0\n")
+    formats.write_pooled(tmp_path / "p.svpv", {"a": np.ones(3), "b": np.ones(4)})
+    cfg = write(tmp_path / "ingest.cfg", "outcomes=o.csv\npooled=p.svpv\nratios=0.34,0.34,0.32\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert (f"survfuse: error: {tmp_path / 'p.svpv'}: inconsistent pooled vectors "
+            f"dimensions: [3, 4]" in capsys.readouterr().err)
+
+
+def test_token_states_wider_than_the_pooled_vectors_are_refused_naming_both_files(
+        tmp_path, capsys):
+    write(tmp_path / "o.csv", "id,time_years,event\na,1.0,1\nb,2.0,1\nc,3.0,0\n")
+    formats.write_pooled(tmp_path / "p.svpv", {"a": np.ones(3)})
+    formats.write_hidden_states(tmp_path / "h.svhs", {"b": np.ones((2, 16))})
+    cfg = write(tmp_path / "ingest.cfg",
+                "outcomes=o.csv\npooled=p.svpv\nhidden=h.svhs\nratios=0.34,0.34,0.32\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert (f"survfuse: error: {tmp_path / 'h.svhs'}: pooled token states have 16 dimensions, "
+            f"the pooled vectors of {tmp_path / 'p.svpv'} 3" in capsys.readouterr().err)
 
 
 def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):

@@ -445,22 +445,22 @@ def test_pool_text_fills_only_samples_without_a_text_vector(tmp_path):
     hidden = formats.read_hidden_states(tmp_path / "h.svhs")
     pooled = cohort.modalities["text"]
     # every sample has a pooled vector: nothing to pool
-    text, n_pooled = _pool_text(pooled.copy(), cohort.ids, hidden)
+    text, n_pooled = _pool_text(pooled.copy(), cohort.ids, hidden, {})
     assert n_pooled == 0
     assert np.array_equal(text, pooled)
     partial = pooled.copy()
     partial[[1, 4]] = np.nan
-    text, n_pooled = _pool_text(partial.copy(), cohort.ids, hidden)
+    text, n_pooled = _pool_text(partial.copy(), cohort.ids, hidden, {})
     assert n_pooled == 2
     for i in range(len(cohort)):
         want = attention_pool(hidden[cohort.ids[i]]) if i in (1, 4) else pooled[i]
         assert np.array_equal(text[i], want)
     # without a pooled file the text modality comes from the token states alone
-    text, n_pooled = _pool_text(None, cohort.ids, hidden)
+    text, n_pooled = _pool_text(None, cohort.ids, hidden, {})
     assert n_pooled == len(cohort)
     assert text.shape == (len(cohort), 8)
     # a sample with neither keeps its NaN row
-    text, n_pooled = _pool_text(partial, cohort.ids, {})
+    text, n_pooled = _pool_text(partial, cohort.ids, {}, {})
     assert n_pooled == 0 and np.isnan(text[[1, 4]]).all()
 
 

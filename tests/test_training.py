@@ -17,7 +17,6 @@ import pytest
 
 from survfuse import training
 from survfuse.cohort import Cohort, CohortSplit, split_cohort
-from survfuse.distill import calibration_mask
 from survfuse.formats import dataclass_from_kv, read_checkpoint, write_checkpoint
 from survfuse.blending import PERCENT_FLOOR, verbalized_curve
 import survfuse.heads as heads_module
@@ -49,7 +48,7 @@ from survfuse.training import (
 DIMS = {"text": 6, "cov": 4, "ge": 10}
 
 
-def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, contradict=False, split_seed=2):
+def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, split_seed=2):
     """Small synthetic cohort with a shared risk signal in every modality,
     split by `split_cohort` at `split_seed`."""
     rng = np.random.default_rng(seed)
@@ -64,8 +63,6 @@ def toy_cohort(n=40, seed=0, teacher=True, event_p=0.7, contradict=False, split_
             s3 = math.exp(-rate * 3.0)
             pct = 5 * int(round(s3 * 100.0 / 5.0))
             pct = min(max(pct, 5), 95)
-            if contradict:
-                pct = 100 - pct
             probs.append([math.nan, pct / 100.0, math.nan])
         rows["cov"].append(rng.normal(size=DIMS["cov"]) + 0.5 * risk)
         rows["ge"].append(rng.normal(size=DIMS["ge"]) + 0.3 * risk)
@@ -91,7 +88,7 @@ def tiny_config(**overrides):
 def test_config_from_kv_types():
     cfg = dataclass_from_kv(RunConfig, {
         "head": "coxph", "fusion": "early", "modalities": "ge,text",
-        "pretrain": "true", "calibration_correction": "false",
+        "pretrain": "true",
         "n_bins": "12", "horizon": "4.5", "batch_size": "32",
         "lambda_grid": "0.0,0.5,1.0", "head_layers": "20,10",
         "lr_head": "0.01", "seed": "5",
@@ -99,7 +96,7 @@ def test_config_from_kv_types():
     assert cfg.head == "coxph" and cfg.fusion == "early"
     # modality order is normalized
     assert cfg.modalities == ("text", "ge")
-    assert cfg.pretrain is True and cfg.calibration_correction is False
+    assert cfg.pretrain is True
     assert cfg.n_bins == 12 and cfg.batch_size == 32 and cfg.seed == 5
     assert cfg.horizon == 4.5 and cfg.lr_head == 0.01
     assert cfg.lambda_grid == (0.0, 0.5, 1.0)
@@ -296,21 +293,6 @@ def test_train_coxph_skips_event_free_batches_and_fits_baseline():
     fit_idx = np.concatenate([split.train, split.val])
     fit_times = {cohort.times[i] for i in fit_idx if cohort.events[i]}
     assert set(result.head.baseline.event_times.tolist()) == fit_times
-
-
-def test_calibration_masking_counts():
-    cohort = toy_cohort(40, contradict=True)
-    percents, _ = finalize_teacher(cohort)
-    masked = train_and_evaluate(tiny_config(calibration_correction=True, epochs=1),
-                                cohort)[1].masked_samples
-    unmasked = train_and_evaluate(tiny_config(calibration_correction=False, epochs=1),
-                                  cohort)[1].masked_samples
-    assert unmasked == 0
-    assert masked > 0
-    assert masked <= 40
-    # exactly the teacher estimates the mask rejects
-    assert masked == sum(not calibration_mask(pct, t, e)
-                         for pct, t, e in zip(percents, cohort.times, cohort.events))
 
 
 def test_pretrain_heads_provides_warm_start():
