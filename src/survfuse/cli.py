@@ -205,7 +205,7 @@ def _cmd_train(args, started: float) -> int:
     result, report = training.train_and_evaluate(config, load_bundle(args.bundle))
 
     os.makedirs(args.out, exist_ok=True)
-    training.save_checkpoint(os.path.join(args.out, "checkpoint.svck"), result)
+    training.save_checkpoint(os.path.join(args.out, "checkpoint"), result)
     _write_report(args.out, "train", started, report,
                   inputs={"config": args.config, "bundle": args.bundle})
     return 0
@@ -287,10 +287,8 @@ def _cmd_parse_teacher(args, started: float) -> int:
     if args.train_ids is not None:
         with open(args.train_ids, encoding="utf-8") as fh:
             train_ids = {line.strip() for line in fh if line.strip()}
-    # the file is read, and so checked, even when --no-correction leaves it unused
     outcomes = read_outcomes(args.outcomes) if args.outcomes is not None else None
-    percents, rows, summary = distill.student_targets(
-        table, train_ids, None if args.no_correction else outcomes)
+    percents, rows, summary = distill.student_targets(table, train_ids, outcomes)
 
     os.makedirs(args.out, exist_ok=True)
     formats.write_jsonl(os.path.join(args.out, "targets.jsonl"), rows)
@@ -377,7 +375,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval",
                        help="evaluate a checkpoint on a bundle's test split")
-    p.add_argument("--checkpoint", required=True, help="checkpoint file (.svck)")
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory written by train")
     p.add_argument("--bundle", required=True, help="cohort bundle directory")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_eval)
@@ -388,8 +386,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--outcomes", help="outcomes CSV for the calibration mask")
     p.add_argument("--train-ids", help="file of training ids (one per line)")
-    p.add_argument("--no-correction", action="store_true",
-                   help="skip the calibration mask")
     p.set_defaults(func=_cmd_parse_teacher)
 
     p = sub.add_parser("blend",

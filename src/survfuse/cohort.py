@@ -345,7 +345,8 @@ def load_cohort(config: IngestConfig, config_path: str,
                 "excluded_missing_critical": len(excluded), "horizon_years": config.horizon,
                 "allow_other_family": config.allow_other}
         if clinical:
-            cov, encoding = _clinical_modality(cov, [ids[i] for i in split.train])
+            cov, encoding = _clinical_modality(paths["covariates"], cov,
+                                               [ids[i] for i in split.train])
             meta.update(encoding)
         text = (list(pooled), np.array(list(pooled.values()))) if "pooled" in paths else None
         modalities = {"text": _modality(paths.get("pooled"), text, ids),
@@ -383,11 +384,12 @@ def _pool_text(text: np.ndarray | None, ids: list[str], hidden: dict[str, np.nda
     return text, len(rows)
 
 
-def _clinical_modality(table: tuple[list[str], dict[str, tuple]], train_ids: list[str]
-                       ) -> tuple[tuple[list[str], np.ndarray], dict]:
+def _clinical_modality(path: str, table: tuple[list[str], dict[str, tuple]],
+                       train_ids: list[str]) -> tuple[tuple[list[str], np.ndarray], dict]:
     """The cov table (keys, (K, 11) matrix) of `_parse_clinical_table`'s
-    (keys, columns), scaled with the statistics of the rows of `train_ids`,
-    and the metadata describing the encoding.
+    (keys, columns) of the file `path`, scaled with the statistics of the rows
+    of `train_ids`, and the metadata describing the encoding; a table with no
+    such row is an error naming `path`.
 
     Layout: [age, sex, race, stage, 7-way cancer-family one-hot]. Age and
     stage are min-max scaled with training extrema (test values may leave
@@ -398,7 +400,7 @@ def _clinical_modality(table: tuple[list[str], dict[str, tuple]], train_ids: lis
     keys, columns = table
     train = formats.id_rows(train_ids, keys) >= 0
     if not train.any():
-        raise ValueError("no raw clinical rows in the training split")
+        raise ValueError(f"{path}: no clinical row names a sample of the training split")
     cols = {name: np.array(values) for name, values in columns.items()}
 
     def majority(name: str) -> str:
@@ -495,7 +497,6 @@ def save_bundle(cohort: Cohort, out_dir: str) -> list[str]:
     deleted; no other file is. The split is stored as ids; token states and
     raw clinical fields are not stored. Returns the paths written, meta.json last.
     """
-    os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, formats.META)
     arrays = {"times": np.asarray(cohort.times, dtype="<f8"), "events": cohort.events}
     for name in MODALITY_ORDER:
@@ -503,27 +504,20 @@ def save_bundle(cohort: Cohort, out_dir: str) -> list[str]:
             arrays[name] = np.asarray(cohort.modalities[name], dtype=_MODALITY_DTYPES[name])
     if cohort.teacher_probs is not None:
         arrays["teacher_probs"] = np.asarray(cohort.teacher_probs, dtype="<f8")
-    written = [os.path.join(out_dir, f"{name}.npy") for name in arrays]
     if os.path.exists(meta_path):
-        stale = _old_bundle_files(meta_path, {os.path.basename(p) for p in written})
+        stale = _old_bundle_files(meta_path, {f"{name}.npy" for name in arrays})
         os.remove(meta_path)
         for name in stale:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, name))
-    for path, arr in zip(written, arrays.values()):
-        formats.write_npy(path, arr)
-
     ids = list(cohort.ids)
-    meta = {
+    return formats.write_arrays(out_dir, arrays, {
         "bundle_version": BUNDLE_VERSION,
         "ids": ids,
         "metadata": cohort.metadata,
         "arrays": list(arrays),
         "split": {part: [ids[i] for i in rows] for part, rows in vars(cohort.split).items()},
-    }
-    with formats.atomic_open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
-    return written + [meta_path]
+    })
 
 
 def load_bundle(bundle_dir: str) -> Cohort:

@@ -1,13 +1,12 @@
-"""On-disk formats: hidden-state and pooled-vector binaries, checkpoints,
-checked .npy arrays with atomic writes, directories of them (curves), CSV/JSONL,
-teacher percents (`percents.csv`)."""
+"""On-disk formats: hidden-state and pooled-vector binaries, checked .npy
+arrays with atomic writes, directories of them with a meta.json written last
+(bundles, curves, checkpoints), CSV/JSONL, teacher percents (`percents.csv`)."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -21,9 +20,9 @@ from .heads import CurveSet
 
 HIDDEN_MAGIC = b"SVHS"
 POOLED_MAGIC = b"SVPV"
-CHECKPOINT_MAGIC = b"SVCK"
 FORMAT_VERSION = 1
 CURVES_VERSION = 1
+CHECKPOINT_VERSION = 1
 META = "meta.json"
 
 
@@ -51,8 +50,8 @@ def _check_end(fh, path) -> None:
 
 
 def _check_header(fh, magic: bytes, path) -> int:
-    """Check the magic and version; return the header's third u32 (a sample
-    count, or a checkpoint's manifest length)."""
+    """Check the magic and version of a `.svhs` or `.svpv` file; return the
+    header's third u32, the sample count."""
     got = fh.read(4)
     if got != magic:
         raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
@@ -127,45 +126,6 @@ def write_pooled(path, vectors: dict[str, np.ndarray]) -> None:
 def read_pooled(path) -> dict[str, np.ndarray]:
     """Read a pooled-vector file into {id: float64 vector}."""
     return _read_id_arrays(path, POOLED_MAGIC, 1)
-
-
-def write_checkpoint(path, params: dict[str, np.ndarray], manifest: dict) -> None:
-    """Write named float64 tensors with a JSON manifest (shapes, seed, step, config).
-
-    The tensors follow the manifest as one little-endian float64 block, each
-    raveled in C order, in the order of `params`.
-    """
-    tensors = [{"name": name, "shape": list(arr.shape)} for name, arr in params.items()]
-    header = dict(manifest)
-    header["tensors"] = tensors
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        _write_u32(fh, FORMAT_VERSION)
-        _write_u32(fh, len(blob))
-        fh.write(blob)
-        fh.write(b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                          for arr in params.values()))
-
-
-def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Tensors (views of one new float64 vector) and the manifest of a checkpoint."""
-    with open(path, "rb") as fh:
-        manifest_length = _check_header(fh, CHECKPOINT_MAGIC, path)
-        manifest = json.loads(_read_exact(fh, manifest_length).decode("utf-8"))
-        specs = manifest["tensors"]
-        names = [spec["name"] for spec in specs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"{path}: duplicate tensor names")
-        if any(not isinstance(d, int) or d < 0 for spec in specs for d in spec["shape"]):
-            raise ValueError(f"{path}: tensor shapes must be non-negative integers")
-        shapes = [tuple(spec["shape"]) for spec in specs]
-        offsets = list(itertools.accumulate(map(math.prod, shapes), initial=0))
-        raw = _read_exact(fh, 8 * offsets[-1])
-        _check_end(fh, path)
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return {name: flat[start:stop].reshape(shape)
-            for name, shape, start, stop in zip(names, shapes, offsets, offsets[1:])}, manifest
 
 
 @contextlib.contextmanager
@@ -254,30 +214,46 @@ def read_meta(directory, key: str, version: int, remedy: str) -> dict:
     return meta
 
 
+def write_arrays(out_dir, arrays: dict[str, np.ndarray], meta: dict) -> list[str]:
+    """Write a directory of arrays: each as `<name>.npy`, then `meta` as
+    meta.json. Returns the paths written, meta.json last.
+
+    The old meta.json is removed first and the new one written last, so an
+    interrupted write leaves a directory that `read_meta` calls incomplete,
+    never an old meta.json over new arrays.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    meta_path = os.path.join(out_dir, META)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta_path)
+    written = [os.path.join(out_dir, f"{name}.npy") for name in arrays]
+    for path, arr in zip(written, arrays.values()):
+        write_npy(path, arr)
+    with atomic_open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=1)
+    return written + [meta_path]
+
+
+def write_checkpoint(out_dir, flat: np.ndarray, meta: dict) -> None:
+    """Write a checkpoint directory: `params.npy`, a model's parameters as
+    one float64 vector, and a meta.json of `meta` after its version."""
+    write_arrays(out_dir, {"params": np.asarray(flat, dtype="<f8")},
+                 {"checkpoint_version": CHECKPOINT_VERSION, **meta})
+
+
 def distinct_strings(ids) -> bool:
     return all(isinstance(sid, str) for sid in ids) and len(set(ids)) == len(ids)
 
 
 def write_curves(out_dir, ids: list[str], curves: CurveSet) -> None:
-    """Write a set of curves as a directory: `times.npy` (T,), `values.npy`
-    (N, T), its `whole()` matrix, and a meta.json with the version and the N
-    ids.
-
-    The old meta.json is removed first and the new one written last, so an
-    interrupted write leaves a directory that reads as incomplete, never old
-    ids over new values.
-    """
+    """Write a set of curves as a directory of arrays: `times.npy` (T,),
+    `values.npy` (N, T), its `whole()` matrix, and a meta.json with the
+    version and the N ids."""
     if len(ids) != len(curves) or not distinct_strings(ids):
         raise ValueError("one distinct string id per curve required")
-    values = curves.whole()
-    os.makedirs(out_dir, exist_ok=True)
-    meta_path = os.path.join(out_dir, META)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(meta_path)
-    write_npy(os.path.join(out_dir, "times.npy"), np.asarray(curves.times, dtype="<f8"))
-    write_npy(os.path.join(out_dir, "values.npy"), np.asarray(values, dtype="<f8"))
-    with atomic_open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump({"curves_version": CURVES_VERSION, "ids": list(ids)}, fh, indent=1)
+    write_arrays(out_dir, {"times": np.asarray(curves.times, dtype="<f8"),
+                           "values": np.asarray(curves.whole(), dtype="<f8")},
+                 {"curves_version": CURVES_VERSION, "ids": list(ids)})
 
 
 def read_curves(curve_dir) -> tuple[list[str], CurveSet]:

@@ -47,7 +47,6 @@ def gated_fusion(fusion: str, modalities) -> bool:
 
 @dataclass
 class SurvivalModel:
-    fusion: str     # 'early' | 'late' | 'none'
     modalities: tuple[str, ...]
     heads: dict[str, Mlp]
     ae: Autoencoder | None = None
@@ -109,7 +108,7 @@ def init_model(fusion: str, modalities, dims: dict[str, int],
                             dropout=dropout)
              for name, read in head_reads.items()}
     gates = init_fusion_gates(width) if gated else None
-    return SurvivalModel(fusion=fusion, modalities=modalities, heads=heads, ae=ae, gates=gates)
+    return SurvivalModel(modalities=modalities, heads=heads, ae=ae, gates=gates)
 
 
 def _named_mlps(model: SurvivalModel):

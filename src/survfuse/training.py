@@ -498,34 +498,51 @@ def run_experiment_suite(named_configs: list[tuple[str, RunConfig]], cohort: Coh
     return reports
 
 
-def save_checkpoint(path: str, result: TrainResult) -> None:
-    """Persist the config, the parameters, the fitted head's record and the training record."""
-    manifest = {"config": asdict(result.config), "dims": result.dims, **result.head.record(),
-                **{key: getattr(result, key) for key in _RECORD}}
-    formats.write_checkpoint(path, model_params(result.model), manifest)
+def _tensor_list(model: SurvivalModel) -> list[dict]:
+    """The name and shape of each of the model's tensors, in layout order."""
+    return [{"name": name, "shape": list(shape)}
+            for name, shape in zip(model.layout.names, model.layout.shapes)]
+
+
+def save_checkpoint(out_dir: str, result: TrainResult) -> None:
+    """Persist the config, the parameters, the fitted head's record and the
+    training record as a checkpoint directory (`formats.write_checkpoint`)."""
+    meta = {"config": asdict(result.config), "dims": result.dims, **result.head.record(),
+            **{key: getattr(result, key) for key in _RECORD},
+            "tensors": _tensor_list(result.model)}
+    formats.write_checkpoint(out_dir, result.model.flat, meta)
 
 
 def load_checkpoint(path: str) -> TrainResult:
-    """The trained model, its config, fitted head and training record, from a checkpoint."""
-    tensors, manifest = formats.read_checkpoint(path)
-    missing = [key for key in _RECORD if key not in manifest]
-    if missing:
-        raise ValueError(f"{path}: checkpoint has no training record {missing}; "
-                         f"retrain the model")
-    config = _config_from_dict(manifest["config"])
-    head = read_head(config.head, manifest)
-    model = _build_model(config, manifest["dims"], np.random.default_rng(0), head.width)
-    params = model_params(model)
-    if set(params) != set(tensors):
-        raise ValueError("checkpoint parameters do not match the configured model")
-    for name, value in tensors.items():
-        if value.shape != params[name].shape:
-            raise ValueError(f"checkpoint tensor {name!r} has shape {value.shape}, "
-                             f"the configured model expects {params[name].shape}")
-        np.copyto(params[name], value)
+    """The trained model, its config, fitted head and training record, from a
+    checkpoint directory.
 
-    return TrainResult(config=config, model=model, head=head, dims=dict(manifest["dims"]),
-                       **{key: manifest[key] for key in _RECORD})
+    The model is rebuilt from the stored config and dims; a meta.json whose
+    tensor names and shapes differ from that model's, or whose record or
+    config does not check, is a ValueError naming it, and `params.npy` must
+    hold exactly the model's parameters (`formats.read_npy`).
+    """
+    meta = formats.read_meta(path, "checkpoint_version", formats.CHECKPOINT_VERSION,
+                             "retrain with `survfuse train`, which writes the checkpoint "
+                             "as a directory")
+    meta_path = os.path.join(path, formats.META)
+    missing = [key for key in _RECORD if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: checkpoint has no training record {missing}; "
+                         f"retrain the model")
+    try:
+        config = _config_from_dict(meta["config"])
+        head = read_head(config.head, meta)
+        model = _build_model(config, meta["dims"], np.random.default_rng(0), head.width)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
+    if meta.get("tensors") != _tensor_list(model):
+        raise ValueError(f"{meta_path}: the stored tensors do not match the names and shapes "
+                         f"of the model its config and dims build; retrain the model")
+    np.copyto(model.flat, formats.read_npy(os.path.join(path, "params.npy"), "<f8",
+                                           (model.layout.size,)))
+    return TrainResult(config=config, model=model, head=head, dims=dict(meta["dims"]),
+                       **{key: meta[key] for key in _RECORD})
 
 
 def report_table(reports: dict[str, RunReport | str]) -> str:

@@ -166,7 +166,7 @@ def test_ingest_rejects_unknown_keys(tmp_path, capsys):
 
 def test_train_outputs(pipeline, capsys):
     run = pipeline["run"]
-    assert os.path.exists(os.path.join(run, "checkpoint.svck"))
+    assert sorted(os.listdir(os.path.join(run, "checkpoint"))) == ["meta.json", "params.npy"]
     report = read_json(os.path.join(run, "report.json"))
     assert set(report["channels"]) == {"hidden", "verbalized", "combined"}
     assert 0.0 <= report["channels"]["hidden"]["c_td"] <= 1.0
@@ -174,7 +174,8 @@ def test_train_outputs(pipeline, capsys):
     manifest = read_json(os.path.join(run, "manifest.json"))
     assert manifest["command"] == "train"
     assert manifest["seeds"] == {"master": 4}
-    assert set(manifest["outputs"]) == {"checkpoint.svck", "report.json"}
+    assert set(manifest["outputs"]) == {os.path.join("checkpoint", "meta.json"),
+                                        os.path.join("checkpoint", "params.npy"), "report.json"}
 
 
 def test_train_report_reproducible(pipeline, tmp_path):
@@ -199,7 +200,7 @@ def test_a_bundle_manifest_leaves_the_input_digests_alone(pipeline, tmp_path):
     manifest = read_json(copy / "manifest.json")
     manifest["timings"] = {name: t + 1.0 for name, t in manifest["timings"].items()}
     write(copy / "manifest.json", json.dumps(manifest))
-    checkpoint = os.path.join(pipeline["run"], "checkpoint.svck")
+    checkpoint = os.path.join(pipeline["run"], "checkpoint")
     digests = []
     for k, bundle in enumerate([pipeline["bundle"], str(copy)]):
         out = tmp_path / f"eval{k}"
@@ -213,7 +214,7 @@ def test_a_bundle_manifest_leaves_the_input_digests_alone(pipeline, tmp_path):
 def test_eval_matches_train_report(pipeline, tmp_path):
     out = str(tmp_path / "eval")
     assert main(["eval", "--checkpoint",
-                 os.path.join(pipeline["run"], "checkpoint.svck"),
+                 os.path.join(pipeline["run"], "checkpoint"),
                  "--bundle", pipeline["bundle"], "--out", out]) == 0
     train_report = read_json(os.path.join(pipeline["run"], "report.json"))
     eval_report = read_json(os.path.join(out, "report.json"))
@@ -234,7 +235,7 @@ def test_eval_writes_the_report_train_wrote(pipeline, tmp_path, head):
     run, ev = tmp_path / "run", tmp_path / "eval"
     assert main(["train", "--config", write(tmp_path / "run.cfg", cfg),
                  "--bundle", pipeline["bundle"], "--out", str(run)]) == 0
-    assert main(["eval", "--checkpoint", str(run / "checkpoint.svck"),
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
                  "--bundle", pipeline["bundle"], "--out", str(ev)]) == 0
     written = (run / "report.json").read_bytes()
     assert (ev / "report.json").read_bytes() == written
@@ -243,24 +244,40 @@ def test_eval_writes_the_report_train_wrote(pipeline, tmp_path, head):
     assert (report["skipped_batches"] > 0) == (head == "coxph")
 
 
+def meta_edit(edit):
+    """A change to a checkpoint directory: `edit` applied to its meta.json."""
+    def apply(path):
+        meta = read_json(path / "meta.json")
+        edit(meta)
+        write(path / "meta.json", json.dumps(meta))
+    return apply
+
+
+def changed_checkpoint(pipeline, path, change):
+    """A copy at `path` of the pipeline's checkpoint, after `change(path)`."""
+    shutil.copytree(os.path.join(pipeline["run"], "checkpoint"), path)
+    change(path)
+    return str(path)
+
+
 def test_eval_rejects_a_checkpoint_without_its_training_record(pipeline, tmp_path, capsys):
     """Each record key is required. A checkpoint written before they were
-    kept lacks three, and fails on that before its tensors are read (a Cox
+    kept lacks three, and fails on that before its tensors are checked (a Cox
     one had gates of another shape; here a transposed weight stands in)."""
-    tensors, manifest = formats.read_checkpoint(
-        os.path.join(pipeline["run"], "checkpoint.svck"))
     cases = [[key] for key in ("train_trace", "val_trace", "best_epoch", "skipped_batches")]
     cases.append(["train_trace", "val_trace", "skipped_batches"])
     for k, missing in enumerate(cases):
-        old = str(tmp_path / f"old{k}.svck")
-        if len(missing) > 1:
-            tensors["head_text.w0"] = tensors["head_text.w0"].T.copy()
-        formats.write_checkpoint(old, tensors, {key: value for key, value in manifest.items()
-                                                if key not in missing})
+        def edit(meta):
+            for key in missing:
+                del meta[key]
+            if len(missing) > 1:
+                w0 = next(t for t in meta["tensors"] if t["name"] == "head_cov.w0")
+                w0["shape"].reverse()
+        old = changed_checkpoint(pipeline, tmp_path / f"old{k}", meta_edit(edit))
         assert main(["eval", "--checkpoint", old, "--bundle", pipeline["bundle"],
                      "--out", str(tmp_path / "eval")]) == 1
-        assert (f"{old}: checkpoint has no training record {missing}; retrain the model"
-                in capsys.readouterr().err)
+        assert (f"{os.path.join(old, 'meta.json')}: checkpoint has no training record "
+                f"{missing}; retrain the model" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("head", ["discrete", "coxph"])
@@ -286,7 +303,7 @@ def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_p
 
     monkeypatch.setattr(training, "model_forward", counted)
     out = tmp_path / "eval"
-    checkpoint = os.path.join(run, "checkpoint.svck")
+    checkpoint = os.path.join(run, "checkpoint")
     assert main(["eval", "--checkpoint", checkpoint, "--bundle", pipeline["bundle"],
                  "--out", str(out)]) == 0
     assert sum(forwarded) == 1
@@ -299,15 +316,61 @@ def test_eval_forwards_the_test_split_once_and_writes_its_curves(pipeline, tmp_p
 @pytest.mark.parametrize("stale", [{"beta": 1.0, "text_loss_w": 2.0, "text_loss_w_num": 5.0},
                                    {"calibration_correction": False}])
 def test_eval_rejects_a_checkpoint_with_stale_config_keys(pipeline, tmp_path, capsys, stale):
-    tensors, manifest = formats.read_checkpoint(
-        os.path.join(pipeline["run"], "checkpoint.svck"))
-    manifest["config"].update(stale)
-    old = str(tmp_path / "stale.svck")
-    formats.write_checkpoint(old, tensors, manifest)
+    old = changed_checkpoint(pipeline, tmp_path / "stale",
+                             meta_edit(lambda meta: meta["config"].update(stale)))
     assert main(["eval", "--checkpoint", old, "--bundle", pipeline["bundle"],
                  "--out", str(tmp_path / "eval")]) == 1
     err = capsys.readouterr().err
-    assert f"does not know: {sorted(stale)}; retrain the model" in err
+    assert (f"{os.path.join(old, 'meta.json')}: checkpoint config has keys this version "
+            f"does not know: {sorted(stale)}; retrain the model" in err)
+
+
+# each: the change to a copy of a good checkpoint, the file the error names, and its words
+BROKEN_CHECKPOINTS = {
+    "no meta.json": (lambda path: (path / "meta.json").unlink(), "",
+                     "checkpoint is incomplete (no meta.json); retrain with `survfuse train`"),
+    "truncated params": (lambda path: (path / "params.npy").write_bytes(
+        (path / "params.npy").read_bytes()[:-8]), "params.npy", "truncated file"),
+    "extended params": (lambda path: (path / "params.npy").write_bytes(
+        (path / "params.npy").read_bytes() + b"\0"), "params.npy", "trailing bytes"),
+    "no params": (lambda path: (path / "params.npy").unlink(), "params.npy",
+                  "No such file"),
+    "tensor dropped": (meta_edit(lambda meta: meta["tensors"].pop(0)), "meta.json",
+                       "the stored tensors do not match"),
+    "tensor renamed": (meta_edit(lambda meta: meta["tensors"][0].update(name="head.w0")),
+                       "meta.json", "the stored tensors do not match"),
+    "tensor transposed": (meta_edit(lambda meta: next(
+        t for t in meta["tensors"] if t["name"] == "head_cov.w0")["shape"].reverse()),
+        "meta.json", "the stored tensors do not match"),
+    "wider dims": (meta_edit(lambda meta: meta["dims"].update(cov=meta["dims"]["cov"] + 1)),
+                   "meta.json", "the stored tensors do not match"),
+    "dims lack a modality": (meta_edit(lambda meta: meta["dims"].pop("cov")), "meta.json",
+                             "missing dims for modalities: ['cov']"),
+    "another version": (meta_edit(lambda meta: meta.update(checkpoint_version=2)), "",
+                        "unsupported checkpoint version 2"),
+}
+
+
+@pytest.mark.parametrize("broken", list(BROKEN_CHECKPOINTS))
+def test_eval_refuses_a_broken_checkpoint_naming_the_file(pipeline, tmp_path, capsys, broken):
+    change, name, words = BROKEN_CHECKPOINTS[broken]
+    checkpoint = changed_checkpoint(pipeline, tmp_path / "checkpoint", change)
+    assert main(["eval", "--checkpoint", checkpoint, "--bundle", pipeline["bundle"],
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert (os.path.join(checkpoint, name) if name else checkpoint) in err
+    assert words in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_refuses_an_old_checkpoint_file(pipeline, tmp_path, capsys):
+    """A `.svck` file from before checkpoints were directories is refused by
+    path, with the remedy."""
+    old = write(tmp_path / "checkpoint.svck", "SVCK")
+    assert main(["eval", "--checkpoint", old, "--bundle", pipeline["bundle"],
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert (f"survfuse: error: {old}: no checkpoint directory; retrain with `survfuse train`, "
+            f"which writes the checkpoint as a directory" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["train", "suite"])
@@ -344,7 +407,7 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
     # need eval curves for the blend step
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",
-                 os.path.join(pipeline["run"], "checkpoint.svck"),
+                 os.path.join(pipeline["run"], "checkpoint"),
                  "--bundle", pipeline["bundle"], "--out", ev]) == 0
     blended = str(tmp_path / "blend")
     code = main(["blend", "--curves", os.path.join(ev, "curves"),
@@ -357,6 +420,14 @@ def test_parse_teacher_and_blend(pipeline, tmp_path, capsys):
     assert blend["n_curves"] == 19
     _, combined = formats.read_curves(os.path.join(blended, "combined"))
     assert len(combined) == 19
+
+
+def test_parse_teacher_takes_no_no_correction_flag(pipeline, tmp_path, capsys):
+    """The mask acts only with --outcomes; the flag that skipped it is gone."""
+    assert main(["parse-teacher", "--teacher", os.path.join(pipeline["raw"], "teacher.jsonl"),
+                 "--out", str(tmp_path / "t"), "--no-correction"]) == 1
+    assert "unrecognized arguments: --no-correction" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("train_ids", [False, True])
@@ -514,6 +585,23 @@ def test_a_bad_clinical_cell_names_the_file_id_line_and_column(tmp_path, capsys,
     assert not (tmp_path / "b").exists()
 
 
+def test_clinical_rows_outside_the_training_split_are_refused_naming_the_file(tmp_path,
+                                                                             capsys):
+    from survfuse.cohort import split_cohort
+
+    ids = ["a", "b", "c"]
+    write(tmp_path / "o.csv", "id,time_years,event\na,1.0,1\nb,2.0,1\nc,3.0,0\n")
+    test_id = ids[split_cohort(3, (0.34, 0.34, 0.32), seed=0).test[0]]
+    cov = write(tmp_path / "cov.csv", f"id,age,sex,race,stage,cancer_type\n"
+                                      f"{test_id},50,F,White,II,skin\n")
+    cfg = write(tmp_path / "ingest.cfg", "outcomes=o.csv\ncovariates=cov.csv\nschema=clinical\n"
+                                         "ratios=0.34,0.34,0.32\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert (f"survfuse: error: {cov}: no clinical row names a sample of the training split"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("key,name", [("covariates", "cov.csv"), ("ge", "ge.csv"),
                                       ("pooled", "p.svpv")])
 def test_a_modality_without_a_column_is_refused_naming_the_file(tmp_path, capsys, key, name):
@@ -526,6 +614,23 @@ def test_a_modality_without_a_column_is_refused_naming_the_file(tmp_path, capsys
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
     err = capsys.readouterr().err
     assert f"survfuse: error: {tmp_path / name}: no values per sample" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_clinical_rows_outside_the_training_split_are_refused_naming_the_file(tmp_path,
+                                                                             capsys):
+    from survfuse.cohort import split_cohort
+
+    ids = ["a", "b", "c"]
+    write(tmp_path / "o.csv", "id,time_years,event\na,1.0,1\nb,2.0,1\nc,3.0,0\n")
+    test_id = ids[split_cohort(3, (0.34, 0.34, 0.32), seed=0).test[0]]
+    cov = write(tmp_path / "cov.csv", f"id,age,sex,race,stage,cancer_type\n"
+                                      f"{test_id},50,F,White,II,skin\n")
+    cfg = write(tmp_path / "ingest.cfg", "outcomes=o.csv\ncovariates=cov.csv\nschema=clinical\n"
+                                         "ratios=0.34,0.34,0.32\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert (f"survfuse: error: {cov}: no clinical row names a sample of the training split"
+            in capsys.readouterr().err)
     assert not (tmp_path / "b").exists()
 
 
@@ -577,12 +682,12 @@ def test_token_states_wider_than_the_pooled_vectors_are_refused_naming_both_file
 def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",
-                 os.path.join(pipeline["run"], "checkpoint.svck"),
+                 os.path.join(pipeline["run"], "checkpoint"),
                  "--bundle", pipeline["bundle"], "--out", ev]) == 0
     targets = str(tmp_path / "targets")
     assert main(["parse-teacher", "--teacher",
                  os.path.join(pipeline["raw"], "teacher.jsonl"),
-                 "--out", targets, "--no-correction"]) == 0
+                 "--out", targets]) == 0
     blended = str(tmp_path / "blend0")
     assert main(["blend", "--curves", os.path.join(ev, "curves"),
                  "--percents", os.path.join(targets, "percents.csv"),
@@ -596,7 +701,7 @@ def test_blend_fixed_lambda_zero_keeps_hidden(pipeline, tmp_path):
 def test_blend_counts_floored_percents(pipeline, tmp_path, caplog):
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",
-                 os.path.join(pipeline["run"], "checkpoint.svck"),
+                 os.path.join(pipeline["run"], "checkpoint"),
                  "--bundle", pipeline["bundle"], "--out", ev]) == 0
     ids, _ = formats.read_curves(os.path.join(ev, "curves"))
     percents = write(tmp_path / "percents.csv", "id,percent\n" + "".join(
@@ -613,12 +718,12 @@ def test_blend_counts_floored_percents(pipeline, tmp_path, caplog):
 def test_blend_needs_lambda_or_outcomes(pipeline, tmp_path, capsys):
     ev = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint",
-                 os.path.join(pipeline["run"], "checkpoint.svck"),
+                 os.path.join(pipeline["run"], "checkpoint"),
                  "--bundle", pipeline["bundle"], "--out", ev]) == 0
     targets = str(tmp_path / "targets")
     assert main(["parse-teacher", "--teacher",
                  os.path.join(pipeline["raw"], "teacher.jsonl"),
-                 "--out", targets, "--no-correction"]) == 0
+                 "--out", targets]) == 0
     assert main(["blend", "--curves", os.path.join(ev, "curves"),
                  "--percents", os.path.join(targets, "percents.csv"),
                  "--out", str(tmp_path / "b")]) == 1
@@ -727,7 +832,7 @@ def test_parse_teacher_and_blend_reproduce_train_under_refusals(tmp_path, capsys
     assert main(["ingest", "--config", ingest_cfg, "--out", bundle]) == 0
     assert main(["train", "--config", write(tmp_path / "run.cfg", TRAIN_CFG),
                  "--bundle", bundle, "--out", run]) == 0
-    assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint.svck"),
+    assert main(["eval", "--checkpoint", os.path.join(run, "checkpoint"),
                  "--bundle", bundle, "--out", ev]) == 0
     targets = str(tmp_path / "targets")
     assert main(["parse-teacher", "--teacher", str(tmp_path / "raw" / "teacher.jsonl"),
@@ -924,7 +1029,7 @@ def test_a_bundle_whose_split_does_not_check_is_refused(pipeline, tmp_path, caps
     SPLIT_EDITS[edit](meta)
     write(bundle / "meta.json", json.dumps(meta))
     given = (["--config", pipeline["train_cfg"]] if command == "train" else
-             ["--checkpoint", os.path.join(pipeline["run"], "checkpoint.svck")])
+             ["--checkpoint", os.path.join(pipeline["run"], "checkpoint")])
     assert main([command, *given, "--bundle", str(bundle), "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert f"survfuse: error: {bundle / 'meta.json'}: " in err

@@ -262,7 +262,7 @@ def test_clinical_preprocessing_layout_and_scaling(tmp_path):
         "c,80,M,White,IV,COAD",
         "d,90,F,Asian,II,nonsense",
     ])
-    (_, cov), meta = _clinical_modality((ids, clinical), train_ids=["a", "b", "c"])
+    (_, cov), meta = _clinical_modality("cov.csv", (ids, clinical), train_ids=["a", "b", "c"])
     assert meta["cov_layout"] == (["age", "sex", "race", "stage"]
                                   + [f"family_{f}" for f in CANCER_FAMILIES])
     by_id = dict(zip(ids, cov))
@@ -289,7 +289,7 @@ def test_clinical_majority_tie_breaks_lexicographic(tmp_path):
         "a,50,M,White,II,skin",
         "b,50,F,Black,II,skin",
     ])
-    (_, cov), meta = _clinical_modality((ids, clinical), train_ids=["a", "b"])
+    (_, cov), meta = _clinical_modality("cov.csv", (ids, clinical), train_ids=["a", "b"])
     assert meta["sex_majority"] == "F"
     assert meta["race_majority"] == "Black"
     # equal train extrema: scaled coordinate collapses to 0
@@ -302,7 +302,7 @@ def test_clinical_stage_spellings(tmp_path):
         "b,50,F,White,stage iv,skin",
         "c,60,F,White,2,skin",
     ])
-    (_, cov), _ = _clinical_modality((ids, clinical), train_ids=ids)
+    (_, cov), _ = _clinical_modality("cov.csv", (ids, clinical), train_ids=ids)
     by_id = dict(zip(ids, cov[:, 3]))
     # codes 1, 4, 2 scaled by extrema (1, 4)
     assert by_id["a"] == 0.0

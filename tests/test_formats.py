@@ -6,6 +6,7 @@ import pytest
 
 from survfuse import formats
 from survfuse.cli import _write_json
+from survfuse.cohort import Cohort, CohortSplit, load_bundle, save_bundle
 from survfuse.heads import CurveSet
 
 
@@ -25,7 +26,7 @@ def test_hidden_states_round_trip(tmp_path):
     again = formats.read_hidden_states(path)
     for sid in data:
         assert np.array_equal(again[sid], back[sid])
-    # one byte past the last matrix is an error, as in checkpoints
+    # one byte past the last matrix is an error
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing bytes"):
         formats.read_hidden_states(path)
@@ -61,46 +62,30 @@ def test_hidden_states_rejects_wrong_magic(tmp_path):
         formats.read_hidden_states(path)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    params = {"head.w0": rng.normal(size=(4, 3)), "head.b0": rng.normal(size=3),
-              "gates.inner": np.array(0.25)}
-    manifest = {"config": {"seed": 3}, "note": "x"}
-    path = tmp_path / "c.svck"
-    formats.write_checkpoint(path, params, manifest)
-    back, mf = formats.read_checkpoint(path)
-    assert set(back) == set(params)
-    for name in params:
-        assert back[name].shape == params[name].shape
-        assert np.array_equal(back[name], params[name])
-    assert mf["config"] == {"seed": 3}
-    assert mf["note"] == "x"
-
-
-def test_checkpoint_bytes_are_the_tensors_in_order(tmp_path):
-    rng = np.random.default_rng(3)
-    params = {"b": rng.normal(size=(2, 3)), "a": rng.normal(size=4), "g": np.array(0.5)}
-    path = tmp_path / "c.svck"
-    formats.write_checkpoint(path, params, {"k": 1})
-    raw = path.read_bytes()
-    tail = b"".join(arr.astype("<f8").tobytes() for arr in params.values())
-    assert raw.endswith(tail)
-    blob = json.dumps({"k": 1, "tensors": [{"name": n, "shape": list(a.shape)}
-                                           for n, a in params.items()]}, sort_keys=True)
-    assert len(raw) == 12 + len(blob.encode()) + len(tail)
+def test_checkpoint_is_an_array_directory(tmp_path):
+    """params.npy holds the vector's bytes; meta.json its version, then the meta."""
+    flat = np.random.default_rng(3).normal(size=13)
+    path = tmp_path / "c"
+    formats.write_checkpoint(path, flat, {"config": {"seed": 3}, "note": "x"})
+    assert sorted(p.name for p in path.iterdir()) == ["meta.json", "params.npy"]
+    back = formats.read_npy(path / "params.npy", "<f8", (13,))
+    assert back.tobytes() == flat.astype("<f8").tobytes()
+    meta = formats.read_meta(path, "checkpoint_version", formats.CHECKPOINT_VERSION, "retrain")
+    assert list(meta.items()) == [("checkpoint_version", 1), ("config", {"seed": 3}),
+                                  ("note", "x")]
 
 
 def test_checkpoint_rejects_trailing_and_missing_bytes(tmp_path):
-    params = {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)}
-    path = tmp_path / "c.svck"
-    formats.write_checkpoint(path, params, {})
-    good = path.read_bytes()
-    path.write_bytes(good + b"\0")
-    with pytest.raises(ValueError, match="trailing bytes"):
-        formats.read_checkpoint(path)
-    path.write_bytes(good[:-1])
-    with pytest.raises(ValueError, match="truncated"):
-        formats.read_checkpoint(path)
+    path = tmp_path / "c"
+    formats.write_checkpoint(path, np.arange(9.0), {})
+    params = path / "params.npy"
+    good = params.read_bytes()
+    params.write_bytes(good + b"\0")
+    with pytest.raises(ValueError, match=f"{params}: trailing bytes"):
+        formats.read_npy(params, "<f8", (9,))
+    params.write_bytes(good[:-1])
+    with pytest.raises(ValueError, match=f"{params}: truncated"):
+        formats.read_npy(params, "<f8", (9,))
 
 
 def test_npy_round_trip_and_checks(tmp_path):
@@ -145,14 +130,12 @@ class _Unprintable:
 
 
 @pytest.mark.parametrize("write", [
-    lambda path: formats.write_checkpoint(
-        path, {"a": np.zeros(2), "b": np.array(["x"], dtype=object)}, {"step": 1}),
     lambda path: _write_json(path, {"a": 1, "b": object()}),
     lambda path: formats.write_csv_table(path, ["id", "x"], [["a", "1"], ["b", _Unprintable()]]),
     lambda path: formats.write_jsonl(path, [{"a": 1}, {"b": object()}]),
     lambda path: formats.write_hidden_states(path, {"a": np.zeros((2, 3)), "b": np.zeros(3)}),
     lambda path: formats.write_pooled(path, {"a": np.zeros(3), "b": np.zeros((2, 3))}),
-], ids=["checkpoint", "json", "csv", "jsonl", "hidden", "pooled"])
+], ids=["json", "csv", "jsonl", "hidden", "pooled"])
 def test_writers_keep_the_old_file_when_a_write_fails(tmp_path, write):
     path = tmp_path / "out"
     path.write_bytes(b"old")
@@ -355,6 +338,45 @@ def test_a_curve_write_that_fails_partway_reads_as_incomplete(tmp_path, monkeypa
     monkeypatch.setattr(formats, "write_npy", write_npy)
     formats.write_curves(path, ["new0", "new1", "new2"], random_curves(10, 3, 4))
     assert formats.read_curves(path)[0] == ["new0", "new1", "new2"]
+
+
+def tiny_cohort(n):
+    return Cohort(ids=[f"s{i}" for i in range(n)], times=np.ones(n),
+                  events=np.zeros(n, dtype=bool),
+                  split=CohortSplit(np.array([0]), np.array([1]), np.arange(2, n)),
+                  modalities={"cov": np.zeros((n, 2))})
+
+
+# each: write a directory of n samples' arrays, and read it back
+DIRECTORY_WRITERS = {
+    "checkpoint": (lambda path, n: formats.write_checkpoint(path, np.zeros(n), {}),
+                   lambda path: formats.read_meta(path, "checkpoint_version", 1, "retrain")),
+    "bundle": (lambda path, n: save_bundle(tiny_cohort(n), str(path)),
+               lambda path: load_bundle(str(path))),
+}
+
+
+@pytest.mark.parametrize("kind", list(DIRECTORY_WRITERS))
+def test_a_checkpoint_or_bundle_write_that_fails_partway_reads_as_incomplete(
+        tmp_path, monkeypatch, kind):
+    write, read = DIRECTORY_WRITERS[kind]
+    path = tmp_path / kind
+    write(path, 3)
+    write_npy = formats.write_npy
+
+    def disk_full(target, arr):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(formats, "write_npy", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 4)
+    # the old arrays are still there, but without meta.json they cannot be read
+    assert not (path / "meta.json").exists()
+    with pytest.raises(ValueError, match="incomplete"):
+        read(path)
+    monkeypatch.setattr(formats, "write_npy", write_npy)
+    write(path, 4)
+    read(path)
 
 
 def test_jsonl_round_trip(tmp_path):

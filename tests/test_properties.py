@@ -9,9 +9,9 @@ the inference forward) and for the whole-array training and teacher code
 against the per-element forms it replaced (Cox risk sets, Breslow
 increments, flat AdamW, the flat-vector training step, sigmoid, one-draw
 dropout masks, batch and columnar teacher finalisation), the bit-exact
-bundle round trip, the on-disk formats (checkpoint, .svhs, .svpv, .npy,
-curve directories, percents.csv: bit-exact round trips, and a ValueError
-at every truncation), and the column-wise set-up code against the per-element forms
+bundle round trip, the on-disk formats (checkpoint directories, .svhs,
+.svpv, .npy, curve directories, percents.csv: bit-exact round trips, and a
+ValueError at every truncation), and the column-wise set-up code against the per-element forms
 (batched attention pooling, the one-pass numeric-table parser, the joined
 CSV writer, cached teacher extraction)."""
 
@@ -34,20 +34,19 @@ from survfuse.blending import (DEFAULT_LAMBDA_GRID, blend_inputs, combine, combi
 from survfuse.cohort import Cohort, CohortSplit, _parse_numeric_table, load_bundle, save_bundle
 from survfuse.distill import (HORIZONS, TeacherTable, extract_probability, finalize_probs,
                               finalize_records, fit_parametric, parse_teacher_file)
-from survfuse.formats import (id_rows, read_checkpoint, read_curves, read_hidden_states,
-                              read_npy, read_percents, read_pooled, write_checkpoint,
-                              write_csv_table, write_curves, write_hidden_states, write_jsonl,
-                              write_npy, write_percents, write_pooled)
+from survfuse.formats import (id_rows, read_curves, read_hidden_states, read_npy, read_percents,
+                              read_pooled, write_csv_table, write_curves, write_hidden_states,
+                              write_jsonl, write_npy, write_percents, write_pooled)
 from survfuse.heads import (CoxHead, CurveSet, DiscreteHead, TimeGrid, _checked_curves,
                             _event_time_groups, breslow_baseline, cox_curve,
-                            discrete_curve)
+                            discrete_curve, init_head)
 from survfuse.metrics import IBS_GRID_POINTS, _ibs_midpoints, c_td, censoring_km, ibs
 from survfuse.model import init_model, model_backward, model_forward, model_params
 from survfuse.nn import (Mlp, Workspace, adamw_step, draw_dropout_masks, init_adamw, init_mlp,
                          sigmoid)
 from survfuse.pooling import attention_pool, pool_many
-from survfuse.training import (RunConfig, _channels, _learning_rate, finalize_teacher,
-                               total_loss)
+from survfuse.training import (RunConfig, TrainResult, _build_model, _channels, _learning_rate,
+                               finalize_teacher, load_checkpoint, save_checkpoint, total_loss)
 from parametric import fit_survival_at, three_year_percent
 from stepcurves import curve, curve_at, stack
 
@@ -1251,20 +1250,41 @@ FLOAT64S = st.floats() | SPECIAL_FLOATS
 FLOAT32S = st.floats(width=32, allow_nan=False)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_checkpoint_round_trips_and_rejects_every_prefix(data):
-    shapes = data.draw(st.dictionaries(IDS, st.lists(st.integers(0, 3), max_size=3),
-                                       max_size=4))
-    params = {name: drawn_array(data, FLOAT64S, shape, np.float64)
-              for name, shape in shapes.items()}
-    manifest = {"seed": data.draw(st.integers(0, 2**32)), "config": {"head": data.draw(IDS)}}
-    back, back_manifest = round_trip(lambda path, value: write_checkpoint(path, *value),
-                                     read_checkpoint, (params, manifest))
-    assert list(back) == list(params)
-    assert all(same_bits(back[name], arr) for name, arr in params.items())
-    assert back_manifest == {**manifest, "tensors": [{"name": name, "shape": shape}
-                                                     for name, shape in shapes.items()]}
+def test_checkpoint_directory_round_trips_and_refuses_every_cut(data):
+    """A checkpoint directory gives back its model bit for bit (NaNs, signed
+    zeros and subnormals included), its config, head and training record;
+    every proper prefix of params.npy, a byte past its end and a missing
+    meta.json are ValueErrors."""
+    fusion, modalities = data.draw(st.sampled_from(FUSIONS))
+    config = RunConfig(head=data.draw(st.sampled_from(["discrete", "coxph"])), fusion=fusion,
+                       modalities=modalities, n_bins=data.draw(st.integers(1, 3)),
+                       head_layers=(data.draw(st.integers(1, 2)),), ae_hidden=(2,),
+                       latent_dim=1)
+    head = init_head(config, None).fitted(
+        lambda: (np.zeros((2, 1)), np.array([1.0, 2.0]), np.ones(2, dtype=bool)))
+    dims = {m: data.draw(st.integers(1, 3)) for m in modalities}
+    model = _build_model(config, dims, np.random.default_rng(0), head.width)
+    model.flat[:] = drawn_array(data, FLOAT64S, (model.layout.size,), np.float64)
+    traces = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3)
+    result = TrainResult(config=config, model=model, head=head, train_trace=data.draw(traces),
+                         val_trace=data.draw(traces), best_epoch=data.draw(st.integers(0, 9)),
+                         skipped_batches=data.draw(st.integers(0, 9)), dims=dims)
+    back = round_trip(save_checkpoint, load_checkpoint, result, files=["params.npy"])
+    assert same_bits(back.model.flat, model.flat)
+    assert back.head.record() == head.record()
+    for key in ("config", "dims", "train_trace", "val_trace", "best_epoch", "skipped_batches"):
+        assert getattr(back, key) == getattr(result, key), key
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(tmp, result)
+        with open(os.path.join(tmp, "params.npy"), "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(tmp)
+        os.remove(os.path.join(tmp, "meta.json"))
+        with pytest.raises(ValueError, match="incomplete"):
+            load_checkpoint(tmp)
 
 
 @given(data=st.data())

@@ -1,9 +1,11 @@
 """Tests for run configuration, the joint objective, the training loop,
 evaluation channels, checkpoints, and experiment suites."""
 
+import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 
 from survfuse import training
 from survfuse.cohort import Cohort, CohortSplit, split_cohort
-from survfuse.formats import dataclass_from_kv, read_checkpoint, write_checkpoint
+from survfuse.formats import dataclass_from_kv
 from survfuse.blending import PERCENT_FLOOR, verbalized_curve
 import survfuse.heads as heads_module
 from survfuse.cohort import outcome_arrays
@@ -456,7 +458,7 @@ def test_quantile_grid_with_merged_edges_trains_checkpoints_and_evaluates(tmp_pa
     assert width < config.n_bins
     assert all(mlp.out_dim == width for mlp in result.model.heads.values())
     assert result.model.gates.inner_logit.shape == (width,)
-    path = str(tmp_path / "quantile.svck")
+    path = str(tmp_path / "quantile")
     save_checkpoint(path, result)
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.head.grid.edges, result.head.grid.edges)
@@ -472,7 +474,7 @@ def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
     split = cohort.split
     for config in (tiny_config(), tiny_config(head="coxph")):
         result = train(config, cohort)
-        path = str(tmp_path / f"{config.head}.svck")
+        path = str(tmp_path / config.head)
         save_checkpoint(path, result)
         loaded = load_checkpoint(path)
         assert loaded.config == config
@@ -483,49 +485,48 @@ def test_checkpoint_round_trip_reproduces_predictions(tmp_path):
         assert loaded.best_epoch == result.best_epoch
 
 
+def saved_checkpoint_meta(tmp_path):
+    """A checkpoint directory of a one-epoch late-fusion run and its meta.json."""
+    result = train(tiny_config(epochs=1), toy_cohort(30, teacher=False))
+    path = tmp_path / "full"
+    save_checkpoint(str(path), result)
+    return path, json.loads((path / "meta.json").read_text(encoding="utf-8"))
+
+
+def rewrite_meta(path, meta):
+    (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
 def test_checkpoint_rejects_mismatched_tensors(tmp_path):
-    cohort = toy_cohort(30, teacher=False)
-    config = tiny_config(epochs=1)
-    result = train(config, cohort)
-    path = str(tmp_path / "full.svck")
-    save_checkpoint(path, result)
-    tensors, manifest = read_checkpoint(path)
-    tensors.pop(sorted(tensors)[0])
-    clipped = str(tmp_path / "clipped.svck")
-    write_checkpoint(clipped, tensors, manifest)
-    with pytest.raises(ValueError, match="do not match"):
-        load_checkpoint(clipped)
+    path, meta = saved_checkpoint_meta(tmp_path)
+    meta["tensors"].pop(0)
+    rewrite_meta(path, meta)
+    with pytest.raises(ValueError, match=re.escape(f"{path / 'meta.json'}: the stored tensors "
+                                                   f"do not match")):
+        load_checkpoint(str(path))
 
 
 def test_load_checkpoint_rejects_a_reshaped_tensor(tmp_path):
-    cohort = toy_cohort(30, teacher=False)
-    config = tiny_config(epochs=1)
-    result = train(config, cohort)
-    path = str(tmp_path / "full.svck")
-    save_checkpoint(path, result)
-    tensors, manifest = read_checkpoint(path)
-    w = tensors["head_text.w0"]  # (6, 8): same size, transposed shape
-    tensors["head_text.w0"] = w.reshape(w.shape[::-1])
-    reshaped = str(tmp_path / "reshaped.svck")
-    write_checkpoint(reshaped, tensors, manifest)
-    with pytest.raises(ValueError, match=r"'head_text.w0' has shape \(8, 6\)"):
-        load_checkpoint(reshaped)
+    """Shapes of the same total size, so only the stored names and shapes
+    tell them apart."""
+    path, meta = saved_checkpoint_meta(tmp_path)
+    w0 = next(t for t in meta["tensors"] if t["name"] == "head_text.w0")
+    assert w0["shape"] == [6, 8]
+    w0["shape"] = [8, 6]
+    rewrite_meta(path, meta)
+    with pytest.raises(ValueError, match=re.escape(f"{path / 'meta.json'}: the stored tensors "
+                                                   f"do not match")):
+        load_checkpoint(str(path))
 
 
 def test_load_checkpoint_rejects_config_keys_it_does_not_know(tmp_path):
-    cohort = toy_cohort(30, teacher=False)
-    config = tiny_config(epochs=1)
-    result = train(config, cohort)
-    path = str(tmp_path / "full.svck")
-    save_checkpoint(path, result)
-    tensors, manifest = read_checkpoint(path)
+    path, meta = saved_checkpoint_meta(tmp_path)
     # a checkpoint written while the text-loss keys still existed
-    manifest["config"].update(beta=1.0, text_loss_w=2.0)
-    stale = str(tmp_path / "stale.svck")
-    write_checkpoint(stale, tensors, manifest)
+    meta["config"].update(beta=1.0, text_loss_w=2.0)
+    rewrite_meta(path, meta)
     with pytest.raises(ValueError,
                        match=r"\['beta', 'text_loss_w'\]; retrain"):
-        load_checkpoint(stale)
+        load_checkpoint(str(path))
 
 
 # ------------------------------------------------------- flat parameter vector
@@ -560,7 +561,7 @@ def test_init_and_copy_keep_params_as_views_of_one_vector(head, fusion, modaliti
                        head_layers=[7, 6], dropout=config.dropout, ae_hidden=[8, 5],
                        latent_dim=3, ae_dropout=config.ae_dropout)
     # the copy: the model rebuilt from a checkpoint of it
-    path = str(tmp_path / "init.svck")
+    path = str(tmp_path / "init")
     save_checkpoint(path, TrainResult(config=config, model=model, head=fitted,
                                       train_trace=[], val_trace=[], best_epoch=0,
                                       skipped_batches=0, dims=DIMS))
@@ -579,7 +580,7 @@ def test_checkpoint_and_pretraining_keep_params_as_views_of_one_vector(tmp_path)
                          pretrain_epochs=2, pretrain_patience=2)
     warm = pretrain_heads(config, cohort)
     result = train(config, cohort, warm_start=warm)
-    path = str(tmp_path / "cox.svck")
+    path = str(tmp_path / "cox")
     save_checkpoint(path, result)
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.model.flat, result.model.flat)
